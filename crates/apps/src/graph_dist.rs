@@ -17,7 +17,7 @@
 //! boundary a seeded subset of vertices is rewired (their out-edge lists
 //! resampled), and [`GraphWorld::gen_at`] reports how many boundaries
 //! rewired each vertex. That is what [`PtrApp::object_generation`] returns,
-//! so `run_phase_differential` sees *structural* deltas — carried copies of
+//! so a differential `run_phases` sees *structural* deltas — carried copies of
 //! rewired vertices must be invalidated, not just `DiffPlan` value stamps.
 //!
 //! Each node runs one BFS per locally-owned root vertex. Expanding a

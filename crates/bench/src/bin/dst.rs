@@ -29,14 +29,14 @@
 //!
 //! Workloads cover the single-phase variants (synth DPA/caching, BH, FMM,
 //! relax), the migration-enabled multi-phase variants (`synth-mig`,
-//! `bh-mig`, driven through `run_phase_migrating`), and the adaptive-strip
+//! `bh-mig`, driven through `run_phases`), and the adaptive-strip
 //! variants (`synth-adapt`, `bh-adapt`, driven by the `dpa_core::stripctl`
 //! feedback controller with tight bounds so retunes actually fire), so the
 //! object-migration protocol — affinity, depart/adopt, forwards, orphans —
 //! and the strip controller — bounded schedules, deterministic retunes,
 //! cross-phase carry — are explored under every fault plan. The
 //! differential variants (`synth-diff`, `bh-diff`, `graph`) run
-//! `run_phase_differential` against a from-scratch comparator, and the
+//! `cfg.differential` against a from-scratch comparator, and the
 //! skew-adversarial family (`graph`, `graph-mig`, `setops`) puts a
 //! power-law hot hub with multi-MTU records and structural phase deltas —
 //! plus ordered-set batches on the reduction path — under the same

@@ -30,7 +30,7 @@
 use apps::bh_dist::{BhApp, BhCost, BhWorld, OwnerPolicy};
 use bench::{dump_json, has_flag, ExpPoint, SEED};
 use dpa_core::invariant::{check_completed, NodeSnapshot};
-use dpa_core::{run_phase_differential, run_phase_migrating, DiffPlan, DpaConfig, DstOptions};
+use dpa_core::{run_phases, DiffPlan, DpaConfig, DstOptions};
 use nbody::bh::BhParams;
 use nbody::distrib::plummer;
 use sim_net::NetConfig;
@@ -99,37 +99,24 @@ fn run(world: &Arc<BhWorld>, phases: usize, differential: bool, label: &str) -> 
     let collect = |ph: usize, i: u16, app: &BhApp| {
         hashes[ph * NODES as usize + i as usize] = app.interaction_hash;
     };
-    let cost = modern_runtime_cost();
-    let (reports, snap_sets, _) = if differential {
-        let cfg = DpaConfig {
-            cost,
-            ..DpaConfig::dpa_differential(STRIP)
-        };
-        run_phase_differential(
-            NODES,
-            NetConfig::default(),
-            cfg,
-            &DstOptions::default(),
-            phases,
-            mk,
-            collect,
-        )
-    } else {
-        // Migration off: each phase realigns and refetches from scratch.
-        let cfg = DpaConfig {
-            cost,
-            ..DpaConfig::dpa(STRIP)
-        };
-        run_phase_migrating(
-            NODES,
-            NetConfig::default(),
-            cfg,
-            &DstOptions::default(),
-            phases,
-            mk,
-            collect,
-        )
+    let cfg = DpaConfig {
+        cost: modern_runtime_cost(),
+        ..if differential {
+            DpaConfig::dpa_differential(STRIP)
+        } else {
+            // Migration off: each phase realigns and refetches from scratch.
+            DpaConfig::dpa(STRIP)
+        }
     };
+    let (reports, snap_sets, _) = run_phases(
+        NODES,
+        NetConfig::default(),
+        cfg,
+        &DstOptions::default(),
+        phases,
+        mk,
+        collect,
+    );
     let mut req_msgs = Vec::with_capacity(phases);
     let mut req_sent = Vec::with_capacity(phases);
     let mut phase_ns = Vec::with_capacity(phases);

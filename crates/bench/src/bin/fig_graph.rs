@@ -48,7 +48,7 @@
 use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
 use bench::{dump_json, has_flag, ExpPoint};
 use dpa_core::invariant::check_completed;
-use dpa_core::{run_phase_differential, run_phase_migrating, DpaConfig, DstOptions};
+use dpa_core::{run_phases, DpaConfig, DstOptions};
 use sim_net::NetConfig;
 use std::sync::Arc;
 
@@ -70,39 +70,21 @@ struct Cell {
     sums: Vec<(u64, u64)>,
 }
 
-fn run_cell(
-    world: &Arc<GraphWorld>,
-    phases: usize,
-    cfg: DpaConfig,
-    differential: bool,
-    label: &str,
-) -> Cell {
+fn run_cell(world: &Arc<GraphWorld>, phases: usize, cfg: DpaConfig, label: &str) -> Cell {
     let mut sums = vec![(0u64, 0u64); phases * NODES as usize];
     let mk = |ph: usize, i: u16| GraphApp::new(world.clone(), i, ph as u32);
     let collect = |ph: usize, i: u16, app: &GraphApp| {
         sums[ph * NODES as usize + i as usize] = (app.sum, app.reached);
     };
-    let (reports, snap_sets, _) = if differential {
-        run_phase_differential(
-            NODES,
-            NetConfig::default(),
-            cfg,
-            &DstOptions::default(),
-            phases,
-            mk,
-            collect,
-        )
-    } else {
-        run_phase_migrating(
-            NODES,
-            NetConfig::default(),
-            cfg,
-            &DstOptions::default(),
-            phases,
-            mk,
-            collect,
-        )
-    };
+    let (reports, snap_sets, _) = run_phases(
+        NODES,
+        NetConfig::default(),
+        cfg,
+        &DstOptions::default(),
+        phases,
+        mk,
+        collect,
+    );
     let hub = world.vptr(0).bits();
     let mut ns = 0u64;
     let mut msgs = 0u64;
@@ -149,16 +131,15 @@ fn run_cell(
 /// everything else is compared against (plain DPA, default window); the
 /// first five are the from-scratch lanes the replication gate uses as
 /// its baseline.
-fn lanes() -> Vec<(&'static str, DpaConfig, bool)> {
+fn lanes() -> Vec<(&'static str, DpaConfig)> {
     vec![
-        ("dpa-w32", DpaConfig::dpa(STRIP), false),
+        ("dpa-w32", DpaConfig::dpa(STRIP)),
         (
             "agg-w1",
             DpaConfig {
                 reply_agg_window: 1,
                 ..DpaConfig::dpa(STRIP)
             },
-            false,
         ),
         (
             "agg-w256",
@@ -167,7 +148,6 @@ fn lanes() -> Vec<(&'static str, DpaConfig, bool)> {
                 reply_flush_deadline_ns: 200_000,
                 ..DpaConfig::dpa(STRIP)
             },
-            false,
         ),
         (
             "mig-t1",
@@ -176,7 +156,6 @@ fn lanes() -> Vec<(&'static str, DpaConfig, bool)> {
                 migration_epoch_ns: 10_000,
                 ..DpaConfig::dpa_migrating(STRIP)
             },
-            false,
         ),
         (
             "mig-t8",
@@ -184,10 +163,9 @@ fn lanes() -> Vec<(&'static str, DpaConfig, bool)> {
                 migration_threshold: 8,
                 ..DpaConfig::dpa_migrating(STRIP)
             },
-            false,
         ),
-        ("diff", DpaConfig::dpa_differential(STRIP), true),
-        ("repl", DpaConfig::dpa_replicating(STRIP), true),
+        ("diff", DpaConfig::dpa_differential(STRIP)),
+        ("repl", DpaConfig::dpa_replicating(STRIP)),
     ]
 }
 
@@ -229,8 +207,8 @@ fn main() {
             ..GraphParams::default()
         });
         let mut cells: Vec<(&str, Cell)> = Vec::new();
-        for (label, cfg, differential) in lanes() {
-            let cell = run_cell(&world, phases, cfg, differential, label);
+        for (label, cfg) in lanes() {
+            let cell = run_cell(&world, phases, cfg, label);
             cells.push((label, cell));
         }
         // Correctness bar: every knob setting computes the same closure.

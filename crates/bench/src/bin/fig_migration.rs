@@ -21,7 +21,7 @@
 use apps::bh_dist::{BhApp, BhCost, BhWorld, OwnerPolicy};
 use bench::{dump_json, has_flag, ExpPoint, SEED};
 use dpa_core::invariant::{check_completed, NodeSnapshot};
-use dpa_core::{run_phase_migrating, DpaConfig, DstOptions};
+use dpa_core::{run_phases, DpaConfig, DstOptions};
 use nbody::bh::BhParams;
 use nbody::distrib::plummer;
 use sim_net::NetConfig;
@@ -46,7 +46,7 @@ struct Run {
 
 fn run(world: &Arc<BhWorld>, cfg: DpaConfig, label: &str) -> Run {
     let mut hashes = vec![0u64; PHASES * NODES as usize];
-    let (reports, snap_sets, _) = run_phase_migrating(
+    let (reports, snap_sets, _) = run_phases(
         NODES,
         NetConfig::default(),
         cfg,

@@ -15,9 +15,7 @@ use apps::setops_dist::{SetopsApp, SetopsParams, SetopsWorld};
 use crate::{bh_world_sized, fmm_world_sized};
 use dpa_core::invariant::{check_completed, check_conservation, NodeSnapshot};
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
-use dpa_core::{
-    run_phase_differential, run_phase_dst, run_phase_migrating, DiffPlan, DpaConfig, DstOptions,
-};
+use dpa_core::{run_phase_dst, run_phases, DiffPlan, DpaConfig, DstOptions};
 use nbody::fmm::Local;
 use sim_net::{FaultPlan, NetConfig, NodePause, RunReport};
 use std::collections::HashMap;
@@ -40,7 +38,7 @@ pub const SMOKE_PLANS: &[&str] = &["none", "drop"];
 /// crosses several retune boundaries; `bh-adapt` is additionally
 /// multi-phase so the controllers carry across barriers. The `-diff`
 /// workloads run multi-timestep with **differential re-alignment**
-/// ([`run_phase_differential`]): tables and cached arrivals carry across
+/// ([`DpaConfig::differential`]): tables and cached arrivals carry across
 /// barriers, patched by boundary deltas; `bh-diff` additionally enables
 /// migration so delta routing composes with re-homing. The skew-adversarial
 /// family: `graph` is semi-naive transitive closure over a mutable
@@ -308,14 +306,23 @@ pub fn run_one(w: &Worlds, workload: &str, opts: &DstOptions) -> Outcome {
 }
 
 /// [`run_one`] with the execution mode of the `-diff` workloads pinned:
-/// `differential = true` drives them through [`run_phase_differential`]
-/// (the default, and what the sweep exercises); `false` runs the *same
-/// multi-timestep workload* from scratch every phase via
-/// [`run_phase_migrating`] — the comparator the equivalence suite holds
-/// the differential digests bit-identical to. The flag is ignored for
-/// every other workload.
+/// `differential = true` runs them under their differential config (the
+/// default, and what the sweep exercises); `false` runs the *same
+/// multi-timestep workload* through the same [`run_phases`] with the carry
+/// off, from scratch every phase — the comparator the equivalence suite
+/// holds the differential digests bit-identical to. The flag is ignored
+/// for every other workload.
 pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential: bool) -> Outcome {
     let net = net_for(opts);
+    // A `-diff`/`-repl` workload's config, or its from-scratch comparator:
+    // plain DPA at the same strip, nothing carried.
+    let mode = |carrying: DpaConfig, strip: usize| {
+        if differential {
+            carrying
+        } else {
+            DpaConfig::dpa(strip)
+        }
+    };
     match workload {
         "synth-diff" => {
             let world = w.synth.clone();
@@ -328,19 +335,9 @@ pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential:
             let collect = |ph: usize, i: u16, app: &SynthApp| {
                 sums[ph * nodes as usize + i as usize] = app.sum;
             };
-            let (reports, snap_sets, _) = if differential {
-                run_phase_differential(
-                    nodes,
-                    net,
-                    DpaConfig::dpa_differential(4),
-                    opts,
-                    DIFF_PHASES,
-                    mk,
-                    collect,
-                )
-            } else {
-                run_phase_migrating(nodes, net, DpaConfig::dpa(4), opts, DIFF_PHASES, mk, collect)
-            };
+            let cfg = mode(DpaConfig::dpa_differential(4), 4);
+            let (reports, snap_sets, _) =
+                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
             mig_outcome(reports, snap_sets, Digest::Ints(sums))
         }
         "bh-diff" => {
@@ -354,23 +351,12 @@ pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential:
             };
             // Differential composes with re-homing: same migration knobs as
             // `dpa_migrating`, plus the differential barrier protocol.
-            let (reports, snap_sets, _) = if differential {
-                let cfg = DpaConfig {
-                    migration_epoch_ns: DpaConfig::dpa_migrating(8).migration_epoch_ns,
-                    ..DpaConfig::dpa_differential(8)
-                };
-                run_phase_differential(nodes, net, cfg, opts, DIFF_PHASES, mk, collect)
-            } else {
-                run_phase_migrating(
-                    nodes,
-                    net,
-                    DpaConfig::dpa_migrating(8),
-                    opts,
-                    DIFF_PHASES,
-                    mk,
-                    collect,
-                )
+            let cfg = DpaConfig {
+                differential,
+                ..DpaConfig::dpa_migrating(8)
             };
+            let (reports, snap_sets, _) =
+                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
             mig_outcome(reports, snap_sets, Digest::Ints(hashes))
         }
         "graph" => {
@@ -388,19 +374,9 @@ pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential:
                 sums[at] = app.sum;
                 sums[at + 1] = app.reached;
             };
-            let (reports, snap_sets, _) = if differential {
-                run_phase_differential(
-                    nodes,
-                    net,
-                    DpaConfig::dpa_differential(8),
-                    opts,
-                    DIFF_PHASES,
-                    mk,
-                    collect,
-                )
-            } else {
-                run_phase_migrating(nodes, net, DpaConfig::dpa(8), opts, DIFF_PHASES, mk, collect)
-            };
+            let cfg = mode(DpaConfig::dpa_differential(8), 8);
+            let (reports, snap_sets, _) =
+                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
             mig_outcome(reports, snap_sets, Digest::Ints(sums))
         }
         "graph-repl" => {
@@ -419,19 +395,9 @@ pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential:
                 sums[at] = app.sum;
                 sums[at + 1] = app.reached;
             };
-            let (reports, snap_sets, _) = if differential {
-                run_phase_differential(
-                    nodes,
-                    net,
-                    DpaConfig::dpa_replicating(8),
-                    opts,
-                    DIFF_PHASES,
-                    mk,
-                    collect,
-                )
-            } else {
-                run_phase_migrating(nodes, net, DpaConfig::dpa(8), opts, DIFF_PHASES, mk, collect)
-            };
+            let cfg = mode(DpaConfig::dpa_replicating(8), 8);
+            let (reports, snap_sets, _) =
+                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
             mig_outcome(reports, snap_sets, Digest::Ints(sums))
         }
         "bh-repl" => {
@@ -447,19 +413,9 @@ pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential:
             let collect = |ph: usize, i: u16, app: &BhApp| {
                 hashes[ph * nodes as usize + i as usize] = app.interaction_hash;
             };
-            let (reports, snap_sets, _) = if differential {
-                run_phase_differential(
-                    nodes,
-                    net,
-                    DpaConfig::dpa_replicating(8),
-                    opts,
-                    DIFF_PHASES,
-                    mk,
-                    collect,
-                )
-            } else {
-                run_phase_migrating(nodes, net, DpaConfig::dpa(8), opts, DIFF_PHASES, mk, collect)
-            };
+            let cfg = mode(DpaConfig::dpa_replicating(8), 8);
+            let (reports, snap_sets, _) =
+                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
             mig_outcome(reports, snap_sets, Digest::Ints(hashes))
         }
         "graph-mig" => {
@@ -470,7 +426,7 @@ pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential:
             let world = w.graph.clone();
             let nodes = world.params.nodes;
             let mut sums = vec![0u64; 2 * MIG_PHASES * nodes as usize];
-            let (reports, snap_sets, _) = run_phase_migrating(
+            let (reports, snap_sets, _) = run_phases(
                 nodes,
                 net,
                 DpaConfig::dpa_migrating(8),
@@ -610,7 +566,7 @@ pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential:
             let world = w.synth.clone();
             let nodes = world.nodes;
             let mut sums = vec![0u64; MIG_PHASES * nodes as usize];
-            let (reports, snap_sets, _) = run_phase_migrating(
+            let (reports, snap_sets, _) = run_phases(
                 nodes,
                 net,
                 DpaConfig::dpa_migrating(4),
@@ -640,7 +596,7 @@ pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential:
             let nodes = world.nodes;
             let cfg = DpaConfig::dpa_adaptive(ADAPT_BOUNDS.0, ADAPT_BOUNDS.1);
             let mut hashes = vec![0u64; MIG_PHASES * nodes as usize];
-            let (reports, snap_sets, _) = run_phase_migrating(
+            let (reports, snap_sets, _) = run_phases(
                 nodes,
                 net,
                 cfg,
@@ -657,7 +613,7 @@ pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential:
             let world = w.bh.clone();
             let nodes = world.nodes;
             let mut hashes = vec![0u64; MIG_PHASES * nodes as usize];
-            let (reports, snap_sets, _) = run_phase_migrating(
+            let (reports, snap_sets, _) = run_phases(
                 nodes,
                 net,
                 DpaConfig::dpa_migrating(8),

@@ -1,8 +1,8 @@
-//! Differential-vs-from-scratch equivalence: [`run_phase_differential`]
-//! must produce **bit-identical** integer checksums to running the same
-//! multi-timestep workload from scratch every phase
-//! ([`run_phase_migrating`]), across the DST matrix of schedules and fault
-//! plans.
+//! Differential-vs-from-scratch equivalence: `run_phases` under
+//! `cfg.differential` must produce **bit-identical** integer checksums to
+//! running the same multi-timestep workload from scratch every phase (the
+//! same driver with the carry off), across the DST matrix of schedules and
+//! fault plans.
 //!
 //! This is the correctness bar for differential re-alignment. The `-diff`
 //! apps fold [`dpa_core::DiffPlan::stamp`] — a function of the pointer and

@@ -297,8 +297,8 @@ pub struct DpaConfig {
     /// and migration state across phase barriers, patching them with
     /// boundary deltas (`PhaseDelta`) instead of rebuilding — only objects
     /// whose generation or home moved are refetched. Off by default; the
-    /// one-shot paper configurations are bit-for-bit unchanged. Driven by
-    /// `run_phase_differential`.
+    /// one-shot paper configurations are bit-for-bit unchanged. Read by
+    /// `run_phases`.
     pub differential: bool,
     /// Read-mostly pointer replication: the third alignment mode next to
     /// caching and migration. At each phase boundary the driver promotes
@@ -431,7 +431,7 @@ impl DpaConfig {
 
     /// Full DPA driven differentially across timesteps: phase barriers
     /// patch the runtime tables with boundary deltas instead of rebuilding
-    /// them (see `run_phase_differential`). Composes with migration the
+    /// them (see `run_phases`). Composes with migration the
     /// way [`dpa_migrating`](DpaConfig::dpa_migrating) configures it.
     pub fn dpa_differential(strip: usize) -> DpaConfig {
         DpaConfig {
@@ -471,11 +471,6 @@ impl DpaConfig {
     /// `true` when locality-driven object migration is enabled.
     pub fn migration_enabled(&self) -> bool {
         self.migration_epoch_ns > 0
-    }
-
-    /// `true` when read-mostly pointer replication is enabled.
-    pub fn replication_enabled(&self) -> bool {
-        self.replication
     }
 
     /// `true` when the k-bound is feedback-controlled.
@@ -810,10 +805,9 @@ mod tests {
             DpaConfig::sequential(),
         ] {
             assert!(!cfg.replication);
-            assert!(!cfg.replication_enabled());
         }
         let r = DpaConfig::dpa_replicating(50);
-        assert!(r.replication_enabled());
+        assert!(r.replication);
         assert!(r.differential, "replicas ride the differential carry");
         assert!(r.migration_enabled(), "promotion needs the affinity signal");
         assert!(r.validate().is_ok());

@@ -1,17 +1,17 @@
 //! Phase orchestration: build a machine for a configuration, run it, and
 //! hand back both the timing report and the per-node application state.
+//! One machine body (`run_machine`) serves every entry point; one loop
+//! ([`run_phases`]) crosses phase barriers.
 
+use crate::boundary;
 use crate::config::{DpaConfig, Variant};
-use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::invariant::NodeSnapshot;
-use crate::mapping::PointerMap;
-use crate::pending::PendingRequests;
+use crate::msg::DpaMsg;
 use crate::proc_caching::CachingProc;
 use crate::proc_dpa::DpaProc;
-use crate::stripctl::StripController;
-use crate::work::{PtrApp, Tagged};
-use global_heap::{GPtr, MigrationTable, ReplicaDirectory};
-use sim_net::{FaultPlan, Machine, NetConfig, NodeId, QueueKind, RunReport, Trace};
+use crate::work::PtrApp;
+use global_heap::MigrationTable;
+use sim_net::{FaultPlan, Machine, NetConfig, NodeId, Proc, QueueKind, RunReport, Trace};
 
 /// Run one phase of `app` instances (one per node) under `cfg` on a
 /// `nodes`-node machine with network `net`.
@@ -19,7 +19,7 @@ use sim_net::{FaultPlan, Machine, NetConfig, NodeId, QueueKind, RunReport, Trace
 /// `mk` builds the per-node application; `collect` is called once per node
 /// after the run with the node id and its final application state (e.g. to
 /// gather computed forces). Panics if the run stalls (fault injection is
-/// exercised through [`run_phase_faulty`] instead).
+/// exercised through [`run_phase_dst`] instead).
 pub fn run_phase<A: PtrApp>(
     nodes: u16,
     net: NetConfig,
@@ -27,7 +27,7 @@ pub fn run_phase<A: PtrApp>(
     mk: impl FnMut(u16) -> A,
     collect: impl FnMut(u16, &A),
 ) -> RunReport {
-    let report = run_phase_faulty(nodes, net, cfg, mk, collect);
+    let (report, _) = run_phase_dst(nodes, net, cfg, &DstOptions::default(), mk, collect);
     assert!(
         report.completed,
         "phase stalled: {} packets dropped",
@@ -38,42 +38,18 @@ pub fn run_phase<A: PtrApp>(
 
 /// Like [`run_phase`] but also records a per-node execution timeline
 /// (exportable via [`Trace::to_chrome_json`]). `capacity` bounds the span
-/// count.
+/// count. Tolerates a stall; check [`RunReport::completed`].
 pub fn run_phase_traced<A: PtrApp>(
     nodes: u16,
     net: NetConfig,
     cfg: DpaConfig,
-    mut mk: impl FnMut(u16) -> A,
-    mut collect: impl FnMut(u16, &A),
+    mk: impl FnMut(u16) -> A,
+    collect: impl FnMut(u16, &A),
     capacity: usize,
 ) -> (RunReport, Trace) {
-    assert!(nodes >= 1);
-    match cfg.variant {
-        Variant::Dpa | Variant::Sequential => {
-            let procs: Vec<_> = (0..nodes)
-                .map(|i| DpaProc::new(mk(i), nodes as usize, cfg.clone()))
-                .collect();
-            let mut m = Machine::new(procs, net);
-            m.enable_tracing(capacity);
-            let report = m.run();
-            for i in 0..nodes {
-                collect(i, m.proc(NodeId(i)).app());
-            }
-            (report, m.take_trace().expect("tracing enabled"))
-        }
-        Variant::Caching | Variant::Blocking => {
-            let procs: Vec<_> = (0..nodes)
-                .map(|i| CachingProc::new(mk(i), cfg.clone()))
-                .collect();
-            let mut m = Machine::new(procs, net);
-            m.enable_tracing(capacity);
-            let report = m.run();
-            for i in 0..nodes {
-                collect(i, m.proc(NodeId(i)).app());
-            }
-            (report, m.take_trace().expect("tracing enabled"))
-        }
-    }
+    let opts = DstOptions::default();
+    let (report, _, trace) = run_single(nodes, net, cfg, &opts, Some(capacity), mk, collect);
+    (report, trace.expect("tracing enabled"))
 }
 
 /// Knobs for a deterministic-simulation-testing run.
@@ -142,126 +118,172 @@ fn phase_event_budget(opts: &DstOptions, phase: usize) -> u64 {
     }
 }
 
-/// Like [`run_phase_faulty`] but under DST control: applies `opts`' fault
-/// plan and schedule perturbation, and returns per-node runtime-state
-/// snapshots for the invariant checker alongside the report. Never panics
-/// on a stall — the report's `stalls` carry the diagnosis instead.
+/// Like [`run_phase`] but under DST control: applies `opts`' fault plan
+/// and schedule perturbation, and returns per-node runtime-state snapshots
+/// for the invariant checker alongside the report. Never panics on a
+/// stall — the report's `stalls` carry the diagnosis instead.
 pub fn run_phase_dst<A: PtrApp>(
     nodes: u16,
     net: NetConfig,
     cfg: DpaConfig,
     opts: &DstOptions,
-    mut mk: impl FnMut(u16) -> A,
-    mut collect: impl FnMut(u16, &A),
+    mk: impl FnMut(u16) -> A,
+    collect: impl FnMut(u16, &A),
 ) -> (RunReport, Vec<NodeSnapshot>) {
+    let (report, snaps, _) = run_single(nodes, net, cfg, opts, None, mk, collect);
+    (report, snaps)
+}
+
+/// The single-phase entries' shared body: pick the node driver for
+/// `cfg.variant` and run it once on a fresh machine.
+fn run_single<A: PtrApp>(
+    nodes: u16,
+    net: NetConfig,
+    cfg: DpaConfig,
+    opts: &DstOptions,
+    trace_capacity: Option<usize>,
+    mut mk: impl FnMut(u16) -> A,
+    collect: impl FnMut(u16, &A),
+) -> (RunReport, Vec<NodeSnapshot>, Option<Trace>) {
     assert!(nodes >= 1);
     if matches!(cfg.variant, Variant::Sequential) {
         assert_eq!(nodes, 1, "the sequential reference runs on one node");
     }
     match cfg.variant {
         Variant::Dpa | Variant::Sequential => {
-            let procs: Vec<_> = (0..nodes)
+            let procs = (0..nodes)
                 .map(|i| DpaProc::new(mk(i), nodes as usize, cfg.clone()))
                 .collect();
-            let mut m = Machine::new(procs, net);
-            m.set_queue_kind(opts.queue);
-            m.set_faults(opts.faults.clone());
-            if let Some(seed) = opts.schedule_seed {
-                m.perturb_schedule(seed);
-            }
-            m.max_events = opts.max_events;
-            let report = m.run_threads(opts.threads);
-            let mut snaps = Vec::with_capacity(nodes as usize);
-            for i in 0..nodes {
-                let p = m.proc(NodeId(i));
-                snaps.push(p.snapshot(i));
-                collect(i, p.app());
-            }
-            (report, snaps)
+            run_machine(&mut None, procs, &net, opts, 0, trace_capacity, collect)
         }
         Variant::Caching | Variant::Blocking => {
-            let procs: Vec<_> = (0..nodes)
+            let procs = (0..nodes)
                 .map(|i| CachingProc::new(mk(i), cfg.clone()))
                 .collect();
-            let mut m = Machine::new(procs, net);
-            m.set_queue_kind(opts.queue);
-            m.set_faults(opts.faults.clone());
-            if let Some(seed) = opts.schedule_seed {
-                m.perturb_schedule(seed);
-            }
-            m.max_events = opts.max_events;
-            let report = m.run_threads(opts.threads);
-            let mut snaps = Vec::with_capacity(nodes as usize);
-            for i in 0..nodes {
-                let p = m.proc(NodeId(i));
-                snaps.push(p.snapshot(i));
-                collect(i, p.app());
-            }
-            (report, snaps)
+            run_machine(&mut None, procs, &net, opts, 0, trace_capacity, collect)
         }
     }
 }
 
-/// Collapse dangling forwarding stubs at a phase barrier: for every
-/// departed entry whose target node never adopted the object (its
-/// `Migrate` was dropped, or a forward chain was still parked when the
-/// phase ended), complete the adoption offline. `size_of` supplies the
-/// payload size for the adoptee's table.
-///
-/// This is what makes the boundary re-homing *idempotent*: without it a
-/// transient drop leaves a stub pointing at a node with no payload, and
-/// every later phase's requests forward there and park forever — a
-/// permanent stall born from a single lost packet. Deterministic: owners
-/// in node order, departed entries sorted by pointer bits.
-///
-/// Returns the healed pointers (empty on a clean hand-off).
-pub fn heal_departed_orphans(
-    tables: &mut [MigrationTable],
-    mut size_of: impl FnMut(GPtr) -> u32,
-) -> Vec<GPtr> {
-    let mut healed = Vec::new();
-    for owner in 0..tables.len() {
-        for (bits, to) in tables[owner].departed_entries() {
-            let ptr = GPtr::from_bits(bits);
-            let to = to as usize;
-            debug_assert!(to < tables.len(), "stub targets an unknown node");
-            if to < tables.len() && !tables[to].is_adopted(ptr) {
-                let size = size_of(ptr);
-                if tables[to].adopt(ptr, size) {
-                    healed.push(ptr);
-                }
-            }
-        }
-    }
-    healed
+/// What [`run_machine`] needs of a node driver beyond [`Proc`].
+trait NodeProc: Proc<Msg = DpaMsg> + Send {
+    type App;
+    fn app(&self) -> &Self::App;
+    fn snapshot(&self, node: u16) -> NodeSnapshot;
 }
 
-/// Multi-phase DPA run with locality-driven object migration carried
-/// across phase boundaries.
+impl<A: PtrApp> NodeProc for DpaProc<A> {
+    type App = A;
+    fn app(&self) -> &A {
+        DpaProc::app(self)
+    }
+    fn snapshot(&self, node: u16) -> NodeSnapshot {
+        DpaProc::snapshot(self, node)
+    }
+}
+
+impl<A: PtrApp> NodeProc for CachingProc<A> {
+    type App = A;
+    fn app(&self) -> &A {
+        CachingProc::app(self)
+    }
+    fn snapshot(&self, node: u16) -> NodeSnapshot {
+        CachingProc::snapshot(self, node)
+    }
+}
+
+/// Run `procs` as phase `phase` under `opts`, then snapshot and `collect`
+/// every node. The machine in `machine` is reused when there is one:
+/// `Machine::reset` hands it the next phase's procs while retaining the
+/// timing wheel's warmed bucket pool — bit-identical to a fresh machine
+/// (the reset regression tests and every equivalence sweep pin this down),
+/// which is also what lets a run-service shard reuse its machine between
+/// jobs. It stays in `machine` afterwards, procs and all.
+fn run_machine<P: NodeProc>(
+    machine: &mut Option<Machine<P>>,
+    procs: Vec<P>,
+    net: &NetConfig,
+    opts: &DstOptions,
+    phase: usize,
+    trace_capacity: Option<usize>,
+    mut collect: impl FnMut(u16, &P::App),
+) -> (RunReport, Vec<NodeSnapshot>, Option<Trace>) {
+    let nodes = procs.len() as u16;
+    let m = match machine {
+        Some(m) => {
+            m.reset(procs);
+            m
+        }
+        None => machine.insert(Machine::new(procs, net.clone())),
+    };
+    m.set_queue_kind(opts.queue);
+    // Installing a plan replaces the one `Machine::new` derives from the
+    // legacy `NetConfig::drop_every` shorthand; keep that knob working.
+    let mut faults = opts.faults.clone();
+    faults.drop_every = faults.drop_every.or(net.drop_every);
+    m.set_faults(faults);
+    if let Some(seed) = opts.schedule_seed {
+        // Vary the perturbation per phase, deterministically.
+        m.perturb_schedule(seed.wrapping_add(phase as u64));
+    }
+    if let Some(capacity) = trace_capacity {
+        m.enable_tracing(capacity);
+    }
+    m.max_events = phase_event_budget(opts, phase);
+    let report = m.run_threads(opts.threads);
+    let mut snaps = Vec::with_capacity(nodes as usize);
+    for i in 0..nodes {
+        let p = m.proc(NodeId(i));
+        snaps.push(p.snapshot(i));
+        collect(i, p.app());
+    }
+    (report, snaps, m.take_trace())
+}
+
+/// Multi-phase DPA run: every phase runs under DST control like
+/// [`run_phase_dst`], and what crosses the barrier between two phases is
+/// read off `cfg` — each node's [`PhaseCarry`](crate::PhaseCarry), patched
+/// by the boundary pass ([`crate::boundary`]):
 ///
-/// Each phase runs under DST control like [`run_phase_dst`]; between
-/// phases the per-node [`MigrationTable`]s are handed to the next phase's
-/// procs, and a *boundary pass* commits the accumulated affinity signal:
-/// every owner picks its dominant-consumer moves (same `threshold` /
-/// `budget` knobs as the in-phase epochs) and the objects are re-homed
-/// offline — no messages, the hand-off models shipping them alongside the
-/// phase barrier. The next phase's requesters then find the objects local
-/// to their new homes, which is where migration's message savings come
-/// from: within a single phase the arrival set already deduplicates
-/// fetches, so only cross-phase re-homing can remove request traffic.
+/// * **Migration** (`migration_enabled()`). The per-node
+///   [`MigrationTable`]s carry, dangling stubs are healed, and the
+///   accumulated affinity is committed: objects re-home offline to their
+///   dominant consumer. The next phase's requesters then find them local
+///   to their new homes, which is where migration's message savings come
+///   from: within a single phase the arrival set already deduplicates
+///   fetches, so only cross-phase re-homing can remove request traffic.
+/// * **Adaptive strip** (`adaptive_strip()`). Each node's controller
+///   carries: a phase opens at the strip its predecessor converged to
+///   (strips/phases are the paper's natural retune boundaries).
+/// * **Differential re-alignment** (`differential`). Instead of rebuilding
+///   the runtime tables from scratch, each node's arrival set carries with
+///   every entry stamped with the generation it was fetched at, and M/D
+///   carry their interners. At `on_start` every owner announces to each
+///   consumer carrying its objects which of them changed
+///   ([`crate::DpaMsg::PhaseDelta`] — an empty list is the all-clear); a
+///   consumer gates its first strip on hearing from every carried home,
+///   invalidates the listed copies, and refetches them on next use.
+///   Carried entries whose home moved at this boundary, or is now the
+///   consumer itself, are pruned so they refetch from the new home.
+/// * **Read-mostly replication** (`replication`). Wide-fan-out pointers
+///   with no dominant consumer are promoted into the owner's
+///   [`ReplicaDirectory`](global_heap::ReplicaDirectory) *before* the
+///   re-homing pass and pinned against it; write-heavy windows demote on
+///   the way out of each phase. Directories carry with their generations
+///   refreshed against the next phase's objects, so only moved generations
+///   re-broadcast.
 ///
-/// With migration disabled in `cfg` this degenerates to running `phases`
-/// independent phases, so an ON/OFF ablation differs only in the knobs.
-///
-/// With an adaptive strip ([`crate::stripctl`]) the per-node controllers
-/// are likewise carried across the boundary: each phase opens at the strip
-/// the previous one converged to.
+/// With every flag off this degenerates to `phases` independent phases, so
+/// an ablation differs only in the knobs. Correctness bar: interaction
+/// checksums are bit-identical whether or not `cfg.differential` is set —
+/// stale carries are observable because value-sensitive apps fold the
+/// stamp into their digests (see the `StaleCacheEntry` oracle).
 ///
 /// `mk(phase, node)` builds each phase's per-node app; `collect` sees
 /// every node after every phase. Returns the per-phase reports, the
 /// per-phase invariant snapshots, and the final migration tables (empty
 /// when migration is off).
-pub fn run_phase_migrating<A: PtrApp>(
+pub fn run_phases<A: PtrApp>(
     nodes: u16,
     net: NetConfig,
     cfg: DpaConfig,
@@ -273,452 +295,38 @@ pub fn run_phase_migrating<A: PtrApp>(
     assert!(nodes >= 1 && phases >= 1);
     assert!(
         matches!(cfg.variant, Variant::Dpa),
-        "migration drives the DPA variant only, got {:?}",
+        "phase carries drive the DPA variant only, got {:?}",
         cfg.variant
     );
-    assert!(
-        !cfg.replication,
-        "replication rides the differential driver (run_phase_differential)"
-    );
-    let migrate = cfg.migration_enabled();
-    let adaptive = cfg.adaptive_strip();
-    let mut tables: Option<Vec<MigrationTable>> = None;
-    // Adaptive k-bound: each node's controller survives the barrier, so a
-    // phase opens at the strip its predecessor settled on instead of
-    // re-learning from the initial guess (strips/phases are the paper's
-    // natural retune boundaries).
-    let mut strip_ctls: Option<Vec<StripController>> = None;
     let mut reports = Vec::with_capacity(phases);
     let mut all_snaps = Vec::with_capacity(phases);
-    // One machine serves every phase: after the first, `Machine::reset`
-    // hands it the next phase's procs while retaining the timing wheel's
-    // warmed bucket pool — bit-identical to a fresh machine (the reset
-    // regression tests and every equivalence sweep pin this down), which
-    // is also what lets a run-service shard reuse its machine between jobs.
     let mut machine: Option<Machine<DpaProc<A>>> = None;
     for phase in 0..phases {
         let mut procs: Vec<_> = (0..nodes)
             .map(|i| DpaProc::new(mk(phase, i), nodes as usize, cfg.clone()))
             .collect();
-        if let Some(tables) = tables.take() {
-            for (p, t) in procs.iter_mut().zip(tables) {
-                p.set_migration(t);
+        if let Some(m) = machine.as_mut() {
+            // The boundary: `m` still holds the previous phase's procs
+            // (their apps answer the close half), `procs` the next one's.
+            let mut carries: Vec<_> = (0..nodes)
+                .map(|i| m.proc_mut(NodeId(i)).take_carry())
+                .collect();
+            let moved = boundary::close_phase(&cfg, &mut carries, |n| m.proc(NodeId(n)).app());
+            boundary::open_phase(&cfg, &mut carries, &moved, |n| procs[n as usize].app());
+            for (p, carry) in procs.iter_mut().zip(carries) {
+                p.install_carry(carry);
             }
         }
-        if let Some(ctls) = strip_ctls.take() {
-            for (p, c) in procs.iter_mut().zip(ctls) {
-                p.set_strip_controller(c);
-            }
-        }
-        let mut m = match machine.take() {
-            None => Machine::new(procs, net.clone()),
-            Some(mut m) => {
-                m.reset(procs);
-                m
-            }
-        };
-        m.set_queue_kind(opts.queue);
-        m.set_faults(opts.faults.clone());
-        if let Some(seed) = opts.schedule_seed {
-            // Vary the perturbation per phase, deterministically.
-            m.perturb_schedule(seed.wrapping_add(phase as u64));
-        }
-        m.max_events = phase_event_budget(opts, phase);
-        reports.push(m.run_threads(opts.threads));
-        let mut snaps = Vec::with_capacity(nodes as usize);
-        for i in 0..nodes {
-            let p = m.proc(NodeId(i));
-            snaps.push(p.snapshot(i));
-            collect(phase, i, p.app());
-        }
+        let (report, snaps, _) =
+            run_machine(&mut machine, procs, &net, opts, phase, None, |i, app| {
+                collect(phase, i, app)
+            });
+        reports.push(report);
         all_snaps.push(snaps);
-        if adaptive && phase + 1 < phases {
-            strip_ctls = Some(
-                (0..nodes)
-                    .map(|i| {
-                        m.proc_mut(NodeId(i))
-                            .take_strip_controller()
-                            .expect("adaptive strip enabled")
-                    })
-                    .collect(),
-            );
-        }
-        if migrate {
-            let mut taken: Vec<MigrationTable> = (0..nodes)
-                .map(|i| {
-                    m.proc_mut(NodeId(i))
-                        .take_migration()
-                        .expect("migration enabled")
-                })
-                .collect();
-            if phase + 1 < phases {
-                // Heal first: a Migrate dropped mid-phase (or a forward
-                // chain still parked at phase end) leaves a stub whose
-                // target never adopted. Completing the adoption at the
-                // barrier keeps re-homing idempotent — otherwise the next
-                // phase's forwards park on the missing adoptee forever.
-                heal_departed_orphans(&mut taken, |ptr| {
-                    m.proc(NodeId(ptr.node())).app().object_size(ptr)
-                });
-                // Boundary pass: commit the phase's accumulated affinity.
-                // Owners in node order, picks already deterministically
-                // sorted — replays are bit-identical.
-                for owner in 0..nodes as usize {
-                    let picks = taken[owner]
-                        .pick_migrations(cfg.migration_threshold, cfg.migration_budget);
-                    for mv in picks {
-                        let size = m.proc(NodeId(owner as u16)).app().object_size(mv.ptr);
-                        if taken[owner].depart(mv.ptr, mv.to) {
-                            taken[mv.to as usize].adopt(mv.ptr, size);
-                        }
-                    }
-                }
-            }
-            tables = Some(taken);
-        }
-        machine = Some(m);
     }
-    (reports, all_snaps, tables.unwrap_or_default())
-}
-
-/// One node's carried M/D pair (the retained mapping and pending table).
-type MdTables<A> = (PointerMap<Tagged<<A as PtrApp>::Work>>, PendingRequests);
-
-/// Multi-timestep DPA run with **differential re-alignment**: instead of
-/// rebuilding the runtime tables from scratch at every phase barrier, the
-/// per-node state is diffed and *patched*:
-///
-/// * **Renamed storage carries.** Each node's arrival set is drained at
-///   the barrier and re-seeded into the next phase's proc, every entry
-///   stamped with the generation it was fetched at. Unchanged objects are
-///   never refetched — the steady-state saving this mode exists for.
-/// * **Boundary deltas.** The driver diffs each carried entry's stamp
-///   against its home's current generation; at `on_start` every owner
-///   announces to each consumer carrying its objects which of them changed
-///   ([`crate::DpaMsg::PhaseDelta`] — an empty list is the all-clear). A
-///   consumer gates its first strip on hearing from every carried home,
-///   invalidates the listed copies, and refetches them on next use.
-/// * **M/D patching.** The `PointerMap` and `PendingRequests` interners
-///   (and their warmed waiter-list capacities) carry across the barrier
-///   via [`PointerMap::reset_for_phase`]: steady-state phases re-align a
-///   mostly-unchanged pointer set without touching the allocator.
-/// * **Migration and strips compose.** The boundary runs the same
-///   re-homing pass as [`run_phase_migrating`] (healed against dangling
-///   stubs first); carried entries whose home moved at this boundary — or
-///   whose home is the consumer itself — are pruned from the carry, so a
-///   re-homed object is always refetched from its new home. Adaptive
-///   strip controllers carry exactly as in the migrating driver.
-/// * **Read-mostly replication** (`cfg.replication`). The boundary also
-///   runs the promotion policy over each owner's accumulated affinity:
-///   a pointer read by at least `replication_min_fanout` consumers, at
-///   least `replication_threshold` times in total, with *no* dominant
-///   consumer (top ≤ half the total — the shape where migration's
-///   re-homing merely moves the hot spot) is promoted into the owner's
-///   [`ReplicaDirectory`], capped at `replication_budget` pointers
-///   replicated per owner at a time. Replicated pointers are pinned against
-///   migration (promotion runs *before* the re-homing pass); write-heavy
-///   windows demote on the way out of each phase, un-pinning the pointer
-///   again. Directories hand across the barrier like every other table,
-///   their generations refreshed against the next phase's objects so
-///   only moved generations re-broadcast.
-///
-/// Correctness bar: interaction checksums are bit-identical to a
-/// from-scratch [`run_phase_migrating`] run of the same workload — stale
-/// carries are observable because value-sensitive apps fold the stamp into
-/// their digests (see the `StaleCacheEntry` oracle).
-///
-/// `cfg.differential` must be set (see
-/// [`DpaConfig::dpa_differential`]); signature and return match
-/// [`run_phase_migrating`].
-pub fn run_phase_differential<A: PtrApp>(
-    nodes: u16,
-    net: NetConfig,
-    cfg: DpaConfig,
-    opts: &DstOptions,
-    phases: usize,
-    mut mk: impl FnMut(usize, u16) -> A,
-    mut collect: impl FnMut(usize, u16, &A),
-) -> (Vec<RunReport>, Vec<Vec<NodeSnapshot>>, Vec<MigrationTable>) {
-    assert!(nodes >= 1 && phases >= 1);
-    assert!(
-        matches!(cfg.variant, Variant::Dpa),
-        "differential drives the DPA variant only, got {:?}",
-        cfg.variant
-    );
-    assert!(
-        cfg.differential,
-        "run_phase_differential needs cfg.differential (see DpaConfig::dpa_differential)"
-    );
-    let migrate = cfg.migration_enabled();
-    let adaptive = cfg.adaptive_strip();
-    let replicate = cfg.replication;
-    let mut tables: Option<Vec<MigrationTable>> = None;
-    let mut strip_ctls: Option<Vec<StripController>> = None;
-    // Per-owner replica directories, carried across the barrier like the
-    // migration tables (empty directories in phase 0).
-    let mut repl_dirs: Option<Vec<ReplicaDirectory>> = None;
-    // Cross-barrier carry: per-node arrival entries `(ptr, size, gen)`,
-    // the M/D tables, and the pointers whose home moved at the last
-    // boundary (pruned from the carry so they refetch from the new home).
-    let mut carries: Option<Vec<Vec<(GPtr, u32, u32)>>> = None;
-    let mut md_tables: Option<Vec<MdTables<A>>> = None;
-    let mut moved: FxHashSet<GPtr> = FxHashSet::default();
-    let mut reports = Vec::with_capacity(phases);
-    let mut all_snaps = Vec::with_capacity(phases);
-    // Same machine-reuse discipline as `run_phase_migrating`.
-    let mut machine: Option<Machine<DpaProc<A>>> = None;
-    for phase in 0..phases {
-        let mut procs: Vec<_> = (0..nodes)
-            .map(|i| DpaProc::new(mk(phase, i), nodes as usize, cfg.clone()))
-            .collect();
-        if let Some(tables) = tables.take() {
-            for (p, t) in procs.iter_mut().zip(tables) {
-                p.set_migration(t);
-            }
-        }
-        if let Some(ctls) = strip_ctls.take() {
-            for (p, c) in procs.iter_mut().zip(ctls) {
-                p.set_strip_controller(c);
-            }
-        }
-        if let Some(mds) = md_tables.take() {
-            for (p, (map, pend)) in procs.iter_mut().zip(mds) {
-                p.set_tables(map, pend);
-            }
-        }
-        if replicate {
-            let dirs = repl_dirs
-                .take()
-                .unwrap_or_else(|| (0..nodes).map(|_| ReplicaDirectory::new()).collect());
-            for (i, mut dir) in dirs.into_iter().enumerate() {
-                // Refresh every entry to this phase's generation before the
-                // machine starts: a moved generation flags a re-broadcast,
-                // an unchanged one stays silent (the consumers carry it and
-                // the differential all-clear validates it).
-                for ptr in dir.ptrs() {
-                    dir.set_gen(ptr, procs[i].app().object_generation(ptr));
-                }
-                procs[i].set_replication(dir);
-            }
-        }
-        if let Some(carries) = carries.take() {
-            // Current home of a carried pointer: the adopting node if any
-            // table claims it, else the birth home in the pointer bits.
-            let mut adopted_at: FxHashMap<GPtr, u16> = FxHashMap::default();
-            for (i, p) in procs.iter().enumerate() {
-                if let Some(t) = p.migration() {
-                    for (bits, _) in t.adopted_entries() {
-                        adopted_at.insert(GPtr::from_bits(bits), i as u16);
-                    }
-                }
-            }
-            // Per owner: the (consumer, changed entries) deltas to
-            // announce. Every surviving (consumer, home) pair gets an
-            // entry — an empty list is the owner's all-clear, and the
-            // consumer gates on hearing it.
-            let mut deltas: FxHashMap<u16, FxHashMap<u16, Vec<GPtr>>> = FxHashMap::default();
-            for (i, entries) in carries.into_iter().enumerate() {
-                let me = i as u16;
-                let mut kept: Vec<(GPtr, u32, u32)> = Vec::with_capacity(entries.len());
-                let mut awaiting: Vec<u16> = Vec::new();
-                for (ptr, size, gen) in entries {
-                    let home = adopted_at.get(&ptr).copied().unwrap_or_else(|| ptr.node());
-                    if home == me || moved.contains(&ptr) {
-                        // Served locally now, or re-homed at this boundary:
-                        // drop the carry so the next use refetches.
-                        continue;
-                    }
-                    let cur = procs[home as usize].app().object_generation(ptr);
-                    let dst = deltas.entry(home).or_default().entry(me).or_default();
-                    if cur != gen {
-                        // Entries arrive sorted from take_arrival_carry, so
-                        // the delta list stays sorted by pointer bits.
-                        dst.push(ptr);
-                    }
-                    if !awaiting.contains(&home) {
-                        awaiting.push(home);
-                    }
-                    kept.push((ptr, size, gen));
-                }
-                procs[i].set_phase_carry(kept, awaiting);
-            }
-            for (owner, per_consumer) in deltas {
-                let mut out: Vec<(u16, Vec<GPtr>)> = per_consumer.into_iter().collect();
-                // Sorted fan-out so the owner's send order (and seq
-                // assignment) is deterministic.
-                out.sort_unstable_by_key(|&(consumer, _)| consumer);
-                procs[owner as usize].set_phase_deltas(out);
-            }
-        }
-        moved.clear();
-        let mut m = match machine.take() {
-            None => Machine::new(procs, net.clone()),
-            Some(mut m) => {
-                m.reset(procs);
-                m
-            }
-        };
-        m.set_queue_kind(opts.queue);
-        m.set_faults(opts.faults.clone());
-        if let Some(seed) = opts.schedule_seed {
-            m.perturb_schedule(seed.wrapping_add(phase as u64));
-        }
-        m.max_events = phase_event_budget(opts, phase);
-        reports.push(m.run_threads(opts.threads));
-        let mut snaps = Vec::with_capacity(nodes as usize);
-        for i in 0..nodes {
-            let p = m.proc(NodeId(i));
-            snaps.push(p.snapshot(i));
-            collect(phase, i, p.app());
-        }
-        all_snaps.push(snaps);
-        if adaptive && phase + 1 < phases {
-            strip_ctls = Some(
-                (0..nodes)
-                    .map(|i| {
-                        m.proc_mut(NodeId(i))
-                            .take_strip_controller()
-                            .expect("adaptive strip enabled")
-                    })
-                    .collect(),
-            );
-        }
-        if migrate {
-            let mut taken: Vec<MigrationTable> = (0..nodes)
-                .map(|i| {
-                    m.proc_mut(NodeId(i))
-                        .take_migration()
-                        .expect("migration enabled")
-                })
-                .collect();
-            if phase + 1 < phases {
-                // Same boundary pass as run_phase_migrating: heal dangling
-                // stubs, then commit the phase's affinity. Every pointer
-                // that changes home here is recorded so its carried copies
-                // are pruned above.
-                let healed = heal_departed_orphans(&mut taken, |ptr| {
-                    m.proc(NodeId(ptr.node())).app().object_size(ptr)
-                });
-                moved.extend(healed);
-                if replicate {
-                    // Promotion policy, strictly before the re-homing
-                    // pass: a freshly promoted pointer must be pinned so
-                    // this boundary's migration picks cannot re-home it
-                    // out from under its consumer set. Deterministic:
-                    // owners in node order, candidates sorted by (reads
-                    // desc, fan-out desc, pointer bits).
-                    let mut dirs: Vec<ReplicaDirectory> = (0..nodes)
-                        .map(|i| {
-                            m.proc_mut(NodeId(i))
-                                .take_replication()
-                                .expect("replication enabled")
-                        })
-                        .collect();
-                    for owner in 0..nodes as usize {
-                        let mut eligible: Vec<(GPtr, u64, usize, Vec<u16>)> = Vec::new();
-                        for (ptr, row) in taken[owner].affinity_summary() {
-                            if dirs[owner].is_replicated(ptr) {
-                                continue;
-                            }
-                            let fanout = row.len();
-                            let total: u64 = row.iter().map(|&(_, n)| n).sum();
-                            let top: u64 = row.iter().map(|&(_, n)| n).max().unwrap_or(0);
-                            // Wide fan-out, enough reads, and no dominant
-                            // consumer — the shape migration loses on
-                            // (re-homing would just move the hot spot).
-                            if fanout >= cfg.replication_min_fanout
-                                && total >= cfg.replication_threshold
-                                && top * 2 <= total
-                            {
-                                let consumers: Vec<u16> =
-                                    row.iter().map(|&(c, _)| c).collect();
-                                eligible.push((ptr, total, fanout, consumers));
-                            }
-                        }
-                        eligible.sort_unstable_by(|a, b| {
-                            b.1.cmp(&a.1)
-                                .then(b.2.cmp(&a.2))
-                                .then(a.0.bits().cmp(&b.0.bits()))
-                        });
-                        let room = cfg
-                            .replication_budget
-                            .saturating_sub(dirs[owner].len());
-                        eligible.truncate(room);
-                        for (ptr, _, _, consumers) in eligible {
-                            let gen =
-                                m.proc(NodeId(owner as u16)).app().object_generation(ptr);
-                            dirs[owner].promote(ptr, gen, consumers);
-                        }
-                        taken[owner].set_pins(&dirs[owner].ptrs());
-                    }
-                    repl_dirs = Some(dirs);
-                }
-                for owner in 0..nodes as usize {
-                    let picks = taken[owner]
-                        .pick_migrations(cfg.migration_threshold, cfg.migration_budget);
-                    for mv in picks {
-                        let size = m.proc(NodeId(owner as u16)).app().object_size(mv.ptr);
-                        if taken[owner].depart(mv.ptr, mv.to) {
-                            taken[mv.to as usize].adopt(mv.ptr, size);
-                            moved.insert(mv.ptr);
-                        }
-                    }
-                }
-            }
-            tables = Some(taken);
-        }
-        if phase + 1 < phases {
-            carries = Some(
-                (0..nodes)
-                    .map(|i| m.proc_mut(NodeId(i)).take_arrival_carry())
-                    .collect(),
-            );
-            md_tables = Some(
-                (0..nodes)
-                    .map(|i| m.proc_mut(NodeId(i)).take_tables())
-                    .collect(),
-            );
-        }
-        machine = Some(m);
-    }
-    (reports, all_snaps, tables.unwrap_or_default())
-}
-
-/// Like [`run_phase`] but tolerates an incomplete run (for fault-injection
-/// tests); check [`RunReport::completed`].
-pub fn run_phase_faulty<A: PtrApp>(
-    nodes: u16,
-    net: NetConfig,
-    cfg: DpaConfig,
-    mut mk: impl FnMut(u16) -> A,
-    mut collect: impl FnMut(u16, &A),
-) -> RunReport {
-    assert!(nodes >= 1);
-    if matches!(cfg.variant, Variant::Sequential) {
-        assert_eq!(nodes, 1, "the sequential reference runs on one node");
-    }
-    match cfg.variant {
-        Variant::Dpa | Variant::Sequential => {
-            let procs: Vec<_> = (0..nodes)
-                .map(|i| DpaProc::new(mk(i), nodes as usize, cfg.clone()))
-                .collect();
-            let mut m = Machine::new(procs, net);
-            let report = m.run_threads(sim_net::env_threads());
-            for i in 0..nodes {
-                collect(i, m.proc(NodeId(i)).app());
-            }
-            report
-        }
-        Variant::Caching | Variant::Blocking => {
-            let procs: Vec<_> = (0..nodes)
-                .map(|i| CachingProc::new(mk(i), cfg.clone()))
-                .collect();
-            let mut m = Machine::new(procs, net);
-            let report = m.run_threads(sim_net::env_threads());
-            for i in 0..nodes {
-                collect(i, m.proc(NodeId(i)).app());
-            }
-            report
-        }
-    }
+    let m = machine.as_mut().expect("phases >= 1");
+    let tables = (0..nodes)
+        .filter_map(|i| m.proc_mut(NodeId(i)).take_carry().migration)
+        .collect();
+    (reports, all_snaps, tables)
 }

@@ -97,6 +97,35 @@ const UPDATE_ENTRY_BYTES: u64 = GPtr::WIRE_BYTES as u64 + 8;
 /// [`StripController::new`]); fixed so replays are bit-identical.
 const STRIP_DITHER_SEED: u64 = 0x5712_C0DE;
 
+/// Everything one node hands across a phase barrier: taken from phase
+/// *k*'s proc by [`DpaProc::take_carry`], patched by the boundary pass
+/// ([`crate::boundary`]), installed into phase *k+1*'s proc by
+/// [`DpaProc::install_carry`]. Each part rides only under its config flag.
+pub struct PhaseCarry<W> {
+    /// `migration_enabled()`: adopted / departed / learned overrides plus
+    /// the owner-side affinity counts the boundary policies read.
+    pub(crate) migration: Option<MigrationTable>,
+    /// `adaptive_strip()`: the k-bound controller, so a phase opens at the
+    /// strip its predecessor converged to instead of re-learning it.
+    pub(crate) strip_ctl: Option<StripController>,
+    /// `replication`: the owner-side directory, windows closed.
+    pub(crate) replication: Option<ReplicaDirectory>,
+    /// `differential`: M and D — interners and warmed waiter-list
+    /// capacities travel instead of being rebuilt.
+    pub(crate) tables: Option<(PointerMap<Tagged<W>>, PendingRequests)>,
+    /// `differential`: renamed storage as `(ptr, size, generation fetched
+    /// at)`, sorted by pointer bits. Unchanged objects are never refetched.
+    pub(crate) arrivals: Vec<(GPtr, u32, u32)>,
+    /// Planned by the boundary: the homes of `arrivals`, whose
+    /// [`DpaMsg::PhaseDelta`] gates this node's first strip.
+    pub(crate) awaiting: Vec<u16>,
+    /// Planned by the boundary: per consumer carrying objects homed here,
+    /// those whose generation moved (empty = all-clear). Announced first
+    /// thing in `on_start`, *before* this node gates on its own awaited
+    /// deltas, so mutually-carrying nodes cannot deadlock.
+    pub(crate) deltas: Vec<(u16, Vec<GPtr>)>,
+}
+
 /// A DPA node: the application's per-node instance plus runtime state.
 pub struct DpaProc<A: PtrApp> {
     app: A,
@@ -144,12 +173,11 @@ pub struct DpaProc<A: PtrApp> {
     /// `(sender, seq)` dedup for Affinity / Migrate messages.
     seen_affinity: FxHashSet<(u16, u64)>,
     seen_migrates: FxHashSet<(u16, u64)>,
-    /// Owner-side replica directory (`Some` iff `cfg.replication` and the
-    /// driver installed one): which of this node's pointers are
-    /// multi-homed, to whom, at which generation, and how write-heavy the
-    /// current window is. Promotion/demotion policy runs in the driver at
-    /// phase boundaries; this proc broadcasts, counts writes, and serves
-    /// the directory back via [`DpaProc::take_replication`].
+    /// Owner-side replica directory (`Some` iff `cfg.replication`): which
+    /// of this node's pointers are multi-homed, to whom, at which
+    /// generation, and how write-heavy the current window is. Promotion
+    /// policy runs in the boundary pass; this proc broadcasts, counts
+    /// writes, and hands the directory back in [`DpaProc::take_carry`].
     repl: Option<ReplicaDirectory>,
     /// Replicas installed from a `Replicate` broadcast *this phase*:
     /// pointer → stamped generation. Guards the `PhaseDelta` invalidation
@@ -301,6 +329,7 @@ impl<A: PtrApp> DpaProc<A> {
         let reply_coal = ByteCoalescer::new(nodes, cfg.mtu.0 as u64, cfg.reply_agg_window);
         let mig_coal = ByteCoalescer::new(nodes, cfg.mtu.0 as u64, cfg.agg_window);
         let mig = cfg.migration_enabled().then(MigrationTable::new);
+        let repl = cfg.replication.then(ReplicaDirectory::new);
         Ok(DpaProc {
             app,
             cfg,
@@ -325,7 +354,7 @@ impl<A: PtrApp> DpaProc<A> {
             mig_out_at_start: 0,
             seen_affinity: FxHashSet::default(),
             seen_migrates: FxHashSet::default(),
-            repl: None,
+            repl,
             replicas_held: FxHashMap::default(),
             seen_replicates: FxHashSet::default(),
             replicate_msgs: 0,
@@ -382,88 +411,79 @@ impl<A: PtrApp> DpaProc<A> {
         &self.app
     }
 
-    /// Install a migration table carried over from the previous phase
-    /// (driver use, before the machine starts). Adopted objects are
-    /// preloaded into the arrival set — their payloads really do occupy
-    /// renamed storage here — without counting as phase fetches.
-    pub fn set_migration(&mut self, mig: MigrationTable) {
-        assert!(
-            self.cfg.migration_enabled(),
-            "set_migration on a config with migration disabled"
-        );
-        for (bits, size) in mig.adopted_entries() {
-            let p = GPtr::from_bits(bits);
-            // Stamped at the *current* generation: the adoptee serves this
-            // object from world data, which is always current.
-            self.arrived.preload_gen(p, size, self.app.object_generation(p));
+    /// Take everything this node hands across the phase barrier (driver
+    /// use, after the machine stops); see [`PhaseCarry`] for what rides
+    /// under which config flag. The replica directory applies the
+    /// read-mostly contract on the way out: entries whose window exceeded
+    /// `replication_write_demote` writes are demoted and every window is
+    /// zeroed for the next phase.
+    pub fn take_carry(&mut self) -> PhaseCarry<A::Work> {
+        let mut replication = self.repl.take();
+        if let Some(dir) = replication.as_mut() {
+            dir.end_window(self.cfg.replication_write_demote);
         }
-        self.mig_out_at_start = mig.migrations_out();
-        self.mig = Some(mig);
+        let (mut arrivals, mut tables) = (Vec::new(), None);
+        if self.cfg.differential {
+            arrivals.extend(self.arrived.entries());
+            arrivals.sort_unstable_by_key(|&(p, _, _)| p.bits());
+            tables = Some((std::mem::take(&mut self.map), std::mem::take(&mut self.pending)));
+        }
+        PhaseCarry {
+            migration: self.mig.take(),
+            strip_ctl: self.strip_ctl.take(),
+            replication,
+            tables,
+            arrivals,
+            awaiting: Vec::new(),
+            deltas: Vec::new(),
+        }
     }
 
-    /// Install the differential carry (driver use, before the machine
-    /// starts): entries fetched in earlier phases are preloaded with the
-    /// generation they were originally fetched at, and `awaiting` names
-    /// the homes whose [`DpaMsg::PhaseDelta`] gates this node's first
-    /// strip — a stale copy is invalidated before any thread can read it.
-    pub fn set_phase_carry(&mut self, entries: Vec<(GPtr, u32, u32)>, awaiting: Vec<u16>) {
-        assert!(
-            self.cfg.differential,
-            "set_phase_carry on a non-differential config"
-        );
-        self.carried_in += entries.len() as u64;
-        for (ptr, size, gen) in entries {
+    /// Install the previous phase's carry, as patched by the boundary pass
+    /// (driver use, before the machine starts).
+    pub fn install_carry(&mut self, carry: PhaseCarry<A::Work>) {
+        if let Some(mig) = carry.migration {
+            // Adopted objects really do occupy renamed storage here, but
+            // are not phase fetches. Stamped at the *current* generation:
+            // the adoptee serves them from world data, always current.
+            for (bits, size) in mig.adopted_entries() {
+                let p = GPtr::from_bits(bits);
+                let gen = self.app.object_generation(p);
+                self.arrived.preload_gen(p, size, gen);
+            }
+            self.mig_out_at_start = mig.migrations_out();
+            self.mig = Some(mig);
+        }
+        if let Some(ctl) = carry.strip_ctl {
+            // The phase opens at the strip the last one settled on, with
+            // hysteresis state intact.
+            self.strip = ctl.strip();
+            self.next_ctl_at = self.completed_iters + self.strip as u64;
+            self.strip_ctl = Some(ctl);
+        }
+        if let Some((mut map, mut pending)) = carry.tables {
+            // M and D are *patched* for reuse — per-phase state reset,
+            // interners kept; see [`PointerMap::reset_for_phase`].
+            map.reset_for_phase();
+            pending.reset_for_phase();
+            self.map = map;
+            self.pending = pending;
+        }
+        if let Some(dir) = carry.replication {
+            // Entries flagged `needs_broadcast` go out first thing in
+            // `on_start`; the rest are carried by their consumers.
+            self.repl = Some(dir);
+        }
+        // Carried copies keep the generation they were fetched at; a stale
+        // one is invalidated by its home's `PhaseDelta` before any thread
+        // can read it, because the first strip is gated on `awaiting`.
+        self.carried_in += carry.arrivals.len() as u64;
+        for (ptr, size, gen) in carry.arrivals {
             self.arrived.preload_gen(ptr, size, gen);
         }
-        self.awaiting_deltas = awaiting.into_iter().collect();
+        self.awaiting_deltas = carry.awaiting.into_iter().collect();
         self.delta_gated = !self.awaiting_deltas.is_empty();
-    }
-
-    /// Install this node's outgoing boundary deltas (driver use): for each
-    /// consumer carrying entries homed here, the subset whose generation
-    /// moved across the barrier (empty = all-clear). Announced first thing
-    /// in `on_start`, *before* this node gates on its own awaited deltas,
-    /// so mutually-carrying nodes cannot deadlock.
-    pub fn set_phase_deltas(&mut self, deltas: Vec<(u16, Vec<GPtr>)>) {
-        assert!(
-            self.cfg.differential,
-            "set_phase_deltas on a non-differential config"
-        );
-        self.delta_out = deltas;
-    }
-
-    /// Drain the arrival set for the cross-phase carry (driver use, after
-    /// the machine stops): every held entry as `(ptr, size, generation)`,
-    /// sorted by pointer bits so the hand-off is deterministic.
-    pub fn take_arrival_carry(&mut self) -> Vec<(GPtr, u32, u32)> {
-        let mut out: Vec<(GPtr, u32, u32)> = self.arrived.entries().collect();
-        out.sort_unstable_by_key(|&(p, _, _)| p.bits());
-        out
-    }
-
-    /// Take M and D for cross-phase hand-off (driver use, after the
-    /// machine stops): interners and warmed waiter-list capacities travel
-    /// to the next phase's proc instead of being rebuilt.
-    pub fn take_tables(&mut self) -> (PointerMap<Tagged<A::Work>>, PendingRequests) {
-        (
-            std::mem::take(&mut self.map),
-            std::mem::take(&mut self.pending),
-        )
-    }
-
-    /// Install M and D carried from the previous phase (driver use, before
-    /// the machine starts). The tables are *patched* for reuse — per-phase
-    /// state reset, interners kept — rather than rebuilt; see
-    /// [`PointerMap::reset_for_phase`].
-    pub fn set_tables(
-        &mut self,
-        mut map: PointerMap<Tagged<A::Work>>,
-        mut pending: PendingRequests,
-    ) {
-        map.reset_for_phase();
-        pending.reset_for_phase();
-        self.map = map;
-        self.pending = pending;
+        self.delta_out = carry.deltas;
     }
 
     /// The node's migration table, when migration is enabled.
@@ -471,38 +491,9 @@ impl<A: PtrApp> DpaProc<A> {
         self.mig.as_ref()
     }
 
-    /// Take the migration table for cross-phase hand-off (driver use,
-    /// after the machine stops).
-    pub fn take_migration(&mut self) -> Option<MigrationTable> {
-        self.mig.take()
-    }
-
-    /// Install this node's owner-side replica directory (driver use,
-    /// before the machine starts). Entries flagged `needs_broadcast` go
-    /// out first thing in `on_start`; the rest are carried by their
-    /// consumers and validated by the differential all-clear.
-    pub fn set_replication(&mut self, dir: ReplicaDirectory) {
-        assert!(
-            self.cfg.replication,
-            "set_replication on a config with replication disabled"
-        );
-        self.repl = Some(dir);
-    }
-
     /// The node's replica directory, when replication is enabled.
     pub fn replication(&self) -> Option<&ReplicaDirectory> {
         self.repl.as_ref()
-    }
-
-    /// Take the replica directory for cross-phase hand-off (driver use,
-    /// after the machine stops), applying the read-mostly contract on the
-    /// way out: entries whose window exceeded
-    /// `replication_write_demote` writes are demoted and every window is
-    /// zeroed for the next phase.
-    pub fn take_replication(&mut self) -> Option<ReplicaDirectory> {
-        let mut dir = self.repl.take()?;
-        dir.end_window(self.cfg.replication_write_demote);
-        Some(dir)
     }
 
     /// Replicas installed from broadcasts this phase, as sorted
@@ -531,25 +522,6 @@ impl<A: PtrApp> DpaProc<A> {
     /// the run has started or a carried controller was installed).
     pub fn strip_controller(&self) -> Option<&StripController> {
         self.strip_ctl.as_ref()
-    }
-
-    /// Install a strip controller carried over from the previous phase
-    /// (driver use, before the machine starts): the phase opens at the
-    /// strip the last one settled on, with hysteresis state intact.
-    pub fn set_strip_controller(&mut self, ctl: StripController) {
-        assert!(
-            self.cfg.adaptive_strip(),
-            "set_strip_controller on a fixed-strip config"
-        );
-        self.strip = ctl.strip();
-        self.next_ctl_at = self.completed_iters + self.strip as u64;
-        self.strip_ctl = Some(ctl);
-    }
-
-    /// Take the strip controller for cross-phase hand-off (driver use,
-    /// after the machine stops).
-    pub fn take_strip_controller(&mut self) -> Option<StripController> {
-        self.strip_ctl.take()
     }
 
     /// Adaptive-strip boundary: when enough iterations completed since
@@ -1030,14 +1002,22 @@ impl<A: PtrApp> DpaProc<A> {
             self.install_reply(ctx, me, objs);
             return;
         }
+        self.answer(ctx, NodeId(requester), ptrs);
+    }
+
+    /// Owner side: answer `ptrs` for `src`. Adaptive policy: buffer replies
+    /// only while local work is in progress (the buffering overlaps it,
+    /// bounded by the deadline wake); an idle or finished owner answers
+    /// immediately — quiescence means flush.
+    fn answer(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, ptrs: Vec<GPtr>) {
         if self.cfg.reply_agg_window > 1 && !self.stack.is_empty() && !self.done {
-            self.enqueue_replies(ctx, NodeId(requester), &ptrs);
+            self.enqueue_replies(ctx, src, &ptrs);
         } else {
             let acct = crate::owner::service_request(
                 &self.app,
                 &self.cfg,
                 ctx,
-                NodeId(requester),
+                src,
                 &ptrs,
                 self.mig.as_ref(),
             );
@@ -1050,6 +1030,9 @@ impl<A: PtrApp> DpaProc<A> {
                 e.1 += 1;
             }
         }
+        // The consumed payload buffer seeds this node's own request
+        // coalescer: in steady state request traffic is allocation-free in
+        // both directions.
         self.coal.recycle(ptrs);
     }
 
@@ -1345,34 +1328,7 @@ impl<A: PtrApp> Proc for DpaProc<A> {
                     self.coal.recycle(ptrs);
                     return;
                 }
-                // Adaptive policy: buffer replies only while local work is
-                // in progress (the buffering overlaps it, bounded by the
-                // deadline wake); an idle or finished owner answers
-                // immediately — quiescence means flush.
-                if self.cfg.reply_agg_window > 1 && !self.stack.is_empty() && !self.done {
-                    self.enqueue_replies(ctx, src, &ptrs);
-                } else {
-                    let acct = crate::owner::service_request(
-                        &self.app,
-                        &self.cfg,
-                        ctx,
-                        src,
-                        &ptrs,
-                        self.mig.as_ref(),
-                    );
-                    self.reply_msgs += acct.msgs;
-                    self.reply_entries_pushed += acct.entries;
-                    self.reply_entries_sent += acct.entries;
-                    for &p in &ptrs {
-                        let e = self.reply_ptr_acct.entry(p).or_default();
-                        e.0 += 1;
-                        e.1 += 1;
-                    }
-                }
-                // The consumed payload buffer seeds this node's own request
-                // coalescer: in steady state request traffic is
-                // allocation-free in both directions.
-                self.coal.recycle(ptrs);
+                self.answer(ctx, src, ptrs);
             }
             DpaMsg::Reply(objs) => {
                 self.install_reply(ctx, src, objs);

@@ -3,7 +3,7 @@
 //! performance ordering the paper reports must hold in simulated time.
 
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
-use dpa_core::{run_phase, run_phase_faulty, DpaConfig};
+use dpa_core::{run_phase, run_phase_dst, run_phase_traced, DpaConfig, DstOptions};
 use sim_net::NetConfig;
 use std::sync::Arc;
 
@@ -200,15 +200,32 @@ fn dropped_replies_stall_but_do_not_hang() {
         drop_every: Some(5),
         ..NetConfig::default()
     };
-    let report = run_phase_faulty(
+    let (report, _) = run_phase_dst(
         4,
         net,
         DpaConfig::dpa(8),
+        &DstOptions::default(),
         |i| SynthApp::new(world.clone(), i, 800),
         |_, _| {},
     );
     assert!(!report.completed, "lost packets must be detected as a stall");
     assert!(report.stats.dropped_packets > 0);
+}
+
+/// Every single-phase entry shares one body, so the traced entry makes the
+/// same node-count check as the others.
+#[test]
+#[should_panic(expected = "sequential reference runs on one node")]
+fn traced_sequential_rejects_multiple_nodes() {
+    let world = SynthWorld::build(params(2));
+    run_phase_traced(
+        2,
+        NetConfig::default(),
+        DpaConfig::sequential(),
+        |i| SynthApp::new(world.clone(), i, 800),
+        |_, _| {},
+        1024,
+    );
 }
 
 #[test]

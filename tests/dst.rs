@@ -10,7 +10,7 @@ use dpa::nbody::distrib::plummer;
 use dpa::runtime::invariant::Violation;
 use dpa::runtime::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa::runtime::{
-    check_completed, check_conservation, run_phase_dst, run_phase_migrating, DpaConfig, DstOptions,
+    check_completed, check_conservation, run_phase_dst, run_phases, DpaConfig, DstOptions,
 };
 use dpa::sim_net::{FaultPlan, NetConfig, NodePause};
 use proptest::prelude::*;
@@ -325,7 +325,7 @@ proptest! {
         let opts = DstOptions { schedule_seed: Some(seed), faults, ..DstOptions::default() };
         let phases = 3usize;
         let mut sums = vec![0u64; phases * nodes as usize];
-        let (reports, snap_sets, _tables) = run_phase_migrating(
+        let (reports, snap_sets, _tables) = run_phases(
             nodes,
             NetConfig::default(),
             DpaConfig::dpa_migrating(4),
@@ -406,7 +406,7 @@ fn migration_and_strip_size_preserve_checksums() {
                 DpaConfig::dpa(strip)
             };
             let mut sums = vec![0u64; phases * 4];
-            let (reports, snap_sets, _) = run_phase_migrating(
+            let (reports, snap_sets, _) = run_phases(
                 4,
                 NetConfig::default(),
                 cfg,
@@ -445,7 +445,7 @@ fn migration_and_strip_size_preserve_checksums() {
                 DpaConfig::dpa(strip)
             };
             let mut hashes = vec![0u64; phases * 4];
-            let (reports, _, _) = run_phase_migrating(
+            let (reports, _, _) = run_phases(
                 4,
                 NetConfig::default(),
                 cfg,

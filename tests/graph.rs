@@ -8,10 +8,7 @@
 //! from the CI matrix running this whole file under each engine.
 
 use dpa::apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
-use dpa::runtime::{
-    check_completed, run_phase_differential, run_phase_migrating, AdaptiveStrip, DpaConfig,
-    DstOptions, StripMode,
-};
+use dpa::runtime::{check_completed, run_phases, AdaptiveStrip, DpaConfig, DstOptions, StripMode};
 use dpa::sim_net::NetConfig;
 
 const PHASES: usize = 3;
@@ -19,39 +16,26 @@ const NODES: u16 = 4;
 
 /// One lane: run the closure over `PHASES` timesteps under `cfg`, return
 /// per-(phase, node) `(checksum, reached)` pairs, and hold the invariant
-/// oracles clean. `differential` picks the driver.
+/// oracles clean.
 fn run_lane(
     world: &std::sync::Arc<GraphWorld>,
     label: &str,
     cfg: DpaConfig,
-    differential: bool,
 ) -> (Vec<(u64, u64)>, Vec<Vec<dpa::runtime::NodeSnapshot>>) {
     let mut sums = vec![(0u64, 0u64); PHASES * NODES as usize];
     let mk = |ph: usize, i: u16| GraphApp::new(world.clone(), i, ph as u32);
     let collect = |ph: usize, i: u16, app: &GraphApp| {
         sums[ph * NODES as usize + i as usize] = (app.sum, app.reached);
     };
-    let (reports, snap_sets, _) = if differential {
-        run_phase_differential(
-            NODES,
-            NetConfig::default(),
-            cfg,
-            &DstOptions::default(),
-            PHASES,
-            mk,
-            collect,
-        )
-    } else {
-        run_phase_migrating(
-            NODES,
-            NetConfig::default(),
-            cfg,
-            &DstOptions::default(),
-            PHASES,
-            mk,
-            collect,
-        )
-    };
+    let (reports, snap_sets, _) = run_phases(
+        NODES,
+        NetConfig::default(),
+        cfg,
+        &DstOptions::default(),
+        PHASES,
+        mk,
+        collect,
+    );
     assert!(reports.iter().all(|r| r.completed), "{label}: stalled");
     for snaps in &snap_sets {
         let v = check_completed(snaps, false);
@@ -83,19 +67,17 @@ fn graph_checksums_invariant_across_config_lanes() {
         max: 64,
         ..AdaptiveStrip::default()
     });
-    // (label, cfg, differential-driver)
-    let lanes: Vec<(String, DpaConfig, bool)> = vec![
-        ("strip=1".into(), DpaConfig::dpa(1), false),
-        ("strip=16".into(), DpaConfig::dpa(16), false),
-        ("strip=128".into(), DpaConfig::dpa(128), false),
-        ("mig".into(), DpaConfig::dpa_migrating(8), false),
+    let lanes: Vec<(String, DpaConfig)> = vec![
+        ("strip=1".into(), DpaConfig::dpa(1)),
+        ("strip=16".into(), DpaConfig::dpa(16)),
+        ("strip=128".into(), DpaConfig::dpa(128)),
+        ("mig".into(), DpaConfig::dpa_migrating(8)),
         (
             "adaptive".into(),
             DpaConfig {
                 strip_mode: adaptive,
                 ..DpaConfig::dpa(1)
             },
-            false,
         ),
         (
             "adaptive+mig".into(),
@@ -103,16 +85,14 @@ fn graph_checksums_invariant_across_config_lanes() {
                 strip_mode: adaptive,
                 ..DpaConfig::dpa_migrating(1)
             },
-            false,
         ),
-        ("diff".into(), DpaConfig::dpa_differential(8), true),
+        ("diff".into(), DpaConfig::dpa_differential(8)),
         (
             "adaptive+diff".into(),
             DpaConfig {
                 strip_mode: adaptive,
                 ..DpaConfig::dpa_differential(1)
             },
-            true,
         ),
         (
             "diff+mig".into(),
@@ -120,20 +100,18 @@ fn graph_checksums_invariant_across_config_lanes() {
                 migration_epoch_ns: DpaConfig::dpa_migrating(8).migration_epoch_ns,
                 ..DpaConfig::dpa_differential(8)
             },
-            true,
         ),
         // Replication lanes: the fourth alignment mode must also be purely
         // a *when/where* knob. `dpa_replicating` keeps migration too timid
         // to steal the hub, so the promotion path (not re-homing) is what
         // gets exercised.
-        ("repl".into(), DpaConfig::dpa_replicating(8), true),
+        ("repl".into(), DpaConfig::dpa_replicating(8)),
         (
             "adaptive+repl".into(),
             DpaConfig {
                 strip_mode: adaptive,
                 ..DpaConfig::dpa_replicating(1)
             },
-            true,
         ),
         (
             "repl+mig".into(),
@@ -141,7 +119,6 @@ fn graph_checksums_invariant_across_config_lanes() {
                 migration_threshold: DpaConfig::dpa_migrating(8).migration_threshold,
                 ..DpaConfig::dpa_replicating(8)
             },
-            true,
         ),
         (
             "repl eager".into(),
@@ -152,12 +129,11 @@ fn graph_checksums_invariant_across_config_lanes() {
                 replication_write_demote: 2,
                 ..DpaConfig::dpa_replicating(8)
             },
-            true,
         ),
     ];
     let mut baseline: Option<Vec<(u64, u64)>> = None;
-    for (label, cfg, differential) in lanes {
-        let (sums, snap_sets) = run_lane(&world, &label, cfg, differential);
+    for (label, cfg) in lanes {
+        let (sums, snap_sets) = run_lane(&world, &label, cfg);
         if label.starts_with("adaptive") {
             let retuned = snap_sets
                 .iter()

@@ -699,7 +699,7 @@ proptest! {
         plan_idx in 0usize..4,
     ) {
         use dpa::apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
-        use dpa::runtime::run_phase_differential;
+        use dpa::runtime::run_phases;
         use dpa::sim_net::FaultPlan;
         const PHASES: usize = 3;
         const NODES: u16 = 4;
@@ -718,7 +718,7 @@ proptest! {
         };
         let run = |cfg: DpaConfig, faults: FaultPlan| {
             let mut sums = vec![(0u64, 0u64); PHASES * NODES as usize];
-            let (reports, snap_sets, _) = run_phase_differential(
+            let (reports, snap_sets, _) = run_phases(
                 NODES,
                 NetConfig::default(),
                 cfg,

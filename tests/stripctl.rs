@@ -13,7 +13,7 @@ use dpa::nbody::fmm::FmmParams;
 use dpa::runtime::stripctl::{
     AdaptiveStrip, StripController, StripMode, StripObs, DEAD_BAND_MILLI, DITHER_SPAN_MILLI,
 };
-use dpa::runtime::{check_completed, run_phase_migrating, DpaConfig, DstOptions};
+use dpa::runtime::{check_completed, run_phases, DpaConfig, DstOptions};
 use dpa::sim_net::{NetConfig, Rng};
 use proptest::prelude::*;
 
@@ -232,7 +232,7 @@ fn adaptive_strip_preserves_bh_checksums() {
     let mut baseline: Option<Vec<u64>> = None;
     for (label, cfg) in configs {
         let mut hashes = vec![0u64; phases * nodes as usize];
-        let (reports, snap_sets, _) = run_phase_migrating(
+        let (reports, snap_sets, _) = run_phases(
             nodes,
             NetConfig::default(),
             cfg,

@@ -5,7 +5,7 @@
 use dpa::compiler::{compile_source, IccApp, IccWorldBuilder, Value};
 use dpa::global_heap::GPtr;
 use dpa::runtime::synth::{SynthApp, SynthParams, SynthWorld};
-use dpa::runtime::{run_phase, run_phase_faulty, DpaConfig};
+use dpa::runtime::{run_phase, run_phase_dst, DpaConfig, DstOptions};
 use dpa::sim_net::{NetConfig, Rng};
 
 #[test]
@@ -99,10 +99,11 @@ fn fault_injection_reports_stall_without_hanging() {
         drop_every: Some(7),
         ..NetConfig::default()
     };
-    let report = run_phase_faulty(
+    let (report, _) = run_phase_dst(
         4,
         net,
         DpaConfig::dpa(8),
+        &DstOptions::default(),
         |i| SynthApp::new(world.clone(), i, 500),
         |_, _| {},
     );
