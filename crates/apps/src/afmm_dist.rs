@@ -24,7 +24,7 @@ use dpa_core::{PtrApp, WorkEnv};
 use global_heap::{ClassTable, GPtr, ObjClass};
 use nbody::afmm::{p2l_into, AfmmParams, AfmmSolver, NO_NODE};
 use nbody::cx::Cx;
-use nbody::fmm::{eval_local_field, eval_multipole_field, l2l, m2l, p2p_field, Local};
+use nbody::fmm::{eval_local_field, eval_multipole_field, l2l_into, m2l_into, p2p_field, Local};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -357,16 +357,15 @@ impl PtrApp for AfmmGatherApp {
         match w {
             GatherWork::V { target, src } => {
                 env.assert_readable(world.mpole_ptr(src));
-                let contrib = m2l(
+                m2l_into(
                     &world.solver.multipoles[src as usize],
                     world.solver.nodes[src as usize].center()
                         - world.solver.nodes[target as usize].center(),
                     world.solver.binomials(),
+                    self.locals
+                        .entry(target)
+                        .or_insert_with(|| Local::zero(p)),
                 );
-                self.locals
-                    .entry(target)
-                    .or_insert_with(|| Local::zero(p))
-                    .add_assign(&contrib);
                 self.m2l_count += 1;
                 env.charge(world.cost.m2l_ns(p));
             }
@@ -441,35 +440,33 @@ impl AfmmEvalApp {
         }
     }
 
-    fn finalize(&mut self, i: u32, env: &mut WorkEnv<'_, AEvalWork>) -> Local {
-        if let Some(l) = self.finals.get(&i) {
-            return l.clone();
+    /// Make `finals` hold the final local expansion of node `i`
+    /// (memoized): its phase-1 partial, moved out, plus the L2L of its
+    /// parent's.
+    fn finalize(&mut self, i: u32, env: &mut WorkEnv<'_, AEvalWork>) {
+        if self.finals.contains_key(&i) {
+            return;
         }
         let world = self.world.clone();
         let p = world.solver.params.terms;
-        let own = self
+        let mut result = self
             .m2l_partial
-            .get(&i)
-            .cloned()
+            .remove(&i)
             .unwrap_or_else(|| Local::zero(p));
         let parent = world.solver.nodes[i as usize].parent;
-        let result = if parent == NO_NODE {
-            own
-        } else {
-            let from_parent = self.finalize(parent as u32, env);
-            let mut shifted = l2l(
-                &from_parent,
+        if parent != NO_NODE {
+            self.finalize(parent as u32, env);
+            l2l_into(
+                &self.finals[&(parent as u32)],
                 world.solver.nodes[i as usize].center()
                     - world.solver.nodes[parent as usize].center(),
                 world.solver.binomials(),
+                &mut result,
             );
             self.l2l_count += 1;
             env.charge(world.cost.l2l_ns(p));
-            shifted.add_assign(&own);
-            shifted
-        };
-        self.finals.insert(i, result.clone());
-        result
+        }
+        self.finals.insert(i, result);
     }
 }
 
@@ -489,11 +486,12 @@ impl PtrApp for AfmmEvalApp {
         let p = world.solver.params.terms;
         match w {
             AEvalWork::Eval(leaf) => {
-                let local = self.finalize(leaf, env);
+                self.finalize(leaf, env);
+                let local = &self.finals[&leaf];
                 let center = world.solver.nodes[leaf as usize].center();
                 for &pi in &world.solver.nodes[leaf as usize].particles {
                     let z = world.solver.zs[pi as usize];
-                    self.fields[pi as usize] += eval_local_field(&local, z, center);
+                    self.fields[pi as usize] += eval_local_field(local, z, center);
                     env.charge(world.cost.eval_ns(p));
                 }
                 for &wbox in &world.w_lists[leaf as usize] {

@@ -25,7 +25,7 @@
 use dpa_core::{PtrApp, WorkEnv};
 use global_heap::{ClassTable, GPtr, ObjClass};
 use nbody::cx::Cx;
-use nbody::fmm::{eval_local_field, l2l, m2l, FmmParams, FmmSolver, Local};
+use nbody::fmm::{eval_local_field, l2l_into, FmmParams, FmmSolver, Local};
 use nbody::quadtree::BoxId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -410,15 +410,13 @@ impl PtrApp for FmmM2lApp {
         let tgt = world.box_of(w.target as usize);
         env.assert_readable(world.mpole_ptr(src));
         let p = world.solver.params.terms;
-        let contrib = m2l(
-            &world.solver.multipoles[w.src as usize],
-            src.center() - tgt.center(),
-            solver_bin(&world),
+        world.solver.m2l_into(
+            src,
+            tgt,
+            self.locals
+                .entry(w.target)
+                .or_insert_with(|| Local::zero(p)),
         );
-        self.locals
-            .entry(w.target)
-            .or_insert_with(|| Local::zero(p))
-            .add_assign(&contrib);
         self.m2l_count += 1;
         self.interaction_hash = self
             .interaction_hash
@@ -429,10 +427,6 @@ impl PtrApp for FmmM2lApp {
     fn object_size(&self, ptr: GPtr) -> u32 {
         self.world.object_size(ptr)
     }
-}
-
-fn solver_bin(world: &FmmWorld) -> &nbody::cx::Binomials {
-    world.solver.binomials()
 }
 
 /// A phase-2 non-blocking thread.
@@ -461,6 +455,8 @@ pub struct FmmEvalApp {
     m2l_partial: HashMap<u32, Local>,
     /// Memoized final local expansions.
     finals: HashMap<u32, Local>,
+    /// The source leaf's `(position, charge)` list of the P2P in hand.
+    sources: Vec<(Cx, f64)>,
     /// Computed complex fields, indexed by global particle id (only owned
     /// particles are filled).
     pub fields: Vec<Cx>,
@@ -487,6 +483,7 @@ impl FmmEvalApp {
             leaves,
             m2l_partial,
             finals: HashMap::new(),
+            sources: Vec::new(),
             fields: vec![Cx::ZERO; n],
             l2l_count: 0,
             p2p_pairs: 0,
@@ -494,37 +491,33 @@ impl FmmEvalApp {
         }
     }
 
-    /// Compute (memoized) the final local expansion of `b`, charging each
-    /// fresh L2L. Level-2 boxes take their M2L partial as-is (levels 0/1
-    /// have empty interaction lists).
-    fn finalize(&mut self, b: BoxId, env: &mut WorkEnv<'_, EvalWork>) -> Local {
+    /// Make `finals` hold the final local expansion of `b` (memoized),
+    /// charging each fresh L2L. The box's M2L partial is read exactly once,
+    /// here, so it is moved out and becomes the accumulator; level-2 boxes
+    /// take it as-is (levels 0/1 have empty interaction lists).
+    fn finalize(&mut self, b: BoxId, env: &mut WorkEnv<'_, EvalWork>) {
         let key = b.dense_index() as u32;
-        if let Some(l) = self.finals.get(&key) {
-            return l.clone();
+        if self.finals.contains_key(&key) {
+            return;
         }
         let p = self.world.solver.params.terms;
-        let own = self
+        let mut result = self
             .m2l_partial
-            .get(&key)
-            .cloned()
+            .remove(&key)
             .unwrap_or_else(|| Local::zero(p));
-        let result = if b.level <= 2 {
-            own
-        } else {
+        if b.level > 2 {
             let parent = b.parent().expect("level > 2 has a parent");
-            let from_parent = self.finalize(parent, env);
-            let mut shifted = l2l(
-                &from_parent,
+            self.finalize(parent, env);
+            l2l_into(
+                &self.finals[&(parent.dense_index() as u32)],
                 b.center() - parent.center(),
-                solver_bin(&self.world),
+                self.world.solver.binomials(),
+                &mut result,
             );
             self.l2l_count += 1;
             env.charge(self.world.cost.l2l_ns(p));
-            shifted.add_assign(&own);
-            shifted
-        };
-        self.finals.insert(key, result.clone());
-        result
+        }
+        self.finals.insert(key, result);
     }
 }
 
@@ -550,17 +543,16 @@ impl PtrApp for FmmEvalApp {
                 self.interaction_hash = self
                     .interaction_hash
                     .wrapping_add(mix_pair(dense as u64 | (1 << 32), dense as u64));
-                let local = self.finalize(leaf, env);
+                self.finalize(leaf, env);
+                let local = &self.finals[&dense];
                 let center = leaf.center();
                 for &i in world.solver.tree.particles_in(leaf) {
                     let z = world.solver.zs[i as usize];
-                    self.fields[i as usize] += eval_local_field(&local, z, center);
+                    self.fields[i as usize] += eval_local_field(local, z, center);
                     env.charge(world.cost.eval_ns(p));
                 }
                 // Near field: self plus neighbors.
-                let mut near = vec![leaf];
-                near.extend(leaf.neighbors());
-                for nb in near {
+                for nb in std::iter::once(leaf).chain(leaf.neighbors()) {
                     if world.nonempty(nb) {
                         env.demand(
                             world.plist_ptr(nb),
@@ -579,16 +571,19 @@ impl PtrApp for FmmEvalApp {
                 self.interaction_hash = self
                     .interaction_hash
                     .wrapping_add(mix_pair(target as u64, src as u64));
-                let sources: Vec<(Cx, f64)> = world
-                    .solver
-                    .tree
-                    .particles_in(sb)
-                    .iter()
-                    .map(|&i| (world.solver.zs[i as usize], world.solver.qs[i as usize]))
-                    .collect();
+                let sources = &mut self.sources;
+                sources.clear();
+                sources.extend(
+                    world
+                        .solver
+                        .tree
+                        .particles_in(sb)
+                        .iter()
+                        .map(|&i| (world.solver.zs[i as usize], world.solver.qs[i as usize])),
+                );
                 for &i in world.solver.tree.particles_in(tgt) {
                     let z = world.solver.zs[i as usize];
-                    self.fields[i as usize] += nbody::fmm::p2p_field(z, &sources);
+                    self.fields[i as usize] += nbody::fmm::p2p_field(z, sources);
                     self.p2p_pairs += sources.len() as u64;
                     env.charge(world.cost.p2p_pair_ns * sources.len() as u64);
                 }

@@ -308,6 +308,98 @@ pub struct Visit {
     pub v: u32,
 }
 
+/// The visited sets of all of one node's traversals, as one open-addressed
+/// table from `(root slot, bitmap word)` to the 64 visited bits of that
+/// word. Memory follows the words actually touched — a BFS on a power-law
+/// graph reaches tens of vertices out of `n`, where a dense bitmap per
+/// root costs `roots × n / 8` bytes up front.
+struct VisitedSet {
+    /// `(key, bits)`; `bits == 0` marks an empty slot (a stored word
+    /// always has at least one bit set). Length is a power of two.
+    slots: Vec<(u64, u64)>,
+    live: usize,
+    /// The key and slot index of the last mark: one expansion marks all of
+    /// a vertex's out-neighbours for one root, and on a skewed graph most
+    /// of those share a bitmap word, so the next mark usually skips the
+    /// probe.
+    last: (u64, usize),
+}
+
+/// No `(slot, word)` packs to this: a word index is below `2^26`.
+const NO_KEY: u64 = u64::MAX;
+
+impl VisitedSet {
+    /// An empty set with room for `roots` traversals touching eight words
+    /// each — what a closure on the skewed graphs reaches — before it
+    /// first doubles; regrowing mid-phase costs more than the probes do.
+    fn new(roots: usize) -> VisitedSet {
+        VisitedSet {
+            slots: vec![(0, 0); (16 * roots).next_power_of_two().max(16)],
+            live: 0,
+            last: (NO_KEY, 0),
+        }
+    }
+
+    /// Fibonacci hashing: the multiply spreads the key over the product's
+    /// **high** bits, so the index is taken from the top.
+    #[inline]
+    fn home(key: u64, len: usize) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
+    }
+
+    /// Mark vertex `v` visited by traversal `slot`; `true` on first visit.
+    #[inline(always)]
+    fn mark(&mut self, slot: u32, v: u32) -> bool {
+        let key = (slot as u64) << 32 | (v / 64) as u64;
+        if self.last.0 != key {
+            self.find(key);
+        }
+        let (bits, bit) = (&mut self.slots[self.last.1].1, 1u64 << (v % 64));
+        let first = *bits & bit == 0;
+        *bits |= bit;
+        first
+    }
+
+    /// Point `last` at `key`'s slot, claiming an empty one (whose zero
+    /// bits `mark` makes nonzero at once) if the key is new. Out of line:
+    /// `mark`'s memo check and bit test are what the expansion loop
+    /// inlines.
+    #[inline(never)]
+    fn find(&mut self, key: u64) {
+        // Keep the load at or below one half.
+        if 2 * (self.live + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(key, self.slots.len());
+        loop {
+            let (k, bits) = &mut self.slots[i];
+            if *bits == 0 {
+                *k = key;
+                self.live += 1;
+                break;
+            }
+            if *k == key {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        self.last = (key, i);
+    }
+
+    fn grow(&mut self) {
+        let len = 2 * self.slots.len();
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); len]);
+        for (key, bits) in old.into_iter().filter(|&(_, bits)| bits != 0) {
+            let mut i = Self::home(key, len);
+            while self.slots[i].1 != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = (key, bits);
+        }
+    }
+}
+
 /// Per-node traversal state for one phase.
 pub struct GraphApp {
     world: Arc<GraphWorld>,
@@ -316,8 +408,8 @@ pub struct GraphApp {
     /// The phase this instance executes (selects adjacency + generations).
     pub phase: u32,
     roots: Vec<u32>,
-    /// `visited[slot]` bitmask over all vertices.
-    visited: Vec<Vec<u64>>,
+    /// Visited `(root slot, vertex)` pairs.
+    visited: VisitedSet,
     /// Order-independent reachability digest (stamp fold).
     pub sum: u64,
     /// Total `(root, vertex)` expansions.
@@ -328,9 +420,8 @@ impl GraphApp {
     /// The app instance for node `me`, executing `phase`.
     pub fn new(world: Arc<GraphWorld>, me: u16, phase: u32) -> GraphApp {
         let roots = world.roots(me);
-        let words = world.params.n.div_ceil(64);
         GraphApp {
-            visited: vec![vec![0u64; words]; roots.len()],
+            visited: VisitedSet::new(roots.len()),
             roots,
             world,
             me,
@@ -338,14 +429,6 @@ impl GraphApp {
             sum: 0,
             reached: 0,
         }
-    }
-
-    #[inline]
-    fn mark(&mut self, slot: u32, v: u32) -> bool {
-        let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
-        let seen = self.visited[slot as usize][w] & bit != 0;
-        self.visited[slot as usize][w] |= bit;
-        !seen
     }
 }
 
@@ -360,7 +443,7 @@ impl PtrApp for GraphApp {
         let root = self.roots[iter];
         env.charge(self.world.cost.root_ns);
         let slot = iter as u32;
-        self.mark(slot, root);
+        self.visited.mark(slot, root);
         env.demand(self.world.vptr(root), Visit { slot, v: root });
     }
 
@@ -380,7 +463,7 @@ impl PtrApp for GraphApp {
         let out = world.out(self.phase, w.v);
         env.charge(world.cost.expand_ns + world.cost.edge_ns * out.len() as u64);
         for &t in out {
-            if self.mark(w.slot, t) {
+            if self.visited.mark(w.slot, t) {
                 env.demand(world.vptr(t), Visit { slot: w.slot, v: t });
             }
         }
@@ -490,6 +573,41 @@ mod tests {
                 nodes: 4
             }
         );
+    }
+
+    #[test]
+    fn visited_set_marks_like_a_set_of_pairs() {
+        let mut set = VisitedSet::new(3);
+        let mut model = std::collections::HashSet::new();
+        let mut rng = Rng::new(0x5E7);
+        // Enough distinct (slot, word) pairs to regrow the table several
+        // times, with repeats and neighbours in the same word.
+        for _ in 0..20_000 {
+            let slot = rng.below(3) as u32;
+            let v = rng.below(1 << 16) as u32;
+            assert_eq!(set.mark(slot, v), model.insert((slot, v)), "({slot}, {v})");
+        }
+        assert!(set.slots.len() >= 2 * set.live);
+    }
+
+    #[test]
+    fn app_memory_follows_roots_not_vertices() {
+        // One dense bitmap per root would ask for 2^19 × 128 KiB = 64 GiB
+        // per node here.
+        let world = GraphWorld::build(GraphParams {
+            n: 1 << 20,
+            nodes: 2,
+            degree: 1,
+            hub_extra: 0,
+            phases: 1,
+            root_stride: 1,
+            ..small()
+        });
+        for node in 0..2 {
+            let app = GraphApp::new(world.clone(), node, 0);
+            assert_eq!(app.num_iterations(), 1 << 19);
+            assert!(app.visited.slots.len() <= 16 << 19);
+        }
     }
 
     #[test]

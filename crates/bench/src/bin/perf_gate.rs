@@ -18,7 +18,11 @@
 //!   `release_into` (the steady-state should recycle every buffer);
 //! * `pending_insert_drain` — D-table insert/complete/iterate cycles;
 //! * `synth_dpa_end_to_end` — a full DST synth run on the wheel, gating
-//!   the whole simulator + runtime allocation budget per run.
+//!   the whole simulator + runtime allocation budget per run;
+//! * `fmm_m2l_into` — the accumulating M2L kernel at the paper's 29 terms,
+//!   which must not touch the allocator at all;
+//! * `graph_app_new` — constructing the graph closure's per-node state,
+//!   whose visited set must cost the same at any vertex count.
 //!
 //! Usage:
 //!
@@ -32,10 +36,13 @@
 //! an improvement beyond the tolerance also fails, with a hint to
 //! re-bless, so the committed baseline always reflects reality.
 
+use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
 use bench::has_flag;
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa_core::{run_phase_dst, DpaConfig, DstOptions, PendingRequests, PointerMap};
 use global_heap::{GPtr, ObjClass};
+use nbody::cx::{Binomials, Cx};
+use nbody::fmm::{m2l_into, Local, Multipole};
 use sim_net::{EventKey, NetConfig, QueueKind, Rng, TimingWheel, WheelItem};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cmp::Reverse;
@@ -264,6 +271,50 @@ fn synth_dpa_end_to_end() -> Sample {
     })
 }
 
+fn fmm_m2l_into() -> Sample {
+    let terms = 29;
+    let bin = Binomials::new(2 * terms);
+    let mut rng = Rng::new(0x32E);
+    let mut src = Multipole::zero(terms);
+    for c in src.coeffs.iter_mut() {
+        *c = Cx::new(rng.unit_f64() - 0.5, rng.unit_f64() - 0.5);
+    }
+    let mut acc = Local::zero(terms);
+    measure("fmm_m2l_into", || {
+        for i in 0..10_000 {
+            let d = Cx::new(2.0 + (i % 3) as f64, 1.0 + (i % 2) as f64);
+            m2l_into(std::hint::black_box(&src), d, &bin, &mut acc);
+        }
+        std::hint::black_box(&acc);
+    })
+}
+
+fn graph_app_new() -> Sample {
+    // 256 roots per node at either size; a visited bitmap per root would
+    // make the larger graph cost sixteen times the smaller.
+    let sample = |n: usize| {
+        let world = GraphWorld::build(GraphParams {
+            n,
+            nodes: 4,
+            root_stride: n / 1024,
+            phases: 1,
+            ..GraphParams::default()
+        });
+        measure("graph_app_new", || {
+            for node in 0..4 {
+                std::hint::black_box(GraphApp::new(world.clone(), node, 0));
+            }
+        })
+    };
+    let (small, large) = (sample(1 << 12), sample(1 << 16));
+    assert_eq!(
+        (small.allocs, small.alloc_bytes),
+        (large.allocs, large.alloc_bytes),
+        "graph_app_new: allocator traffic depends on the vertex count"
+    );
+    large
+}
+
 // ---------------------------------------------------------------- baseline
 
 fn render(samples: &[Sample]) -> String {
@@ -334,6 +385,8 @@ fn main() {
         pointer_map_align_release(),
         pending_insert_drain(),
         synth_dpa_end_to_end(),
+        fmm_m2l_into(),
+        graph_app_new(),
     ];
     println!("== perf_gate: allocator-traffic gates (±{:.0}%) ==", 100.0 * GATE_RTOL);
     for s in &samples {

@@ -25,7 +25,8 @@
 
 use crate::cx::{Binomials, Cx};
 use crate::fmm::{
-    eval_local_field, eval_multipole_field, l2l, m2l, m2m, p2m, p2p_field, Local, Multipole,
+    eval_local_field, eval_multipole_field, l2l_into, m2l_into, m2m_into, p2m, p2p_field, Local,
+    Multipole,
 };
 
 /// Index of a node in the adaptive tree.
@@ -237,14 +238,12 @@ impl AfmmSolver {
                 let mut acc = Multipole::zero(p);
                 for &c in &self.nodes[i].children {
                     if c != NO_NODE {
-                        let shifted = m2m(
+                        m2m_into(
                             &self.multipoles[c as usize],
                             self.nodes[c as usize].center() - self.nodes[i].center(),
                             &self.bin,
+                            &mut acc,
                         );
-                        for (a, s) in acc.coeffs.iter_mut().zip(&shifted.coeffs) {
-                            *a += *s;
-                        }
                     }
                 }
                 self.multipoles[i] = acc;
@@ -390,23 +389,23 @@ impl AfmmSolver {
         let p = self.params.terms;
         for i in 0..self.nodes.len() {
             let center = self.nodes[i].center();
-            let mut acc = if self.nodes[i].parent != NO_NODE {
+            let mut acc = Local::zero(p);
+            if self.nodes[i].parent != NO_NODE {
                 let parent = self.nodes[i].parent as usize;
-                l2l(
+                l2l_into(
                     &self.locals[parent],
                     center - self.nodes[parent].center(),
                     &self.bin,
-                )
-            } else {
-                Local::zero(p)
-            };
+                    &mut acc,
+                );
+            }
             for v in self.v_list(i) {
-                let contrib = m2l(
+                m2l_into(
                     &self.multipoles[v],
                     self.nodes[v].center() - center,
                     &self.bin,
+                    &mut acc,
                 );
-                acc.add_assign(&contrib);
             }
             for x in self.x_list(i) {
                 let pts = self.points_of(x);

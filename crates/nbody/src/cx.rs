@@ -152,36 +152,75 @@ impl Neg for Cx {
     }
 }
 
-/// Binomial coefficients C(n, k) for the translation operators, as a
-/// lower-triangular table valid for `n <= max_n`.
+/// Binomial coefficients for the translation operators, in two flat
+/// tables built once:
+///
+/// * Pascal's triangle, row-major (row `n` starts at `n(n+1)/2`), behind
+///   [`Binomials::c`];
+/// * the translation table `T[k][l] = C(l+k−1, k−1)` for `k` in
+///   `1..=max_terms+1`, `l` in `0..=max_terms`, each row contiguous in `l`
+///   — the factor all three of M2L, M2M and L2L multiply by, laid out so
+///   their inner loops walk one row ([`Binomials::shift_row`]). Entries are
+///   copied from the triangle, so both tables hold the same bits.
 #[derive(Clone, Debug)]
 pub struct Binomials {
-    rows: Vec<Vec<f64>>,
+    max_n: usize,
+    pascal: Vec<f64>,
+    shift: Vec<f64>,
 }
 
 impl Binomials {
-    /// Pascal's triangle up to row `max_n`.
+    /// Pascal's triangle up to row `max_n`; serves translations of up to
+    /// `max_n / 2` terms.
     pub fn new(max_n: usize) -> Binomials {
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(max_n + 1);
-        for n in 0..=max_n {
-            let mut row = vec![1.0; n + 1];
+        let mut pascal = vec![1.0; (max_n + 1) * (max_n + 2) / 2];
+        for n in 2..=max_n {
+            let (prev, row) = (n * (n - 1) / 2, n * (n + 1) / 2);
             for k in 1..n {
-                row[k] = rows[n - 1][k - 1] + rows[n - 1][k];
+                pascal[row + k] = pascal[prev + k - 1] + pascal[prev + k];
             }
-            rows.push(row);
         }
-        Binomials { rows }
+        let stride = max_n / 2 + 1;
+        let mut shift = Vec::with_capacity(stride * stride);
+        for k in 1..=stride {
+            for l in 0..stride {
+                let n = l + k - 1;
+                shift.push(pascal[n * (n + 1) / 2 + k - 1]);
+            }
+        }
+        Binomials {
+            max_n,
+            pascal,
+            shift,
+        }
     }
 
-    /// C(n, k). Panics if out of the precomputed range; returns 0 for
-    /// `k > n`.
+    /// C(n, k); 0 for `k > n`. Panics if `n` is beyond the table.
     #[inline]
     pub fn c(&self, n: usize, k: usize) -> f64 {
         if k > n {
-            0.0
-        } else {
-            self.rows[n][k]
+            return 0.0;
         }
+        assert!(
+            n <= self.max_n,
+            "C({n}, {k}) is outside Binomials::new({})",
+            self.max_n
+        );
+        self.pascal[n * (n + 1) / 2 + k]
+    }
+
+    /// The largest term count `p` whose translations this table serves.
+    #[inline]
+    pub fn max_terms(&self) -> usize {
+        self.max_n / 2
+    }
+
+    /// Row `k` (`1..=max_terms+1`) of the translation table:
+    /// `shift_row(k)[l] = C(l+k−1, k−1)` for `l` in `0..=max_terms`.
+    #[inline]
+    pub(crate) fn shift_row(&self, k: usize) -> &[f64] {
+        let stride = self.max_terms() + 1;
+        &self.shift[(k - 1) * stride..k * stride]
     }
 }
 
@@ -239,6 +278,28 @@ mod tests {
         assert_eq!(b.c(5, 2), 10.0);
         assert_eq!(b.c(10, 5), 252.0);
         assert_eq!(b.c(4, 7), 0.0);
+    }
+
+    #[test]
+    fn shift_rows_are_the_triangle_diagonals() {
+        let b = Binomials::new(61);
+        assert_eq!(b.max_terms(), 30);
+        for k in 1..=31 {
+            let row = b.shift_row(k);
+            assert_eq!(row.len(), 31);
+            for (l, &t) in row.iter().enumerate() {
+                assert_eq!(t.to_bits(), b.c(l + k - 1, k - 1).to_bits());
+                // The L2L kernel reads C(n, j) where the sum is written
+                // with C(n, n−j): the triangle is bit-symmetric.
+                assert_eq!(t.to_bits(), b.c(l + k - 1, l).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside Binomials::new(10)")]
+    fn out_of_range_row_names_the_table() {
+        Binomials::new(10).c(11, 3);
     }
 
     #[test]

@@ -179,6 +179,36 @@ fn graph_checksums_invariant_across_config_lanes() {
     }
 }
 
+/// The closure digests equal the host oracle both when every traversal
+/// reaches most of the graph (uniform targets: the per-node visited table
+/// fills and regrows) and when reach is a few dozen vertices (power-law
+/// targets: it stays near its initial size).
+#[test]
+fn graph_closure_matches_oracle_at_dense_and_sparse_reach() {
+    for skew in [0.0, 1.6] {
+        let world = GraphWorld::build(GraphParams {
+            n: 1_024,
+            skew,
+            root_stride: 2,
+            seed: 0x5EE_D0C5,
+            ..GraphParams::default()
+        });
+        let (sums, _) = run_lane(&world, &format!("skew={skew}"), DpaConfig::dpa(16));
+        let mut reached = 0;
+        for ph in 0..PHASES {
+            for node in 0..NODES {
+                let got = sums[ph * NODES as usize + node as usize];
+                assert_eq!(got, world.expected(ph as u32, node), "skew {skew} phase {ph} node {node}");
+                reached += got.1;
+            }
+        }
+        if skew == 0.0 {
+            let pairs = (PHASES * 512 * 1_024) as u64;
+            assert!(reached > pairs / 2, "uniform graph reached only {reached} of {pairs} pairs");
+        }
+    }
+}
+
 /// Same battery for the setops workload, single phase: fixed and adaptive
 /// strips and migration must leave the range sums and the final membership
 /// digest bit-identical and equal to the host oracle.
