@@ -207,13 +207,20 @@ pub fn run_afmm(world: &Arc<AfmmWorld>, cfg: DpaConfig, net: NetConfig) -> AfmmR
     }
 }
 
-/// Merge two [`RunStats`] (e.g. the FMM sub-phases) by summing per-node
-/// buckets, counters, and makespans.
+/// Merge two [`RunStats`] (e.g. the FMM sub-phases) node by node. Time
+/// buckets, traffic, fault counts, makespans and event counters add.
+/// High-water marks (`peak_*`, `*_peak_bytes`) and the strip gauges
+/// `strip_final` / `strip_max_applied` take the larger of the two phases,
+/// `strip_min_applied` the smaller: the phases run one after the other, so
+/// their peaks never coexist. The per-path `*_agg_factor_milli` are
+/// recomputed from the merged entry and message counts.
 pub fn merge_stats(a: &RunStats, b: &RunStats) -> RunStats {
     assert_eq!(a.nodes.len(), b.nodes.len());
     let mut out = a.clone();
     out.makespan = Time(a.makespan.as_ns() + b.makespan.as_ns());
     out.dropped_packets += b.dropped_packets;
+    out.duplicated_packets += b.duplicated_packets;
+    out.delayed_packets += b.delayed_packets;
     for (x, y) in out.nodes.iter_mut().zip(&b.nodes) {
         x.local += y.local;
         x.overhead += y.overhead;
@@ -222,9 +229,115 @@ pub fn merge_stats(a: &RunStats, b: &RunStats) -> RunStats {
         x.bytes_sent += y.bytes_sent;
         x.msgs_recv += y.msgs_recv;
         x.bytes_recv += y.bytes_recv;
-        for (k, v) in &y.user {
-            *x.user.entry(k).or_insert(0) += v;
+        for (&k, &v) in &y.user {
+            let merged = match x.user.get(k) {
+                None => v,
+                Some(&u) if k == "strip_min_applied" => u.min(v),
+                Some(&u) if is_high_water(k) => u.max(v),
+                Some(&u) => u + v,
+            };
+            x.user.insert(k, merged);
+        }
+        for (factor, entries, msgs) in [
+            ("req_agg_factor_milli", "request_entries", "request_msgs"),
+            ("reply_agg_factor_milli", "reply_entries", "reply_msgs"),
+            ("upd_agg_factor_milli", "update_entries", "update_msgs"),
+        ] {
+            if x.user.contains_key(factor) {
+                let (e, m) = (x.user[entries], x.user[msgs]);
+                let per_msg = if m == 0 { 0.0 } else { e as f64 / m as f64 };
+                x.user.insert(factor, (per_msg * 1000.0) as u64);
+            }
         }
     }
     out
+}
+
+/// Counters that record a maximum over the phase rather than a count.
+fn is_high_water(key: &str) -> bool {
+    key.starts_with("peak_")
+        || key.ends_with("_peak_bytes")
+        || key == "strip_final"
+        || key == "strip_max_applied"
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_net::NodeStats;
+
+    fn phase(user: &[(&'static str, u64)], dropped: u64, dup: u64, delayed: u64) -> RunStats {
+        let mut node = NodeStats::default();
+        for &(k, v) in user {
+            node.bump(k, v);
+        }
+        node.msgs_sent = 10;
+        RunStats {
+            nodes: vec![node],
+            makespan: Time(100),
+            dropped_packets: dropped,
+            duplicated_packets: dup,
+            delayed_packets: delayed,
+        }
+    }
+
+    #[test]
+    fn merge_adds_counts_but_not_high_water_marks() {
+        let m2l = phase(
+            &[
+                ("threads_created", 40),
+                ("peak_aligned_threads", 900),
+                ("renamed_peak_bytes", 4096),
+                ("strip_final", 64),
+                ("strip_max_applied", 128),
+                ("strip_min_applied", 16),
+                ("request_entries", 90),
+                ("request_msgs", 3),
+                ("req_agg_factor_milli", 30_000),
+                ("update_entries", 0),
+                ("update_msgs", 0),
+                ("upd_agg_factor_milli", 0),
+            ],
+            1,
+            2,
+            3,
+        );
+        let eval = phase(
+            &[
+                ("threads_created", 2),
+                ("peak_aligned_threads", 35),
+                ("renamed_peak_bytes", 8192),
+                ("strip_final", 32),
+                ("strip_max_applied", 32),
+                ("strip_min_applied", 32),
+                ("request_entries", 10),
+                ("request_msgs", 5),
+                ("req_agg_factor_milli", 2_000),
+                ("update_entries", 0),
+                ("update_msgs", 0),
+                ("upd_agg_factor_milli", 0),
+                ("eval_only", 7),
+            ],
+            10,
+            20,
+            30,
+        );
+        let merged = merge_stats(&m2l, &eval);
+        let user = &merged.nodes[0].user;
+        assert_eq!(user["threads_created"], 42);
+        assert_eq!(user["peak_aligned_threads"], 900, "max, not 935");
+        assert_eq!(user["renamed_peak_bytes"], 8192);
+        assert_eq!(user["strip_final"], 64);
+        assert_eq!(user["strip_max_applied"], 128);
+        assert_eq!(user["strip_min_applied"], 16);
+        assert_eq!(user["req_agg_factor_milli"], 12_500, "100 entries / 8 msgs");
+        assert_eq!(user["upd_agg_factor_milli"], 0, "no messages, no factor");
+        assert_eq!(user["eval_only"], 7, "a key one phase lacks is kept as is");
+        assert_eq!(merged.nodes[0].msgs_sent, 20);
+        assert_eq!(merged.makespan, Time(200));
+        assert_eq!(
+            (merged.dropped_packets, merged.duplicated_packets, merged.delayed_packets),
+            (11, 22, 33)
+        );
+    }
 }

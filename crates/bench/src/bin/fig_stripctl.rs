@@ -239,17 +239,7 @@ fn main() {
         .expect("strip 50 in the fixed sweep");
     let r = run_fmm(&w, adaptive_cfg, paper_net());
     let merged = merge_stats(&r.m2l_stats, &r.eval_stats);
-    // Merging sums per-node counters, which would double-count the final
-    // strip gauge; report the max over the two sub-phases instead.
-    let strip_final = r
-        .m2l_stats
-        .user_max("strip_final")
-        .max(r.eval_stats.user_max("strip_final"));
-    let mut row = Row::new("adaptive", r.makespan_ns, &merged, r.interaction_hash);
-    if let Some((retunes, _)) = row.adaptive {
-        row.adaptive = Some((retunes, strip_final));
-    }
-    rows.push(row);
+    rows.push(Row::new("adaptive", r.makespan_ns, &merged, r.interaction_hash));
     rows.last().unwrap().print();
     points.push(
         ExpPoint::new("fig_stripctl", "fmm", "adaptive", p, r.makespan_ns, &merged)
@@ -257,7 +247,7 @@ fn main() {
                 "peak_aligned_threads",
                 merged.user_max("peak_aligned_threads") as f64,
             )
-            .with("strip_final", strip_final as f64)
+            .with("strip_final", merged.user_max("strip_final") as f64)
             .with("strip_retunes", merged.user_total("strip_retunes") as f64),
     );
     violations += verdicts("fmm", &rows, strip50_peak, enforce);

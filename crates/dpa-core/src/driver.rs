@@ -217,11 +217,7 @@ fn run_machine<P: NodeProc>(
         None => machine.insert(Machine::new(procs, net.clone())),
     };
     m.set_queue_kind(opts.queue);
-    // Installing a plan replaces the one `Machine::new` derives from the
-    // legacy `NetConfig::drop_every` shorthand; keep that knob working.
-    let mut faults = opts.faults.clone();
-    faults.drop_every = faults.drop_every.or(net.drop_every);
-    m.set_faults(faults);
+    m.set_faults(opts.faults.clone());
     if let Some(seed) = opts.schedule_seed {
         // Vary the perturbation per phase, deterministically.
         m.perturb_schedule(seed.wrapping_add(phase as u64));

@@ -14,7 +14,9 @@
 //! * the outstanding-request table **D** ([`pending::PendingRequests`]);
 //! * a scheduler ([`proc_dpa::DpaProc`]) that k-bounds the top-level loop
 //!   (*strip-mining*), runs ready threads, and — when an object arrives —
-//!   releases every thread aligned under it in one batch (*tiling*);
+//!   releases every thread aligned under it in one batch (*tiling*) —
+//!   with the data-side extensions (migration, differential carry,
+//!   replication) as optional states in `proc_dpa`'s private submodules;
 //! * a communication scheduler that issues requests eagerly so transfers
 //!   overlap local work (*pipelining*) and batches requests per
 //!   destination (*aggregation*, via `fastmsg`'s coalescing buffers).

@@ -7,11 +7,14 @@
 //! entries, so it travels as its own message and the owner is explicitly
 //! charged for every extra packet it occupies ([`charge_extra_packets`]).
 //!
-//! The DPA driver additionally runs a reply-path *scheduler* (see
-//! `proc_dpa`) that buffers reply entries per destination instead of
-//! answering immediately; it shares [`lookup_entries`] and
-//! [`charge_extra_packets`] with the immediate path below so both charge
-//! identically per object and per packet.
+//! The DPA driver additionally runs a reply-path *scheduler*
+//! (`proc_dpa`'s `enqueue_replies`) that buffers reply entries per
+//! destination instead of answering immediately; it shares
+//! [`lookup_entries`] and [`charge_extra_packets`] with the immediate path
+//! below so both charge identically per object and per packet. Migration
+//! shipments and replica broadcasts (`proc_dpa::migrate`,
+//! `proc_dpa::replicate`) are sized and charged through the same two
+//! functions.
 
 use crate::config::DpaConfig;
 use crate::msg::DpaMsg;

@@ -1,0 +1,1108 @@
+//! The DPA node driver: strip-mined thread scheduling plus communication
+//! scheduling, as a [`sim_net::Proc`].
+//!
+//! Per node, the driver maintains the paper's two runtime structures —
+//! **M**, the pointer→dependent-threads mapping ([`PointerMap`]), and
+//! **D**, the outstanding-request table ([`PendingRequests`]) — plus the
+//! per-destination coalescing buffers of the communication scheduler.
+//!
+//! Scheduling template (the paper's Figure 14 shape):
+//!
+//! 1. **Admit** — keep at most one strip's worth of top-level iterations
+//!    live (k-bounded loop); admitting an iteration runs its creation
+//!    code, which emits pointer-labeled dependent threads. The strip is
+//!    either the paper's static `k` ([`StripMode::Fixed`]) or retuned at
+//!    every strip boundary by the per-node feedback controller of
+//!    [`crate::stripctl`] ([`StripMode::Adaptive`]): every `strip`
+//!    completed iterations the driver reads its own idle/overhead deltas
+//!    and suspended-thread population and grows or shrinks the k-bound.
+//! 2. **Execute** — run ready threads depth-first. A demand on a local or
+//!    already-arrived object becomes immediately ready; a demand on a
+//!    missing remote object is aligned under its pointer in M, and the
+//!    first alignment enqueues a request in the coalescing buffer for the
+//!    owner node.
+//! 3. **Communicate** — with pipelining, full buffers are sent the moment
+//!    they fill and everything pending is drained at quiescence, so
+//!    transfers overlap the remaining local work; without pipelining
+//!    (the "Base" configuration) one batch is sent per quiescence and the
+//!    node waits for its reply — each round trip is exposed.
+//!
+//! The *owner* side runs its own communication scheduler: with
+//! `reply_agg_window > 1`, reply entries for incoming requests (and
+//! batched `Update` reductions) are buffered per destination in a
+//! [`ByteCoalescer`] and flushed adaptively — at MTU occupancy or the
+//! entry window (whichever fills first), after `reply_flush_deadline_ns`
+//! of simulated time since a destination's first entry (deadline wakes),
+//! and unconditionally at every local quiescence point. A request that
+//! finds the owner already idle is answered immediately: buffering only
+//! happens while there is local work to overlap, so latency is never
+//! traded for overhead.
+//! 4. **Tile** — when a reply installs an object, *all* threads aligned
+//!    under it are released consecutively: threads using the same object
+//!    execute together, paying its fetch exactly once.
+//!
+//! Long drives are sliced at `poll_interval_ns` of simulated time so the
+//! node services incoming requests at realistic polling granularity (the
+//! paper notes poll placement was hand-tuned in their codes).
+//!
+//! # Mode states
+//!
+//! That is the whole of the paper's runtime, and all a paper
+//! configuration ([`DpaConfig::dpa`]) carries. The three extensions are
+//! optional states on [`DpaProc`], each `Some` exactly when its config
+//! flag is on (until [`DpaProc::take_carry`] retires the proc), each in
+//! its own module with its fields, its protocol arms and its share of the
+//! carry, the snapshot, the stall report and the stats:
+//!
+//! | state | flag | messages | module |
+//! |---|---|---|---|
+//! | `mig` | `migration_enabled()` | `Affinity`, `Migrate`, `Forward` | `migrate` |
+//! | `diff` | `differential` | `PhaseDelta` | `differential` |
+//! | `repl` | `replication` | `Replicate` | `replicate` |
+//!
+//! Every node of a machine runs the same config, so a mode's message can
+//! only reach a node whose mode is off from a scripted peer; it is ignored.
+
+mod differential;
+mod migrate;
+mod replicate;
+
+use crate::config::{ConfigError, DpaConfig, Variant};
+use crate::fxmap::{FxHashMap, FxHashSet};
+use crate::invariant::NodeSnapshot;
+use crate::mapping::PointerMap;
+use crate::msg::DpaMsg;
+use crate::pending::PendingRequests;
+use crate::stripctl::{StripController, StripMode, StripObs};
+use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv};
+use differential::DiffState;
+use fastmsg::{ByteCoalescer, Coalescer};
+use global_heap::{ArrivalSet, GPtr, MigrationTable, ReplicaDirectory};
+use migrate::MigrateState;
+use replicate::ReplState;
+use sim_net::{Ctx, Dur, NodeId, NodeStats, Proc};
+use std::collections::VecDeque;
+
+/// Wire bytes of one `(pointer, f64)` reduction entry.
+const UPDATE_ENTRY_BYTES: u64 = GPtr::WIRE_BYTES as u64 + 8;
+
+/// Dither seed for the adaptive strip controller (see
+/// [`StripController::new`]); fixed so replays are bit-identical.
+const STRIP_DITHER_SEED: u64 = 0x5712_C0DE;
+
+/// Everything one node hands across a phase barrier: taken from phase
+/// *k*'s proc by [`DpaProc::take_carry`], patched by the boundary pass
+/// ([`crate::boundary`]), installed into phase *k+1*'s proc by
+/// [`DpaProc::install_carry`]. Each part rides only under its config flag.
+pub struct PhaseCarry<W> {
+    /// `migration_enabled()`: adopted / departed / learned overrides plus
+    /// the owner-side affinity counts the boundary policies read.
+    pub(crate) migration: Option<MigrationTable>,
+    /// `adaptive_strip()`: the k-bound controller, so a phase opens at the
+    /// strip its predecessor converged to instead of re-learning it.
+    pub(crate) strip_ctl: Option<StripController>,
+    /// `replication`: the owner-side directory, windows closed.
+    pub(crate) replication: Option<ReplicaDirectory>,
+    /// `differential`: M and D — interners and warmed waiter-list
+    /// capacities travel instead of being rebuilt.
+    pub(crate) tables: Option<(PointerMap<Tagged<W>>, PendingRequests)>,
+    /// `differential`: renamed storage as `(ptr, size, generation fetched
+    /// at)`, sorted by pointer bits. Unchanged objects are never refetched.
+    pub(crate) arrivals: Vec<(GPtr, u32, u32)>,
+    /// Planned by the boundary: the homes of `arrivals`, whose
+    /// [`DpaMsg::PhaseDelta`] gates this node's first strip.
+    pub(crate) awaiting: Vec<u16>,
+    /// Planned by the boundary: per consumer carrying objects homed here,
+    /// those whose generation moved (empty = all-clear). Announced first
+    /// thing in `on_start`, *before* this node gates on its own awaited
+    /// deltas, so mutually-carrying nodes cannot deadlock.
+    pub(crate) deltas: Vec<(u16, Vec<GPtr>)>,
+}
+
+/// One sequenced message kind (`Update`, `Affinity`, `Migrate`,
+/// `PhaseDelta`, `Replicate`), both directions. The k-th message this node
+/// sends carries `seq == k`; a received `(sender, seq)` is accepted once,
+/// which is what makes the kind's effect exactly-once under at-least-once
+/// delivery; and entries are counted as they go on the wire and as they
+/// are accepted — the pair the conservation oracles compare across nodes.
+#[derive(Default)]
+struct SeqChannel {
+    /// Messages sent; doubles as the next sequence number.
+    msgs_sent: u64,
+    entries_sent: u64,
+    /// Entries accepted, i.e. after dedup.
+    entries_recv: u64,
+    seen: FxHashSet<(u16, u64)>,
+}
+
+impl SeqChannel {
+    /// Count an outgoing message of `entries` entries; returns its seq.
+    fn stamp(&mut self, entries: usize) -> u64 {
+        let seq = self.msgs_sent;
+        self.msgs_sent += 1;
+        self.entries_sent += entries as u64;
+        seq
+    }
+
+    /// `true` (counting its entries) the first time `(sender, seq)`
+    /// arrives; `false` for a duplicated delivery, which the caller drops
+    /// wholesale.
+    fn accept(&mut self, sender: u16, seq: u64, entries: usize) -> bool {
+        if !self.seen.insert((sender, seq)) {
+            return false;
+        }
+        self.entries_recv += entries as u64;
+        true
+    }
+}
+
+/// Group a fan-out by destination so that its send order (and with it the
+/// seq assignment) is a function of the keys alone: `(key, item)` pairs
+/// come back as `(key, items)` groups in ascending key order, each group
+/// in the order its items were listed. Keys are nodes (at most paired with
+/// a generation), a few dozen, so finding a group is a linear probe.
+fn fan_out<K: Copy + Ord, T>(items: impl IntoIterator<Item = (K, T)>) -> Vec<(K, Vec<T>)> {
+    let mut groups: Vec<(K, Vec<T>)> = Vec::new();
+    for (key, item) in items {
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(item),
+            None => groups.push((key, vec![item])),
+        }
+    }
+    groups.sort_unstable_by_key(|&(key, _)| key);
+    groups
+}
+
+/// A DPA node: the application's per-node instance plus runtime state.
+pub struct DpaProc<A: PtrApp> {
+    app: A,
+    cfg: DpaConfig,
+    /// Ready non-blocking threads (depth-first stack).
+    stack: Vec<Tagged<A::Work>>,
+    /// M: pointer → aligned dependent threads.
+    map: PointerMap<Tagged<A::Work>>,
+    /// D: outstanding (buffered or in-flight) requests.
+    pending: PendingRequests,
+    /// Renamed storage: remote objects fetched so far this phase.
+    arrived: ArrivalSet,
+    /// Per-destination request batching.
+    coal: Coalescer<GPtr>,
+    /// Batches that filled while sending was deferred (no pipelining).
+    held: VecDeque<(u16, Vec<GPtr>)>,
+    /// Per-destination reduction batching (fire-and-forget, so sent when
+    /// full regardless of the pipelining flag).
+    upd_coal: ByteCoalescer<(GPtr, f64)>,
+    /// Owner-side reply scheduler: per-destination reply-entry batching
+    /// under the adaptive flush policy (budget / window / deadline /
+    /// quiescence). Unused (always empty) when `reply_agg_window == 1`.
+    reply_coal: ByteCoalescer<(GPtr, u32)>,
+    /// Earliest armed deadline wake for buffered replies/updates, in
+    /// simulated ns. Wakes cannot be cancelled, so this only suppresses
+    /// arming a *later* duplicate; a stale earlier wake fires harmlessly.
+    flush_wake_at: Option<u64>,
+    /// Data-side alignment, `Some` iff `cfg.migration_enabled()`.
+    mig: Option<MigrateState>,
+    /// Differential re-alignment, `Some` iff `cfg.differential`.
+    diff: Option<DiffState>,
+    /// Read-mostly replication, `Some` iff `cfg.replication`.
+    repl: Option<ReplState>,
+    /// Objects installed (a pending request completed with data — by a
+    /// reply, or by an adoption or a broadcast that doubled as one).
+    /// Equals `arrived.total_inserts()` whenever migration is off.
+    installs: u64,
+    /// The k-bound currently in force (constant under a fixed strip;
+    /// retuned at strip boundaries under an adaptive one).
+    strip: usize,
+    /// The adaptive k-bound controller (`Some` iff
+    /// `cfg.adaptive_strip()`). Built lazily at `on_start` — the proc
+    /// does not know its node id at construction — unless a controller
+    /// carried over from the previous phase was installed first.
+    strip_ctl: Option<StripController>,
+    /// Completed-iteration count at which the next controller boundary
+    /// fires.
+    next_ctl_at: u64,
+    /// Cumulative (local, overhead, idle) ns at the last boundary, so a
+    /// retune observes the inter-boundary *deltas*.
+    ctl_obs_base: (u64, u64, u64),
+    /// Live work count per open iteration.
+    iter_live: FxHashMap<u32, u32>,
+    next_iter: usize,
+    total_iters: usize,
+    completed_iters: u64,
+    threads_created: u64,
+    peak_stack: u64,
+    /// Objects with requests currently in flight (sent, reply pending).
+    /// A set rather than a count: with migration an adoption can complete
+    /// a pending request whose wire reply (possibly forwarded) arrives
+    /// later, and set removal stays exact where a counter would drift.
+    in_flight: FxHashSet<GPtr>,
+    peak_in_flight: u64,
+    request_msgs: u64,
+    reply_msgs: u64,
+    /// The `Update` channel: reductions must apply exactly once.
+    updates: SeqChannel,
+    updates_emitted: u64,
+    updates_applied: u64,
+    /// Request entries put on the wire (conservation vs. `coal` pushes).
+    request_entries_sent: u64,
+    /// Reply entries accepted for sending (immediate or buffered).
+    reply_entries_pushed: u64,
+    /// Reply entries put on the wire (conservation vs. pushes).
+    reply_entries_sent: u64,
+    /// Per-pointer reply accounting `(pushed, sent)` — the hot-key
+    /// conservation oracle. A skewed workload funnels most reply traffic
+    /// through a few hub objects; this map proves no per-key entry is
+    /// lost or invented across the scheduler, immediate-service, and
+    /// orphan paths (the aggregate counters above would mask a bug that
+    /// drops a hub entry while inventing one elsewhere).
+    reply_ptr_acct: FxHashMap<GPtr, (u64, u64)>,
+    /// Recycled emission buffer threaded through every [`WorkEnv`] this
+    /// node builds, so the run-work hot loop emits without allocating.
+    emit_buf: Vec<Emit<A::Work>>,
+    wake_scheduled: bool,
+    done: bool,
+}
+
+impl<A: PtrApp> DpaProc<A> {
+    /// Wrap one node's application instance under `cfg`.
+    ///
+    /// `nodes` is the machine size (drives coalescer sizing). Panics on a
+    /// degenerate config ([`DpaConfig::validate`] — use
+    /// [`DpaProc::try_new`] for an `Err` instead) or if `cfg.variant` is
+    /// not [`Variant::Dpa`] or [`Variant::Sequential`] — the baselines
+    /// have their own driver.
+    pub fn new(app: A, nodes: usize, cfg: DpaConfig) -> DpaProc<A> {
+        match Self::try_new(app, nodes, cfg) {
+            Ok(p) => p,
+            Err(e) => panic!("invalid DpaConfig: {e}"),
+        }
+    }
+
+    /// Like [`DpaProc::new`] but rejects a degenerate config with a clear
+    /// [`ConfigError`] instead of a hang or panic deep in the run.
+    pub fn try_new(app: A, nodes: usize, cfg: DpaConfig) -> Result<DpaProc<A>, ConfigError> {
+        assert!(
+            matches!(cfg.variant, Variant::Dpa | Variant::Sequential),
+            "DpaProc drives DPA/Sequential, got {:?}",
+            cfg.variant
+        );
+        cfg.validate()?;
+        let strip = cfg.initial_strip();
+        let mtu = cfg.mtu.0 as u64;
+        Ok(DpaProc {
+            strip,
+            strip_ctl: None,
+            next_ctl_at: strip as u64,
+            ctl_obs_base: (0, 0, 0),
+            stack: Vec::new(),
+            map: PointerMap::new(),
+            pending: PendingRequests::new(),
+            arrived: ArrivalSet::new(),
+            // Without pipelining, batches are held rather than auto-sent,
+            // so the window can stay as configured; `held` captures
+            // overflow.
+            coal: Coalescer::new(nodes, cfg.agg_window),
+            held: VecDeque::new(),
+            upd_coal: ByteCoalescer::new(nodes, mtu, cfg.agg_window),
+            reply_coal: ByteCoalescer::new(nodes, mtu, cfg.reply_agg_window),
+            flush_wake_at: None,
+            mig: cfg.migration_enabled().then(|| MigrateState::new(nodes, &cfg)),
+            diff: cfg.differential.then(DiffState::default),
+            repl: cfg.replication.then(ReplState::default),
+            installs: 0,
+            iter_live: FxHashMap::default(),
+            next_iter: 0,
+            total_iters: app.num_iterations(),
+            completed_iters: 0,
+            threads_created: 0,
+            peak_stack: 0,
+            in_flight: FxHashSet::default(),
+            peak_in_flight: 0,
+            request_msgs: 0,
+            reply_msgs: 0,
+            updates: SeqChannel::default(),
+            updates_emitted: 0,
+            updates_applied: 0,
+            request_entries_sent: 0,
+            reply_entries_pushed: 0,
+            reply_entries_sent: 0,
+            reply_ptr_acct: FxHashMap::default(),
+            emit_buf: Vec::new(),
+            wake_scheduled: false,
+            done: false,
+            app,
+            cfg,
+        })
+    }
+
+    /// The wrapped application (post-run inspection).
+    pub fn app(&self) -> &A {
+        &self.app
+    }
+
+    /// Take everything this node hands across the phase barrier (driver
+    /// use, after the machine stops; the proc is spent afterwards); see
+    /// [`PhaseCarry`] for what rides under which config flag.
+    pub fn take_carry(&mut self) -> PhaseCarry<A::Work> {
+        let demote = self.cfg.replication_write_demote;
+        let (mut arrivals, mut tables) = (Vec::new(), None);
+        if self.diff.is_some() {
+            arrivals.extend(self.arrived.entries());
+            arrivals.sort_unstable_by_key(|&(p, _, _)| p.bits());
+            tables = Some((std::mem::take(&mut self.map), std::mem::take(&mut self.pending)));
+        }
+        PhaseCarry {
+            migration: self.mig.take().map(|m| m.table),
+            strip_ctl: self.strip_ctl.take(),
+            replication: self.repl.take().map(|r| r.into_carry(demote)),
+            tables,
+            arrivals,
+            awaiting: Vec::new(),
+            deltas: Vec::new(),
+        }
+    }
+
+    /// Install the previous phase's carry, as patched by the boundary pass
+    /// (driver use, before the machine starts).
+    pub fn install_carry(&mut self, carry: PhaseCarry<A::Work>) {
+        if let (Some(m), Some(table)) = (self.mig.as_mut(), carry.migration) {
+            m.install_carry(table, &self.app, &mut self.arrived);
+        }
+        if let Some(ctl) = carry.strip_ctl {
+            // The phase opens at the strip the last one settled on, with
+            // hysteresis state intact.
+            self.strip = ctl.strip();
+            self.next_ctl_at = self.completed_iters + self.strip as u64;
+            self.strip_ctl = Some(ctl);
+        }
+        if let Some((mut map, mut pending)) = carry.tables {
+            // M and D are *patched* for reuse — per-phase state reset,
+            // interners kept; see [`PointerMap::reset_for_phase`].
+            map.reset_for_phase();
+            pending.reset_for_phase();
+            self.map = map;
+            self.pending = pending;
+        }
+        if let (Some(r), Some(dir)) = (self.repl.as_mut(), carry.replication) {
+            r.install_carry(dir);
+        }
+        if let Some(d) = self.diff.as_mut() {
+            d.install_carry(carry.arrivals, carry.awaiting, carry.deltas, &mut self.arrived);
+        }
+    }
+
+    /// Adaptive-strip boundary: when enough iterations completed since
+    /// the last boundary, feed the controller the inter-boundary stat
+    /// deltas and adopt its new strip. No-op under a fixed strip. Called
+    /// from `admit`, so a retune can widen (or narrow) the window the
+    /// very admission that crosses the boundary uses.
+    fn maybe_retune(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        if self.strip_ctl.is_none() || self.completed_iters < self.next_ctl_at {
+            return;
+        }
+        let s = ctx.stats();
+        let (local, overhead, idle) = (s.local.as_ns(), s.overhead.as_ns(), s.idle.as_ns());
+        let obs = StripObs {
+            local_ns: local - self.ctl_obs_base.0,
+            overhead_ns: overhead - self.ctl_obs_base.1,
+            idle_ns: idle - self.ctl_obs_base.2,
+            suspended_threads: self.map.live_threads(),
+        };
+        self.ctl_obs_base = (local, overhead, idle);
+        let ctl = self.strip_ctl.as_mut().expect("checked above");
+        self.strip = ctl.retune(&obs);
+        self.next_ctl_at = self.completed_iters + self.strip as u64;
+    }
+
+    /// Export the runtime-state counters the DST invariant checker needs
+    /// (see [`crate::invariant`]). `node` is this proc's node id (the proc
+    /// itself does not know it outside a message context). Each mode state
+    /// fills in its own fields; they stay zero / empty when it is off.
+    pub fn snapshot(&self, node: u16) -> NodeSnapshot {
+        let held_entries: usize = self.held.iter().map(|(_, b)| b.len()).sum();
+        // Hottest reply keys by entries pushed, ties broken by pointer
+        // bits so the export (and thus DST fingerprints) is deterministic.
+        let mut reply_hot: Vec<(u64, u64, u64)> = self
+            .reply_ptr_acct
+            .iter()
+            .map(|(p, &(pushed, sent))| (p.bits(), pushed, sent))
+            .collect();
+        reply_hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        reply_hot.truncate(8);
+        let mut snap = NodeSnapshot {
+            node,
+            map_keys: self.map.keys(),
+            map_threads: self.map.live_threads(),
+            pending_requests: self.pending.len(),
+            pending_sample: self.pending.sorted_sample(4),
+            in_flight: self.in_flight.len(),
+            requests_issued: self.pending.total(),
+            objects_installed: self.installs,
+            req_pushed: self.coal.total_pushed(),
+            req_sent: self.request_entries_sent,
+            req_buffered: self.coal.pending() + held_entries,
+            updates_emitted: self.updates_emitted,
+            updates_applied: self.updates_applied,
+            upd_sent: self.updates.entries_sent,
+            upd_buffered: self.upd_coal.pending(),
+            reply_pushed: self.reply_entries_pushed,
+            reply_sent: self.reply_entries_sent,
+            reply_buffered: self.reply_coal.pending(),
+            reply_hot,
+            request_msgs: self.request_msgs,
+            reply_msgs: self.reply_msgs,
+            update_msgs: self.updates.msgs_sent,
+            stale_cache_entries: self
+                .arrived
+                .entries()
+                .filter(|&(p, _, gen)| gen != self.app.object_generation(p))
+                .count(),
+            strip_schedule: self
+                .strip_ctl
+                .as_ref()
+                .map(|c| c.schedule().to_vec())
+                .unwrap_or_default(),
+            strip_bounds: self
+                .cfg
+                .strip_mode
+                .adaptive_params()
+                .map(|p| (p.min as u32, p.max as u32)),
+            ..NodeSnapshot::default()
+        };
+        if let Some(m) = &self.mig {
+            m.snapshot(&mut snap);
+        }
+        if let Some(d) = &self.diff {
+            d.snapshot(&mut snap);
+        }
+        if let Some(r) = &self.repl {
+            r.snapshot(&mut snap);
+        }
+        snap
+    }
+
+    #[inline]
+    fn pressure(&self) -> u64 {
+        self.cfg.cost.pressure_extra_ns(self.map.live_threads())
+    }
+
+    /// Run one piece of application code — an iteration's creation code or
+    /// a ready thread — then charge what it computed and route what it
+    /// emitted under `iter`. Every env shares one recycled emit buffer.
+    // Forced: the app's `run_work` must inline into the drive loop. Left
+    // to the inliner's discretion, setops_rw loses 8 % of its events/s.
+    #[inline(always)]
+    fn run_app(
+        &mut self,
+        ctx: &mut Ctx<'_, DpaMsg>,
+        iter: u32,
+        code: impl FnOnce(&mut A, &mut WorkEnv<'_, A::Work>),
+    ) {
+        let mut env = WorkEnv::with_migration(
+            ctx.me().0,
+            ctx.num_nodes(),
+            Avail::Arrived(&self.arrived),
+            self.mig.as_ref().map(|m| &m.table),
+        );
+        env.reuse_buffer(std::mem::take(&mut self.emit_buf));
+        code(&mut self.app, &mut env);
+        let (ns, mut emits) = env.finish();
+        ctx.charge_local(ns);
+        self.route_emissions(ctx, iter, &mut emits);
+        self.emit_buf = emits;
+    }
+
+    /// Route the emissions of one finished work/creation, tagging them
+    /// with `iter`. Drains `emits` in place so the caller can recycle the
+    /// buffer's capacity for the next work item.
+    fn route_emissions(
+        &mut self,
+        ctx: &mut Ctx<'_, DpaMsg>,
+        iter: u32,
+        emits: &mut Vec<Emit<A::Work>>,
+    ) {
+        let me = ctx.me().0;
+        // Reverse so that, popped from the stack, work runs in emission
+        // order (depth-first).
+        for e in emits.drain(..).rev() {
+            if let Emit::Accum(ptr, value) = e {
+                // Reductions are not threads: apply locally or batch for
+                // the owner; no alignment, no iteration accounting.
+                self.updates_emitted += 1;
+                if ptr.is_local_to(me) {
+                    self.apply_update(ctx, ptr, value);
+                } else {
+                    ctx.charge_overhead(self.cfg.cost.request_entry_ns);
+                    let now = ctx.now().as_ns();
+                    for batch in self.upd_coal.push(ptr.node(), (ptr, value), UPDATE_ENTRY_BYTES, now)
+                    {
+                        self.send_update(ctx, ptr.node(), batch);
+                    }
+                }
+                continue;
+            }
+            self.threads_created += 1;
+            *self.iter_live.entry(iter).or_insert(0) += 1;
+            ctx.charge_overhead(self.cfg.cost.thread_create_ns);
+            match e {
+                Emit::Local(work) => {
+                    self.stack.push(Tagged { iter, work });
+                }
+                Emit::Demand(ptr, work) => {
+                    // Resolve the current home: birth node unless migration
+                    // re-homed the object (adopted here → local; departed /
+                    // learned override → the new home, skipping the stub).
+                    let home = match &self.mig {
+                        Some(m) => m.table.home_of(ptr, me),
+                        None => ptr.node(),
+                    };
+                    if home == me || self.arrived.contains(ptr) {
+                        // Data already here: immediately ready.
+                        self.stack.push(Tagged { iter, work });
+                    } else {
+                        ctx.charge_overhead(self.cfg.cost.map_update_ns + self.pressure());
+                        let first = self.map.align(ptr, Tagged { iter, work });
+                        self.sample_affinity(ctx, ptr);
+                        if first && self.pending.insert(ptr) {
+                            ctx.charge_overhead(self.cfg.cost.request_entry_ns);
+                            if let Some(batch) = self.coal.push(home, ptr) {
+                                if self.cfg.pipeline && self.can_send() {
+                                    self.send_request(ctx, home, batch);
+                                } else {
+                                    self.held.push_back((home, batch));
+                                }
+                            }
+                        }
+                    }
+                }
+                Emit::Accum(..) => unreachable!("handled above"),
+            }
+        }
+        self.peak_stack = self.peak_stack.max(self.stack.len() as u64);
+    }
+
+    /// Fold one reduction entry into the locally-born object it targets.
+    /// Single-writer: every write, local or received, funnels through the
+    /// birth home — migration re-routes the read path only — which is
+    /// where the replica directory counts it toward the read-mostly
+    /// demotion window.
+    fn apply_update(&mut self, ctx: &mut Ctx<'_, DpaMsg>, ptr: GPtr, value: f64) {
+        debug_assert!(ptr.is_local_to(ctx.me().0));
+        ctx.charge_overhead(self.cfg.cost.owner_lookup_ns);
+        self.updates_applied += 1;
+        self.app.apply_update(ptr, value);
+        if let Some(r) = self.repl.as_mut() {
+            r.note_write(ptr);
+        }
+    }
+
+    fn send_update(&mut self, ctx: &mut Ctx<'_, DpaMsg>, dst: u16, batch: Vec<(GPtr, f64)>) {
+        debug_assert!(!batch.is_empty());
+        let seq = self.updates.stamp(batch.len());
+        ctx.send(
+            NodeId(dst),
+            DpaMsg::Update {
+                seq,
+                entries: batch,
+            },
+        );
+    }
+
+    fn send_reply(&mut self, ctx: &mut Ctx<'_, DpaMsg>, dst: u16, batch: Vec<(GPtr, u32)>) {
+        self.reply_msgs += 1;
+        self.reply_entries_sent += batch.len() as u64;
+        for &(p, _) in &batch {
+            self.reply_ptr_acct.entry(p).or_default().1 += 1;
+        }
+        crate::owner::send_reply_batch(&self.cfg, ctx, NodeId(dst), batch);
+    }
+
+    /// Owner-side scheduler: buffer reply entries for `src`, sending any
+    /// batches the push forces out (budget/window full, oversized entry).
+    fn enqueue_replies(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, ptrs: &[GPtr]) {
+        let now = ctx.now().as_ns();
+        let mig = self.mig.as_ref().map(|m| &m.table);
+        for (p, size) in crate::owner::lookup_entries(&self.app, &self.cfg, ctx, ptrs, mig) {
+            self.reply_entries_pushed += 1;
+            self.reply_ptr_acct.entry(p).or_default().0 += 1;
+            let entry_bytes = (size + GPtr::WIRE_BYTES) as u64;
+            for batch in self.reply_coal.push(src.0, (p, size), entry_bytes, now) {
+                self.send_reply(ctx, src.0, batch);
+            }
+        }
+        self.ensure_flush_wake(ctx);
+    }
+
+    /// Flush every buffered reply/update/shipment destination whose oldest
+    /// entry has aged past the deadline, then re-arm the wake for what
+    /// remains.
+    fn flush_due(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        // Fast path for the common wake: nothing buffered anywhere and no
+        // wake armed means every branch below is a no-op. Self-wake poll
+        // slices land here once per event on the hot path.
+        if self.flush_wake_at.is_none()
+            && self.reply_coal.is_empty()
+            && self.upd_coal.is_empty()
+            && self.mig.as_ref().is_none_or(|m| m.coal.is_empty())
+        {
+            return;
+        }
+        let now = ctx.now().as_ns();
+        if self.flush_wake_at.is_some_and(|t| t <= now) {
+            self.flush_wake_at = None;
+        }
+        let deadline = self.cfg.reply_flush_deadline_ns;
+        for (dst, batch) in self.reply_coal.take_due(now, deadline) {
+            self.send_reply(ctx, dst, batch);
+        }
+        for (dst, batch) in self.upd_coal.take_due(now, deadline) {
+            self.send_update(ctx, dst, batch);
+        }
+        if let Some(m) = self.mig.as_mut() {
+            for (dst, batch) in m.coal.take_due(now, deadline) {
+                m.send(ctx, &self.cfg, dst, batch);
+            }
+        }
+        self.ensure_flush_wake(ctx);
+    }
+
+    /// Arm a deadline wake covering the oldest buffered reply/update entry
+    /// (no-op when nothing is buffered or an earlier wake is already
+    /// armed). This is what guarantees a buffered batch can never be
+    /// stranded: every enqueue path ends with a wake at its deadline.
+    fn ensure_flush_wake(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        let deadline = self.cfg.reply_flush_deadline_ns;
+        let due = [
+            self.reply_coal.next_due(deadline),
+            self.upd_coal.next_due(deadline),
+            self.mig.as_ref().and_then(|m| m.coal.next_due(deadline)),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        if let Some(due) = due {
+            if self.flush_wake_at.is_none_or(|t| due < t) {
+                self.flush_wake_at = Some(due);
+                let now = ctx.now().as_ns();
+                ctx.wake_after(Dur::from_ns(due.saturating_sub(now)));
+            }
+        }
+    }
+
+    /// Owner side: answer `ptrs` for `src`. Adaptive policy: buffer replies
+    /// only while local work is in progress (the buffering overlaps it,
+    /// bounded by the deadline wake); an idle or finished owner answers
+    /// immediately — quiescence means flush.
+    fn answer(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, ptrs: Vec<GPtr>) {
+        if self.cfg.reply_agg_window > 1 && !self.stack.is_empty() && !self.done {
+            self.enqueue_replies(ctx, src, &ptrs);
+        } else {
+            let acct = crate::owner::service_request(
+                &self.app,
+                &self.cfg,
+                ctx,
+                src,
+                &ptrs,
+                self.mig.as_ref().map(|m| &m.table),
+            );
+            self.reply_msgs += acct.msgs;
+            self.reply_entries_pushed += acct.entries;
+            self.reply_entries_sent += acct.entries;
+            for &p in &ptrs {
+                let e = self.reply_ptr_acct.entry(p).or_default();
+                e.0 += 1;
+                e.1 += 1;
+            }
+        }
+        // The consumed payload buffer seeds this node's own request
+        // coalescer: in steady state request traffic is allocation-free in
+        // both directions.
+        self.coal.recycle(ptrs);
+    }
+
+    fn finish_one_work(&mut self, iter: u32) {
+        let live = self
+            .iter_live
+            .get_mut(&iter)
+            .expect("finished work for unknown iteration");
+        *live -= 1;
+        if *live == 0 {
+            self.iter_live.remove(&iter);
+            self.completed_iters += 1;
+        }
+    }
+
+    fn admit(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        self.maybe_retune(ctx);
+        while self.iter_live.len() < self.strip && self.next_iter < self.total_iters {
+            let iter = self.next_iter as u32;
+            self.next_iter += 1;
+            self.run_app(ctx, iter, |app, env| app.start_iteration(iter as usize, env));
+            // An iteration that spawned no threads (nothing, or only
+            // reductions) is already complete.
+            if !self.iter_live.contains_key(&iter) {
+                self.completed_iters += 1;
+            }
+        }
+    }
+
+    fn send_request(&mut self, ctx: &mut Ctx<'_, DpaMsg>, dst: u16, batch: Vec<GPtr>) {
+        debug_assert!(!batch.is_empty());
+        debug_assert!(dst != ctx.me().0, "self-requests must be routed locally");
+        for p in &batch {
+            self.in_flight.insert(*p);
+        }
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len() as u64);
+        self.request_msgs += 1;
+        self.request_entries_sent += batch.len() as u64;
+        ctx.send(NodeId(dst), DpaMsg::Request(batch));
+    }
+
+    /// Flow control: may another batch be sent right now? At least one
+    /// batch is always allowed when nothing is in flight.
+    #[inline]
+    fn can_send(&self) -> bool {
+        self.in_flight.is_empty() || self.in_flight.len() < self.cfg.max_outstanding
+    }
+
+    /// Data for `ptr` reached this node: a reply, or an adoption or a
+    /// replica broadcast that doubles as one. If a request for it is
+    /// pending, that request completes — the object enters renamed storage
+    /// and every thread aligned under it is released to run consecutively
+    /// (tiling). Returns `false`, changing nothing, for a duplicate: the
+    /// object is already held and no request is waiting on it.
+    fn install(&mut self, ptr: GPtr, size: u32, gen: u32) -> bool {
+        let fresh = self.arrived.insert_gen(ptr, size, gen);
+        if !fresh && !self.pending.contains(ptr) {
+            return false;
+        }
+        let was_pending = self.pending.complete(ptr);
+        debug_assert!(was_pending, "unsolicited data for {ptr}");
+        self.installs += 1;
+        self.map.release_into(ptr, &mut self.stack);
+        self.peak_stack = self.peak_stack.max(self.stack.len() as u64);
+        true
+    }
+
+    /// Requester side: install the objects of one reply.
+    ///
+    /// Idempotent: a duplicated reply (fault injection) — or one for an
+    /// object an adoption already installed — finds the object in the
+    /// arrival set with its request completed and changes nothing: no
+    /// double release, no D corruption. The handler overhead is still
+    /// charged (the CPU really does re-hash the pointer before discovering
+    /// the dup), and the wire reply, even a redundant one, retires the
+    /// in-flight request for its object.
+    fn install_reply(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, mut objs: Vec<(GPtr, u32)>) {
+        for (ptr, size) in objs.drain(..) {
+            ctx.charge_overhead(self.cfg.cost.reply_install_ns + self.pressure());
+            if let Some(m) = self.mig.as_mut() {
+                m.note_reply_source(ptr, src.0);
+            }
+            self.in_flight.remove(&ptr);
+            self.install(ptr, size, self.app.object_generation(ptr));
+        }
+        self.reply_coal.recycle(objs);
+    }
+
+    /// The scheduling loop: execute, admit, then schedule communication.
+    /// Slices itself every `poll_interval_ns` of simulated time.
+    fn drive(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        if self.delta_gated() {
+            // First strip is gated on the boundary deltas: a carried copy
+            // might be stale, and running a thread over it before the
+            // invalidation lands would read the previous timestep's value.
+            return;
+        }
+        let slice_start = ctx.now();
+        let slice = Dur::from_ns(self.cfg.poll_interval_ns);
+        loop {
+            // Execute ready threads (and keep the admission window full).
+            while let Some(t) = self.stack.pop() {
+                ctx.charge_overhead(self.cfg.cost.resume_ns + self.pressure());
+                self.run_app(ctx, t.iter, |app, env| app.run_work(t.work, env));
+                self.finish_one_work(t.iter);
+                self.admit(ctx);
+                if ctx.now().since(slice_start) >= slice {
+                    // Yield to the event loop so incoming requests are
+                    // serviced at poll granularity; resume immediately.
+                    if !self.wake_scheduled {
+                        self.wake_scheduled = true;
+                        ctx.wake_after(Dur::ZERO);
+                    }
+                    return;
+                }
+            }
+            self.admit(ctx);
+            if !self.stack.is_empty() {
+                continue;
+            }
+
+            // Local quiescence: schedule communication. Buffered replies,
+            // reductions and shipments are flushed unconditionally — there
+            // is no local work left to overlap, so holding them would
+            // trade latency for nothing.
+            let replies = self.reply_coal.drain_all();
+            for (dst, batch) in replies {
+                self.send_reply(ctx, dst, batch);
+            }
+            let upd = self.upd_coal.drain_all();
+            for (dst, batch) in upd {
+                self.send_update(ctx, dst, batch);
+            }
+            if let Some(m) = self.mig.as_mut() {
+                for (dst, batch) in m.coal.drain_all() {
+                    m.send(ctx, &self.cfg, dst, batch);
+                }
+            }
+            // Requests: held batches first, then the first nonempty
+            // buffer. Pipelined, as many as flow control allows; otherwise
+            // one batch per quiescence, its round trip exposed.
+            let mut may_send = !self.cfg.pipeline || self.can_send();
+            while may_send {
+                let next = self.held.pop_front().or_else(|| {
+                    let dst = self.coal.first_nonempty()?;
+                    Some((dst, self.coal.take(dst)?))
+                });
+                let Some((dst, batch)) = next else { break };
+                self.send_request(ctx, dst, batch);
+                may_send = self.cfg.pipeline && self.can_send();
+            }
+
+            // Finished? (Nothing ready, nothing admitted, nothing owed.)
+            // With migration, an adoption can complete a pending request
+            // whose pointer still sits in the request buffers or on the
+            // wire, so the buffers and in-flight set are part of the
+            // condition rather than implied by `pending` being empty.
+            if self.next_iter == self.total_iters
+                && self.iter_live.is_empty()
+                && self.pending.is_empty()
+                && self.in_flight.is_empty()
+                && self.coal.is_empty()
+                && self.held.is_empty()
+            {
+                self.finish_migration(ctx);
+                debug_assert!(self.map.is_empty());
+                debug_assert!(self.upd_coal.is_empty());
+                debug_assert!(self.reply_coal.is_empty());
+                self.done = true;
+            }
+            return;
+        }
+    }
+}
+
+impl<A: PtrApp> Proc for DpaProc<A> {
+    type Msg = DpaMsg;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        if let StripMode::Adaptive(params) = self.cfg.strip_mode {
+            if self.strip_ctl.is_none() {
+                let ctl = StripController::new(params, ctx.me().0, STRIP_DITHER_SEED);
+                self.strip = ctl.strip();
+                self.next_ctl_at = self.strip as u64;
+                self.strip_ctl = Some(ctl);
+            }
+        }
+        self.arm_epoch(ctx);
+        // The boundary's announcements leave before this node gates on
+        // the deltas it awaits itself: an owner serves its consumers
+        // whatever it is waiting on, so mutually-carrying nodes cannot
+        // deadlock. Broadcasts go first only because it is cheaper when
+        // they also land first; see `replicate` for why either arrival
+        // order is correct.
+        self.send_replicate_broadcasts(ctx);
+        self.send_phase_deltas(ctx);
+        if self.delta_gated() {
+            return;
+        }
+        self.admit(ctx);
+        self.drive(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, msg: DpaMsg) {
+        match msg {
+            DpaMsg::Request(ptrs) => {
+                // Requests for departed objects chase their stub one hop.
+                let ptrs = self.triage_request(ctx, src, ptrs);
+                if ptrs.is_empty() {
+                    self.coal.recycle(ptrs);
+                    return;
+                }
+                self.answer(ctx, src, ptrs);
+            }
+            DpaMsg::Reply(objs) => {
+                self.install_reply(ctx, src, objs);
+                self.drive(ctx);
+            }
+            DpaMsg::Update { seq, mut entries } => {
+                if !self.updates.accept(src.0, seq, entries.len()) {
+                    return;
+                }
+                for (ptr, value) in entries.drain(..) {
+                    self.apply_update(ctx, ptr, value);
+                }
+                self.upd_coal.recycle(entries);
+            }
+            DpaMsg::Affinity { seq, entries } => self.on_affinity(ctx, src, seq, entries),
+            DpaMsg::Migrate { seq, entries } => self.on_migrate(ctx, src, seq, entries),
+            DpaMsg::Forward { requester, entries } => self.on_forward(ctx, requester, entries),
+            DpaMsg::PhaseDelta { seq, entries } => self.on_phase_delta(ctx, src, seq, entries),
+            DpaMsg::Replicate { seq, gen, entries } => {
+                self.on_replicate(ctx, src, seq, gen, entries)
+            }
+        }
+    }
+
+    fn on_wake(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        self.wake_scheduled = false;
+        self.epoch_wake(ctx);
+        self.flush_due(ctx);
+        self.drive(ctx);
+    }
+
+    fn quiescent(&self) -> bool {
+        self.done
+    }
+
+    fn stall_detail(&self) -> Option<String> {
+        if self.done {
+            return None;
+        }
+        let stuck = self.pending.sorted_sample(4);
+        let mut detail = format!(
+            "iters {}/{} done, {} live; D={} in_flight={} M={} keys/{} threads; stuck on [{}]",
+            self.completed_iters,
+            self.total_iters,
+            self.iter_live.len(),
+            self.pending.len(),
+            self.in_flight.len(),
+            self.map.keys(),
+            self.map.live_threads(),
+            stuck.join(", ")
+        );
+        if let Some(m) = &self.mig {
+            m.stall_detail(&mut detail);
+        }
+        if let Some(ctl) = &self.strip_ctl {
+            detail.push_str(&format!(
+                "; strip={} after {} retunes",
+                self.strip,
+                ctl.retunes()
+            ));
+        }
+        if let Some(d) = &self.diff {
+            d.stall_detail(&mut detail);
+        }
+        if let Some(r) = &self.repl {
+            r.stall_detail(&mut detail);
+        }
+        Some(detail)
+    }
+
+    fn on_finish(&mut self, stats: &mut NodeStats) {
+        stats.bump("iterations", self.completed_iters);
+        stats.bump("threads_created", self.threads_created);
+        stats.bump("threads_aligned", self.map.total_aligned());
+        stats.bump("peak_aligned_threads", self.map.peak_threads());
+        stats.bump("peak_map_keys", self.map.peak_keys());
+        stats.bump("peak_pending_requests", self.pending.peak());
+        stats.bump("requests_issued", self.pending.total());
+        stats.bump("request_msgs", self.request_msgs);
+        stats.bump("reply_msgs", self.reply_msgs);
+        stats.bump("peak_ready_stack", self.peak_stack);
+        stats.bump("renamed_peak_bytes", self.arrived.peak_bytes());
+        stats.bump("remote_objects_fetched", self.arrived.total_inserts());
+        stats.bump(
+            "thread_state_peak_bytes",
+            self.map.peak_threads() * self.app.work_state_bytes() as u64,
+        );
+        // Per-path aggregation factors (entries per message, x1000). The
+        // request and update paths read their coalescers; the reply path
+        // covers both the scheduler and the immediate-service path, so it
+        // is computed from the wire counters.
+        stats.bump(
+            "req_agg_factor_milli",
+            (self.coal.aggregation_factor() * 1000.0) as u64,
+        );
+        stats.bump(
+            "upd_agg_factor_milli",
+            (self.upd_coal.aggregation_factor() * 1000.0) as u64,
+        );
+        let reply_agg = if self.reply_msgs == 0 {
+            0.0
+        } else {
+            self.reply_entries_sent as f64 / self.reply_msgs as f64
+        };
+        stats.bump("reply_agg_factor_milli", (reply_agg * 1000.0) as u64);
+        stats.bump("request_entries", self.request_entries_sent);
+        stats.bump("reply_entries", self.reply_entries_sent);
+        stats.bump("update_entries", self.updates.entries_sent);
+        stats.bump("peak_in_flight", self.peak_in_flight);
+        stats.bump("updates_emitted", self.updates_emitted);
+        stats.bump("updates_applied", self.updates_applied);
+        stats.bump("update_msgs", self.updates.msgs_sent);
+        // Strip-controller columns only exist in adaptive runs, and each
+        // mode's columns only in that mode's runs, so every other stat
+        // table stays byte-identical.
+        if let Some(ctl) = &self.strip_ctl {
+            let sched = ctl.schedule();
+            stats.bump("strip_retunes", ctl.retunes());
+            stats.bump("strip_final", self.strip as u64);
+            stats.bump("strip_min_applied", sched.iter().copied().min().unwrap_or(0) as u64);
+            stats.bump("strip_max_applied", sched.iter().copied().max().unwrap_or(0) as u64);
+            stats.bump("strip_reversals_damped", ctl.reversals_damped());
+        }
+        if let Some(d) = &self.diff {
+            d.on_finish(stats);
+        }
+        if let Some(r) = &self.repl {
+            r.on_finish(stats);
+        }
+        if let Some(m) = &self.mig {
+            m.on_finish(stats);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::synth::{SynthApp, SynthParams, SynthWorld};
+
+    #[test]
+    fn seq_channel_stamps_in_order_and_accepts_each_pair_once() {
+        let mut ch = SeqChannel::default();
+        assert_eq!([ch.stamp(3), ch.stamp(0), ch.stamp(5)], [0, 1, 2]);
+        assert_eq!((ch.msgs_sent, ch.entries_sent), (3, 8));
+
+        assert!(ch.accept(7, 0, 4));
+        assert!(!ch.accept(7, 0, 4), "a repeated (sender, seq) is rejected");
+        assert!(ch.accept(8, 0, 1), "the same seq from another sender is new");
+        assert!(ch.accept(7, 1, 2));
+        assert_eq!(ch.entries_recv, 7, "the duplicate's entries are not counted");
+    }
+
+    #[test]
+    fn fan_out_sorts_destinations_and_keeps_listed_order_within_one() {
+        let items = vec![(9u16, 'a'), (2, 'b'), (9, 'c'), (5, 'd'), (2, 'e'), (9, 'f')];
+        assert_eq!(
+            fan_out(items),
+            vec![(2, vec!['b', 'e']), (5, vec!['d']), (9, vec!['a', 'c', 'f'])]
+        );
+        assert!(fan_out(Vec::<((u16, u32), u8)>::new()).is_empty());
+    }
+
+    #[test]
+    fn each_mode_state_exists_exactly_under_its_flag() {
+        let world = SynthWorld::build(SynthParams::default());
+        let states = |cfg: DpaConfig| {
+            let p = DpaProc::try_new(SynthApp::new(world.clone(), 0, 100), 4, cfg).unwrap();
+            (p.mig.is_some(), p.diff.is_some(), p.repl.is_some())
+        };
+        assert_eq!(states(DpaConfig::dpa(50)), (false, false, false));
+        assert_eq!(states(DpaConfig::dpa_migrating(50)), (true, false, false));
+        assert_eq!(states(DpaConfig::dpa_differential(50)), (false, true, false));
+        assert_eq!(states(DpaConfig::dpa_replicating(50)), (true, true, true));
+    }
+}

@@ -4,7 +4,7 @@
 
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa_core::{run_phase, run_phase_dst, run_phase_traced, DpaConfig, DstOptions};
-use sim_net::NetConfig;
+use sim_net::{FaultPlan, NetConfig};
 use std::sync::Arc;
 
 fn params(nodes: u16) -> SynthParams {
@@ -196,15 +196,18 @@ fn heal_departed_orphans_is_deterministic() {
 #[test]
 fn dropped_replies_stall_but_do_not_hang() {
     let world = SynthWorld::build(params(4));
-    let net = NetConfig {
-        drop_every: Some(5),
-        ..NetConfig::default()
+    let opts = DstOptions {
+        faults: FaultPlan {
+            drop_every: Some(5),
+            ..FaultPlan::default()
+        },
+        ..DstOptions::default()
     };
     let (report, _) = run_phase_dst(
         4,
-        net,
+        NetConfig::default(),
         DpaConfig::dpa(8),
-        &DstOptions::default(),
+        &opts,
         |i| SynthApp::new(world.clone(), i, 800),
         |_, _| {},
     );

@@ -1,0 +1,338 @@
+//! A scripted-peer harness at the proc boundary: a machine whose nodes are
+//! either a real [`DpaProc`] or a script of timed sends, so a test can put
+//! one exact message sequence in front of the real protocol arms — orders
+//! and duplicates a whole-machine run only produces by luck of a fault
+//! seed.
+
+use dpa_core::{DpaConfig, DpaMsg, DpaProc, NodeSnapshot, PtrApp, WorkEnv};
+use global_heap::{GPtr, ObjClass};
+use sim_net::{Ctx, Dur, Machine, NetConfig, NodeId, NodeStats, Proc, RunReport};
+
+/// One node: the runtime under test, or a peer that only talks.
+enum Peer {
+    Real(Box<DpaProc<Probe>>),
+    Script(Script),
+}
+
+/// `(send time ns, destination, message)`, ascending by time. Incoming
+/// messages are ignored.
+struct Script {
+    sends: Vec<(u64, u16, DpaMsg)>,
+    next: usize,
+}
+
+impl Script {
+    fn pump(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        while let Some((at, dst, msg)) = self.sends.get(self.next) {
+            let now = ctx.now().as_ns();
+            if *at > now {
+                ctx.wake_after(Dur::from_ns(at - now));
+                return;
+            }
+            ctx.send(NodeId(*dst), msg.clone());
+            self.next += 1;
+        }
+    }
+}
+
+impl Proc for Peer {
+    type Msg = DpaMsg;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        match self {
+            Peer::Real(p) => p.on_start(ctx),
+            Peer::Script(s) => s.pump(ctx),
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, msg: DpaMsg) {
+        if let Peer::Real(p) = self {
+            p.on_message(ctx, src, msg);
+        }
+    }
+
+    fn on_wake(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
+        match self {
+            Peer::Real(p) => p.on_wake(ctx),
+            Peer::Script(s) => s.pump(ctx),
+        }
+    }
+
+    fn quiescent(&self) -> bool {
+        match self {
+            Peer::Real(p) => p.quiescent(),
+            Peer::Script(s) => s.next == s.sends.len(),
+        }
+    }
+
+    fn on_finish(&mut self, stats: &mut NodeStats) {
+        if let Peer::Real(p) = self {
+            p.on_finish(stats);
+        }
+    }
+
+    fn stall_detail(&self) -> Option<String> {
+        match self {
+            Peer::Real(p) => p.stall_detail(),
+            Peer::Script(_) => None,
+        }
+    }
+}
+
+/// The application on the real node: at most one iteration, which burns
+/// `spin` local steps of [`STEP_NS`] (the driver yields to the event loop
+/// between steps, so scripted messages land meanwhile) and then reads
+/// `demand`, recording the generation renamed storage held for it.
+struct Probe {
+    demand: Option<GPtr>,
+    spin: u32,
+    /// Current generation of every object, as the phase's world has it.
+    gen: u32,
+    seen_gen: Vec<Option<u32>>,
+    applied: f64,
+}
+
+const STEP_NS: u64 = 50_000;
+const OBJ_BYTES: u32 = 64;
+
+enum ProbeWork {
+    Spin(u32),
+    Read(GPtr),
+}
+
+impl Probe {
+    fn idle() -> Probe {
+        Probe::reading(None, 0, 0)
+    }
+
+    fn reading(demand: Option<GPtr>, spin: u32, gen: u32) -> Probe {
+        Probe {
+            demand,
+            spin,
+            gen,
+            seen_gen: Vec::new(),
+            applied: 0.0,
+        }
+    }
+
+    fn step(&self, left: u32, env: &mut WorkEnv<'_, ProbeWork>) {
+        let ptr = self.demand.expect("an iteration implies a demand");
+        if left > 0 {
+            env.local(ProbeWork::Spin(left));
+        } else {
+            env.demand(ptr, ProbeWork::Read(ptr));
+        }
+    }
+}
+
+impl PtrApp for Probe {
+    type Work = ProbeWork;
+
+    fn num_iterations(&self) -> usize {
+        self.demand.is_some() as usize
+    }
+
+    fn start_iteration(&mut self, _iter: usize, env: &mut WorkEnv<'_, ProbeWork>) {
+        self.step(self.spin, env);
+    }
+
+    fn run_work(&mut self, work: ProbeWork, env: &mut WorkEnv<'_, ProbeWork>) {
+        match work {
+            ProbeWork::Spin(left) => {
+                env.charge(STEP_NS);
+                self.step(left - 1, env);
+            }
+            ProbeWork::Read(ptr) => {
+                env.assert_readable(ptr);
+                self.seen_gen.push(env.cached_generation(ptr));
+            }
+        }
+    }
+
+    fn object_size(&self, _ptr: GPtr) -> u32 {
+        OBJ_BYTES
+    }
+
+    fn apply_update(&mut self, _ptr: GPtr, value: f64) {
+        self.applied += value;
+    }
+
+    fn object_generation(&self, _ptr: GPtr) -> u32 {
+        self.gen
+    }
+}
+
+/// Node 0 runs `proc_`, node 1 plays `sends` at it.
+fn run(proc_: DpaProc<Probe>, sends: Vec<(u64, DpaMsg)>) -> (RunReport, Machine<Peer>) {
+    let script = Script {
+        sends: sends.into_iter().map(|(at, msg)| (at, 0, msg)).collect(),
+        next: 0,
+    };
+    let mut m = Machine::new(
+        vec![Peer::Real(Box::new(proc_)), Peer::Script(script)],
+        NetConfig::default(),
+    );
+    let report = m.run();
+    (report, m)
+}
+
+fn real(m: &mut Machine<Peer>) -> &mut DpaProc<Probe> {
+    match m.proc_mut(NodeId(0)) {
+        Peer::Real(p) => p,
+        Peer::Script(_) => unreachable!("node 0 is the real proc"),
+    }
+}
+
+fn snapshot(m: &mut Machine<Peer>) -> NodeSnapshot {
+    real(m).snapshot(0)
+}
+
+/// An object born on the scripted node.
+fn remote(index: u64) -> GPtr {
+    GPtr::new(1, ObjClass(0), index)
+}
+
+/// Phase 0 fetches `ptr` at generation 0; the returned proc opens phase 1,
+/// where the object is at generation 1, still carrying that copy. No
+/// boundary pass runs (it is crate-private), so the proc is not gated: the
+/// `spin` steps stand in for the gate, keeping the read behind the script.
+fn carrying_stale_copy(ptr: GPtr, spin: u32) -> DpaProc<Probe> {
+    let cfg = DpaConfig::dpa_replicating(8);
+    let phase0 = DpaProc::new(Probe::reading(Some(ptr), 0, 0), 2, cfg.clone());
+    let (report, mut m) = run(phase0, vec![(100_000, DpaMsg::Reply(vec![(ptr, OBJ_BYTES)]))]);
+    assert!(report.completed, "{}", report.stall_summary());
+    assert_eq!(real(&mut m).app().seen_gen, [Some(0)]);
+    let carry = real(&mut m).take_carry();
+    let mut phase1 = DpaProc::new(Probe::reading(Some(ptr), spin, 1), 2, cfg);
+    phase1.install_carry(carry);
+    phase1
+}
+
+/// ROADMAP 4(a)'s unnamed case: an owner's `Replicate` and its `PhaseDelta`
+/// for the same carried pointer, in either arrival order, leave the
+/// consumer in the same state — the fresh generation in renamed storage,
+/// the replica recorded as held, nothing stale, no request sent.
+#[test]
+fn replicate_and_phase_delta_commute() {
+    let ptr = remote(7);
+    let replicate = DpaMsg::Replicate {
+        seq: 0,
+        gen: 1,
+        entries: vec![(ptr, OBJ_BYTES)],
+    };
+    let delta = DpaMsg::PhaseDelta {
+        seq: 0,
+        entries: vec![ptr],
+    };
+    let orders = [
+        vec![(100_000, replicate.clone()), (300_000, delta.clone())],
+        vec![(100_000, delta.clone()), (300_000, replicate.clone())],
+    ];
+    for sends in orders {
+        let label = format!("{:?} first", sends[0].1);
+        let (report, mut m) = run(carrying_stale_copy(ptr, 20), sends);
+        assert!(report.completed, "{label}: {}", report.stall_summary());
+        let snap = snapshot(&mut m);
+        assert_eq!(real(&mut m).app().seen_gen, [Some(1)], "{label}");
+        assert_eq!(snap.replica_held, [(ptr.bits(), 1)], "{label}");
+        assert_eq!(snap.stale_cache_entries, 0, "{label}");
+        assert_eq!(snap.request_msgs, 0, "{label}: the replica served the read");
+    }
+
+    // The delta lands, a thread asks for the invalidated object, and only
+    // then does the broadcast arrive: it doubles as the reply, and the wire
+    // reply that follows installs nothing more.
+    let sends = vec![
+        (50_000, delta),
+        (400_000, replicate),
+        (600_000, DpaMsg::Reply(vec![(ptr, OBJ_BYTES)])),
+    ];
+    let (report, mut m) = run(carrying_stale_copy(ptr, 3), sends);
+    assert!(report.completed, "{}", report.stall_summary());
+    let snap = snapshot(&mut m);
+    assert_eq!(real(&mut m).app().seen_gen, [Some(1)]);
+    assert_eq!(snap.replica_held, [(ptr.bits(), 1)]);
+    assert_eq!((snap.stale_cache_entries, snap.request_msgs), (0, 1));
+    assert_eq!((snap.objects_installed, snap.in_flight), (1, 0));
+
+    // With neither message the carried copy is read as it is: the oracle
+    // the lanes above hold at zero does fire.
+    let (report, mut m) = run(carrying_stale_copy(ptr, 20), Vec::new());
+    assert!(report.completed);
+    assert_eq!(real(&mut m).app().seen_gen, [Some(0)]);
+    assert_eq!(snapshot(&mut m).stale_cache_entries, 1);
+}
+
+/// Each of the five sequenced kinds, delivered twice with the same seq,
+/// leaves the node exactly where one delivery leaves it.
+#[test]
+fn a_duplicated_sequenced_message_changes_nothing() {
+    let local = GPtr::new(0, ObjClass(0), 3);
+    let kinds = [
+        DpaMsg::Update {
+            seq: 0,
+            entries: vec![(local, 2.5)],
+        },
+        DpaMsg::Affinity {
+            seq: 0,
+            entries: vec![(local, 5)],
+        },
+        DpaMsg::Migrate {
+            seq: 0,
+            entries: vec![(remote(1), OBJ_BYTES)],
+        },
+        DpaMsg::PhaseDelta {
+            seq: 0,
+            entries: vec![remote(2)],
+        },
+        DpaMsg::Replicate {
+            seq: 0,
+            gen: 0,
+            entries: vec![(remote(3), OBJ_BYTES)],
+        },
+    ];
+    for msg in kinds {
+        let deliver = |times: u64| {
+            let proc_ = DpaProc::new(Probe::idle(), 2, DpaConfig::dpa_replicating(8));
+            let sends = (0..times).map(|i| (100_000 * (i + 1), msg.clone())).collect();
+            let (report, mut m) = run(proc_, sends);
+            assert!(report.completed, "{msg:?}: {}", report.stall_summary());
+            assert_eq!(report.stats.nodes[0].msgs_recv, times, "{msg:?}");
+            (format!("{:?}", snapshot(&mut m)), real(&mut m).app().applied)
+        };
+        let once = deliver(1);
+        assert_eq!(deliver(2), once, "{msg:?} delivered twice");
+        assert_ne!(deliver(0), once, "{msg:?} must leave a mark to dedup");
+    }
+}
+
+/// A request can be completed by an adoption while its wire reply is still
+/// in flight. The late reply retires the in-flight entry — without it the
+/// node can never finish — and installs nothing a second time.
+#[test]
+fn a_reply_after_adoption_retires_in_flight_and_installs_nothing() {
+    let ptr = remote(9);
+    let migrate = DpaMsg::Migrate {
+        seq: 0,
+        entries: vec![(ptr, OBJ_BYTES)],
+    };
+    let consumer = || DpaProc::new(Probe::reading(Some(ptr), 0, 0), 2, DpaConfig::dpa_migrating(8));
+
+    let sends = vec![
+        (50_000, migrate.clone()),
+        (200_000, DpaMsg::Reply(vec![(ptr, OBJ_BYTES)])),
+    ];
+    let (report, mut m) = run(consumer(), sends);
+    assert!(report.completed, "{}", report.stall_summary());
+    let snap = snapshot(&mut m);
+    assert_eq!((snap.requests_issued, snap.objects_installed), (1, 1));
+    assert_eq!((snap.pending_requests, snap.in_flight), (0, 0));
+    assert_eq!(snap.adopted_ptrs, [ptr.bits()]);
+    assert_eq!(real(&mut m).app().seen_gen.len(), 1, "the aligned thread ran once");
+    assert_eq!(report.stats.user_total("remote_objects_fetched"), 1);
+
+    let (report, mut m) = run(consumer(), vec![(50_000, migrate)]);
+    assert!(!report.completed, "nothing retires the request without the reply");
+    let snap = snapshot(&mut m);
+    assert_eq!((snap.objects_installed, snap.in_flight), (1, 1));
+}

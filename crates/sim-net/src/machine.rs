@@ -617,24 +617,19 @@ impl<P: Proc> Machine<P> {
     pub fn new(procs: Vec<P>, net: NetConfig) -> Machine<P> {
         let n = procs.len();
         assert!(n > 0 && n <= u16::MAX as usize, "node count {n}");
-        // The legacy `NetConfig::drop_every` knob maps onto a fault plan.
-        let plan = FaultPlan {
-            drop_every: net.drop_every,
-            ..FaultPlan::default()
-        };
         Machine {
             procs,
             net,
             clocks: vec![Time::ZERO; n],
             stats: vec![NodeStats::default(); n],
             queue: EventQueue::new(env_queue()),
-            courier: Courier::new(n, plan),
+            courier: Courier::new(n, FaultPlan::default()),
             trace: None,
             max_events: u64::MAX,
         }
     }
 
-    /// Install a fault plan (replaces any legacy `drop_every` mapping).
+    /// Install a fault plan.
     pub fn set_faults(&mut self, plan: FaultPlan) {
         self.courier.faults = FaultInjector::new(plan);
     }
@@ -1218,6 +1213,13 @@ mod tests {
         }
     }
 
+    fn drop_every(k: u64) -> FaultPlan {
+        FaultPlan {
+            drop_every: Some(k),
+            ..FaultPlan::default()
+        }
+    }
+
     fn pingpong_machine(k: u32, net: NetConfig) -> Machine<PingPong> {
         Machine::new(
             vec![
@@ -1275,11 +1277,8 @@ mod tests {
 
     #[test]
     fn fault_injection_drops_and_flags() {
-        let net = NetConfig {
-            drop_every: Some(2),
-            ..NetConfig::default()
-        };
-        let mut m = pingpong_machine(4, net);
+        let mut m = pingpong_machine(4, NetConfig::default());
+        m.set_faults(drop_every(2));
         let r = m.run();
         assert!(!r.completed, "dropped replies must flag a stall");
         assert!(r.stats.dropped_packets > 0);
@@ -1346,11 +1345,8 @@ mod tests {
 
     #[test]
     fn stall_report_names_stuck_nodes() {
-        let net = NetConfig {
-            drop_every: Some(2),
-            ..NetConfig::default()
-        };
-        let mut m = pingpong_machine(4, net);
+        let mut m = pingpong_machine(4, NetConfig::default());
+        m.set_faults(drop_every(2));
         let r = m.run();
         assert!(!r.completed);
         assert!(!r.stalls.is_empty(), "stall must carry diagnostics");

@@ -32,10 +32,6 @@ pub struct NetConfig {
     pub gap_ns_per_byte: u64,
     /// Fixed header bytes charged to every packet on the wire.
     pub header_bytes: u32,
-    /// If `Some(k)`, drop every k-th packet (fault injection; the run
-    /// report's `stats.dropped_packets` counts the losses). Legacy shortcut
-    /// for `FaultPlan { drop_every, .. }` — see `sim_net::fault`.
-    pub drop_every: Option<u64>,
     /// Maximum extra per-message wire jitter, ns. When nonzero, every
     /// remote delivery is delayed by a seeded uniform draw in
     /// `[0, jitter_ns]` (schedule perturbation for DST; the draw stream is
@@ -51,7 +47,6 @@ impl Default for NetConfig {
             latency_ns: 1_000,
             gap_ns_per_byte: 8,
             header_bytes: 16,
-            drop_every: None,
             jitter_ns: 0,
         }
     }
@@ -67,7 +62,6 @@ impl NetConfig {
             latency_ns: 0,
             gap_ns_per_byte: 0,
             header_bytes: 0,
-            drop_every: None,
             jitter_ns: 0,
         }
     }

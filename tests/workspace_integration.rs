@@ -6,7 +6,7 @@ use dpa::compiler::{compile_source, IccApp, IccWorldBuilder, Value};
 use dpa::global_heap::GPtr;
 use dpa::runtime::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa::runtime::{run_phase, run_phase_dst, DpaConfig, DstOptions};
-use dpa::sim_net::{NetConfig, Rng};
+use dpa::sim_net::{FaultPlan, NetConfig, Rng};
 
 #[test]
 fn facade_reexports_compose() {
@@ -95,15 +95,18 @@ fn fault_injection_reports_stall_without_hanging() {
         remote_fraction: 0.5,
         ..SynthParams::default()
     });
-    let net = NetConfig {
-        drop_every: Some(7),
-        ..NetConfig::default()
+    let opts = DstOptions {
+        faults: FaultPlan {
+            drop_every: Some(7),
+            ..FaultPlan::default()
+        },
+        ..DstOptions::default()
     };
     let (report, _) = run_phase_dst(
         4,
-        net,
+        NetConfig::default(),
         DpaConfig::dpa(8),
-        &DstOptions::default(),
+        &opts,
         |i| SynthApp::new(world.clone(), i, 500),
         |_, _| {},
     );
