@@ -1,210 +1,484 @@
-//! Application-level experiment drivers: run a whole force phase for a
-//! configuration and return forces plus timing.
+//! Application-level experiment drivers: one runner per app family, one
+//! result type. Every figure, the DST sweep and the examples run an app
+//! through the function here and read the same [`Run`].
 
 use crate::afmm_dist::{AfmmEvalApp, AfmmGatherApp, AfmmWorld};
 use crate::bh_dist::{BhApp, BhWorld};
 use crate::fmm_dist::{FmmEvalApp, FmmM2lApp, FmmWorld};
-use dpa_core::{run_phase, DpaConfig};
+use crate::graph_dist::{GraphApp, GraphWorld};
+use crate::relax::{RelaxApp, RelaxWorld};
+use crate::setops_dist::{SetopsApp, SetopsWorld};
+use dpa_core::synth::{SynthApp, SynthWorld};
+use dpa_core::{run_phase_dst, run_phases, DiffPlan, DpaConfig, DstOptions, NodeSnapshot, PtrApp};
 use nbody::cx::Cx;
 use nbody::fmm::Local;
 use nbody::vec3::Vec3;
-use sim_net::{NetConfig, RunStats, Time};
+use sim_net::{NetConfig, RunReport, RunStats, Time};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Outcome of a distributed Barnes-Hut force phase.
-#[derive(Clone, Debug)]
-pub struct BhRun {
-    /// Acceleration per body (global, Morton-sorted order).
-    pub accel: Vec<Vec3>,
-    /// Phase execution time in ns (the paper's reported quantity).
-    pub makespan_ns: u64,
-    /// Per-node breakdown and counters.
-    pub stats: RunStats,
-    /// Total body–cell interactions.
-    pub cell_interactions: u64,
-    /// Total body–body interactions.
-    pub body_interactions: u64,
-    /// Order-independent checksum of the interactions performed (the
-    /// `wrapping_add` of every node's [`BhApp::interaction_hash`]) —
-    /// bit-identical across strip sizes, schedules, and migration.
-    pub interaction_hash: u64,
+/// Relative tolerance for floating-point digests across schedules (the
+/// reduction order differs, so bits may not).
+pub const FP_RTOL: f64 = 1e-9;
+
+/// A run's result, in comparable form. `==` is bit-identity; across
+/// schedules compare with [`Digest::diff`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Digest {
+    /// Integer checksums: must be bit-identical across schedules.
+    Ints(Vec<u64>),
+    /// Floating-point results: compared with [`FP_RTOL`].
+    Floats(Vec<f64>),
 }
 
-/// Run the Barnes-Hut force phase under `cfg`.
-pub fn run_bh(world: &Arc<BhWorld>, cfg: DpaConfig, net: NetConfig) -> BhRun {
-    let mut accel = vec![Vec3::ZERO; world.bodies.len()];
-    let mut cell_interactions = 0;
-    let mut body_interactions = 0;
-    let mut interaction_hash = 0u64;
-    let report = run_phase(
-        world.nodes,
-        net,
+impl Digest {
+    /// `None` if equivalent, else a description of the first mismatch.
+    pub fn diff(&self, other: &Digest) -> Option<String> {
+        match (self, other) {
+            (Digest::Ints(a), Digest::Ints(b)) => {
+                if a.len() != b.len() {
+                    return Some(format!("digest length {} vs {}", a.len(), b.len()));
+                }
+                a.iter().zip(b).position(|(x, y)| x != y).map(|i| {
+                    format!(
+                        "checksum[{i}]: {:#x} vs {:#x} (must be bit-identical)",
+                        a[i], b[i]
+                    )
+                })
+            }
+            (Digest::Floats(a), Digest::Floats(b)) => {
+                if a.len() != b.len() {
+                    return Some(format!("digest length {} vs {}", a.len(), b.len()));
+                }
+                a.iter()
+                    .zip(b)
+                    .position(|(x, y)| {
+                        let scale = x.abs().max(y.abs()).max(1e-300);
+                        (x - y).abs() / scale > FP_RTOL
+                    })
+                    .map(|i| format!("value[{i}]: {} vs {} (rtol {FP_RTOL})", a[i], b[i]))
+            }
+            _ => Some("digest kind mismatch".to_string()),
+        }
+    }
+}
+
+/// How many barrier-separated timesteps a run covers, and whether object
+/// values change between them.
+#[derive(Clone, Copy, Debug)]
+pub struct Phases {
+    /// Timesteps; above one the run goes through [`run_phases`], so
+    /// whatever `cfg` carries (tables, homes, replicas, strips) crosses
+    /// the barriers.
+    pub count: usize,
+    /// The value-change schedule of a value-sensitive run (synth, BH): the
+    /// apps fold the generation they actually read into their checksums,
+    /// so a stale carried copy corrupts the digest.
+    pub changes: Option<DiffPlan>,
+}
+
+impl Phases {
+    /// A single phase.
+    pub const ONE: Phases = Phases::steps(1);
+
+    /// `count` timesteps over unchanging objects.
+    pub const fn steps(count: usize) -> Phases {
+        Phases {
+            count,
+            changes: None,
+        }
+    }
+
+    /// `count` timesteps with `plan` mutating objects at every barrier.
+    pub const fn changing(count: usize, plan: DiffPlan) -> Phases {
+        Phases {
+            count,
+            changes: Some(plan),
+        }
+    }
+}
+
+/// Outcome of running one app family under one configuration.
+#[derive(Clone, Debug)]
+pub struct Run {
+    /// One report per machine run, in execution order: one per timestep,
+    /// or the two sub-phases of an FMM force phase. A sub-phase that
+    /// stalls ends the run, so later ones may be missing.
+    pub reports: Vec<RunReport>,
+    /// Per-node runtime-state snapshots of each machine run.
+    pub snaps: Vec<Vec<NodeSnapshot>>,
+    /// The reports' stats merged node by node (see [`merge_stats`]); its
+    /// makespan is the whole run's simulated time.
+    pub stats: RunStats,
+    /// The computed result. Floating-point families (BH, FMM, AFMM, relax)
+    /// give their values after a single phase; across timesteps, and for
+    /// the integer families, it is the per-(phase, node) checksums.
+    pub digest: Digest,
+    /// The app's interaction counters summed over nodes and phases
+    /// (`interaction_hash` by `wrapping_add`).
+    pub counters: Vec<(&'static str, u64)>,
+}
+
+impl Run {
+    fn new(
+        (reports, snaps): (Vec<RunReport>, Vec<Vec<NodeSnapshot>>),
+        digest: Digest,
+        counters: Vec<(&'static str, u64)>,
+    ) -> Run {
+        let mut stats = reports[0].stats.clone();
+        for r in &reports[1..] {
+            stats = merge_stats(&stats, &r.stats);
+        }
+        Run {
+            reports,
+            snaps,
+            stats,
+            digest,
+            counters,
+        }
+    }
+
+    /// Simulated time of the whole run in ns (the paper's reported
+    /// quantity), barriers included.
+    pub fn makespan_ns(&self) -> u64 {
+        self.stats.makespan.as_ns()
+    }
+
+    /// `true` iff every machine run reached quiescence.
+    pub fn completed(&self) -> bool {
+        self.reports.iter().all(|r| r.completed)
+    }
+
+    /// This run, after checking it completed. Panics on a stall, which
+    /// without fault injection is a runtime bug.
+    pub fn expect_completed(self) -> Run {
+        for (i, r) in self.reports.iter().enumerate() {
+            assert!(r.completed, "phase {i} stalled: {}", r.stall_summary());
+        }
+        self
+    }
+
+    /// The named interaction counter. Panics if the family has none by
+    /// that name.
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.counters.iter().find(|(k, _)| *k == name) {
+            Some(&(_, v)) => v,
+            None => panic!("no counter {name:?} among {:?}", self.counters),
+        }
+    }
+
+    fn floats(&self) -> &[f64] {
+        match &self.digest {
+            Digest::Floats(v) => v,
+            Digest::Ints(_) => panic!("this run's digest is integer checksums"),
+        }
+    }
+
+    /// A single-phase BH run's acceleration per body (global,
+    /// Morton-sorted order).
+    pub fn accel(&self) -> Vec<Vec3> {
+        self.floats()
+            .chunks_exact(3)
+            .map(|a| Vec3::new(a[0], a[1], a[2]))
+            .collect()
+    }
+
+    /// An FMM/AFMM run's complex field per particle (conjugate ∝ force
+    /// vector).
+    pub fn fields(&self) -> Vec<Cx> {
+        self.floats()
+            .chunks_exact(2)
+            .map(|f| Cx::new(f[0], f[1]))
+            .collect()
+    }
+}
+
+/// The one place an app meets the phase drivers: a single phase runs any
+/// variant; several run DPA with `cfg`'s carries across the barriers.
+fn drive<A: PtrApp>(
+    nodes: u16,
+    cfg: DpaConfig,
+    net: NetConfig,
+    opts: &DstOptions,
+    phases: usize,
+    mut mk: impl FnMut(usize, u16) -> A,
+    mut collect: impl FnMut(usize, u16, &A),
+) -> (Vec<RunReport>, Vec<Vec<NodeSnapshot>>) {
+    if phases == 1 {
+        let (report, snaps) = run_phase_dst(
+            nodes,
+            net,
+            cfg,
+            opts,
+            |i| mk(0, i),
+            |i, app| collect(0, i, app),
+        );
+        (vec![report], vec![snaps])
+    } else {
+        let (reports, snaps, _) = run_phases(nodes, net, cfg, opts, phases, mk, collect);
+        (reports, snaps)
+    }
+}
+
+/// Run the synthetic pointer-chasing lists. Digest: each node's checksum
+/// per phase.
+pub fn run_synth(
+    world: &Arc<SynthWorld>,
+    cfg: DpaConfig,
+    net: NetConfig,
+    opts: &DstOptions,
+    phases: Phases,
+) -> Run {
+    let nodes = world.nodes;
+    let mut sums = vec![0u64; phases.count * nodes as usize];
+    let ran = drive(
+        nodes,
         cfg,
-        |i| BhApp::new(world.clone(), i),
-        |i, app: &BhApp| {
+        net,
+        opts,
+        phases.count,
+        |ph, i| match phases.changes {
+            Some(plan) => {
+                SynthApp::new_diff(world.clone(), i, world.work_ns, plan.at_phase(ph as u32))
+            }
+            None => SynthApp::new(world.clone(), i, world.work_ns),
+        },
+        |ph, i, app: &SynthApp| sums[ph * nodes as usize + i as usize] = app.sum,
+    );
+    Run::new(ran, Digest::Ints(sums), Vec::new())
+}
+
+/// Run the Barnes-Hut force phase. Digest: the accelerations (xyz per
+/// body) of a single phase; across timesteps each node's
+/// [`BhApp::interaction_hash`] per phase — bit-identical across strip
+/// sizes, schedules, and migration.
+pub fn run_bh(
+    world: &Arc<BhWorld>,
+    cfg: DpaConfig,
+    net: NetConfig,
+    opts: &DstOptions,
+    phases: Phases,
+) -> Run {
+    let nodes = world.nodes;
+    let mut accel = vec![0.0f64; 3 * world.bodies.len()];
+    let mut hashes = vec![0u64; phases.count * nodes as usize];
+    let (mut cells, mut bodies, mut hash) = (0, 0, 0u64);
+    let ran = drive(
+        nodes,
+        cfg,
+        net,
+        opts,
+        phases.count,
+        |ph, i| match phases.changes {
+            Some(plan) => BhApp::new_diff(world.clone(), i, plan.at_phase(ph as u32)),
+            None => BhApp::new(world.clone(), i),
+        },
+        |ph, i, app: &BhApp| {
             let base = world.splits[i as usize];
             for (off, a) in app.accel.iter().enumerate() {
-                accel[base + off] = *a;
+                accel[3 * (base + off)..][..3].copy_from_slice(&[a.x, a.y, a.z]);
             }
-            cell_interactions += app.cell_interactions;
-            body_interactions += app.body_interactions;
-            interaction_hash = interaction_hash.wrapping_add(app.interaction_hash);
+            hashes[ph * nodes as usize + i as usize] = app.interaction_hash;
+            cells += app.cell_interactions;
+            bodies += app.body_interactions;
+            hash = hash.wrapping_add(app.interaction_hash);
         },
     );
-    BhRun {
-        accel,
-        makespan_ns: report.makespan().as_ns(),
-        stats: report.stats,
-        cell_interactions,
-        body_interactions,
-        interaction_hash,
-    }
+    let digest = if phases.count == 1 {
+        Digest::Floats(accel)
+    } else {
+        Digest::Ints(hashes)
+    };
+    let counters = vec![
+        ("cell_interactions", cells),
+        ("body_interactions", bodies),
+        ("interaction_hash", hash),
+    ];
+    Run::new(ran, digest, counters)
 }
 
-/// Outcome of a distributed FMM force phase (both sub-phases).
-#[derive(Clone, Debug)]
-pub struct FmmRun {
-    /// Complex field per particle (conjugate ∝ force vector).
-    pub fields: Vec<Cx>,
-    /// Total phase time: M2L sub-phase + eval sub-phase (barrier between).
-    pub makespan_ns: u64,
-    /// M2L sub-phase stats.
-    pub m2l_stats: RunStats,
-    /// Eval sub-phase stats.
-    pub eval_stats: RunStats,
-    /// Total M2L translations.
-    pub m2l_count: u64,
-    /// Total P2P pairs.
-    pub p2p_pairs: u64,
-    /// Order-independent checksum of both sub-phases' interactions (the
-    /// `wrapping_add` of every node's M2L and eval hashes) — bit-identical
-    /// across strip sizes, schedules, and migration.
-    pub interaction_hash: u64,
-}
-
-/// Run the FMM force phase (M2L, barrier, downward+eval+P2P) under `cfg`.
-pub fn run_fmm(world: &Arc<FmmWorld>, cfg: DpaConfig, net: NetConfig) -> FmmRun {
-    // Sub-phase 1: M2L over interaction lists.
-    let mut partials: Vec<HashMap<u32, Local>> =
-        (0..world.nodes).map(|_| HashMap::new()).collect();
-    let mut m2l_count = 0;
-    let mut interaction_hash = 0u64;
-    let r1 = run_phase(
-        world.nodes,
-        net.clone(),
+/// The two sub-phases every FMM flavour shares: gather local-expansion
+/// partials per node, barrier, then evaluate fields from them. Digest:
+/// the fields (re, im per particle), empty when the gather stalled and
+/// left the evaluation no input.
+fn two_subphases<G: PtrApp, E: PtrApp>(
+    nodes: u16,
+    particles: usize,
+    (cfg, net, opts): (DpaConfig, NetConfig, &DstOptions),
+    mk_gather: impl Fn(u16) -> G,
+    mut partial_of: impl FnMut(&G) -> HashMap<u32, Local>,
+    mk_eval: impl Fn(u16, HashMap<u32, Local>) -> E,
+    mut fields_of: impl FnMut(&E) -> &[Cx],
+) -> ((Vec<RunReport>, Vec<Vec<NodeSnapshot>>), Digest) {
+    let mut partials = Vec::with_capacity(nodes as usize);
+    let (mut reports, mut snaps) = drive(
+        nodes,
         cfg.clone(),
+        net.clone(),
+        opts,
+        1,
+        |_, i| mk_gather(i),
+        |_, _, app: &G| partials.push(partial_of(app)),
+    );
+    if !reports[0].completed {
+        return ((reports, snaps), Digest::Floats(Vec::new()));
+    }
+    let mut fields = vec![0.0f64; 2 * particles];
+    let mut partials = partials.into_iter();
+    let (r2, s2) = drive(
+        nodes,
+        cfg,
+        net,
+        opts,
+        1,
+        |_, i| mk_eval(i, partials.next().expect("one partial map per node")),
+        |_, _, app: &E| {
+            for (i, f) in fields_of(app).iter().enumerate() {
+                if f.norm2() != 0.0 {
+                    fields[2 * i] += f.re;
+                    fields[2 * i + 1] += f.im;
+                }
+            }
+        },
+    );
+    reports.extend(r2);
+    snaps.extend(s2);
+    ((reports, snaps), Digest::Floats(fields))
+}
+
+/// Run the FMM force phase (M2L, barrier, downward+eval+P2P).
+pub fn run_fmm(world: &Arc<FmmWorld>, cfg: DpaConfig, net: NetConfig, opts: &DstOptions) -> Run {
+    let (mut m2l, mut p2p, mut m2l_hash, mut eval_hash) = (0, 0, 0u64, 0u64);
+    let (ran, digest) = two_subphases(
+        world.nodes,
+        world.solver.zs.len(),
+        (cfg, net, opts),
         |i| FmmM2lApp::new(world.clone(), i),
-        |i, app: &FmmM2lApp| {
-            partials[i as usize] = app.locals.clone();
-            m2l_count += app.m2l_count;
-            interaction_hash = interaction_hash.wrapping_add(app.interaction_hash);
+        |app| {
+            m2l += app.m2l_count;
+            m2l_hash = m2l_hash.wrapping_add(app.interaction_hash);
+            app.locals.clone()
+        },
+        |i, part| FmmEvalApp::new(world.clone(), i, part),
+        |app| {
+            p2p += app.p2p_pairs;
+            eval_hash = eval_hash.wrapping_add(app.interaction_hash);
+            &app.fields
         },
     );
-
-    // Sub-phase 2: downward chain + evaluation + near field.
-    let n = world.solver.zs.len();
-    let mut fields = vec![Cx::ZERO; n];
-    let mut p2p_pairs = 0;
-    let mut partials_iter = partials.into_iter();
-    let r2 = run_phase(
-        world.nodes,
-        net,
-        cfg,
-        |i| {
-            let part = partials_iter.next().expect("one partial map per node");
-            debug_assert_eq!(usize::from(i), {
-                // keep the zip honest in debug builds
-                i as usize
-            });
-            FmmEvalApp::new(world.clone(), i, part)
-        },
-        |_, app: &FmmEvalApp| {
-            for (i, f) in app.fields.iter().enumerate() {
-                if f.norm2() != 0.0 {
-                    fields[i] += *f;
-                }
-            }
-            p2p_pairs += app.p2p_pairs;
-            interaction_hash = interaction_hash.wrapping_add(app.interaction_hash);
-        },
-    );
-
-    FmmRun {
-        fields,
-        makespan_ns: r1.makespan().as_ns() + r2.makespan().as_ns(),
-        m2l_stats: r1.stats,
-        eval_stats: r2.stats,
-        m2l_count,
-        p2p_pairs,
-        interaction_hash,
-    }
+    let hash = m2l_hash.wrapping_add(eval_hash);
+    Run::new(
+        ran,
+        digest,
+        vec![
+            ("m2l_count", m2l),
+            ("p2p_pairs", p2p),
+            ("interaction_hash", hash),
+        ],
+    )
 }
 
-/// Outcome of a distributed *adaptive* FMM force phase.
-#[derive(Clone, Debug)]
-pub struct AfmmRun {
-    /// Complex field per particle.
-    pub fields: Vec<Cx>,
-    /// Total phase time (gather + evaluate, barrier between).
-    pub makespan_ns: u64,
-    /// Gather sub-phase stats.
-    pub gather_stats: RunStats,
-    /// Evaluate sub-phase stats.
-    pub eval_stats: RunStats,
-    /// Total M2L translations.
-    pub m2l_count: u64,
-    /// Total P2P pairs.
-    pub p2p_pairs: u64,
-}
-
-/// Run the adaptive-FMM force phase (gather, barrier, evaluate) under
-/// `cfg`.
-pub fn run_afmm(world: &Arc<AfmmWorld>, cfg: DpaConfig, net: NetConfig) -> AfmmRun {
-    let mut partials: Vec<HashMap<u32, Local>> =
-        (0..world.nodes).map(|_| HashMap::new()).collect();
-    let mut m2l_count = 0;
-    let r1 = run_phase(
+/// Run the adaptive-FMM force phase (gather, barrier, evaluate).
+pub fn run_afmm(world: &Arc<AfmmWorld>, cfg: DpaConfig, net: NetConfig, opts: &DstOptions) -> Run {
+    let (mut m2l, mut p2p) = (0, 0);
+    let (ran, digest) = two_subphases(
         world.nodes,
-        net.clone(),
-        cfg.clone(),
+        world.solver.zs.len(),
+        (cfg, net, opts),
         |i| AfmmGatherApp::new(world.clone(), i),
-        |i, app: &AfmmGatherApp| {
-            partials[i as usize] = app.locals.clone();
-            m2l_count += app.m2l_count;
+        |app| {
+            m2l += app.m2l_count;
+            app.locals.clone()
+        },
+        |i, part| AfmmEvalApp::new(world.clone(), i, part),
+        |app| {
+            p2p += app.p2p_pairs;
+            &app.fields
         },
     );
+    Run::new(ran, digest, vec![("m2l_count", m2l), ("p2p_pairs", p2p)])
+}
 
-    let n = world.solver.zs.len();
-    let mut fields = vec![Cx::ZERO; n];
-    let mut p2p_pairs = 0;
-    let mut partials_iter = partials.into_iter();
-    let r2 = run_phase(
+/// Run one push-style graph relaxation sweep. Digest: the relaxed value
+/// per vertex.
+pub fn run_relax(
+    world: &Arc<RelaxWorld>,
+    cfg: DpaConfig,
+    net: NetConfig,
+    opts: &DstOptions,
+) -> Run {
+    let mut next = vec![0.0f64; world.vertices.len()];
+    let ran = drive(
         world.nodes,
-        net,
         cfg,
-        |i| {
-            let part = partials_iter.next().expect("one partial map per node");
-            AfmmEvalApp::new(world.clone(), i, part)
-        },
-        |_, app: &AfmmEvalApp| {
-            for (i, f) in app.fields.iter().enumerate() {
-                if f.norm2() != 0.0 {
-                    fields[i] += *f;
-                }
+        net,
+        opts,
+        1,
+        |_, i| RelaxApp::new(world.clone(), i),
+        |_, i, app: &RelaxApp| {
+            for v in world.range(i) {
+                next[v] = app.next[v];
             }
-            p2p_pairs += app.p2p_pairs;
         },
     );
+    Run::new(ran, Digest::Floats(next), Vec::new())
+}
 
-    AfmmRun {
-        fields,
-        makespan_ns: r1.makespan().as_ns() + r2.makespan().as_ns(),
-        gather_stats: r1.stats,
-        eval_stats: r2.stats,
-        m2l_count,
-        p2p_pairs,
-    }
+/// Run `phases` timesteps of the transitive closure; edge rewires at every
+/// barrier advance vertex generations. Digest: each node's `(sum,
+/// reached)` per phase — the closure checksum folds the generation
+/// actually read, so a stale hub entry diverges it.
+pub fn run_graph(
+    world: &Arc<GraphWorld>,
+    cfg: DpaConfig,
+    net: NetConfig,
+    opts: &DstOptions,
+    phases: usize,
+) -> Run {
+    let nodes = world.params.nodes;
+    let mut sums = vec![0u64; 2 * phases * nodes as usize];
+    let ran = drive(
+        nodes,
+        cfg,
+        net,
+        opts,
+        phases,
+        |ph, i| GraphApp::new(world.clone(), i, ph as u32),
+        |ph, i, app: &GraphApp| {
+            let at = 2 * (ph * nodes as usize + i as usize);
+            sums[at] = app.sum;
+            sums[at + 1] = app.reached;
+        },
+    );
+    Run::new(ran, Digest::Ints(sums), Vec::new())
+}
+
+/// Run one ordered-set batch (insert / delete / range; the mutations ride
+/// the remote-reduction path). Digest: each node's range-query checksum,
+/// final-membership digest and applied-reduction count.
+pub fn run_setops(
+    world: &Arc<SetopsWorld>,
+    cfg: DpaConfig,
+    net: NetConfig,
+    opts: &DstOptions,
+) -> Run {
+    let nodes = world.params.nodes;
+    let mut sums = vec![0u64; 3 * nodes as usize];
+    let ran = drive(
+        nodes,
+        cfg,
+        net,
+        opts,
+        1,
+        |_, i| SetopsApp::new(world.clone(), i),
+        |_, i, app: &SetopsApp| {
+            let at = 3 * i as usize;
+            sums[at] = app.range_sum;
+            sums[at + 1] = app.final_digest();
+            sums[at + 2] = app.applied;
+        },
+    );
+    Run::new(ran, Digest::Ints(sums), Vec::new())
 }
 
 /// Merge two [`RunStats`] (e.g. the FMM sub-phases) node by node. Time
@@ -214,7 +488,7 @@ pub fn run_afmm(world: &Arc<AfmmWorld>, cfg: DpaConfig, net: NetConfig) -> AfmmR
 /// `strip_min_applied` the smaller: the phases run one after the other, so
 /// their peaks never coexist. The per-path `*_agg_factor_milli` are
 /// recomputed from the merged entry and message counts.
-pub fn merge_stats(a: &RunStats, b: &RunStats) -> RunStats {
+fn merge_stats(a: &RunStats, b: &RunStats) -> RunStats {
     assert_eq!(a.nodes.len(), b.nodes.len());
     let mut out = a.clone();
     out.makespan = Time(a.makespan.as_ns() + b.makespan.as_ns());
@@ -279,6 +553,17 @@ mod tests {
             duplicated_packets: dup,
             delayed_packets: delayed,
         }
+    }
+
+    #[test]
+    fn digest_rules() {
+        let a = Digest::Ints(vec![1, 2]);
+        assert!(a.diff(&Digest::Ints(vec![1, 2])).is_none());
+        assert!(a.diff(&Digest::Ints(vec![1, 3])).is_some());
+        assert!(a.diff(&Digest::Floats(vec![1.0])).is_some());
+        let f = Digest::Floats(vec![1.0]);
+        assert!(f.diff(&Digest::Floats(vec![1.0 + 1e-12])).is_none());
+        assert!(f.diff(&Digest::Floats(vec![1.0 + 1e-6])).is_some());
     }
 
     #[test]

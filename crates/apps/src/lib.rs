@@ -21,8 +21,8 @@
 //! * [`setops_dist`] — batch-parallel ordered-set operations (insert /
 //!   delete / range) over a distributed sorted map with power-law-hot
 //!   range queries;
-//! * [`driver`] — one-call phase runners returning forces + timing
-//!   ([`driver::run_bh`], [`driver::run_fmm`]).
+//! * [`driver`] — one runner per app family ([`driver::run_bh`],
+//!   [`driver::run_fmm`], …), each returning the same [`driver::Run`].
 //!
 //! Every variant runs the same decomposition, so forces agree across
 //! variants to floating-point reassociation tolerance — verified in this
@@ -43,7 +43,9 @@ pub mod setops_dist;
 pub use afmm_dist::{AEvalWork, AfmmEvalApp, AfmmGatherApp, AfmmWorld, GatherWork};
 pub use error::WorldError;
 pub use bh_dist::{BhApp, BhCost, BhVisit, BhWorld, OwnerPolicy};
-pub use driver::{merge_stats, run_afmm, run_bh, run_fmm, AfmmRun, BhRun, FmmRun};
+pub use driver::{
+    run_afmm, run_bh, run_fmm, run_graph, run_relax, run_setops, run_synth, Digest, Phases, Run,
+};
 pub use fmm_dist::{EvalWork, FmmCost, FmmEvalApp, FmmM2lApp, FmmWorld, M2lWork};
 pub use graph_dist::{GraphApp, GraphCost, GraphParams, GraphWorld, Visit};
 pub use relax::{Push, RelaxApp, RelaxCost, RelaxWorld, Vertex};

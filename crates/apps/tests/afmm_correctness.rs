@@ -2,9 +2,9 @@
 //! sequential adaptive solver, which itself matches direct summation.
 
 use apps::afmm_dist::AfmmWorld;
-use apps::driver::run_afmm;
+use apps::driver::Run;
 use apps::fmm_dist::FmmCost;
-use dpa_core::DpaConfig;
+use dpa_core::{DpaConfig, DstOptions};
 use nbody::afmm::{AfmmParams, AfmmSolver};
 use nbody::cx::Cx;
 use nbody::distrib::clustered_square;
@@ -28,6 +28,11 @@ fn world(nodes: u16, n: usize) -> Arc<AfmmWorld> {
     )
 }
 
+/// One fault-free adaptive-FMM force phase on the canonical schedule.
+fn run_afmm(world: &Arc<AfmmWorld>, cfg: DpaConfig, net: NetConfig) -> Run {
+    apps::driver::run_afmm(world, cfg, net, &DstOptions::default()).expect_completed()
+}
+
 fn max_rel_err(a: &[Cx], b: &[Cx]) -> f64 {
     a.iter()
         .zip(b)
@@ -43,7 +48,7 @@ fn distributed_matches_sequential_adaptive() {
     let mut oracle = AfmmSolver::new(w.solver.zs.clone(), w.solver.qs.clone(), w.solver.params);
     oracle.downward();
     let exact = oracle.evaluate();
-    let err = max_rel_err(&run.fields, &exact);
+    let err = max_rel_err(&run.fields(), &exact);
     assert!(err < 1e-9, "worst rel err vs sequential adaptive: {err}");
 }
 
@@ -52,7 +57,7 @@ fn distributed_matches_direct_summation() {
     let w = world(2, 600);
     let run = run_afmm(&w, DpaConfig::dpa(50), NetConfig::default());
     let exact = w.solver.direct();
-    let err = max_rel_err(&run.fields, &exact);
+    let err = max_rel_err(&run.fields(), &exact);
     assert!(err < 1e-5, "worst rel err vs direct: {err}");
 }
 
@@ -67,9 +72,9 @@ fn all_variants_agree() {
     ] {
         let label = cfg.describe();
         let run = run_afmm(&w, cfg, NetConfig::default());
-        assert_eq!(run.m2l_count, reference.m2l_count, "{label}");
-        assert_eq!(run.p2p_pairs, reference.p2p_pairs, "{label}");
-        let err = max_rel_err(&run.fields, &reference.fields);
+        assert_eq!(run.counter("m2l_count"), reference.counter("m2l_count"), "{label}");
+        assert_eq!(run.counter("p2p_pairs"), reference.counter("p2p_pairs"), "{label}");
+        let err = max_rel_err(&run.fields(), &reference.fields());
         assert!(err < 1e-9, "{label}: worst rel err {err}");
     }
 }
@@ -95,7 +100,7 @@ fn adaptive_beats_uniform_on_clusters_in_simulated_time() {
         },
         FmmCost::default(),
     );
-    let t_adaptive = run_afmm(&aw, DpaConfig::dpa(50), NetConfig::default()).makespan_ns;
+    let t_adaptive = run_afmm(&aw, DpaConfig::dpa(50), NetConfig::default()).makespan_ns();
 
     let levels = nbody::quadtree::QuadTree::level_for(n, 16);
     let uw = apps::fmm_dist::FmmWorld::build(
@@ -105,7 +110,9 @@ fn adaptive_beats_uniform_on_clusters_in_simulated_time() {
         nbody::fmm::FmmParams { terms: 12, levels },
         FmmCost::default(),
     );
-    let t_uniform = apps::driver::run_fmm(&uw, DpaConfig::dpa(50), NetConfig::default()).makespan_ns;
+    let t_uniform =
+        apps::driver::run_fmm(&uw, DpaConfig::dpa(50), NetConfig::default(), &DstOptions::default())
+            .makespan_ns();
 
     assert!(
         t_adaptive * 2 < t_uniform,
@@ -119,6 +126,6 @@ fn deterministic() {
     let w = world(4, 500);
     let a = run_afmm(&w, DpaConfig::dpa(50), NetConfig::default());
     let b = run_afmm(&w, DpaConfig::dpa(50), NetConfig::default());
-    assert_eq!(a.makespan_ns, b.makespan_ns);
-    assert_eq!(a.fields, b.fields);
+    assert_eq!(a.makespan_ns(), b.makespan_ns());
+    assert_eq!(a.fields(), b.fields());
 }

@@ -3,15 +3,24 @@
 //! by floating-point reassociation.
 
 use apps::bh_dist::{BhCost, BhWorld};
-use apps::driver::{run_bh, run_fmm};
+use apps::driver::{Phases, Run};
 use apps::fmm_dist::{FmmCost, FmmWorld};
-use dpa_core::DpaConfig;
+use dpa_core::{DpaConfig, DstOptions};
 use nbody::bh::{all_accels, BhParams};
 use nbody::cx::Cx;
 use nbody::distrib::{plummer, uniform_square};
 use nbody::fmm::{FmmParams, FmmSolver};
 use sim_net::NetConfig;
 use std::sync::Arc;
+
+/// One fault-free force phase on the canonical schedule.
+fn run_bh(world: &Arc<BhWorld>, cfg: DpaConfig, net: NetConfig) -> Run {
+    apps::driver::run_bh(world, cfg, net, &DstOptions::default(), Phases::ONE).expect_completed()
+}
+
+fn run_fmm(world: &Arc<FmmWorld>, cfg: DpaConfig, net: NetConfig) -> Run {
+    apps::driver::run_fmm(world, cfg, net, &DstOptions::default()).expect_completed()
+}
 
 const N_BH: usize = 1200;
 const N_FMM: usize = 900;
@@ -48,15 +57,15 @@ fn bh_distributed_matches_sequential_walk() {
     let run = run_bh(&world, DpaConfig::dpa(50), NetConfig::default());
     let seq = all_accels(&world.tree, &world.bodies, world.params);
     let mut worst = 0.0f64;
-    for (i, w) in seq.iter().enumerate() {
-        let err = (run.accel[i] - w.acc).norm() / w.acc.norm().max(1e-12);
+    for (a, w) in run.accel().iter().zip(&seq) {
+        let err = (*a - w.acc).norm() / w.acc.norm().max(1e-12);
         worst = worst.max(err);
     }
     assert!(worst < 1e-9, "worst rel err {worst}");
     let seq_cells: u64 = seq.iter().map(|w| w.cell_interactions).sum();
     let seq_bodies: u64 = seq.iter().map(|w| w.body_interactions).sum();
-    assert_eq!(run.cell_interactions, seq_cells);
-    assert_eq!(run.body_interactions, seq_bodies);
+    assert_eq!(run.counter("cell_interactions"), seq_cells);
+    assert_eq!(run.counter("body_interactions"), seq_bodies);
 }
 
 #[test]
@@ -73,11 +82,12 @@ fn bh_all_variants_agree() {
         eprintln!("running variant {label}");
         let run = run_bh(&world, cfg, NetConfig::default());
         assert_eq!(
-            run.cell_interactions, reference.cell_interactions,
+            run.counter("cell_interactions"),
+            reference.counter("cell_interactions"),
             "{label}: interaction counts must match exactly"
         );
         let mut worst = 0.0f64;
-        for (a, b) in run.accel.iter().zip(&reference.accel) {
+        for (a, b) in run.accel().iter().zip(&reference.accel()) {
             worst = worst.max((*a - *b).norm() / b.norm().max(1e-12));
         }
         assert!(worst < 1e-9, "{label}: worst rel err {worst}");
@@ -90,11 +100,11 @@ fn bh_sequential_variant_on_one_node() {
     let run = run_bh(&world, DpaConfig::sequential(), NetConfig::default());
     // With zero runtime cost, makespan is exactly the charged local work.
     assert_eq!(run.stats.nodes[0].overhead.as_ns(), 0);
-    assert!(run.makespan_ns > 0);
+    assert!(run.makespan_ns() > 0);
     assert_eq!(run.stats.total_msgs(), 0);
     let seq = all_accels(&world.tree, &world.bodies, world.params);
-    for (i, w) in seq.iter().enumerate() {
-        let err = (run.accel[i] - w.acc).norm() / w.acc.norm().max(1e-12);
+    for (a, w) in run.accel().iter().zip(&seq) {
+        let err = (*a - w.acc).norm() / w.acc.norm().max(1e-12);
         assert!(err < 1e-9);
     }
 }
@@ -112,7 +122,7 @@ fn fmm_distributed_matches_solver() {
     oracle.downward();
     let exact = oracle.evaluate();
     let mut worst = 0.0f64;
-    for (a, b) in run.fields.iter().zip(&exact) {
+    for (a, b) in run.fields().iter().zip(&exact) {
         worst = worst.max((*a - *b).abs() / b.abs().max(1e-12));
     }
     assert!(worst < 1e-9, "worst rel err {worst}");
@@ -125,7 +135,7 @@ fn fmm_matches_direct_summation() {
     let run = run_fmm(&world, DpaConfig::dpa(50), NetConfig::default());
     let exact = world.solver.direct();
     let mut worst = 0.0f64;
-    for (a, b) in run.fields.iter().zip(&exact) {
+    for (a, b) in run.fields().iter().zip(&exact) {
         worst = worst.max((*a - *b).abs() / b.abs().max(1e-12));
     }
     assert!(worst < 1e-6, "worst rel err vs direct {worst}");
@@ -144,10 +154,10 @@ fn fmm_all_variants_agree() {
         let label = cfg.describe();
         eprintln!("running variant {label}");
         let run = run_fmm(&world, cfg, NetConfig::default());
-        assert_eq!(run.m2l_count, reference.m2l_count, "{label}");
-        assert_eq!(run.p2p_pairs, reference.p2p_pairs, "{label}");
+        assert_eq!(run.counter("m2l_count"), reference.counter("m2l_count"), "{label}");
+        assert_eq!(run.counter("p2p_pairs"), reference.counter("p2p_pairs"), "{label}");
         let mut worst = 0.0f64;
-        for (a, b) in run.fields.iter().zip(&reference.fields) {
+        for (a, b) in run.fields().iter().zip(&reference.fields()) {
             worst = worst.max((*a - *b).abs() / b.abs().max(1e-12));
         }
         assert!(worst < 1e-9, "{label}: worst rel err {worst}");
@@ -159,11 +169,11 @@ fn runs_are_deterministic() {
     let world = bh_world(4);
     let a = run_bh(&world, DpaConfig::dpa(50), NetConfig::default());
     let b = run_bh(&world, DpaConfig::dpa(50), NetConfig::default());
-    assert_eq!(a.makespan_ns, b.makespan_ns);
-    assert_eq!(a.accel, b.accel);
+    assert_eq!(a.makespan_ns(), b.makespan_ns());
+    assert_eq!(a.accel(), b.accel());
 
     let fw = fmm_world(2);
     let fa = run_fmm(&fw, DpaConfig::dpa(50), NetConfig::default());
     let fb = run_fmm(&fw, DpaConfig::dpa(50), NetConfig::default());
-    assert_eq!(fa.makespan_ns, fb.makespan_ns);
+    assert_eq!(fa.makespan_ns(), fb.makespan_ns());
 }

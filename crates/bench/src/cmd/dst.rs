@@ -43,58 +43,55 @@
 //! oracles, including per-hot-key reply conservation.
 //!
 //! Usage:
-//!   cargo run --release -p bench --bin dst            # 32 seeds x 5 plans
-//!   cargo run --release -p bench --bin dst -- --quick # 8 seeds x 5 plans
-//!   cargo run --release -p bench --bin dst -- --smoke # 8 seeds x 2 plans (CI)
-//!   cargo run --release -p bench --bin dst -- --replay tests/dst_corpus/<case>
+//!   bench dst                    # 32 seeds x 5 plans
+//!   bench dst --quick            # 8 seeds x 5 plans
+//!   bench dst --smoke            # 8 seeds x 2 plans (CI)
+//!   bench dst --workload a,b     # restrict the sweep to a workload subset
+//!   bench dst --replay tests/dst_corpus/<case>
+//!
+//! Exit 0 on green, 1 on violations (or a replayed case that still
+//! reproduces), 2 on a bad workload name or case file.
 
+use apps::driver::{run_synth, Phases, Run};
+use bench::cli::{Args, Scale};
 use bench::dst::{
-    agg_factors, check_run, corpus_write, plan_for, replay, run_one, schedule_seed, Worlds,
+    agg_factors, check_run, corpus_write, plan_for, replay, resolve, run_one, schedule_seed, Worlds,
     ALL_PLANS, SMOKE_PLANS, WORKLOADS,
 };
-use bench::{has_flag, json};
+use bench::{json, write_result, RESULTS_DIR};
 use dpa_core::invariant::{check_completed, check_conservation, NodeSnapshot};
-use dpa_core::synth::SynthApp;
-use dpa_core::{run_phase_dst, DpaConfig, DstOptions};
+use dpa_core::{DpaConfig, DstOptions};
 use sim_net::{FaultPlan, NetConfig};
+use std::io;
+use std::path::Path;
 
 // ---------------------------------------------------------------- demo
 
 /// Deliberately lose a reply and show the deadlock detector naming the
 /// stuck request. Returns a violation description if the detector failed.
 fn demo_lost_reply(w: &Worlds) -> Option<String> {
+    let synth = |faults: FaultPlan| -> Run {
+        let opts = DstOptions {
+            schedule_seed: None,
+            faults,
+            ..DstOptions::default()
+        };
+        run_synth(
+            &w.synth,
+            DpaConfig::dpa(4),
+            NetConfig::default(),
+            &opts,
+            Phases::ONE,
+        )
+    };
     // Count the baseline's messages; the last one is a reply (requests
     // precede the replies that finish the phase), so dropping message #m
     // downward finds a lost-reply stall within a try or two.
-    let baseline = {
-        let world = w.synth.clone();
-        let (report, _) = run_phase_dst(
-            world.nodes,
-            NetConfig::default(),
-            DpaConfig::dpa(4),
-            &DstOptions::default(),
-            |i| SynthApp::new(world.clone(), i, 500),
-            |_, _| {},
-        );
-        report
-    };
-    let total = baseline.stats.total_msgs();
+    let total = synth(FaultPlan::default()).stats.total_msgs();
     println!("\nlost-reply demo: baseline sends {total} messages");
     for n in (1..=total).rev() {
-        let world = w.synth.clone();
-        let opts = DstOptions {
-            schedule_seed: None,
-            faults: FaultPlan::drop_nth(n),
-            ..DstOptions::default()
-        };
-        let (report, snaps) = run_phase_dst(
-            world.nodes,
-            NetConfig::default(),
-            DpaConfig::dpa(4),
-            &opts,
-            |i| SynthApp::new(world.clone(), i, 500),
-            |_, _| {},
-        );
+        let run = synth(FaultPlan::drop_nth(n));
+        let report = &run.reports[0];
         if report.completed {
             continue;
         }
@@ -111,7 +108,7 @@ fn demo_lost_reply(w: &Worlds) -> Option<String> {
                 "lost-reply stall did not name the stuck pending request".to_string(),
             );
         }
-        let conserved = check_conservation(&snaps);
+        let conserved = check_conservation(&run.snaps[0]);
         if !conserved.is_empty() {
             return Some(format!("conservation broken in stalled run: {}", conserved[0]));
         }
@@ -133,58 +130,33 @@ struct PlanRow {
     agg: (f64, f64, f64),
 }
 
-const USAGE: &str = "usage: dst [--smoke | --quick | --workload <names> | --replay <case-file>]
-  (default)          sweep 32 seeds x {none, drop, dup, delay} over every workload
-  --quick            8 seeds x all 4 fault plans
-  --smoke            8 seeds x {none, drop} (CI-sized)
-  --workload <names> restrict the sweep to a comma-separated workload subset
-  --replay <path>    re-run one recorded corpus case; exit 1 if it reproduces";
-
-fn main() {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = argv.iter().position(|a| a == "--replay") {
-        let Some(path) = argv.get(pos + 1) else {
-            eprintln!("error: --replay needs a corpus case path\n{USAGE}");
-            std::process::exit(2);
-        };
-        std::process::exit(replay(path));
+pub fn run(args: &Args) -> io::Result<i32> {
+    if let Some(path) = args.value("--replay") {
+        return Ok(replay(path));
     }
-    let mut workloads: Vec<&str> = WORKLOADS.to_vec();
-    if let Some(pos) = argv.iter().position(|a| a == "--workload") {
-        let Some(names) = argv.get(pos + 1).cloned() else {
-            eprintln!("error: --workload needs a comma-separated name list\n{USAGE}");
-            std::process::exit(2);
-        };
-        workloads = Vec::new();
-        for name in names.split(',') {
-            match WORKLOADS.iter().find(|&&w| w == name.trim()) {
-                Some(&w) => workloads.push(w),
-                None => {
-                    eprintln!(
-                        "error: unknown workload {name:?} (expected one of {WORKLOADS:?})"
-                    );
-                    std::process::exit(2);
-                }
+    let workloads: Vec<&str> = match args.value("--workload") {
+        None => WORKLOADS.to_vec(),
+        Some(names) => match names.split(',').map(|n| resolve(n.trim())).collect() {
+            Ok(subset) => subset,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return Ok(2);
             }
-        }
-        argv.drain(pos..=pos + 1);
-    }
-    if let Some(bad) = argv.iter().find(|a| !matches!(a.as_str(), "--smoke" | "--quick")) {
-        eprintln!("error: unknown argument {bad:?}\n{USAGE}");
-        std::process::exit(2);
-    }
-
-    let smoke = has_flag("--smoke");
-    let quick = has_flag("--quick") || smoke;
-    let seeds: u64 = if quick { 8 } else { 32 };
-    let plans = if smoke { SMOKE_PLANS } else { ALL_PLANS };
+        },
+    };
+    let seeds: u64 = if args.scale == Scale::Full { 32 } else { 8 };
+    let plans = if args.scale == Scale::Smoke {
+        SMOKE_PLANS
+    } else {
+        ALL_PLANS
+    };
 
     let w = Worlds::build();
     let mut rows: Vec<PlanRow> = Vec::new();
     let mut failures: Vec<(String, u64, String, Vec<String>)> = Vec::new();
 
     for &workload in &workloads {
-        let baseline = run_one(&w, workload, &DstOptions::default());
+        let baseline = run_one(&w, workload, &DstOptions::default()).expect("name from WORKLOADS");
         assert!(
             baseline.completed,
             "{workload}: baseline run failed to complete: {}",
@@ -211,10 +183,10 @@ fn main() {
             for seed in 0..seeds {
                 let opts = DstOptions {
                     schedule_seed: Some(schedule_seed(seed)),
-                    faults: plan_for(plan_name, seed),
+                    faults: plan_for(plan_name, seed).expect("name from ALL_PLANS"),
                     ..DstOptions::default()
                 };
-                let out = run_one(&w, workload, &opts);
+                let out = run_one(&w, workload, &opts).expect("name from WORKLOADS");
                 row.runs += 1;
                 if out.completed {
                     row.completed += 1;
@@ -244,32 +216,28 @@ fn main() {
     let demo_failure = demo_lost_reply(&w);
 
     // JSON report.
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let body: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "  {{\"workload\": {}, \"plan\": {}, \"seeds\": {}, \"runs\": {}, \
-                     \"completed\": {}, \"stalled\": {}, \"violations\": {}, \
-                     \"req_agg_factor\": {}, \"reply_agg_factor\": {}, \"upd_agg_factor\": {}}}",
-                    json::string(&r.workload),
-                    json::string(&r.plan),
-                    seeds,
-                    r.runs,
-                    r.completed,
-                    r.stalled,
-                    r.violations,
-                    json::number(r.agg.0),
-                    json::number(r.agg.1),
-                    json::number(r.agg.2)
-                )
-            })
-            .collect();
-        let path = dir.join("dst_report.json");
-        let _ = std::fs::write(&path, format!("[\n{}\n]\n", body.join(",\n")));
-        eprintln!("[wrote {}]", path.display());
-    }
+    let body: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "  {{\"workload\": {}, \"plan\": {}, \"seeds\": {}, \"runs\": {}, \
+                 \"completed\": {}, \"stalled\": {}, \"violations\": {}, \
+                 \"req_agg_factor\": {}, \"reply_agg_factor\": {}, \"upd_agg_factor\": {}}}",
+                json::string(&r.workload),
+                json::string(&r.plan),
+                seeds,
+                r.runs,
+                r.completed,
+                r.stalled,
+                r.violations,
+                json::number(r.agg.0),
+                json::number(r.agg.1),
+                json::number(r.agg.2)
+            )
+        })
+        .collect();
+    let report = format!("[\n{}\n]\n", body.join(",\n"));
+    write_result(Path::new(RESULTS_DIR), "dst_report.json", &report)?;
 
     let total_runs: u64 = rows.iter().map(|r| r.runs).sum();
     let total_violations: u64 = rows.iter().map(|r| r.violations).sum();
@@ -293,5 +261,5 @@ fn main() {
     } else {
         println!("lost-reply demo: stall detected and diagnosed (no hang)");
     }
-    std::process::exit(exit);
+    Ok(exit)
 }

@@ -10,23 +10,27 @@
 //!
 //! Run with `--quick` for a reduced problem size.
 
-use apps::driver::run_bh;
+use bench::cli::{Args, Scale};
 use bench::*;
 use dpa_core::DpaConfig;
 use global_heap::EvictPolicy;
+use std::io;
 
-fn main() {
-    let quick = has_flag("--quick");
-    let bh_n = if quick { 4_096 } else { PAPER_BH_BODIES };
+pub fn run(args: &Args) -> io::Result<i32> {
+    let bh_n = if args.scale == Scale::Quick {
+        4_096
+    } else {
+        PAPER_BH_BODIES
+    };
     let p: u16 = 16;
-    let world = bh_world_sized(bh_n, p);
+    let world = AppWorld::Bh(bh_world_sized(bh_n, p));
     let mut points = Vec::new();
 
     println!("== Cache-capacity ablation: BH {bh_n} bodies, P = {p} ==");
-    let dpa = run_bh(&world, DpaConfig::dpa(50), paper_net());
+    let dpa = world.run(DpaConfig::dpa(50));
     println!(
         "  DPA (50) reference: {} s  (renamed storage peak {} KB/node)",
-        fmt_secs(dpa.makespan_ns).trim(),
+        fmt_secs(dpa.makespan_ns()).trim(),
         dpa.stats.user_max("renamed_peak_bytes") / 1024
     );
 
@@ -48,18 +52,18 @@ fn main() {
             cache_policy: policy,
             ..DpaConfig::caching()
         };
-        let r = run_bh(&world, cfg, paper_net());
+        let r = world.run(cfg);
         let probes = r.stats.user_total("cache_probes").max(1);
         let hits = r.stats.user_total("cache_hits");
         println!(
             "  {label:<24} {:>8} s {:>12} {:>10} {:>9.1}%",
-            fmt_secs(r.makespan_ns).trim(),
+            fmt_secs(r.makespan_ns()).trim(),
             r.stats.user_total("cache_misses"),
             r.stats.user_total("cache_evictions"),
             100.0 * hits as f64 / probes as f64,
         );
         points.push(
-            ExpPoint::new("fig_cache", "bh", label, p, r.makespan_ns, &r.stats)
+            ExpPoint::new("fig_cache", "bh", label, p, r.makespan_ns(), &r.stats)
                 .with("capacity", capacity.unwrap_or(0) as f64),
         );
     }
@@ -68,5 +72,6 @@ fn main() {
          object once per phase; the baseline's capacity misses re-expose \
          full round trips."
     );
-    dump_json("fig_cache", &points);
+    dump_json("fig_cache", &points)?;
+    Ok(0)
 }

@@ -19,21 +19,21 @@
 //! fold [`DiffPlan::stamp`] at the generation actually read, so any stale
 //! carried copy corrupts them — must be bit-identical between the modes.
 //!
-//! Usage:
-//!   cargo run --release -p bench --bin fig_differential            # 4096 bodies
-//!   cargo run --release -p bench --bin fig_differential -- --quick # 1024 bodies
-//!   cargo run --release -p bench --bin fig_differential -- --smoke # 512, 3 phases
+//! Usage: `bench fig_differential` (4096 bodies, 6 phases), `--quick`
+//! (1024 bodies, 4 phases) or `--smoke` (512 bodies, 3 phases).
 //!
 //! Exits nonzero if the steady-state speedup falls below the 1.5x
 //! acceptance floor or the checksums diverge.
 
-use apps::bh_dist::{BhApp, BhCost, BhWorld, OwnerPolicy};
-use bench::{dump_json, has_flag, ExpPoint, SEED};
-use dpa_core::invariant::{check_completed, NodeSnapshot};
-use dpa_core::{run_phases, DiffPlan, DpaConfig, DstOptions};
+use apps::bh_dist::{BhCost, BhWorld, OwnerPolicy};
+use apps::driver::{run_bh, Phases, Run};
+use bench::cli::{Args, Scale};
+use bench::{assert_clean, dump_json, per_phase, ExpPoint, SEED};
+use dpa_core::{DiffPlan, DpaConfig, DstOptions};
 use nbody::bh::BhParams;
 use nbody::distrib::plummer;
 use sim_net::NetConfig;
+use std::io;
 use std::sync::Arc;
 
 const NODES: u16 = 16;
@@ -77,27 +77,13 @@ fn modern_runtime_cost() -> dpa_core::CostModel {
     }
 }
 
-struct Run {
-    /// Per-phase machine-wide request messages.
-    req_msgs: Vec<u64>,
-    /// Per-phase machine-wide request entries on the wire.
-    req_sent: Vec<u64>,
-    /// Per-phase simulated time, ns.
-    phase_ns: Vec<u64>,
-    /// Per-(phase, node) interaction checksums.
-    hashes: Vec<u64>,
-}
-
-fn run(world: &Arc<BhWorld>, phases: usize, differential: bool, label: &str) -> Run {
+/// `phases` timesteps, differential or from scratch, checked clean. The
+/// digest is the per-(phase, node) interaction checksums.
+fn run_checked(world: &Arc<BhWorld>, phases: usize, differential: bool, label: &str) -> Run {
     let plan = DiffPlan {
         seed: SEED,
         change_permille: CHANGE_PERMILLE,
         phase: 0,
-    };
-    let mut hashes = vec![0u64; phases * NODES as usize];
-    let mk = |ph: usize, i: u16| BhApp::new_diff(world.clone(), i, plan.at_phase(ph as u32));
-    let collect = |ph: usize, i: u16, app: &BhApp| {
-        hashes[ph * NODES as usize + i as usize] = app.interaction_hash;
     };
     let cfg = DpaConfig {
         cost: modern_runtime_cost(),
@@ -108,49 +94,23 @@ fn run(world: &Arc<BhWorld>, phases: usize, differential: bool, label: &str) -> 
             DpaConfig::dpa(STRIP)
         }
     };
-    let (reports, snap_sets, _) = run_phases(
-        NODES,
-        NetConfig::default(),
+    let opts = DstOptions::default();
+    let run = run_bh(
+        world,
         cfg,
-        &DstOptions::default(),
-        phases,
-        mk,
-        collect,
+        NetConfig::default(),
+        &opts,
+        Phases::changing(phases, plan),
     );
-    let mut req_msgs = Vec::with_capacity(phases);
-    let mut req_sent = Vec::with_capacity(phases);
-    let mut phase_ns = Vec::with_capacity(phases);
-    for (ph, (r, snaps)) in reports.iter().zip(&snap_sets).enumerate() {
-        assert!(
-            r.completed,
-            "{label} phase {ph} stalled: {}",
-            r.stall_summary()
-        );
-        let violations = check_completed(snaps, false);
-        assert!(
-            violations.is_empty(),
-            "{label} phase {ph} violates invariants: {}",
-            violations[0]
-        );
-        req_msgs.push(snaps.iter().map(|s: &NodeSnapshot| s.request_msgs).sum());
-        req_sent.push(snaps.iter().map(|s: &NodeSnapshot| s.req_sent).sum());
-        phase_ns.push(r.makespan().as_ns());
-    }
-    Run {
-        req_msgs,
-        req_sent,
-        phase_ns,
-        hashes,
-    }
+    assert_clean(&run, label);
+    run
 }
 
-fn main() {
-    let (bodies, phases) = if has_flag("--smoke") {
-        (512, 3)
-    } else if has_flag("--quick") {
-        (1024, 4)
-    } else {
-        (4096, 6)
+pub fn run(args: &Args) -> io::Result<i32> {
+    let (bodies, phases) = match args.scale {
+        Scale::Smoke => (512, 3),
+        Scale::Quick => (1024, 4),
+        Scale::Full => (4096, 6),
     };
     // Scatter ownership: the placement-hostile layout where every node's
     // traversal crosses node boundaries constantly — maximum fetch volume
@@ -164,12 +124,25 @@ fn main() {
         OwnerPolicy::Scatter,
     );
 
-    let scratch = run(&world, phases, false, "from-scratch");
-    let diff = run(&world, phases, true, "differential");
+    let scratch = run_checked(&world, phases, false, "from-scratch");
+    let diff = run_checked(&world, phases, true, "differential");
 
     assert_eq!(
-        scratch.hashes, diff.hashes,
+        scratch.digest, diff.digest,
         "interaction checksums must be bit-identical differential vs from-scratch"
+    );
+    // Per phase: simulated ns, machine-wide request messages, and request
+    // entries on the wire.
+    let phase_ns =
+        |run: &Run| -> Vec<u64> { run.reports.iter().map(|r| r.makespan().as_ns()).collect() };
+    let (ns_s, ns_d) = (phase_ns(&scratch), phase_ns(&diff));
+    let (msgs_s, msgs_d) = (
+        per_phase(&scratch, |s| s.request_msgs),
+        per_phase(&diff, |s| s.request_msgs),
+    );
+    let (sent_s, sent_d) = (
+        per_phase(&scratch, |s| s.req_sent),
+        per_phase(&diff, |s| s.req_sent),
     );
 
     println!(
@@ -182,27 +155,27 @@ fn main() {
         "phase", "scratch ms", "diff ms", "scratch req", "diff req", "speedup"
     );
     for ph in 0..phases {
-        let s = scratch.phase_ns[ph];
-        let d = diff.phase_ns[ph];
+        let s = ns_s[ph];
+        let d = ns_d[ph];
         println!(
             "{ph:>6} {:>13.3} {:>13.3} {:>12} {:>12} {:>7.2}x",
             s as f64 / 1e6,
             d as f64 / 1e6,
-            scratch.req_msgs[ph],
-            diff.req_msgs[ph],
+            msgs_s[ph],
+            msgs_d[ph],
             s as f64 / d as f64
         );
     }
 
     // Steady state: everything after the cold phase, which both modes pay
     // in full (the differential run has no prior state to carry into it).
-    let steady_scratch: u64 = scratch.phase_ns[1..].iter().sum();
-    let steady_diff: u64 = diff.phase_ns[1..].iter().sum();
+    let steady_scratch: u64 = ns_s[1..].iter().sum();
+    let steady_diff: u64 = ns_d[1..].iter().sum();
     let speedup = steady_scratch as f64 / steady_diff as f64;
-    let req_scratch: u64 = scratch.req_msgs[1..].iter().sum();
-    let req_diff: u64 = diff.req_msgs[1..].iter().sum();
-    let ent_scratch: u64 = scratch.req_sent[1..].iter().sum();
-    let ent_diff: u64 = diff.req_sent[1..].iter().sum();
+    let req_scratch: u64 = msgs_s[1..].iter().sum();
+    let req_diff: u64 = msgs_d[1..].iter().sum();
+    let ent_scratch: u64 = sent_s[1..].iter().sum();
+    let ent_diff: u64 = sent_d[1..].iter().sum();
     println!(
         "steady-state (phases 1..{phases}): time {:.3}ms -> {:.3}ms ({speedup:.2}x), \
          request msgs {req_scratch} -> {req_diff}, entries {ent_scratch} -> {ent_diff}",
@@ -210,40 +183,21 @@ fn main() {
         steady_diff as f64 / 1e6,
     );
 
+    let point =
+        |config, ns, msgs| ExpPoint::derived("fig_differential", "bh", config, NODES, ns, msgs);
     let points = vec![
-        ExpPoint {
-            experiment: "fig_differential".into(),
-            app: "bh".into(),
-            config: "from-scratch".into(),
-            nodes: NODES,
-            seconds: steady_scratch as f64 / 1e9,
-            breakdown: (0.0, 0.0, 0.0),
-            msgs: req_scratch,
-            bytes: 0,
-            extra: vec![("steady_req_entries".into(), ent_scratch as f64)],
-        },
-        ExpPoint {
-            experiment: "fig_differential".into(),
-            app: "bh".into(),
-            config: "differential".into(),
-            nodes: NODES,
-            seconds: steady_diff as f64 / 1e9,
-            breakdown: (0.0, 0.0, 0.0),
-            msgs: req_diff,
-            bytes: 0,
-            extra: vec![
-                ("steady_req_entries".into(), ent_diff as f64),
-                ("steady_speedup".into(), speedup),
-            ],
-        },
+        point("from-scratch", steady_scratch, req_scratch)
+            .with("steady_req_entries", ent_scratch as f64),
+        point("differential", steady_diff, req_diff)
+            .with("steady_req_entries", ent_diff as f64)
+            .with("steady_speedup", speedup),
     ];
-    dump_json("fig_differential", &points);
+    dump_json("fig_differential", &points)?;
 
     if speedup < TARGET {
-        eprintln!(
-            "FAIL: steady-state speedup {speedup:.2}x below the {TARGET:.1}x floor"
-        );
-        std::process::exit(1);
+        eprintln!("FAIL: steady-state speedup {speedup:.2}x below the {TARGET:.1}x floor");
+        return Ok(1);
     }
     println!("PASS: steady-state differential speedup {speedup:.2}x >= {TARGET:.1}x");
+    Ok(0)
 }

@@ -36,20 +36,20 @@
 //! already avoids re-fetching a hub whose generation didn't move, which
 //! is exactly the coattail the gate must not ride.
 //!
-//! Usage:
-//!   cargo run --release -p bench --bin fig_graph            # full sweep
-//!   cargo run --release -p bench --bin fig_graph -- --quick # 3 skews
-//!   cargo run --release -p bench --bin fig_graph -- --smoke # 2 skews (CI)
+//! Usage: `bench fig_graph` (full sweep), `--quick` (3 skews) or
+//! `--smoke` (2 skews, CI).
 //!
 //! Exits nonzero if checksums diverge across configs, no adversarial
 //! regime (migration or aggregation losing at skew >= 1.5) is observed,
 //! or the replication gate fails.
 
-use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
-use bench::{dump_json, has_flag, ExpPoint};
-use dpa_core::invariant::check_completed;
-use dpa_core::{run_phases, DpaConfig, DstOptions};
+use apps::driver::{run_graph, Digest};
+use apps::graph_dist::{GraphParams, GraphWorld};
+use bench::cli::{Args, Scale};
+use bench::{assert_clean, dump_json, ExpPoint};
+use dpa_core::{DpaConfig, DstOptions};
 use sim_net::NetConfig;
+use std::io;
 use std::sync::Arc;
 
 const NODES: u16 = 8;
@@ -67,63 +67,40 @@ struct Cell {
     msgs: u64,
     hub_msgs: u64,
     repl_msgs: u64,
-    sums: Vec<(u64, u64)>,
+    sums: Digest,
 }
 
 fn run_cell(world: &Arc<GraphWorld>, phases: usize, cfg: DpaConfig, label: &str) -> Cell {
-    let mut sums = vec![(0u64, 0u64); phases * NODES as usize];
-    let mk = |ph: usize, i: u16| GraphApp::new(world.clone(), i, ph as u32);
-    let collect = |ph: usize, i: u16, app: &GraphApp| {
-        sums[ph * NODES as usize + i as usize] = (app.sum, app.reached);
-    };
-    let (reports, snap_sets, _) = run_phases(
-        NODES,
-        NetConfig::default(),
+    let run = run_graph(
+        world,
         cfg,
+        NetConfig::default(),
         &DstOptions::default(),
         phases,
-        mk,
-        collect,
     );
+    assert_clean(&run, label);
     let hub = world.vptr(0).bits();
-    let mut ns = 0u64;
-    let mut msgs = 0u64;
     let mut hub_entries = 0u64;
     let mut repl_msgs = 0u64;
-    for (ph, (r, snaps)) in reports.iter().zip(&snap_sets).enumerate() {
-        assert!(
-            r.completed,
-            "{label} phase {ph} stalled: {}",
-            r.stall_summary()
-        );
-        let violations = check_completed(snaps, false);
-        assert!(
-            violations.is_empty(),
-            "{label} phase {ph} violates invariants: {}",
-            violations[0]
-        );
-        ns += r.makespan().as_ns();
-        msgs += r.stats.total_msgs();
-        for s in snaps {
-            // Owner-side demand traffic for the hub pointer: each pushed
-            // reply entry answered one request, so request+reply = 2x.
-            // Migration moves the accounting with the owner; summing over
-            // every node covers re-homed phases.
-            hub_entries += s
-                .reply_hot
-                .iter()
-                .filter(|&&(p, _, _)| p == hub)
-                .map(|&(_, pushed, _)| pushed)
-                .sum::<u64>();
-            repl_msgs += s.repl_entries_sent;
-        }
+    for s in run.snaps.iter().flatten() {
+        // Owner-side demand traffic for the hub pointer: each pushed
+        // reply entry answered one request, so request+reply = 2x.
+        // Migration moves the accounting with the owner; summing over
+        // every node covers re-homed phases.
+        hub_entries += s
+            .reply_hot
+            .iter()
+            .filter(|&&(p, _, _)| p == hub)
+            .map(|&(_, pushed, _)| pushed)
+            .sum::<u64>();
+        repl_msgs += s.repl_entries_sent;
     }
     Cell {
-        ns,
-        msgs,
+        ns: run.makespan_ns(),
+        msgs: run.stats.total_msgs(),
         hub_msgs: 2 * hub_entries,
         repl_msgs,
-        sums,
+        sums: run.digest,
     }
 }
 
@@ -173,15 +150,13 @@ fn lanes() -> Vec<(&'static str, DpaConfig)> {
 /// PR-9 state of the art on this figure).
 const SCRATCH_LANES: &[&str] = &["dpa-w32", "agg-w1", "agg-w256", "mig-t1", "mig-t8"];
 
-fn main() {
-    let (n, phases, root_stride, skews): (usize, usize, usize, &[f64]) = if has_flag("--smoke") {
-        (96, 2, 4, &[0.4, 2.0])
-    } else if has_flag("--quick") {
-        (160, 3, 3, &[0.4, 1.6, 2.4])
-    } else {
-        (256, 6, 2, &[0.0, 0.8, 1.6, 2.4])
+pub fn run(args: &Args) -> io::Result<i32> {
+    let (n, phases, root_stride, skews): (usize, usize, usize, &[f64]) = match args.scale {
+        Scale::Smoke => (96, 2, 4, &[0.4, 2.0]),
+        Scale::Quick => (160, 3, 3, &[0.4, 1.6, 2.4]),
+        Scale::Full => (256, 6, 2, &[0.0, 0.8, 1.6, 2.4]),
     };
-    let full = !has_flag("--smoke") && !has_flag("--quick");
+    let full = args.scale == Scale::Full;
 
     println!(
         "fig_graph: transitive closure, n={n}, {NODES} nodes, {phases} phases, \
@@ -304,25 +279,17 @@ fn main() {
         }
         for (label, cell) in &cells {
             let lost = losers.iter().any(|l| l == label);
-            points.push(ExpPoint {
-                experiment: "fig_graph".into(),
-                app: "graph".into(),
-                config: format!("skew{skew:.1}-{label}"),
-                nodes: NODES,
-                seconds: cell.ns as f64 / 1e9,
-                breakdown: (0.0, 0.0, 0.0),
-                msgs: cell.msgs,
-                bytes: 0,
-                extra: vec![
-                    ("skew".into(), skew),
-                    ("loses".into(), if lost { 1.0 } else { 0.0 }),
-                    ("hub_msgs".into(), cell.hub_msgs as f64),
-                    ("repl_bcast_entries".into(), cell.repl_msgs as f64),
-                ],
-            });
+            let config = format!("skew{skew:.1}-{label}");
+            points.push(
+                ExpPoint::derived("fig_graph", "graph", &config, NODES, cell.ns, cell.msgs)
+                    .with("skew", skew)
+                    .with("loses", if lost { 1.0 } else { 0.0 })
+                    .with("hub_msgs", cell.hub_msgs as f64)
+                    .with("repl_bcast_entries", cell.repl_msgs as f64),
+            );
         }
     }
-    dump_json("fig_graph", &points);
+    dump_json("fig_graph", &points)?;
 
     let mut failed = false;
     if adversarial.is_empty() {
@@ -344,11 +311,12 @@ fn main() {
         failed = true;
     }
     if failed {
-        std::process::exit(1);
+        return Ok(1);
     }
     println!(
         "PASS: adversarial regimes on the hot-hub axis: {}",
         adversarial.join("; ")
     );
     println!("PASS: replication wins: {}", repl_wins.join("; "));
+    Ok(0)
 }

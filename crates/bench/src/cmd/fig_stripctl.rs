@@ -20,10 +20,11 @@
 //! Run with `--quick` for a reduced problem size, or `--smoke` for a
 //! seconds-scale CI sanity pass.
 
-use apps::driver::{merge_stats, run_bh, run_fmm};
+use apps::driver::Run;
+use bench::cli::{Args, Scale};
 use bench::*;
 use dpa_core::DpaConfig;
-use sim_net::RunStats;
+use std::io;
 
 /// One measured configuration of one app.
 struct Row {
@@ -36,9 +37,9 @@ struct Row {
 }
 
 impl Row {
-    fn new(label: &str, makespan_ns: u64, stats: &RunStats, hash: u64) -> Row {
-        let adaptive = if stats.user_total("strip_retunes") > 0
-            || stats.user_max("strip_final") > 0
+    fn new(label: &str, run: &Run) -> Row {
+        let stats = &run.stats;
+        let adaptive = if stats.user_total("strip_retunes") > 0 || stats.user_max("strip_final") > 0
         {
             Some((
                 stats.user_total("strip_retunes"),
@@ -49,9 +50,9 @@ impl Row {
         };
         Row {
             label: label.to_string(),
-            makespan_ns,
+            makespan_ns: run.makespan_ns(),
             peak_threads: stats.user_max("peak_aligned_threads"),
-            hash,
+            hash: run.counter("interaction_hash"),
             adaptive,
         }
     }
@@ -128,134 +129,77 @@ fn verdict_tag(ok: bool, enforce: bool) -> &'static str {
     }
 }
 
-fn main() {
-    let quick = has_flag("--quick");
-    let smoke = has_flag("--smoke");
-    let (bh_n, fmm_n, fmm_p) = if smoke {
-        (512, 1_024, 8)
-    } else if quick {
-        (2_048, 4_096, 12)
-    } else {
-        (PAPER_BH_BODIES, PAPER_FMM_PARTICLES, PAPER_FMM_TERMS)
-    };
+pub fn run(args: &Args) -> io::Result<i32> {
+    let sizes = Sizes::at(args.scale);
     let p: u16 = 16;
-    let fixed: &[usize] = if smoke || quick {
-        &[1, 50, 300]
-    } else {
+    let enforce = args.scale == Scale::Full;
+    let fixed: &[usize] = if enforce {
         &[1, 10, 50, 100, 300, 1000]
+    } else {
+        &[1, 50, 300]
     };
-    let enforce = !(smoke || quick);
-    let adaptive_cfg = DpaConfig::dpa_adaptive(8, 512);
     let mut points = Vec::new();
     let mut violations = 0;
 
     println!("== Adaptive-strip figure (P = {p}) ==");
 
-    println!("\n-- BARNES-HUT ({bh_n} bodies) --");
-    let w = bh_world_sized(bh_n, p);
-    let mut rows = Vec::new();
-    for &s in fixed {
-        let r = run_bh(&w, DpaConfig::dpa(s), paper_net());
-        rows.push(Row::new(
-            &format!("strip {s}"),
-            r.makespan_ns,
-            &r.stats,
-            r.interaction_hash,
-        ));
+    for app in PaperApp::BOTH {
+        println!("\n-- {} --", app.heading(sizes));
+        let w = app.world(sizes, p);
+        let mut rows = Vec::new();
+        for &s in fixed {
+            let r = w.run(DpaConfig::dpa(s));
+            rows.push(Row::new(&format!("strip {s}"), &r));
+            rows.last().unwrap().print();
+            let config = format!("strip={s}");
+            points.push(
+                ExpPoint::new(
+                    "fig_stripctl",
+                    app.key(),
+                    &config,
+                    p,
+                    r.makespan_ns(),
+                    &r.stats,
+                )
+                .with("strip", s as f64)
+                .with(
+                    "peak_aligned_threads",
+                    r.stats.user_max("peak_aligned_threads") as f64,
+                ),
+            );
+        }
+        let strip50_peak = rows
+            .iter()
+            .find(|r| r.label == "strip 50")
+            .map(|r| r.peak_threads)
+            .expect("strip 50 in the fixed sweep");
+        let r = w.run(DpaConfig::dpa_adaptive(8, 512));
+        rows.push(Row::new("adaptive", &r));
         rows.last().unwrap().print();
         points.push(
             ExpPoint::new(
                 "fig_stripctl",
-                "bh",
-                &format!("strip={s}"),
+                app.key(),
+                "adaptive",
                 p,
-                r.makespan_ns,
+                r.makespan_ns(),
                 &r.stats,
             )
-            .with("strip", s as f64)
-            .with(
-                "peak_aligned_threads",
-                r.stats.user_max("peak_aligned_threads") as f64,
-            ),
-        );
-    }
-    let strip50_peak = rows
-        .iter()
-        .find(|r| r.label == "strip 50")
-        .map(|r| r.peak_threads)
-        .expect("strip 50 in the fixed sweep");
-    let r = run_bh(&w, adaptive_cfg.clone(), paper_net());
-    rows.push(Row::new(
-        "adaptive",
-        r.makespan_ns,
-        &r.stats,
-        r.interaction_hash,
-    ));
-    rows.last().unwrap().print();
-    points.push(
-        ExpPoint::new("fig_stripctl", "bh", "adaptive", p, r.makespan_ns, &r.stats)
             .with(
                 "peak_aligned_threads",
                 r.stats.user_max("peak_aligned_threads") as f64,
             )
             .with("strip_final", r.stats.user_max("strip_final") as f64)
             .with("strip_retunes", r.stats.user_total("strip_retunes") as f64),
-    );
-    violations += verdicts("bh", &rows, strip50_peak, enforce);
-
-    println!("\n-- FMM ({fmm_n} particles, {fmm_p} terms) --");
-    let w = fmm_world_sized(fmm_n, fmm_p, p);
-    let mut rows = Vec::new();
-    for &s in fixed {
-        let r = run_fmm(&w, DpaConfig::dpa(s), paper_net());
-        let merged = merge_stats(&r.m2l_stats, &r.eval_stats);
-        rows.push(Row::new(
-            &format!("strip {s}"),
-            r.makespan_ns,
-            &merged,
-            r.interaction_hash,
-        ));
-        rows.last().unwrap().print();
-        points.push(
-            ExpPoint::new(
-                "fig_stripctl",
-                "fmm",
-                &format!("strip={s}"),
-                p,
-                r.makespan_ns,
-                &merged,
-            )
-            .with("strip", s as f64)
-            .with(
-                "peak_aligned_threads",
-                merged.user_max("peak_aligned_threads") as f64,
-            ),
         );
+        violations += verdicts(app.key(), &rows, strip50_peak, enforce);
     }
-    let strip50_peak = rows
-        .iter()
-        .find(|r| r.label == "strip 50")
-        .map(|r| r.peak_threads)
-        .expect("strip 50 in the fixed sweep");
-    let r = run_fmm(&w, adaptive_cfg, paper_net());
-    let merged = merge_stats(&r.m2l_stats, &r.eval_stats);
-    rows.push(Row::new("adaptive", r.makespan_ns, &merged, r.interaction_hash));
-    rows.last().unwrap().print();
-    points.push(
-        ExpPoint::new("fig_stripctl", "fmm", "adaptive", p, r.makespan_ns, &merged)
-            .with(
-                "peak_aligned_threads",
-                merged.user_max("peak_aligned_threads") as f64,
-            )
-            .with("strip_final", merged.user_max("strip_final") as f64)
-            .with("strip_retunes", merged.user_total("strip_retunes") as f64),
-    );
-    violations += verdicts("fmm", &rows, strip50_peak, enforce);
 
-    dump_json("fig_stripctl", &points);
+    dump_json("fig_stripctl", &points)?;
     if violations > 0 {
         eprintln!("fig_stripctl: {violations} verdict(s) failed");
-        std::process::exit(1);
+        return Ok(1);
     }
     println!("\nall verdicts passed");
+    Ok(0)
 }

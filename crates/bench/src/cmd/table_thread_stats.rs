@@ -7,11 +7,12 @@
 //!
 //! Run with `--quick` for a reduced problem size.
 
-use apps::driver::{merge_stats, run_bh, run_fmm};
+use bench::cli::Args;
 use bench::*;
 use dpa_compiler::compile_source;
 use dpa_core::DpaConfig;
 use sim_net::RunStats;
+use std::io;
 
 fn print_runtime_rows(app: &str, strip: usize, s: &RunStats, points: &mut Vec<ExpPoint>, p: u16, ns: u64) {
     let row = |k: &str, v: u64| println!("    {k:<28} {v:>12}");
@@ -26,42 +27,43 @@ fn print_runtime_rows(app: &str, strip: usize, s: &RunStats, points: &mut Vec<Ex
     row("reply messages", s.user_total("reply_msgs"));
     row("thread-state peak bytes/node", s.user_max("thread_state_peak_bytes"));
     row("renamed peak bytes/node", s.user_max("renamed_peak_bytes"));
-    let req_agg = s.user_ratio("request_entries", "request_msgs");
-    let reply_agg = s.user_ratio("reply_entries", "reply_msgs");
-    let upd_agg = s.user_ratio("update_entries", "update_msgs");
-    println!("    {:<28} {req_agg:>12.2}", "request agg factor");
-    println!("    {:<28} {reply_agg:>12.2}", "reply agg factor");
-    println!("    {:<28} {upd_agg:>12.2}", "update agg factor");
+    for (path, entries, msgs) in [
+        ("request", "request_entries", "request_msgs"),
+        ("reply", "reply_entries", "reply_msgs"),
+        ("update", "update_entries", "update_msgs"),
+    ] {
+        println!(
+            "    {:<28} {:>12.2}",
+            format!("{path} agg factor"),
+            s.user_ratio(entries, msgs)
+        );
+    }
     points.push(
-        ExpPoint::new("table_thread_stats", app, &format!("strip={strip}"), p, ns, s)
-            .with("peak_aligned", s.user_max("peak_aligned_threads") as f64)
-            .with("peak_pending", s.user_max("peak_pending_requests") as f64)
-            .with("req_agg_factor", req_agg)
-            .with("reply_agg_factor", reply_agg)
-            .with("upd_agg_factor", upd_agg),
+        ExpPoint::new(
+            "table_thread_stats",
+            app,
+            &format!("strip={strip}"),
+            p,
+            ns,
+            s,
+        )
+        .with("peak_aligned", s.user_max("peak_aligned_threads") as f64)
+        .with("peak_pending", s.user_max("peak_pending_requests") as f64)
+        .with_agg_factors(s),
     );
 }
 
-fn main() {
-    let quick = has_flag("--quick");
-    let (bh_n, fmm_n, fmm_p) = if quick {
-        (2_048, 4_096, 12)
-    } else {
-        (PAPER_BH_BODIES, PAPER_FMM_PARTICLES, PAPER_FMM_TERMS)
-    };
+pub fn run(args: &Args) -> io::Result<i32> {
+    let sizes = Sizes::at(args.scale);
     let p: u16 = 16;
     let mut points = Vec::new();
 
     println!("== Thread statistics (runtime) ==");
     for strip in [50usize, 300] {
-        let w = bh_world_sized(bh_n, p);
-        let r = run_bh(&w, DpaConfig::dpa(strip), paper_net());
-        print_runtime_rows("Barnes-Hut", strip, &r.stats, &mut points, p, r.makespan_ns);
-
-        let w = fmm_world_sized(fmm_n, fmm_p, p);
-        let r = run_fmm(&w, DpaConfig::dpa(strip), paper_net());
-        let merged = merge_stats(&r.m2l_stats, &r.eval_stats);
-        print_runtime_rows("FMM", strip, &merged, &mut points, p, r.makespan_ns);
+        for app in PaperApp::BOTH {
+            let r = app.world(sizes, p).run(DpaConfig::dpa(strip));
+            print_runtime_rows(app.name(), strip, &r.stats, &mut points, p, r.makespan_ns());
+        }
     }
 
     println!("\n== Static thread structure (compiler) ==");
@@ -130,5 +132,6 @@ fn main() {
         }
     }
 
-    dump_json("table_thread_stats", &points);
+    dump_json("table_thread_stats", &points)?;
+    Ok(0)
 }

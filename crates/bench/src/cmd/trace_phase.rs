@@ -6,28 +6,28 @@
 //! idle time. Comparing `--variant dpa` against `--variant blocking` makes
 //! the latency-tolerance story visible span by span.
 //!
-//! ```sh
-//! cargo run --release -p bench --bin trace_phase -- [--variant dpa|base|caching|blocking]
-//! ```
+//! Usage: `bench trace_phase [--variant dpa|base|caching|blocking]`. One
+//! size; `--quick` is accepted so the verify recipe reads the same for
+//! every artifact.
 
+use bench::cli::Args;
 use bench::*;
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa_core::{run_phase_traced, DpaConfig};
+use std::io;
+use std::path::Path;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let variant = args
-        .iter()
-        .position(|a| a == "--variant")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("dpa");
+pub fn run(args: &Args) -> io::Result<i32> {
+    let variant = args.value("--variant").unwrap_or("dpa");
     let cfg = match variant {
         "dpa" => DpaConfig::dpa(16),
         "base" => DpaConfig::dpa_base(16),
         "caching" => DpaConfig::caching(),
         "blocking" => DpaConfig::blocking(),
-        other => panic!("unknown variant `{other}` (dpa|base|caching|blocking)"),
+        other => {
+            eprintln!("error: unknown variant {other:?} (expected dpa|base|caching|blocking)");
+            return Ok(2);
+        }
     };
 
     let nodes = 8u16;
@@ -46,16 +46,14 @@ fn main() {
         nodes,
         paper_net(),
         cfg.clone(),
-        |i| SynthApp::new(world.clone(), i, 900),
+        |i| SynthApp::new(world.clone(), i, world.work_ns),
         |_, _| {},
         1 << 20,
     );
     assert!(report.completed);
 
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results/");
-    let path = dir.join(format!("trace_{variant}.json"));
-    std::fs::write(&path, trace.to_chrome_json()).expect("write trace");
+    let file = format!("trace_{variant}.json");
+    write_result(Path::new(RESULTS_DIR), &file, &trace.to_chrome_json())?;
     let (l, o, i) = breakdown_pct(&report.stats);
     println!(
         "{}: makespan {}, {} spans ({} dropped), local/ovh/idle = {l:.1}/{o:.1}/{i:.1}%",
@@ -64,5 +62,6 @@ fn main() {
         trace.spans().len(),
         trace.dropped,
     );
-    println!("wrote {} — open in chrome://tracing or ui.perfetto.dev", path.display());
+    println!("open {RESULTS_DIR}/{file} in chrome://tracing or ui.perfetto.dev");
+    Ok(0)
 }

@@ -1,77 +1,34 @@
-//! Deterministic-simulation-testing machinery shared by the `dst` binary
-//! and the committed-corpus regression tests.
+//! Deterministic-simulation-testing machinery shared by the `dst`
+//! subcommand, the run service and the committed-corpus regression tests.
 //!
 //! Every run is a pure function of `(workload, schedule seed, fault plan)`,
 //! so any failure is replayable bit-for-bit. This module owns the pieces
-//! the sweep and the replayers both need: the pre-built worlds, the digest
-//! comparison rules, the per-run invariant checks, and the corpus case
+//! the sweep and the replayers both need: the workload table (`name →
+//! family, config, phases`, the single registry behind [`WORKLOADS`]), the
+//! pre-built worlds, the per-run invariant checks, and the corpus case
 //! file format (`workload = ... / seed = ... / plan = ...`).
 
-use apps::bh_dist::{BhApp, BhWorld};
-use apps::fmm_dist::{FmmEvalApp, FmmM2lApp, FmmWorld};
-use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
-use apps::relax::{RelaxApp, RelaxWorld};
-use apps::setops_dist::{SetopsApp, SetopsParams, SetopsWorld};
 use crate::{bh_world_sized, fmm_world_sized};
+use apps::bh_dist::BhWorld;
+use apps::driver::{run_bh, run_fmm, run_graph, run_relax, run_setops, run_synth, Phases, Run};
+pub use apps::driver::{Digest, FP_RTOL};
+use apps::fmm_dist::FmmWorld;
+use apps::graph_dist::{GraphParams, GraphWorld};
+use apps::relax::RelaxWorld;
+use apps::setops_dist::{SetopsParams, SetopsWorld};
 use dpa_core::invariant::{check_completed, check_conservation, NodeSnapshot};
-use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
-use dpa_core::{run_phase_dst, run_phases, DiffPlan, DpaConfig, DstOptions};
-use nbody::fmm::Local;
-use sim_net::{FaultPlan, NetConfig, NodePause, RunReport};
+use dpa_core::synth::{SynthParams, SynthWorld};
+use dpa_core::{DiffPlan, DpaConfig, DstOptions};
+use sim_net::{FaultPlan, NetConfig, NodePause};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Extra per-delivery jitter used whenever a schedule seed is set, ns.
 pub const JITTER_NS: u64 = 2_000;
-/// Relative tolerance for floating-point digests across schedules (the
-/// reduction order differs, so bits may not).
-pub const FP_RTOL: f64 = 1e-9;
 /// Every fault-plan name the sweep explores.
 pub const ALL_PLANS: &[&str] = &["none", "drop", "dup", "delay", "pause"];
 /// The CI-sized subset of fault plans.
 pub const SMOKE_PLANS: &[&str] = &["none", "drop"];
-/// Every workload name the sweep explores. The `-mig` workloads run the
-/// same apps multi-phase with locality-driven object migration enabled
-/// (epoch affinity, departs, forwards, the boundary pass). The `-adapt`
-/// workloads run under the adaptive strip controller
-/// ([`dpa_core::stripctl`]) with bounds tight enough that every node
-/// crosses several retune boundaries; `bh-adapt` is additionally
-/// multi-phase so the controllers carry across barriers. The `-diff`
-/// workloads run multi-timestep with **differential re-alignment**
-/// ([`DpaConfig::differential`]): tables and cached arrivals carry across
-/// barriers, patched by boundary deltas; `bh-diff` additionally enables
-/// migration so delta routing composes with re-homing. The skew-adversarial
-/// family: `graph` is semi-naive transitive closure over a mutable
-/// power-law graph, run differentially — structural edge rewires advance
-/// object generations at every barrier, so the carried hub entries are
-/// invalidated by *topology* changes, not a value-change schedule;
-/// `graph-mig` runs the same closure multi-phase with migration chasing
-/// the hot hub (many consumers, no dominant one); `setops` is the
-/// batch-parallel ordered-set workload with power-law-hot range queries.
-/// The `-repl` workloads run under **read-mostly replication**
-/// ([`DpaConfig::dpa_replicating`]): the hot hub is promoted at a phase
-/// boundary, broadcast to its consumer set, and every fault-plan hazard
-/// (dropped broadcast, duplicated broadcast, delayed delta) must leave
-/// the digests bit-identical or produce a diagnosable stall — never a
-/// stale read.
-pub const WORKLOADS: &[&str] = &[
-    "synth-dpa",
-    "synth-caching",
-    "bh",
-    "fmm",
-    "relax",
-    "synth-mig",
-    "bh-mig",
-    "synth-adapt",
-    "bh-adapt",
-    "synth-diff",
-    "bh-diff",
-    "graph",
-    "graph-mig",
-    "graph-repl",
-    "bh-repl",
-    "setops",
-];
 /// Adaptive strip bounds for the `-adapt` workloads (deliberately tight:
 /// the small DST worlds must still cross retune boundaries).
 pub const ADAPT_BOUNDS: (usize, usize) = (2, 64);
@@ -80,58 +37,224 @@ pub const MIG_PHASES: usize = 3;
 /// Timesteps per differential workload run — enough boundaries that a
 /// carried entry can go stale, be invalidated, and be carried again.
 pub const DIFF_PHASES: usize = 4;
-
 /// The change schedule shared by every `-diff` run: ~15% of objects mutate
 /// per boundary, which exercises both the invalidation path and the
 /// carried-entry fast path in every phase.
-pub fn diff_plan() -> DiffPlan {
-    DiffPlan {
-        seed: 0xD1FF_F00D,
-        change_permille: 150,
-        phase: 0,
-    }
-}
+pub const DIFF_PLAN: DiffPlan = DiffPlan {
+    seed: 0xD1FF_F00D,
+    change_permille: 150,
+    phase: 0,
+};
 /// Where failing cases are recorded, relative to the repository root.
 pub const CORPUS_DIR: &str = "tests/dst_corpus";
 
-// ---------------------------------------------------------------- digests
+// ---------------------------------------------------------------- workloads
 
-/// A workload's result, in comparable form.
-#[derive(Clone, Debug)]
-pub enum Digest {
-    /// Integer checksums: must be bit-identical across schedules.
-    Ints(Vec<u64>),
-    /// Floating-point results: compared with [`FP_RTOL`].
-    Floats(Vec<f64>),
+/// Which pre-built world, and with it which [`apps::driver`] runner, a
+/// workload drives.
+#[derive(Clone, Copy, Debug)]
+enum Family {
+    Synth,
+    Bh,
+    Fmm,
+    Relax,
+    Graph,
+    Setops,
 }
 
-impl Digest {
-    /// `None` if equivalent, else a description of the first mismatch.
-    pub fn diff(&self, other: &Digest) -> Option<String> {
-        match (self, other) {
-            (Digest::Ints(a), Digest::Ints(b)) => {
-                if a.len() != b.len() {
-                    return Some(format!("digest length {} vs {}", a.len(), b.len()));
-                }
-                a.iter().zip(b).position(|(x, y)| x != y).map(|i| {
-                    format!("checksum[{i}]: {:#x} vs {:#x} (must be bit-identical)", a[i], b[i])
-                })
-            }
-            (Digest::Floats(a), Digest::Floats(b)) => {
-                if a.len() != b.len() {
-                    return Some(format!("digest length {} vs {}", a.len(), b.len()));
-                }
-                a.iter().zip(b).position(|(x, y)| {
-                    let scale = x.abs().max(y.abs()).max(1e-300);
-                    (x - y).abs() / scale > FP_RTOL
-                }).map(|i| format!("value[{i}]: {} vs {} (rtol {FP_RTOL})", a[i], b[i]))
-            }
-            _ => Some("digest kind mismatch".to_string()),
+/// One row of the workload table: a name the sweep, the corpus and the
+/// run service use for "this app family, under this configuration, for
+/// this many phases".
+struct Workload {
+    name: &'static str,
+    family: Family,
+    cfg: fn() -> DpaConfig,
+    /// Carrying workloads only: the *same multi-timestep workload* from
+    /// scratch every phase, nothing carried — the comparator the
+    /// equivalence suite holds the carrying digests bit-identical to.
+    scratch: Option<fn() -> DpaConfig>,
+    phases: Phases,
+}
+
+impl Workload {
+    const fn single(name: &'static str, family: Family, cfg: fn() -> DpaConfig) -> Workload {
+        Workload {
+            name,
+            family,
+            cfg,
+            scratch: None,
+            phases: Phases::ONE,
         }
     }
 }
 
-// ---------------------------------------------------------------- workloads
+fn adaptive() -> DpaConfig {
+    DpaConfig::dpa_adaptive(ADAPT_BOUNDS.0, ADAPT_BOUNDS.1)
+}
+
+/// Every workload the sweep explores. The `-mig` workloads run the same
+/// apps multi-phase with locality-driven object migration enabled (epoch
+/// affinity, departs, forwards, the boundary pass). The `-adapt`
+/// workloads run under the adaptive strip controller
+/// ([`dpa_core::stripctl`]) with bounds tight enough that every node
+/// crosses several retune boundaries. The `-diff` workloads run
+/// multi-timestep with **differential re-alignment**
+/// ([`DpaConfig::differential`]): tables and cached arrivals carry across
+/// barriers, patched by boundary deltas. The `-repl` workloads run under
+/// **read-mostly replication** ([`DpaConfig::dpa_replicating`]): the hot
+/// hub is promoted at a phase boundary, broadcast to its consumer set, and
+/// every fault-plan hazard (dropped broadcast, duplicated broadcast,
+/// delayed delta) must leave the digests bit-identical or produce a
+/// diagnosable stall — never a stale read.
+const TABLE: &[Workload] = &[
+    Workload::single("synth-dpa", Family::Synth, || DpaConfig::dpa(4)),
+    Workload::single("synth-caching", Family::Synth, DpaConfig::caching),
+    Workload::single("bh", Family::Bh, || DpaConfig::dpa(8)),
+    Workload::single("fmm", Family::Fmm, || DpaConfig::dpa(8)),
+    Workload::single("relax", Family::Relax, || DpaConfig::dpa(8)),
+    Workload {
+        name: "synth-mig",
+        family: Family::Synth,
+        cfg: || DpaConfig::dpa_migrating(4),
+        scratch: None,
+        phases: Phases::steps(MIG_PHASES),
+    },
+    Workload {
+        name: "bh-mig",
+        family: Family::Bh,
+        cfg: || DpaConfig::dpa_migrating(8),
+        scratch: None,
+        phases: Phases::steps(MIG_PHASES),
+    },
+    Workload::single("synth-adapt", Family::Synth, adaptive),
+    // Multi-phase, so the controllers carry across barriers.
+    Workload {
+        name: "bh-adapt",
+        family: Family::Bh,
+        cfg: adaptive,
+        scratch: None,
+        phases: Phases::steps(MIG_PHASES),
+    },
+    Workload {
+        name: "synth-diff",
+        family: Family::Synth,
+        cfg: || DpaConfig::dpa_differential(4),
+        scratch: Some(|| DpaConfig::dpa(4)),
+        phases: Phases::changing(DIFF_PHASES, DIFF_PLAN),
+    },
+    // Differential composes with re-homing: same migration knobs as
+    // `dpa_migrating`, plus the differential barrier protocol.
+    Workload {
+        name: "bh-diff",
+        family: Family::Bh,
+        cfg: || DpaConfig {
+            differential: true,
+            ..DpaConfig::dpa_migrating(8)
+        },
+        scratch: Some(|| DpaConfig::dpa_migrating(8)),
+        phases: Phases::changing(DIFF_PHASES, DIFF_PLAN),
+    },
+    // Transitive closure with *structural* deltas: edge rewires at every
+    // barrier advance vertex generations, so the carried hub entries go
+    // stale from topology changes, not a value-change schedule — the
+    // differential protocol must invalidate them or the closure checksum
+    // (which folds the generation actually read) diverges.
+    Workload {
+        name: "graph",
+        family: Family::Graph,
+        cfg: || DpaConfig::dpa_differential(8),
+        scratch: Some(|| DpaConfig::dpa(8)),
+        phases: Phases::steps(DIFF_PHASES),
+    },
+    // The closure under dominant-consumer migration: the hub has *many*
+    // consumers and no dominant one, so the affinity pass faces its
+    // adversarial case (any pick strands the rest on the forwarding path).
+    Workload {
+        name: "graph-mig",
+        family: Family::Graph,
+        cfg: || DpaConfig::dpa_migrating(8),
+        scratch: None,
+        phases: Phases::steps(MIG_PHASES),
+    },
+    // The closure under read-mostly replication: the hub crosses the
+    // promotion bar at the first boundary (every non-owner consumes it,
+    // none dominates), so later phases read it from local replicas. A
+    // dropped broadcast must degrade to a demand fetch or a delta-gate
+    // stall; a duplicated one must dedup on `(sender, seq)` — either way
+    // the checksums cannot move.
+    Workload {
+        name: "graph-repl",
+        family: Family::Graph,
+        cfg: || DpaConfig::dpa_replicating(8),
+        scratch: Some(|| DpaConfig::dpa(8)),
+        phases: Phases::steps(DIFF_PHASES),
+    },
+    // Barnes-Hut under replication: the octree root and the hot
+    // upper-level cells are the replication candidates, and the
+    // value-change schedule (not topology) advances generations — the
+    // complementary staleness source to `graph-repl`.
+    Workload {
+        name: "bh-repl",
+        family: Family::Bh,
+        cfg: || DpaConfig::dpa_replicating(8),
+        scratch: Some(|| DpaConfig::dpa(8)),
+        phases: Phases::changing(DIFF_PHASES, DIFF_PLAN),
+    },
+    // Mixed insert/delete/range batches; range probes are power-law-hot
+    // toward node 0's buckets, and the mutations ride the
+    // remote-reduction path (exactly-once under dup).
+    Workload::single("setops", Family::Setops, || DpaConfig::dpa(8)),
+];
+
+/// Every workload name the sweep explores, in table order.
+pub const WORKLOADS: &[&str] = &{
+    let mut names = [""; TABLE.len()];
+    let mut i = 0;
+    while i < TABLE.len() {
+        names[i] = TABLE[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// A name that is not in the table it was looked up in.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownName {
+    /// What kind of name: `"workload"` or `"plan"`.
+    pub kind: &'static str,
+    /// The name as given.
+    pub name: String,
+    /// The names that would have resolved.
+    pub valid: &'static [&'static str],
+}
+
+impl std::fmt::Display for UnknownName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown {} {:?} (expected one of {:?})",
+            self.kind, self.name, self.valid
+        )
+    }
+}
+
+impl std::error::Error for UnknownName {}
+
+/// `name` as the table spells it, or why it is not a workload.
+pub fn resolve(name: &str) -> Result<&'static str, UnknownName> {
+    lookup(name).map(|row| row.name)
+}
+
+fn lookup(name: &str) -> Result<&'static Workload, UnknownName> {
+    TABLE
+        .iter()
+        .find(|w| w.name == name)
+        .ok_or_else(|| UnknownName {
+            kind: "workload",
+            name: name.to_string(),
+            valid: WORKLOADS,
+        })
+}
 
 /// Pre-built worlds (deterministic; shared by every run).
 pub struct Worlds {
@@ -187,7 +310,9 @@ pub struct Outcome {
     pub dropped: u64,
     /// The workload's comparable result.
     pub digest: Digest,
-    /// Per-node runtime-state snapshots.
+    /// Per-node runtime-state snapshots, all phases concatenated — the
+    /// invariant checkers accept repeated per-node snapshots (carried
+    /// tables make the same adoption visible in every later phase).
     pub snaps: Vec<NodeSnapshot>,
     /// Stall diagnoses ("" when none).
     pub stalls: String,
@@ -199,6 +324,27 @@ pub struct Outcome {
     pub budget_exhausted: bool,
     /// Simulated makespan in nanoseconds (summed over phases).
     pub makespan_ns: u64,
+}
+
+impl From<Run> for Outcome {
+    fn from(run: Run) -> Outcome {
+        let stalls: Vec<String> = run
+            .reports
+            .iter()
+            .map(|r| r.stall_summary())
+            .filter(|s| !s.is_empty())
+            .collect();
+        Outcome {
+            completed: run.completed(),
+            dropped: run.stats.dropped_packets,
+            stalls: stalls.join("; "),
+            events: run.reports.iter().map(|r| r.events_processed).sum(),
+            budget_exhausted: run.reports.iter().any(|r| r.budget_exhausted),
+            makespan_ns: run.makespan_ns(),
+            digest: run.digest,
+            snaps: run.snaps.into_iter().flatten().collect(),
+        }
+    }
 }
 
 /// Every observable bit of an [`Outcome`], in comparable form — shared by
@@ -231,413 +377,45 @@ pub fn net_for(opts: &DstOptions) -> NetConfig {
     }
 }
 
-/// Collapse a multi-phase migration run into one [`Outcome`]. Snapshots of
-/// all phases are concatenated — the invariant checkers accept repeated
-/// per-node snapshots (carried tables make the same adoption visible in
-/// every later phase).
-fn mig_outcome(
-    reports: Vec<RunReport>,
-    snap_sets: Vec<Vec<NodeSnapshot>>,
-    digest: Digest,
-) -> Outcome {
-    let stalls = reports
-        .iter()
-        .map(|r| r.stall_summary())
-        .filter(|s| !s.is_empty())
-        .collect::<Vec<_>>()
-        .join("; ");
-    Outcome {
-        completed: reports.iter().all(|r| r.completed),
-        dropped: reports.iter().map(|r| r.stats.dropped_packets).sum(),
-        digest,
-        snaps: snap_sets.into_iter().flatten().collect(),
-        stalls,
-        events: reports.iter().map(|r| r.events_processed).sum(),
-        budget_exhausted: reports.iter().any(|r| r.budget_exhausted),
-        makespan_ns: reports.iter().map(|r| r.makespan().as_ns()).sum(),
-    }
-}
-
-/// [`Outcome`] of a single-phase run.
-fn one_outcome(report: RunReport, snaps: Vec<NodeSnapshot>, digest: Digest) -> Outcome {
-    Outcome {
-        completed: report.completed,
-        dropped: report.stats.dropped_packets,
-        digest,
-        stalls: report.stall_summary(),
-        snaps,
-        events: report.events_processed,
-        budget_exhausted: report.budget_exhausted,
-        makespan_ns: report.makespan().as_ns(),
-    }
-}
-
-fn merge(
-    report: &RunReport,
-    mut snaps: Vec<NodeSnapshot>,
-    extra: (RunReport, Vec<NodeSnapshot>),
-    digest: Digest,
-) -> Outcome {
-    let (r2, s2) = extra;
-    snaps.extend(s2);
-    let stalls = [report.stall_summary(), r2.stall_summary()]
-        .iter()
-        .filter(|s| !s.is_empty())
-        .cloned()
-        .collect::<Vec<_>>()
-        .join("; ");
-    Outcome {
-        completed: report.completed && r2.completed,
-        dropped: report.stats.dropped_packets + r2.stats.dropped_packets,
-        digest,
-        snaps,
-        stalls,
-        events: report.events_processed + r2.events_processed,
-        budget_exhausted: report.budget_exhausted || r2.budget_exhausted,
-        makespan_ns: report.makespan().as_ns() + r2.makespan().as_ns(),
-    }
-}
-
 /// Execute one `(workload, options)` run and collect its outcome.
-///
-/// Panics on an unknown workload name; use [`WORKLOADS`] to validate.
-pub fn run_one(w: &Worlds, workload: &str, opts: &DstOptions) -> Outcome {
+pub fn run_one(w: &Worlds, workload: &str, opts: &DstOptions) -> Result<Outcome, UnknownName> {
     run_one_mode(w, workload, opts, true)
 }
 
-/// [`run_one`] with the execution mode of the `-diff` workloads pinned:
-/// `differential = true` runs them under their differential config (the
-/// default, and what the sweep exercises); `false` runs the *same
-/// multi-timestep workload* through the same [`run_phases`] with the carry
-/// off, from scratch every phase — the comparator the equivalence suite
-/// holds the differential digests bit-identical to. The flag is ignored
-/// for every other workload.
-pub fn run_one_mode(w: &Worlds, workload: &str, opts: &DstOptions, differential: bool) -> Outcome {
-    let net = net_for(opts);
-    // A `-diff`/`-repl` workload's config, or its from-scratch comparator:
-    // plain DPA at the same strip, nothing carried.
-    let mode = |carrying: DpaConfig, strip: usize| {
-        if differential {
-            carrying
-        } else {
-            DpaConfig::dpa(strip)
-        }
+/// [`run_one`] with the execution mode of the carrying (`-diff`, `-repl`,
+/// `graph`) workloads pinned: `differential = true` runs them under their
+/// carrying config (the default, and what the sweep exercises); `false`
+/// runs the table's from-scratch comparator. The flag is ignored for
+/// every other workload.
+pub fn run_one_mode(
+    w: &Worlds,
+    workload: &str,
+    opts: &DstOptions,
+    differential: bool,
+) -> Result<Outcome, UnknownName> {
+    let row = lookup(workload)?;
+    let cfg = match row.scratch {
+        Some(scratch) if !differential => scratch(),
+        _ => (row.cfg)(),
     };
-    match workload {
-        "synth-diff" => {
-            let world = w.synth.clone();
-            let nodes = world.nodes;
-            let plan = diff_plan();
-            let mut sums = vec![0u64; DIFF_PHASES * nodes as usize];
-            let mk = |ph: usize, i: u16| {
-                SynthApp::new_diff(world.clone(), i, 500, plan.at_phase(ph as u32))
-            };
-            let collect = |ph: usize, i: u16, app: &SynthApp| {
-                sums[ph * nodes as usize + i as usize] = app.sum;
-            };
-            let cfg = mode(DpaConfig::dpa_differential(4), 4);
-            let (reports, snap_sets, _) =
-                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
-            mig_outcome(reports, snap_sets, Digest::Ints(sums))
-        }
-        "bh-diff" => {
-            let world = w.bh.clone();
-            let nodes = world.nodes;
-            let plan = diff_plan();
-            let mut hashes = vec![0u64; DIFF_PHASES * nodes as usize];
-            let mk = |ph: usize, i: u16| BhApp::new_diff(world.clone(), i, plan.at_phase(ph as u32));
-            let collect = |ph: usize, i: u16, app: &BhApp| {
-                hashes[ph * nodes as usize + i as usize] = app.interaction_hash;
-            };
-            // Differential composes with re-homing: same migration knobs as
-            // `dpa_migrating`, plus the differential barrier protocol.
-            let cfg = DpaConfig {
-                differential,
-                ..DpaConfig::dpa_migrating(8)
-            };
-            let (reports, snap_sets, _) =
-                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
-            mig_outcome(reports, snap_sets, Digest::Ints(hashes))
-        }
-        "graph" => {
-            // Transitive closure with *structural* deltas: edge rewires at
-            // every barrier advance vertex generations, so the carried hub
-            // entries go stale from topology changes — the differential
-            // protocol must invalidate them or the closure checksum (which
-            // folds the generation actually read) diverges.
-            let world = w.graph.clone();
-            let nodes = world.params.nodes;
-            let mut sums = vec![0u64; 2 * DIFF_PHASES * nodes as usize];
-            let mk = |ph: usize, i: u16| GraphApp::new(world.clone(), i, ph as u32);
-            let collect = |ph: usize, i: u16, app: &GraphApp| {
-                let at = 2 * (ph * nodes as usize + i as usize);
-                sums[at] = app.sum;
-                sums[at + 1] = app.reached;
-            };
-            let cfg = mode(DpaConfig::dpa_differential(8), 8);
-            let (reports, snap_sets, _) =
-                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
-            mig_outcome(reports, snap_sets, Digest::Ints(sums))
-        }
-        "graph-repl" => {
-            // The closure under read-mostly replication: the hub crosses
-            // the promotion bar at the first boundary (every non-owner
-            // consumes it, none dominates), so later phases read it from
-            // local replicas. A dropped broadcast must degrade to a demand
-            // fetch or a delta-gate stall; a duplicated one must dedup on
-            // `(sender, seq)` — either way the checksums cannot move.
-            let world = w.graph.clone();
-            let nodes = world.params.nodes;
-            let mut sums = vec![0u64; 2 * DIFF_PHASES * nodes as usize];
-            let mk = |ph: usize, i: u16| GraphApp::new(world.clone(), i, ph as u32);
-            let collect = |ph: usize, i: u16, app: &GraphApp| {
-                let at = 2 * (ph * nodes as usize + i as usize);
-                sums[at] = app.sum;
-                sums[at + 1] = app.reached;
-            };
-            let cfg = mode(DpaConfig::dpa_replicating(8), 8);
-            let (reports, snap_sets, _) =
-                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
-            mig_outcome(reports, snap_sets, Digest::Ints(sums))
-        }
-        "bh-repl" => {
-            // Barnes-Hut under replication: the octree root and the hot
-            // upper-level cells are the replication candidates, and the
-            // value-change schedule (not topology) advances generations —
-            // the complementary staleness source to `graph-repl`.
-            let world = w.bh.clone();
-            let nodes = world.nodes;
-            let plan = diff_plan();
-            let mut hashes = vec![0u64; DIFF_PHASES * nodes as usize];
-            let mk = |ph: usize, i: u16| BhApp::new_diff(world.clone(), i, plan.at_phase(ph as u32));
-            let collect = |ph: usize, i: u16, app: &BhApp| {
-                hashes[ph * nodes as usize + i as usize] = app.interaction_hash;
-            };
-            let cfg = mode(DpaConfig::dpa_replicating(8), 8);
-            let (reports, snap_sets, _) =
-                run_phases(nodes, net, cfg, opts, DIFF_PHASES, mk, collect);
-            mig_outcome(reports, snap_sets, Digest::Ints(hashes))
-        }
-        "graph-mig" => {
-            // The closure under dominant-consumer migration: the hub has
-            // *many* consumers and no dominant one, so the affinity pass
-            // faces its adversarial case (any pick strands the rest on the
-            // forwarding path).
-            let world = w.graph.clone();
-            let nodes = world.params.nodes;
-            let mut sums = vec![0u64; 2 * MIG_PHASES * nodes as usize];
-            let (reports, snap_sets, _) = run_phases(
-                nodes,
-                net,
-                DpaConfig::dpa_migrating(8),
-                opts,
-                MIG_PHASES,
-                |ph, i| GraphApp::new(world.clone(), i, ph as u32),
-                |ph, i, app: &GraphApp| {
-                    let at = 2 * (ph * nodes as usize + i as usize);
-                    sums[at] = app.sum;
-                    sums[at + 1] = app.reached;
-                },
-            );
-            mig_outcome(reports, snap_sets, Digest::Ints(sums))
-        }
-        "setops" => {
-            // Mixed insert/delete/range batches; range probes are
-            // power-law-hot toward node 0's buckets, and the mutations
-            // ride the remote-reduction path (exactly-once under dup).
-            let world = w.setops.clone();
-            let nodes = world.params.nodes;
-            let mut sums = vec![0u64; 3 * nodes as usize];
-            let (report, snaps) = run_phase_dst(
-                nodes,
-                net,
-                DpaConfig::dpa(8),
-                opts,
-                |i| SetopsApp::new(world.clone(), i),
-                |i, app: &SetopsApp| {
-                    let at = 3 * i as usize;
-                    sums[at] = app.range_sum;
-                    sums[at + 1] = app.final_digest();
-                    sums[at + 2] = app.applied;
-                },
-            );
-            one_outcome(report, snaps, Digest::Ints(sums))
-        }
-        "synth-dpa" | "synth-caching" => {
-            let cfg = if workload == "synth-dpa" {
-                DpaConfig::dpa(4)
-            } else {
-                DpaConfig::caching()
-            };
-            let world = w.synth.clone();
-            let mut sums = vec![0u64; world.nodes as usize];
-            let (report, snaps) = run_phase_dst(
-                world.nodes,
-                net,
-                cfg,
-                opts,
-                |i| SynthApp::new(world.clone(), i, 500),
-                |i, app: &SynthApp| sums[i as usize] = app.sum,
-            );
-            one_outcome(report, snaps, Digest::Ints(sums))
-        }
-        "bh" => {
-            let world = w.bh.clone();
-            let n = world.bodies.len();
-            let mut accel = vec![0.0f64; 3 * n];
-            let (report, snaps) = run_phase_dst(
-                world.nodes,
-                net,
-                DpaConfig::dpa(8),
-                opts,
-                |i| BhApp::new(world.clone(), i),
-                |i, app: &BhApp| {
-                    let base = world.splits[i as usize];
-                    for (off, a) in app.accel.iter().enumerate() {
-                        let at = 3 * (base + off);
-                        accel[at] = a.x;
-                        accel[at + 1] = a.y;
-                        accel[at + 2] = a.z;
-                    }
-                },
-            );
-            one_outcome(report, snaps, Digest::Floats(accel))
-        }
-        "fmm" => {
-            let world = w.fmm.clone();
-            // Sub-phase 1: M2L gather.
-            let mut partials: Vec<HashMap<u32, Local>> =
-                (0..world.nodes).map(|_| HashMap::new()).collect();
-            let (r1, s1) = run_phase_dst(
-                world.nodes,
-                net.clone(),
-                DpaConfig::dpa(8),
-                opts,
-                |i| FmmM2lApp::new(world.clone(), i),
-                |i, app: &FmmM2lApp| partials[i as usize] = app.locals.clone(),
-            );
-            if !r1.completed {
-                // Phase 2 input is incomplete; report the phase-1 stall.
-                return one_outcome(r1, s1, Digest::Floats(Vec::new()));
-            }
-            // Sub-phase 2: downward + evaluation.
-            let n = world.solver.zs.len();
-            let mut fields = vec![0.0f64; 2 * n];
-            let mut partials_iter = partials.into_iter();
-            let extra = run_phase_dst(
-                world.nodes,
-                net,
-                DpaConfig::dpa(8),
-                opts,
-                |i| {
-                    let part = partials_iter.next().expect("one partial per node");
-                    FmmEvalApp::new(world.clone(), i, part)
-                },
-                |_, app: &FmmEvalApp| {
-                    for (i, f) in app.fields.iter().enumerate() {
-                        if f.norm2() != 0.0 {
-                            fields[2 * i] += f.re;
-                            fields[2 * i + 1] += f.im;
-                        }
-                    }
-                },
-            );
-            merge(&r1, s1, extra, Digest::Floats(fields))
-        }
-        "relax" => {
-            let world = w.relax.clone();
-            let n = world.vertices.len();
-            let mut next = vec![0.0f64; n];
-            let (report, snaps) = run_phase_dst(
-                world.nodes,
-                net,
-                DpaConfig::dpa(8),
-                opts,
-                |i| RelaxApp::new(world.clone(), i),
-                |i, app: &RelaxApp| {
-                    for v in world.range(i) {
-                        next[v] = app.next[v];
-                    }
-                },
-            );
-            one_outcome(report, snaps, Digest::Floats(next))
-        }
-        "synth-mig" => {
-            let world = w.synth.clone();
-            let nodes = world.nodes;
-            let mut sums = vec![0u64; MIG_PHASES * nodes as usize];
-            let (reports, snap_sets, _) = run_phases(
-                nodes,
-                net,
-                DpaConfig::dpa_migrating(4),
-                opts,
-                MIG_PHASES,
-                |_, i| SynthApp::new(world.clone(), i, 500),
-                |ph, i, app: &SynthApp| sums[ph * nodes as usize + i as usize] = app.sum,
-            );
-            mig_outcome(reports, snap_sets, Digest::Ints(sums))
-        }
-        "synth-adapt" => {
-            let world = w.synth.clone();
-            let cfg = DpaConfig::dpa_adaptive(ADAPT_BOUNDS.0, ADAPT_BOUNDS.1);
-            let mut sums = vec![0u64; world.nodes as usize];
-            let (report, snaps) = run_phase_dst(
-                world.nodes,
-                net,
-                cfg,
-                opts,
-                |i| SynthApp::new(world.clone(), i, 500),
-                |i, app: &SynthApp| sums[i as usize] = app.sum,
-            );
-            one_outcome(report, snaps, Digest::Ints(sums))
-        }
-        "bh-adapt" => {
-            let world = w.bh.clone();
-            let nodes = world.nodes;
-            let cfg = DpaConfig::dpa_adaptive(ADAPT_BOUNDS.0, ADAPT_BOUNDS.1);
-            let mut hashes = vec![0u64; MIG_PHASES * nodes as usize];
-            let (reports, snap_sets, _) = run_phases(
-                nodes,
-                net,
-                cfg,
-                opts,
-                MIG_PHASES,
-                |_, i| BhApp::new(world.clone(), i),
-                |ph, i, app: &BhApp| {
-                    hashes[ph * nodes as usize + i as usize] = app.interaction_hash;
-                },
-            );
-            mig_outcome(reports, snap_sets, Digest::Ints(hashes))
-        }
-        "bh-mig" => {
-            let world = w.bh.clone();
-            let nodes = world.nodes;
-            let mut hashes = vec![0u64; MIG_PHASES * nodes as usize];
-            let (reports, snap_sets, _) = run_phases(
-                nodes,
-                net,
-                DpaConfig::dpa_migrating(8),
-                opts,
-                MIG_PHASES,
-                |_, i| BhApp::new(world.clone(), i),
-                |ph, i, app: &BhApp| {
-                    hashes[ph * nodes as usize + i as usize] = app.interaction_hash;
-                },
-            );
-            mig_outcome(reports, snap_sets, Digest::Ints(hashes))
-        }
-        other => panic!("unknown workload {other:?}"),
-    }
+    let net = net_for(opts);
+    let run = match row.family {
+        Family::Synth => run_synth(&w.synth, cfg, net, opts, row.phases),
+        Family::Bh => run_bh(&w.bh, cfg, net, opts, row.phases),
+        Family::Fmm => run_fmm(&w.fmm, cfg, net, opts),
+        Family::Relax => run_relax(&w.relax, cfg, net, opts),
+        Family::Graph => run_graph(&w.graph, cfg, net, opts, row.phases.count),
+        Family::Setops => run_setops(&w.setops, cfg, net, opts),
+    };
+    Ok(run.into())
 }
 
 // ---------------------------------------------------------------- plans
 
 /// Build the named fault plan, derived deterministically from `seed`.
-///
-/// Panics on an unknown plan name; use [`ALL_PLANS`] to validate.
-pub fn plan_for(name: &str, seed: u64) -> FaultPlan {
+pub fn plan_for(name: &str, seed: u64) -> Result<FaultPlan, UnknownName> {
     let fs = seed ^ 0xFA17;
-    match name {
+    Ok(match name {
         "none" => FaultPlan::none(),
         "drop" => FaultPlan::drop(fs, 0.02),
         "dup" => FaultPlan::duplicate(fs, 0.10),
@@ -662,8 +440,14 @@ pub fn plan_for(name: &str, seed: u64) -> FaultPlan {
                 ..FaultPlan::default()
             }
         }
-        other => panic!("unknown plan {other:?}"),
-    }
+        _ => {
+            return Err(UnknownName {
+                kind: "plan",
+                name: name.to_string(),
+                valid: ALL_PLANS,
+            });
+        }
+    })
 }
 
 /// Map a sweep seed to a schedule-perturbation seed.
@@ -731,7 +515,7 @@ pub fn corpus_write(workload: &str, seed: u64, plan: &str, violations: &[String]
     let mut body = String::new();
     body.push_str("# dst failing case — replay with:\n");
     body.push_str(&format!(
-        "#   cargo run --release -p bench --bin dst -- --replay {path}\n"
+        "#   cargo run --release -p bench -- dst --replay {path}\n"
     ));
     body.push_str(&format!("workload = {workload}\nseed = {seed}\nplan = {plan}\n"));
     for v in violations {
@@ -814,20 +598,23 @@ pub fn replay_with_threads(path: &str, threads: usize) -> i32 {
             }
         };
     }
-    if !WORKLOADS.contains(&workload.as_str()) {
-        eprintln!("error: {path}: unknown workload {workload:?} (expected one of {WORKLOADS:?})");
-        return 2;
-    }
     let Some(plan) = fields.get("plan") else {
         eprintln!("error: {path}: missing `plan = ...` line");
         return 2;
     };
-    if !ALL_PLANS.contains(&plan.as_str()) {
-        eprintln!("error: {path}: unknown plan {plan:?} (expected one of {ALL_PLANS:?})");
-        return 2;
+    match replay_run(workload, seed, plan, threads) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {path}: {e}");
+            2
+        }
     }
+}
 
-    println!("replaying {workload} seed={seed} plan={plan} threads={threads}");
+/// The simulator half of [`replay_with_threads`]: baseline, perturbed
+/// run, verdict. `Err` when the case names no known workload or plan.
+fn replay_run(workload: &str, seed: u64, plan: &str, threads: usize) -> Result<i32, UnknownName> {
+    let faults = plan_for(plan, seed)?;
     let w = Worlds::build();
     let baseline = run_one(
         &w,
@@ -836,14 +623,15 @@ pub fn replay_with_threads(path: &str, threads: usize) -> i32 {
             threads,
             ..DstOptions::default()
         },
-    );
+    )?;
+    println!("replaying {workload} seed={seed} plan={plan} threads={threads}");
     let opts = DstOptions {
         schedule_seed: Some(schedule_seed(seed)),
-        faults: plan_for(plan, seed),
+        faults,
         threads,
         ..DstOptions::default()
     };
-    let out = run_one(&w, workload, &opts);
+    let out = run_one(&w, workload, &opts)?;
     println!(
         "  completed={} dropped={} stalls=[{}]",
         out.completed, out.dropped, out.stalls
@@ -851,29 +639,18 @@ pub fn replay_with_threads(path: &str, threads: usize) -> i32 {
     let violations = check_run(plan, &baseline.digest, &out);
     if violations.is_empty() {
         println!("  no violations — case no longer reproduces");
-        0
+        Ok(0)
     } else {
         for v in &violations {
             println!("  VIOLATION: {v}");
         }
-        1
+        Ok(1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn digest_rules() {
-        let a = Digest::Ints(vec![1, 2]);
-        assert!(a.diff(&Digest::Ints(vec![1, 2])).is_none());
-        assert!(a.diff(&Digest::Ints(vec![1, 3])).is_some());
-        assert!(a.diff(&Digest::Floats(vec![1.0])).is_some());
-        let f = Digest::Floats(vec![1.0]);
-        assert!(f.diff(&Digest::Floats(vec![1.0 + 1e-12])).is_none());
-        assert!(f.diff(&Digest::Floats(vec![1.0 + 1e-6])).is_some());
-    }
 
     #[test]
     fn agg_factors_total_across_nodes() {
@@ -895,6 +672,21 @@ mod tests {
         assert!((req - 4.0).abs() < 1e-12);
         assert!((reply - 2.0).abs() < 1e-12);
         assert_eq!(upd, 0.0);
+    }
+
+    #[test]
+    fn lookups_are_total() {
+        let w = Worlds::build();
+        let err = run_one(&w, "bh-typo", &DstOptions::default())
+            .err()
+            .expect("not a workload");
+        assert_eq!((err.kind, err.valid), ("workload", WORKLOADS));
+        assert!(err.to_string().contains("\"bh-typo\"") && err.to_string().contains("synth-dpa"));
+        let err = plan_for("drip", 0).unwrap_err();
+        assert_eq!((err.kind, err.valid), ("plan", ALL_PLANS));
+        for plan in ALL_PLANS {
+            assert!(plan_for(plan, 3).is_ok(), "{plan}");
+        }
     }
 
     #[test]

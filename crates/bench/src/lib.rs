@@ -1,8 +1,9 @@
 //! # bench — experiment harness regenerating the paper's tables & figures
 //!
-//! One binary per artifact (see `DESIGN.md`'s experiment index):
+//! One binary, `bench <subcommand> [--smoke|--quick]`, one subcommand per
+//! artifact (see `DESIGN.md`'s experiment index):
 //!
-//! | binary | artifact |
+//! | subcommand | artifact |
 //! |---|---|
 //! | `table1_exec_times` | Table 1: DPA(50) vs Caching execution times, P = 1..64 |
 //! | `fig_breakdown` | breakdown figure: idle/overhead/local per optimization level |
@@ -12,25 +13,44 @@
 //! | `fig_crossover` | extension: scheme crossovers vs remote/shared fraction |
 //! | `fig_clustered` | extension: non-uniform inputs, uniform vs adaptive FMM |
 //! | `fig_cache` | extension: bounded-cache (FIFO/LRU) baseline ablation |
+//! | `fig_migration` | extension: locality-driven migration on vs off |
+//! | `fig_differential` | extension: differential re-alignment vs from-scratch |
+//! | `fig_graph` | extension: hot-hub crossover, replication-win gates |
+//! | `fig_stripctl` | extension: adaptive strip controller vs the fixed sweep |
 //! | `trace_phase` | extension: per-node Gantt timeline (Chrome/Perfetto JSON) |
-//! | `calibrate`, `diag_*` | calibration & diagnostic dumps |
+//! | `dst` | deterministic-simulation-testing sweep and corpus replay |
+//! | `smp_tiling` | host-side: tiled vs scattered task order on real threads |
+//! | `calibrate` | cost-model calibration dump |
 //!
-//! Shared here: paper-scale workload builders, row formatting, and JSON
-//! result dumping (consumed when updating `EXPERIMENTS.md`).
+//! Every subcommand runs its apps through the family runners of
+//! [`apps::driver`] and reads the one [`Run`] they return. Shared here: the
+//! argument parser ([`cli`]), paper-scale workload builders, the paper's
+//! two applications as one loop variable ([`PaperApp`]), row formatting,
+//! and JSON result dumping (consumed when updating `EXPERIMENTS.md`). The
+//! DST workload table lives in [`dst`]; the benchmark of record is the
+//! separate `benchmark/` workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod dst;
 pub mod service;
 
+use apps::afmm_dist::AfmmWorld;
 use apps::bh_dist::{BhCost, BhWorld};
+use apps::driver::{run_afmm, run_bh, run_fmm, Phases, Run};
 use apps::fmm_dist::{FmmCost, FmmWorld};
+use cli::Scale;
+use dpa_core::invariant::{check_completed, NodeSnapshot};
+use dpa_core::{DpaConfig, DstOptions};
 use nbody::bh::BhParams;
 use nbody::cx::Cx;
 use nbody::distrib::{plummer, uniform_square};
 use nbody::fmm::FmmParams;
 use sim_net::{NetConfig, RunStats};
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 
 /// The paper's Barnes-Hut problem size.
@@ -47,18 +67,7 @@ pub const PAPER_BH_STEPS: u64 = 4;
 /// Standard seed for the paper-scale worlds.
 pub const SEED: u64 = 1997;
 
-/// Build the paper-scale Barnes-Hut world for `nodes`.
-pub fn paper_bh_world(nodes: u16) -> Arc<BhWorld> {
-    BhWorld::build(
-        plummer(PAPER_BH_BODIES, SEED),
-        nodes,
-        BH_LEAF_CAP,
-        BhParams::default(),
-        BhCost::default(),
-    )
-}
-
-/// Build a scaled Barnes-Hut world (for quick runs / tests).
+/// Build a Barnes-Hut world of `bodies` Plummer-distributed bodies.
 pub fn bh_world_sized(bodies: usize, nodes: u16) -> Arc<BhWorld> {
     BhWorld::build(
         plummer(bodies, SEED),
@@ -69,12 +78,7 @@ pub fn bh_world_sized(bodies: usize, nodes: u16) -> Arc<BhWorld> {
     )
 }
 
-/// Build the paper-scale FMM world for `nodes`.
-pub fn paper_fmm_world(nodes: u16) -> Arc<FmmWorld> {
-    fmm_world_sized(PAPER_FMM_PARTICLES, PAPER_FMM_TERMS, nodes)
-}
-
-/// Build a scaled FMM world.
+/// Build an FMM world of `particles` uniformly distributed particles.
 pub fn fmm_world_sized(particles: usize, terms: usize, nodes: u16) -> Arc<FmmWorld> {
     let bodies = uniform_square(particles, SEED);
     let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
@@ -92,6 +96,128 @@ pub fn fmm_world_sized(particles: usize, terms: usize, nodes: u16) -> Arc<FmmWor
 /// The T3D-like network in effect for all experiments.
 pub fn paper_net() -> NetConfig {
     NetConfig::default()
+}
+
+/// Problem sizes of the paper's two applications.
+#[derive(Clone, Copy, Debug)]
+pub struct Sizes {
+    /// Barnes-Hut bodies.
+    pub bh_n: usize,
+    /// FMM particles.
+    pub fmm_n: usize,
+    /// FMM expansion terms.
+    pub fmm_p: usize,
+}
+
+impl Sizes {
+    /// The sizes the figures run at `scale`: the paper's, a seconds-scale
+    /// reduction, or tiny CI worlds.
+    pub fn at(scale: Scale) -> Sizes {
+        let (bh_n, fmm_n, fmm_p) = match scale {
+            Scale::Smoke => (512, 1_024, 8),
+            Scale::Quick => (2_048, 4_096, 12),
+            Scale::Full => (PAPER_BH_BODIES, PAPER_FMM_PARTICLES, PAPER_FMM_TERMS),
+        };
+        Sizes { bh_n, fmm_n, fmm_p }
+    }
+}
+
+/// The paper's two applications as a loop variable: a figure runs
+/// `for app in PaperApp::BOTH` once instead of carrying its block twice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PaperApp {
+    /// The Barnes-Hut force phase.
+    Bh,
+    /// The FMM force phase (M2L, barrier, downward + evaluation).
+    Fmm,
+}
+
+impl PaperApp {
+    /// Both applications, in the paper's order.
+    pub const BOTH: [PaperApp; 2] = [PaperApp::Bh, PaperApp::Fmm];
+
+    /// The `app` key of this application's JSON points.
+    pub fn key(self) -> &'static str {
+        match self {
+            PaperApp::Bh => "bh",
+            PaperApp::Fmm => "fmm",
+        }
+    }
+
+    /// Display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            PaperApp::Bh => "Barnes-Hut",
+            PaperApp::Fmm => "FMM",
+        }
+    }
+
+    /// Section heading naming the problem size.
+    pub fn heading(self, sizes: Sizes) -> String {
+        match self {
+            PaperApp::Bh => format!("BARNES-HUT ({} bodies)", sizes.bh_n),
+            PaperApp::Fmm => format!("FMM ({} particles, {} terms)", sizes.fmm_n, sizes.fmm_p),
+        }
+    }
+
+    /// Build this application's world at `sizes` for `nodes`.
+    pub fn world(self, sizes: Sizes, nodes: u16) -> AppWorld {
+        match self {
+            PaperApp::Bh => AppWorld::Bh(bh_world_sized(sizes.bh_n, nodes)),
+            PaperApp::Fmm => AppWorld::Fmm(fmm_world_sized(sizes.fmm_n, sizes.fmm_p, nodes)),
+        }
+    }
+}
+
+/// A built n-body world: either paper application, or the adaptive FMM
+/// of the clustered-input extension.
+pub enum AppWorld {
+    /// A Barnes-Hut world.
+    Bh(Arc<BhWorld>),
+    /// A uniform-tree FMM world.
+    Fmm(Arc<FmmWorld>),
+    /// An adaptive-FMM world.
+    Afmm(Arc<AfmmWorld>),
+}
+
+impl AppWorld {
+    /// One fault-free force phase under `cfg` on the paper's network.
+    /// Panics if it stalls.
+    pub fn run(&self, cfg: DpaConfig) -> Run {
+        let opts = DstOptions::default();
+        match self {
+            AppWorld::Bh(w) => run_bh(w, cfg, paper_net(), &opts, Phases::ONE),
+            AppWorld::Fmm(w) => run_fmm(w, cfg, paper_net(), &opts),
+            AppWorld::Afmm(w) => run_afmm(w, cfg, paper_net(), &opts),
+        }
+        .expect_completed()
+    }
+}
+
+/// Check a fault-free run: it completed and every phase passes the
+/// lossless invariant oracles. Panics naming `label` otherwise.
+pub fn assert_clean(run: &Run, label: &str) {
+    for (ph, (r, snaps)) in run.reports.iter().zip(&run.snaps).enumerate() {
+        assert!(
+            r.completed,
+            "{label} phase {ph} stalled: {}",
+            r.stall_summary()
+        );
+        let violations = check_completed(snaps, false);
+        assert!(
+            violations.is_empty(),
+            "{label} phase {ph} violates invariants: {}",
+            violations[0]
+        );
+    }
+}
+
+/// One snapshot counter summed machine-wide, per phase.
+pub fn per_phase(run: &Run, counter: impl Fn(&NodeSnapshot) -> u64) -> Vec<u64> {
+    run.snaps
+        .iter()
+        .map(|snaps| snaps.iter().map(&counter).sum())
+        .collect()
 }
 
 /// One experiment data point, dumped as JSON for EXPERIMENTS.md.
@@ -129,14 +255,39 @@ impl ExpPoint {
     ) -> ExpPoint {
         let (l, o, i) = stats.mean_breakdown();
         ExpPoint {
+            breakdown: (l / 1e9, o / 1e9, i / 1e9),
+            bytes: stats.total_bytes(),
+            ..ExpPoint::derived(
+                experiment,
+                app,
+                config,
+                nodes,
+                makespan_ns,
+                stats.total_msgs(),
+            )
+        }
+    }
+
+    /// A point for a quantity derived from several phases or runs rather
+    /// than read off one run's stats (steady-state time, request messages
+    /// only): no breakdown, no byte count.
+    pub fn derived(
+        experiment: &str,
+        app: &str,
+        config: &str,
+        nodes: u16,
+        ns: u64,
+        msgs: u64,
+    ) -> ExpPoint {
+        ExpPoint {
             experiment: experiment.to_string(),
             app: app.to_string(),
             config: config.to_string(),
             nodes,
-            seconds: makespan_ns as f64 / 1e9,
-            breakdown: (l / 1e9, o / 1e9, i / 1e9),
-            msgs: stats.total_msgs(),
-            bytes: stats.total_bytes(),
+            seconds: ns as f64 / 1e9,
+            breakdown: (0.0, 0.0, 0.0),
+            msgs,
+            bytes: 0,
             extra: Vec::new(),
         }
     }
@@ -145,6 +296,23 @@ impl ExpPoint {
     pub fn with(mut self, key: &str, value: f64) -> ExpPoint {
         self.extra.push((key.to_string(), value));
         self
+    }
+
+    /// Attach the per-path aggregation factors (wire entries per message on
+    /// the request, reply, and update paths).
+    pub fn with_agg_factors(self, s: &RunStats) -> ExpPoint {
+        self.with(
+            "req_agg_factor",
+            s.user_ratio("request_entries", "request_msgs"),
+        )
+        .with(
+            "reply_agg_factor",
+            s.user_ratio("reply_entries", "reply_msgs"),
+        )
+        .with(
+            "upd_agg_factor",
+            s.user_ratio("update_entries", "update_msgs"),
+        )
     }
 }
 
@@ -206,16 +374,28 @@ impl ExpPoint {
     }
 }
 
-/// Write experiment points as pretty JSON under `results/`.
-pub fn dump_json(name: &str, points: &[ExpPoint]) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        let rows: Vec<String> = points.iter().map(|p| format!("  {}", p.to_json())).collect();
-        let s = format!("[\n{}\n]\n", rows.join(",\n"));
-        let _ = std::fs::write(&path, s);
-        eprintln!("[wrote {}]", path.display());
-    }
+/// Where every subcommand writes its artifact, relative to the working
+/// directory.
+pub const RESULTS_DIR: &str = "results";
+
+/// Write `body` to `dir/file`, creating `dir`; says so on stderr only
+/// once the file is really there.
+pub fn write_result(dir: &Path, file: &str, body: &str) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(file);
+    std::fs::write(&path, body)?;
+    eprintln!("[wrote {}]", path.display());
+    Ok(())
+}
+
+/// Write experiment points as pretty JSON to `results/<name>.json`.
+pub fn dump_json(name: &str, points: &[ExpPoint]) -> io::Result<()> {
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| format!("  {}", p.to_json()))
+        .collect();
+    let body = format!("[\n{}\n]\n", rows.join(",\n"));
+    write_result(Path::new(RESULTS_DIR), &format!("{name}.json"), &body)
 }
 
 /// Format seconds like the paper's tables (two decimals).
@@ -228,11 +408,6 @@ pub fn breakdown_pct(stats: &RunStats) -> (f64, f64, f64) {
     let (l, o, i) = stats.mean_breakdown();
     let t = (l + o + i).max(1.0);
     (100.0 * l / t, 100.0 * o / t, 100.0 * i / t)
-}
-
-/// Parse `--quick` style flags: returns true if the flag is present.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
 }
 
 /// Render a local/overhead/idle split as a fixed-width ASCII bar —
@@ -258,6 +433,41 @@ mod tests {
         assert_eq!(bh.bodies.len(), 500);
         let fmm = fmm_world_sized(400, 8, 4);
         assert_eq!(fmm.solver.zs.len(), 400);
+    }
+
+    #[test]
+    fn a_failed_write_is_an_error_and_prints_no_wrote_line() {
+        // Under the (gitignored) target directory, whatever the cwd.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/write_result_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        write_result(&dir, "ok.json", "[]\n").expect("a writable directory is created");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("ok.json")).unwrap(),
+            "[]\n"
+        );
+        // A file where the results directory should be.
+        let err = write_result(&dir.join("ok.json"), "never.json", "[]\n");
+        assert!(err.is_err(), "writing under a file must fail, got {err:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn paper_apps_run_through_one_loop() {
+        let sizes = Sizes {
+            bh_n: 200,
+            fmm_n: 256,
+            fmm_p: 6,
+        };
+        for app in PaperApp::BOTH {
+            let r = app.world(sizes, 2).run(DpaConfig::dpa(8));
+            assert!(
+                r.makespan_ns() > 0 && r.counter("interaction_hash") != 0,
+                "{}",
+                app.key()
+            );
+        }
+        assert_eq!(PaperApp::Bh.heading(sizes), "BARNES-HUT (200 bodies)");
+        assert_eq!(PaperApp::Fmm.heading(sizes), "FMM (256 particles, 6 terms)");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! per-workload baseline. The DST corpus is thereby both the service's
 //! traffic source and its correctness oracle.
 
-use crate::dst::{check_run, plan_for, run_one, schedule_seed, Digest, Worlds};
+use crate::dst::{check_run, plan_for, run_one, schedule_seed, Digest, UnknownName, Worlds};
 use dpa_core::DstOptions;
 use dpa_serve::{JobReport, JobRunner, JobSpec};
 use std::collections::HashMap;
@@ -20,8 +20,8 @@ use std::sync::Mutex;
 /// computed once per workload and cached, so oracle checks cost one extra
 /// run per distinct workload, not per job.
 ///
-/// Panics on an unknown workload or plan name — callers validate against
-/// [`crate::dst::WORKLOADS`] / [`crate::dst::ALL_PLANS`] at the edge.
+/// A job naming no known workload or plan is reported as not completed,
+/// the lookup error its stall reason; the shard lives on.
 pub struct DstJobRunner {
     worlds: Worlds,
     baselines: Mutex<HashMap<String, Digest>>,
@@ -37,9 +37,9 @@ impl DstJobRunner {
     }
 
     /// The workload's canonical-schedule fault-free digest, cached.
-    fn baseline(&self, workload: &str) -> Digest {
+    fn baseline(&self, workload: &str) -> Result<Digest, UnknownName> {
         if let Some(d) = self.baselines.lock().expect("baseline cache").get(workload) {
-            return d.clone();
+            return Ok(d.clone());
         }
         // Computed outside the lock: concurrent misses on the same
         // workload waste a run but never deadlock a shard.
@@ -50,24 +50,22 @@ impl DstJobRunner {
                 threads: 1,
                 ..DstOptions::default()
             },
-        );
-        self.baselines
+        )?;
+        Ok(self
+            .baselines
             .lock()
             .expect("baseline cache")
             .entry(workload.to_string())
             .or_insert(out.digest)
-            .clone()
+            .clone())
     }
-}
 
-impl Default for DstJobRunner {
-    fn default() -> Self {
-        DstJobRunner::new()
-    }
-}
-
-impl JobRunner for DstJobRunner {
-    fn run(&self, spec: &JobSpec, event_budget: u64, wall_budget_ns: Option<u64>) -> JobReport {
+    fn try_run(
+        &self,
+        spec: &JobSpec,
+        event_budget: u64,
+        wall_budget_ns: Option<u64>,
+    ) -> Result<JobReport, UnknownName> {
         // The tenant's remaining wall budget becomes a hard deadline the
         // multi-phase drivers check at every phase boundary: a run that
         // outlives it finishes the phase in flight, then stops with the
@@ -77,24 +75,24 @@ impl JobRunner for DstJobRunner {
             .map(|ns| std::time::Instant::now() + std::time::Duration::from_nanos(ns));
         let opts = DstOptions {
             schedule_seed: Some(schedule_seed(spec.seed)),
-            faults: plan_for(&spec.plan, spec.seed),
+            faults: plan_for(&spec.plan, spec.seed)?,
             threads: 1,
             max_events: event_budget,
             wall_deadline,
             ..DstOptions::default()
         };
-        let out = run_one(&self.worlds, &spec.workload, &opts);
+        let out = run_one(&self.worlds, &spec.workload, &opts)?;
         // A reaped run was stopped mid-flight: its state is legitimately
         // incomplete, so the oracles are not evaluated — the structured
         // budget_exhausted flag is the report.
         let violations = if out.budget_exhausted {
             0
         } else {
-            let baseline = self.baseline(&spec.workload);
+            let baseline = self.baseline(&spec.workload)?;
             check_run(&spec.plan, &baseline, &out).len() as u64
         };
         let sum = |f: &dyn Fn(&dpa_core::NodeSnapshot) -> u64| out.snaps.iter().map(f).sum::<u64>();
-        JobReport {
+        Ok(JobReport {
             completed: out.completed,
             budget_exhausted: out.budget_exhausted,
             sim_events: out.events,
@@ -106,6 +104,22 @@ impl JobRunner for DstJobRunner {
             // Filled in by the pool from the shard's clock.
             wall_ns: 0,
             stall: out.stalls,
-        }
+        })
+    }
+}
+
+impl Default for DstJobRunner {
+    fn default() -> Self {
+        DstJobRunner::new()
+    }
+}
+
+impl JobRunner for DstJobRunner {
+    fn run(&self, spec: &JobSpec, event_budget: u64, wall_budget_ns: Option<u64>) -> JobReport {
+        self.try_run(spec, event_budget, wall_budget_ns)
+            .unwrap_or_else(|e| JobReport {
+                stall: format!("rejected: {e}"),
+                ..JobReport::default()
+            })
     }
 }

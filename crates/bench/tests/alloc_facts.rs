@@ -1,0 +1,141 @@
+//! Allocator facts that need no tolerance: each is an equality, so there
+//! is no baseline file to bless. (Allocator traffic of whole workloads is
+//! the benchmark's `allocs_per_kevent`, bound 1 %.) Counts are per
+//! thread, so the harness and sibling tests cannot leak in.
+
+use apps::driver::{run_synth, Phases};
+use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
+use dpa_core::synth::{SynthParams, SynthWorld};
+use dpa_core::{DpaConfig, DstOptions};
+use nbody::cx::{Binomials, Cx};
+use nbody::fmm::{m2l_into, Local, Multipole};
+use sim_net::{NetConfig, QueueKind, Rng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+thread_local! {
+    /// (calls into the allocator, bytes requested) on this thread.
+    static TRAFFIC: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+struct CountingAlloc;
+
+fn count(bytes: usize) {
+    // `try_with`: a thread being torn down still frees and allocates.
+    let _ = TRAFFIC.try_with(|t| t.set((t.get().0 + 1, t.get().1 + bytes as u64)));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// This thread's (allocator calls, bytes requested) while `f` runs.
+fn traffic(f: impl FnOnce()) -> (u64, u64) {
+    let before = TRAFFIC.with(Cell::get);
+    f();
+    let after = TRAFFIC.with(Cell::get);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+/// The accumulating M2L kernel at the paper's 29 terms never touches the
+/// allocator.
+#[test]
+fn m2l_into_allocates_nothing() {
+    let terms = 29;
+    let bin = Binomials::new(2 * terms);
+    let mut rng = Rng::new(0x32E);
+    let mut src = Multipole::zero(terms);
+    for c in src.coeffs.iter_mut() {
+        *c = Cx::new(rng.unit_f64() - 0.5, rng.unit_f64() - 0.5);
+    }
+    let mut acc = Local::zero(terms);
+    let spent = traffic(|| {
+        for i in 0..1_000 {
+            let d = Cx::new(2.0 + (i % 3) as f64, 1.0 + (i % 2) as f64);
+            m2l_into(black_box(&src), d, &bin, &mut acc);
+        }
+        black_box(&acc);
+    });
+    assert_eq!(spent, (0, 0));
+}
+
+/// Constructing the graph closure's per-node state costs the same at any
+/// vertex count: 256 roots per node at either size, where a visited bitmap
+/// per root would make the larger graph cost sixteen times the smaller.
+#[test]
+fn graph_app_new_is_independent_of_vertex_count() {
+    let construct = |n: usize| {
+        let world = GraphWorld::build(GraphParams {
+            n,
+            nodes: 4,
+            root_stride: n / 1024,
+            phases: 1,
+            ..GraphParams::default()
+        });
+        traffic(|| {
+            for node in 0..4 {
+                black_box(GraphApp::new(world.clone(), node, 0));
+            }
+        })
+    };
+    let (small, large) = (construct(1 << 12), construct(1 << 16));
+    assert_ne!(small, (0, 0), "the counter is live");
+    assert_eq!(small, large);
+}
+
+/// A whole simulator + runtime run is deterministic down to its allocator
+/// traffic: the property that makes a 1 % bound on `allocs_per_kevent`
+/// meaningful.
+#[test]
+fn a_synth_run_allocates_identically_twice() {
+    let world = SynthWorld::build(SynthParams {
+        nodes: 4,
+        lists_per_node: 16,
+        list_len: 20,
+        remote_fraction: 0.5,
+        shared_fraction: 0.4,
+        ..SynthParams::default()
+    });
+    let opts = DstOptions {
+        threads: 1,
+        queue: QueueKind::Wheel,
+        ..DstOptions::default()
+    };
+    let once = || {
+        traffic(|| {
+            let run = run_synth(
+                &world,
+                DpaConfig::dpa(8),
+                NetConfig::default(),
+                &opts,
+                Phases::ONE,
+            );
+            assert!(run.completed(), "synth phase stalled");
+            black_box(run);
+        })
+    };
+    let (first, second) = (once(), once());
+    assert_ne!(first, (0, 0), "the counter is live");
+    assert_eq!(first, second);
+}

@@ -45,7 +45,7 @@ const DIFF_WORKLOADS: &[&str] = &["synth-diff", "bh-diff", "graph", "graph-repl"
 fn opts(plan: &str, seed: u64) -> DstOptions {
     DstOptions {
         schedule_seed: Some(schedule_seed(seed)),
-        faults: plan_for(plan, seed),
+        faults: plan_for(plan, seed).unwrap(),
         ..DstOptions::default()
     }
 }
@@ -58,7 +58,7 @@ fn digest_of(o: &Outcome) -> &bench::dst::Digest {
 /// digest comparisons performed.
 fn check_cell(w: &Worlds, workload: &str, plan: &str, seed: u64, truth: &Outcome) -> usize {
     let o = opts(plan, seed);
-    let diff = run_one_mode(w, workload, &o, true);
+    let diff = run_one_mode(w, workload, &o, true).unwrap();
     // Standard DST verdict for the differential run against the
     // from-scratch ground truth: bit-identical digests when nothing was
     // dropped, the invariant oracles otherwise (a dropped PhaseDelta must
@@ -75,7 +75,7 @@ fn check_cell(w: &Worlds, workload: &str, plan: &str, seed: u64, truth: &Outcome
     // bit — equivalence of the two drivers, not just schedule-stability
     // of each.
     if plan != "drop" {
-        let scratch = run_one_mode(w, workload, &o, false);
+        let scratch = run_one_mode(w, workload, &o, false).unwrap();
         assert!(
             scratch.completed && diff.completed,
             "lossless plan did not complete: workload={workload} plan={plan} seed={seed} \
@@ -103,7 +103,7 @@ fn differential_matches_from_scratch_smoke() {
     let w = Worlds::build();
     let mut compared = 0;
     for &workload in DIFF_WORKLOADS {
-        let truth = run_one_mode(&w, workload, &DstOptions::default(), false);
+        let truth = run_one_mode(&w, workload, &DstOptions::default(), false).unwrap();
         assert!(truth.completed, "{workload}: ground-truth run stalled");
         for &plan in SMOKE_PLANS {
             for seed in 1..3 {
@@ -125,7 +125,7 @@ fn differential_matches_from_scratch_full() {
     let w = Worlds::build();
     let mut cells = 0;
     for &workload in DIFF_WORKLOADS {
-        let truth = run_one_mode(&w, workload, &DstOptions::default(), false);
+        let truth = run_one_mode(&w, workload, &DstOptions::default(), false).unwrap();
         assert!(truth.completed, "{workload}: ground-truth run stalled");
         for &plan in ALL_PLANS {
             for seed in 0..8 {

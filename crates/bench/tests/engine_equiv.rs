@@ -23,7 +23,7 @@ use dpa_core::DstOptions;
 fn opts(plan: &str, seed: u64, threads: usize) -> DstOptions {
     DstOptions {
         schedule_seed: Some(schedule_seed(seed)),
-        faults: plan_for(plan, seed),
+        faults: plan_for(plan, seed).unwrap(),
         threads,
         ..DstOptions::default()
     }
@@ -32,9 +32,9 @@ fn opts(plan: &str, seed: u64, threads: usize) -> DstOptions {
 /// Run `workload` under `plan`/`seed` sequentially and at each parallel
 /// width, asserting bit-identity. Returns the number of comparisons made.
 fn check_case(w: &Worlds, workload: &str, plan: &str, seed: u64, widths: &[usize]) -> usize {
-    let want = fingerprint(&run_one(w, workload, &opts(plan, seed, 1)));
+    let want = fingerprint(&run_one(w, workload, &opts(plan, seed, 1)).unwrap());
     for &k in widths {
-        let got = fingerprint(&run_one(w, workload, &opts(plan, seed, k)));
+        let got = fingerprint(&run_one(w, workload, &opts(plan, seed, k)).unwrap());
         assert_eq!(
             got, want,
             "parallel engine diverged: workload={workload} plan={plan} seed={seed} threads={k}"

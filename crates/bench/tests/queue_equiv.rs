@@ -30,7 +30,7 @@ use sim_net::QueueKind;
 fn opts(plan: &str, seed: u64, queue: QueueKind) -> DstOptions {
     DstOptions {
         schedule_seed: Some(schedule_seed(seed)),
-        faults: plan_for(plan, seed),
+        faults: plan_for(plan, seed).unwrap(),
         threads: 1,
         queue,
         max_events: u64::MAX,
@@ -41,8 +41,8 @@ fn opts(plan: &str, seed: u64, queue: QueueKind) -> DstOptions {
 /// Run `workload` under `plan`/`seed` on the shadow heap and on the wheel,
 /// asserting bit-identity. Returns the number of comparisons made (1).
 fn check_case(w: &Worlds, workload: &str, plan: &str, seed: u64) -> usize {
-    let want = fingerprint(&run_one(w, workload, &opts(plan, seed, QueueKind::ShadowHeap)));
-    let got = fingerprint(&run_one(w, workload, &opts(plan, seed, QueueKind::Wheel)));
+    let want = fingerprint(&run_one(w, workload, &opts(plan, seed, QueueKind::ShadowHeap)).unwrap());
+    let got = fingerprint(&run_one(w, workload, &opts(plan, seed, QueueKind::Wheel)).unwrap());
     assert_eq!(
         got, want,
         "timing wheel diverged from shadow heap: workload={workload} plan={plan} seed={seed}"

@@ -8,16 +8,22 @@
 //! - every completed run passes the DST invariant-oracle battery;
 //! - the budget-exhausted job is reaped and reported, not leaked;
 //! - conservation holds over the decision log (no job lost on a shard).
+//!
+//! Also here: a paced all-workload mix under the conservation /
+//! no-starvation / zero-violation assertions (`paced_mix_*`; the
+//! throughput and latency of such a mix are the benchmark's `serve_mix`
+//! workload), and the bad-job-name regression.
 
 use bench::service::DstJobRunner;
 use dpa_serve::{
-    check_conservation, check_depth_bound, Admission, JobSpec, Priority, RejectReason,
-    SchedConfig, Service, TenantId,
+    check_conservation, check_depth_bound, check_no_starvation, Admission, JobSpec, Priority,
+    RejectReason, SchedConfig, Service, TenantId,
 };
 use sim_net::Rng;
+use std::time::Duration;
 
 /// Cheap single-phase workloads keep the burst fast; the full mix runs in
-/// `bench_service`.
+/// `paced_mix_full`.
 const WORKLOADS: &[&str] = &["synth-dpa", "synth-caching", "relax"];
 /// Lossless-heavy plan mix with real packet loss included.
 const PLANS: &[&str] = &["none", "none", "drop", "delay"];
@@ -272,4 +278,122 @@ fn overload_shrinks_batch_concurrency_before_shedding_interactive() {
         run.max_depth[0]
     );
     assert!(min_cap >= 1, "degradation floor is one shard");
+}
+
+/// A seeded stream of `jobs` DST jobs — mixed workloads, seeds, fault
+/// plans (lossless-heavy so most jobs complete), four tenants across both
+/// priority lanes — paced into a 4-shard service: conservation and
+/// no-starvation must hold over the decision log, and every completed run
+/// must pass the invariant-oracle battery.
+fn paced_mix(jobs: usize, workloads: &[&str]) {
+    const MIX_PLANS: &[&str] = &["none", "none", "none", "delay", "dup", "drop"];
+    let cfg = SchedConfig {
+        shards: 4,
+        queue_cap: 32,
+        ..SchedConfig::default()
+    };
+    let svc = Service::start(cfg.clone(), DstJobRunner::new());
+    let mut rng = Rng::new(0xBE4C_5E4F);
+    let mut accepted = 0usize;
+    for i in 0..jobs {
+        // Natural backpressure: hold submissions while the queues are
+        // half full, so nothing the pacing admits should ever be shed.
+        loop {
+            let (qi, qb, _) = svc.load();
+            if qi + qb < cfg.queue_cap / 2 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let tenant = TenantId(rng.below(4) as u16);
+        // Tenants 0/1 skew interactive, 2/3 skew batch.
+        let interactive = rng.chance(if tenant.0 < 2 { 0.8 } else { 0.2 });
+        let spec = JobSpec {
+            tenant,
+            priority: if interactive { Priority::Interactive } else { Priority::Batch },
+            workload: workloads[rng.below(workloads.len() as u64) as usize].to_string(),
+            seed: rng.next_u64() % 1_000,
+            plan: MIX_PLANS[rng.below(MIX_PLANS.len() as u64) as usize].to_string(),
+            event_budget: 0,
+        };
+        match svc.submit(spec) {
+            Admission::Accepted(_) => accepted += 1,
+            Admission::Rejected { reason } => assert!(
+                matches!(reason, RejectReason::QueueFull { .. }),
+                "unexpected shed reason during paced load: {reason:?} (job {i})"
+            ),
+        }
+    }
+    let report = svc.shutdown();
+    assert_eq!(report.jobs.len(), accepted, "every accepted job reported");
+    let conservation = check_conservation(&report.log);
+    assert!(conservation.is_empty(), "conservation: {conservation:?}");
+    let starvation = check_no_starvation(&report.log, &cfg);
+    assert!(starvation.is_empty(), "no-starvation: {starvation:?}");
+    let oracle_violations: u64 = report.jobs.iter().map(|j| j.report.violations).sum();
+    assert_eq!(oracle_violations, 0, "invariant oracles flagged completed runs");
+}
+
+/// CI-sized: the cheap single-phase workloads (setops rides along so the
+/// skew-adversarial family is always in the mix).
+#[test]
+fn paced_mix_smoke() {
+    paced_mix(24, &["synth-dpa", "synth-caching", "relax", "setops"]);
+}
+
+/// Every DST workload — multi-phase, differential, and the graph family
+/// included.
+#[test]
+#[ignore = "160-job all-workload profile; run with --ignored (nightly lane)"]
+fn paced_mix_full() {
+    paced_mix(160, bench::dst::WORKLOADS);
+}
+
+/// A job naming no known workload, or no known fault plan, is the
+/// runner's to report — not a panic on the pool thread that loses the job
+/// and takes `shutdown` down with it.
+#[test]
+fn bad_job_names_are_reported_and_the_shard_survives() {
+    let svc = Service::start(
+        SchedConfig { shards: 1, ..SchedConfig::default() },
+        DstJobRunner::new(),
+    );
+    let spec = |workload: &str, plan: &str| JobSpec {
+        tenant: TenantId(0),
+        priority: Priority::Batch,
+        workload: workload.to_string(),
+        seed: 5,
+        plan: plan.to_string(),
+        event_budget: 0,
+    };
+    let jobs: Vec<_> = [
+        spec("synth-dpa", "none"),
+        spec("synth-dpq", "none"),
+        spec("relax", "drip"),
+        spec("relax", "dup"),
+    ]
+    .into_iter()
+    .map(|s| match svc.submit(s) {
+        Admission::Accepted(job) => job,
+        Admission::Rejected { reason } => panic!("unexpected shed: {reason:?}"),
+    })
+    .collect();
+
+    let report = svc.shutdown();
+    assert_eq!(report.jobs.len(), 4, "all four jobs reported");
+    let conservation = check_conservation(&report.log);
+    assert!(conservation.is_empty(), "conservation: {conservation:?}");
+    let of = |i: usize| &report.jobs.iter().find(|j| j.job == jobs[i]).expect("reported").report;
+    assert!(of(0).completed && of(3).completed, "the good jobs on either side ran");
+    for (i, kind, name) in [(1, "workload", "synth-dpq"), (2, "plan", "drip")] {
+        let r = of(i);
+        assert!(!r.completed && !r.budget_exhausted && r.sim_events == 0);
+        assert!(
+            r.stall.contains(&format!("unknown {kind} {name:?}")) && r.stall.contains("expected one of"),
+            "stall reason names the bad {kind} and the valid set: {}",
+            r.stall
+        );
+    }
+    let (_, u) = &report.ledger[0];
+    assert_eq!((u.accepted, u.completed, u.stalled, u.outstanding), (4, 2, 2, 0));
 }

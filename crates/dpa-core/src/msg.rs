@@ -5,6 +5,7 @@
 //! pointer) and a **reply** carrying those objects' data. Aggregation shows
 //! up as multi-entry requests/replies; the MTU segments outsized replies.
 
+use crate::fxmap::FxHashSet;
 use global_heap::GPtr;
 use sim_net::MsgSize;
 
@@ -148,6 +149,43 @@ impl MsgSize for DpaMsg {
     }
 }
 
+/// One sequenced message kind (`Update`, `Affinity`, `Migrate`,
+/// `PhaseDelta`, `Replicate`), both directions, in either node driver.
+/// The k-th message this node sends carries `seq == k`; a received `(sender, seq)` is accepted once,
+/// which is what makes the kind's effect exactly-once under at-least-once
+/// delivery; and entries are counted as they go on the wire and as they
+/// are accepted — the pair the conservation oracles compare across nodes.
+#[derive(Default)]
+pub(crate) struct SeqChannel {
+    /// Messages sent; doubles as the next sequence number.
+    pub(crate) msgs_sent: u64,
+    pub(crate) entries_sent: u64,
+    /// Entries accepted, i.e. after dedup.
+    pub(crate) entries_recv: u64,
+    seen: FxHashSet<(u16, u64)>,
+}
+
+impl SeqChannel {
+    /// Count an outgoing message of `entries` entries; returns its seq.
+    pub(crate) fn stamp(&mut self, entries: usize) -> u64 {
+        let seq = self.msgs_sent;
+        self.msgs_sent += 1;
+        self.entries_sent += entries as u64;
+        seq
+    }
+
+    /// `true` (counting its entries) the first time `(sender, seq)`
+    /// arrives; `false` for a duplicated delivery, which the caller drops
+    /// wholesale.
+    pub(crate) fn accept(&mut self, sender: u16, seq: u64, entries: usize) -> bool {
+        if !self.seen.insert((sender, seq)) {
+            return false;
+        }
+        self.entries_recv += entries as u64;
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,5 +309,18 @@ mod tests {
             entries: vec![(p(1), 0.5)],
         };
         assert_eq!(a.size_bytes(), b.size_bytes());
+    }
+
+    #[test]
+    fn seq_channel_stamps_in_order_and_accepts_each_pair_once() {
+        let mut ch = SeqChannel::default();
+        assert_eq!([ch.stamp(3), ch.stamp(0), ch.stamp(5)], [0, 1, 2]);
+        assert_eq!((ch.msgs_sent, ch.entries_sent), (3, 8));
+
+        assert!(ch.accept(7, 0, 4));
+        assert!(!ch.accept(7, 0, 4), "a repeated (sender, seq) is rejected");
+        assert!(ch.accept(8, 0, 1), "the same seq from another sender is new");
+        assert!(ch.accept(7, 1, 2));
+        assert_eq!(ch.entries_recv, 7, "the duplicate's entries are not counted");
     }
 }

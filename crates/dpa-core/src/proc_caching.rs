@@ -20,12 +20,11 @@
 
 use crate::config::{DpaConfig, Variant};
 use crate::invariant::NodeSnapshot;
-use crate::msg::DpaMsg;
+use crate::msg::{DpaMsg, SeqChannel};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv};
 use global_heap::{GPtr, SoftCache};
 use sim_net::{Ctx, Dur, NodeId, NodeStats, Proc};
 use crate::fxmap::FxHashMap;
-use std::collections::HashSet;
 
 struct Stalled<W> {
     iter: u32,
@@ -58,14 +57,13 @@ pub struct CachingProc<A: PtrApp> {
     /// Reply entries served to other nodes (always sent immediately: the
     /// baselines never buffer replies).
     reply_entries: u64,
-    /// Update messages sent; doubles as the per-sender update sequence.
-    update_msgs: u64,
+    /// Remote reductions, one entry per message (no batching), applied
+    /// exactly once under duplicated delivery.
+    updates: SeqChannel,
     updates_emitted: u64,
     updates_applied: u64,
     /// Replies that actually resumed blocked work (duplicates excluded).
     replies_installed: u64,
-    /// `(sender, seq)` of Update messages already applied (dedup).
-    seen_updates: HashSet<(u16, u64)>,
     stall_count: u64,
     wake_scheduled: bool,
     done: bool,
@@ -108,11 +106,10 @@ impl<A: PtrApp> CachingProc<A> {
             request_msgs: 0,
             reply_msgs: 0,
             reply_entries: 0,
-            update_msgs: 0,
+            updates: SeqChannel::default(),
             updates_emitted: 0,
             updates_applied: 0,
             replies_installed: 0,
-            seen_updates: HashSet::new(),
             stall_count: 0,
             wake_scheduled: false,
             done: false,
@@ -148,12 +145,12 @@ impl<A: PtrApp> CachingProc<A> {
             req_sent: self.request_msgs,
             updates_emitted: self.updates_emitted,
             updates_applied: self.updates_applied,
-            upd_sent: self.update_msgs,
+            upd_sent: self.updates.entries_sent,
             reply_pushed: self.reply_entries,
             reply_sent: self.reply_entries,
             request_msgs: self.request_msgs,
             reply_msgs: self.reply_msgs,
-            update_msgs: self.update_msgs,
+            update_msgs: self.updates.msgs_sent,
             ..NodeSnapshot::default()
         }
     }
@@ -193,8 +190,7 @@ impl<A: PtrApp> CachingProc<A> {
                     self.updates_applied += 1;
                     self.app.apply_update(ptr, value);
                 } else {
-                    let seq = self.update_msgs;
-                    self.update_msgs += 1;
+                    let seq = self.updates.stamp(1);
                     ctx.send(
                         NodeId(ptr.node()),
                         DpaMsg::Update {
@@ -324,9 +320,8 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                 self.reply_entries += acct.entries;
             }
             DpaMsg::Update { seq, entries } => {
-                // Dedup on (sender, seq): duplicated delivery must not
-                // fold a reduction in twice.
-                if !self.seen_updates.insert((src.0, seq)) {
+                // Duplicated delivery must not fold a reduction in twice.
+                if !self.updates.accept(src.0, seq, entries.len()) {
                     return;
                 }
                 for (ptr, value) in entries {
@@ -409,7 +404,7 @@ impl<A: PtrApp> Proc for CachingProc<A> {
         stats.bump("request_msgs", self.request_msgs);
         stats.bump("reply_msgs", self.reply_msgs);
         stats.bump("reply_entries", self.reply_entries);
-        stats.bump("update_msgs", self.update_msgs);
+        stats.bump("update_msgs", self.updates.msgs_sent);
         stats.bump("updates_emitted", self.updates_emitted);
         stats.bump("updates_applied", self.updates_applied);
         stats.bump("stalls", self.stall_count);

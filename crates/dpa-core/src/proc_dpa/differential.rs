@@ -9,10 +9,10 @@
 //! stale carried copy is invalidated before any thread can read it. A
 //! dropped delta is therefore a diagnosable stall, never a stale read.
 
-use super::{DpaProc, SeqChannel};
+use super::DpaProc;
 use crate::fxmap::FxHashSet;
 use crate::invariant::NodeSnapshot;
-use crate::msg::DpaMsg;
+use crate::msg::{DpaMsg, SeqChannel};
 use crate::work::PtrApp;
 use global_heap::{ArrivalSet, GPtr};
 use sim_net::{Ctx, NodeId, NodeStats};

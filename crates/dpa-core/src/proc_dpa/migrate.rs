@@ -13,11 +13,11 @@
 //! in an orphan queue until adoption. Every fan-out goes out in sorted
 //! order, so replays stay bit-identical.
 
-use super::{fan_out, DpaProc, SeqChannel};
+use super::{fan_out, DpaProc};
 use crate::config::DpaConfig;
 use crate::fxmap::FxHashMap;
 use crate::invariant::NodeSnapshot;
-use crate::msg::DpaMsg;
+use crate::msg::{DpaMsg, SeqChannel};
 use crate::work::PtrApp;
 use fastmsg::ByteCoalescer;
 use global_heap::{ArrivalSet, GPtr, MigrationTable};

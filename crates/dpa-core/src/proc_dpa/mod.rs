@@ -71,7 +71,7 @@ use crate::config::{ConfigError, DpaConfig, Variant};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::invariant::NodeSnapshot;
 use crate::mapping::PointerMap;
-use crate::msg::DpaMsg;
+use crate::msg::{DpaMsg, SeqChannel};
 use crate::pending::PendingRequests;
 use crate::stripctl::{StripController, StripMode, StripObs};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv};
@@ -119,40 +119,22 @@ pub struct PhaseCarry<W> {
     pub(crate) deltas: Vec<(u16, Vec<GPtr>)>,
 }
 
-/// One sequenced message kind (`Update`, `Affinity`, `Migrate`,
-/// `PhaseDelta`, `Replicate`), both directions. The k-th message this node
-/// sends carries `seq == k`; a received `(sender, seq)` is accepted once,
-/// which is what makes the kind's effect exactly-once under at-least-once
-/// delivery; and entries are counted as they go on the wire and as they
-/// are accepted — the pair the conservation oracles compare across nodes.
-#[derive(Default)]
-struct SeqChannel {
-    /// Messages sent; doubles as the next sequence number.
-    msgs_sent: u64,
-    entries_sent: u64,
-    /// Entries accepted, i.e. after dedup.
-    entries_recv: u64,
-    seen: FxHashSet<(u16, u64)>,
+/// Which buffered batches a flush takes.
+#[derive(Clone, Copy)]
+enum Drain {
+    /// Destinations whose oldest entry was buffered `deadline` ns before
+    /// `now` or earlier.
+    Due { now: u64, deadline: u64 },
+    /// Everything.
+    All,
 }
 
-impl SeqChannel {
-    /// Count an outgoing message of `entries` entries; returns its seq.
-    fn stamp(&mut self, entries: usize) -> u64 {
-        let seq = self.msgs_sent;
-        self.msgs_sent += 1;
-        self.entries_sent += entries as u64;
-        seq
-    }
-
-    /// `true` (counting its entries) the first time `(sender, seq)`
-    /// arrives; `false` for a duplicated delivery, which the caller drops
-    /// wholesale.
-    fn accept(&mut self, sender: u16, seq: u64, entries: usize) -> bool {
-        if !self.seen.insert((sender, seq)) {
-            return false;
+impl Drain {
+    fn take<T>(self, coal: &mut ByteCoalescer<T>) -> Vec<(u16, Vec<T>)> {
+        match self {
+            Drain::Due { now, deadline } => coal.take_due(now, deadline),
+            Drain::All => coal.drain_all(),
         }
-        self.entries_recv += entries as u64;
-        true
     }
 }
 
@@ -633,6 +615,36 @@ impl<A: PtrApp> DpaProc<A> {
         self.ensure_flush_wake(ctx);
     }
 
+    /// Send what `mode` takes out of the three byte-budgeted buffers:
+    /// replies, reductions, migration shipments.
+    fn flush(&mut self, ctx: &mut Ctx<'_, DpaMsg>, mode: Drain) {
+        for (dst, batch) in mode.take(&mut self.reply_coal) {
+            self.send_reply(ctx, dst, batch);
+        }
+        for (dst, batch) in mode.take(&mut self.upd_coal) {
+            self.send_update(ctx, dst, batch);
+        }
+        if let Some(m) = self.mig.as_mut() {
+            for (dst, batch) in mode.take(&mut m.coal) {
+                m.send(ctx, &self.cfg, dst, batch);
+            }
+        }
+    }
+
+    /// When the oldest entry buffered for [`flush`](Self::flush) comes due
+    /// (`None` when nothing is buffered).
+    fn next_flush_due(&self) -> Option<u64> {
+        let deadline = self.cfg.reply_flush_deadline_ns;
+        [
+            self.reply_coal.next_due(deadline),
+            self.upd_coal.next_due(deadline),
+            self.mig.as_ref().and_then(|m| m.coal.next_due(deadline)),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
     /// Flush every buffered reply/update/shipment destination whose oldest
     /// entry has aged past the deadline, then re-arm the wake for what
     /// remains.
@@ -652,17 +664,7 @@ impl<A: PtrApp> DpaProc<A> {
             self.flush_wake_at = None;
         }
         let deadline = self.cfg.reply_flush_deadline_ns;
-        for (dst, batch) in self.reply_coal.take_due(now, deadline) {
-            self.send_reply(ctx, dst, batch);
-        }
-        for (dst, batch) in self.upd_coal.take_due(now, deadline) {
-            self.send_update(ctx, dst, batch);
-        }
-        if let Some(m) = self.mig.as_mut() {
-            for (dst, batch) in m.coal.take_due(now, deadline) {
-                m.send(ctx, &self.cfg, dst, batch);
-            }
-        }
+        self.flush(ctx, Drain::Due { now, deadline });
         self.ensure_flush_wake(ctx);
     }
 
@@ -671,16 +673,7 @@ impl<A: PtrApp> DpaProc<A> {
     /// armed). This is what guarantees a buffered batch can never be
     /// stranded: every enqueue path ends with a wake at its deadline.
     fn ensure_flush_wake(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
-        let deadline = self.cfg.reply_flush_deadline_ns;
-        let due = [
-            self.reply_coal.next_due(deadline),
-            self.upd_coal.next_due(deadline),
-            self.mig.as_ref().and_then(|m| m.coal.next_due(deadline)),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        if let Some(due) = due {
+        if let Some(due) = self.next_flush_due() {
             if self.flush_wake_at.is_none_or(|t| due < t) {
                 self.flush_wake_at = Some(due);
                 let now = ctx.now().as_ns();
@@ -842,19 +835,7 @@ impl<A: PtrApp> DpaProc<A> {
             // reductions and shipments are flushed unconditionally — there
             // is no local work left to overlap, so holding them would
             // trade latency for nothing.
-            let replies = self.reply_coal.drain_all();
-            for (dst, batch) in replies {
-                self.send_reply(ctx, dst, batch);
-            }
-            let upd = self.upd_coal.drain_all();
-            for (dst, batch) in upd {
-                self.send_update(ctx, dst, batch);
-            }
-            if let Some(m) = self.mig.as_mut() {
-                for (dst, batch) in m.coal.drain_all() {
-                    m.send(ctx, &self.cfg, dst, batch);
-                }
-            }
+            self.flush(ctx, Drain::All);
             // Requests: held batches first, then the first nonempty
             // buffer. Pipelined, as many as flow control allows; otherwise
             // one batch per quiescence, its round trip exposed.
@@ -1069,19 +1050,6 @@ impl<A: PtrApp> Proc for DpaProc<A> {
 mod tests {
     use super::*;
     use crate::synth::{SynthApp, SynthParams, SynthWorld};
-
-    #[test]
-    fn seq_channel_stamps_in_order_and_accepts_each_pair_once() {
-        let mut ch = SeqChannel::default();
-        assert_eq!([ch.stamp(3), ch.stamp(0), ch.stamp(5)], [0, 1, 2]);
-        assert_eq!((ch.msgs_sent, ch.entries_sent), (3, 8));
-
-        assert!(ch.accept(7, 0, 4));
-        assert!(!ch.accept(7, 0, 4), "a repeated (sender, seq) is rejected");
-        assert!(ch.accept(8, 0, 1), "the same seq from another sender is new");
-        assert!(ch.accept(7, 1, 2));
-        assert_eq!(ch.entries_recv, 7, "the duplicate's entries are not counted");
-    }
 
     #[test]
     fn fan_out_sorts_destinations_and_keeps_listed_order_within_one() {

@@ -21,10 +21,10 @@
 //! if a thread already asked for it. A *lost* broadcast degrades to that
 //! demand fetch, or to a diagnosable delta stall; never to a stale read.
 
-use super::{fan_out, DpaProc, SeqChannel};
+use super::{fan_out, DpaProc};
 use crate::fxmap::FxHashMap;
 use crate::invariant::NodeSnapshot;
-use crate::msg::DpaMsg;
+use crate::msg::{DpaMsg, SeqChannel};
 use crate::work::PtrApp;
 use global_heap::{GPtr, ReplicaDirectory};
 use sim_net::{Ctx, NodeId, NodeStats};

@@ -31,6 +31,9 @@ pub struct SynthWorld {
     pub lists_per_node: usize,
     /// Records per list.
     pub list_len: usize,
+    /// ns of useful work charged per record visited (what
+    /// [`SynthApp::new`] is given to run this world as built).
+    pub work_ns: u64,
     /// `records[node][index]` — per-owner arenas.
     records: Vec<Vec<SynthRecord>>,
     /// `heads[node][list]` — first record of each list.
@@ -130,6 +133,7 @@ impl SynthWorld {
             nodes: params.nodes,
             lists_per_node: params.lists_per_node,
             list_len: params.list_len,
+            work_ns: params.work_ns,
             records,
             heads,
             classes,

@@ -14,7 +14,7 @@ use dpa::nbody::cx::Cx;
 use dpa::nbody::distrib::clustered_square;
 use dpa::nbody::fmm::FmmParams;
 use dpa::nbody::quadtree::QuadTree;
-use dpa::runtime::DpaConfig;
+use dpa::runtime::{DpaConfig, DstOptions};
 use dpa::sim_net::NetConfig;
 
 fn main() {
@@ -48,24 +48,25 @@ fn main() {
         "adaptive tree: {tn} boxes, {leaves} leaves, depth {depth}, max occupancy {occ}, {} grains",
         aw.grains.len()
     );
-    let ar = run_afmm(&aw, DpaConfig::dpa(50), NetConfig::default());
+    let opts = DstOptions::default();
+    let ar = run_afmm(&aw, DpaConfig::dpa(50), NetConfig::default(), &opts).expect_completed();
     let exact = aw.solver.direct();
     let mut worst = 0.0f64;
-    for (a, b) in ar.fields.iter().zip(&exact) {
+    for (a, b) in ar.fields().iter().zip(&exact) {
         worst = worst.max((*a - *b).abs() / b.abs().max(1e-12));
     }
     println!(
         "adaptive DPA:  {:>8.3} s simulated, max rel error vs direct {worst:.2e}",
-        ar.makespan_ns as f64 / 1e9
+        ar.makespan_ns() as f64 / 1e9
     );
 
     // Uniform tree on the same input (count-chosen depth).
     let levels = QuadTree::level_for(n, 16);
     let uw = FmmWorld::build(zs, qs, nodes, FmmParams { terms, levels }, FmmCost::default());
-    let ur = run_fmm(&uw, DpaConfig::dpa(50), NetConfig::default());
+    let ur = run_fmm(&uw, DpaConfig::dpa(50), NetConfig::default(), &opts).expect_completed();
     println!(
         "uniform DPA:   {:>8.3} s simulated (level-{levels} tree, {}x slower on this input)",
-        ur.makespan_ns as f64 / 1e9,
-        ur.makespan_ns / ar.makespan_ns.max(1)
+        ur.makespan_ns() as f64 / 1e9,
+        ur.makespan_ns() / ar.makespan_ns().max(1)
     );
 }

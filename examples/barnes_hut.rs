@@ -11,10 +11,10 @@
 //! ```
 
 use dpa::apps::bh_dist::{BhCost, BhWorld};
-use dpa::apps::driver::run_bh;
+use dpa::apps::driver::{run_bh, Phases};
 use dpa::nbody::bh::{all_accels, BhParams};
 use dpa::nbody::distrib::plummer;
-use dpa::runtime::DpaConfig;
+use dpa::runtime::{DpaConfig, DstOptions};
 use dpa::sim_net::NetConfig;
 
 fn main() {
@@ -46,20 +46,21 @@ fn main() {
         DpaConfig::blocking(),
     ] {
         let label = cfg.describe();
-        let r = run_bh(&world, cfg, NetConfig::default());
+        let r = run_bh(&world, cfg, NetConfig::default(), &DstOptions::default(), Phases::ONE)
+            .expect_completed();
         let (l, o, i) = r.stats.mean_breakdown();
         let t = (l + o + i).max(1.0);
         // Validate physics.
         let mut worst = 0.0f64;
-        for (k, w) in oracle.iter().enumerate() {
-            let err = (r.accel[k] - w.acc).norm() / w.acc.norm().max(1e-12);
+        for (a, w) in r.accel().iter().zip(&oracle) {
+            let err = (*a - w.acc).norm() / w.acc.norm().max(1e-12);
             worst = worst.max(err);
         }
         assert!(worst < 1e-9, "{label}: force mismatch {worst}");
         println!(
             "{:<42} {:>10.3}s {:>6.1}% {:>6.1}% {:>6.1}% {:>9}",
             label,
-            r.makespan_ns as f64 / 1e9,
+            r.makespan_ns() as f64 / 1e9,
             100.0 * l / t,
             100.0 * o / t,
             100.0 * i / t,

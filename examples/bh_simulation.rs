@@ -8,12 +8,12 @@
 //! ```
 
 use dpa::apps::bh_dist::{BhCost, BhWorld};
-use dpa::apps::driver::run_bh;
+use dpa::apps::driver::{run_bh, Phases};
 use dpa::nbody::bh::BhParams;
 use dpa::nbody::distrib::plummer;
 use dpa::nbody::integrate::{kinetic_energy, potential_energy};
 use dpa::nbody::vec3::Vec3;
-use dpa::runtime::DpaConfig;
+use dpa::runtime::{DpaConfig, DstOptions};
 use dpa::sim_net::NetConfig;
 
 fn main() {
@@ -37,27 +37,31 @@ fn main() {
         // distributed DPA force phase on the simulated machine. The
         // tree is rebuilt every step (bodies moved), as in SPLASH-2.
         let world = BhWorld::build(bodies.clone(), nodes, 1, params, BhCost::default());
-        let run = run_bh(&world, DpaConfig::dpa(50), NetConfig::default());
-        sim_total_ns += run.makespan_ns;
+        let force_phase = |world| {
+            run_bh(world, DpaConfig::dpa(50), NetConfig::default(), &DstOptions::default(), Phases::ONE)
+                .expect_completed()
+        };
+        let run = force_phase(&world);
+        sim_total_ns += run.makespan_ns();
         // World bodies are Morton-sorted; integrate in that order.
         bodies = world.bodies.clone();
-        for (b, a) in bodies.iter_mut().zip(&run.accel) {
+        for (b, a) in bodies.iter_mut().zip(&run.accel()) {
             b.vel += *a * (dt * 0.5);
         }
         for b in bodies.iter_mut() {
             b.pos += b.vel * dt;
         }
         let world2 = BhWorld::build(bodies.clone(), nodes, 1, params, BhCost::default());
-        let run2 = run_bh(&world2, DpaConfig::dpa(50), NetConfig::default());
-        sim_total_ns += run2.makespan_ns;
+        let run2 = force_phase(&world2);
+        sim_total_ns += run2.makespan_ns();
         bodies = world2.bodies.clone();
-        for (b, a) in bodies.iter_mut().zip(&run2.accel) {
+        for (b, a) in bodies.iter_mut().zip(&run2.accel()) {
             b.vel += *a * (dt * 0.5);
         }
         let ke = kinetic_energy(&bodies);
         println!(
             "step {step}: force phases {:>8.3} s simulated, kinetic energy {ke:.6}",
-            (run.makespan_ns + run2.makespan_ns) as f64 / 1e9
+            (run.makespan_ns() + run2.makespan_ns()) as f64 / 1e9
         );
     }
 

@@ -12,7 +12,7 @@ use dpa::nbody::cx::Cx;
 use dpa::nbody::distrib::uniform_square;
 use dpa::nbody::fmm::FmmParams;
 use dpa::nbody::quadtree::QuadTree;
-use dpa::runtime::DpaConfig;
+use dpa::runtime::{DpaConfig, DstOptions};
 use dpa::sim_net::NetConfig;
 
 fn main() {
@@ -48,16 +48,16 @@ fn main() {
         DpaConfig::blocking(),
     ] {
         let label = cfg.describe();
-        let r = run_fmm(&world, cfg, NetConfig::default());
+        let r = run_fmm(&world, cfg, NetConfig::default(), &DstOptions::default()).expect_completed();
         let mut worst = 0.0f64;
-        for (a, b) in r.fields.iter().zip(&exact) {
+        for (a, b) in r.fields().iter().zip(&exact) {
             worst = worst.max((*a - *b).abs() / b.abs().max(1e-12));
         }
-        let msgs = r.m2l_stats.total_msgs() + r.eval_stats.total_msgs();
+        let msgs = r.stats.total_msgs();
         println!(
             "{:<42} {:>9.3}s {:>9} {:>14.2e}",
             label,
-            r.makespan_ns as f64 / 1e9,
+            r.makespan_ns() as f64 / 1e9,
             msgs,
             worst
         );

@@ -10,16 +10,30 @@
 //! ```
 
 use dpa::apps::bh_dist::{BhCost, BhWorld};
-use dpa::apps::driver::{run_bh, run_fmm};
+use dpa::apps::driver::Phases;
 use dpa::apps::fmm_dist::{FmmCost, FmmWorld};
 use dpa::nbody::bh::BhParams;
 use dpa::nbody::cx::Cx;
 use dpa::nbody::distrib::{plummer, uniform_square};
 use dpa::nbody::fmm::FmmParams;
 use dpa::nbody::quadtree::QuadTree;
-use dpa::runtime::DpaConfig;
+use dpa::runtime::{DpaConfig, DstOptions};
 use dpa::sim_net::NetConfig;
 use std::sync::Arc;
+
+/// Simulated ns of one fault-free force phase on the canonical schedule.
+fn bh_ns(world: &Arc<BhWorld>, cfg: DpaConfig) -> u64 {
+    let opts = DstOptions::default();
+    dpa::apps::driver::run_bh(world, cfg, NetConfig::default(), &opts, Phases::ONE)
+        .expect_completed()
+        .makespan_ns()
+}
+
+fn fmm_ns(world: &Arc<FmmWorld>, cfg: DpaConfig) -> u64 {
+    dpa::apps::driver::run_fmm(world, cfg, NetConfig::default(), &DstOptions::default())
+        .expect_completed()
+        .makespan_ns()
+}
 
 fn bh_world(nodes: u16) -> Arc<BhWorld> {
     BhWorld::build(
@@ -49,7 +63,7 @@ fn fmm_world(nodes: u16) -> Arc<FmmWorld> {
 #[ignore = "paper-scale run; use --release --ignored"]
 fn barnes_hut_anchors_hold() {
     // Sequential ≈ paper's 97.84 s / 4 steps (±10%).
-    let seq = run_bh(&bh_world(1), DpaConfig::sequential(), NetConfig::default()).makespan_ns;
+    let seq = bh_ns(&bh_world(1), DpaConfig::sequential());
     let seq4 = 4.0 * seq as f64 / 1e9;
     assert!(
         (88.0..108.0).contains(&seq4),
@@ -57,8 +71,8 @@ fn barnes_hut_anchors_hold() {
     );
 
     // Single-node overheads: DPA ≈ +20.6%, caching ≈ +17.7% (±3 pts).
-    let dpa1 = run_bh(&bh_world(1), DpaConfig::dpa(50), NetConfig::default()).makespan_ns;
-    let cache1 = run_bh(&bh_world(1), DpaConfig::caching(), NetConfig::default()).makespan_ns;
+    let dpa1 = bh_ns(&bh_world(1), DpaConfig::dpa(50));
+    let cache1 = bh_ns(&bh_world(1), DpaConfig::caching());
     let dpa_over = dpa1 as f64 / seq as f64 - 1.0;
     let cache_over = cache1 as f64 / seq as f64 - 1.0;
     assert!(
@@ -74,8 +88,8 @@ fn barnes_hut_anchors_hold() {
     // DPA beats caching at P = 16 and 64; near-paper speedup at 64.
     for p in [16u16, 64] {
         let w = bh_world(p);
-        let dpa = run_bh(&w, DpaConfig::dpa(50), NetConfig::default()).makespan_ns;
-        let cache = run_bh(&w, DpaConfig::caching(), NetConfig::default()).makespan_ns;
+        let dpa = bh_ns(&w, DpaConfig::dpa(50));
+        let cache = bh_ns(&w, DpaConfig::caching());
         assert!(dpa < cache, "P={p}: DPA {dpa} must beat caching {cache}");
         if p == 64 {
             let speedup = dpa1 as f64 / dpa as f64;
@@ -91,7 +105,7 @@ fn barnes_hut_anchors_hold() {
 #[ignore = "paper-scale run; use --release --ignored"]
 fn fmm_anchors_hold() {
     // Sequential ≈ paper's 14.46 s (±12%).
-    let seq = run_fmm(&fmm_world(1), DpaConfig::sequential(), NetConfig::default()).makespan_ns;
+    let seq = fmm_ns(&fmm_world(1), DpaConfig::sequential());
     let seq_s = seq as f64 / 1e9;
     assert!(
         (12.7..16.2).contains(&seq_s),
@@ -100,8 +114,8 @@ fn fmm_anchors_hold() {
 
     // 54-fold-ish speedup at 64 nodes, DPA ahead of caching.
     let w = fmm_world(64);
-    let dpa = run_fmm(&w, DpaConfig::dpa(50), NetConfig::default()).makespan_ns;
-    let cache = run_fmm(&w, DpaConfig::caching(), NetConfig::default()).makespan_ns;
+    let dpa = fmm_ns(&w, DpaConfig::dpa(50));
+    let cache = fmm_ns(&w, DpaConfig::caching());
     assert!(dpa < cache);
     let speedup = seq as f64 / dpa as f64;
     assert!(

@@ -4,7 +4,7 @@
 //! adaptive strips must change schedules, never results.
 
 use dpa::apps::bh_dist::{BhApp, BhCost, BhWorld};
-use dpa::apps::driver::{run_bh, run_fmm};
+use dpa::apps::driver::{run_bh, run_fmm, Phases};
 use dpa::apps::fmm_dist::{FmmCost, FmmWorld};
 use dpa::nbody::bh::BhParams;
 use dpa::nbody::cx::Cx;
@@ -299,24 +299,26 @@ fn adaptive_strip_preserves_fmm_checksums() {
     ];
     let mut baseline: Option<u64> = None;
     for (label, cfg) in configs {
-        let r = run_fmm(&world, cfg, NetConfig::default());
+        let hash = run_fmm(&world, cfg, NetConfig::default(), &DstOptions::default())
+            .expect_completed()
+            .counter("interaction_hash");
         match baseline {
-            None => baseline = Some(r.interaction_hash),
-            Some(b) => assert_eq!(r.interaction_hash, b, "{label}: checksum diverged"),
+            None => baseline = Some(hash),
+            Some(b) => assert_eq!(hash, b, "{label}: checksum diverged"),
         }
     }
-    // And BH through the same single-phase driver, for the BhRun plumbing.
+    // And BH through its single-phase runner, for the counter plumbing.
     let world = BhWorld::build(plummer(160, 71), 4, 8, BhParams::default(), BhCost::default());
-    let a = run_bh(&world, DpaConfig::dpa(50), NetConfig::default()).interaction_hash;
-    let b = run_bh(
-        &world,
-        DpaConfig {
-            strip_mode: adaptive,
-            ..DpaConfig::dpa(1)
-        },
-        NetConfig::default(),
-    )
-    .interaction_hash;
+    let hash_of = |cfg: DpaConfig| {
+        run_bh(&world, cfg, NetConfig::default(), &DstOptions::default(), Phases::ONE)
+            .expect_completed()
+            .counter("interaction_hash")
+    };
+    let a = hash_of(DpaConfig::dpa(50));
+    let b = hash_of(DpaConfig {
+        strip_mode: adaptive,
+        ..DpaConfig::dpa(1)
+    });
     assert_eq!(a, b, "single-phase BH adaptive checksum diverged");
     assert_ne!(a, 0, "hash plumbing returned the empty checksum");
 }
