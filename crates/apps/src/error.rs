@@ -30,6 +30,19 @@ pub enum WorldError {
         /// Machine size requested.
         nodes: u16,
     },
+    /// A range partition whose buckets are `ceil(universe / buckets)` keys
+    /// wide ran past the key universe before reaching `node`: its first
+    /// bucket starts beyond the last key, so it would own no keys.
+    NodeBeyondUniverse {
+        /// The first node left without keys.
+        node: u16,
+        /// That node's first bucket.
+        first_bucket: usize,
+        /// Keys per bucket.
+        bucket_width: u64,
+        /// Keys are `0..universe`.
+        universe: u64,
+    },
 }
 
 impl fmt::Display for WorldError {
@@ -40,6 +53,18 @@ impl fmt::Display for WorldError {
             WorldError::TooFewElements { what, have, nodes } => write!(
                 f,
                 "only {have} {what} for {nodes} nodes: every node must own at least one"
+            ),
+            WorldError::NodeBeyondUniverse {
+                node,
+                first_bucket,
+                bucket_width,
+                universe,
+            } => write!(
+                f,
+                "node {node}'s first bucket {first_bucket} starts at key {}, beyond the \
+                 universe 0..{universe} ({bucket_width}-key buckets): every node must own at \
+                 least one key",
+                *first_bucket as u64 * bucket_width
             ),
         }
     }
@@ -67,5 +92,14 @@ mod tests {
             nodes: 8,
         };
         assert!(e.to_string().contains("3 vertices for 8 nodes"));
+        let e = WorldError::NodeBeyondUniverse {
+            node: 3,
+            first_bucket: 48,
+            bucket_width: 2,
+            universe: 65,
+        };
+        assert!(e
+            .to_string()
+            .contains("bucket 48 starts at key 96, beyond the universe 0..65"));
     }
 }

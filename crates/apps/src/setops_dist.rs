@@ -104,6 +104,14 @@ pub struct SetopsWorld {
     pub params: SetopsParams,
     /// Initial membership bitset over the key universe.
     initial: Vec<u64>,
+    /// Rank half of the index over `initial`: `rank[w]` = initial members
+    /// below key `64 * w` (one entry per word, plus the total).
+    rank: Vec<u32>,
+    /// Prefix half: `stamps[w]` = wrapping sum of [`key_stamp`] over the
+    /// same members.
+    stamps: Vec<u64>,
+    /// Keys per bucket, `ceil(universe / buckets)`.
+    bucket_width: u64,
     /// `ops[node]` = that node's batch.
     ops: Vec<Vec<SetOp>>,
     /// `splits[i]..splits[i+1]` = node `i`'s buckets.
@@ -132,6 +140,19 @@ pub fn key_stamp(k: u64) -> u64 {
     mix(k ^ 0xA076_1D64_78BD_642F, 0x1357_9BDF)
 }
 
+/// `(count, wrapping key_stamp sum)` of the keys `base + i` over the set
+/// bits `i` of `bits` — one bitset word, or the masked edge of one.
+#[inline]
+fn fold_word(base: u64, mut bits: u64) -> (u64, u64) {
+    let count = bits.count_ones() as u64;
+    let mut sum = 0u64;
+    while bits != 0 {
+        sum = sum.wrapping_add(key_stamp(base + bits.trailing_zeros() as u64));
+        bits &= bits - 1;
+    }
+    (count, sum)
+}
+
 impl SetopsWorld {
     /// Build the world, panicking on invalid parameters.
     pub fn build(params: SetopsParams) -> Arc<SetopsWorld> {
@@ -139,8 +160,13 @@ impl SetopsWorld {
     }
 
     /// Fallible [`SetopsWorld::build`]: rejects an empty machine, empty
-    /// universes/batches, machines larger than the bucket count, and op
-    /// batches that cannot draw machine-wide-distinct keys.
+    /// universes/batches, machines larger than the bucket count, op
+    /// batches that cannot draw machine-wide-distinct keys, and partitions
+    /// that leave a node without keys. Buckets are `ceil(universe /
+    /// buckets)` keys wide, so the last ones can lie beyond the universe;
+    /// such trailing empty buckets are legal (no keys, an empty
+    /// [`key_range`](Self::key_range), never demanded) as long as every
+    /// node's *first* bucket starts inside the universe.
     pub fn try_build(params: SetopsParams) -> Result<Arc<SetopsWorld>, WorldError> {
         if params.nodes == 0 {
             return Err(WorldError::NoNodes);
@@ -164,6 +190,18 @@ impl SetopsWorld {
             });
         }
         let splits = nbody::morton::even_splits(params.buckets, params.nodes as usize);
+        let bucket_width = params.universe.div_ceil(params.buckets as u64);
+        for node in 0..params.nodes {
+            let first_bucket = splits[node as usize];
+            if first_bucket as u64 * bucket_width >= params.universe {
+                return Err(WorldError::NodeBeyondUniverse {
+                    node,
+                    first_bucket,
+                    bucket_width,
+                    universe: params.universe,
+                });
+            }
+        }
         let words = (params.universe as usize).div_ceil(64);
         let mut initial = vec![0u64; words];
         for k in 0..params.universe {
@@ -171,6 +209,21 @@ impl SetopsWorld {
                 initial[k as usize / 64] |= 1 << (k % 64);
             }
         }
+        // The rank/prefix index: one pass over the bitset.
+        let mut rank = Vec::with_capacity(words + 1);
+        let mut stamps = Vec::with_capacity(words + 1);
+        let (mut members, mut stamp_sum) = (0u32, 0u64);
+        for (w, &bits) in initial.iter().enumerate() {
+            rank.push(members);
+            stamps.push(stamp_sum);
+            let (count, sum) = fold_word(64 * w as u64, bits);
+            members = members
+                .checked_add(count as u32)
+                .expect("invariant: a universe whose permutation fits in memory has < 2^32 members");
+            stamp_sum = stamp_sum.wrapping_add(sum);
+        }
+        rank.push(members);
+        stamps.push(stamp_sum);
         // Machine-wide distinct op keys: a seeded Fisher-Yates permutation
         // of the universe, carved into per-node slices.
         let mut perm: Vec<u64> = (0..params.universe).collect();
@@ -178,7 +231,6 @@ impl SetopsWorld {
         for i in (1..perm.len()).rev() {
             perm.swap(i, rng.below(i as u64 + 1) as usize);
         }
-        let bucket_width = params.universe.div_ceil(params.buckets as u64);
         // Power-law placement of range queries over buckets.
         let mut cum = Vec::with_capacity(params.buckets);
         let mut total = 0.0f64;
@@ -199,7 +251,9 @@ impl SetopsWorld {
                         let r = nr.unit_f64() * total;
                         let lo_b = cum.partition_point(|&c| c < r).min(params.buckets - 1);
                         let width = 1 + nr.below(params.range_buckets.max(1) as u64);
-                        let lo = lo_b as u64 * bucket_width;
+                        // Clamped: a query placed on a trailing empty
+                        // bucket is the empty range at the universe's end.
+                        let lo = (lo_b as u64 * bucket_width).min(params.universe);
                         let hi = ((lo_b as u64 + width) * bucket_width).min(params.universe);
                         SetOp::Range(lo, hi)
                     }
@@ -212,6 +266,9 @@ impl SetopsWorld {
         Ok(Arc::new(SetopsWorld {
             params,
             initial,
+            rank,
+            stamps,
+            bucket_width,
             ops,
             splits,
             cost: SetopsCost::default(),
@@ -223,7 +280,7 @@ impl SetopsWorld {
     /// Width of each bucket in keys.
     #[inline]
     pub fn bucket_width(&self) -> u64 {
-        self.params.universe.div_ceil(self.params.buckets as u64)
+        self.bucket_width
     }
 
     /// The bucket holding `key`.
@@ -245,10 +302,17 @@ impl SetopsWorld {
         self.splits[node as usize]..self.splits[node as usize + 1]
     }
 
-    /// Keys of bucket `b`.
+    /// Keys of bucket `b`; empty, at the universe's end, for a trailing
+    /// bucket beyond it.
     pub fn key_range(&self, b: usize) -> std::ops::Range<u64> {
-        let w = self.bucket_width();
-        (b as u64 * w)..((b as u64 + 1) * w).min(self.params.universe)
+        let (w, end) = (self.bucket_width, self.params.universe);
+        (b as u64 * w).min(end)..((b as u64 + 1) * w).min(end)
+    }
+
+    /// Keys owned by `node`: those of its buckets, one contiguous range.
+    pub fn owned_keys(&self, node: u16) -> std::ops::Range<u64> {
+        let buckets = self.bucket_range(node);
+        self.key_range(buckets.start).start..self.key_range(buckets.end - 1).end
     }
 
     /// `true` if `key` is in the initial (phase-start) set.
@@ -262,51 +326,63 @@ impl SetopsWorld {
         &self.ops[node as usize]
     }
 
+    /// `(count, wrapping key_stamp sum)` of the initial members below `key`
+    /// (`key <= universe`): whole words come from the index, the at most
+    /// 63 bits of `key`'s own word are walked.
+    #[inline]
+    fn below(&self, key: u64) -> (u64, u64) {
+        let (w, bit) = ((key / 64) as usize, key % 64);
+        let (mut count, mut sum) = (self.rank[w] as u64, self.stamps[w]);
+        if bit != 0 {
+            let edge = fold_word(key - bit, self.initial[w] & !(!0 << bit));
+            count += edge.0;
+            sum = sum.wrapping_add(edge.1);
+        }
+        (count, sum)
+    }
+
+    /// The initial members of `[lo, hi)`, `lo <= hi <= universe`, as
+    /// `(count, wrapping sum of their key_stamps)` — exactly what scanning
+    /// the range with [`initially_present`](Self::initially_present) and
+    /// [`key_stamp`] adds up to, in O(1): the difference of two prefix
+    /// reads, each touching one index entry and at most one bitset word.
+    #[inline]
+    pub fn fold(&self, lo: u64, hi: u64) -> (u64, u64) {
+        debug_assert!(lo <= hi && hi <= self.params.universe, "fold({lo}, {hi})");
+        let (below_lo, below_hi) = (self.below(lo), self.below(hi));
+        (below_hi.0 - below_lo.0, below_hi.1.wrapping_sub(below_lo.1))
+    }
+
     /// Transfer size of bucket `b`: header + its initial members.
     pub fn bucket_bytes(&self, b: usize) -> u32 {
-        let members = self.key_range(b).filter(|&k| self.initially_present(k)).count();
-        24 + 8 * members as u32
+        let keys = self.key_range(b);
+        24 + 8 * self.fold(keys.start, keys.end).0 as u32
     }
 
     /// Host-side oracle for `node`: `(range_sum, final_digest)` — range
     /// queries answered against the initial set, then the whole machine's
-    /// batch applied and the node's owned keys digested.
+    /// batch applied and the node's owned keys digested. Linear in the
+    /// machine's op count: every key is operated on at most once
+    /// machine-wide, so each mutation of an owned key moves the digest by
+    /// its stamp exactly when it flips the key's initial membership.
     pub fn expected(&self, node: u16) -> (u64, u64) {
         let mut range_sum = 0u64;
         for op in self.batch(node) {
             if let SetOp::Range(lo, hi) = *op {
-                for k in lo..hi {
-                    if self.initially_present(k) {
-                        range_sum = range_sum.wrapping_add(key_stamp(k));
-                    }
-                }
+                range_sum = range_sum.wrapping_add(self.fold(lo, hi).1);
             }
         }
-        let member = |k: u64| self.initially_present(k);
-        let mut inserted: Vec<u64> = Vec::new();
-        let mut deleted: Vec<u64> = Vec::new();
-        for batch in &self.ops {
-            for op in batch {
-                match *op {
-                    SetOp::Insert(k) => inserted.push(k),
-                    SetOp::Delete(k) => deleted.push(k),
-                    SetOp::Range(..) => {}
-                }
-            }
-        }
-        let mut digest = 0u64;
-        for b in self.bucket_range(node) {
-            for k in self.key_range(b) {
-                let now = if inserted.contains(&k) {
-                    true
-                } else if deleted.contains(&k) {
-                    false
-                } else {
-                    member(k)
-                };
-                if now {
+        let owned = self.owned_keys(node);
+        let mut digest = self.fold(owned.start, owned.end).1;
+        for op in self.ops.iter().flatten() {
+            match *op {
+                SetOp::Insert(k) if owned.contains(&k) && !self.initially_present(k) => {
                     digest = digest.wrapping_add(key_stamp(k));
                 }
+                SetOp::Delete(k) if owned.contains(&k) && self.initially_present(k) => {
+                    digest = digest.wrapping_sub(key_stamp(k));
+                }
+                _ => {}
             }
         }
         (range_sum, digest)
@@ -328,10 +404,15 @@ pub struct Probe {
 pub struct SetopsApp {
     world: Arc<SetopsWorld>,
     me: u16,
-    /// Mutable membership of owned keys (starts at the initial set).
+    /// Live membership of the owned keys: a copy of the world's bitset
+    /// words that cover them. An edge word can also cover a neighbour's
+    /// keys; those bits are never read or written here.
     owned: Vec<u64>,
-    /// Base key of this node's owned range.
+    /// Key of bit 0 of `owned[0]` (the owned range's start, rounded down
+    /// to a word).
     owned_base: u64,
+    /// Digest of the owned keys' membership, kept current by every flip.
+    digest: u64,
     /// Order-independent digest over range-query results.
     pub range_sum: u64,
     /// Probes executed.
@@ -343,40 +424,31 @@ pub struct SetopsApp {
 impl SetopsApp {
     /// The app instance for node `me`.
     pub fn new(world: Arc<SetopsWorld>, me: u16) -> SetopsApp {
-        let r = world.bucket_range(me);
-        let lo = world.key_range(r.start).start;
-        let hi = world.key_range(r.end - 1).end;
-        let words = ((hi - lo) as usize).div_ceil(64);
-        let mut owned = vec![0u64; words];
-        for k in lo..hi {
-            if world.initially_present(k) {
-                owned[(k - lo) as usize / 64] |= 1 << ((k - lo) % 64);
-            }
-        }
+        let keys = world.owned_keys(me);
+        let words = (keys.start / 64) as usize..(keys.end as usize).div_ceil(64);
         SetopsApp {
+            owned: world.initial[words].to_vec(),
+            owned_base: keys.start - keys.start % 64,
+            digest: world.fold(keys.start, keys.end).1,
             world,
             me,
-            owned,
-            owned_base: lo,
             range_sum: 0,
             probes: 0,
             applied: 0,
         }
     }
 
-    /// Digest of this node's final owned membership (order-independent).
+    /// Digest of this node's final owned membership (order-independent):
+    /// the initial members' stamps, plus each key inserted while absent,
+    /// minus each key deleted while present.
     pub fn final_digest(&self) -> u64 {
-        let r = self.world.bucket_range(self.me);
-        let lo = self.world.key_range(r.start).start;
-        let hi = self.world.key_range(r.end - 1).end;
-        let mut d = 0u64;
-        for k in lo..hi {
-            let i = (k - self.owned_base) as usize;
-            if self.owned[i / 64] & (1 << (i % 64)) != 0 {
-                d = d.wrapping_add(key_stamp(k));
-            }
-        }
-        d
+        self.digest
+    }
+
+    /// `true` if `key`, one of this node's owned keys, is a member now.
+    pub fn contains(&self, key: u64) -> bool {
+        let i = (key - self.owned_base) as usize;
+        self.owned[i / 64] & (1 << (i % 64)) != 0
     }
 }
 
@@ -388,16 +460,18 @@ impl PtrApp for SetopsApp {
     }
 
     fn start_iteration(&mut self, iter: usize, env: &mut WorkEnv<'_, Probe>) {
-        let world = self.world.clone();
+        let world = &*self.world;
         env.charge(world.cost.op_ns);
         match world.batch(self.me)[iter] {
             SetOp::Insert(k) => env.accumulate(world.bptr(world.bucket_of(k)), (k + 1) as f64),
             SetOp::Delete(k) => {
                 env.accumulate(world.bptr(world.bucket_of(k)), -((k + 1) as f64))
             }
+            // An empty range (a query placed on a trailing empty bucket)
+            // covers no bucket.
+            SetOp::Range(lo, hi) if lo >= hi => {}
             SetOp::Range(lo, hi) => {
-                let (blo, bhi) = (world.bucket_of(lo), world.bucket_of(hi.saturating_sub(1)));
-                for b in blo..=bhi {
+                for b in world.bucket_of(lo)..=world.bucket_of(hi - 1) {
                     env.demand(world.bptr(b), Probe { lo, hi, b: b as u32 });
                 }
             }
@@ -405,18 +479,11 @@ impl PtrApp for SetopsApp {
     }
 
     fn run_work(&mut self, w: Probe, env: &mut WorkEnv<'_, Probe>) {
-        let world = self.world.clone();
-        let ptr = world.bptr(w.b as usize);
-        env.assert_readable(ptr);
+        let world = &*self.world;
+        env.assert_readable(world.bptr(w.b as usize));
         let keys = world.key_range(w.b as usize);
-        let (lo, hi) = (w.lo.max(keys.start), w.hi.min(keys.end));
-        let mut folded = 0u64;
-        for k in lo..hi {
-            if world.initially_present(k) {
-                self.range_sum = self.range_sum.wrapping_add(key_stamp(k));
-                folded += 1;
-            }
-        }
+        let (folded, stamp_sum) = world.fold(w.lo.max(keys.start), w.hi.min(keys.end));
+        self.range_sum = self.range_sum.wrapping_add(stamp_sum);
         env.charge(world.cost.probe_ns + world.cost.key_ns * folded);
         self.probes += 1;
     }
@@ -429,11 +496,17 @@ impl PtrApp for SetopsApp {
         debug_assert_eq!(ptr.class(), self.world.bclass);
         let k = (value.abs() as u64) - 1;
         debug_assert_eq!(self.world.bucket_of(k), ptr.index() as usize);
-        let i = (k - self.owned_base) as usize;
-        if value > 0.0 {
-            self.owned[i / 64] |= 1 << (i % 64);
-        } else {
-            self.owned[i / 64] &= !(1 << (i % 64));
+        let insert = value > 0.0;
+        // Only a flip moves the digest: inserting a member or deleting a
+        // non-member changes nothing.
+        if insert != self.contains(k) {
+            let i = (k - self.owned_base) as usize;
+            self.owned[i / 64] ^= 1 << (i % 64);
+            self.digest = if insert {
+                self.digest.wrapping_add(key_stamp(k))
+            } else {
+                self.digest.wrapping_sub(key_stamp(k))
+            };
         }
         self.applied += 1;
     }
@@ -526,6 +599,117 @@ mod tests {
             SetopsWorld::try_build(SetopsParams { universe: 64, ..p }).err().expect("config must be rejected"),
             WorldError::TooFewElements { what: "keys", have: 64, nodes: 4 }
         );
+    }
+
+    /// The 65-key world that used to be accepted and then panicked its own
+    /// app: buckets are 2 keys wide, so node 3's first bucket (48) starts
+    /// at key 96.
+    #[test]
+    fn try_build_rejects_a_node_beyond_the_universe() {
+        let p = SetopsParams { universe: 65, buckets: 64, nodes: 4, ops_per_node: 8, ..small() };
+        let err = SetopsWorld::try_build(p).err().expect("config must be rejected");
+        assert_eq!(
+            err,
+            WorldError::NodeBeyondUniverse { node: 3, first_bucket: 48, bucket_width: 2, universe: 65 }
+        );
+        assert!(SetopsWorld::try_build(SetopsParams { universe: 96, ..p }).is_err());
+    }
+
+    /// The smallest universe those 64 two-key buckets accept: node 3 owns
+    /// exactly key 96, buckets 49.. are legal trailing empties, no key
+    /// range inverts, and every app builds and digests its keys.
+    #[test]
+    fn smallest_accepted_universe_has_empty_trailing_buckets() {
+        let w = SetopsWorld::build(SetopsParams {
+            universe: 97,
+            buckets: 64,
+            nodes: 4,
+            ops_per_node: 8,
+            ..small()
+        });
+        assert_eq!(w.key_range(48), 96..97);
+        for b in 49..64 {
+            assert_eq!(w.key_range(b), 97..97, "bucket {b}");
+            assert_eq!(w.bucket_bytes(b), 24);
+        }
+        for node in 0..4u16 {
+            for op in w.batch(node) {
+                if let SetOp::Range(lo, hi) = *op {
+                    assert!(lo <= hi && hi <= 97, "range {lo}..{hi}");
+                }
+            }
+            let app = SetopsApp::new(w.clone(), node);
+            let keys = w.owned_keys(node);
+            assert!(!keys.is_empty());
+            for k in keys.clone() {
+                assert_eq!(app.contains(k), w.initially_present(k), "key {k}");
+            }
+            assert_eq!(app.final_digest(), w.fold(keys.start, keys.end).1);
+        }
+    }
+
+    /// `fold` is the scan it replaced, and the linear oracle is the
+    /// quadratic one it replaced (an inserted key is present, else a
+    /// deleted key is absent, else initial membership).
+    #[test]
+    fn fold_and_oracle_match_their_scanning_definitions() {
+        let w = SetopsWorld::build(SetopsParams { universe: 1000, buckets: 48, ..small() });
+        let scan = |lo: u64, hi: u64| {
+            (lo..hi).filter(|&k| w.initially_present(k)).fold((0u64, 0u64), |(n, s), k| {
+                (n + 1, s.wrapping_add(key_stamp(k)))
+            })
+        };
+        for (lo, hi) in [(0, 0), (0, 1000), (1000, 1000), (63, 65), (64, 128), (5, 6), (130, 999)] {
+            assert_eq!(w.fold(lo, hi), scan(lo, hi), "fold({lo}, {hi})");
+        }
+        let (mut inserted, mut deleted) = (Vec::new(), Vec::new());
+        for op in (0..4).flat_map(|n| w.batch(n)) {
+            match *op {
+                SetOp::Insert(k) => inserted.push(k),
+                SetOp::Delete(k) => deleted.push(k),
+                SetOp::Range(..) => {}
+            }
+        }
+        for node in 0..4u16 {
+            let mut range_sum = 0u64;
+            for op in w.batch(node) {
+                if let SetOp::Range(lo, hi) = *op {
+                    range_sum = range_sum.wrapping_add(scan(lo, hi).1);
+                }
+            }
+            let digest = w
+                .owned_keys(node)
+                .filter(|k| {
+                    inserted.contains(k) || (!deleted.contains(k) && w.initially_present(*k))
+                })
+                .fold(0u64, |d, k| d.wrapping_add(key_stamp(k)));
+            assert_eq!(w.expected(node), (range_sum, digest), "node {node}");
+        }
+    }
+
+    #[test]
+    fn only_a_membership_flip_moves_the_digest() {
+        let w = SetopsWorld::build(small());
+        let mut app = SetopsApp::new(w.clone(), 1);
+        let keys = w.key_range(w.bucket_range(1).start);
+        let present = keys.clone().find(|&k| w.initially_present(k)).expect("a member");
+        let absent = keys.clone().find(|&k| !w.initially_present(k)).expect("a non-member");
+        let initial = app.final_digest();
+        let update = |app: &mut SetopsApp, k: u64, sign: f64| {
+            app.apply_update(w.bptr(w.bucket_of(k)), sign * (k + 1) as f64);
+        };
+        update(&mut app, present, 1.0);
+        update(&mut app, absent, -1.0);
+        assert_eq!(app.final_digest(), initial, "no-op mutations moved the digest");
+        update(&mut app, absent, 1.0);
+        assert!(app.contains(absent));
+        assert_eq!(app.final_digest(), initial.wrapping_add(key_stamp(absent)));
+        update(&mut app, present, -1.0);
+        assert!(!app.contains(present));
+        update(&mut app, absent, -1.0);
+        update(&mut app, present, 1.0);
+        assert_eq!(app.final_digest(), initial);
+        assert_eq!(app.applied, 6);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! the benchmark's `allocs_per_kevent`, bound 1 %.) Counts are per
 //! thread, so the harness and sibling tests cannot leak in.
 
-use apps::driver::{run_synth, Phases};
+use apps::driver::{run_setops, run_synth, Phases};
 use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
+use apps::setops_dist::{SetopsParams, SetopsWorld};
 use dpa_core::synth::{SynthParams, SynthWorld};
 use dpa_core::{DpaConfig, DstOptions};
+use fastmsg::ByteCoalescer;
 use nbody::cx::{Binomials, Cx};
 use nbody::fmm::{m2l_into, Local, Multipole};
 use sim_net::{NetConfig, QueueKind, Rng};
@@ -102,6 +104,81 @@ fn graph_app_new_is_independent_of_vertex_count() {
     let (small, large) = (construct(1 << 12), construct(1 << 16));
     assert_ne!(small, (0, 0), "the counter is live");
     assert_eq!(small, large);
+}
+
+/// The flush path in steady state never touches the allocator: bursts to
+/// 15 destinations (a 16-node machine's worth) pushed, popped when due and
+/// handed back, the way `DpaProc::flush` and the receiving handlers do.
+#[test]
+fn byte_coalescer_flush_cycle_allocates_nothing_once_warm() {
+    const DESTS: u16 = 15;
+    const DEADLINE: u64 = 20_000;
+    const WARM_UP: u64 = 200;
+    let mut coal: ByteCoalescer<(u64, f64)> = ByteCoalescer::new(DESTS as usize, 1_024, 32);
+    let mut in_flight: Vec<Vec<(u64, f64)>> = Vec::with_capacity(2 * DESTS as usize);
+    let mut widest_burst = 0;
+    let mut cycle = |round: u64| {
+        let now = round * 2 * DEADLINE;
+        // The previous round's batches have been delivered and consumed.
+        for batch in in_flight.drain(..) {
+            coal.recycle(batch);
+        }
+        // Between one and eight 16-byte entries per destination; every
+        // fifth round an oversized one forces two batches out of its push.
+        for dst in 0..DESTS {
+            for e in 0..1 + (round + dst as u64) % 8 {
+                in_flight.extend(coal.push(dst, (e, 0.5), 16, now));
+            }
+            if round.is_multiple_of(5) {
+                in_flight.extend(coal.push(dst, (round, 1.5), 2_048, now));
+            }
+        }
+        assert!(coal.pop_due(now + DEADLINE - 1, DEADLINE).is_none(), "nothing is due yet");
+        let before = in_flight.len();
+        while let Some((_, batch)) = coal.pop_due(now + DEADLINE, DEADLINE) {
+            in_flight.push(batch);
+        }
+        widest_burst = widest_burst.max(in_flight.len() - before);
+        assert!(coal.is_empty());
+    };
+    // Warm-up: until every pooled buffer has met its largest batch.
+    for round in 0..WARM_UP {
+        cycle(round);
+    }
+    let spent = traffic(|| {
+        for round in WARM_UP..WARM_UP + 1_000 {
+            cycle(round);
+        }
+    });
+    assert_eq!(spent, (0, 0));
+    assert_eq!(widest_burst, DESTS as usize);
+}
+
+/// A setops run (the DST `setops` world: updates, range demands, replies)
+/// is as deterministic in its allocator traffic as a synth run.
+#[test]
+fn a_setops_run_allocates_identically_twice() {
+    let world = SetopsWorld::build(SetopsParams {
+        universe: 2048,
+        ops_per_node: 32,
+        seed: 0x05E7_0D57,
+        ..SetopsParams::default()
+    });
+    let opts = DstOptions {
+        threads: 1,
+        queue: QueueKind::Wheel,
+        ..DstOptions::default()
+    };
+    let once = || {
+        traffic(|| {
+            let run = run_setops(&world, DpaConfig::dpa(8), NetConfig::default(), &opts);
+            assert!(run.completed(), "setops batch stalled");
+            black_box(run);
+        })
+    };
+    let (first, second) = (once(), once());
+    assert_ne!(first, (0, 0), "the counter is live");
+    assert_eq!(first, second);
 }
 
 /// A whole simulator + runtime run is deterministic down to its allocator

@@ -130,10 +130,11 @@ enum Drain {
 }
 
 impl Drain {
-    fn take<T>(self, coal: &mut ByteCoalescer<T>) -> Vec<(u16, Vec<T>)> {
+    /// The next batch to send, lowest destination first.
+    fn pop<T>(self, coal: &mut ByteCoalescer<T>) -> Option<(u16, Vec<T>)> {
         match self {
-            Drain::Due { now, deadline } => coal.take_due(now, deadline),
-            Drain::All => coal.drain_all(),
+            Drain::Due { now, deadline } => coal.pop_due(now, deadline),
+            Drain::All => coal.pop_first(),
         }
     }
 }
@@ -618,14 +619,14 @@ impl<A: PtrApp> DpaProc<A> {
     /// Send what `mode` takes out of the three byte-budgeted buffers:
     /// replies, reductions, migration shipments.
     fn flush(&mut self, ctx: &mut Ctx<'_, DpaMsg>, mode: Drain) {
-        for (dst, batch) in mode.take(&mut self.reply_coal) {
+        while let Some((dst, batch)) = mode.pop(&mut self.reply_coal) {
             self.send_reply(ctx, dst, batch);
         }
-        for (dst, batch) in mode.take(&mut self.upd_coal) {
+        while let Some((dst, batch)) = mode.pop(&mut self.upd_coal) {
             self.send_update(ctx, dst, batch);
         }
         if let Some(m) = self.mig.as_mut() {
-            for (dst, batch) in mode.take(&mut m.coal) {
+            while let Some((dst, batch)) = mode.pop(&mut m.coal) {
                 m.send(ctx, &self.cfg, dst, batch);
             }
         }

@@ -128,21 +128,6 @@ impl<T> Coalescer<T> {
         self.nonempty.first().copied()
     }
 
-    /// Drain every nonempty buffer, in ascending destination order.
-    pub fn drain_all(&mut self) -> Vec<(u16, Vec<T>)> {
-        let dests = std::mem::take(&mut self.nonempty);
-        let mut out = Vec::with_capacity(dests.len());
-        for dst in dests {
-            if !self.buffers[dst as usize].is_empty() {
-                self.batches += 1;
-                let mut batch = self.pool.take();
-                batch.extend(self.buffers[dst as usize].drain(..));
-                out.push((dst, batch));
-            }
-        }
-        out
-    }
-
     /// Return a consumed batch's buffer so its capacity feeds a later
     /// flush. Callers that receive a payload `Vec` (or got one back from
     /// [`Coalescer::push`]) hand it here once drained; in steady state the
@@ -191,16 +176,31 @@ impl<T> Coalescer<T> {
     }
 }
 
+/// The batches one [`ByteCoalescer::push`] forced out, oldest first: none,
+/// one or two, held inline (no allocation, no borrow of the coalescer).
+#[derive(Debug)]
+#[must_use = "the forced-out batches must be sent"]
+pub struct Forced<T>(Option<Vec<T>>, Option<Vec<T>>);
+
+impl<T> Iterator for Forced<T> {
+    type Item = Vec<T>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Vec<T>> {
+        self.0.take().or_else(|| self.1.take())
+    }
+}
+
 /// Per-destination batching with an **adaptive flush policy**: a batch is
 /// emitted when its destination buffer reaches `max_entries` items *or*
 /// `byte_budget` payload bytes (MTU occupancy), and destinations whose
 /// oldest entry has waited past a caller-supplied deadline can be flushed
-/// by [`ByteCoalescer::take_due`]. This drives the owner-side reply
+/// by [`ByteCoalescer::pop_due`]. This drives the owner-side reply
 /// scheduler (and the reduction/update path): replies are heavier and more
 /// variably sized than 8-byte request pointers, so an entry-count window
 /// alone either under-fills or overflows the MTU.
 ///
-/// Time is whatever monotone unit the caller passes to `push`/`take_due`
+/// Time is whatever monotone unit the caller passes to `push`/`pop_due`
 /// (the simulator passes simulated ns); the coalescer only compares values.
 #[derive(Clone, Debug)]
 pub struct ByteCoalescer<T> {
@@ -257,15 +257,14 @@ impl<T> ByteCoalescer<T> {
         }
     }
 
-    fn take_inner(&mut self, dst: u16) -> Vec<T> {
+    /// Emit the batch of `nonempty[pos]`.
+    fn take_at(&mut self, pos: usize) -> (u16, Vec<T>) {
+        let dst = self.nonempty.remove(pos);
         self.batches += 1;
         self.bytes[dst as usize] = 0;
-        if let Ok(pos) = self.nonempty.binary_search(&dst) {
-            self.nonempty.remove(pos);
-        }
         let mut batch = self.pool.take();
         batch.extend(self.buffers[dst as usize].drain(..));
-        batch
+        (dst, batch)
     }
 
     /// Append an `item_bytes`-byte `item` for `dst` at time `now`. Returns
@@ -274,44 +273,52 @@ impl<T> ByteCoalescer<T> {
     /// buffer is flushed first; the buffer is then flushed again if the
     /// item itself fills it (entry window reached, budget reached, or a
     /// single oversized item — which thus always travels alone).
-    pub fn push(&mut self, dst: u16, item: T, item_bytes: u64, now: u64) -> Vec<Vec<T>> {
+    pub fn push(&mut self, dst: u16, item: T, item_bytes: u64, now: u64) -> Forced<T> {
         self.pushed += 1;
         self.pushed_bytes += item_bytes;
-        let mut out = Vec::new();
         let d = dst as usize;
-        if !self.buffers[d].is_empty() && self.bytes[d] + item_bytes > self.byte_budget {
-            out.push(self.take_inner(dst));
-        }
+        let overflowed = if self.bytes[d] + item_bytes > self.byte_budget {
+            self.take(dst)
+        } else {
+            None
+        };
         if self.buffers[d].is_empty() {
             self.first_at[d] = now;
             self.mark_nonempty(dst);
         }
         self.buffers[d].push_back(item);
         self.bytes[d] += item_bytes;
-        if self.buffers[d].len() >= self.max_entries || self.bytes[d] >= self.byte_budget {
-            out.push(self.take_inner(dst));
-        }
-        out
+        let filled =
+            if self.buffers[d].len() >= self.max_entries || self.bytes[d] >= self.byte_budget {
+                self.take(dst)
+            } else {
+                None
+            };
+        Forced(overflowed, filled)
     }
 
     /// Remove and return the pending batch for `dst`, if any.
     pub fn take(&mut self, dst: u16) -> Option<Vec<T>> {
-        if self.buffers[dst as usize].is_empty() {
-            return None;
-        }
-        Some(self.take_inner(dst))
+        let pos = self.nonempty.binary_search(&dst).ok()?;
+        Some(self.take_at(pos).1)
     }
 
-    /// Flush every destination whose oldest entry was enqueued at or before
-    /// `now - deadline`, in ascending destination order.
-    pub fn take_due(&mut self, now: u64, deadline: u64) -> Vec<(u16, Vec<T>)> {
-        let due: Vec<u16> = self
+    /// Remove and return the batch of the lowest-numbered destination whose
+    /// oldest entry was enqueued at or before `now - deadline`. Looping
+    /// until `None` flushes every due destination in ascending order.
+    pub fn pop_due(&mut self, now: u64, deadline: u64) -> Option<(u16, Vec<T>)> {
+        let pos = self
             .nonempty
             .iter()
-            .copied()
-            .filter(|&d| self.first_at[d as usize] + deadline <= now)
-            .collect();
-        due.into_iter().map(|d| (d, self.take_inner(d))).collect()
+            .position(|&d| self.first_at[d as usize] + deadline <= now)?;
+        Some(self.take_at(pos))
+    }
+
+    /// Remove and return the batch of the lowest-numbered destination with
+    /// buffered items. Looping until `None` drains the coalescer in
+    /// ascending destination order.
+    pub fn pop_first(&mut self) -> Option<(u16, Vec<T>)> {
+        (!self.nonempty.is_empty()).then(|| self.take_at(0))
     }
 
     /// Earliest time any currently buffered destination becomes due under
@@ -321,23 +328,6 @@ impl<T> ByteCoalescer<T> {
             .iter()
             .map(|&d| self.first_at[d as usize] + deadline)
             .min()
-    }
-
-    /// Drain every nonempty buffer, in ascending destination order.
-    pub fn drain_all(&mut self) -> Vec<(u16, Vec<T>)> {
-        let dests = std::mem::take(&mut self.nonempty);
-        let mut out = Vec::with_capacity(dests.len());
-        for dst in dests {
-            let d = dst as usize;
-            if !self.buffers[d].is_empty() {
-                self.batches += 1;
-                self.bytes[d] = 0;
-                let mut batch = self.pool.take();
-                batch.extend(self.buffers[d].drain(..));
-                out.push((dst, batch));
-            }
-        }
-        out
     }
 
     /// Return a consumed batch's buffer so its capacity feeds a later
@@ -399,6 +389,23 @@ impl<T> ByteCoalescer<T> {
 mod tests {
     use super::*;
 
+    /// The runtime's quiescence loop: lowest nonempty destination first.
+    fn drain<T>(c: &mut Coalescer<T>) -> Vec<(u16, Vec<T>)> {
+        std::iter::from_fn(|| {
+            let dst = c.first_nonempty()?;
+            Some((dst, c.take(dst)?))
+        })
+        .collect()
+    }
+
+    fn pushed<T>(c: &mut ByteCoalescer<T>, dst: u16, item: T, bytes: u64, now: u64) -> Vec<Vec<T>> {
+        c.push(dst, item, bytes, now).collect()
+    }
+
+    fn due<T>(c: &mut ByteCoalescer<T>, now: u64, deadline: u64) -> Vec<(u16, Vec<T>)> {
+        std::iter::from_fn(|| c.pop_due(now, deadline)).collect()
+    }
+
     #[test]
     fn window_one_emits_immediately() {
         let mut c: Coalescer<u32> = Coalescer::new(4, 1);
@@ -417,19 +424,19 @@ mod tests {
     }
 
     #[test]
-    fn drain_all_is_sorted_and_complete() {
+    fn first_nonempty_take_loop_is_sorted_and_complete() {
         let mut c: Coalescer<u32> = Coalescer::new(5, 100);
         c.push(3, 30);
         c.push(0, 0);
         c.push(3, 31);
         c.push(4, 40);
-        let drained = c.drain_all();
-        let dests: Vec<u16> = drained.iter().map(|(d, _)| *d).collect();
-        assert_eq!(dests, vec![0, 3, 4]);
-        let total: usize = drained.iter().map(|(_, b)| b.len()).sum();
-        assert_eq!(total, 4);
+        assert_eq!(
+            drain(&mut c),
+            vec![(0, vec![0]), (3, vec![30, 31]), (4, vec![40])]
+        );
         assert!(c.is_empty());
         assert_eq!(c.pending(), 0);
+        assert_eq!(c.first_nonempty(), None);
     }
 
     #[test]
@@ -450,7 +457,7 @@ mod tests {
         c.push(0, 3); // still buffered
         assert_eq!(c.total_batches(), 1);
         assert!((c.aggregation_factor() - 2.0).abs() < 1e-12);
-        c.drain_all(); // batch of 1
+        assert_eq!(c.take(0), Some(vec![3])); // batch of 1
         assert!((c.aggregation_factor() - 1.5).abs() < 1e-12);
     }
 
@@ -471,7 +478,7 @@ mod tests {
                 emitted += b.len();
             }
             if i % 97 == 0 {
-                emitted += c.drain_all().iter().map(|(_, b)| b.len()).sum::<usize>();
+                emitted += drain(&mut c).iter().map(|(_, b)| b.len()).sum::<usize>();
             }
         }
         assert_eq!(emitted + c.pending(), 1000);
@@ -480,11 +487,10 @@ mod tests {
     #[test]
     fn byte_budget_flushes_before_overflow() {
         let mut c: ByteCoalescer<u32> = ByteCoalescer::new(2, 100, 64);
-        assert!(c.push(0, 1, 40, 0).is_empty());
-        assert!(c.push(0, 2, 40, 1).is_empty());
+        assert!(pushed(&mut c, 0, 1, 40, 0).is_empty());
+        assert!(pushed(&mut c, 0, 2, 40, 1).is_empty());
         // 40 + 40 + 40 would overflow 100: the existing pair goes first.
-        let out = c.push(0, 3, 40, 2);
-        assert_eq!(out, vec![vec![1, 2]]);
+        assert_eq!(pushed(&mut c, 0, 3, 40, 2), vec![vec![1, 2]]);
         assert_eq!(c.pending(), 1);
         assert_eq!(c.pending_bytes(), 40);
     }
@@ -492,35 +498,34 @@ mod tests {
     #[test]
     fn exact_budget_fill_emits() {
         let mut c: ByteCoalescer<u32> = ByteCoalescer::new(1, 80, 64);
-        assert!(c.push(0, 1, 40, 0).is_empty());
-        assert_eq!(c.push(0, 2, 40, 1), vec![vec![1, 2]]);
+        assert!(pushed(&mut c, 0, 1, 40, 0).is_empty());
+        assert_eq!(pushed(&mut c, 0, 2, 40, 1), vec![vec![1, 2]]);
         assert!(c.is_empty());
     }
 
     #[test]
     fn oversized_item_travels_alone() {
         let mut c: ByteCoalescer<u32> = ByteCoalescer::new(2, 100, 64);
-        assert!(c.push(1, 7, 30, 0).is_empty());
+        assert!(pushed(&mut c, 1, 7, 30, 0).is_empty());
         // A 500-byte item flushes the 30-byte entry, then itself.
-        let out = c.push(1, 8, 500, 1);
-        assert_eq!(out, vec![vec![7], vec![8]]);
+        assert_eq!(pushed(&mut c, 1, 8, 500, 1), vec![vec![7], vec![8]]);
         assert!(c.is_empty());
         // Oversized into an empty buffer: exactly one singleton batch.
-        assert_eq!(c.push(0, 9, 500, 2), vec![vec![9]]);
+        assert_eq!(pushed(&mut c, 0, 9, 500, 2), vec![vec![9]]);
     }
 
     #[test]
     fn entry_window_still_applies() {
         let mut c: ByteCoalescer<u32> = ByteCoalescer::new(1, u64::MAX, 3);
-        assert!(c.push(0, 1, 8, 0).is_empty());
-        assert!(c.push(0, 2, 8, 0).is_empty());
-        assert_eq!(c.push(0, 3, 8, 0), vec![vec![1, 2, 3]]);
+        assert!(pushed(&mut c, 0, 1, 8, 0).is_empty());
+        assert!(pushed(&mut c, 0, 2, 8, 0).is_empty());
+        assert_eq!(pushed(&mut c, 0, 3, 8, 0), vec![vec![1, 2, 3]]);
     }
 
     #[test]
     fn window_one_byte_coalescer_is_immediate() {
         let mut c: ByteCoalescer<u32> = ByteCoalescer::new(4, u64::MAX, 1);
-        assert_eq!(c.push(2, 7, 64, 5), vec![vec![7]]);
+        assert_eq!(pushed(&mut c, 2, 7, 64, 5), vec![vec![7]]);
         assert!(c.is_empty());
         assert_eq!(c.aggregation_factor(), 1.0);
     }
@@ -528,28 +533,44 @@ mod tests {
     #[test]
     fn deadline_takes_only_due_destinations() {
         let mut c: ByteCoalescer<u32> = ByteCoalescer::new(4, 1000, 64);
-        c.push(0, 1, 10, 100);
-        c.push(3, 2, 10, 400);
+        assert!(pushed(&mut c, 0, 1, 10, 100).is_empty());
+        assert!(pushed(&mut c, 3, 2, 10, 400).is_empty());
         assert_eq!(c.next_due(50), Some(150));
         // At t=200 with a 50-tick deadline only dst 0 (enqueued at 100)
         // is due.
-        let due = c.take_due(200, 50);
-        assert_eq!(due, vec![(0, vec![1])]);
+        assert_eq!(c.pop_due(200, 50), Some((0, vec![1])));
         assert_eq!(c.next_due(50), Some(450));
-        assert_eq!(c.take_due(200, 50), vec![]);
-        assert_eq!(c.take_due(450, 50), vec![(3, vec![2])]);
+        assert_eq!(c.pop_due(200, 50), None);
+        assert_eq!(due(&mut c, 450, 50), vec![(3, vec![2])]);
         assert_eq!(c.next_due(50), None);
+    }
+
+    #[test]
+    fn pops_ascend_and_skip_what_is_not_due() {
+        let mut c: ByteCoalescer<u32> = ByteCoalescer::new(6, 1000, 64);
+        for (dst, at) in [(4, 10), (1, 300), (5, 20), (2, 30), (0, 400)] {
+            assert!(pushed(&mut c, dst, dst as u32, 10, at).is_empty());
+        }
+        // Due at t=130 under a 100-tick deadline: enqueued at or before 30.
+        assert_eq!(
+            due(&mut c, 130, 100),
+            vec![(2, vec![2]), (4, vec![4]), (5, vec![5])]
+        );
+        assert_eq!(c.pop_first(), Some((0, vec![0])));
+        assert_eq!(c.pop_first(), Some((1, vec![1])));
+        assert_eq!(c.pop_first(), None);
+        assert_eq!(c.total_batches(), 5);
     }
 
     #[test]
     fn deadline_tracks_oldest_entry() {
         let mut c: ByteCoalescer<u32> = ByteCoalescer::new(1, 1000, 64);
-        c.push(0, 1, 10, 100);
-        c.push(0, 2, 10, 900); // later entry must not reset the clock
+        assert!(pushed(&mut c, 0, 1, 10, 100).is_empty());
+        assert!(pushed(&mut c, 0, 2, 10, 900).is_empty()); // later entry must not reset the clock
         assert_eq!(c.next_due(50), Some(150));
-        assert_eq!(c.take_due(150, 50), vec![(0, vec![1, 2])]);
+        assert_eq!(due(&mut c, 150, 50), vec![(0, vec![1, 2])]);
         // A fresh first entry restarts the clock.
-        c.push(0, 3, 10, 2000);
+        assert!(pushed(&mut c, 0, 3, 10, 2000).is_empty());
         assert_eq!(c.next_due(50), Some(2050));
     }
 
@@ -574,14 +595,15 @@ mod tests {
                 check(&b);
             }
             if i % 61 == 0 {
-                for (_, b) in c.take_due(i, 13) {
+                while let Some((_, b)) = c.pop_due(i, 13) {
                     check(&b);
                 }
             }
             if i % 157 == 0 {
-                for (_, b) in c.drain_all() {
+                while let Some((_, b)) = c.pop_first() {
                     check(&b);
                 }
+                assert!(c.is_empty());
             }
         }
         assert_eq!(emitted_items + c.pending(), 1000);
@@ -618,14 +640,13 @@ mod tests {
     #[test]
     fn byte_coalescer_recycles_batches() {
         let mut c: ByteCoalescer<u32> = ByteCoalescer::new(1, u64::MAX, 2);
-        c.push(0, 1, 8, 0);
-        let mut out = c.push(0, 2, 8, 0);
-        let batch = out.pop().expect("entry window reached");
+        assert!(pushed(&mut c, 0, 1, 8, 0).is_empty());
+        let batch = c.push(0, 2, 8, 0).next().expect("entry window reached");
         let cap = batch.capacity();
         c.recycle(batch);
         assert_eq!(c.pooled(), 1);
-        c.push(0, 3, 8, 1);
-        let next = c.push(0, 4, 8, 1).pop().expect("entry window reached");
+        assert!(pushed(&mut c, 0, 3, 8, 1).is_empty());
+        let next = c.push(0, 4, 8, 1).next().expect("entry window reached");
         assert_eq!(next.capacity(), cap);
         assert_eq!(next, vec![3, 4]);
     }

@@ -21,12 +21,18 @@
 /// A recycling pool of `Vec<T>` buffers.
 ///
 /// `take` hands out an empty vector (reusing a returned one's capacity when
-/// available); `put` returns a buffer to the pool, clearing it. The pool
-/// holds at most [`VecPool::MAX_FREE`] buffers so pathological bursts don't
-/// pin memory forever.
+/// available); `put` returns a buffer to the pool, clearing it. What the
+/// pool bounds is the memory it pins, so the limit counts bytes of idle
+/// capacity ([`VecPool::MAX_IDLE_BYTES`]), not buffers: a message-bound
+/// run keeps hundreds of few-entry batch buffers in flight per node (a
+/// flush takes one per destination and they come back a round trip later,
+/// by which time a 64-*buffer* pool had overflowed and starved in turn),
+/// while a few large buffers are all a pathological burst may leave behind.
 #[derive(Debug)]
 pub struct VecPool<T> {
     free: Vec<Vec<T>>,
+    /// Capacity held by `free`, in bytes.
+    idle_bytes: usize,
 }
 
 impl<T> Default for VecPool<T> {
@@ -46,26 +52,41 @@ impl<T> Clone for VecPool<T> {
 }
 
 impl<T> VecPool<T> {
-    /// Buffers retained when idle; returns beyond this are dropped.
-    pub const MAX_FREE: usize = 64;
+    /// Idle capacity retained, in bytes; a returned buffer that would
+    /// exceed it is dropped. Sized on the message-bound benchmark
+    /// workload (EXPERIMENTS.md X14): the largest bound before resident
+    /// memory steps up by a megabyte.
+    pub const MAX_IDLE_BYTES: usize = 24 << 10;
 
     /// An empty pool.
     pub fn new() -> VecPool<T> {
-        VecPool { free: Vec::new() }
+        VecPool {
+            free: Vec::new(),
+            idle_bytes: 0,
+        }
+    }
+
+    fn bytes(buf: &Vec<T>) -> usize {
+        buf.capacity() * std::mem::size_of::<T>()
     }
 
     /// Get an empty buffer, reusing pooled capacity when available.
     #[inline]
     pub fn take(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
+        let buf = self.free.pop().unwrap_or_default();
+        self.idle_bytes -= Self::bytes(&buf);
+        buf
     }
 
     /// Return a buffer to the pool. It is cleared here; its capacity is
-    /// kept for the next [`take`](VecPool::take) unless the pool is full.
+    /// kept for the next [`take`](VecPool::take) unless the pool is full
+    /// or there is none to keep.
     #[inline]
     pub fn put(&mut self, mut buf: Vec<T>) {
-        if self.free.len() < Self::MAX_FREE && buf.capacity() > 0 {
+        let bytes = Self::bytes(&buf);
+        if bytes > 0 && self.idle_bytes + bytes <= Self::MAX_IDLE_BYTES {
             buf.clear();
+            self.idle_bytes += bytes;
             self.free.push(buf);
         }
     }
@@ -186,10 +207,22 @@ mod tests {
         let mut p: VecPool<u8> = VecPool::new();
         p.put(Vec::new()); // zero capacity: not worth pooling
         assert_eq!(p.idle(), 0);
-        for _ in 0..(VecPool::<u8>::MAX_FREE + 10) {
+        // The limit is bytes of capacity: 4-byte buffers pool by the
+        // thousand, a buffer over the limit on its own is never kept.
+        let fit = VecPool::<u8>::MAX_IDLE_BYTES / 4;
+        for _ in 0..(fit + 10) {
             p.put(Vec::with_capacity(4));
         }
-        assert_eq!(p.idle(), VecPool::<u8>::MAX_FREE);
+        assert_eq!(p.idle(), fit);
+        // Taking makes room again.
+        assert_eq!(p.take().capacity(), 4);
+        p.put(Vec::with_capacity(4));
+        assert_eq!(p.idle(), fit);
+        let mut q: VecPool<u64> = VecPool::new();
+        q.put(Vec::with_capacity(VecPool::<u64>::MAX_IDLE_BYTES / 8 + 1));
+        assert_eq!(q.idle(), 0);
+        q.put(Vec::with_capacity(VecPool::<u64>::MAX_IDLE_BYTES / 8));
+        assert_eq!(q.idle(), 1);
     }
 
     #[test]

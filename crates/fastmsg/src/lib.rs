@@ -26,7 +26,7 @@ pub mod arena;
 pub mod packet;
 pub mod router;
 
-pub use agg::{ByteCoalescer, Coalescer, FlushReason};
+pub use agg::{ByteCoalescer, Coalescer, FlushReason, Forced};
 pub use arena::{Slab, VecPool};
 pub use packet::{packets_for, segment_sizes, Mtu};
 pub use router::Router;

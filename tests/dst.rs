@@ -191,7 +191,9 @@ proptest! {
     /// The reply-path scheduler partitions payload exactly: whatever the
     /// interleaving of pushes, budget flushes, deadline flushes, and the
     /// final drain, every entry and every byte pushed into a
-    /// `ByteCoalescer` comes back out exactly once.
+    /// `ByteCoalescer` comes back out exactly once. Both pops go in
+    /// ascending destination order, and the due-pop returns a destination
+    /// iff its oldest buffered entry is `deadline` old.
     #[test]
     fn byte_coalescer_partitions_entries_and_bytes(
         seed in any::<u64>(),
@@ -200,11 +202,15 @@ proptest! {
         budget in 64u64..4096,
         n in 1usize..200,
     ) {
+        const DEADLINE: u64 = 10_000;
         let mut rng = dpa::sim_net::Rng::new(seed);
         let mut c = dpa::fastmsg::ByteCoalescer::<u64>::new(nodes.into(), budget, window);
         let mut now = 0u64;
         let mut entries_out = 0usize;
         let mut bytes_in = 0u64;
+        // Model: per destination, what is buffered and since when.
+        let mut buffered = vec![0usize; nodes as usize];
+        let mut first_at = vec![0u64; nodes as usize];
         for i in 0..n as u64 {
             now += rng.below(5_000);
             let dst = rng.below(nodes as u64) as u16;
@@ -212,19 +218,43 @@ proptest! {
             // the travel-alone path.
             let sz = 1 + rng.below(budget + budget / 4);
             bytes_in += sz;
+            let (mut forced, mut forced_entries) = (0, 0);
             for batch in c.push(dst, i, sz, now) {
                 prop_assert!(!batch.is_empty());
-                entries_out += batch.len();
+                forced += 1;
+                forced_entries += batch.len();
             }
+            prop_assert!(forced <= 2);
+            // A forced batch takes everything buffered at that moment, so
+            // the new entry is the oldest left iff it is the only one.
+            let d = dst as usize;
+            if buffered[d] == 0 || forced > 0 {
+                first_at[d] = now;
+            }
+            buffered[d] = buffered[d] + 1 - forced_entries;
+            entries_out += forced_entries;
             if i % 7 == 0 {
-                for (_, batch) in c.take_due(now, 10_000) {
+                let due: Vec<u16> = (0..nodes)
+                    .filter(|&d| buffered[d as usize] > 0 && first_at[d as usize] + DEADLINE <= now)
+                    .collect();
+                let mut popped = Vec::new();
+                while let Some((d, batch)) = c.pop_due(now, DEADLINE) {
+                    prop_assert_eq!(batch.len(), buffered[d as usize]);
+                    buffered[d as usize] = 0;
                     entries_out += batch.len();
+                    popped.push(d);
                 }
+                prop_assert_eq!(popped, due, "due-pop is not exactly the due set, ascending");
             }
         }
-        for (_, batch) in c.drain_all() {
+        let left: Vec<u16> = (0..nodes).filter(|&d| buffered[d as usize] > 0).collect();
+        let mut popped = Vec::new();
+        while let Some((d, batch)) = c.pop_first() {
+            prop_assert_eq!(batch.len(), buffered[d as usize]);
             entries_out += batch.len();
+            popped.push(d);
         }
+        prop_assert_eq!(popped, left, "drain is not every nonempty destination, ascending");
         prop_assert!(c.is_empty());
         prop_assert_eq!(entries_out, n, "entries lost or invented");
         prop_assert_eq!(c.total_pushed(), n as u64);

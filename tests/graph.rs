@@ -256,3 +256,52 @@ fn setops_checksums_invariant_across_config_lanes() {
         assert_eq!(got, expected, "{label}: diverged from the host oracle");
     }
 }
+
+/// `run_setops` against the crate's own (linear) oracle: every node's
+/// range checksum and final-membership digest, and every mutation applied
+/// exactly once.
+fn setops_run_matches_expected(params: dpa::apps::setops_dist::SetopsParams) {
+    use dpa::apps::driver::{run_setops, Digest};
+    use dpa::apps::setops_dist::{SetOp, SetopsWorld};
+    let world = SetopsWorld::build(params);
+    let run = run_setops(&world, DpaConfig::dpa(8), NetConfig::default(), &DstOptions::default());
+    assert!(run.completed(), "stalled");
+    let Digest::Ints(got) = &run.digest else { panic!("setops digests are integers") };
+    let mutations = (0..params.nodes)
+        .flat_map(|n| world.batch(n))
+        .filter(|op| !matches!(op, SetOp::Range(..)))
+        .count() as u64;
+    assert_eq!(got.iter().skip(2).step_by(3).sum::<u64>(), mutations, "reductions applied");
+    for node in 0..params.nodes {
+        let at = 3 * node as usize;
+        assert_eq!((got[at], got[at + 1]), world.expected(node), "node {node}");
+    }
+}
+
+/// At the size of `serve_mix`'s setops job.
+#[test]
+fn setops_digest_matches_expected_at_job_size() {
+    setops_run_matches_expected(dpa::apps::setops_dist::SetopsParams {
+        universe: 262_144,
+        buckets: 1_024,
+        nodes: 8,
+        ops_per_node: 4_096,
+        seed: 1997,
+        ..Default::default()
+    });
+}
+
+/// At the size of the benchmark's `setops_rw` (nightly; the oracle the
+/// benchmark had to re-implement because this one was quadratic).
+#[test]
+#[ignore = "benchmark size: 2M keys, P = 16; run with --release -- --ignored"]
+fn setops_digest_matches_expected_at_benchmark_size() {
+    setops_run_matches_expected(dpa::apps::setops_dist::SetopsParams {
+        universe: 2_097_152,
+        buckets: 4_096,
+        nodes: 16,
+        ops_per_node: 32_768,
+        seed: 1997,
+        ..Default::default()
+    });
+}

@@ -682,6 +682,118 @@ proptest! {
         }
     }
 
+    /// The rank/prefix index answers exactly what the key scan it replaced
+    /// answered — on the path no generated workload takes: universes and
+    /// bucket widths that are not multiples of the 64-key word, ranges
+    /// aligned to nothing. Every case also builds the all-empty and the
+    /// all-full world (every word 0 / every word full) and folds the empty
+    /// range and the ranges that end at the universe's end.
+    #[test]
+    fn setops_fold_matches_the_naive_scan(
+        seed in any::<u64>(),
+        universe in 130u64..3000,
+        buckets in 4usize..40,
+        fill in 1u32..1000,
+        x in any::<u64>(),
+        y in any::<u64>(),
+    ) {
+        use dpa::apps::setops_dist::{key_stamp, SetopsParams, SetopsWorld};
+        let universe = universe | 1;
+        let mut buckets = buckets;
+        while universe.div_ceil(buckets as u64) % 64 == 0 {
+            buckets += 1;
+        }
+        let (x, y) = (x % (universe + 1), y % (universe + 1));
+        let (lo, hi) = (x.min(y), x.max(y));
+        for fill_permille in [0, fill, 1000] {
+            let w = SetopsWorld::build(SetopsParams {
+                universe,
+                buckets,
+                ops_per_node: 8,
+                fill_permille,
+                seed,
+                ..SetopsParams::default()
+            });
+            let scan = |lo: u64, hi: u64| {
+                (lo..hi)
+                    .filter(|&k| w.initially_present(k))
+                    .fold((0u64, 0u64), |(n, s), k| (n + 1, s.wrapping_add(key_stamp(k))))
+            };
+            for (lo, hi) in [(lo, hi), (lo, lo), (hi, hi), (lo, universe), (0, hi), (0, universe)] {
+                prop_assert_eq!(
+                    w.fold(lo, hi), scan(lo, hi),
+                    "fold({}, {}) at fill {}", lo, hi, fill_permille
+                );
+            }
+            let members = w.fold(0, universe).0;
+            match fill_permille {
+                0 => prop_assert_eq!(members, 0),
+                1000 => prop_assert_eq!(members, universe),
+                _ => {}
+            }
+            for b in 0..buckets {
+                let keys = w.key_range(b);
+                prop_assert!(keys.start <= keys.end && keys.end <= universe);
+                prop_assert_eq!(
+                    w.bucket_bytes(b) as u64,
+                    24 + 8 * scan(keys.start, keys.end).0,
+                    "bucket {}", b
+                );
+            }
+        }
+    }
+
+    /// The membership digest a node keeps incrementally is the digest of
+    /// the membership it holds: after a full run under duplicated and
+    /// delayed delivery, `final_digest()` equals a from-scratch recompute
+    /// over the owned bitset (an insert of a present key or a delete of
+    /// an absent one — about half of all mutations — must have left it
+    /// alone, a duplicated `Update` must not have counted twice) and the
+    /// host oracle's.
+    #[test]
+    fn setops_incremental_digest_matches_a_recompute_under_faults(
+        seed in any::<u64>(),
+        universe in 256u64..1024,
+        ops_per_node in 8usize..48,
+        fill in 100u32..900,
+    ) {
+        use dpa::apps::setops_dist::{key_stamp, SetopsApp, SetopsParams, SetopsWorld};
+        use dpa::sim_net::FaultPlan;
+        let w = SetopsWorld::build(SetopsParams {
+            universe,
+            ops_per_node: ops_per_node.min(universe as usize / 4),
+            fill_permille: fill,
+            seed,
+            ..SetopsParams::default()
+        });
+        for faults in [
+            FaultPlan::duplicate(seed ^ 0xD1, 0.10),
+            FaultPlan::delay(seed ^ 0xD2, 0.30, 40_000),
+        ] {
+            let mut got = [(0u64, 0u64); 4];
+            let (report, _) = run_phase_dst(
+                4,
+                NetConfig::default(),
+                DpaConfig::dpa(4),
+                &DstOptions { faults, ..DstOptions::default() },
+                |i| SetopsApp::new(w.clone(), i),
+                |i, app: &SetopsApp| {
+                    let recomputed = w
+                        .owned_keys(i)
+                        .filter(|&k| app.contains(k))
+                        .fold(0u64, |d, k| d.wrapping_add(key_stamp(k)));
+                    got[i as usize] = (app.final_digest(), recomputed);
+                },
+            );
+            prop_assert!(report.completed, "lossless plan stalled: {}", report.stall_summary());
+            for node in 0..4u16 {
+                let (incremental, recomputed) = got[node as usize];
+                prop_assert_eq!(incremental, recomputed, "node {}: digest drifted", node);
+                prop_assert_eq!(incremental, w.expected(node).1, "node {}: oracle", node);
+            }
+        }
+    }
+
     /// Read-mostly replication is semantically invisible under faults:
     /// on random skewed graph worlds, a replicating differential run
     /// under a drop/dup/delay plan either completes with checksums
