@@ -32,7 +32,8 @@
 //! `bh-mig`, driven through `run_phases`), and the adaptive-strip
 //! variants (`synth-adapt`, `bh-adapt`, driven by the `dpa_core::stripctl`
 //! feedback controller with tight bounds so retunes actually fire), so the
-//! object-migration protocol — affinity, depart/adopt, forwards, orphans —
+//! object-migration protocol — phase-end affinity reports, the boundary's
+//! depart/adopt hand-off, one-hop forwards, learned overrides —
 //! and the strip controller — bounded schedules, deterministic retunes,
 //! cross-phase carry — are explored under every fault plan. The
 //! differential variants (`synth-diff`, `bh-diff`, `graph`) run

@@ -9,11 +9,11 @@
 //! paper treats as unconditional wins:
 //!
 //! * **migration threshold** — eager locality-driven migration
-//!   (`threshold = 1`, short epochs) against a conservative threshold and
-//!   against no migration at all. A hub has *no* dominant consumer: every
-//!   node is a heavy requester, so an eager owner ships the hub to whoever
-//!   asked last and the object ping-pongs, paying shipment and forwarding
-//!   overhead for locality that never materializes.
+//!   (`threshold = 1`) against a conservative threshold and against no
+//!   migration at all. A hub has *no* dominant consumer: every node is a
+//!   heavy requester, so whichever one the boundary pass re-homes the hub
+//!   to, all the others now reach it through the forwarding stub, paying
+//!   an extra hop for locality only one of them gets.
 //! * **reply-aggregation window** — a wide window with a lazy flush
 //!   deadline against a modest window and against no aggregation. Wide
 //!   windows help exactly when fan-out is high and steady; on the skewed
@@ -130,7 +130,6 @@ fn lanes() -> Vec<(&'static str, DpaConfig)> {
             "mig-t1",
             DpaConfig {
                 migration_threshold: 1,
-                migration_epoch_ns: 10_000,
                 ..DpaConfig::dpa_migrating(STRIP)
             },
         ),

@@ -93,8 +93,8 @@ fn adaptive() -> DpaConfig {
 }
 
 /// Every workload the sweep explores. The `-mig` workloads run the same
-/// apps multi-phase with locality-driven object migration enabled (epoch
-/// affinity, departs, forwards, the boundary pass). The `-adapt`
+/// apps multi-phase with locality-driven object migration enabled
+/// (phase-end affinity reports, the boundary pass's re-homing, forwards). The `-adapt`
 /// workloads run under the adaptive strip controller
 /// ([`dpa_core::stripctl`]) with bounds tight enough that every node
 /// crosses several retune boundaries. The `-diff` workloads run
@@ -423,7 +423,7 @@ pub fn plan_for(name: &str, seed: u64) -> Result<FaultPlan, UnknownName> {
         "pause" => {
             // Freeze two (seed-chosen) nodes in staggered windows: lossless,
             // but deliveries bunch up at the window edges and replay in a
-            // burst — the adversarial schedule for epoch-driven migration.
+            // burst — requests, forwards and affinity reports all at once.
             FaultPlan {
                 pauses: vec![
                     NodePause {

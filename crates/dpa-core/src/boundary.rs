@@ -3,7 +3,7 @@
 //! *k+1*'s. Plain functions over the carried tables, in two halves:
 //!
 //! * `close_phase` reads phase *k*'s apps (object sizes, the promotion
-//!   generation): heal dangling stubs, promote replicas, re-home.
+//!   generation): promote replicas, re-home.
 //! * `open_phase` reads phase *k+1*'s apps (current generations): refresh
 //!   the replica directories and plan the differential deltas.
 //!
@@ -15,40 +15,6 @@ use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::proc_dpa::PhaseCarry;
 use crate::work::PtrApp;
 use global_heap::{GPtr, MigrationTable, ReplicaDirectory};
-
-/// Collapse dangling forwarding stubs at a phase barrier: for every
-/// departed entry whose target node never adopted the object (its
-/// `Migrate` was dropped, or a forward chain was still parked when the
-/// phase ended), complete the adoption offline. `size_of` supplies the
-/// payload size for the adoptee's table.
-///
-/// This is what makes the boundary re-homing *idempotent*: without it a
-/// transient drop leaves a stub pointing at a node with no payload, and
-/// every later phase's requests forward there and park forever — a
-/// permanent stall born from a single lost packet. Deterministic: owners
-/// in node order, departed entries sorted by pointer bits.
-///
-/// Returns the healed pointers (empty on a clean hand-off).
-pub fn heal_departed_orphans(
-    tables: &mut [MigrationTable],
-    mut size_of: impl FnMut(GPtr) -> u32,
-) -> Vec<GPtr> {
-    let mut healed = Vec::new();
-    for owner in 0..tables.len() {
-        for (bits, to) in tables[owner].departed_entries() {
-            let ptr = GPtr::from_bits(bits);
-            let to = to as usize;
-            debug_assert!(to < tables.len(), "stub targets an unknown node");
-            if to < tables.len() && !tables[to].is_adopted(ptr) {
-                let size = size_of(ptr);
-                if tables[to].adopt(ptr, size) {
-                    healed.push(ptr);
-                }
-            }
-        }
-    }
-    healed
-}
 
 /// The replication promotion policy over each owner's accumulated affinity:
 /// a pointer read by at least `replication_min_fanout` consumers, at least
@@ -94,11 +60,13 @@ pub(crate) fn promote_replicas(
     }
 }
 
-/// Commit the phase's accumulated affinity: every owner picks its
-/// dominant-consumer moves (same `migration_threshold` / `migration_budget`
-/// knobs as the in-phase epochs) and the objects are re-homed offline — no
-/// messages, the hand-off models shipping them alongside the phase barrier.
-/// Returns the pointers that changed home.
+/// Commit the phase's accumulated affinity — the one place an object
+/// changes home: every owner picks its dominant-consumer moves
+/// (`migration_threshold`, at most `migration_budget` per owner) and the
+/// objects are re-homed offline — no messages, the hand-off models shipping
+/// them alongside the phase barrier. Stub and adoption are installed in
+/// one step, so no stub ever points at a node that does not hold the
+/// object. Returns the pointers that changed home.
 pub(crate) fn rehome(
     cfg: &DpaConfig,
     tables: &mut [MigrationTable],
@@ -165,7 +133,7 @@ pub(crate) fn plan_deltas<W>(
     }
 }
 
-/// Close phase *k*: heal, promote, re-home, reading sizes and the promotion
+/// Close phase *k*: promote, re-home, reading sizes and the promotion
 /// generation from phase *k*'s apps (`app_at(node)`; affinity accumulates
 /// at a pointer's birth home, so that is the app asked). Returns every
 /// pointer whose home changed, for [`open_phase`] to prune from the carried
@@ -175,16 +143,13 @@ pub(crate) fn close_phase<'a, A: PtrApp + 'a>(
     carries: &mut [PhaseCarry<A::Work>],
     app_at: impl Fn(u16) -> &'a A,
 ) -> FxHashSet<GPtr> {
-    let mut moved = FxHashSet::default();
     if !cfg.migration_enabled() {
-        return moved;
+        return FxHashSet::default();
     }
-    let size_of = |p: GPtr| app_at(p.node()).object_size(p);
     let mut tables: Vec<MigrationTable> = carries
         .iter_mut()
         .map(|c| c.migration.take().expect("migration enabled"))
         .collect();
-    moved.extend(heal_departed_orphans(&mut tables, size_of));
     if cfg.replication {
         let mut dirs: Vec<ReplicaDirectory> = carries
             .iter_mut()
@@ -197,11 +162,11 @@ pub(crate) fn close_phase<'a, A: PtrApp + 'a>(
             c.replication = Some(dir);
         }
     }
-    moved.extend(rehome(cfg, &mut tables, size_of));
+    let moved = rehome(cfg, &mut tables, |p| app_at(p.node()).object_size(p));
     for (c, table) in carries.iter_mut().zip(tables) {
         c.migration = Some(table);
     }
-    moved
+    moved.into_iter().collect()
 }
 
 /// Open phase *k+1* against its apps' generations: refresh every replica

@@ -181,12 +181,19 @@ pub enum ConfigError {
     /// `(ptr,size,gen)` stamps and the `PhaseDelta` gate make a stale
     /// replica a diagnosable stall instead of a silent wrong read.
     ReplicationWithoutDifferential,
-    /// Replication without migration epochs: promotion reads the owner's
+    /// Replication without migration: promotion reads the owner's
     /// affinity fan-out, which only `Affinity` reports populate.
     ReplicationWithoutMigration,
     /// A replication knob set to a value that can never promote (zero
     /// fan-out or zero read threshold). Names the offending knob.
     ZeroReplicationKnob(&'static str),
+    /// An MTU of 0 bytes fits no packet: the byte-budgeted coalescers
+    /// cannot be sized and reply segmentation divides by it.
+    ZeroMtu,
+    /// `DpaProc` asked to drive a variant it does not run: it drives DPA
+    /// and the sequential reference; the caching and blocking baselines
+    /// run on `CachingProc`.
+    WrongDriver(Variant),
 }
 
 impl fmt::Display for ConfigError {
@@ -217,11 +224,15 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::ReplicationWithoutMigration => write!(
                 f,
-                "replication requires migration epochs (promotion reads the affinity \
+                "replication requires migration (promotion reads the affinity \
                  fan-out that Affinity reports populate)"
             ),
             ConfigError::ZeroReplicationKnob(knob) => {
                 write!(f, "{knob} must be >= 1 when replication is enabled")
+            }
+            ConfigError::ZeroMtu => write!(f, "mtu must be >= 1 byte"),
+            ConfigError::WrongDriver(variant) => {
+                write!(f, "DpaProc drives DPA/Sequential, got {variant:?}")
             }
         }
     }
@@ -280,18 +291,18 @@ pub struct DpaConfig {
     pub cache_capacity: Option<usize>,
     /// Caching baseline: eviction policy for a bounded cache.
     pub cache_policy: EvictPolicy,
-    /// Locality-driven object migration: epoch length in simulated ns.
-    /// Every epoch each node ships its sampled per-pointer remote
-    /// dereference counts to the objects' homes (`Affinity`), and owners
-    /// migrate high-affinity objects to their dominant consumer
-    /// (`Migrate`). `0` disables migration entirely (the default — all
-    /// baselines and paper configurations run with it off).
-    pub migration_epoch_ns: u64,
+    /// Locality-driven object migration: each node samples per-pointer
+    /// remote dereference counts at align time and reports them to the
+    /// objects' homes once, at phase end (`Affinity`); the phase-boundary
+    /// pass of `run_phases` then re-homes high-affinity objects to their
+    /// dominant consumer. Off by default — all baselines and paper
+    /// configurations run without it.
+    pub migration: bool,
     /// Minimum remote dereference count a single consumer must accumulate
-    /// on an object before the owner will migrate it.
+    /// on an object before the boundary pass will re-home it.
     pub migration_threshold: u64,
-    /// Maximum objects a node may migrate away per phase. Bounds both the
-    /// migration traffic burst and the forwarding-stub table.
+    /// Maximum objects re-homed away from one node per phase boundary.
+    /// Bounds the forwarding-stub table.
     pub migration_budget: usize,
     /// Differential re-alignment: carry renamed storage, M/D interners,
     /// and migration state across phase barriers, patching them with
@@ -310,7 +321,7 @@ pub struct DpaConfig {
     /// are counted per window, and demote the pointer past
     /// [`replication_write_demote`](Self::replication_write_demote).
     /// Requires `differential` (replicas ride the carry + `PhaseDelta`
-    /// gating) and migration epochs (the affinity signal); replicated
+    /// gating) and migration (the affinity signal); replicated
     /// pointers are pinned against re-homing while replicated. Off by
     /// default — every earlier configuration is bit-for-bit unchanged.
     pub replication: bool,
@@ -358,7 +369,7 @@ impl Default for DpaConfig {
             max_outstanding: usize::MAX,
             cache_capacity: None,
             cache_policy: EvictPolicy::Fifo,
-            migration_epoch_ns: 0,
+            migration: false,
             migration_threshold: 3,
             migration_budget: 64,
             differential: false,
@@ -418,13 +429,12 @@ impl DpaConfig {
         }
     }
 
-    /// Full DPA plus locality-driven object migration: owners ship
-    /// high-affinity objects toward their dominant consumers once per
-    /// epoch (one epoch per poll interval by default).
+    /// Full DPA plus locality-driven object migration: at every phase
+    /// boundary high-affinity objects re-home to their dominant consumers.
     pub fn dpa_migrating(strip: usize) -> DpaConfig {
         DpaConfig {
             strip_mode: StripMode::Fixed(strip),
-            migration_epoch_ns: 40_000,
+            migration: true,
             ..DpaConfig::default()
         }
     }
@@ -445,12 +455,8 @@ impl DpaConfig {
     /// the affinity signal, with a *conservative* migration threshold —
     /// replication-first: an object only re-homes when one consumer
     /// really dominates, while the broad-fan-out hub is promoted to
-    /// replicated at the first boundary and pinned. The migration epoch
-    /// is `u64::MAX` — *boundary-only* mode: no periodic epoch ever
-    /// fires, because the promotion policy only needs the final
-    /// per-phase affinity report (sent at phase end whenever migration
-    /// is on). Skipping the periodic reports keeps the preset's message
-    /// overhead down to that single report plus the broadcasts
+    /// replicated at the first boundary and pinned. The message overhead
+    /// is the one per-phase affinity report plus the broadcasts
     /// themselves, and the raised
     /// [`affinity_report_floor`](Self::affinity_report_floor) keeps even
     /// that report hub-shaped: a consumer that touched a pointer fewer
@@ -460,7 +466,7 @@ impl DpaConfig {
         DpaConfig {
             strip_mode: StripMode::Fixed(strip),
             differential: true,
-            migration_epoch_ns: u64::MAX,
+            migration: true,
             migration_threshold: 24,
             replication: true,
             affinity_report_floor: 4,
@@ -470,7 +476,7 @@ impl DpaConfig {
 
     /// `true` when locality-driven object migration is enabled.
     pub fn migration_enabled(&self) -> bool {
-        self.migration_epoch_ns > 0
+        self.migration
     }
 
     /// `true` when the k-bound is feedback-controlled.
@@ -511,6 +517,9 @@ impl DpaConfig {
         }
         if self.reply_agg_window > 1 && self.reply_flush_deadline_ns == 0 {
             return Err(ConfigError::ZeroFlushDeadline);
+        }
+        if self.mtu.0 == 0 {
+            return Err(ConfigError::ZeroMtu);
         }
         if self.poll_interval_ns == 0 {
             return Err(ConfigError::ZeroPollInterval);
@@ -576,8 +585,8 @@ impl DpaConfig {
             Variant::Dpa => {
                 let mig = if self.migration_enabled() {
                     format!(
-                        ", migrate(epoch={}ns, thr={}, budget={})",
-                        self.migration_epoch_ns, self.migration_threshold, self.migration_budget
+                        ", migrate(thr={}, budget={})",
+                        self.migration_threshold, self.migration_budget
                     )
                 } else {
                     String::new()
@@ -706,6 +715,39 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_a_zero_mtu() {
+        // `Mtu`'s field is public; every variant sizes or segments by it.
+        for base in [DpaConfig::dpa(8), DpaConfig::caching()] {
+            let cfg = DpaConfig {
+                mtu: Mtu(0),
+                ..base
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::ZeroMtu));
+        }
+        assert!(ConfigError::ZeroMtu.to_string().contains("mtu"));
+    }
+
+    #[test]
+    fn try_new_returns_the_errors_it_used_to_panic_on() {
+        use crate::synth::{SynthApp, SynthParams, SynthWorld};
+        let world = SynthWorld::build(SynthParams::default());
+        let try_new = |cfg: DpaConfig| {
+            crate::DpaProc::try_new(SynthApp::new(world.clone(), 0, 100), 4, cfg).err()
+        };
+        assert_eq!(try_new(DpaConfig::dpa(8)), None);
+        let zero_mtu = DpaConfig {
+            mtu: Mtu(0),
+            ..DpaConfig::dpa(8)
+        };
+        assert_eq!(try_new(zero_mtu), Some(ConfigError::ZeroMtu));
+        for cfg in [DpaConfig::caching(), DpaConfig::blocking()] {
+            let wrong = ConfigError::WrongDriver(cfg.variant);
+            assert!(wrong.to_string().contains(cfg.variant.label()));
+            assert_eq!(try_new(cfg), Some(wrong));
+        }
+    }
+
+    #[test]
     fn baselines_reply_immediately() {
         // The blocking requesters of these variants cannot tolerate a
         // buffered reply; the presets must pin reply aggregation off.
@@ -751,7 +793,6 @@ mod tests {
             DpaConfig::blocking(),
             DpaConfig::sequential(),
         ] {
-            assert_eq!(cfg.migration_epoch_ns, 0);
             assert!(!cfg.migration_enabled());
         }
         let m = DpaConfig::dpa_migrating(50);
@@ -826,7 +867,7 @@ mod tests {
             Err(ConfigError::ReplicationWithoutDifferential)
         );
         let no_mig = DpaConfig {
-            migration_epoch_ns: 0,
+            migration: false,
             ..DpaConfig::dpa_replicating(50)
         };
         assert_eq!(

@@ -242,12 +242,13 @@ fn run_machine<P: NodeProc>(
 /// by the boundary pass ([`crate::boundary`]):
 ///
 /// * **Migration** (`migration_enabled()`). The per-node
-///   [`MigrationTable`]s carry, dangling stubs are healed, and the
-///   accumulated affinity is committed: objects re-home offline to their
-///   dominant consumer. The next phase's requesters then find them local
-///   to their new homes, which is where migration's message savings come
-///   from: within a single phase the arrival set already deduplicates
-///   fetches, so only cross-phase re-homing can remove request traffic.
+///   [`MigrationTable`]s carry and the affinity each phase-end report
+///   accumulated is committed: objects re-home offline to their dominant
+///   consumer — the only place a home changes. The next phase's
+///   requesters then find them local to their new homes, which is where
+///   migration's message savings come from: within a single phase the
+///   arrival set already deduplicates fetches, so only cross-phase
+///   re-homing can remove request traffic.
 /// * **Adaptive strip** (`adaptive_strip()`). Each node's controller
 ///   carries: a phase opens at the strip its predecessor converged to
 ///   (strips/phases are the paper's natural retune boundaries).

@@ -22,12 +22,12 @@
 //! application result.
 //!
 //! Object migration adds its own laws: every object lives at **exactly one
-//! home** (an adoption implies a matching stub, no object is adopted
-//! twice, and — on a lossless completed run — no stub points at a home
-//! that never materialized), forwarding chains are bounded at one hop (a
-//! node never both adopts and departs the same object), migration
-//! shipments conserve like every other coalesced path, and affinity
-//! reports all land (lossless runs).
+//! home** (an adoption implies a matching stub, a stub implies its
+//! adoption, no object is adopted twice — objects re-home offline between
+//! phases, so these hold on any run), forwarding chains are bounded at one
+//! hop (a node never both adopts and departs the same object), no request
+//! reaches a node that neither holds the object nor a stub for it, and
+//! affinity reports all land (lossless runs).
 //!
 //! Read-mostly replication adds two more: **broadcast conservation**
 //! (replica entries installed after dedup never exceed entries sent, and
@@ -102,14 +102,9 @@ pub struct NodeSnapshot {
     pub aff_sent: u64,
     /// Affinity entries received (after sequence dedup).
     pub aff_recv: u64,
-    /// Migration entries committed for shipping (stub installed).
-    pub mig_pushed: u64,
-    /// Migration entries sent on the wire.
-    pub mig_sent: u64,
-    /// Migration entries still buffered in the shipment coalescer.
-    pub mig_buffered: usize,
-    /// Forwarded requests still parked waiting for their `Migrate`.
-    pub orphans_pending: usize,
+    /// Request or `Forward` entries refused because this node was not
+    /// born with the object, has not adopted it and holds no stub for it.
+    pub misrouted_requests: u64,
     /// Pointer bits of every object this node adopted (sorted).
     pub adopted_ptrs: Vec<u64>,
     /// Pointer bits of every object that departed from this node (sorted).
@@ -176,8 +171,6 @@ pub enum Violation {
         upd: usize,
         /// Reply entries left buffered in the reply scheduler.
         reply: usize,
-        /// Migration entries left buffered in the shipment coalescer.
-        mig: usize,
     },
     /// Request entries pushed ≠ sent + buffered: the communication
     /// scheduler lost or invented entries.
@@ -249,18 +242,6 @@ pub enum Violation {
         /// Entries applied across all nodes.
         applied: u64,
     },
-    /// Migration entries committed ≠ sent + buffered: a shipment vanished
-    /// inside the migration coalescer (or was invented).
-    MigrationLeak {
-        /// Offending node.
-        node: u16,
-        /// Entries committed (stub installed).
-        pushed: u64,
-        /// Entries sent on the wire.
-        sent: u64,
-        /// Entries still buffered.
-        buffered: usize,
-    },
     /// A node both adopted an object and departed it: a forwarding chain
     /// of length > 1, which the protocol promises never to create.
     ForwardChainTooLong {
@@ -284,22 +265,26 @@ pub enum Violation {
         /// Every node claiming adoption.
         nodes: Vec<u16>,
     },
-    /// A stub points at a home that never materialized (lossless completed
-    /// run): the object's payload left its birth home and was never
-    /// adopted — the object is gone.
+    /// A stub points at a home that never materialized: the object left
+    /// its birth home and was never adopted — the object is gone. Stub and
+    /// adoption are installed together between phases, so no packet loss
+    /// or stall excuses this; it is checked on every run.
     ObjectLost {
         /// The birth home holding the dangling stub.
         node: u16,
         /// The lost object (pointer bits).
         ptr: u64,
     },
-    /// Forwarded requests still parked at phase end (lossless completed
-    /// run): a `Forward` arrived but its `Migrate` never did.
-    OrphanNotServed {
-        /// The node holding the orphans.
+    /// A node received a request or `Forward` for an object it was not
+    /// born with, has not adopted and holds no stub for. Homes change only
+    /// between phases, so every table names the same home all phase long
+    /// and no schedule or fault plan can misroute a request; the node
+    /// refuses it rather than serve an object it does not hold.
+    MisroutedRequest {
+        /// The node that refused the entries.
         node: u16,
-        /// How many forwarded requests are still parked.
-        count: usize,
+        /// How many entries it refused.
+        count: u64,
     },
     /// Machine-wide affinity conservation failed on a lossless run:
     /// entries received (after dedup) ≠ entries sent.
@@ -397,10 +382,9 @@ impl fmt::Display for Violation {
                 req,
                 upd,
                 reply,
-                mig,
             } => write!(
                 f,
-                "n{node}: coalescer not drained at phase end ({req} request, {upd} update, {reply} reply, {mig} migration entries)"
+                "n{node}: coalescer not drained at phase end ({req} request, {upd} update, {reply} reply entries)"
             ),
             Violation::ReplyPathLeak {
                 node,
@@ -450,15 +434,6 @@ impl fmt::Display for Violation {
                 f,
                 "updates over-applied: {applied} applied > {emitted} emitted (duplicate folded twice)"
             ),
-            Violation::MigrationLeak {
-                node,
-                pushed,
-                sent,
-                buffered,
-            } => write!(
-                f,
-                "n{node}: migration conservation broken: committed {pushed} != sent {sent} + buffered {buffered}"
-            ),
             Violation::ForwardChainTooLong { node, ptr } => write!(
                 f,
                 "n{node}: forwarding chain > 1 hop: {} both adopted and departed here",
@@ -481,9 +456,10 @@ impl fmt::Display for Violation {
                 "n{node}: {} departed but was never adopted anywhere (object lost)",
                 GPtr::from_bits(*ptr)
             ),
-            Violation::OrphanNotServed { node, count } => write!(
+            Violation::MisroutedRequest { node, count } => write!(
                 f,
-                "n{node}: {count} forwarded request(s) still parked — their Migrate never landed"
+                "n{node}: refused {count} request entr{} for objects it neither holds nor forwards",
+                if *count == 1 { "y" } else { "ies" }
             ),
             Violation::AffinityLeak { sent, recv } => write!(
                 f,
@@ -610,21 +586,19 @@ pub fn check_conservation(snaps: &[NodeSnapshot]) -> Vec<Violation> {
     out
 }
 
-/// Object-migration laws that hold on **any** run: shipment conservation,
-/// the one-hop forwarding bound, single-home exclusivity. (Stub installed
-/// strictly before the shipment leaves, so even a snapshot of a stalled
-/// run can never show an adoption without its stub.)
+/// Object-migration laws that hold on **any** run: no misrouted request,
+/// the one-hop forwarding bound, single-home exclusivity in both
+/// directions. (Stub and adoption are installed together between phases,
+/// so even a snapshot of a stalled run shows neither without the other.)
 fn check_migration_conservation(snaps: &[NodeSnapshot]) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut adopters: HashMap<u64, Vec<u16>> = HashMap::new();
     let mut departed_anywhere: HashSet<u64> = HashSet::new();
     for s in snaps {
-        if s.mig_pushed != s.mig_sent + s.mig_buffered as u64 {
-            out.push(Violation::MigrationLeak {
+        if s.misrouted_requests > 0 {
+            out.push(Violation::MisroutedRequest {
                 node: s.node,
-                pushed: s.mig_pushed,
-                sent: s.mig_sent,
-                buffered: s.mig_buffered,
+                count: s.misrouted_requests,
             });
         }
         let departed_here: HashSet<u64> = s.departed_ptrs.iter().copied().collect();
@@ -655,6 +629,13 @@ fn check_migration_conservation(snaps: &[NodeSnapshot]) -> Vec<Violation> {
             });
         }
     }
+    for s in snaps {
+        for &ptr in &s.departed_ptrs {
+            if !adopters.contains_key(&ptr) {
+                out.push(Violation::ObjectLost { node: s.node, ptr });
+            }
+        }
+    }
     out
 }
 
@@ -682,14 +663,12 @@ pub fn check_completed(snaps: &[NodeSnapshot], lossy: bool) -> Vec<Violation> {
                 sample: s.pending_sample.clone(),
             });
         }
-        if s.req_buffered > 0 || s.upd_buffered > 0 || s.reply_buffered > 0 || s.mig_buffered > 0
-        {
+        if s.req_buffered > 0 || s.upd_buffered > 0 || s.reply_buffered > 0 {
             out.push(Violation::BufferNotDrained {
                 node: s.node,
                 req: s.req_buffered,
                 upd: s.upd_buffered,
                 reply: s.reply_buffered,
-                mig: s.mig_buffered,
             });
         }
         // Hot-key conservation: with the reply scheduler drained every
@@ -739,8 +718,7 @@ pub fn check_completed(snaps: &[NodeSnapshot], lossy: bool) -> Vec<Violation> {
             });
         }
         // On a lossless completed run the machine has drained every
-        // message: all affinity landed, every shipped object was adopted,
-        // and no forwarded request is still waiting for its Migrate.
+        // message: all affinity landed.
         let sent: u64 = snaps.iter().map(|s| s.aff_sent).sum();
         let recv: u64 = snaps.iter().map(|s| s.aff_recv).sum();
         if sent != recv {
@@ -764,23 +742,6 @@ pub fn check_completed(snaps: &[NodeSnapshot], lossy: bool) -> Vec<Violation> {
                 sent: rsent,
                 recv: rrecv,
             });
-        }
-        let adopted_anywhere: HashSet<u64> = snaps
-            .iter()
-            .flat_map(|s| s.adopted_ptrs.iter().copied())
-            .collect();
-        for s in snaps {
-            for &ptr in &s.departed_ptrs {
-                if !adopted_anywhere.contains(&ptr) {
-                    out.push(Violation::ObjectLost { node: s.node, ptr });
-                }
-            }
-            if s.orphans_pending > 0 {
-                out.push(Violation::OrphanNotServed {
-                    node: s.node,
-                    count: s.orphans_pending,
-                });
-            }
         }
     }
     out
@@ -937,19 +898,8 @@ mod tests {
         let mut b = clean(1);
         b.adopted_ptrs = vec![42];
         b.aff_sent = 5;
-        b.mig_pushed = 0;
         let snaps = vec![a, b];
         assert!(check_completed(&snaps, false).is_empty());
-    }
-
-    #[test]
-    fn migration_leak_detected() {
-        let mut s = clean(0);
-        s.mig_pushed = 3;
-        s.mig_sent = 2; // one shipment vanished
-        let v = check_conservation(&[s]);
-        assert!(matches!(v[0], Violation::MigrationLeak { node: 0, .. }));
-        assert!(v[0].to_string().contains("migration conservation"));
     }
 
     #[test]
@@ -1005,20 +955,29 @@ mod tests {
     }
 
     #[test]
-    fn lost_object_and_stranded_orphans_flagged_on_lossless_runs_only() {
+    fn lost_object_and_misrouted_request_flagged_on_every_run() {
         let mut a = clean(0);
-        a.departed_ptrs = vec![11]; // Migrate dropped: nobody adopted
+        a.departed_ptrs = vec![11]; // stub without an adopter
         let mut b = clean(1);
-        b.orphans_pending = 2;
+        b.misrouted_requests = 2;
         let snaps = vec![a, b];
-        assert!(check_completed(&snaps, true).is_empty(), "lossy run tolerates both");
-        let v = check_completed(&snaps, false);
-        assert!(v
-            .iter()
-            .any(|v| matches!(v, Violation::ObjectLost { node: 0, ptr: 11 })));
-        assert!(v
-            .iter()
-            .any(|v| matches!(v, Violation::OrphanNotServed { node: 1, count: 2 })));
+        // Stalled, lossy-completed and lossless-completed alike.
+        for v in [
+            check_conservation(&snaps),
+            check_completed(&snaps, true),
+            check_completed(&snaps, false),
+        ] {
+            assert_eq!(
+                v,
+                [
+                    Violation::MisroutedRequest { node: 1, count: 2 },
+                    Violation::ObjectLost { node: 0, ptr: 11 },
+                ]
+            );
+        }
+        assert!(Violation::MisroutedRequest { node: 1, count: 2 }
+            .to_string()
+            .contains("refused 2 request entries"));
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod synth;
 pub mod work;
 
 pub use config::{ConfigError, CostModel, DpaConfig, Variant};
-pub use boundary::heal_departed_orphans;
 pub use driver::{run_phase, run_phase_dst, run_phase_traced, run_phases, DstOptions};
 // The frozen `benchmark/` crate links the multi-phase driver under its two
 // former names and is their only user; a later benchmark PR drops them.

@@ -36,34 +36,23 @@ pub enum DpaMsg {
         entries: Vec<(GPtr, f64)>,
     },
     /// Affinity report: "my threads dereferenced your objects this often."
-    /// Sent by a consumer to an object's believed home at each migration
-    /// epoch; entries are `(pointer, remote dereference count)` deltas
-    /// sampled from the sender's M mapping. Purely advisory (losing one
-    /// only weakens the migration signal), but deduplicated on
-    /// `(sender, seq)` so duplicated deliveries cannot inflate counts.
+    /// Sent by a consumer to an object's believed home once per phase,
+    /// when its iterations are done; entries are `(pointer, remote
+    /// dereference count)` sampled from the sender's M mapping. Purely
+    /// advisory (losing one only weakens the migration signal), but
+    /// deduplicated on `(sender, seq)` so duplicated deliveries cannot
+    /// inflate counts.
     Affinity {
         /// Per-sender monotone sequence number (dedup key).
         seq: u64,
-        /// The `(pointer, dereference count)` deltas.
+        /// The `(pointer, dereference count)` samples.
         entries: Vec<(GPtr, u32)>,
     },
-    /// Object migration: the owner ships high-affinity objects to their
-    /// dominant consumer, which adopts them and serves subsequent reads.
-    /// Each entry is `(pointer, payload bytes)` — like a reply, the data
-    /// travels implicitly and the size drives wire cost. Adoption must be
-    /// exactly-once in effect, so entries dedup on `(sender, seq)` and
-    /// adoption itself is idempotent.
-    Migrate {
-        /// Per-sender monotone sequence number (dedup key).
-        seq: u64,
-        /// The `(pointer, payload bytes)` objects changing home.
-        entries: Vec<(GPtr, u32)>,
-    },
-    /// One-hop forwarding of a request that reached a birth home after its
-    /// object departed: the stub owner passes the wanted pointers to the
-    /// new home together with the original requester, which receives the
-    /// reply directly. An adopted object never migrates again, so a
-    /// request chases at most one `Forward`.
+    /// One-hop forwarding of a request that reached a birth home whose
+    /// object the boundary pass re-homed: the stub owner passes the wanted
+    /// pointers to the new home together with the original requester,
+    /// which receives the reply directly. An adopted object never migrates
+    /// again, so a request chases at most one `Forward`.
     Forward {
         /// The node whose request hit the forwarding stub (reply target).
         requester: u16,
@@ -112,7 +101,6 @@ impl DpaMsg {
             DpaMsg::Reply(v) => v.len(),
             DpaMsg::Update { entries, .. } => entries.len(),
             DpaMsg::Affinity { entries, .. } => entries.len(),
-            DpaMsg::Migrate { entries, .. } => entries.len(),
             DpaMsg::Forward { entries, .. } => entries.len(),
             DpaMsg::PhaseDelta { entries, .. } => entries.len(),
             DpaMsg::Replicate { entries, .. } => entries.len(),
@@ -129,12 +117,8 @@ impl MsgSize for DpaMsg {
                 .map(|&(_, size)| size + GPtr::WIRE_BYTES)
                 .sum(),
             DpaMsg::Update { entries, .. } => (entries.len() as u32) * (GPtr::WIRE_BYTES + 8),
-            // Pointer + 4-byte count per affinity delta; seq in the header.
+            // Pointer + 4-byte count per affinity sample; seq in the header.
             DpaMsg::Affinity { entries, .. } => (entries.len() as u32) * (GPtr::WIRE_BYTES + 4),
-            // Migration carries the object payload, reply-style.
-            DpaMsg::Migrate { entries, .. } => {
-                entries.iter().map(|&(_, size)| size + GPtr::WIRE_BYTES).sum()
-            }
             // Requester id rides in the header; entries are bare pointers.
             DpaMsg::Forward { entries, .. } => (entries.len() as u32) * GPtr::WIRE_BYTES,
             // Bare pointers; seq in the header. The all-clear (no entries)
@@ -149,12 +133,13 @@ impl MsgSize for DpaMsg {
     }
 }
 
-/// One sequenced message kind (`Update`, `Affinity`, `Migrate`,
-/// `PhaseDelta`, `Replicate`), both directions, in either node driver.
-/// The k-th message this node sends carries `seq == k`; a received `(sender, seq)` is accepted once,
-/// which is what makes the kind's effect exactly-once under at-least-once
-/// delivery; and entries are counted as they go on the wire and as they
-/// are accepted — the pair the conservation oracles compare across nodes.
+/// One sequenced message kind (`Update`, `Affinity`, `PhaseDelta`,
+/// `Replicate`), both directions, in either node driver. The k-th message
+/// this node sends carries `seq == k`; a received `(sender, seq)` is
+/// accepted once, which is what makes the kind's effect exactly-once under
+/// at-least-once delivery; and entries are counted as they go on the wire
+/// and as they are accepted — the pair the conservation oracles compare
+/// across nodes.
 #[derive(Default)]
 pub(crate) struct SeqChannel {
     /// Messages sent; doubles as the next sequence number.
@@ -239,18 +224,8 @@ mod tests {
             seq: 3,
             entries: vec![(p(1), 17), (p(2), 4)],
         };
-        assert_eq!(aff.size_bytes(), 2 * 12, "pointer + count per delta");
+        assert_eq!(aff.size_bytes(), 2 * 12, "pointer + count per sample");
         assert_eq!(aff.entries(), 2);
-
-        let mig = DpaMsg::Migrate {
-            seq: 1,
-            entries: vec![(p(1), 96), (p(2), 48)],
-        };
-        assert_eq!(
-            mig.size_bytes(),
-            96 + 48 + 16,
-            "migration ships object payloads like a reply"
-        );
 
         let fwd = DpaMsg::Forward {
             requester: 3,

@@ -11,10 +11,9 @@
 //! (`proc_dpa`'s `enqueue_replies`) that buffers reply entries per
 //! destination instead of answering immediately; it shares
 //! [`lookup_entries`] and [`charge_extra_packets`] with the immediate path
-//! below so both charge identically per object and per packet. Migration
-//! shipments and replica broadcasts (`proc_dpa::migrate`,
-//! `proc_dpa::replicate`) are sized and charged through the same two
-//! functions.
+//! below so both charge identically per object and per packet. Replica
+//! broadcasts (`proc_dpa::replicate`) are sized and charged through
+//! [`reply_payload_bytes`] and [`charge_extra_packets`] too.
 
 use crate::config::DpaConfig;
 use crate::msg::DpaMsg;
@@ -51,9 +50,9 @@ pub(crate) fn charge_extra_packets(cfg: &DpaConfig, ctx: &mut Ctx<'_, DpaMsg>, p
 ///
 /// `mig` is the serving node's migration table (`None` when migration is
 /// off): a node legitimately serves objects it was born with *and has not
-/// shipped away*, plus objects it has adopted. Anything else reaching this
-/// point is a routing bug — departed objects must take the forwarding
-/// path, and not-yet-adopted objects must wait in the orphan queue.
+/// re-homed away*, plus objects it has adopted. Anything else reaching
+/// this point is a routing bug — departed objects must take the forwarding
+/// path, and `triage_request` refuses what belongs to neither.
 pub(crate) fn lookup_entries<A: PtrApp>(
     app: &A,
     cfg: &DpaConfig,

@@ -359,7 +359,6 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                 }
             }
             DpaMsg::Affinity { .. }
-            | DpaMsg::Migrate { .. }
             | DpaMsg::Forward { .. }
             | DpaMsg::PhaseDelta { .. }
             | DpaMsg::Replicate { .. } => {

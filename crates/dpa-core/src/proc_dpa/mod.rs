@@ -56,7 +56,7 @@
 //!
 //! | state | flag | messages | module |
 //! |---|---|---|---|
-//! | `mig` | `migration_enabled()` | `Affinity`, `Migrate`, `Forward` | `migrate` |
+//! | `mig` | `migration_enabled()` | `Affinity`, `Forward` | `migrate` |
 //! | `diff` | `differential` | `PhaseDelta` | `differential` |
 //! | `repl` | `replication` | `Replicate` | `replicate` |
 //!
@@ -190,7 +190,7 @@ pub struct DpaProc<A: PtrApp> {
     /// Read-mostly replication, `Some` iff `cfg.replication`.
     repl: Option<ReplState>,
     /// Objects installed (a pending request completed with data — by a
-    /// reply, or by an adoption or a broadcast that doubled as one).
+    /// reply, or by a replica broadcast that doubled as one).
     /// Equals `arrived.total_inserts()` whenever migration is off.
     installs: u64,
     /// The k-bound currently in force (constant under a fixed strip;
@@ -215,9 +215,9 @@ pub struct DpaProc<A: PtrApp> {
     threads_created: u64,
     peak_stack: u64,
     /// Objects with requests currently in flight (sent, reply pending).
-    /// A set rather than a count: with migration an adoption can complete
-    /// a pending request whose wire reply (possibly forwarded) arrives
-    /// later, and set removal stays exact where a counter would drift.
+    /// A set rather than a count: a replica broadcast can complete a
+    /// pending request whose wire reply arrives later, and set removal
+    /// stays exact where a counter would drift.
     in_flight: FxHashSet<GPtr>,
     peak_in_flight: u64,
     request_msgs: u64,
@@ -236,7 +236,7 @@ pub struct DpaProc<A: PtrApp> {
     /// conservation oracle. A skewed workload funnels most reply traffic
     /// through a few hub objects; this map proves no per-key entry is
     /// lost or invented across the scheduler, immediate-service, and
-    /// orphan paths (the aggregate counters above would mask a bug that
+    /// forwarded paths (the aggregate counters above would mask a bug that
     /// drops a hub entry while inventing one elsewhere).
     reply_ptr_acct: FxHashMap<GPtr, (u64, u64)>,
     /// Recycled emission buffer threaded through every [`WorkEnv`] this
@@ -249,11 +249,8 @@ pub struct DpaProc<A: PtrApp> {
 impl<A: PtrApp> DpaProc<A> {
     /// Wrap one node's application instance under `cfg`.
     ///
-    /// `nodes` is the machine size (drives coalescer sizing). Panics on a
-    /// degenerate config ([`DpaConfig::validate`] — use
-    /// [`DpaProc::try_new`] for an `Err` instead) or if `cfg.variant` is
-    /// not [`Variant::Dpa`] or [`Variant::Sequential`] — the baselines
-    /// have their own driver.
+    /// `nodes` is the machine size (drives coalescer sizing). Panics on
+    /// what [`DpaProc::try_new`] returns as an `Err`.
     pub fn new(app: A, nodes: usize, cfg: DpaConfig) -> DpaProc<A> {
         match Self::try_new(app, nodes, cfg) {
             Ok(p) => p,
@@ -261,14 +258,15 @@ impl<A: PtrApp> DpaProc<A> {
         }
     }
 
-    /// Like [`DpaProc::new`] but rejects a degenerate config with a clear
-    /// [`ConfigError`] instead of a hang or panic deep in the run.
+    /// Like [`DpaProc::new`] but rejects a degenerate config
+    /// ([`DpaConfig::validate`]) or a variant other than [`Variant::Dpa`]
+    /// / [`Variant::Sequential`] — the baselines have their own driver —
+    /// with a clear [`ConfigError`] instead of a hang or panic deep in the
+    /// run.
     pub fn try_new(app: A, nodes: usize, cfg: DpaConfig) -> Result<DpaProc<A>, ConfigError> {
-        assert!(
-            matches!(cfg.variant, Variant::Dpa | Variant::Sequential),
-            "DpaProc drives DPA/Sequential, got {:?}",
-            cfg.variant
-        );
+        if !matches!(cfg.variant, Variant::Dpa | Variant::Sequential) {
+            return Err(ConfigError::WrongDriver(cfg.variant));
+        }
         cfg.validate()?;
         let strip = cfg.initial_strip();
         let mtu = cfg.mtu.0 as u64;
@@ -289,7 +287,7 @@ impl<A: PtrApp> DpaProc<A> {
             upd_coal: ByteCoalescer::new(nodes, mtu, cfg.agg_window),
             reply_coal: ByteCoalescer::new(nodes, mtu, cfg.reply_agg_window),
             flush_wake_at: None,
-            mig: cfg.migration_enabled().then(|| MigrateState::new(nodes, &cfg)),
+            mig: cfg.migration_enabled().then(MigrateState::default),
             diff: cfg.differential.then(DiffState::default),
             repl: cfg.replication.then(ReplState::default),
             installs: 0,
@@ -545,7 +543,7 @@ impl<A: PtrApp> DpaProc<A> {
                     } else {
                         ctx.charge_overhead(self.cfg.cost.map_update_ns + self.pressure());
                         let first = self.map.align(ptr, Tagged { iter, work });
-                        self.sample_affinity(ctx, ptr);
+                        self.sample_affinity(ptr);
                         if first && self.pending.insert(ptr) {
                             ctx.charge_overhead(self.cfg.cost.request_entry_ns);
                             if let Some(batch) = self.coal.push(home, ptr) {
@@ -616,8 +614,8 @@ impl<A: PtrApp> DpaProc<A> {
         self.ensure_flush_wake(ctx);
     }
 
-    /// Send what `mode` takes out of the three byte-budgeted buffers:
-    /// replies, reductions, migration shipments.
+    /// Send what `mode` takes out of the two byte-budgeted buffers:
+    /// replies and reductions.
     fn flush(&mut self, ctx: &mut Ctx<'_, DpaMsg>, mode: Drain) {
         while let Some((dst, batch)) = mode.pop(&mut self.reply_coal) {
             self.send_reply(ctx, dst, batch);
@@ -625,38 +623,25 @@ impl<A: PtrApp> DpaProc<A> {
         while let Some((dst, batch)) = mode.pop(&mut self.upd_coal) {
             self.send_update(ctx, dst, batch);
         }
-        if let Some(m) = self.mig.as_mut() {
-            while let Some((dst, batch)) = mode.pop(&mut m.coal) {
-                m.send(ctx, &self.cfg, dst, batch);
-            }
-        }
     }
 
     /// When the oldest entry buffered for [`flush`](Self::flush) comes due
     /// (`None` when nothing is buffered).
     fn next_flush_due(&self) -> Option<u64> {
         let deadline = self.cfg.reply_flush_deadline_ns;
-        [
-            self.reply_coal.next_due(deadline),
-            self.upd_coal.next_due(deadline),
-            self.mig.as_ref().and_then(|m| m.coal.next_due(deadline)),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        [self.reply_coal.next_due(deadline), self.upd_coal.next_due(deadline)]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
-    /// Flush every buffered reply/update/shipment destination whose oldest
-    /// entry has aged past the deadline, then re-arm the wake for what
-    /// remains.
+    /// Flush every buffered reply/update destination whose oldest entry
+    /// has aged past the deadline, then re-arm the wake for what remains.
     fn flush_due(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         // Fast path for the common wake: nothing buffered anywhere and no
         // wake armed means every branch below is a no-op. Self-wake poll
         // slices land here once per event on the hot path.
-        if self.flush_wake_at.is_none()
-            && self.reply_coal.is_empty()
-            && self.upd_coal.is_empty()
-            && self.mig.as_ref().is_none_or(|m| m.coal.is_empty())
+        if self.flush_wake_at.is_none() && self.reply_coal.is_empty() && self.upd_coal.is_empty()
         {
             return;
         }
@@ -759,12 +744,12 @@ impl<A: PtrApp> DpaProc<A> {
         self.in_flight.is_empty() || self.in_flight.len() < self.cfg.max_outstanding
     }
 
-    /// Data for `ptr` reached this node: a reply, or an adoption or a
-    /// replica broadcast that doubles as one. If a request for it is
-    /// pending, that request completes — the object enters renamed storage
-    /// and every thread aligned under it is released to run consecutively
-    /// (tiling). Returns `false`, changing nothing, for a duplicate: the
-    /// object is already held and no request is waiting on it.
+    /// Data for `ptr` reached this node: a reply, or a replica broadcast
+    /// that doubles as one. If a request for it is pending, that request
+    /// completes — the object enters renamed storage and every thread
+    /// aligned under it is released to run consecutively (tiling). Returns
+    /// `false`, changing nothing, for a duplicate: the object is already
+    /// held and no request is waiting on it.
     fn install(&mut self, ptr: GPtr, size: u32, gen: u32) -> bool {
         let fresh = self.arrived.insert_gen(ptr, size, gen);
         if !fresh && !self.pending.contains(ptr) {
@@ -781,7 +766,7 @@ impl<A: PtrApp> DpaProc<A> {
     /// Requester side: install the objects of one reply.
     ///
     /// Idempotent: a duplicated reply (fault injection) — or one for an
-    /// object an adoption already installed — finds the object in the
+    /// object a broadcast already installed — finds the object in the
     /// arrival set with its request completed and changes nothing: no
     /// double release, no D corruption. The handler overhead is still
     /// charged (the CPU really does re-hash the pointer before discovering
@@ -791,7 +776,10 @@ impl<A: PtrApp> DpaProc<A> {
         for (ptr, size) in objs.drain(..) {
             ctx.charge_overhead(self.cfg.cost.reply_install_ns + self.pressure());
             if let Some(m) = self.mig.as_mut() {
-                m.note_reply_source(ptr, src.0);
+                // A reply from a node other than the birth home reveals a
+                // re-homing (the serving node is the adoptee): learning it
+                // skips the forwarding hop from now on.
+                m.table.learn_override(ptr, src.0);
             }
             self.in_flight.remove(&ptr);
             self.install(ptr, size, self.app.object_generation(ptr));
@@ -832,10 +820,10 @@ impl<A: PtrApp> DpaProc<A> {
                 continue;
             }
 
-            // Local quiescence: schedule communication. Buffered replies,
-            // reductions and shipments are flushed unconditionally — there
-            // is no local work left to overlap, so holding them would
-            // trade latency for nothing.
+            // Local quiescence: schedule communication. Buffered replies
+            // and reductions are flushed unconditionally — there is no
+            // local work left to overlap, so holding them would trade
+            // latency for nothing.
             self.flush(ctx, Drain::All);
             // Requests: held batches first, then the first nonempty
             // buffer. Pipelined, as many as flow control allows; otherwise
@@ -852,10 +840,10 @@ impl<A: PtrApp> DpaProc<A> {
             }
 
             // Finished? (Nothing ready, nothing admitted, nothing owed.)
-            // With migration, an adoption can complete a pending request
-            // whose pointer still sits in the request buffers or on the
-            // wire, so the buffers and in-flight set are part of the
-            // condition rather than implied by `pending` being empty.
+            // A replica broadcast can complete a pending request whose
+            // pointer still sits in the request buffers or on the wire,
+            // so the buffers and in-flight set are part of the condition
+            // rather than implied by `pending` being empty.
             if self.next_iter == self.total_iters
                 && self.iter_live.is_empty()
                 && self.pending.is_empty()
@@ -863,7 +851,7 @@ impl<A: PtrApp> DpaProc<A> {
                 && self.coal.is_empty()
                 && self.held.is_empty()
             {
-                self.finish_migration(ctx);
+                self.report_affinity(ctx);
                 debug_assert!(self.map.is_empty());
                 debug_assert!(self.upd_coal.is_empty());
                 debug_assert!(self.reply_coal.is_empty());
@@ -886,7 +874,6 @@ impl<A: PtrApp> Proc for DpaProc<A> {
                 self.strip_ctl = Some(ctl);
             }
         }
-        self.arm_epoch(ctx);
         // The boundary's announcements leave before this node gates on
         // the deltas it awaits itself: an owner serves its consumers
         // whatever it is waiting on, so mutually-carrying nodes cannot
@@ -927,7 +914,6 @@ impl<A: PtrApp> Proc for DpaProc<A> {
                 self.upd_coal.recycle(entries);
             }
             DpaMsg::Affinity { seq, entries } => self.on_affinity(ctx, src, seq, entries),
-            DpaMsg::Migrate { seq, entries } => self.on_migrate(ctx, src, seq, entries),
             DpaMsg::Forward { requester, entries } => self.on_forward(ctx, requester, entries),
             DpaMsg::PhaseDelta { seq, entries } => self.on_phase_delta(ctx, src, seq, entries),
             DpaMsg::Replicate { seq, gen, entries } => {
@@ -938,7 +924,6 @@ impl<A: PtrApp> Proc for DpaProc<A> {
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         self.wake_scheduled = false;
-        self.epoch_wake(ctx);
         self.flush_due(ctx);
         self.drive(ctx);
     }

@@ -135,64 +135,6 @@ fn strip_one_still_correct_but_slower() {
     );
 }
 
-/// A dangling forwarding stub — departed at the owner, never adopted at
-/// the target (its `Migrate` was dropped or still parked at the barrier) —
-/// is completed offline by the boundary healer, and healing again is a
-/// no-op. This is the idempotence that keeps a single lost shipment from
-/// turning into a permanent forward-and-park stall in every later phase.
-#[test]
-fn heal_departed_orphans_completes_dangling_stubs() {
-    use dpa_core::heal_departed_orphans;
-    use global_heap::{GPtr, MigrationTable, ObjClass};
-
-    let orphan = GPtr::new(0, ObjClass(0), 7);
-    let clean = GPtr::new(0, ObjClass(0), 9);
-    let mut tables = vec![MigrationTable::new(); 3];
-    // A clean hand-off: stub and adoption both present.
-    tables[0].depart(clean, 1);
-    tables[1].adopt(clean, 64);
-    // The orphan: stub installed, shipment lost before node 2 adopted.
-    tables[0].depart(orphan, 2);
-
-    let healed = heal_departed_orphans(&mut tables, |_| 48);
-    assert_eq!(healed, vec![orphan], "only the dangling stub needs healing");
-    assert!(tables[2].is_adopted(orphan));
-    assert_eq!(tables[2].adopted_size(orphan), Some(48));
-    assert_eq!(
-        tables[1].adopted_size(clean),
-        Some(64),
-        "the clean hand-off is untouched"
-    );
-
-    let again = heal_departed_orphans(&mut tables, |_| 48);
-    assert!(again.is_empty(), "healing must be idempotent");
-}
-
-/// Two owners with stubs pointing at the same adoptive node heal in
-/// deterministic order (owners ascending, pointers by bits within one
-/// owner) — the boundary pass must not depend on hash-map iteration.
-#[test]
-fn heal_departed_orphans_is_deterministic() {
-    use dpa_core::heal_departed_orphans;
-    use global_heap::{GPtr, MigrationTable, ObjClass};
-
-    let build = || {
-        let mut tables = vec![MigrationTable::new(); 4];
-        for idx in [12u64, 3, 44, 8] {
-            tables[1].depart(GPtr::new(1, ObjClass(0), idx), 3);
-        }
-        tables[0].depart(GPtr::new(0, ObjClass(0), 5), 3);
-        tables
-    };
-    let mut a = build();
-    let mut b = build();
-    let ha = heal_departed_orphans(&mut a, |p| 16 + p.index() as u32);
-    let hb = heal_departed_orphans(&mut b, |p| 16 + p.index() as u32);
-    assert_eq!(ha, hb, "healing order must be deterministic");
-    assert_eq!(ha.len(), 5);
-    assert!(ha[0].node() == 0, "owners heal in ascending node order");
-}
-
 #[test]
 fn dropped_replies_stall_but_do_not_hang() {
     let world = SynthWorld::build(params(4));

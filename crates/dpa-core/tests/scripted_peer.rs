@@ -4,7 +4,9 @@
 //! and duplicates a whole-machine run only produces by luck of a fault
 //! seed.
 
-use dpa_core::{DpaConfig, DpaMsg, DpaProc, NodeSnapshot, PtrApp, WorkEnv};
+use dpa_core::{
+    check_conservation, DpaConfig, DpaMsg, DpaProc, NodeSnapshot, PtrApp, Violation, WorkEnv,
+};
 use global_heap::{GPtr, ObjClass};
 use sim_net::{Ctx, Dur, Machine, NetConfig, NodeId, NodeStats, Proc, RunReport};
 
@@ -263,7 +265,7 @@ fn replicate_and_phase_delta_commute() {
     assert_eq!(snapshot(&mut m).stale_cache_entries, 1);
 }
 
-/// Each of the five sequenced kinds, delivered twice with the same seq,
+/// Each of the four sequenced kinds, delivered twice with the same seq,
 /// leaves the node exactly where one delivery leaves it.
 #[test]
 fn a_duplicated_sequenced_message_changes_nothing() {
@@ -276,10 +278,6 @@ fn a_duplicated_sequenced_message_changes_nothing() {
         DpaMsg::Affinity {
             seq: 0,
             entries: vec![(local, 5)],
-        },
-        DpaMsg::Migrate {
-            seq: 0,
-            entries: vec![(remote(1), OBJ_BYTES)],
         },
         DpaMsg::PhaseDelta {
             seq: 0,
@@ -306,20 +304,24 @@ fn a_duplicated_sequenced_message_changes_nothing() {
     }
 }
 
-/// A request can be completed by an adoption while its wire reply is still
-/// in flight. The late reply retires the in-flight entry — without it the
-/// node can never finish — and installs nothing a second time.
+/// A request can be completed by a replica broadcast while its wire reply
+/// is still in flight. The late reply retires the in-flight entry — without
+/// it the node can never finish — and installs nothing a second time.
 #[test]
-fn a_reply_after_adoption_retires_in_flight_and_installs_nothing() {
+fn a_reply_after_a_completing_broadcast_retires_in_flight_and_installs_nothing() {
     let ptr = remote(9);
-    let migrate = DpaMsg::Migrate {
+    let replicate = DpaMsg::Replicate {
         seq: 0,
+        gen: 0,
         entries: vec![(ptr, OBJ_BYTES)],
     };
-    let consumer = || DpaProc::new(Probe::reading(Some(ptr), 0, 0), 2, DpaConfig::dpa_migrating(8));
+    let consumer = || {
+        let app = Probe::reading(Some(ptr), 0, 0);
+        DpaProc::new(app, 2, DpaConfig::dpa_replicating(8))
+    };
 
     let sends = vec![
-        (50_000, migrate.clone()),
+        (50_000, replicate.clone()),
         (200_000, DpaMsg::Reply(vec![(ptr, OBJ_BYTES)])),
     ];
     let (report, mut m) = run(consumer(), sends);
@@ -327,12 +329,49 @@ fn a_reply_after_adoption_retires_in_flight_and_installs_nothing() {
     let snap = snapshot(&mut m);
     assert_eq!((snap.requests_issued, snap.objects_installed), (1, 1));
     assert_eq!((snap.pending_requests, snap.in_flight), (0, 0));
-    assert_eq!(snap.adopted_ptrs, [ptr.bits()]);
-    assert_eq!(real(&mut m).app().seen_gen.len(), 1, "the aligned thread ran once");
+    assert_eq!(snap.replica_held, [(ptr.bits(), 0)]);
+    let seen = &real(&mut m).app().seen_gen;
+    assert_eq!(seen.len(), 1, "the aligned thread ran once");
     assert_eq!(report.stats.user_total("remote_objects_fetched"), 1);
 
-    let (report, mut m) = run(consumer(), vec![(50_000, migrate)]);
-    assert!(!report.completed, "nothing retires the request without the reply");
+    let (report, mut m) = run(consumer(), vec![(50_000, replicate)]);
+    assert!(
+        !report.completed,
+        "nothing retires the request without the reply"
+    );
     let snap = snapshot(&mut m);
     assert_eq!((snap.objects_installed, snap.in_flight), (1, 1));
+}
+
+/// Homes change only between phases, so no real node sends a request to a
+/// node that neither holds the object nor a stub for it. A scripted peer
+/// can: the entries are refused — no reply, nothing parked, the run
+/// completes — and counted, which is the one input that makes the
+/// `MisroutedRequest` oracle fire.
+#[test]
+fn a_misrouted_request_or_forward_is_counted_and_answers_nothing() {
+    let proc_ = DpaProc::new(Probe::idle(), 2, DpaConfig::dpa_migrating(8));
+    let sends = vec![
+        // Born on the scripted node, never adopted by node 0.
+        (50_000, DpaMsg::Request(vec![remote(5)])),
+        // Node 0 holds no adoption the stub could have pointed at.
+        (
+            100_000,
+            DpaMsg::Forward {
+                requester: 1,
+                entries: vec![remote(6)],
+            },
+        ),
+    ];
+    let (report, mut m) = run(proc_, sends);
+    assert!(report.completed, "{}", report.stall_summary());
+    assert_eq!(report.stats.nodes[0].msgs_recv, 2);
+    assert_eq!(report.stats.nodes[0].msgs_sent, 0, "nothing was answered");
+    let snap = snapshot(&mut m);
+    assert_eq!((snap.reply_pushed, snap.reply_msgs), (0, 0));
+    assert_eq!(snap.misrouted_requests, 2);
+    assert_eq!(
+        check_conservation(&[snap]),
+        [Violation::MisroutedRequest { node: 0, count: 2 }]
+    );
 }

@@ -1,4 +1,4 @@
-//! Allocation-recycling arenas for the messaging hot path.
+//! An allocation-recycling arena for the messaging hot path.
 //!
 //! The simulator's inner loop used to round-trip through the global
 //! allocator on every event: each work item built a fresh emission buffer,
@@ -6,17 +6,10 @@
 //! its capacity behind. On a host where events are processed at ~1 µs each,
 //! a malloc/free pair per event is a measurable fraction of the budget.
 //!
-//! Two tiny, safe arenas fix that:
-//!
-//! * [`VecPool`] — a free list of `Vec<T>` buffers. Take a cleared buffer,
-//!   fill it, hand it back; the capacity survives and the allocator is
-//!   never consulted in steady state.
-//! * [`Slab`] — a free-list arena of `T` slots addressed by dense `u32`
-//!   ids. Insertion reuses vacated slots, so long-lived tables (the
-//!   runtime's SoA pointer tables, queued payloads) stay compact and
-//!   pointer-free.
-//!
-//! Both are plain safe Rust — the win is *reuse*, not unsafe tricks.
+//! [`VecPool`] fixes that: a free list of `Vec<T>` buffers. Take a cleared
+//! buffer, fill it, hand it back; the capacity survives and the allocator
+//! is never consulted in steady state. Plain safe Rust — the win is
+//! *reuse*, not unsafe tricks.
 
 /// A recycling pool of `Vec<T>` buffers.
 ///
@@ -97,93 +90,6 @@ impl<T> VecPool<T> {
     }
 }
 
-/// A free-list arena: `T` values in dense `u32`-addressed slots.
-///
-/// [`insert`](Slab::insert) returns a stable id; [`remove`](Slab::remove)
-/// vacates the slot for reuse by a later insert. Ids are only as unique as
-/// the caller's discipline — a removed id must not be dereferenced again
-/// (debug builds catch it; release builds return `None`).
-#[derive(Clone, Debug, Default)]
-pub struct Slab<T> {
-    entries: Vec<Option<T>>,
-    free: Vec<u32>,
-    len: usize,
-}
-
-impl<T> Slab<T> {
-    /// An empty slab.
-    pub fn new() -> Slab<T> {
-        Slab {
-            entries: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Store `value`, returning its slot id. Reuses vacated slots before
-    /// growing.
-    pub fn insert(&mut self, value: T) -> u32 {
-        self.len += 1;
-        match self.free.pop() {
-            Some(id) => {
-                debug_assert!(self.entries[id as usize].is_none());
-                self.entries[id as usize] = Some(value);
-                id
-            }
-            None => {
-                let id = u32::try_from(self.entries.len()).expect("slab overflow");
-                self.entries.push(Some(value));
-                id
-            }
-        }
-    }
-
-    /// Take the value out of slot `id`, vacating it for reuse.
-    pub fn remove(&mut self, id: u32) -> Option<T> {
-        let v = self.entries.get_mut(id as usize)?.take();
-        if v.is_some() {
-            self.free.push(id);
-            self.len -= 1;
-        }
-        v
-    }
-
-    /// Borrow the value in slot `id` (`None` if vacated).
-    #[inline]
-    pub fn get(&self, id: u32) -> Option<&T> {
-        self.entries.get(id as usize)?.as_ref()
-    }
-
-    /// Mutably borrow the value in slot `id` (`None` if vacated).
-    #[inline]
-    pub fn get_mut(&mut self, id: u32) -> Option<&mut T> {
-        self.entries.get_mut(id as usize)?.as_mut()
-    }
-
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no slots are occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total slots ever allocated (occupied + vacant).
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Iterate occupied slots in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|v| (i as u32, v)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,32 +129,5 @@ mod tests {
         assert_eq!(q.idle(), 0);
         q.put(Vec::with_capacity(VecPool::<u64>::MAX_IDLE_BYTES / 8));
         assert_eq!(q.idle(), 1);
-    }
-
-    #[test]
-    fn slab_insert_get_remove() {
-        let mut s: Slab<String> = Slab::new();
-        let a = s.insert("a".into());
-        let b = s.insert("b".into());
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(a).unwrap(), "a");
-        assert_eq!(s.remove(a).unwrap(), "a");
-        assert_eq!(s.get(a), None);
-        assert_eq!(s.remove(a), None, "double remove is a no-op");
-        assert_eq!(s.len(), 1);
-        // The vacated slot is reused before the slab grows.
-        let c = s.insert("c".into());
-        assert_eq!(c, a);
-        assert_eq!(s.capacity(), 2);
-        assert_eq!(s.get(b).unwrap(), "b");
-    }
-
-    #[test]
-    fn slab_iterates_in_id_order() {
-        let mut s: Slab<u32> = Slab::new();
-        let ids: Vec<u32> = (0..5).map(|i| s.insert(i * 10)).collect();
-        s.remove(ids[2]);
-        let got: Vec<(u32, u32)> = s.iter().map(|(i, &v)| (i, v)).collect();
-        assert_eq!(got, vec![(0, 0), (1, 10), (3, 30), (4, 40)]);
     }
 }

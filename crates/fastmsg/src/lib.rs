@@ -9,11 +9,9 @@
 //!   small requests into one packet (message **aggregation**);
 //! * [`packet`] — MTU segmentation for long replies (FM's streamed
 //!   messages), so bulk transfers pay per-packet overhead honestly;
-//! * [`router::Router`] — a tiny handler-dispatch table in the style of
-//!   `FM_send(dest, handler, args)` for dynamically-registered handlers;
-//! * [`arena`] — allocation-recycling pools ([`arena::VecPool`],
-//!   [`arena::Slab`]) that keep event and payload buffers out of the
-//!   global allocator on the simulation hot path.
+//! * [`arena`] — the allocation-recycling pool ([`arena::VecPool`]) that
+//!   keeps event and payload buffers out of the global allocator on the
+//!   simulation hot path.
 //!
 //! All of it is pure data-structure logic layered on `sim-net`'s cost
 //! model; nothing here performs real I/O.
@@ -24,9 +22,7 @@
 pub mod agg;
 pub mod arena;
 pub mod packet;
-pub mod router;
 
 pub use agg::{ByteCoalescer, Coalescer, FlushReason, Forced};
-pub use arena::{Slab, VecPool};
+pub use arena::VecPool;
 pub use packet::{packets_for, segment_sizes, Mtu};
-pub use router::Router;

@@ -7,8 +7,8 @@
 //! re-homing cannot rewrite pointers — instead every node keeps a small
 //! [`MigrationTable`] of deviations from the birth mapping:
 //!
-//! * **adopted** — objects this node now serves (it received the payload in
-//!   a `Migrate` message or an inter-phase hand-off);
+//! * **adopted** — objects this node now serves (it received the payload
+//!   in the inter-phase hand-off);
 //! * **departed** — forwarding stubs at the birth home: requests for these
 //!   objects are forwarded one hop to the new home. An adopted object is
 //!   never migrated again, so a request chases at most one stub;
@@ -110,9 +110,9 @@ impl MigrationTable {
     }
 
     /// Install `ptr` (with `size` payload bytes) as adopted by this node.
-    /// Idempotent: returns `false` if it was already adopted (a duplicated
-    /// `Migrate` message). An adopted object is never `depart`ed again, so
-    /// forwarding chains stay at length ≤ 1.
+    /// Idempotent: returns `false` if it was already adopted. An adopted
+    /// object is never `depart`ed again, so forwarding chains stay at
+    /// length ≤ 1.
     pub fn adopt(&mut self, ptr: GPtr, size: u32) -> bool {
         debug_assert!(
             !self.departed.contains_key(&ptr),
@@ -123,11 +123,10 @@ impl MigrationTable {
             self.migrations_in += 1;
             // The node now *is* the home; any learned override is obsolete.
             self.overrides.remove(&ptr);
-            // Drop affinity rows that raced in ahead of the shipment: a
-            // consumer that already learned the new home can report here
-            // *before* the `Migrate` lands, and `record_affinity`'s
-            // adopted-check cannot catch that. Leaving the rows would let a
-            // later pick re-migrate an adopted object — a 2-hop chain.
+            // Drop any affinity rows recorded here before the adoption,
+            // which `record_affinity`'s adopted-check could not catch.
+            // Leaving the rows would let a later pick re-migrate an
+            // adopted object — a 2-hop chain.
             self.affinity.retain(|(p, _), _| *p != ptr);
         }
         fresh
@@ -168,11 +167,11 @@ impl MigrationTable {
     /// `ptr` by node `from`. Only the *birth home* of an object it still
     /// holds accumulates signal — everything else is dropped:
     ///
-    /// * objects born elsewhere (`ptr.node() != me`) — a report can reach
-    ///   a node that never held the object at all, e.g. a consumer acting
-    ///   on a learned override whose `Migrate` shipment was then lost.
-    ///   Recording it would let that node "migrate" an object it does not
-    ///   have;
+    /// * objects born elsewhere (`ptr.node() != me`) — a consumer that
+    ///   learned an override reports to the adopter, and a scripted peer
+    ///   can report to a node that never held the object at all.
+    ///   Recording it would let that node "migrate" an object that is not
+    ///   its to give away;
     /// * already-departed objects (the stub target gathers its own
     ///   signal);
     /// * *adopted* objects — consumers that learned the new home report
@@ -345,7 +344,7 @@ mod tests {
         assert_eq!(owner.forward_target(obj), Some(2));
 
         assert!(consumer.adopt(obj, 96));
-        assert!(!consumer.adopt(obj, 96), "duplicate Migrate is idempotent");
+        assert!(!consumer.adopt(obj, 96), "a second adopt is a no-op");
         assert_eq!(consumer.home_of(obj, 2), 2, "adoptee serves locally");
         assert_eq!(consumer.adopted_size(obj), Some(96));
         assert_eq!(owner.migrations_out(), 1);
@@ -354,10 +353,9 @@ mod tests {
 
     #[test]
     fn affinity_that_outran_the_shipment_cannot_remigrate_the_adoptee() {
-        // A consumer that already learned the new home may report affinity
-        // there before the Migrate message lands. Those rows must die at
-        // adoption, or a later pick would depart an adopted object and
-        // build a 2-hop forwarding chain.
+        // Affinity rows recorded for an object before this node adopts it
+        // must die at adoption, or a later pick would depart an adopted
+        // object and build a 2-hop forwarding chain.
         let mut t = MigrationTable::new();
         let obj = p(0, 9);
         t.record_affinity(obj, 3, 10, 0);
@@ -376,8 +374,7 @@ mod tests {
 
     #[test]
     fn only_the_birth_home_accumulates_signal() {
-        // A lost Migrate leaves consumers believing node 2 is home while
-        // node 2 never received the object. Reports landing there must not
+        // Reports landing at a node the object was not born on must not
         // accumulate — node 2 has nothing to give away, and "departing" it
         // would stub an object it does not hold.
         let mut t = MigrationTable::new();

@@ -11,6 +11,7 @@ use dpa::runtime::invariant::Violation;
 use dpa::runtime::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa::runtime::{
     check_completed, check_conservation, run_phase_dst, run_phases, DpaConfig, DstOptions,
+    NodeSnapshot, PtrApp,
 };
 use dpa::sim_net::{FaultPlan, NetConfig, NodePause};
 use proptest::prelude::*;
@@ -26,6 +27,98 @@ fn synth_world(seed: u64, nodes: u16, remote: f64) -> std::sync::Arc<SynthWorld>
         work_ns: 200,
         seed,
     })
+}
+
+fn bh_world(seed: u64, nodes: u16) -> std::sync::Arc<BhWorld> {
+    BhWorld::build(
+        plummer(96, seed),
+        nodes,
+        8,
+        BhParams::default(),
+        BhCost::default(),
+    )
+}
+
+/// Three phases of `mk`'s app under `dpa_migrating(4)` and `opts`, against
+/// the same phases with migration off and no faults. What boundary-only
+/// re-homing rests on, checked at **every** phase end, completed or not:
+///
+/// * the machine-wide adopted set equals the departed set, as multisets —
+///   each stub has exactly one adopter and each adoption its stub, because
+///   depart + adopt is one offline step (nothing is ever left to heal);
+/// * no request was misrouted (`misrouted_requests == 0`);
+/// * a node reports affinity once per phase: at most `nodes - 1`
+///   `Affinity` messages, one per home;
+/// * the conservation oracles hold, and on a completed phase the
+///   completion oracles and the migration-off digest.
+///
+/// A phase may only fail to complete under a `lossy` plan, and then it
+/// carries a stall diagnosis.
+fn check_migrating_run<A: PtrApp>(
+    nodes: u16,
+    opts: &DstOptions,
+    lossy: bool,
+    mk: impl Fn(u16) -> A,
+    digest: impl Fn(&A) -> u64,
+) {
+    const PHASES: usize = 3;
+    let run = |cfg: DpaConfig, opts: &DstOptions| {
+        let mut digests = vec![0u64; PHASES * nodes as usize];
+        let (reports, snap_sets, _tables) = run_phases(
+            nodes,
+            NetConfig::default(),
+            cfg,
+            opts,
+            PHASES,
+            |_, i| mk(i),
+            |ph, i, app: &A| digests[ph * nodes as usize + i as usize] = digest(app),
+        );
+        (reports, snap_sets, digests)
+    };
+    let (_, _, want) = run(DpaConfig::dpa(4), &DstOptions::default());
+    let (reports, snap_sets, got) = run(DpaConfig::dpa_migrating(4), opts);
+    for (ph, (r, snaps)) in reports.iter().zip(&snap_sets).enumerate() {
+        let sorted = |f: fn(&NodeSnapshot) -> &Vec<u64>| {
+            let mut v: Vec<u64> = snaps.iter().flat_map(|s| f(s).iter().copied()).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(
+            sorted(|s| &s.adopted_ptrs),
+            sorted(|s| &s.departed_ptrs),
+            "phase {ph}: a stub without its adopter, or an adopter without its stub"
+        );
+        assert!(
+            snaps.iter().all(|s| s.misrouted_requests == 0),
+            "phase {ph}"
+        );
+        let reports_per_node = r.stats.user_max("affinity_msgs");
+        assert!(
+            reports_per_node < nodes as u64,
+            "phase {ph}: {reports_per_node} Affinity messages from one node"
+        );
+        if r.completed {
+            let violations = check_completed(snaps, lossy);
+            assert!(violations.is_empty(), "phase {ph}: {}", violations[0]);
+            let at = ph * nodes as usize..(ph + 1) * nodes as usize;
+            assert_eq!(&got[at.clone()], &want[at], "phase {ph} digest diverged");
+        } else {
+            assert!(
+                lossy,
+                "lossless plan stalled phase {ph}: {}",
+                r.stall_summary()
+            );
+            assert!(
+                r.stalls.iter().any(|s| s.detail.is_some()),
+                "stall without diagnosis"
+            );
+            let violations = check_conservation(snaps);
+            assert!(violations.is_empty(), "phase {ph}: {}", violations[0]);
+        }
+    }
+    // Single-home exclusivity over the carried tables of the whole run.
+    let violations = check_conservation(&snap_sets.concat());
+    assert!(violations.is_empty(), "cross-phase: {}", violations[0]);
 }
 
 proptest! {
@@ -326,11 +419,9 @@ proptest! {
     }
 
     /// Locality-driven object migration under lossless fault plans
-    /// (duplicate / delay / pause): every phase completes, the multi-phase
-    /// sums stay bit-exact with the host oracle, and the migration oracles
-    /// hold — shipments conserved, chains one hop, no object lost, no
-    /// orphan stranded, affinity balanced — per phase *and* across the
-    /// whole run (single-home exclusivity over carried tables).
+    /// (duplicate / delay / pause), synth and Barnes-Hut: every phase
+    /// completes with the migration-off digest and the migration oracles
+    /// hold — see [`check_migrating_run`].
     #[test]
     fn migration_survives_lossless_faults(
         seed in any::<u64>(),
@@ -338,8 +429,6 @@ proptest! {
         remote in 0.3f64..0.9,
         plan in 0usize..3,
     ) {
-        let world = synth_world(seed, nodes, remote);
-        let expected: Vec<u64> = (0..nodes).map(|n| world.expected_sum(n)).collect();
         let faults = match plan {
             0 => FaultPlan::duplicate(seed ^ 0xD0_D0, 0.5),
             1 => FaultPlan::delay(seed ^ 0xDE1A, 0.5, 80_000),
@@ -352,40 +441,41 @@ proptest! {
                 ..FaultPlan::default()
             },
         };
-        let opts = DstOptions { schedule_seed: Some(seed), faults, ..DstOptions::default() };
-        let phases = 3usize;
-        let mut sums = vec![0u64; phases * nodes as usize];
-        let (reports, snap_sets, _tables) = run_phases(
-            nodes,
-            NetConfig::default(),
-            DpaConfig::dpa_migrating(4),
-            &opts,
-            phases,
-            |_, i| SynthApp::new(world.clone(), i, 200),
-            |ph, i, app: &SynthApp| sums[ph * nodes as usize + i as usize] = app.sum,
-        );
-        for (ph, r) in reports.iter().enumerate() {
-            prop_assert!(
-                r.completed,
-                "lossless plan {plan} stalled phase {ph}: {}",
-                r.stall_summary()
-            );
-        }
-        for ph in 0..phases {
-            for n in 0..nodes as usize {
-                prop_assert_eq!(
-                    sums[ph * nodes as usize + n], expected[n],
-                    "phase {} node {} sum diverged", ph, n
-                );
-            }
-        }
-        for (ph, snaps) in snap_sets.iter().enumerate() {
-            let violations = check_completed(snaps, false);
-            prop_assert!(violations.is_empty(), "phase {}: {}", ph, violations[0]);
-        }
-        let flat: Vec<_> = snap_sets.concat();
-        let violations = check_completed(&flat, false);
-        prop_assert!(violations.is_empty(), "cross-phase: {}", violations[0]);
+        let opts = DstOptions {
+            schedule_seed: Some(seed),
+            faults,
+            ..DstOptions::default()
+        };
+        let synth = synth_world(seed, nodes, remote);
+        let mk = |i| SynthApp::new(synth.clone(), i, 200);
+        check_migrating_run(nodes, &opts, false, mk, |app| app.sum);
+        let bh = bh_world(seed, nodes);
+        let mk = |i| BhApp::new(bh.clone(), i);
+        check_migrating_run(nodes, &opts, false, mk, |app| app.interaction_hash);
+    }
+
+    /// The drop-plan sibling. A lost request or reply stalls its phase
+    /// with a diagnosis; a lost `Affinity` only weakens the signal, so a
+    /// phase can complete with packets dropped and must still produce the
+    /// migration-off digest. The re-homing laws hold either way: a dropped
+    /// packet can no longer lose an object or strand a request.
+    #[test]
+    fn migration_survives_drops(
+        seed in any::<u64>(),
+        nodes in 2u16..5,
+        drop_p in 0.0005f64..0.01,
+    ) {
+        let opts = DstOptions {
+            schedule_seed: Some(seed),
+            faults: FaultPlan::drop(seed ^ 0x0D0D, drop_p),
+            ..DstOptions::default()
+        };
+        let synth = synth_world(seed, nodes, 0.5);
+        let mk = |i| SynthApp::new(synth.clone(), i, 200);
+        check_migrating_run(nodes, &opts, true, mk, |app| app.sum);
+        let bh = bh_world(seed, nodes);
+        let mk = |i| BhApp::new(bh.clone(), i);
+        check_migrating_run(nodes, &opts, true, mk, |app| app.interaction_hash);
     }
 
     /// Delay plans reorder but never lose: results and invariants match

@@ -97,7 +97,7 @@ fn graph_checksums_invariant_across_config_lanes() {
         (
             "diff+mig".into(),
             DpaConfig {
-                migration_epoch_ns: DpaConfig::dpa_migrating(8).migration_epoch_ns,
+                migration: true,
                 ..DpaConfig::dpa_differential(8)
             },
         ),
