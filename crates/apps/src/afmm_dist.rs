@@ -338,7 +338,7 @@ impl PtrApp for AfmmGatherApp {
 
     fn start_iteration(&mut self, iter: usize, env: &mut WorkEnv<'_, GatherWork>) {
         let t = self.targets[iter];
-        let world = self.world.clone();
+        let world = &*self.world;
         for &v in &world.v_lists[t as usize] {
             if world.count[v as usize] > 0 {
                 env.demand(world.mpole_ptr(v), GatherWork::V { target: t, src: v });
@@ -352,7 +352,7 @@ impl PtrApp for AfmmGatherApp {
     }
 
     fn run_work(&mut self, w: GatherWork, env: &mut WorkEnv<'_, GatherWork>) {
-        let world = self.world.clone();
+        let world = &*self.world;
         let p = world.solver.params.terms;
         match w {
             GatherWork::V { target, src } => {
@@ -447,15 +447,15 @@ impl AfmmEvalApp {
         if self.finals.contains_key(&i) {
             return;
         }
-        let world = self.world.clone();
-        let p = world.solver.params.terms;
+        let p = self.world.solver.params.terms;
         let mut result = self
             .m2l_partial
             .remove(&i)
             .unwrap_or_else(|| Local::zero(p));
-        let parent = world.solver.nodes[i as usize].parent;
+        let parent = self.world.solver.nodes[i as usize].parent;
         if parent != NO_NODE {
             self.finalize(parent as u32, env);
+            let world = &*self.world;
             l2l_into(
                 &self.finals[&(parent as u32)],
                 world.solver.nodes[i as usize].center()
@@ -482,11 +482,15 @@ impl PtrApp for AfmmEvalApp {
     }
 
     fn run_work(&mut self, w: AEvalWork, env: &mut WorkEnv<'_, AEvalWork>) {
-        let world = self.world.clone();
+        // `finalize` memoizes into `self`; all that follows only reads the
+        // world.
+        if let AEvalWork::Eval(leaf) = w {
+            self.finalize(leaf, env);
+        }
+        let world = &*self.world;
         let p = world.solver.params.terms;
         match w {
             AEvalWork::Eval(leaf) => {
-                self.finalize(leaf, env);
                 let local = &self.finals[&leaf];
                 let center = world.solver.nodes[leaf as usize].center();
                 for &pi in &world.solver.nodes[leaf as usize].particles {

@@ -16,7 +16,7 @@
 use crate::error::WorldError;
 use dpa_core::{DiffPlan, PtrApp, WorkEnv};
 use global_heap::{ClassTable, GPtr, ObjClass};
-use nbody::bh::{accepts, BhParams};
+use nbody::bh::{accepts_sq, BhParams};
 use nbody::body::{point_accel, Body};
 use nbody::morton::{even_splits, morton3};
 use nbody::octree::{Octree, NO_CELL};
@@ -67,6 +67,49 @@ pub enum OwnerPolicy {
     Scatter,
 }
 
+/// The hot record of one cell: everything a visit reads about the cell it
+/// is labeled with, 48 bytes. A visit never touches [`BhWorld::tree`].
+#[derive(Clone, Copy, Debug)]
+struct CellRec {
+    /// Center of mass — the monopole's source position.
+    src: Vec3,
+    mass: f64,
+    /// `side()²`, the opening test's left-hand side.
+    side2: f64,
+    /// A leaf's first entry in `leaf_srcs`; an internal cell's first entry
+    /// in `child_ptrs`.
+    start: u32,
+    /// How many entries follow `start`, with [`CellRec::LEAF`] set on a
+    /// leaf (a leaf forced at the depth limit can exceed any `leaf_cap`,
+    /// so the count keeps the other 31 bits).
+    len: u32,
+}
+
+impl CellRec {
+    const LEAF: u32 = 1 << 31;
+
+    #[inline]
+    fn is_leaf(&self) -> bool {
+        self.len & Self::LEAF != 0
+    }
+
+    /// The cell's entries in `leaf_srcs` (leaf) or `child_ptrs` (internal).
+    #[inline]
+    fn entries(&self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + (self.len & !Self::LEAF) as usize
+    }
+}
+
+/// One inline body of a leaf, as an interaction source.
+#[derive(Clone, Copy, Debug)]
+struct LeafSrc {
+    pos: Vec3,
+    mass: f64,
+    /// Global body index: a body skips itself, and the id enters the hash.
+    id: u32,
+}
+
 /// Immutable shared world for one force phase: bodies, tree, ownership.
 pub struct BhWorld {
     /// Bodies, Morton-sorted.
@@ -81,8 +124,16 @@ pub struct BhWorld {
     pub splits: Vec<usize>,
     /// Owner node per cell id.
     pub cell_owner: Vec<u16>,
-    /// Wire size per cell id (header + inline leaf bodies).
-    pub cell_bytes: Vec<u32>,
+    /// Hot record per cell id.
+    recs: Vec<CellRec>,
+    /// Every internal cell's children as pointers (child id = `index()`),
+    /// in octant order, contiguous per cell.
+    child_ptrs: Vec<GPtr>,
+    /// Every leaf's inline bodies in `Cell::bodies` order, contiguous per
+    /// leaf.
+    leaf_srcs: Vec<LeafSrc>,
+    /// `params.theta²`, the opening test's right-hand factor.
+    theta2: f64,
     /// Object classes (one: CELL).
     pub classes: ClassTable,
     /// Cell object class.
@@ -207,14 +258,38 @@ impl BhWorld {
             }
         }
 
-        let mut cell_bytes = Vec::with_capacity(tree.len());
-        for (_, cell) in tree.iter() {
-            cell_bytes
-                .push(CELL_HEADER_BYTES + cell.bodies.len() as u32 * INLINE_BODY_BYTES);
-        }
-
         let mut classes = ClassTable::new();
         let cell_class = classes.register("bh_cell", CELL_HEADER_BYTES);
+
+        // Pack what a visit reads: one record per cell, its children as
+        // ready-made pointers, its inline bodies as ready-made sources.
+        let mut recs = Vec::with_capacity(tree.len());
+        let mut child_ptrs = Vec::with_capacity(tree.len() - 1);
+        let mut leaf_srcs = Vec::with_capacity(bodies.len());
+        for (_, cell) in tree.iter() {
+            let (start, len) = if cell.is_leaf() {
+                let start = leaf_srcs.len();
+                leaf_srcs.extend(cell.bodies.iter().map(|&id| LeafSrc {
+                    pos: bodies[id as usize].pos,
+                    mass: bodies[id as usize].mass,
+                    id,
+                }));
+                (start, cell.bodies.len() as u32 | CellRec::LEAF)
+            } else {
+                let start = child_ptrs.len();
+                child_ptrs.extend(cell.children.iter().filter(|&&c| c != NO_CELL).map(
+                    |&c| GPtr::new(cell_owner[c as usize], cell_class, c as u64),
+                ));
+                (start, (child_ptrs.len() - start) as u32)
+            };
+            recs.push(CellRec {
+                src: cell.cm,
+                mass: cell.mass,
+                side2: cell.side() * cell.side(),
+                start: u32::try_from(start).expect("invariant: body and cell ids are u32"),
+                len,
+            });
+        }
 
         Ok(Arc::new(BhWorld {
             bodies,
@@ -223,11 +298,21 @@ impl BhWorld {
             cost,
             splits,
             cell_owner,
-            cell_bytes,
+            recs,
+            child_ptrs,
+            leaf_srcs,
+            theta2: params.theta * params.theta,
             classes,
             cell_class,
             nodes,
         }))
+    }
+
+    /// Wire size of cell `id`: header + inline leaf bodies.
+    pub fn cell_bytes(&self, id: u32) -> u32 {
+        let rec = &self.recs[id as usize];
+        let inline = if rec.is_leaf() { rec.entries().len() as u32 } else { 0 };
+        CELL_HEADER_BYTES + inline * INLINE_BODY_BYTES
     }
 
     /// Global pointer to cell `id`.
@@ -260,7 +345,11 @@ pub struct BhVisit {
 /// Per-node Barnes-Hut application state.
 pub struct BhApp {
     world: Arc<BhWorld>,
-    me: u16,
+    /// Global index of this node's first body.
+    base: usize,
+    /// This node's body positions (index = body − `base`), copied out of
+    /// the world so a visit reads 24 bytes of a body, not its whole record.
+    pos: Vec<Vec3>,
     /// Accelerations for locally-owned bodies (index = body − first own).
     pub accel: Vec<Vec3>,
     /// Monopole interactions performed.
@@ -294,11 +383,13 @@ fn mix_pair(a: u64, b: u64) -> u64 {
 impl BhApp {
     /// The app instance for node `me`.
     pub fn new(world: Arc<BhWorld>, me: u16) -> BhApp {
-        let n_local = world.body_range(me).len();
+        let own = world.body_range(me);
+        let pos: Vec<Vec3> = world.bodies[own.clone()].iter().map(|b| b.pos).collect();
         BhApp {
+            base: own.start,
+            accel: vec![Vec3::ZERO; pos.len()],
+            pos,
             world,
-            me,
-            accel: vec![Vec3::ZERO; n_local],
             cell_interactions: 0,
             body_interactions: 0,
             cells_visited: 0,
@@ -317,23 +408,17 @@ impl BhApp {
             ..BhApp::new(world, me)
         }
     }
-
-    #[inline]
-    fn add_accel(&mut self, body: u32, a: Vec3) {
-        let base = self.world.splits[self.me as usize];
-        self.accel[body as usize - base] += a;
-    }
 }
 
 impl PtrApp for BhApp {
     type Work = BhVisit;
 
     fn num_iterations(&self) -> usize {
-        self.world.body_range(self.me).len()
+        self.pos.len()
     }
 
     fn start_iteration(&mut self, iter: usize, env: &mut WorkEnv<'_, BhVisit>) {
-        let body = (self.world.splits[self.me as usize] + iter) as u32;
+        let body = (self.base + iter) as u32;
         let root = self.world.tree.root();
         env.demand(
             self.world.cell_ptr(root),
@@ -342,12 +427,13 @@ impl PtrApp for BhApp {
     }
 
     fn run_work(&mut self, w: BhVisit, env: &mut WorkEnv<'_, BhVisit>) {
-        let world = self.world.clone();
-        let ptr = world.cell_ptr(w.cell);
-        env.assert_readable(ptr);
+        let world = &*self.world;
+        #[cfg(debug_assertions)]
+        env.assert_readable(world.cell_ptr(w.cell));
         if let Some(plan) = self.plan {
             // The generation actually read: the renamed-storage stamp for
             // fetched/carried copies, the live generation for local reads.
+            let ptr = world.cell_ptr(w.cell);
             let gen = env
                 .cached_generation(ptr)
                 .unwrap_or_else(|| plan.gen_of(ptr));
@@ -355,33 +441,29 @@ impl PtrApp for BhApp {
                 .interaction_hash
                 .wrapping_add(DiffPlan::stamp(ptr, gen));
         }
-        let cell = &world.tree.cells[w.cell as usize];
+        let rec = &world.recs[w.cell as usize];
         let cost = world.cost;
-        let pos = world.bodies[w.body as usize].pos;
+        let own = w.body as usize - self.base;
+        let pos = self.pos[own];
         self.cells_visited += 1;
         env.charge(cost.visit_ns);
 
-        if cell.is_leaf() {
+        if rec.is_leaf() {
             let mut acc = Vec3::ZERO;
-            for &b in &cell.bodies {
-                if b != w.body {
-                    acc += point_accel(
-                        pos,
-                        world.bodies[b as usize].pos,
-                        world.bodies[b as usize].mass,
-                        world.params.eps,
-                    );
+            for src in &world.leaf_srcs[rec.entries()] {
+                if src.id != w.body {
+                    acc += point_accel(pos, src.pos, src.mass, world.params.eps);
                     self.body_interactions += 1;
                     self.interaction_hash = self
                         .interaction_hash
-                        .wrapping_add(mix_pair(w.body as u64, b as u64));
+                        .wrapping_add(mix_pair(w.body as u64, src.id as u64));
                     env.charge(cost.body_interact_ns);
                 }
             }
-            self.add_accel(w.body, acc);
-        } else if accepts(pos, cell.cm, cell.side(), world.params.theta) {
-            let a = point_accel(pos, cell.cm, cell.mass, world.params.eps);
-            self.add_accel(w.body, a);
+            self.accel[own] += acc;
+        } else if accepts_sq(pos, rec.src, rec.side2, world.theta2) {
+            let a = point_accel(pos, rec.src, rec.mass, world.params.eps);
+            self.accel[own] += a;
             self.cell_interactions += 1;
             // Tag bit 32 separates cell partners from body partners: body
             // and cell ids share the u32 range.
@@ -390,17 +472,15 @@ impl PtrApp for BhApp {
                 .wrapping_add(mix_pair(w.body as u64, w.cell as u64 | (1 << 32)));
             env.charge(cost.cell_interact_ns);
         } else {
-            for &c in &cell.children {
-                if c != NO_CELL {
-                    let c = c as u32;
-                    env.demand(world.cell_ptr(c), BhVisit { body: w.body, cell: c });
-                }
+            for &ptr in &world.child_ptrs[rec.entries()] {
+                let cell = ptr.index() as u32;
+                env.demand(ptr, BhVisit { body: w.body, cell });
             }
         }
     }
 
     fn object_size(&self, ptr: GPtr) -> u32 {
-        self.world.cell_bytes[ptr.index() as usize]
+        self.world.cell_bytes(ptr.index() as u32)
     }
 
     fn object_generation(&self, ptr: GPtr) -> u32 {
@@ -483,7 +563,7 @@ mod tests {
         for (id, cell) in w.tree.iter() {
             let expect =
                 CELL_HEADER_BYTES + cell.bodies.len() as u32 * INLINE_BODY_BYTES;
-            assert_eq!(w.cell_bytes[id as usize], expect);
+            assert_eq!(w.cell_bytes(id), expect);
         }
     }
 
@@ -511,6 +591,76 @@ mod tests {
         .err()
         .expect("config must be rejected");
         assert_eq!(err, WorldError::NoNodes);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        #[test]
+        fn packed_records_equal_their_cells(
+            n in 1usize..400,
+            nodes in 1u16..9,
+            shape in 0usize..6,
+            seed in proptest::any::<u64>(),
+        ) {
+            use nbody::distrib::uniform_cube;
+            let bodies = if shape % 2 == 0 { plummer(n, seed) } else { uniform_cube(n, seed) };
+            let leaf_cap = [1, 4, 8][shape / 2];
+            for policy in [OwnerPolicy::Builder, OwnerPolicy::CmRegion, OwnerPolicy::Scatter] {
+                let w = BhWorld::build_with_policy(
+                    bodies.clone(),
+                    nodes,
+                    leaf_cap,
+                    BhParams::default(),
+                    BhCost::default(),
+                    policy,
+                );
+                assert_eq!(w.recs.len(), w.tree.len());
+                assert_eq!(w.theta2.to_bits(), (w.params.theta * w.params.theta).to_bits());
+                let (mut kids, mut srcs) = (0, 0);
+                for (id, cell) in w.tree.iter() {
+                    let rec = &w.recs[id as usize];
+                    let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+                    assert_eq!(bits(rec.src), bits(cell.cm), "cell {id}");
+                    assert_eq!(rec.mass.to_bits(), cell.mass.to_bits(), "cell {id}");
+                    assert_eq!(rec.side2.to_bits(), (cell.side() * cell.side()).to_bits());
+                    assert_eq!(rec.is_leaf(), cell.is_leaf(), "cell {id}");
+                    if cell.is_leaf() {
+                        let got: Vec<_> = w.leaf_srcs[rec.entries()]
+                            .iter()
+                            .map(|s| (s.id, bits(s.pos), s.mass.to_bits()))
+                            .collect();
+                        let want: Vec<_> = cell
+                            .bodies
+                            .iter()
+                            .map(|&b| (b, bits(w.bodies[b as usize].pos), w.bodies[b as usize].mass.to_bits()))
+                            .collect();
+                        assert_eq!(got, want, "leaf {id}");
+                        srcs += got.len();
+                    } else {
+                        let want: Vec<GPtr> = cell
+                            .children
+                            .iter()
+                            .filter(|&&c| c != NO_CELL)
+                            .map(|&c| w.cell_ptr(c as u32))
+                            .collect();
+                        assert_eq!(&w.child_ptrs[rec.entries()], &want[..], "cell {id}");
+                        kids += want.len();
+                    }
+                }
+                // Nothing packed that no cell owns.
+                assert_eq!((kids, srcs), (w.child_ptrs.len(), w.leaf_srcs.len()));
+                assert_eq!((kids, srcs), (w.tree.len() - 1, n));
+            }
+        }
+    }
+
+    #[test]
+    fn a_leaf_forced_at_the_depth_limit_keeps_every_body() {
+        // Coincident bodies cannot be split: one leaf far over `leaf_cap`.
+        let bodies = vec![Body::at(Vec3::new(0.1, 0.2, 0.3), 1.0); 300];
+        let w = BhWorld::build(bodies, 2, 1, BhParams::default(), BhCost::default());
+        let deepest = w.recs.iter().filter(|r| r.is_leaf()).map(|r| r.entries().len()).max();
+        assert_eq!(deepest, Some(300));
     }
 
     #[test]

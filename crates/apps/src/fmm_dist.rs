@@ -405,7 +405,7 @@ impl PtrApp for FmmM2lApp {
     }
 
     fn run_work(&mut self, w: M2lWork, env: &mut WorkEnv<'_, M2lWork>) {
-        let world = self.world.clone();
+        let world = &*self.world;
         let src = world.box_of(w.src as usize);
         let tgt = world.box_of(w.target as usize);
         env.assert_readable(world.mpole_ptr(src));
@@ -534,16 +534,16 @@ impl PtrApp for FmmEvalApp {
     }
 
     fn run_work(&mut self, w: EvalWork, env: &mut WorkEnv<'_, EvalWork>) {
-        let world = self.world.clone();
-        let p = world.solver.params.terms;
+        let p = self.world.solver.params.terms;
         match w {
             EvalWork::Eval(dense) => {
-                let leaf = world.box_of(dense as usize);
+                let leaf = self.world.box_of(dense as usize);
                 // Tag bit distinguishes evaluation entries from P2P pairs.
                 self.interaction_hash = self
                     .interaction_hash
                     .wrapping_add(mix_pair(dense as u64 | (1 << 32), dense as u64));
                 self.finalize(leaf, env);
+                let world = &*self.world;
                 let local = &self.finals[&dense];
                 let center = leaf.center();
                 for &i in world.solver.tree.particles_in(leaf) {
@@ -565,6 +565,7 @@ impl PtrApp for FmmEvalApp {
                 }
             }
             EvalWork::P2p { target, src } => {
+                let world = &*self.world;
                 let tgt = world.box_of(target as usize);
                 let sb = world.box_of(src as usize);
                 env.assert_readable(world.plist_ptr(sb));

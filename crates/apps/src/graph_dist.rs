@@ -99,12 +99,21 @@ impl Default for GraphParams {
 }
 
 /// The shared graph world: per-phase adjacency snapshots plus the seeded
-/// rewire schedule that produced them.
+/// rewire schedule that produced them, as flat per-vertex tables — a visit
+/// reads one pointer, one generation and one slice, and chases nothing.
 pub struct GraphWorld {
     /// Parameters the world was built from.
     pub params: GraphParams,
-    /// `adj[phase][v]` = out-neighbors of `v` during `phase`.
-    adj: Vec<Vec<Vec<u32>>>,
+    /// CSR row bounds, shared by every phase (a rewire resamples a list at
+    /// its fixed length): `v`'s out-list is `offsets[v]..offsets[v + 1]`
+    /// of each phase's `targets`.
+    offsets: Vec<u32>,
+    /// `targets[phase]` = that phase's out-lists, concatenated by vertex.
+    targets: Vec<Vec<u32>>,
+    /// `gens[phase][v]` = [`GraphWorld::gen_at`] for the carried phases.
+    gens: Vec<Vec<u32>>,
+    /// `vptrs[v]` = [`GraphWorld::vptr`].
+    vptrs: Vec<GPtr>,
     /// `splits[i]..splits[i+1]` = node `i`'s vertices.
     pub splits: Vec<usize>,
     /// Cost model.
@@ -152,51 +161,56 @@ impl GraphWorld {
         }
         let n = params.n;
         let splits = nbody::morton::even_splits(n, params.nodes as usize);
-        // Cumulative power-law weights: target v with prob ∝ 1/(v+1)^skew.
-        let mut cum = Vec::with_capacity(n);
-        let mut total = 0.0f64;
-        for v in 0..n {
-            total += ((v + 1) as f64).powf(-params.skew);
-            cum.push(total);
-        }
-        let degree_of = |v: usize| -> usize {
-            params.degree + (params.hub_extra as f64 * ((v + 1) as f64).powf(-params.skew)) as usize
-        };
-        let sample_list = |rng: &mut Rng, v: usize| -> Vec<u32> {
-            let deg = degree_of(v);
-            let mut out = Vec::with_capacity(deg);
-            for _ in 0..deg {
-                let r = rng.unit_f64() * total;
-                let mut t = cum.partition_point(|&c| c < r).min(n - 1);
-                if t == v {
-                    t = (t + 1) % n; // no self-loops
-                }
-                out.push(t as u32);
-            }
-            out
-        };
+        let sampler = Sampler::new(params);
         // Phase-0 adjacency from the master stream; later phases patch the
         // seeded rewire set, each rewired list from its own (seed, v, b)
         // stream so nothing depends on visit order.
+        let phases = params.phases.max(1) as usize;
         let mut rng = Rng::new(params.seed);
-        let mut adj = Vec::with_capacity(params.phases.max(1) as usize);
-        adj.push((0..n).map(|v| sample_list(&mut rng, v)).collect::<Vec<_>>());
-        for b in 1..params.phases.max(1) {
-            let prev: Vec<Vec<u32>> = adj[b as usize - 1].clone();
-            let mut next = prev;
-            for (v, list) in next.iter_mut().enumerate() {
-                if Self::rewired(params.seed, params.rewire_permille, b, v) {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut base = Vec::new();
+        for v in 0..n {
+            offsets.push(base.len() as u32);
+            sampler.sample_into(&mut rng, v, &mut base);
+        }
+        offsets.push(
+            u32::try_from(base.len()).expect("invariant: edge count fits the u32 CSR offsets"),
+        );
+        let mut targets = Vec::with_capacity(phases);
+        let mut gens = Vec::with_capacity(phases);
+        targets.push(base);
+        gens.push(vec![0u32; n]);
+        for b in 1..phases {
+            let (prev, prev_gens) = (&targets[b - 1], &gens[b - 1]);
+            let mut next = Vec::with_capacity(prev.len());
+            let mut next_gens = Vec::with_capacity(n);
+            for v in 0..n {
+                let rewired = Self::rewired(params.seed, params.rewire_permille, b as u32, v);
+                if rewired {
                     let mut vr = Rng::new(mix(params.seed, v as u64, b as u64));
-                    *list = sample_list(&mut vr, v);
+                    sampler.sample_into(&mut vr, v, &mut next);
+                } else {
+                    next.extend_from_slice(&prev[offsets[v] as usize..offsets[v + 1] as usize]);
                 }
+                next_gens.push(prev_gens[v] + u32::from(rewired));
             }
-            adj.push(next);
+            targets.push(next);
+            gens.push(next_gens);
         }
         let mut classes = ClassTable::new();
         let vclass = classes.register("graph_vertex", 48);
+        let vptrs = (0..params.nodes)
+            .flat_map(|node| {
+                (splits[node as usize]..splits[node as usize + 1])
+                    .map(move |v| GPtr::new(node, vclass, v as u64))
+            })
+            .collect();
         Ok(Arc::new(GraphWorld {
             params,
-            adj,
+            offsets,
+            targets,
+            gens,
+            vptrs,
             splits,
             cost: GraphCost::default(),
             classes,
@@ -212,7 +226,18 @@ impl GraphWorld {
 
     /// Structural generation of vertex `v` at `phase`: how many boundaries
     /// `1..=phase` rewired it. This is what the differential driver diffs.
+    #[inline]
     pub fn gen_at(&self, phase: u32, v: u32) -> u32 {
+        match self.gens.get(phase as usize) {
+            Some(gens) => gens[v as usize],
+            // Past the carried phases the adjacency stops changing but the
+            // schedule does not.
+            None => self.gen_by_schedule(phase, v),
+        }
+    }
+
+    /// [`GraphWorld::gen_at`] from the rewire schedule itself.
+    fn gen_by_schedule(&self, phase: u32, v: u32) -> u32 {
         (1..=phase)
             .filter(|&b| {
                 Self::rewired(
@@ -228,15 +253,14 @@ impl GraphWorld {
     /// Out-neighbors of `v` during `phase`.
     #[inline]
     pub fn out(&self, phase: u32, v: u32) -> &[u32] {
-        &self.adj[(phase as usize).min(self.adj.len() - 1)][v as usize]
+        let targets = &self.targets[(phase as usize).min(self.targets.len() - 1)];
+        &targets[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }
 
     /// Global pointer to vertex `v` (owned by its home node).
     #[inline]
     pub fn vptr(&self, v: u32) -> GPtr {
-        let owner = u16::try_from(self.splits.partition_point(|&s| s <= v as usize) - 1)
-            .expect("invariant: vertex owner < nodes, which is u16");
-        GPtr::new(owner, self.vclass, v as u64)
+        self.vptrs[v as usize]
     }
 
     /// Vertices owned by `node`.
@@ -257,16 +281,14 @@ impl GraphWorld {
     /// (sizes must be phase-stable, so the wire size uses the base list).
     /// The hub's list is `hub_extra` long, so hub replies span packets.
     pub fn vertex_bytes(&self, v: u32) -> u32 {
-        16 + 4 * self.adj[0][v as usize].len() as u32
+        16 + 4 * (self.offsets[v as usize + 1] - self.offsets[v as usize])
     }
 
     /// In-degree of every vertex during `phase` (test/diagnostic helper).
     pub fn in_degrees(&self, phase: u32) -> Vec<u32> {
         let mut d = vec![0u32; self.params.n];
-        for list in &self.adj[(phase as usize).min(self.adj.len() - 1)] {
-            for &t in list {
-                d[t as usize] += 1;
-            }
+        for &t in &self.targets[(phase as usize).min(self.targets.len() - 1)] {
+            d[t as usize] += 1;
         }
         d
     }
@@ -278,10 +300,13 @@ impl GraphWorld {
         let mut sum = 0u64;
         let mut reached = 0u64;
         let mut stack: Vec<u32> = Vec::new();
-        let words = self.params.n.div_ceil(64);
+        // One bitmap for every root: a traversal reaches tens of vertices
+        // out of `n`, so it clears the words it set rather than the map.
+        let mut visited = vec![0u64; self.params.n.div_ceil(64)];
+        let mut touched: Vec<usize> = Vec::new();
         for root in self.roots(node) {
-            let mut visited = vec![0u64; words];
             visited[root as usize / 64] |= 1 << (root % 64);
+            touched.push(root as usize / 64);
             stack.push(root);
             while let Some(v) = stack.pop() {
                 sum = sum.wrapping_add(DiffPlan::stamp(self.vptr(v), self.gen_at(phase, v)));
@@ -289,13 +314,57 @@ impl GraphWorld {
                 for &t in self.out(phase, v) {
                     let (w, bit) = (t as usize / 64, 1u64 << (t % 64));
                     if visited[w] & bit == 0 {
+                        if visited[w] == 0 {
+                            touched.push(w);
+                        }
                         visited[w] |= bit;
                         stack.push(t);
                     }
                 }
             }
+            for w in touched.drain(..) {
+                visited[w] = 0;
+            }
         }
         (sum, reached)
+    }
+}
+
+/// The seeded out-list generator: power-law targets, hub-weighted degrees.
+struct Sampler {
+    params: GraphParams,
+    /// Cumulative power-law weights: target `v` with prob ∝ 1/(v+1)^skew.
+    cum: Vec<f64>,
+    total: f64,
+}
+
+impl Sampler {
+    fn new(params: GraphParams) -> Sampler {
+        let mut cum = Vec::with_capacity(params.n);
+        let mut total = 0.0f64;
+        for v in 0..params.n {
+            total += ((v + 1) as f64).powf(-params.skew);
+            cum.push(total);
+        }
+        Sampler { params, cum, total }
+    }
+
+    fn degree_of(&self, v: usize) -> usize {
+        let p = &self.params;
+        p.degree + (p.hub_extra as f64 * ((v + 1) as f64).powf(-p.skew)) as usize
+    }
+
+    /// Append a fresh out-list for `v` drawn from `rng` to `out`.
+    fn sample_into(&self, rng: &mut Rng, v: usize, out: &mut Vec<u32>) {
+        let n = self.params.n;
+        for _ in 0..self.degree_of(v) {
+            let r = rng.unit_f64() * self.total;
+            let mut t = self.cum.partition_point(|&c| c < r).min(n - 1);
+            if t == v {
+                t = (t + 1) % n; // no self-loops
+            }
+            out.push(t as u32);
+        }
     }
 }
 
@@ -448,7 +517,7 @@ impl PtrApp for GraphApp {
     }
 
     fn run_work(&mut self, w: Visit, env: &mut WorkEnv<'_, Visit>) {
-        let world = self.world.clone();
+        let world = &*self.world;
         let ptr = world.vptr(w.v);
         env.assert_readable(ptr);
         // The generation actually read: the runtime's stamp for fetched
@@ -493,6 +562,102 @@ mod tests {
             rewire_permille: 150,
             root_stride: 8,
             seed: 42,
+        }
+    }
+
+    /// The layout the CSR tables replaced — `adj[phase][v]`, one heap list
+    /// per vertex per phase, each phase a patched clone of the one before
+    /// — kept as the reference the flat build is checked against.
+    fn nested_adjacency(params: GraphParams) -> Vec<Vec<Vec<u32>>> {
+        let sampler = Sampler::new(params);
+        let sample_list = |rng: &mut Rng, v: usize| {
+            let mut out = Vec::new();
+            sampler.sample_into(rng, v, &mut out);
+            out
+        };
+        let mut rng = Rng::new(params.seed);
+        let mut adj = vec![(0..params.n).map(|v| sample_list(&mut rng, v)).collect::<Vec<_>>()];
+        for b in 1..params.phases.max(1) {
+            let mut next = adj[b as usize - 1].clone();
+            for (v, list) in next.iter_mut().enumerate() {
+                if GraphWorld::rewired(params.seed, params.rewire_permille, b, v) {
+                    let mut vr = Rng::new(mix(params.seed, v as u64, b as u64));
+                    *list = sample_list(&mut vr, v);
+                }
+            }
+            adj.push(next);
+        }
+        adj
+    }
+
+    #[test]
+    fn flat_tables_equal_the_nested_layout_the_schedule_and_the_split_search() {
+        let mut rng = Rng::new(0xC5A);
+        for case in 0..24 {
+            let nodes = 1 + rng.below(9) as u16;
+            let params = GraphParams {
+                n: nodes as usize + rng.below(300) as usize,
+                nodes,
+                degree: rng.below(5) as usize,
+                skew: [0.0, 0.8, 1.6, 2.2][rng.below(4) as usize],
+                hub_extra: rng.below(40) as usize,
+                phases: rng.below(6) as u32,
+                rewire_permille: [0, 120, 500, 1000][rng.below(4) as usize],
+                root_stride: 1 + rng.below(8) as usize,
+                seed: rng.below(1 << 40),
+            };
+            let w = GraphWorld::build(params);
+            let adj = nested_adjacency(params);
+            assert_eq!(adj.len(), params.phases.max(1) as usize, "case {case}");
+            // Two phases past the carried ones: `out` clamps to the last
+            // adjacency, `gen_at` falls back to the schedule.
+            for phase in 0..params.phases + 2 {
+                let lists = &adj[(phase as usize).min(adj.len() - 1)];
+                for v in 0..params.n as u32 {
+                    assert_eq!(w.out(phase, v), &lists[v as usize][..], "case {case}: out({phase}, {v})");
+                    assert_eq!(
+                        w.gen_at(phase, v),
+                        w.gen_by_schedule(phase, v),
+                        "case {case}: gen_at({phase}, {v})"
+                    );
+                }
+            }
+            for v in 0..params.n as u32 {
+                let owner = w.splits.partition_point(|&s| s <= v as usize) - 1;
+                assert_eq!(w.vptr(v), GPtr::new(owner as u16, w.vclass, v as u64), "case {case}");
+                assert_eq!(w.vertex_bytes(v), 16 + 4 * adj[0][v as usize].len() as u32);
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_bitmap_reuse_equals_a_fresh_bitmap_per_root() {
+        // Many roots over a well-connected graph: a word left set by one
+        // traversal would cut the next one short.
+        let params = GraphParams {
+            n: 500,
+            nodes: 2,
+            degree: 4,
+            skew: 0.4,
+            root_stride: 1,
+            phases: 2,
+            ..small()
+        };
+        let w = GraphWorld::build(params);
+        for phase in 0..2 {
+            for node in 0..2 {
+                let (mut sum, mut reached) = (0u64, 0u64);
+                for root in w.roots(node) {
+                    let mut seen = std::collections::HashSet::from([root]);
+                    let mut stack = vec![root];
+                    while let Some(v) = stack.pop() {
+                        sum = sum.wrapping_add(DiffPlan::stamp(w.vptr(v), w.gen_at(phase, v)));
+                        reached += 1;
+                        stack.extend(w.out(phase, v).iter().copied().filter(|&t| seen.insert(t)));
+                    }
+                }
+                assert_eq!(w.expected(phase, node), (sum, reached), "phase {phase} node {node}");
+            }
         }
     }
 

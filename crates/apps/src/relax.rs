@@ -218,7 +218,7 @@ impl PtrApp for RelaxApp {
     fn start_iteration(&mut self, iter: usize, env: &mut WorkEnv<'_, Push>) {
         let u = (self.world.splits[self.me as usize] + iter) as u32;
         env.charge(self.world.cost.vertex_ns);
-        let world = self.world.clone();
+        let world = &*self.world;
         for &v in &world.vertices[u as usize].out {
             // Read the target's record (its weight), then push into it.
             env.demand(world.vptr(v), Push { u, v });
@@ -226,7 +226,7 @@ impl PtrApp for RelaxApp {
     }
 
     fn run_work(&mut self, w: Push, env: &mut WorkEnv<'_, Push>) {
-        let world = self.world.clone();
+        let world = &*self.world;
         let ptr = world.vptr(w.v);
         env.assert_readable(ptr);
         let contribution =

@@ -3,12 +3,12 @@
 //! by floating-point reassociation.
 
 use apps::bh_dist::{BhCost, BhWorld};
-use apps::driver::{Phases, Run};
+use apps::driver::{Digest, Phases, Run};
 use apps::fmm_dist::{FmmCost, FmmWorld};
-use dpa_core::{DpaConfig, DstOptions};
+use dpa_core::{DiffPlan, DpaConfig, DstOptions};
 use nbody::bh::{all_accels, BhParams};
 use nbody::cx::Cx;
-use nbody::distrib::{plummer, uniform_square};
+use nbody::distrib::{plummer, uniform_cube, uniform_square};
 use nbody::fmm::{FmmParams, FmmSolver};
 use sim_net::NetConfig;
 use std::sync::Arc;
@@ -66,6 +66,73 @@ fn bh_distributed_matches_sequential_walk() {
     let seq_bodies: u64 = seq.iter().map(|w| w.body_interactions).sum();
     assert_eq!(run.counter("cell_interactions"), seq_cells);
     assert_eq!(run.counter("body_interactions"), seq_bodies);
+}
+
+/// FNV-1a over the bits of every acceleration component.
+fn accel_digest(accel: &[nbody::vec3::Vec3]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for a in accel {
+        for word in [a.x.to_bits(), a.y.to_bits(), a.z.to_bits()] {
+            for byte in word.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn bh_bits_are_pinned() {
+    // Digests printed by the `Cell`/`Body`-walking kernel this one
+    // replaced. The accuracy tests tolerate 1e-9; this does not: a
+    // reassociated opening test, a reordered leaf sum or a body paired
+    // with the wrong partner changes it. `diff` covers the value-sensitive
+    // hash (generation stamps folded per visit) over three timesteps.
+    let plan = DiffPlan {
+        seed: 0xD1FF,
+        change_permille: 200,
+        phase: 0,
+    };
+    type Pin = (&'static str, Vec<nbody::body::Body>, u16, usize, usize, [u64; 3]);
+    let pins: [Pin; 2] = [
+        (
+            "plummer",
+            plummer(700, 21),
+            4,
+            1,
+            50,
+            [0xa573_4130_a65e_4a3b, 0x4830_4445_c869_ebbb, 0x1d5b_ba6a_3c32_85c5],
+        ),
+        (
+            "uniform",
+            uniform_cube(500, 5),
+            3,
+            4,
+            8,
+            [0xe265_4ae8_0e99_ce7a, 0xd366_147b_d9f2_a34d, 0x57d4_41c1_40c5_4107],
+        ),
+    ];
+    for (name, bodies, nodes, leaf_cap, strip, want) in pins {
+        let world = BhWorld::build(bodies, nodes, leaf_cap, BhParams::default(), BhCost::default());
+        let run = run_bh(&world, DpaConfig::dpa(strip), NetConfig::default());
+        let steps = apps::driver::run_bh(
+            &world,
+            DpaConfig::dpa_differential(strip),
+            NetConfig::default(),
+            &DstOptions::default(),
+            Phases::changing(3, plan),
+        )
+        .expect_completed();
+        let Digest::Ints(hashes) = &steps.digest else {
+            panic!("a multi-step BH run digests to per-node hashes")
+        };
+        let got = [
+            accel_digest(&run.accel()),
+            run.counter("interaction_hash"),
+            hashes.iter().fold(0u64, |acc, &h| acc.rotate_left(7) ^ h),
+        ];
+        assert_eq!(got, want, "{name}: accel / hash / diff digests {got:#018x?}");
+    }
 }
 
 #[test]

@@ -3,15 +3,18 @@
 //! the benchmark's `allocs_per_kevent`, bound 1 %.) Counts are per
 //! thread, so the harness and sibling tests cannot leak in.
 
-use apps::driver::{run_setops, run_synth, Phases};
+use apps::bh_dist::{BhApp, BhCost, BhWorld};
+use apps::driver::{run_bh, run_setops, run_synth, Phases};
 use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
 use apps::setops_dist::{SetopsParams, SetopsWorld};
-use dpa_core::synth::{SynthParams, SynthWorld};
-use dpa_core::{DpaConfig, DstOptions};
+use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
+use dpa_core::{DpaConfig, DpaProc, DstOptions};
 use fastmsg::ByteCoalescer;
+use nbody::bh::BhParams;
 use nbody::cx::{Binomials, Cx};
+use nbody::distrib::plummer;
 use nbody::fmm::{m2l_into, Local, Multipole};
-use sim_net::{NetConfig, QueueKind, Rng};
+use sim_net::{Machine, NetConfig, NodeId, QueueKind, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -106,6 +109,52 @@ fn graph_app_new_is_independent_of_vertex_count() {
     assert_eq!(small, large);
 }
 
+/// Constructing a BH node's state is two allocations (its bodies'
+/// positions and their accelerations) whatever the body count.
+#[test]
+fn bh_app_new_allocates_the_same_number_of_times_at_any_body_count() {
+    let construct = |n: usize| {
+        let world = BhWorld::build(plummer(n, 7), 4, 1, BhParams::default(), BhCost::default());
+        traffic(|| {
+            for node in 0..4 {
+                black_box(BhApp::new(world.clone(), node));
+            }
+        })
+    };
+    let (small, large) = (construct(256), construct(4096));
+    assert_eq!(small.0, 2 * 4);
+    assert_eq!(small.0, large.0);
+    assert!(large.1 > small.1, "the bytes do follow the bodies");
+}
+
+/// The live-count window follows the strip, not the loop: 2^20
+/// iterations (2^19 a node) at strip 8 complete nearly in order, so the
+/// span from a node's oldest live iteration to its newest admitted one
+/// stays within a few hundred slots (an array per iteration would be
+/// 2 MiB a node).
+#[test]
+fn live_count_window_follows_the_strip_not_the_loop_length() {
+    let world = SynthWorld::build(SynthParams {
+        nodes: 2,
+        lists_per_node: 1 << 19,
+        list_len: 1,
+        remote_fraction: 0.25,
+        shared_fraction: 0.0,
+        ..SynthParams::default()
+    });
+    let procs = (0..2)
+        .map(|i| DpaProc::new(SynthApp::new(world.clone(), i, world.work_ns), 2, DpaConfig::dpa(8)))
+        .collect();
+    let mut machine = Machine::new(procs, NetConfig::default());
+    assert!(machine.run().completed, "synth phase stalled");
+    for node in 0..2 {
+        let proc = machine.proc(NodeId(node));
+        assert_eq!(proc.app().visited, 1 << 19);
+        let peak = proc.peak_live_window();
+        assert!((8..=400).contains(&peak), "node {node}: {peak} slots");
+    }
+}
+
 /// The flush path in steady state never touches the allocator: bursts to
 /// 15 destinations (a 16-node machine's worth) pushed, popped when due and
 /// handed back, the way `DpaProc::flush` and the receiving handlers do.
@@ -173,6 +222,28 @@ fn a_setops_run_allocates_identically_twice() {
         traffic(|| {
             let run = run_setops(&world, DpaConfig::dpa(8), NetConfig::default(), &opts);
             assert!(run.completed(), "setops batch stalled");
+            black_box(run);
+        })
+    };
+    let (first, second) = (once(), once());
+    assert_ne!(first, (0, 0), "the counter is live");
+    assert_eq!(first, second);
+}
+
+/// So is a Barnes-Hut force phase (packed world records, per-node
+/// position copies, the live-count window).
+#[test]
+fn a_bh_run_allocates_identically_twice() {
+    let world = BhWorld::build(plummer(600, 11), 4, 1, BhParams::default(), BhCost::default());
+    let opts = DstOptions {
+        threads: 1,
+        queue: QueueKind::Wheel,
+        ..DstOptions::default()
+    };
+    let once = || {
+        traffic(|| {
+            let run = run_bh(&world, DpaConfig::dpa(50), NetConfig::default(), &opts, Phases::ONE);
+            assert!(run.completed(), "BH phase stalled");
             black_box(run);
         })
     };

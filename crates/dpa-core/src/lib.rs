@@ -36,6 +36,7 @@ pub mod config;
 pub mod driver;
 pub mod fxmap;
 pub mod invariant;
+mod live;
 pub mod mapping;
 pub mod msg;
 mod owner;

@@ -93,21 +93,6 @@ pub enum DpaMsg {
     },
 }
 
-impl DpaMsg {
-    /// Number of objects named by this message.
-    pub fn entries(&self) -> usize {
-        match self {
-            DpaMsg::Request(v) => v.len(),
-            DpaMsg::Reply(v) => v.len(),
-            DpaMsg::Update { entries, .. } => entries.len(),
-            DpaMsg::Affinity { entries, .. } => entries.len(),
-            DpaMsg::Forward { entries, .. } => entries.len(),
-            DpaMsg::PhaseDelta { entries, .. } => entries.len(),
-            DpaMsg::Replicate { entries, .. } => entries.len(),
-        }
-    }
-}
-
 impl MsgSize for DpaMsg {
     fn size_bytes(&self) -> u32 {
         match self {
@@ -184,14 +169,12 @@ mod tests {
     fn request_bytes() {
         let m = DpaMsg::Request(vec![p(1), p(2), p(3)]);
         assert_eq!(m.size_bytes(), 24);
-        assert_eq!(m.entries(), 3);
     }
 
     #[test]
     fn reply_bytes_include_tags() {
         let m = DpaMsg::Reply(vec![(p(1), 96), (p(2), 48)]);
         assert_eq!(m.size_bytes(), 96 + 48 + 16);
-        assert_eq!(m.entries(), 2);
     }
 
     #[test]
@@ -215,7 +198,6 @@ mod tests {
             entries: vec![(p(1), 0.5), (p(2), 1.5)],
         };
         assert_eq!(m.size_bytes(), 2 * 16);
-        assert_eq!(m.entries(), 2);
     }
 
     #[test]
@@ -225,14 +207,12 @@ mod tests {
             entries: vec![(p(1), 17), (p(2), 4)],
         };
         assert_eq!(aff.size_bytes(), 2 * 12, "pointer + count per sample");
-        assert_eq!(aff.entries(), 2);
 
         let fwd = DpaMsg::Forward {
             requester: 3,
             entries: vec![p(1), p(2), p(3)],
         };
         assert_eq!(fwd.size_bytes(), 24, "forward re-sends bare pointers");
-        assert_eq!(fwd.entries(), 3);
     }
 
     #[test]
@@ -242,7 +222,6 @@ mod tests {
             entries: vec![p(1), p(2)],
         };
         assert_eq!(d.size_bytes(), 16, "bare pointers, seq in the header");
-        assert_eq!(d.entries(), 2);
         let all_clear = DpaMsg::PhaseDelta {
             seq: 0,
             entries: vec![],
@@ -262,7 +241,6 @@ mod tests {
             96 + 48 + 16,
             "broadcast ships object payloads like a reply"
         );
-        assert_eq!(m.entries(), 2);
         // Same entries, different seq/gen: wire cost must not change.
         let n = DpaMsg::Replicate {
             seq: u64::MAX,

@@ -20,11 +20,11 @@
 
 use crate::config::{DpaConfig, Variant};
 use crate::invariant::NodeSnapshot;
+use crate::live::LiveIters;
 use crate::msg::{DpaMsg, SeqChannel};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv};
 use global_heap::{GPtr, SoftCache};
 use sim_net::{Ctx, Dur, NodeId, NodeStats, Proc};
-use crate::fxmap::FxHashMap;
 
 struct Stalled<W> {
     iter: u32,
@@ -48,7 +48,8 @@ pub struct CachingProc<A: PtrApp> {
     cont_stack: Vec<(u32, Vec<Emit<A::Work>>)>,
     cache: SoftCache,
     stalled: Option<Stalled<A::Work>>,
-    iter_live: FxHashMap<u32, u32>,
+    /// Live thread (and stashed-continuation) count per open iteration.
+    live: LiveIters,
     next_iter: usize,
     total_iters: usize,
     completed_iters: u64,
@@ -99,7 +100,7 @@ impl<A: PtrApp> CachingProc<A> {
             cont_stack: Vec::new(),
             cache: SoftCache::with_policy(capacity, policy),
             stalled: None,
-            iter_live: FxHashMap::default(),
+            live: LiveIters::new(total_iters),
             next_iter: 0,
             total_iters,
             completed_iters: 0,
@@ -156,13 +157,7 @@ impl<A: PtrApp> CachingProc<A> {
     }
 
     fn finish_one_work(&mut self, iter: u32) {
-        let live = self
-            .iter_live
-            .get_mut(&iter)
-            .expect("finished work for unknown iteration");
-        *live -= 1;
-        if *live == 0 {
-            self.iter_live.remove(&iter);
+        if self.live.finish(iter) {
             self.completed_iters += 1;
         }
     }
@@ -201,7 +196,7 @@ impl<A: PtrApp> CachingProc<A> {
                 }
                 continue;
             }
-            *self.iter_live.entry(iter).or_insert(0) += 1;
+            self.live.add(iter);
             match e {
                 Emit::Accum(..) => unreachable!("handled above"),
                 Emit::Local(work) => self.stack.push(Tagged { iter, work }),
@@ -222,7 +217,7 @@ impl<A: PtrApp> CachingProc<A> {
                         // depth-first order of a real blocking traversal.
                         self.stack.push(Tagged { iter, work });
                         if !emits.is_empty() {
-                            *self.iter_live.entry(iter).or_insert(0) += 1;
+                            self.live.add(iter);
                             self.cont_stack.push((iter, emits));
                         }
                         return true;
@@ -240,7 +235,7 @@ impl<A: PtrApp> CachingProc<A> {
                         if !emits.is_empty() {
                             // The stashed continuation counts as one live
                             // unit so its iteration cannot complete early.
-                            *self.iter_live.entry(iter).or_insert(0) += 1;
+                            self.live.add(iter);
                             self.cont_stack.push((iter, emits));
                         }
                         self.stalled = Some(Stalled { iter, work, ptr });
@@ -290,11 +285,11 @@ impl<A: PtrApp> CachingProc<A> {
                 self.route_emissions(ctx, iter, emits);
                 // An iteration that spawned no threads (nothing, or only
                 // reductions) is already complete.
-                if !self.iter_live.contains_key(&iter) {
+                if !self.live.is_live(iter) {
                     self.completed_iters += 1;
                 }
             } else {
-                debug_assert!(self.iter_live.is_empty());
+                debug_assert!(self.live.is_empty());
                 debug_assert!(self.cont_stack.is_empty());
                 self.done = true;
                 return;

@@ -70,6 +70,7 @@ mod replicate;
 use crate::config::{ConfigError, DpaConfig, Variant};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::invariant::NodeSnapshot;
+use crate::live::LiveIters;
 use crate::mapping::PointerMap;
 use crate::msg::{DpaMsg, SeqChannel};
 use crate::pending::PendingRequests;
@@ -207,8 +208,8 @@ pub struct DpaProc<A: PtrApp> {
     /// Cumulative (local, overhead, idle) ns at the last boundary, so a
     /// retune observes the inter-boundary *deltas*.
     ctl_obs_base: (u64, u64, u64),
-    /// Live work count per open iteration.
-    iter_live: FxHashMap<u32, u32>,
+    /// Live thread count per open iteration.
+    live: LiveIters,
     next_iter: usize,
     total_iters: usize,
     completed_iters: u64,
@@ -270,6 +271,7 @@ impl<A: PtrApp> DpaProc<A> {
         cfg.validate()?;
         let strip = cfg.initial_strip();
         let mtu = cfg.mtu.0 as u64;
+        let total_iters = app.num_iterations();
         Ok(DpaProc {
             strip,
             strip_ctl: None,
@@ -291,9 +293,9 @@ impl<A: PtrApp> DpaProc<A> {
             diff: cfg.differential.then(DiffState::default),
             repl: cfg.replication.then(ReplState::default),
             installs: 0,
-            iter_live: FxHashMap::default(),
+            live: LiveIters::new(total_iters),
             next_iter: 0,
-            total_iters: app.num_iterations(),
+            total_iters,
             completed_iters: 0,
             threads_created: 0,
             peak_stack: 0,
@@ -319,6 +321,12 @@ impl<A: PtrApp> DpaProc<A> {
     /// The wrapped application (post-run inspection).
     pub fn app(&self) -> &A {
         &self.app
+    }
+
+    /// The most live-count slots this node ever held at once: the widest
+    /// span from its oldest live iteration to its newest admitted one.
+    pub fn peak_live_window(&self) -> usize {
+        self.live.peak_slots()
     }
 
     /// Take everything this node hands across the phase barrier (driver
@@ -489,7 +497,10 @@ impl<A: PtrApp> DpaProc<A> {
         code(&mut self.app, &mut env);
         let (ns, mut emits) = env.finish();
         ctx.charge_local(ns);
-        self.route_emissions(ctx, iter, &mut emits);
+        // Most threads are leaves of the thread tree and emit nothing.
+        if !emits.is_empty() {
+            self.route_emissions(ctx, iter, &mut emits);
+        }
         self.emit_buf = emits;
     }
 
@@ -523,7 +534,7 @@ impl<A: PtrApp> DpaProc<A> {
                 continue;
             }
             self.threads_created += 1;
-            *self.iter_live.entry(iter).or_insert(0) += 1;
+            self.live.add(iter);
             ctx.charge_overhead(self.cfg.cost.thread_create_ns);
             match e {
                 Emit::Local(work) => {
@@ -700,26 +711,20 @@ impl<A: PtrApp> DpaProc<A> {
     }
 
     fn finish_one_work(&mut self, iter: u32) {
-        let live = self
-            .iter_live
-            .get_mut(&iter)
-            .expect("finished work for unknown iteration");
-        *live -= 1;
-        if *live == 0 {
-            self.iter_live.remove(&iter);
+        if self.live.finish(iter) {
             self.completed_iters += 1;
         }
     }
 
     fn admit(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         self.maybe_retune(ctx);
-        while self.iter_live.len() < self.strip && self.next_iter < self.total_iters {
+        while self.live.len() < self.strip && self.next_iter < self.total_iters {
             let iter = self.next_iter as u32;
             self.next_iter += 1;
             self.run_app(ctx, iter, |app, env| app.start_iteration(iter as usize, env));
             // An iteration that spawned no threads (nothing, or only
             // reductions) is already complete.
-            if !self.iter_live.contains_key(&iter) {
+            if !self.live.is_live(iter) {
                 self.completed_iters += 1;
             }
         }
@@ -845,7 +850,7 @@ impl<A: PtrApp> DpaProc<A> {
             // so the buffers and in-flight set are part of the condition
             // rather than implied by `pending` being empty.
             if self.next_iter == self.total_iters
-                && self.iter_live.is_empty()
+                && self.live.is_empty()
                 && self.pending.is_empty()
                 && self.in_flight.is_empty()
                 && self.coal.is_empty()
@@ -941,7 +946,7 @@ impl<A: PtrApp> Proc for DpaProc<A> {
             "iters {}/{} done, {} live; D={} in_flight={} M={} keys/{} threads; stuck on [{}]",
             self.completed_iters,
             self.total_iters,
-            self.iter_live.len(),
+            self.live.len(),
             self.pending.len(),
             self.in_flight.len(),
             self.map.keys(),

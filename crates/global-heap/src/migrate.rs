@@ -49,7 +49,6 @@ pub struct MigrationTable {
     migrations_in: u64,
     migrations_out: u64,
     overrides_learned: u64,
-    affinity_recorded: u64,
 }
 
 /// A migration decision: ship `ptr` to `to`, justified by `count` observed
@@ -102,11 +101,6 @@ impl MigrationTable {
     /// The forwarding-stub target for a departed object, if any.
     pub fn forward_target(&self, ptr: GPtr) -> Option<u16> {
         self.departed.get(&ptr).copied()
-    }
-
-    /// Payload size of an adopted object, if adopted.
-    pub fn adopted_size(&self, ptr: GPtr) -> Option<u32> {
-        self.adopted.get(&ptr).copied()
     }
 
     /// Install `ptr` (with `size` payload bytes) as adopted by this node.
@@ -187,7 +181,6 @@ impl MigrationTable {
             return;
         }
         *self.affinity.entry((ptr, from)).or_insert(0) += n;
-        self.affinity_recorded += n;
     }
 
     /// The migration policy: for each object with affinity signal, find its
@@ -238,11 +231,6 @@ impl MigrationTable {
         self.pinned.contains(&ptr)
     }
 
-    /// Number of pinned objects.
-    pub fn pinned_len(&self) -> usize {
-        self.pinned.len()
-    }
-
     /// Owner-side affinity rows grouped per object:
     /// `(ptr, [(requester, count)])`, objects sorted by pointer bits, rows
     /// sorted by requester — the fan-out signal the replication promotion
@@ -268,11 +256,6 @@ impl MigrationTable {
     /// Number of forwarding stubs installed here.
     pub fn departed_len(&self) -> usize {
         self.departed.len()
-    }
-
-    /// Number of learned home overrides.
-    pub fn overrides_len(&self) -> usize {
-        self.overrides.len()
     }
 
     /// Objects adopted here as `(pointer bits, size)`, sorted — for
@@ -304,11 +287,6 @@ impl MigrationTable {
     /// Total override learn/update events.
     pub fn overrides_learned(&self) -> u64 {
         self.overrides_learned
-    }
-
-    /// Total affinity counts recorded at this node (owner side).
-    pub fn affinity_recorded(&self) -> u64 {
-        self.affinity_recorded
     }
 
     /// `true` when the table records no deviation from birth homes.
@@ -346,7 +324,7 @@ mod tests {
         assert!(consumer.adopt(obj, 96));
         assert!(!consumer.adopt(obj, 96), "a second adopt is a no-op");
         assert_eq!(consumer.home_of(obj, 2), 2, "adoptee serves locally");
-        assert_eq!(consumer.adopted_size(obj), Some(96));
+        assert_eq!(consumer.adopted_entries(), vec![(obj.bits(), 96)]);
         assert_eq!(owner.migrations_out(), 1);
         assert_eq!(consumer.migrations_in(), 1);
     }
@@ -381,7 +359,7 @@ mod tests {
         let obj = p(0, 7);
         t.record_affinity(obj, 3, 50, 2);
         assert!(t.pick_migrations(1, 8).is_empty());
-        assert_eq!(t.affinity_recorded(), 0);
+        assert!(t.affinity_summary().is_empty());
     }
 
     #[test]
@@ -402,7 +380,7 @@ mod tests {
         t.learn_override(obj, 3);
         t.adopt(obj, 64);
         assert_eq!(t.home_of(obj, 2), 2);
-        assert_eq!(t.overrides_len(), 0);
+        assert!(t.overrides.is_empty());
     }
 
     #[test]
@@ -456,7 +434,7 @@ mod tests {
         t.adopt(obj, 64);
         t.record_affinity(obj, 2, 50, 0);
         assert!(t.pick_migrations(1, 8).is_empty());
-        assert_eq!(t.affinity_recorded(), 0);
+        assert!(t.affinity_summary().is_empty());
     }
 
     #[test]
@@ -474,7 +452,7 @@ mod tests {
         // Demotion: the driver rebuilds the pin set without the pointer,
         // and the accumulated signal immediately re-enables migration.
         t.set_pins(&[]);
-        assert_eq!(t.pinned_len(), 0);
+        assert!(!t.is_pinned(hot));
         assert_eq!(t.pick_migrations(1, 8).len(), 2);
     }
 

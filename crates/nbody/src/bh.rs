@@ -42,8 +42,15 @@ pub struct WalkResult {
 /// accepted as a monopole for a body at `pos`.
 #[inline]
 pub fn accepts(pos: Vec3, cm: Vec3, side: f64, theta: f64) -> bool {
+    accepts_sq(pos, cm, side * side, theta * theta)
+}
+
+/// [`accepts`] for a caller that keeps `side²` and `θ²` precomputed; the
+/// same comparison bit for bit.
+#[inline]
+pub fn accepts_sq(pos: Vec3, cm: Vec3, side2: f64, theta2: f64) -> bool {
     let d2 = (cm - pos).norm2();
-    side * side < theta * theta * d2
+    side2 < theta2 * d2
 }
 
 /// Walk the tree for body `i`, accumulating acceleration.
