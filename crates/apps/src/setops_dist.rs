@@ -114,6 +114,8 @@ pub struct SetopsWorld {
     bucket_width: u64,
     /// `ops[node]` = that node's batch.
     ops: Vec<Vec<SetOp>>,
+    /// `bptrs[b]` = [`SetopsWorld::bptr`].
+    bptrs: Vec<GPtr>,
     /// `splits[i]..splits[i+1]` = node `i`'s buckets.
     pub splits: Vec<usize>,
     /// Cost model.
@@ -263,6 +265,12 @@ impl SetopsWorld {
         }
         let mut classes = ClassTable::new();
         let bclass = classes.register("setops_bucket", 64);
+        let bptrs = (0..params.nodes)
+            .flat_map(|node| {
+                (splits[node as usize]..splits[node as usize + 1])
+                    .map(move |b| GPtr::new(node, bclass, b as u64))
+            })
+            .collect();
         Ok(Arc::new(SetopsWorld {
             params,
             initial,
@@ -270,6 +278,7 @@ impl SetopsWorld {
             stamps,
             bucket_width,
             ops,
+            bptrs,
             splits,
             cost: SetopsCost::default(),
             classes,
@@ -292,9 +301,7 @@ impl SetopsWorld {
     /// Global pointer to bucket `b` (owned by its home node).
     #[inline]
     pub fn bptr(&self, b: usize) -> GPtr {
-        let owner = u16::try_from(self.splits.partition_point(|&s| s <= b) - 1)
-            .expect("invariant: bucket owner < nodes, which is u16");
-        GPtr::new(owner, self.bclass, b as u64)
+        self.bptrs[b]
     }
 
     /// Buckets owned by `node`.
@@ -574,9 +581,18 @@ mod tests {
 
     #[test]
     fn bptr_owner_matches_split() {
-        let w = SetopsWorld::build(small());
-        for b in 0..32 {
-            assert!(w.bucket_range(w.bptr(b).node()).contains(&b));
+        // Uneven partitions included: 32 buckets over 1..=7 nodes.
+        for nodes in 1..=7 {
+            let w = SetopsWorld::build(SetopsParams { nodes, ..small() });
+            for b in 0..32 {
+                let owner = w.splits.partition_point(|&s| s <= b) - 1;
+                assert_eq!(
+                    w.bptr(b),
+                    GPtr::new(owner as u16, w.bclass, b as u64),
+                    "{nodes} nodes"
+                );
+                assert!(w.bucket_range(w.bptr(b).node()).contains(&b));
+            }
         }
     }
 

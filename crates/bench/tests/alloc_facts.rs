@@ -8,8 +8,8 @@ use apps::driver::{run_bh, run_setops, run_synth, Phases};
 use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
 use apps::setops_dist::{SetopsParams, SetopsWorld};
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
-use dpa_core::{DpaConfig, DpaProc, DstOptions};
-use fastmsg::ByteCoalescer;
+use dpa_core::{DpaConfig, DpaProc, DstOptions, SeqChannel};
+use fastmsg::{ByteCoalescer, Coalescer};
 use nbody::bh::BhParams;
 use nbody::cx::{Binomials, Cx};
 use nbody::distrib::plummer;
@@ -201,6 +201,62 @@ fn byte_coalescer_flush_cycle_allocates_nothing_once_warm() {
     });
     assert_eq!(spent, (0, 0));
     assert_eq!(widest_burst, DESTS as usize);
+}
+
+/// So does the request path's cycle: a buffer leaves whole when its window
+/// fills or the node drains, comes back a round trip later, and is swapped
+/// in at the next flush — whichever destination that happens to be.
+#[test]
+fn coalescer_flush_cycle_allocates_nothing_once_warm() {
+    const DESTS: u16 = 15;
+    const WINDOW: usize = 8;
+    const WARM_UP: u64 = 200;
+    let mut coal: Coalescer<u64> = Coalescer::new(DESTS as usize, WINDOW);
+    let mut in_flight: Vec<Vec<u64>> = Vec::with_capacity(3 * DESTS as usize);
+    let mut cycle = |round: u64| {
+        for batch in in_flight.drain(..) {
+            coal.recycle(batch);
+        }
+        // Between one and eleven requests per destination: some windows
+        // fill mid-round, the rest leave at the quiescence drain.
+        for dst in 0..DESTS {
+            for e in 0..1 + (round + 3 * dst as u64) % 11 {
+                in_flight.extend(coal.push(dst, e));
+            }
+        }
+        while let Some(dst) = coal.first_nonempty() {
+            in_flight.extend(coal.take(dst));
+        }
+        assert!(coal.is_empty());
+    };
+    for round in 0..WARM_UP {
+        cycle(round);
+    }
+    let spent = traffic(|| {
+        for round in WARM_UP..WARM_UP + 1_000 {
+            cycle(round);
+        }
+    });
+    assert_eq!(spent, (0, 0));
+}
+
+/// Dedup is a watermark per link, not a set of everything received: 10^5
+/// messages in order never allocate, and a duplicate is still caught.
+#[test]
+fn in_order_accepts_allocate_nothing() {
+    const SENDERS: u16 = 16;
+    const PER_LINK: u64 = 100_000 / SENDERS as u64;
+    let mut ch = SeqChannel::new(SENDERS as usize);
+    let spent = traffic(|| {
+        for seq in 0..PER_LINK {
+            for sender in 0..SENDERS {
+                assert!(ch.accept(sender, seq, 2));
+                assert!(!ch.accept(sender, seq / 2, 2), "a duplicate");
+            }
+        }
+    });
+    assert_eq!(spent, (0, 0));
+    assert_eq!(ch.entries_recv(), 2 * PER_LINK * SENDERS as u64);
 }
 
 /// A setops run (the DST `setops` world: updates, range demands, replies)

@@ -158,7 +158,7 @@ fn run_single<A: PtrApp>(
         }
         Variant::Caching | Variant::Blocking => {
             let procs = (0..nodes)
-                .map(|i| CachingProc::new(mk(i), cfg.clone()))
+                .map(|i| CachingProc::new(mk(i), nodes as usize, cfg.clone()))
                 .collect();
             run_machine(&mut None, procs, &net, opts, 0, trace_capacity, collect)
         }

@@ -103,7 +103,9 @@ pub struct NodeSnapshot {
     /// Affinity entries received (after sequence dedup).
     pub aff_recv: u64,
     /// Request or `Forward` entries refused because this node was not
-    /// born with the object, has not adopted it and holds no stub for it.
+    /// born with the object, has not adopted it and holds no stub for it,
+    /// plus sequenced messages refused because their sender lies outside
+    /// the machine this node was built for.
     pub misrouted_requests: u64,
     /// Pointer bits of every object this node adopted (sorted).
     pub adopted_ptrs: Vec<u64>,

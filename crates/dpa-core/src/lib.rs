@@ -57,6 +57,10 @@ pub use fxmap::{FxHashMap, FxHashSet};
 pub use invariant::{check_completed, check_conservation, NodeSnapshot, Violation};
 pub use mapping::PointerMap;
 pub use msg::DpaMsg;
+// Not API: exported for `tests/properties.rs` and `bench`'s `alloc_facts`,
+// which drive the dedup on its own.
+#[doc(hidden)]
+pub use msg::SeqChannel;
 pub use pending::PendingRequests;
 pub use proc_caching::CachingProc;
 pub use proc_dpa::{DpaProc, PhaseCarry};

@@ -113,14 +113,32 @@ impl<W> PointerMap<W> {
     /// alignment order) to `out`. The slot's storage is retained for the
     /// pointer's next alignment, so neither side allocates.
     pub fn release_into(&mut self, ptr: GPtr, out: &mut Vec<W>) {
-        if let Some(&id) = self.ids.get(&ptr) {
-            let list = &mut self.waiters[id as usize];
-            if !list.is_empty() {
-                self.live_threads -= list.len() as u64;
-                self.nonempty -= 1;
-                out.append(list);
-            }
+        if let Some(list) = self.released(ptr) {
+            out.append(list);
         }
+    }
+
+    /// [`release_into`](PointerMap::release_into) for a run queue that
+    /// holds more than M does: each released thread passes through `ready`
+    /// on its way to `out`, which is where it learns what only the arrival
+    /// of its object could tell it.
+    pub fn release_with<U>(&mut self, ptr: GPtr, out: &mut Vec<U>, ready: impl FnMut(W) -> U) {
+        if let Some(list) = self.released(ptr) {
+            out.extend(list.drain(..).map(ready));
+        }
+    }
+
+    /// The nonempty waiter list of `ptr`, already counted as released: the
+    /// caller empties it.
+    fn released(&mut self, ptr: GPtr) -> Option<&mut Vec<W>> {
+        let &id = self.ids.get(&ptr)?;
+        let list = &mut self.waiters[id as usize];
+        if list.is_empty() {
+            return None;
+        }
+        self.live_threads -= list.len() as u64;
+        self.nonempty -= 1;
+        Some(list)
     }
 
     /// Threads currently aligned (waiting) across all pointers.
@@ -278,6 +296,21 @@ mod tests {
         assert_eq!(m.waiters(p(2)), 0);
         assert!(m.align(p(1), 9), "re-align is first again");
         assert_eq!(m.interned(), 2, "re-align reuses the dense id");
+    }
+
+    #[test]
+    fn release_with_converts_in_alignment_order_and_counts_like_release_into() {
+        let mut m: PointerMap<u32> = PointerMap::new();
+        for i in 0..5 {
+            m.align(p(7), i);
+        }
+        m.align(p(8), 50);
+        let mut ready = vec![(0u8, 999u32)];
+        m.release_with(p(7), &mut ready, |w| (1, w));
+        assert_eq!(ready, [(0, 999), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4)]);
+        assert_eq!((m.keys(), m.live_threads(), m.waiters(p(7))), (1, 1, 0));
+        m.release_with(p(7), &mut ready, |w| (2, w));
+        assert_eq!(ready.len(), 6, "nothing waits under a released pointer");
     }
 
     #[test]

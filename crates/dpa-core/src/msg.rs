@@ -5,9 +5,9 @@
 //! pointer) and a **reply** carrying those objects' data. Aggregation shows
 //! up as multi-entry requests/replies; the MTU segments outsized replies.
 
-use crate::fxmap::FxHashSet;
 use global_heap::GPtr;
 use sim_net::MsgSize;
+use std::collections::BTreeSet;
 
 /// A runtime message.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,11 +26,12 @@ pub enum DpaMsg {
     ///
     /// Unlike requests/replies (idempotent via the D table and arrival
     /// set), a re-applied update would corrupt the reduction, so each
-    /// carries a per-sender sequence number and receivers deduplicate on
-    /// `(sender, seq)` — exactly-once application under at-least-once
-    /// delivery. The seq travels in the packet header (no payload cost).
+    /// carries a sequence number — per sender *and destination*, so each
+    /// link counts 0, 1, 2, … — and receivers deduplicate on `(sender,
+    /// seq)`: exactly-once application under at-least-once delivery. The
+    /// seq travels in the packet header (no payload cost).
     Update {
-        /// Per-sender monotone sequence number (dedup key).
+        /// Per-link monotone sequence number (dedup key).
         seq: u64,
         /// The `(pointer, contribution)` entries to fold in.
         entries: Vec<(GPtr, f64)>,
@@ -43,7 +44,7 @@ pub enum DpaMsg {
     /// deduplicated on `(sender, seq)` so duplicated deliveries cannot
     /// inflate counts.
     Affinity {
-        /// Per-sender monotone sequence number (dedup key).
+        /// Per-link monotone sequence number (dedup key).
         seq: u64,
         /// The `(pointer, dereference count)` samples.
         entries: Vec<(GPtr, u32)>,
@@ -69,7 +70,7 @@ pub enum DpaMsg {
     /// per phase; deduplicated on `(sender, seq)` against duplication
     /// faults.
     PhaseDelta {
-        /// Per-sender sequence number (dedup key; header, no payload cost).
+        /// Per-link sequence number (dedup key; header, no payload cost).
         seq: u64,
         /// The carried objects whose generation moved.
         entries: Vec<GPtr>,
@@ -84,7 +85,7 @@ pub enum DpaMsg {
     /// construction (the consumer simply fetches on demand, or stalls on
     /// the differential gate — never reads stale data silently).
     Replicate {
-        /// Per-sender monotone sequence number (dedup key).
+        /// Per-link monotone sequence number (dedup key).
         seq: u64,
         /// Generation stamped on every entry (header, no payload cost).
         gen: u32,
@@ -118,27 +119,63 @@ impl MsgSize for DpaMsg {
     }
 }
 
+/// What a [`SeqChannel`] keeps per peer, side by side: the next seq to
+/// stamp toward it, and what has been accepted from it.
+#[derive(Clone, Copy, Default)]
+struct Link {
+    /// Messages stamped toward this peer; the next one's seq.
+    next_seq: u64,
+    /// Every seq below this has been accepted from this peer.
+    watermark: u64,
+}
+
 /// One sequenced message kind (`Update`, `Affinity`, `PhaseDelta`,
-/// `Replicate`), both directions, in either node driver. The k-th message
-/// this node sends carries `seq == k`; a received `(sender, seq)` is
-/// accepted once, which is what makes the kind's effect exactly-once under
-/// at-least-once delivery; and entries are counted as they go on the wire
-/// and as they are accepted — the pair the conservation oracles compare
-/// across nodes.
-#[derive(Default)]
-pub(crate) struct SeqChannel {
-    /// Messages sent; doubles as the next sequence number.
+/// `Replicate`), both directions, in either node driver. Each destination
+/// is numbered on its own — the k-th message this node sends *to one peer*
+/// carries `seq == k` — so a receiver sees 0, 1, 2, … from each sender and
+/// "seen before" is a per-sender watermark, not a set of everything ever
+/// received. A `(sender, seq)` is accepted once, which is what makes the
+/// kind's effect exactly-once under at-least-once delivery; and entries
+/// are counted as they go on the wire and as they are accepted — the pair
+/// the conservation oracles compare across nodes.
+///
+/// A delivery that overtakes a predecessor waits in the ordered `tail`
+/// until the watermark reaches it. On a fault-free link the tail stays
+/// empty and nothing on the accept path allocates.
+pub struct SeqChannel {
+    /// Messages sent, all destinations.
     pub(crate) msgs_sent: u64,
     pub(crate) entries_sent: u64,
     /// Entries accepted, i.e. after dedup.
-    pub(crate) entries_recv: u64,
-    seen: FxHashSet<(u16, u64)>,
+    entries_recv: u64,
+    /// Deliveries refused because their sender lies outside the machine
+    /// this channel was sized for.
+    refused: u64,
+    links: Vec<Link>,
+    /// `(sender, seq)` accepted ahead of the sender's watermark; an entry
+    /// leaves when the watermark reaches it.
+    tail: BTreeSet<(u16, u64)>,
 }
 
 impl SeqChannel {
-    /// Count an outgoing message of `entries` entries; returns its seq.
-    pub(crate) fn stamp(&mut self, entries: usize) -> u64 {
-        let seq = self.msgs_sent;
+    /// A channel between this node and each of `nodes` peers.
+    pub fn new(nodes: usize) -> SeqChannel {
+        SeqChannel {
+            msgs_sent: 0,
+            entries_sent: 0,
+            entries_recv: 0,
+            refused: 0,
+            links: vec![Link::default(); nodes],
+            tail: BTreeSet::new(),
+        }
+    }
+
+    /// Count an outgoing message of `entries` entries to `dst`; returns
+    /// its seq on that link.
+    pub fn stamp(&mut self, dst: u16, entries: usize) -> u64 {
+        let link = &mut self.links[dst as usize];
+        let seq = link.next_seq;
+        link.next_seq += 1;
         self.msgs_sent += 1;
         self.entries_sent += entries as u64;
         seq
@@ -146,13 +183,38 @@ impl SeqChannel {
 
     /// `true` (counting its entries) the first time `(sender, seq)`
     /// arrives; `false` for a duplicated delivery, which the caller drops
-    /// wholesale.
-    pub(crate) fn accept(&mut self, sender: u16, seq: u64, entries: usize) -> bool {
-        if !self.seen.insert((sender, seq)) {
+    /// wholesale — as it does a delivery from a `sender` outside the
+    /// machine, which is refused and counted.
+    pub fn accept(&mut self, sender: u16, seq: u64, entries: usize) -> bool {
+        let Some(link) = self.links.get_mut(sender as usize) else {
+            self.refused += 1;
+            return false;
+        };
+        if seq < link.watermark {
+            return false;
+        }
+        if seq == link.watermark {
+            // In order. The watermark moves past it and past whatever was
+            // already accepted directly above it.
+            link.watermark += 1;
+            while !self.tail.is_empty() && self.tail.remove(&(sender, link.watermark)) {
+                link.watermark += 1;
+            }
+        } else if !self.tail.insert((sender, seq)) {
             return false;
         }
         self.entries_recv += entries as u64;
         true
+    }
+
+    /// Entries accepted so far (after dedup).
+    pub fn entries_recv(&self) -> u64 {
+        self.entries_recv
+    }
+
+    /// Deliveries refused for naming a sender outside the machine.
+    pub fn refused(&self) -> u64 {
+        self.refused
     }
 }
 
@@ -266,8 +328,8 @@ mod tests {
 
     #[test]
     fn seq_channel_stamps_in_order_and_accepts_each_pair_once() {
-        let mut ch = SeqChannel::default();
-        assert_eq!([ch.stamp(3), ch.stamp(0), ch.stamp(5)], [0, 1, 2]);
+        let mut ch = SeqChannel::new(9);
+        assert_eq!([ch.stamp(1, 3), ch.stamp(2, 0), ch.stamp(1, 5)], [0, 0, 1]);
         assert_eq!((ch.msgs_sent, ch.entries_sent), (3, 8));
 
         assert!(ch.accept(7, 0, 4));
@@ -275,5 +337,36 @@ mod tests {
         assert!(ch.accept(8, 0, 1), "the same seq from another sender is new");
         assert!(ch.accept(7, 1, 2));
         assert_eq!(ch.entries_recv, 7, "the duplicate's entries are not counted");
+
+        assert!(!ch.accept(9, 0, 1), "sender 9 is outside a 9-node machine");
+        assert_eq!((ch.refused, ch.entries_recv), (1, 7));
+    }
+
+    #[test]
+    fn seq_channel_absorbs_reordering_and_permanent_gaps() {
+        let mut ch = SeqChannel::new(2);
+        // 3 and 2 overtake 1; 0 arrives in order.
+        for seq in [0, 3, 2] {
+            assert!(ch.accept(1, seq, 1));
+        }
+        assert!(!ch.accept(1, 3, 1), "seen ahead of the watermark");
+        assert!(ch.accept(1, 1, 1), "the straggler");
+        assert_eq!(ch.links[1].watermark, 4, "the watermark swallowed the run");
+        assert!(ch.tail.is_empty());
+        assert!(!ch.accept(1, 2, 1) && !ch.accept(1, 0, 1));
+
+        // 4 is missing: everything behind it waits in the tail.
+        for seq in (5..=69).chain([200]) {
+            assert!(ch.accept(1, seq, 1), "seq {seq}");
+            assert!(!ch.accept(1, seq, 1), "seq {seq} again");
+        }
+        assert_eq!((ch.links[1].watermark, ch.tail.len()), (4, 66));
+        // The gap closes after all: the watermark runs through the tail up
+        // to the next hole.
+        assert!(ch.accept(1, 4, 1));
+        assert_eq!((ch.links[1].watermark, ch.tail.len()), (70, 1));
+        assert!(!ch.accept(1, 69, 1) && !ch.accept(1, 200, 1));
+        assert!(ch.accept(1, 70, 1));
+        assert_eq!(ch.entries_recv, 4 + 66 + 2);
     }
 }

@@ -22,7 +22,7 @@ use crate::config::{DpaConfig, Variant};
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
 use crate::msg::{DpaMsg, SeqChannel};
-use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv};
+use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
 use global_heap::{GPtr, SoftCache};
 use sim_net::{Ctx, Dur, NodeId, NodeStats, Proc};
 
@@ -71,10 +71,11 @@ pub struct CachingProc<A: PtrApp> {
 }
 
 impl<A: PtrApp> CachingProc<A> {
-    /// Wrap one node's application instance. Panics unless `cfg.variant`
-    /// is [`Variant::Caching`] or [`Variant::Blocking`] and the config
-    /// passes [`DpaConfig::validate`].
-    pub fn new(app: A, cfg: DpaConfig) -> CachingProc<A> {
+    /// Wrap one node's application instance on a machine of `nodes`.
+    /// Panics unless `cfg.variant` is [`Variant::Caching`] or
+    /// [`Variant::Blocking`] and the config passes
+    /// [`DpaConfig::validate`].
+    pub fn new(app: A, nodes: usize, cfg: DpaConfig) -> CachingProc<A> {
         if let Err(e) = cfg.validate() {
             panic!("invalid DpaConfig: {e}");
         }
@@ -107,7 +108,7 @@ impl<A: PtrApp> CachingProc<A> {
             request_msgs: 0,
             reply_msgs: 0,
             reply_entries: 0,
-            updates: SeqChannel::default(),
+            updates: SeqChannel::new(nodes),
             updates_emitted: 0,
             updates_applied: 0,
             replies_installed: 0,
@@ -134,11 +135,7 @@ impl<A: PtrApp> CachingProc<A> {
         NodeSnapshot {
             node,
             pending_requests: usize::from(self.stalled.is_some()),
-            pending_sample: self
-                .stalled
-                .iter()
-                .map(|st| st.ptr.to_string())
-                .collect(),
+            pending_sample: self.stalled.iter().map(|st| st.ptr.to_string()).collect(),
             in_flight: usize::from(self.stalled.is_some()),
             requests_issued: self.request_msgs,
             objects_installed: self.replies_installed,
@@ -152,6 +149,7 @@ impl<A: PtrApp> CachingProc<A> {
             request_msgs: self.request_msgs,
             reply_msgs: self.reply_msgs,
             update_msgs: self.updates.msgs_sent,
+            misrouted_requests: self.updates.refused(),
             ..NodeSnapshot::default()
         }
     }
@@ -185,7 +183,7 @@ impl<A: PtrApp> CachingProc<A> {
                     self.updates_applied += 1;
                     self.app.apply_update(ptr, value);
                 } else {
-                    let seq = self.updates.stamp(1);
+                    let seq = self.updates.stamp(ptr.node(), 1);
                     ctx.send(
                         NodeId(ptr.node()),
                         DpaMsg::Update {
@@ -199,7 +197,11 @@ impl<A: PtrApp> CachingProc<A> {
             self.live.add(iter);
             match e {
                 Emit::Accum(..) => unreachable!("handled above"),
-                Emit::Local(work) => self.stack.push(Tagged { iter, work }),
+                Emit::Local(work) => self.stack.push(Tagged {
+                    iter,
+                    gen: NO_GEN,
+                    work,
+                }),
                 Emit::Demand(ptr, work) => {
                     // The baseline hashes on *every* global access, even
                     // ones that turn out local; probes against a populated
@@ -208,14 +210,22 @@ impl<A: PtrApp> CachingProc<A> {
                         self.probe_ns + self.cfg.cost.probe_thrash_ns(self.cache.len()),
                     );
                     if ptr.is_local_to(me) {
-                        self.stack.push(Tagged { iter, work });
+                        self.stack.push(Tagged {
+                            iter,
+                            gen: NO_GEN,
+                            work,
+                        });
                     } else if self.cache.probe(ptr) {
                         // Hit: run this work *before* routing any sibling
                         // that might trigger a fetch — a later fill could
                         // evict the hit object (certain with the blocking
                         // variant's one-entry cache). This is exactly the
                         // depth-first order of a real blocking traversal.
-                        self.stack.push(Tagged { iter, work });
+                        self.stack.push(Tagged {
+                            iter,
+                            gen: NO_GEN,
+                            work,
+                        });
                         if !emits.is_empty() {
                             self.live.add(iter);
                             self.cont_stack.push((iter, emits));
@@ -348,6 +358,7 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                     // so the filled object is still cached when read.
                     self.stack.push(Tagged {
                         iter: st.iter,
+                        gen: NO_GEN,
                         work: st.work,
                     });
                     self.drive(ctx);

@@ -19,7 +19,6 @@ use sim_net::{Ctx, NodeId, NodeStats};
 
 /// What a node keeps for the boundary deltas, both as consumer and as
 /// owner.
-#[derive(Default)]
 pub(super) struct DiffState {
     /// The homes this node carried entries of and has not heard from yet.
     /// Admission and driving are withheld while any remain.
@@ -38,6 +37,16 @@ pub(super) struct DiffState {
 }
 
 impl DiffState {
+    pub(super) fn new(nodes: usize) -> DiffState {
+        DiffState {
+            awaiting: FxHashSet::default(),
+            out: Vec::new(),
+            deltas: SeqChannel::new(nodes),
+            stale_invalidated: 0,
+            carried_in: 0,
+        }
+    }
+
     /// Carried copies keep the generation they were fetched at; a stale
     /// one is invalidated by its home's `PhaseDelta` before any thread can
     /// read it, because the first strip is gated on `awaiting`.
@@ -58,8 +67,9 @@ impl DiffState {
 
     pub(super) fn snapshot(&self, snap: &mut NodeSnapshot) {
         snap.delta_entries_sent = self.deltas.entries_sent;
-        snap.delta_entries_recv = self.deltas.entries_recv;
+        snap.delta_entries_recv = self.deltas.entries_recv();
         snap.deltas_awaited = self.awaiting.len();
+        snap.misrouted_requests += self.deltas.refused();
     }
 
     pub(super) fn stall_detail(&self, detail: &mut String) {
@@ -91,7 +101,7 @@ impl<A: PtrApp> DpaProc<A> {
         for (dst, entries) in std::mem::take(&mut d.out) {
             debug_assert!(dst != ctx.me().0, "self-deltas must be pruned by the driver");
             ctx.charge_overhead(self.cfg.cost.request_entry_ns * entries.len() as u64);
-            let seq = d.deltas.stamp(entries.len());
+            let seq = d.deltas.stamp(dst, entries.len());
             ctx.send(NodeId(dst), DpaMsg::PhaseDelta { seq, entries });
         }
     }

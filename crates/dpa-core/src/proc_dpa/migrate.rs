@@ -22,7 +22,6 @@ use global_heap::{ArrivalSet, GPtr, MigrationTable};
 use sim_net::{Ctx, NodeId, NodeStats};
 
 /// What a node keeps for migration, both as consumer and as owner.
-#[derive(Default)]
 pub(super) struct MigrateState {
     /// Adopted / departed / learned overrides plus owner-side affinity
     /// counts; the readability check and the owner paths read it too.
@@ -37,14 +36,19 @@ pub(super) struct MigrateState {
     affinity: SeqChannel,
     forward_msgs: u64,
     forwarded_entries: u64,
-    /// Request or `Forward` entries for objects this node was not born
-    /// with, has not adopted and holds no stub for. No node of a real
-    /// machine sends one (every table names the same home all phase), so
-    /// they are refused and counted, and the count is a violation.
-    misrouted: u64,
 }
 
 impl MigrateState {
+    pub(super) fn new(nodes: usize) -> MigrateState {
+        MigrateState {
+            table: MigrationTable::default(),
+            aff_pending: FxHashMap::default(),
+            affinity: SeqChannel::new(nodes),
+            forward_msgs: 0,
+            forwarded_entries: 0,
+        }
+    }
+
     /// Adopted objects really do occupy renamed storage here, but are not
     /// phase fetches. Stamped at the *current* generation: the adoptee
     /// serves them from world data, always current.
@@ -63,18 +67,17 @@ impl MigrateState {
 
     pub(super) fn snapshot(&self, snap: &mut NodeSnapshot) {
         snap.aff_sent = self.affinity.entries_sent;
-        snap.aff_recv = self.affinity.entries_recv;
-        snap.misrouted_requests = self.misrouted;
+        snap.aff_recv = self.affinity.entries_recv();
+        snap.misrouted_requests += self.affinity.refused();
         snap.adopted_ptrs = self.table.adopted_entries().into_iter().map(|(b, _)| b).collect();
         snap.departed_ptrs = self.table.departed_entries().into_iter().map(|(b, _)| b).collect();
     }
 
     pub(super) fn stall_detail(&self, detail: &mut String) {
         detail.push_str(&format!(
-            "; mig: {} adopted, {} departed, {} misrouted",
+            "; mig: {} adopted, {} departed",
             self.table.adopted_len(),
             self.table.departed_len(),
-            self.misrouted
         ));
     }
 
@@ -115,7 +118,7 @@ impl<A: PtrApp> DpaProc<A> {
         for (home, mut entries) in reports {
             entries.sort_unstable_by_key(|&(p, _)| p.bits());
             ctx.charge_overhead(self.cfg.cost.request_entry_ns * entries.len() as u64);
-            let seq = m.affinity.stamp(entries.len());
+            let seq = m.affinity.stamp(home, entries.len());
             ctx.send(NodeId(home), DpaMsg::Affinity { seq, entries });
         }
     }
@@ -123,15 +126,21 @@ impl<A: PtrApp> DpaProc<A> {
     /// Split an incoming request into the part this node serves (born
     /// here and still here, or adopted) and the part that chases a
     /// forwarding stub (one `Forward` per new home). Anything else is
-    /// misrouted: counted, not served. Pass-through when migration is off.
+    /// misrouted: counted, not served. With migration off every object
+    /// lives where it was born, and only those are served.
     pub(super) fn triage_request(
         &mut self,
         ctx: &mut Ctx<'_, DpaMsg>,
         src: NodeId,
         mut ptrs: Vec<GPtr>,
     ) -> Vec<GPtr> {
-        let Some(m) = self.mig.as_mut() else { return ptrs };
         let me = ctx.me().0;
+        let Some(m) = self.mig.as_mut() else {
+            let asked = ptrs.len();
+            ptrs.retain(|p| p.is_local_to(me));
+            self.misrouted += (asked - ptrs.len()) as u64;
+            return ptrs;
+        };
         let mut serve = Vec::with_capacity(ptrs.len());
         let mut fwd = Vec::new();
         for p in ptrs.drain(..) {
@@ -140,7 +149,7 @@ impl<A: PtrApp> DpaProc<A> {
             } else if p.is_local_to(me) || m.table.is_adopted(p) {
                 serve.push(p);
             } else {
-                m.misrouted += 1;
+                self.misrouted += 1;
             }
         }
         self.coal.recycle(ptrs);
@@ -190,7 +199,7 @@ impl<A: PtrApp> DpaProc<A> {
         let Some(m) = self.mig.as_mut() else { return };
         let before = entries.len();
         entries.retain(|&p| m.table.is_adopted(p));
-        m.misrouted += (before - entries.len()) as u64;
+        self.misrouted += (before - entries.len()) as u64;
         if entries.is_empty() {
             self.coal.recycle(entries);
             return;

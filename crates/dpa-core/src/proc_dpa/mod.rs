@@ -75,7 +75,7 @@ use crate::mapping::PointerMap;
 use crate::msg::{DpaMsg, SeqChannel};
 use crate::pending::PendingRequests;
 use crate::stripctl::{StripController, StripMode, StripObs};
-use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv};
+use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
 use differential::DiffState;
 use fastmsg::{ByteCoalescer, Coalescer};
 use global_heap::{ArrivalSet, GPtr, MigrationTable, ReplicaDirectory};
@@ -106,7 +106,7 @@ pub struct PhaseCarry<W> {
     pub(crate) replication: Option<ReplicaDirectory>,
     /// `differential`: M and D — interners and warmed waiter-list
     /// capacities travel instead of being rebuilt.
-    pub(crate) tables: Option<(PointerMap<Tagged<W>>, PendingRequests)>,
+    pub(crate) tables: Option<(PointerMap<(u32, W)>, PendingRequests)>,
     /// `differential`: renamed storage as `(ptr, size, generation fetched
     /// at)`, sorted by pointer bits. Unchanged objects are never refetched.
     pub(crate) arrivals: Vec<(GPtr, u32, u32)>,
@@ -163,8 +163,11 @@ pub struct DpaProc<A: PtrApp> {
     cfg: DpaConfig,
     /// Ready non-blocking threads (depth-first stack).
     stack: Vec<Tagged<A::Work>>,
-    /// M: pointer → aligned dependent threads.
-    map: PointerMap<Tagged<A::Work>>,
+    /// M: pointer → aligned dependent threads, as `(iteration, work)`. A
+    /// waiting thread has no generation to carry yet — the copy that will
+    /// release it has not arrived — so M keeps four bytes a thread less
+    /// than the ready stack does.
+    map: PointerMap<(u32, A::Work)>,
     /// D: outstanding (buffered or in-flight) requests.
     pending: PendingRequests,
     /// Renamed storage: remote objects fetched so far this phase.
@@ -190,6 +193,11 @@ pub struct DpaProc<A: PtrApp> {
     diff: Option<DiffState>,
     /// Read-mostly replication, `Some` iff `cfg.replication`.
     repl: Option<ReplState>,
+    /// Request or `Forward` entries for objects this node was not born
+    /// with, has not adopted and holds no stub for. No node of a real
+    /// machine sends one (every table names the same home all phase), so
+    /// they are refused and counted, and the count is a violation.
+    misrouted: u64,
     /// Objects installed (a pending request completed with data — by a
     /// reply, or by a replica broadcast that doubled as one).
     /// Equals `arrived.total_inserts()` whenever migration is off.
@@ -289,9 +297,10 @@ impl<A: PtrApp> DpaProc<A> {
             upd_coal: ByteCoalescer::new(nodes, mtu, cfg.agg_window),
             reply_coal: ByteCoalescer::new(nodes, mtu, cfg.reply_agg_window),
             flush_wake_at: None,
-            mig: cfg.migration_enabled().then(MigrateState::default),
-            diff: cfg.differential.then(DiffState::default),
-            repl: cfg.replication.then(ReplState::default),
+            mig: cfg.migration_enabled().then(|| MigrateState::new(nodes)),
+            diff: cfg.differential.then(|| DiffState::new(nodes)),
+            repl: cfg.replication.then(|| ReplState::new(nodes)),
+            misrouted: 0,
             installs: 0,
             live: LiveIters::new(total_iters),
             next_iter: 0,
@@ -303,7 +312,7 @@ impl<A: PtrApp> DpaProc<A> {
             peak_in_flight: 0,
             request_msgs: 0,
             reply_msgs: 0,
-            updates: SeqChannel::default(),
+            updates: SeqChannel::new(nodes),
             updates_emitted: 0,
             updates_applied: 0,
             request_entries_sent: 0,
@@ -441,6 +450,7 @@ impl<A: PtrApp> DpaProc<A> {
             request_msgs: self.request_msgs,
             reply_msgs: self.reply_msgs,
             update_msgs: self.updates.msgs_sent,
+            misrouted_requests: self.misrouted + self.updates.refused(),
             stale_cache_entries: self
                 .arrived
                 .entries()
@@ -475,9 +485,10 @@ impl<A: PtrApp> DpaProc<A> {
         self.cfg.cost.pressure_extra_ns(self.map.live_threads())
     }
 
-    /// Run one piece of application code — an iteration's creation code or
-    /// a ready thread — then charge what it computed and route what it
-    /// emitted under `iter`. Every env shares one recycled emit buffer.
+    /// Run one piece of application code — an iteration's creation code
+    /// (`label_gen` = `NO_GEN`) or a ready thread (its [`Tagged::gen`]) —
+    /// then charge what it computed and route what it emitted under
+    /// `iter`. Every env shares one recycled emit buffer.
     // Forced: the app's `run_work` must inline into the drive loop. Left
     // to the inliner's discretion, setops_rw loses 8 % of its events/s.
     #[inline(always)]
@@ -485,6 +496,7 @@ impl<A: PtrApp> DpaProc<A> {
         &mut self,
         ctx: &mut Ctx<'_, DpaMsg>,
         iter: u32,
+        label_gen: u32,
         code: impl FnOnce(&mut A, &mut WorkEnv<'_, A::Work>),
     ) {
         let mut env = WorkEnv::with_migration(
@@ -492,7 +504,8 @@ impl<A: PtrApp> DpaProc<A> {
             ctx.num_nodes(),
             Avail::Arrived(&self.arrived),
             self.mig.as_ref().map(|m| &m.table),
-        );
+        )
+        .labeled(label_gen);
         env.reuse_buffer(std::mem::take(&mut self.emit_buf));
         code(&mut self.app, &mut env);
         let (ns, mut emits) = env.finish();
@@ -538,7 +551,11 @@ impl<A: PtrApp> DpaProc<A> {
             ctx.charge_overhead(self.cfg.cost.thread_create_ns);
             match e {
                 Emit::Local(work) => {
-                    self.stack.push(Tagged { iter, work });
+                    self.stack.push(Tagged {
+                        iter,
+                        gen: NO_GEN,
+                        work,
+                    });
                 }
                 Emit::Demand(ptr, work) => {
                     // Resolve the current home: birth node unless migration
@@ -548,12 +565,22 @@ impl<A: PtrApp> DpaProc<A> {
                         Some(m) => m.table.home_of(ptr, me),
                         None => ptr.node(),
                     };
-                    if home == me || self.arrived.contains(ptr) {
+                    // The label is resolved here, once: what renamed
+                    // storage holds for it rides with the thread. An
+                    // object born and still homed here is never fetched,
+                    // so it is not looked up at all.
+                    let held = if ptr.is_local_to(me) && home == me {
+                        None
+                    } else {
+                        self.arrived.generation(ptr)
+                    };
+                    if home == me || held.is_some() {
                         // Data already here: immediately ready.
-                        self.stack.push(Tagged { iter, work });
+                        let gen = held.unwrap_or(NO_GEN);
+                        self.stack.push(Tagged { iter, gen, work });
                     } else {
                         ctx.charge_overhead(self.cfg.cost.map_update_ns + self.pressure());
-                        let first = self.map.align(ptr, Tagged { iter, work });
+                        let first = self.map.align(ptr, (iter, work));
                         self.sample_affinity(ptr);
                         if first && self.pending.insert(ptr) {
                             ctx.charge_overhead(self.cfg.cost.request_entry_ns);
@@ -590,7 +617,7 @@ impl<A: PtrApp> DpaProc<A> {
 
     fn send_update(&mut self, ctx: &mut Ctx<'_, DpaMsg>, dst: u16, batch: Vec<(GPtr, f64)>) {
         debug_assert!(!batch.is_empty());
-        let seq = self.updates.stamp(batch.len());
+        let seq = self.updates.stamp(dst, batch.len());
         ctx.send(
             NodeId(dst),
             DpaMsg::Update {
@@ -721,7 +748,9 @@ impl<A: PtrApp> DpaProc<A> {
         while self.live.len() < self.strip && self.next_iter < self.total_iters {
             let iter = self.next_iter as u32;
             self.next_iter += 1;
-            self.run_app(ctx, iter, |app, env| app.start_iteration(iter as usize, env));
+            self.run_app(ctx, iter, NO_GEN, |app, env| {
+                app.start_iteration(iter as usize, env)
+            });
             // An iteration that spawned no threads (nothing, or only
             // reductions) is already complete.
             if !self.live.is_live(iter) {
@@ -763,7 +792,18 @@ impl<A: PtrApp> DpaProc<A> {
         let was_pending = self.pending.complete(ptr);
         debug_assert!(was_pending, "unsolicited data for {ptr}");
         self.installs += 1;
-        self.map.release_into(ptr, &mut self.stack);
+        // A copy that was already held keeps its own stamp.
+        let held = if fresh {
+            gen
+        } else {
+            self.arrived.generation(ptr).unwrap_or(gen)
+        };
+        self.map
+            .release_with(ptr, &mut self.stack, |(iter, work)| Tagged {
+                iter,
+                gen: held,
+                work,
+            });
         self.peak_stack = self.peak_stack.max(self.stack.len() as u64);
         true
     }
@@ -807,7 +847,7 @@ impl<A: PtrApp> DpaProc<A> {
             // Execute ready threads (and keep the admission window full).
             while let Some(t) = self.stack.pop() {
                 ctx.charge_overhead(self.cfg.cost.resume_ns + self.pressure());
-                self.run_app(ctx, t.iter, |app, env| app.run_work(t.work, env));
+                self.run_app(ctx, t.iter, t.gen, |app, env| app.run_work(t.work, env));
                 self.finish_one_work(t.iter);
                 self.admit(ctx);
                 if ctx.now().since(slice_start) >= slice {
@@ -943,7 +983,7 @@ impl<A: PtrApp> Proc for DpaProc<A> {
         }
         let stuck = self.pending.sorted_sample(4);
         let mut detail = format!(
-            "iters {}/{} done, {} live; D={} in_flight={} M={} keys/{} threads; stuck on [{}]",
+            "iters {}/{} done, {} live; D={} in_flight={} M={} keys/{} threads; stuck on [{}]; {} misrouted",
             self.completed_iters,
             self.total_iters,
             self.live.len(),
@@ -951,7 +991,10 @@ impl<A: PtrApp> Proc for DpaProc<A> {
             self.in_flight.len(),
             self.map.keys(),
             self.map.live_threads(),
-            stuck.join(", ")
+            stuck.join(", "),
+            // The oracle's figure: refused requests and forwards plus
+            // every channel's refused senders (cold path).
+            self.snapshot(0).misrouted_requests
         );
         if let Some(m) = &self.mig {
             m.stall_detail(&mut detail);

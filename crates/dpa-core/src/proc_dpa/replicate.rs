@@ -30,7 +30,6 @@ use global_heap::{GPtr, ReplicaDirectory};
 use sim_net::{Ctx, NodeId, NodeStats};
 
 /// What a node keeps for replication, both as owner and as consumer.
-#[derive(Default)]
 pub(super) struct ReplState {
     /// Owner side: which of this node's pointers are multi-homed, to
     /// whom, at which generation, and how write-heavy the current window
@@ -46,6 +45,14 @@ pub(super) struct ReplState {
 }
 
 impl ReplState {
+    pub(super) fn new(nodes: usize) -> ReplState {
+        ReplState {
+            dir: ReplicaDirectory::default(),
+            held: FxHashMap::default(),
+            broadcasts: SeqChannel::new(nodes),
+        }
+    }
+
     /// The directory applies the read-mostly contract on the way out:
     /// entries whose window exceeded `write_demote` writes are demoted and
     /// every window is zeroed for the next phase.
@@ -77,7 +84,8 @@ impl ReplState {
 
     pub(super) fn snapshot(&self, snap: &mut NodeSnapshot) {
         snap.repl_entries_sent = self.broadcasts.entries_sent;
-        snap.repl_entries_recv = self.broadcasts.entries_recv;
+        snap.repl_entries_recv = self.broadcasts.entries_recv();
+        snap.misrouted_requests += self.broadcasts.refused();
         snap.replica_dir = self.dir.export();
         snap.replica_held = self.held_sorted();
     }
@@ -94,7 +102,7 @@ impl ReplState {
     pub(super) fn on_finish(&self, stats: &mut NodeStats) {
         stats.bump("replicate_msgs", self.broadcasts.msgs_sent);
         stats.bump("replicate_entries", self.broadcasts.entries_sent);
-        stats.bump("replica_installs", self.broadcasts.entries_recv);
+        stats.bump("replica_installs", self.broadcasts.entries_recv());
         stats.bump("replicas_held", self.held.len() as u64);
         stats.bump("replicated_ptrs", self.dir.len() as u64);
         stats.bump("replica_promotions", self.dir.promotions());
@@ -131,7 +139,7 @@ impl<A: PtrApp> DpaProc<A> {
             ctx.charge_overhead(self.cfg.cost.owner_lookup_ns * entries.len() as u64);
             let payload = crate::owner::reply_payload_bytes(&entries);
             crate::owner::charge_extra_packets(&self.cfg, ctx, payload);
-            let seq = r.broadcasts.stamp(entries.len());
+            let seq = r.broadcasts.stamp(dst, entries.len());
             ctx.send(NodeId(dst), DpaMsg::Replicate { seq, gen, entries });
         }
     }

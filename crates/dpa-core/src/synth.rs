@@ -272,7 +272,7 @@ impl PtrApp for SynthApp {
             // fetched/carried copies, the live generation for local (or
             // adopted) reads. A stale carry surfaces here as an old stamp.
             let gen = env
-                .cached_generation(work.ptr)
+                .label_generation()
                 .unwrap_or_else(|| plan.gen_of(work.ptr));
             v = v.wrapping_add(DiffPlan::stamp(work.ptr, gen));
         }

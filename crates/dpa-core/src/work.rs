@@ -125,6 +125,9 @@ pub struct WorkEnv<'a, W> {
     /// Migration view (when enabled): objects born here that have departed
     /// are *not* readable locally any more, and adopted objects are.
     mig: Option<&'a MigrationTable>,
+    /// What renamed storage held for the running thread's label when the
+    /// thread became ready ([`Tagged::gen`]); `NO_GEN` for creation code.
+    label_gen: u32,
 }
 
 impl<'a, W> WorkEnv<'a, W> {
@@ -136,6 +139,7 @@ impl<'a, W> WorkEnv<'a, W> {
             emits: Vec::new(),
             avail,
             mig: None,
+            label_gen: NO_GEN,
         }
     }
 
@@ -151,6 +155,13 @@ impl<'a, W> WorkEnv<'a, W> {
             mig,
             ..WorkEnv::new(node, nodes, avail)
         }
+    }
+
+    /// The env of a ready thread: the generation its label was resolved to
+    /// rides in with it.
+    pub(crate) fn labeled(mut self, gen: u32) -> WorkEnv<'a, W> {
+        self.label_gen = gen;
+        self
     }
 
     /// Adopt a recycled (empty, capacity-bearing) emission buffer so a
@@ -222,24 +233,31 @@ impl<'a, W> WorkEnv<'a, W> {
         }
     }
 
-    /// The generation stamp the runtime's renamed storage holds for a
-    /// *remote* object it has fetched (or carried across a phase barrier),
-    /// or `None` when the object is not in renamed storage — locally-owned
-    /// objects and the non-DPA availability views land here, and the
-    /// application should fall back to its own current generation. A
-    /// value-sensitive application folds this into its checksum, which is
-    /// what makes a stale carried entry *observable*: a cache entry that
-    /// survived a value change reports the old generation and corrupts the
-    /// digest against a from-scratch run.
-    pub fn cached_generation(&self, ptr: GPtr) -> Option<u32> {
-        match &self.avail {
-            Avail::Arrived(a) => a.generation(ptr),
-            Avail::All | Avail::Cached(_) => None,
-        }
+    /// The generation stamp renamed storage holds for the object this
+    /// thread was labeled with — the copy it fetched, or carried across a
+    /// phase barrier — or `None` when the label is not in renamed storage:
+    /// locally-owned objects, creation code and the non-DPA availability
+    /// views land here, and the application should fall back to its own
+    /// current generation. A value-sensitive application folds this into
+    /// its checksum, which is what makes a stale carried entry
+    /// *observable*: a cache entry that survived a value change reports
+    /// the old generation and corrupts the digest against a from-scratch
+    /// run.
+    ///
+    /// The runtime resolved the label once, when the thread became ready
+    /// (demanded with the object already here, or released when it
+    /// arrived), and the answer travelled with the thread; nothing is
+    /// probed here.
+    #[inline]
+    pub fn label_generation(&self) -> Option<u32> {
+        (self.label_gen != NO_GEN).then_some(self.label_gen)
     }
 
-    /// Debug-build honesty check: panic if `ptr` has not been delivered.
-    /// Release builds compile this to nothing.
+    /// Debug-build honesty check: panic if `ptr` has not been delivered,
+    /// or if renamed storage holds it at another generation than the one
+    /// this thread carries for it (a thread touches one potentially-remote
+    /// object, its label, so a held `ptr` *is* the label). Release builds
+    /// compile this to nothing.
     #[inline]
     pub fn assert_readable(&self, ptr: GPtr) {
         debug_assert!(
@@ -247,6 +265,16 @@ impl<'a, W> WorkEnv<'a, W> {
             "node {} read object {ptr} before it arrived",
             self.node
         );
+        #[cfg(debug_assertions)]
+        if let (Some(carried), Avail::Arrived(a)) = (self.label_generation(), &self.avail) {
+            if let Some(held) = a.generation(ptr) {
+                assert_eq!(
+                    carried, held,
+                    "node {}: the generation carried for {ptr} is not the one held",
+                    self.node
+                );
+            }
+        }
     }
 
     pub(crate) fn finish(self) -> (u64, Vec<Emit<W>>) {
@@ -308,12 +336,22 @@ pub trait PtrApp: Send {
     }
 }
 
-/// A work item tagged with the top-level iteration it belongs to, so the
-/// strip driver can track iteration completion.
+/// [`Tagged::gen`] of a thread whose label is not in renamed storage. No
+/// object reaches this generation: one is gained per phase boundary.
+pub(crate) const NO_GEN: u32 = u32::MAX;
+
+/// A ready work item tagged with the top-level iteration it belongs to, so
+/// the strip driver can track iteration completion, and with what its
+/// label resolved to, so running it probes nothing.
 #[derive(Debug)]
 pub struct Tagged<W> {
     /// Index of the owning top-level iteration.
     pub iter: u32,
+    /// The generation renamed storage holds for the thread's label
+    /// ([`WorkEnv::label_generation`]), `NO_GEN` if it holds none: written
+    /// when the thread becomes ready — demanded with its object already
+    /// here, or released from M by the copy that arrived.
+    pub(crate) gen: u32,
     /// The work itself.
     pub work: W,
 }
@@ -362,6 +400,30 @@ mod tests {
     }
 
     #[test]
+    fn label_generation_is_what_the_thread_carried() {
+        let arr = ArrivalSet::new();
+        let env: WorkEnv<'_, u32> = WorkEnv::new(0, 2, Avail::Arrived(&arr));
+        assert_eq!(env.label_generation(), None, "creation code has no label");
+        assert_eq!(env.labeled(NO_GEN).label_generation(), None);
+        let env: WorkEnv<'_, u32> = WorkEnv::new(0, 2, Avail::Arrived(&arr)).labeled(0);
+        assert_eq!(env.label_generation(), Some(0));
+    }
+
+    /// The debug honesty check covers the carried generation: a thread
+    /// that was handed one stamp while renamed storage holds another has
+    /// been routed wrongly.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not the one held")]
+    fn assert_readable_catches_a_carried_generation_that_went_stale() {
+        let mut arr = ArrivalSet::new();
+        let remote = GPtr::new(1, ObjClass(0), 9);
+        arr.insert_gen(remote, 64, 4);
+        let env: WorkEnv<'_, u32> = WorkEnv::new(0, 2, Avail::Arrived(&arr)).labeled(3);
+        env.assert_readable(remote);
+    }
+
+    #[test]
     fn readable_honors_migration_table() {
         let mut mig = MigrationTable::new();
         let departed = GPtr::new(0, ObjClass(0), 1);
@@ -369,15 +431,20 @@ mod tests {
         mig.depart(departed, 1);
         mig.adopt(adopted, 64);
         let arr = ArrivalSet::new();
-        let env: WorkEnv<'_, u32> =
-            WorkEnv::with_migration(0, 2, Avail::Arrived(&arr), Some(&mig));
+        let env: WorkEnv<'_, u32> = WorkEnv::with_migration(0, 2, Avail::Arrived(&arr), Some(&mig));
         assert!(
             !env.readable(departed),
             "a departed object is no longer readable at its birth home"
         );
         assert!(env.readable(adopted), "an adopted object reads locally");
-        assert!(env.readable(GPtr::new(0, ObjClass(0), 9)), "untouched local");
-        assert!(!env.readable(GPtr::new(1, ObjClass(0), 9)), "untouched remote");
+        assert!(
+            env.readable(GPtr::new(0, ObjClass(0), 9)),
+            "untouched local"
+        );
+        assert!(
+            !env.readable(GPtr::new(1, ObjClass(0), 9)),
+            "untouched remote"
+        );
     }
 
     #[test]

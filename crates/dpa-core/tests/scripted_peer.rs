@@ -5,14 +5,15 @@
 //! seed.
 
 use dpa_core::{
-    check_conservation, DpaConfig, DpaMsg, DpaProc, NodeSnapshot, PtrApp, Violation, WorkEnv,
+    check_conservation, CachingProc, DpaConfig, DpaMsg, DpaProc, NodeSnapshot, PtrApp, Violation,
+    WorkEnv,
 };
 use global_heap::{GPtr, ObjClass};
 use sim_net::{Ctx, Dur, Machine, NetConfig, NodeId, NodeStats, Proc, RunReport};
 
 /// One node: the runtime under test, or a peer that only talks.
-enum Peer {
-    Real(Box<DpaProc<Probe>>),
+enum Peer<P = DpaProc<Probe>> {
+    Real(Box<P>),
     Script(Script),
 }
 
@@ -37,7 +38,7 @@ impl Script {
     }
 }
 
-impl Proc for Peer {
+impl<P: Proc<Msg = DpaMsg>> Proc for Peer<P> {
     type Msg = DpaMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
@@ -84,10 +85,12 @@ impl Proc for Peer {
 /// The application on the real node: at most one iteration, which burns
 /// `spin` local steps of [`STEP_NS`] (the driver yields to the event loop
 /// between steps, so scripted messages land meanwhile) and then reads
-/// `demand`, recording the generation renamed storage held for it.
+/// `demand`, recording the generation its thread carried for it — `reads`
+/// times over, spinning again before each further read.
 struct Probe {
     demand: Option<GPtr>,
     spin: u32,
+    reads: u32,
     /// Current generation of every object, as the phase's world has it.
     gen: u32,
     seen_gen: Vec<Option<u32>>,
@@ -97,9 +100,10 @@ struct Probe {
 const STEP_NS: u64 = 50_000;
 const OBJ_BYTES: u32 = 64;
 
+/// Both carry the reads still to make, this one included.
 enum ProbeWork {
-    Spin(u32),
-    Read(GPtr),
+    Spin { left: u32, reads: u32 },
+    Read { ptr: GPtr, reads: u32 },
 }
 
 impl Probe {
@@ -111,18 +115,19 @@ impl Probe {
         Probe {
             demand,
             spin,
+            reads: 1,
             gen,
             seen_gen: Vec::new(),
             applied: 0.0,
         }
     }
 
-    fn step(&self, left: u32, env: &mut WorkEnv<'_, ProbeWork>) {
+    fn step(&self, left: u32, reads: u32, env: &mut WorkEnv<'_, ProbeWork>) {
         let ptr = self.demand.expect("an iteration implies a demand");
         if left > 0 {
-            env.local(ProbeWork::Spin(left));
+            env.local(ProbeWork::Spin { left, reads });
         } else {
-            env.demand(ptr, ProbeWork::Read(ptr));
+            env.demand(ptr, ProbeWork::Read { ptr, reads });
         }
     }
 }
@@ -135,18 +140,23 @@ impl PtrApp for Probe {
     }
 
     fn start_iteration(&mut self, _iter: usize, env: &mut WorkEnv<'_, ProbeWork>) {
-        self.step(self.spin, env);
+        self.step(self.spin, self.reads, env);
     }
 
     fn run_work(&mut self, work: ProbeWork, env: &mut WorkEnv<'_, ProbeWork>) {
         match work {
-            ProbeWork::Spin(left) => {
+            ProbeWork::Spin { left, reads } => {
                 env.charge(STEP_NS);
-                self.step(left - 1, env);
+                self.step(left - 1, reads, env);
             }
-            ProbeWork::Read(ptr) => {
+            ProbeWork::Read { ptr, reads } => {
+                // In a debug build this also checks the carried generation
+                // against a fresh probe of renamed storage.
                 env.assert_readable(ptr);
-                self.seen_gen.push(env.cached_generation(ptr));
+                self.seen_gen.push(env.label_generation());
+                if reads > 1 {
+                    self.step(self.spin.max(1), reads - 1, env);
+                }
             }
         }
     }
@@ -165,7 +175,10 @@ impl PtrApp for Probe {
 }
 
 /// Node 0 runs `proc_`, node 1 plays `sends` at it.
-fn run(proc_: DpaProc<Probe>, sends: Vec<(u64, DpaMsg)>) -> (RunReport, Machine<Peer>) {
+fn run<P: Proc<Msg = DpaMsg>>(
+    proc_: P,
+    sends: Vec<(u64, DpaMsg)>,
+) -> (RunReport, Machine<Peer<P>>) {
     let script = Script {
         sends: sends.into_iter().map(|(at, msg)| (at, 0, msg)).collect(),
         next: 0,
@@ -178,7 +191,7 @@ fn run(proc_: DpaProc<Probe>, sends: Vec<(u64, DpaMsg)>) -> (RunReport, Machine<
     (report, m)
 }
 
-fn real(m: &mut Machine<Peer>) -> &mut DpaProc<Probe> {
+fn real<P: Proc<Msg = DpaMsg>>(m: &mut Machine<Peer<P>>) -> &mut P {
     match m.proc_mut(NodeId(0)) {
         Peer::Real(p) => p,
         Peer::Script(_) => unreachable!("node 0 is the real proc"),
@@ -252,6 +265,8 @@ fn replicate_and_phase_delta_commute() {
     let (report, mut m) = run(carrying_stale_copy(ptr, 3), sends);
     assert!(report.completed, "{}", report.stall_summary());
     let snap = snapshot(&mut m);
+    // The thread was released from M by the broadcast and carries the
+    // broadcast's generation, which is what renamed storage holds.
     assert_eq!(real(&mut m).app().seen_gen, [Some(1)]);
     assert_eq!(snap.replica_held, [(ptr.bits(), 1)]);
     assert_eq!((snap.stale_cache_entries, snap.request_msgs), (0, 1));
@@ -263,6 +278,52 @@ fn replicate_and_phase_delta_commute() {
     assert!(report.completed);
     assert_eq!(real(&mut m).app().seen_gen, [Some(0)]);
     assert_eq!(snapshot(&mut m).stale_cache_entries, 1);
+}
+
+/// The generation a thread carries is the one renamed storage holds for
+/// its label when it runs, however the thread became ready: released from
+/// M by the reply, demanded again with the object already here, with a
+/// duplicated reply landing in between, or labeled with an object that
+/// lives here and is in no renamed storage at all.
+#[test]
+fn a_thread_carries_what_renamed_storage_holds_for_its_label() {
+    let ptr = remote(4);
+    let reply = || DpaMsg::Reply(vec![(ptr, OBJ_BYTES)]);
+    // Three reads, four spin steps (200 µs) before each: the first is
+    // demanded at 200 µs and waits in M for the reply at 400 µs; the
+    // duplicate at 500 µs lands before the second is demanded at 600 µs;
+    // the third finds everything as the second did.
+    let app = Probe {
+        reads: 3,
+        ..Probe::reading(Some(ptr), 4, 6)
+    };
+    let proc_ = DpaProc::new(app, 2, DpaConfig::dpa(8));
+    let (report, mut m) = run(proc_, vec![(400_000, reply()), (500_000, reply())]);
+    assert!(report.completed, "{}", report.stall_summary());
+    assert_eq!(report.stats.nodes[0].msgs_recv, 2);
+    let snap = snapshot(&mut m);
+    assert_eq!(
+        (snap.requests_issued, snap.objects_installed),
+        (1, 1),
+        "the duplicate installed nothing"
+    );
+    assert_eq!(
+        real(&mut m).app().seen_gen,
+        [Some(6); 3],
+        "stamped with the generation at install"
+    );
+
+    // A label homed here: never fetched, never looked up, nothing carried.
+    let local = GPtr::new(0, ObjClass(0), 4);
+    let proc_ = DpaProc::new(
+        Probe::reading(Some(local), 2, 6),
+        2,
+        DpaConfig::dpa_replicating(8),
+    );
+    let (report, mut m) = run(proc_, Vec::new());
+    assert!(report.completed, "{}", report.stall_summary());
+    assert_eq!(real(&mut m).app().seen_gen, [None]);
+    assert_eq!(snapshot(&mut m).requests_issued, 0);
 }
 
 /// Each of the four sequenced kinds, delivered twice with the same seq,
@@ -330,8 +391,11 @@ fn a_reply_after_a_completing_broadcast_retires_in_flight_and_installs_nothing()
     assert_eq!((snap.requests_issued, snap.objects_installed), (1, 1));
     assert_eq!((snap.pending_requests, snap.in_flight), (0, 0));
     assert_eq!(snap.replica_held, [(ptr.bits(), 0)]);
-    let seen = &real(&mut m).app().seen_gen;
-    assert_eq!(seen.len(), 1, "the aligned thread ran once");
+    assert_eq!(
+        real(&mut m).app().seen_gen,
+        [Some(0)],
+        "the aligned thread ran once"
+    );
     assert_eq!(report.stats.user_total("remote_objects_fetched"), 1);
 
     let (report, mut m) = run(consumer(), vec![(50_000, replicate)]);
@@ -374,4 +438,63 @@ fn a_misrouted_request_or_forward_is_counted_and_answers_nothing() {
         check_conservation(&[snap]),
         [Violation::MisroutedRequest { node: 0, count: 2 }]
     );
+}
+
+/// The same refusal with migration off, where every object lives where it
+/// was born: a request for an object born elsewhere never reaches the
+/// owner's lookup, which would answer for someone else's object. The
+/// local part of the batch is still served.
+#[test]
+fn a_request_for_a_foreign_object_is_refused_without_migration_too() {
+    let local = GPtr::new(0, ObjClass(0), 1);
+    let proc_ = DpaProc::new(Probe::idle(), 2, DpaConfig::dpa(8));
+    let sends = vec![
+        (50_000, DpaMsg::Request(vec![remote(5)])),
+        (100_000, DpaMsg::Request(vec![remote(6), local, remote(7)])),
+    ];
+    let (report, mut m) = run(proc_, sends);
+    assert!(report.completed, "{}", report.stall_summary());
+    assert_eq!(
+        report.stats.nodes[0].msgs_sent, 1,
+        "one reply, for the local object"
+    );
+    let snap = snapshot(&mut m);
+    assert_eq!((snap.reply_pushed, snap.reply_msgs), (1, 1));
+    assert_eq!(snap.misrouted_requests, 3);
+    assert_eq!(
+        check_conservation(&[snap]),
+        [Violation::MisroutedRequest { node: 0, count: 3 }]
+    );
+}
+
+/// A sequenced message from a sender the node has no link for — here a
+/// proc built for a one-node machine, run on two — is dropped and
+/// counted: nothing is applied, nothing is indexed, and the oracle
+/// reports it. Either node driver.
+#[test]
+fn a_sequenced_message_from_outside_the_machine_is_a_counted_drop() {
+    let local = GPtr::new(0, ObjClass(0), 3);
+    let update = DpaMsg::Update {
+        seq: 0,
+        entries: vec![(local, 2.5)],
+    };
+    let sends = || vec![(50_000, update.clone()), (100_000, update.clone())];
+    let check = |report: RunReport, applied: f64, snap: NodeSnapshot| {
+        assert!(report.completed, "{}", report.stall_summary());
+        assert_eq!(report.stats.nodes[0].msgs_recv, 2);
+        assert_eq!(applied, 0.0);
+        assert_eq!((snap.updates_applied, snap.misrouted_requests), (0, 2));
+        assert_eq!(
+            check_conservation(&[snap]),
+            [Violation::MisroutedRequest { node: 0, count: 2 }]
+        );
+    };
+
+    let (report, mut m) = run(DpaProc::new(Probe::idle(), 1, DpaConfig::dpa(8)), sends());
+    let dpa = real(&mut m);
+    check(report, dpa.app().applied, dpa.snapshot(0));
+
+    let (report, mut m) = run(CachingProc::new(Probe::idle(), 1, DpaConfig::caching()), sends());
+    let caching = real(&mut m);
+    check(report, caching.app().applied, caching.snapshot(0));
 }

@@ -9,21 +9,67 @@
 //! never lets requests sit while the node idles — that would trade overhead
 //! for latency — so `Drain` happens at every scheduling quiescence point.
 //!
+//! A destination's buffer *is* the batch: a flush swaps it with an empty
+//! pooled `Vec` and hands it out whole, so an entry is written once, where
+//! it is pushed, and never copied again on this node. When the pool has
+//! nothing to swap in, the destination asks again the next time it has
+//! something to send — by then a batch has usually come back — and only
+//! then allocates, sized like the batch it sent last.
+//!
 //! ## Flush ordering and the parallel engine
 //!
 //! Both flush paths emit batches in ascending destination order (the
-//! `nonempty` list is kept sorted), and a flush happens *inside* the event
-//! handler that triggered it — the resulting packets are stamped and
-//! sequenced at that event's timestamp before the handler returns. This
-//! matters for `sim_net`'s conservative-window parallel engine: because
-//! every send a handler makes is ordered by the per-source sequence counter
-//! at emission time, a window boundary can never fall "between" the batches
-//! of one drain. The parallel engine therefore observes exactly the
-//! sequential engine's flush order, which is one of the invariants behind
-//! its bit-identical replay guarantee.
+//! nonempty destinations are a bitset walked lowest-first), and a flush
+//! happens *inside* the event handler that triggered it — the resulting
+//! packets are stamped and sequenced at that event's timestamp before the
+//! handler returns. This matters for `sim_net`'s conservative-window
+//! parallel engine: because every send a handler makes is ordered by the
+//! per-source sequence counter at emission time, a window boundary can
+//! never fall "between" the batches of one drain. The parallel engine
+//! therefore observes exactly the sequential engine's flush order, which is
+//! one of the invariants behind its bit-identical replay guarantee.
 
 use crate::arena::VecPool;
-use std::collections::VecDeque;
+
+/// A set of destinations as a bitset: membership is one bit test, and the
+/// members come back in ascending order, which is the order every drain
+/// sends in.
+#[derive(Clone, Debug)]
+struct DestSet {
+    words: Vec<u64>,
+}
+
+impl DestSet {
+    fn new(nodes: usize) -> DestSet {
+        DestSet {
+            words: vec![0; nodes.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, dst: u16) {
+        self.words[dst as usize / 64] |= 1 << (dst % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, dst: u16) {
+        self.words[dst as usize / 64] &= !(1 << (dst % 64));
+    }
+
+    /// The members, lowest first.
+    fn iter(&self) -> impl Iterator<Item = u16> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let dst = (64 * w) as u16 + bits.trailing_zeros() as u16;
+                    bits &= bits - 1;
+                    dst
+                })
+            })
+        })
+    }
+}
 
 /// Why a batch was emitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,15 +87,18 @@ pub enum FlushReason {
 /// aggregation factors.
 #[derive(Clone, Debug)]
 pub struct Coalescer<T> {
-    buffers: Vec<VecDeque<T>>,
+    /// Per destination: the buffer, and the length of the last batch
+    /// emitted from it (what a fresh buffer is sized for).
+    buffers: Vec<(Vec<T>, usize)>,
     max_entries: usize,
     /// Total items ever pushed.
     pushed: u64,
     /// Total batches ever emitted.
     batches: u64,
-    /// Destinations with nonempty buffers (kept sorted for deterministic
-    /// drain order).
-    nonempty: Vec<u16>,
+    /// Items currently buffered.
+    buffered: usize,
+    /// Destinations with nonempty buffers.
+    nonempty: DestSet,
     /// Recycled batch buffers: every emitted batch is a `Vec` that the
     /// receiver can hand back via [`Coalescer::recycle`], so steady-state
     /// flushes never touch the global allocator.
@@ -64,11 +113,12 @@ impl<T> Coalescer<T> {
     pub fn new(nodes: usize, max_entries: usize) -> Coalescer<T> {
         assert!(max_entries >= 1, "aggregation window must be >= 1");
         Coalescer {
-            buffers: (0..nodes).map(|_| VecDeque::new()).collect(),
+            buffers: (0..nodes).map(|_| (Vec::new(), 0)).collect(),
             max_entries,
             pushed: 0,
             batches: 0,
-            nonempty: Vec::new(),
+            buffered: 0,
+            nonempty: DestSet::new(nodes),
             pool: VecPool::new(),
         }
     }
@@ -87,45 +137,37 @@ impl<T> Coalescer<T> {
     /// capacity, which the caller must transmit immediately.
     pub fn push(&mut self, dst: u16, item: T) -> Option<Vec<T>> {
         self.pushed += 1;
-        let buf = &mut self.buffers[dst as usize];
-        if buf.is_empty() {
-            // Maintain sorted order for deterministic drains.
-            match self.nonempty.binary_search(&dst) {
-                Ok(_) => {}
-                Err(pos) => self.nonempty.insert(pos, dst),
-            }
+        self.buffered += 1;
+        let (buf, last_len) = &mut self.buffers[dst as usize];
+        if buf.capacity() == 0 {
+            *buf = self.pool.take_for(*last_len);
         }
-        buf.push_back(item);
+        buf.push(item);
         if buf.len() >= self.max_entries {
-            self.batches += 1;
-            let mut batch = self.pool.take();
-            batch.extend(self.buffers[dst as usize].drain(..));
-            if let Ok(pos) = self.nonempty.binary_search(&dst) {
-                self.nonempty.remove(pos);
-            }
-            Some(batch)
+            self.take(dst)
         } else {
+            self.nonempty.insert(dst);
             None
         }
     }
 
     /// Remove and return the pending batch for `dst`, if any.
     pub fn take(&mut self, dst: u16) -> Option<Vec<T>> {
-        if self.buffers[dst as usize].is_empty() {
+        let (buf, last_len) = &mut self.buffers[dst as usize];
+        if buf.is_empty() {
             return None;
         }
         self.batches += 1;
-        if let Ok(pos) = self.nonempty.binary_search(&dst) {
-            self.nonempty.remove(pos);
-        }
-        let mut batch = self.pool.take();
-        batch.extend(self.buffers[dst as usize].drain(..));
+        self.nonempty.remove(dst);
+        let batch = std::mem::replace(buf, self.pool.take());
+        *last_len = batch.len();
+        self.buffered -= batch.len();
         Some(batch)
     }
 
     /// The lowest-numbered destination with buffered items, if any.
     pub fn first_nonempty(&self) -> Option<u16> {
-        self.nonempty.first().copied()
+        self.nonempty.iter().next()
     }
 
     /// Return a consumed batch's buffer so its capacity feeds a later
@@ -144,15 +186,12 @@ impl<T> Coalescer<T> {
 
     /// Items currently buffered across all destinations.
     pub fn pending(&self) -> usize {
-        self.nonempty
-            .iter()
-            .map(|&d| self.buffers[d as usize].len())
-            .sum()
+        self.buffered
     }
 
     /// `true` when no destination has buffered items.
     pub fn is_empty(&self) -> bool {
-        self.nonempty.is_empty()
+        self.buffered == 0
     }
 
     /// Total items pushed over the coalescer's lifetime.
@@ -191,6 +230,20 @@ impl<T> Iterator for Forced<T> {
     }
 }
 
+/// What a [`ByteCoalescer`] keeps per destination, side by side: a push
+/// reads and writes all three.
+#[derive(Clone, Debug)]
+struct Dest<T> {
+    buf: Vec<T>,
+    /// Payload bytes buffered.
+    bytes: u64,
+    /// Enqueue time of the oldest buffered entry.
+    first_at: u64,
+    /// Length of the last batch emitted (what a fresh buffer is sized
+    /// for).
+    last_len: usize,
+}
+
 /// Per-destination batching with an **adaptive flush policy**: a batch is
 /// emitted when its destination buffer reaches `max_entries` items *or*
 /// `byte_budget` payload bytes (MTU occupancy), and destinations whose
@@ -204,17 +257,16 @@ impl<T> Iterator for Forced<T> {
 /// (the simulator passes simulated ns); the coalescer only compares values.
 #[derive(Clone, Debug)]
 pub struct ByteCoalescer<T> {
-    buffers: Vec<VecDeque<T>>,
-    /// Payload bytes buffered per destination.
-    bytes: Vec<u64>,
-    /// Enqueue time of the oldest buffered entry per destination.
-    first_at: Vec<u64>,
+    dests: Vec<Dest<T>>,
     byte_budget: u64,
     max_entries: usize,
     pushed: u64,
     pushed_bytes: u64,
     batches: u64,
-    nonempty: Vec<u16>,
+    /// Items currently buffered.
+    buffered: usize,
+    /// Destinations with nonempty buffers.
+    nonempty: DestSet,
     /// Recycled batch buffers (see [`ByteCoalescer::recycle`]).
     pool: VecPool<T>,
 }
@@ -227,16 +279,21 @@ impl<T> ByteCoalescer<T> {
     pub fn new(nodes: usize, byte_budget: u64, max_entries: usize) -> ByteCoalescer<T> {
         assert!(max_entries >= 1, "aggregation window must be >= 1");
         assert!(byte_budget >= 1, "byte budget must be >= 1");
+        let idle = || Dest {
+            buf: Vec::new(),
+            bytes: 0,
+            first_at: 0,
+            last_len: 0,
+        };
         ByteCoalescer {
-            buffers: (0..nodes).map(|_| VecDeque::new()).collect(),
-            bytes: vec![0; nodes],
-            first_at: vec![0; nodes],
+            dests: (0..nodes).map(|_| idle()).collect(),
             byte_budget,
             max_entries,
             pushed: 0,
             pushed_bytes: 0,
             batches: 0,
-            nonempty: Vec::new(),
+            buffered: 0,
+            nonempty: DestSet::new(nodes),
             pool: VecPool::new(),
         }
     }
@@ -251,22 +308,6 @@ impl<T> ByteCoalescer<T> {
         self.byte_budget
     }
 
-    fn mark_nonempty(&mut self, dst: u16) {
-        if let Err(pos) = self.nonempty.binary_search(&dst) {
-            self.nonempty.insert(pos, dst);
-        }
-    }
-
-    /// Emit the batch of `nonempty[pos]`.
-    fn take_at(&mut self, pos: usize) -> (u16, Vec<T>) {
-        let dst = self.nonempty.remove(pos);
-        self.batches += 1;
-        self.bytes[dst as usize] = 0;
-        let mut batch = self.pool.take();
-        batch.extend(self.buffers[dst as usize].drain(..));
-        (dst, batch)
-    }
-
     /// Append an `item_bytes`-byte `item` for `dst` at time `now`. Returns
     /// the batches this push forces out (usually none, at most two): if the
     /// item would overflow a nonempty buffer past the byte budget, that
@@ -276,49 +317,62 @@ impl<T> ByteCoalescer<T> {
     pub fn push(&mut self, dst: u16, item: T, item_bytes: u64, now: u64) -> Forced<T> {
         self.pushed += 1;
         self.pushed_bytes += item_bytes;
-        let d = dst as usize;
-        let overflowed = if self.bytes[d] + item_bytes > self.byte_budget {
+        let overflowed = if self.dests[dst as usize].bytes + item_bytes > self.byte_budget {
             self.take(dst)
         } else {
             None
         };
-        if self.buffers[d].is_empty() {
-            self.first_at[d] = now;
-            self.mark_nonempty(dst);
+        self.buffered += 1;
+        let d = &mut self.dests[dst as usize];
+        if d.buf.is_empty() {
+            d.first_at = now;
+            if d.buf.capacity() == 0 {
+                d.buf = self.pool.take_for(d.last_len);
+            }
         }
-        self.buffers[d].push_back(item);
-        self.bytes[d] += item_bytes;
-        let filled =
-            if self.buffers[d].len() >= self.max_entries || self.bytes[d] >= self.byte_budget {
-                self.take(dst)
-            } else {
-                None
-            };
+        d.buf.push(item);
+        d.bytes += item_bytes;
+        let filled = if d.buf.len() >= self.max_entries || d.bytes >= self.byte_budget {
+            self.take(dst)
+        } else {
+            self.nonempty.insert(dst);
+            None
+        };
         Forced(overflowed, filled)
     }
 
     /// Remove and return the pending batch for `dst`, if any.
     pub fn take(&mut self, dst: u16) -> Option<Vec<T>> {
-        let pos = self.nonempty.binary_search(&dst).ok()?;
-        Some(self.take_at(pos).1)
+        let d = &mut self.dests[dst as usize];
+        if d.buf.is_empty() {
+            return None;
+        }
+        self.batches += 1;
+        self.nonempty.remove(dst);
+        d.bytes = 0;
+        let batch = std::mem::replace(&mut d.buf, self.pool.take());
+        d.last_len = batch.len();
+        self.buffered -= batch.len();
+        Some(batch)
     }
 
     /// Remove and return the batch of the lowest-numbered destination whose
     /// oldest entry was enqueued at or before `now - deadline`. Looping
     /// until `None` flushes every due destination in ascending order.
     pub fn pop_due(&mut self, now: u64, deadline: u64) -> Option<(u16, Vec<T>)> {
-        let pos = self
+        let dst = self
             .nonempty
             .iter()
-            .position(|&d| self.first_at[d as usize] + deadline <= now)?;
-        Some(self.take_at(pos))
+            .find(|&d| self.dests[d as usize].first_at + deadline <= now)?;
+        Some((dst, self.take(dst)?))
     }
 
     /// Remove and return the batch of the lowest-numbered destination with
     /// buffered items. Looping until `None` drains the coalescer in
     /// ascending destination order.
     pub fn pop_first(&mut self) -> Option<(u16, Vec<T>)> {
-        (!self.nonempty.is_empty()).then(|| self.take_at(0))
+        let dst = self.nonempty.iter().next()?;
+        Some((dst, self.take(dst)?))
     }
 
     /// Earliest time any currently buffered destination becomes due under
@@ -326,7 +380,7 @@ impl<T> ByteCoalescer<T> {
     pub fn next_due(&self, deadline: u64) -> Option<u64> {
         self.nonempty
             .iter()
-            .map(|&d| self.first_at[d as usize] + deadline)
+            .map(|d| self.dests[d as usize].first_at + deadline)
             .min()
     }
 
@@ -344,20 +398,20 @@ impl<T> ByteCoalescer<T> {
 
     /// Items currently buffered across all destinations.
     pub fn pending(&self) -> usize {
-        self.nonempty
-            .iter()
-            .map(|&d| self.buffers[d as usize].len())
-            .sum()
+        self.buffered
     }
 
     /// Payload bytes currently buffered across all destinations.
     pub fn pending_bytes(&self) -> u64 {
-        self.nonempty.iter().map(|&d| self.bytes[d as usize]).sum()
+        self.nonempty
+            .iter()
+            .map(|d| self.dests[d as usize].bytes)
+            .sum()
     }
 
     /// `true` when no destination has buffered items.
     pub fn is_empty(&self) -> bool {
-        self.nonempty.is_empty()
+        self.buffered == 0
     }
 
     /// Total items pushed over the coalescer's lifetime.
@@ -437,6 +491,34 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.pending(), 0);
         assert_eq!(c.first_nonempty(), None);
+    }
+
+    #[test]
+    fn drains_ascend_across_bitset_words() {
+        // 200 destinations span four words of the nonempty set.
+        let mut c: Coalescer<u16> = Coalescer::new(200, 100);
+        let mut b: ByteCoalescer<u16> = ByteCoalescer::new(200, 1 << 20, 100);
+        for dst in [199, 64, 3, 127, 63, 128, 0] {
+            c.push(dst, dst);
+            assert!(pushed(&mut b, dst, dst, 8, dst as u64).is_empty());
+        }
+        let order = [0, 3, 63, 64, 127, 128, 199];
+        assert_eq!(c.first_nonempty(), Some(0));
+        assert_eq!(
+            drain(&mut c).iter().map(|&(d, _)| d).collect::<Vec<_>>(),
+            order
+        );
+        assert_eq!(b.next_due(10), Some(10));
+        // Due: enqueued at or before 100.
+        assert_eq!(
+            due(&mut b, 110, 10)
+                .iter()
+                .map(|&(d, _)| d)
+                .collect::<Vec<_>>(),
+            [0, 3, 63, 64]
+        );
+        assert_eq!(b.pending(), 3);
+        assert_eq!(b.pop_first(), Some((127, vec![127])));
     }
 
     #[test]
@@ -584,7 +666,10 @@ mod tests {
         let mut emitted_bytes = 0u64;
         let mut check = |b: &Vec<u64>| {
             let bytes: u64 = b.iter().map(|&i| 8 + (i * 37) % 90).sum();
-            assert!(b.len() == 1 || bytes <= budget, "batch of {bytes}B over budget");
+            assert!(
+                b.len() == 1 || bytes <= budget,
+                "batch of {bytes}B over budget"
+            );
             emitted_items += b.len();
             emitted_bytes += bytes;
         };

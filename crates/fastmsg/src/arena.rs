@@ -71,6 +71,21 @@ impl<T> VecPool<T> {
         buf
     }
 
+    /// [`take`](VecPool::take) for a batch expected to reach `expect`
+    /// items: a buffer that could not hold them is grown to fit here, in
+    /// one step, rather than by doubling under the pushes. Never below
+    /// four — `Vec`'s own first step, so a smaller buffer would be regrown
+    /// by the second push.
+    #[inline]
+    pub fn take_for(&mut self, expect: usize) -> Vec<T> {
+        let mut buf = self.take();
+        let want = expect.max(4);
+        if buf.capacity() < want {
+            buf.reserve_exact(want);
+        }
+        buf
+    }
+
     /// Return a buffer to the pool. It is cleared here; its capacity is
     /// kept for the next [`take`](VecPool::take) unless the pool is full
     /// or there is none to keep.

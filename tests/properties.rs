@@ -11,6 +11,7 @@ use dpa::nbody::octree::Octree;
 use dpa::runtime::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa::runtime::{
     check_completed, run_phase, run_phase_dst, DpaConfig, DstOptions, PendingRequests, PointerMap,
+    SeqChannel,
 };
 use dpa::sim_net::{EventKey, NetConfig, TimingWheel, WheelItem};
 use proptest::prelude::*;
@@ -375,6 +376,77 @@ proptest! {
         }
         prop_assert_eq!(rebuilt.sorted_sample(4), d.sorted_sample(4));
         prop_assert_eq!(rebuilt.sorted_sample(usize::MAX), d.sorted_sample(usize::MAX));
+    }
+
+    /// The per-link watermark dedup accepts and rejects exactly what a set
+    /// of every `(sender, seq)` ever received does, on arbitrary link
+    /// histories: each sender's 0, 1, 2, … stream loses messages for good
+    /// (a permanent gap the watermark never crosses), duplicates some, and
+    /// delays deliveries by up to `reach` positions, with the senders
+    /// interleaved and a stranger from outside the machine talking over
+    /// them.
+    #[test]
+    fn seq_channel_dedups_like_a_set_of_pairs(
+        seed in any::<u64>(),
+        senders in 1u16..6,
+        msgs in 1u64..300,
+        drop_p in 0.0f64..0.2,
+        dup_p in 0.0f64..0.4,
+        reach in 0u64..200,
+    ) {
+        let mut rng = dpa::sim_net::Rng::new(seed);
+        // (arrival position, sender, seq): a delivery's position is its
+        // send index plus a delay, and a duplicate gets its own delay.
+        let mut wire: Vec<(u64, u16, u64)> = Vec::new();
+        for sender in 0..senders {
+            for seq in 0..msgs {
+                if rng.chance(drop_p) {
+                    continue;
+                }
+                for _ in 0..1 + u64::from(rng.chance(dup_p)) + u64::from(rng.chance(dup_p / 4.0)) {
+                    wire.push((seq + rng.below(reach + 1), sender, seq));
+                }
+            }
+        }
+        for _ in 0..rng.below(4) {
+            wire.push((rng.below(msgs), senders + rng.below(3) as u16, rng.below(msgs)));
+        }
+        // Stable, so the senders interleave by position and ties keep the
+        // order they were listed in.
+        wire.sort_by_key(|&(at, _, _)| at);
+
+        let mut ch = SeqChannel::new(senders as usize);
+        let mut model: HashSet<(u16, u64)> = HashSet::new();
+        let (mut recv, mut strangers) = (0u64, 0u64);
+        for &(_, sender, seq) in &wire {
+            let entries = rng.below(5) as usize;
+            let fresh = sender < senders && model.insert((sender, seq));
+            strangers += u64::from(sender >= senders);
+            recv += if fresh { entries as u64 } else { 0 };
+            prop_assert_eq!(ch.accept(sender, seq, entries), fresh, "({}, {})", sender, seq);
+            prop_assert_eq!(ch.entries_recv(), recv);
+        }
+        prop_assert_eq!(ch.refused(), strangers);
+        // Everything delivered is now a duplicate, whether the watermark
+        // or the tail remembers it.
+        for &(sender, seq) in &model {
+            prop_assert!(!ch.accept(sender, seq, 1), "({}, {}) accepted twice", sender, seq);
+        }
+        prop_assert_eq!(ch.entries_recv(), recv);
+    }
+
+    /// Each link is numbered on its own: whatever order a sender
+    /// interleaves its destinations in, every destination sees 0, 1, 2, …
+    #[test]
+    fn seq_channel_stamps_each_link_from_zero(seed in any::<u64>(), nodes in 1u16..9, sends in 0usize..200) {
+        let mut rng = dpa::sim_net::Rng::new(seed);
+        let mut ch = SeqChannel::new(nodes as usize);
+        let mut next = vec![0u64; nodes as usize];
+        for _ in 0..sends {
+            let dst = rng.below(nodes as u64) as u16;
+            prop_assert_eq!(ch.stamp(dst, 1), next[dst as usize]);
+            next[dst as usize] += 1;
+        }
     }
 
     /// Global pointers round-trip through their packed representation.
