@@ -498,12 +498,14 @@ mod tests {
     /// ready stack: four more bytes in both measured +1.7 MB of resident
     /// memory and −4 % events/s there. A ready thread is iteration, carried
     /// generation, body, cell; a waiting one (M's `(iteration, work)`) does
-    /// without the generation. A further field must argue its case against
-    /// `peak_rss_mb`.
+    /// without the generation and spends the four bytes on the link to the
+    /// next thread aligned under its pointer. A further field must argue
+    /// its case against `peak_rss_mb`.
     #[test]
     fn a_bh_thread_is_sixteen_bytes_ready_and_twelve_waiting() {
         assert_eq!(std::mem::size_of::<dpa_core::Tagged<BhVisit>>(), 16);
         assert_eq!(std::mem::size_of::<(u32, BhVisit)>(), 12);
+        assert_eq!(dpa_core::PointerMap::<(u32, BhVisit)>::RECORD_BYTES, 16);
     }
 
     fn world(n: usize, nodes: u16) -> Arc<BhWorld> {

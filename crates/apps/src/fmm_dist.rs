@@ -334,13 +334,61 @@ fn mix_pair(a: u64, b: u64) -> u64 {
 }
 
 /// A phase-1 non-blocking thread: apply the multipole of `src` to the
-/// local expansion of `target` (both dense indices).
+/// local expansion of `target`.
 #[derive(Clone, Copy, Debug)]
 pub struct M2lWork {
-    /// Target box (owned by the executing node).
+    /// Target box (owned by the executing node): the iteration that
+    /// created the thread, i.e. the box's place in the node's target list.
     pub target: u32,
-    /// Source box whose multipole is read (possibly remote).
+    /// Source box whose multipole is read (possibly remote), as a dense
+    /// index.
     pub src: u32,
+}
+
+/// The local-expansion contributions one node accumulates in phase 1: a
+/// row of `terms + 1` coefficients per target box, side by side in one
+/// slab in iteration order. An M2L thread carries its target's iteration,
+/// so reaching its accumulator is an index, and the slab is the phase's
+/// one allocation.
+pub struct M2lLocals {
+    /// Dense box index per row.
+    boxes: Vec<u32>,
+    /// Rows at least one M2L was added to.
+    touched: Vec<bool>,
+    coeffs: Vec<Cx>,
+    /// Coefficients a row.
+    row: usize,
+}
+
+impl M2lLocals {
+    fn new(targets: &[BoxId], terms: usize) -> M2lLocals {
+        M2lLocals {
+            boxes: targets.iter().map(|b| b.dense_index() as u32).collect(),
+            touched: vec![false; targets.len()],
+            coeffs: vec![Cx::ZERO; targets.len() * (terms + 1)],
+            row: terms + 1,
+        }
+    }
+
+    /// The accumulator of the target created by iteration `iter`.
+    fn row_mut(&mut self, iter: usize) -> &mut [Cx] {
+        self.touched[iter] = true;
+        &mut self.coeffs[iter * self.row..(iter + 1) * self.row]
+    }
+
+    /// The contributions as [`FmmEvalApp::new`] takes them across the
+    /// barrier: one expansion per box that received an M2L, by dense
+    /// index. Named for how the phase drivers (and the benchmark of
+    /// record, which cannot change) take a finished node's partials:
+    /// `app.locals.clone()`.
+    #[allow(clippy::should_implement_trait)]
+    pub fn clone(&self) -> HashMap<u32, Local> {
+        let rows = self.coeffs.chunks_exact(self.row);
+        (self.boxes.iter().zip(&self.touched).zip(rows))
+            .filter(|((_, &touched), _)| touched)
+            .map(|((&dense, _), row)| (dense, Local { coeffs: row.to_vec() }))
+            .collect()
+    }
 }
 
 /// Phase 1: M2L over interaction lists.
@@ -350,7 +398,7 @@ pub struct FmmM2lApp {
     me: u16,
     targets: Vec<BoxId>,
     /// Accumulated local-expansion contributions per owned box.
-    pub locals: HashMap<u32, Local>,
+    pub locals: M2lLocals,
     /// M2L translations performed.
     pub m2l_count: u64,
     /// Integer checksum of the M2L translations performed: the
@@ -366,10 +414,10 @@ impl FmmM2lApp {
         let mut targets = world.owned_boxes(me);
         targets.extend(world.owned_ancestors(me));
         FmmM2lApp {
+            locals: M2lLocals::new(&targets, world.solver.params.terms),
             world,
             me,
             targets,
-            locals: HashMap::new(),
             m2l_count: 0,
             interaction_hash: 0,
         }
@@ -389,14 +437,12 @@ impl PtrApp for FmmM2lApp {
     }
 
     fn start_iteration(&mut self, iter: usize, env: &mut WorkEnv<'_, M2lWork>) {
-        let t = self.targets[iter];
-        let tdense = t.dense_index() as u32;
-        for s in t.interaction_list() {
+        for s in self.targets[iter].interaction_list() {
             if self.world.nonempty(s) {
                 env.demand(
                     self.world.mpole_ptr(s),
                     M2lWork {
-                        target: tdense,
+                        target: iter as u32,
                         src: s.dense_index() as u32,
                     },
                 );
@@ -407,20 +453,16 @@ impl PtrApp for FmmM2lApp {
     fn run_work(&mut self, w: M2lWork, env: &mut WorkEnv<'_, M2lWork>) {
         let world = &*self.world;
         let src = world.box_of(w.src as usize);
-        let tgt = world.box_of(w.target as usize);
+        let tgt = self.targets[w.target as usize];
         env.assert_readable(world.mpole_ptr(src));
         let p = world.solver.params.terms;
-        world.solver.m2l_into(
-            src,
-            tgt,
-            self.locals
-                .entry(w.target)
-                .or_insert_with(|| Local::zero(p)),
-        );
+        world
+            .solver
+            .m2l_into_coeffs(src, tgt, self.locals.row_mut(w.target as usize));
         self.m2l_count += 1;
         self.interaction_hash = self
             .interaction_hash
-            .wrapping_add(mix_pair(w.target as u64, w.src as u64));
+            .wrapping_add(mix_pair(tgt.dense_index() as u64, w.src as u64));
         env.charge(world.cost.m2l_ns(p));
     }
 

@@ -5,15 +5,17 @@
 
 use apps::bh_dist::{BhApp, BhCost, BhWorld};
 use apps::driver::{run_bh, run_setops, run_synth, Phases};
+use apps::fmm_dist::{FmmCost, FmmEvalApp, FmmM2lApp, FmmWorld};
 use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
 use apps::setops_dist::{SetopsParams, SetopsWorld};
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
-use dpa_core::{DpaConfig, DpaProc, DstOptions, SeqChannel};
+use dpa_core::{DpaConfig, DpaProc, DstOptions, PointerMap, PtrApp, SeqChannel};
 use fastmsg::{ByteCoalescer, Coalescer};
 use nbody::bh::BhParams;
 use nbody::cx::{Binomials, Cx};
-use nbody::distrib::plummer;
-use nbody::fmm::{m2l_into, Local, Multipole};
+use global_heap::{GPtr, ObjClass};
+use nbody::distrib::{plummer, uniform_square};
+use nbody::fmm::{m2l_into, FmmParams, Local, Multipole};
 use sim_net::{Machine, NetConfig, NodeId, QueueKind, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -153,6 +155,98 @@ fn live_count_window_follows_the_strip_not_the_loop_length() {
         let peak = proc.peak_live_window();
         assert!((8..=400).contains(&peak), "node {node}: {peak} slots");
     }
+}
+
+/// M is one record slab: once it has met the most threads that ever wait
+/// at once, aligning and releasing allocate nothing — whichever pointers
+/// the threads wait under, however the chains interleave. (A private list
+/// per pointer allocated for every pointer's first alignment, and again as
+/// each list grew.)
+#[test]
+fn align_release_cycles_allocate_nothing_once_the_slab_is_warm() {
+    const POINTERS: u64 = 512;
+    const WAVE: u64 = 1_000;
+    let ptr = |i: u64| GPtr::new(1 + (i % 7) as u16, ObjClass(0), i % POINTERS);
+    let mut map: PointerMap<(u32, [u32; 2])> = PointerMap::new();
+    let mut ready: Vec<(u32, [u32; 2])> = Vec::new();
+    let mut cycle = |wave: u64| {
+        // A thousand threads over a shifting window of pointers, chains
+        // interleaved; then everything they wait for arrives.
+        for t in 0..WAVE {
+            map.align(ptr(wave * 37 + t % 61), (t as u32, [wave as u32, 0]));
+        }
+        for k in 0..61 {
+            map.release_into(ptr(wave * 37 + k), &mut ready);
+        }
+        assert_eq!((map.live_threads(), ready.len() as u64), (0, WAVE));
+        ready.clear();
+    };
+    // Warm-up: every pointer interned, the slab and the stack at the peak.
+    for wave in 0..POINTERS {
+        cycle(wave);
+    }
+    let spent = traffic(|| {
+        for wave in POINTERS..POINTERS + 100 {
+            cycle(wave);
+        }
+    });
+    assert_eq!(spent, (0, 0), "10^5 align/release cycles");
+    assert_eq!(map.peak_threads(), WAVE);
+}
+
+/// A Barnes-Hut force phase shaped like the benchmark's `bh16` (Plummer
+/// bodies, 16 nodes, `dpa(50)`) allocates at most sixteen times per
+/// thousand events, procs, machine and collection included. What is left
+/// is set-up and the logarithmic growth of a few tables; with a list per
+/// fetched pointer in M the same phase allocated six times as often.
+#[test]
+fn a_bh16_shaped_phase_allocates_at_most_16_times_per_kevent() {
+    let world = BhWorld::build(plummer(16_384, 1997), 16, 1, BhParams::default(), BhCost::default());
+    let opts = DstOptions {
+        threads: 1,
+        queue: QueueKind::Wheel,
+        ..DstOptions::default()
+    };
+    let mut events = 0;
+    let (allocs, _) = traffic(|| {
+        let run = run_bh(&world, DpaConfig::dpa(50), NetConfig::default(), &opts, Phases::ONE);
+        assert!(run.completed(), "BH phase stalled");
+        events = run.reports[0].events_processed;
+        black_box(run);
+    });
+    assert!(events > 100_000, "{events} events");
+    assert!(allocs * 1_000 <= 16 * events, "{allocs} allocations in {events} events");
+}
+
+/// Neither FMM sub-phase allocates per thread: interaction and neighbour
+/// lists are iterated, an M2L finds its accumulator by its iteration's
+/// index in one slab, a P2P reuses one source buffer. Over a run of
+/// thousands of threads what allocates is growth that doubles (the ready
+/// stack, the table of final expansions) and one zero expansion per box no
+/// M2L reached.
+#[test]
+fn fmm_m2l_and_eval_phases_allocate_nothing_per_thread() {
+    let bodies = uniform_square(4_000, 23);
+    let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
+    let qs: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
+    let params = FmmParams { terms: 8, levels: 5 };
+    let world = FmmWorld::build(zs, qs, 1, params, FmmCost::default());
+    // One node: every object is local, so the run is the app's code and
+    // the ready stack, nothing else.
+    fn run<A: PtrApp>(app: A) -> (u64, u64, Machine<DpaProc<A>>) {
+        let procs = vec![DpaProc::new(app, 1, DpaConfig::dpa(50))];
+        let mut machine = Machine::new(procs, NetConfig::default());
+        let mut report = None;
+        let (allocs, _) = traffic(|| report = Some(machine.run()));
+        let report = report.expect("ran");
+        assert!(report.completed, "{}", report.stall_summary());
+        (allocs, report.stats.user_total("threads_created"), machine)
+    }
+    let (allocs, threads, machine) = run(FmmM2lApp::new(world.clone(), 0));
+    assert!(threads > 20_000 && allocs <= 40, "M2L: {allocs} allocations, {threads} threads");
+    let partials = machine.proc(NodeId(0)).app().locals.clone();
+    let (allocs, threads, _) = run(FmmEvalApp::new(world.clone(), 0, partials));
+    assert!(threads > 5_000 && allocs <= 60, "eval: {allocs} allocations, {threads} threads");
 }
 
 /// The flush path in steady state never touches the allocator: bursts to

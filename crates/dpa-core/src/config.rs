@@ -259,18 +259,26 @@ pub struct DpaConfig {
     /// waits — communication is serialized with computation.
     pub pipeline: bool,
     /// Reply-path aggregation window: owner-side reply entries per
-    /// destination buffered into one message (also reused by the `Update`
-    /// reduction path). `1` disables reply aggregation — the owner answers
+    /// destination buffered into one message (`Update` reductions batch
+    /// under [`agg_window`](Self::agg_window) instead). `1` disables reply
+    /// aggregation — the owner answers
     /// each request batch immediately and separately, which is how the
     /// `Base` and `+Pipeline`-only ladder rungs are expressed. Buffered
     /// replies additionally flush at MTU occupancy, at
     /// [`reply_flush_deadline_ns`](Self::reply_flush_deadline_ns), and
     /// unconditionally at poll-quiescence.
     pub reply_agg_window: usize,
-    /// Deadline for buffered owner-side replies (and batched updates), in
-    /// simulated ns since the first entry was enqueued for a destination.
-    /// Bounds how much latency reply aggregation can add when the owner
-    /// stays busy between poll-quiescence points.
+    /// Deadline for buffered owner-side replies, in simulated ns since the
+    /// first entry was enqueued for a destination. Bounds how much latency
+    /// reply aggregation can add when the owner stays busy between
+    /// poll-quiescence points.
+    ///
+    /// It governs `Update` batches as well: a reduction is fire-and-forget
+    /// and nobody waits for it, yet a buffered batch leaves on this reply
+    /// deadline (besides its window, MTU occupancy and poll-quiescence).
+    /// The run's `reply_flush_*` / `upd_flush_*` counters say which rule
+    /// emitted each message; on the message-bound `setops_rw` the deadline
+    /// is behind 251 k of 255 k update messages (EXPERIMENTS.md X17).
     pub reply_flush_deadline_ns: u64,
     /// CPU cost model.
     pub cost: CostModel,

@@ -11,19 +11,67 @@
 //!
 //! The table is structure-of-arrays over **dense object ids**: each
 //! pointer is interned once, at its first alignment, into a `u32` id that
-//! indexes flat side tables (`ptrs`, `waiters`). The hash map is consulted
-//! only to intern/look up the id; the waiter lists themselves live in a
-//! dense slab whose per-id vectors are *retained* across release/align
-//! cycles — a pointer that aligns threads again after a release reuses its
-//! old list's capacity, so steady-state alignment never touches the
-//! allocator. [`PointerMap::release_into`] drains a list straight into the
-//! caller's run stack without allocating at all.
+//! indexes flat side tables (`ptrs`, `chains`). The hash map is consulted
+//! only to intern/look up the id. The waiting threads of *every* pointer
+//! live in one record slab per map: a pointer's id names a
+//! `(head, tail, len)` chain, each record carries the index of the next
+//! one aligned under the same pointer (tail append, so a release walks
+//! them in alignment order), and a released record goes on a free list
+//! threaded through the vacated records themselves. The slab's high-water
+//! mark is therefore the most threads that ever waited at once
+//! (`peak_threads`), not the number ever aligned — within a phase a
+//! pointer is fetched once, so a private list per pointer would be grown
+//! and then only kept — and once the slab has met that peak, aligning and
+//! releasing never touch the allocator.
+//! [`PointerMap::release_into`] moves a chain straight into the caller's
+//! run stack.
 
 use crate::fxmap::FxHashMap;
 use global_heap::GPtr;
+use std::num::NonZeroU32;
+
+/// The index of a slab record, kept off by one: the zero it can never be
+/// is what tells a [`Slot::Live`] from a [`Slot::Free`], so a record costs
+/// its thread plus four bytes and no tag.
+#[derive(Clone, Copy, Debug)]
+struct Link(NonZeroU32);
+
+impl Link {
+    fn to(index: usize) -> Link {
+        let off_by_one = u32::try_from(index + 1).ok().and_then(NonZeroU32::new);
+        Link(off_by_one.expect("pointer-map slab overflow"))
+    }
+
+    #[inline]
+    fn index(self) -> usize {
+        (self.0.get() - 1) as usize
+    }
+}
+
+/// One slab record.
+#[derive(Clone, Debug)]
+enum Slot<W> {
+    /// A waiting thread and the record aligned under the same pointer
+    /// after it. The last record of a chain names itself: a chain is
+    /// walked by its length, so there is no end marker to spend a value
+    /// on.
+    Live { next: Link, thread: W },
+    /// A vacated record and the one vacated before it.
+    Free { next: Option<Link> },
+}
+
+/// The threads aligned under one interned pointer: the slab indices of the
+/// first and last of them (meaningless while `len` is zero) and how many
+/// there are.
+#[derive(Clone, Copy, Debug, Default)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
 
 /// Pointer → dependent threads, with high-water-mark accounting for the
-/// paper's thread-statistics table. SoA: dense-id interner + flat waiter
+/// paper's thread-statistics table. SoA: dense-id interner + one record
 /// slab.
 #[derive(Clone, Debug)]
 pub struct PointerMap<W> {
@@ -33,10 +81,13 @@ pub struct PointerMap<W> {
     /// Dense id → pointer (the interner's inverse, for diagnostics and
     /// id-order iteration).
     ptrs: Vec<GPtr>,
-    /// Dense id → threads currently aligned under that pointer. Vectors
-    /// are retained (cleared, not dropped) across release cycles.
-    waiters: Vec<Vec<W>>,
-    /// Number of ids with a nonempty waiter list (= `keys()`).
+    /// Dense id → the threads currently aligned under that pointer.
+    chains: Vec<Chain>,
+    /// Every waiting thread of every pointer, chained by index.
+    slab: Vec<Slot<W>>,
+    /// The most recently vacated record.
+    free: Option<Link>,
+    /// Number of ids with a nonempty chain (= `keys()`).
     nonempty: usize,
     live_threads: u64,
     peak_threads: u64,
@@ -49,7 +100,9 @@ impl<W> Default for PointerMap<W> {
         PointerMap {
             ids: FxHashMap::default(),
             ptrs: Vec::new(),
-            waiters: Vec::new(),
+            chains: Vec::new(),
+            slab: Vec::new(),
+            free: None,
             nonempty: 0,
             live_threads: 0,
             peak_threads: 0,
@@ -60,6 +113,9 @@ impl<W> Default for PointerMap<W> {
 }
 
 impl<W> PointerMap<W> {
+    /// Bytes of slab one waiting thread occupies.
+    pub const RECORD_BYTES: usize = std::mem::size_of::<Slot<W>>();
+
     /// An empty mapping.
     pub fn new() -> PointerMap<W> {
         PointerMap::default()
@@ -75,8 +131,29 @@ impl<W> PointerMap<W> {
         let id = u32::try_from(self.ptrs.len()).expect("pointer-map id overflow");
         self.ids.insert(ptr, id);
         self.ptrs.push(ptr);
-        self.waiters.push(Vec::new());
+        self.chains.push(Chain::default());
         id
+    }
+
+    /// Store `thread` in a record of its own — a vacated one if there is
+    /// one — that names itself as its successor.
+    #[inline]
+    fn record(&mut self, thread: W) -> Link {
+        match self.free {
+            Some(at) => {
+                let live = Slot::Live { next: at, thread };
+                let Slot::Free { next } = std::mem::replace(&mut self.slab[at.index()], live) else {
+                    unreachable!("the free list names a live record")
+                };
+                self.free = next;
+                at
+            }
+            None => {
+                let at = Link::to(self.slab.len());
+                self.slab.push(Slot::Live { next: at, thread });
+                at
+            }
+        }
     }
 
     /// Align `thread` under `ptr`. Returns `true` when this is the first
@@ -88,13 +165,21 @@ impl<W> PointerMap<W> {
         self.live_threads += 1;
         self.peak_threads = self.peak_threads.max(self.live_threads);
         let id = self.intern(ptr);
-        let list = &mut self.waiters[id as usize];
-        list.push(thread);
-        let first = list.len() == 1;
+        let at = self.record(thread);
+        let chain = &mut self.chains[id as usize];
+        let first = chain.len == 0;
         if first {
+            chain.head = at.index() as u32;
             self.nonempty += 1;
             self.peak_keys = self.peak_keys.max(self.nonempty as u64);
+        } else {
+            let Slot::Live { next, .. } = &mut self.slab[chain.tail as usize] else {
+                unreachable!("a chain ends in a vacated record")
+            };
+            *next = at;
         }
+        chain.tail = at.index() as u32;
+        chain.len += 1;
         first
     }
 
@@ -110,35 +195,38 @@ impl<W> PointerMap<W> {
     }
 
     /// Release every thread aligned under `ptr`, appending them (in
-    /// alignment order) to `out`. The slot's storage is retained for the
-    /// pointer's next alignment, so neither side allocates.
+    /// alignment order) to `out`. Their records go on the free list for
+    /// the next alignments, whichever pointer those are under.
     pub fn release_into(&mut self, ptr: GPtr, out: &mut Vec<W>) {
-        if let Some(list) = self.released(ptr) {
-            out.append(list);
-        }
+        self.release_with(ptr, out, |thread| thread);
     }
 
     /// [`release_into`](PointerMap::release_into) for a run queue that
     /// holds more than M does: each released thread passes through `ready`
     /// on its way to `out`, which is where it learns what only the arrival
     /// of its object could tell it.
-    pub fn release_with<U>(&mut self, ptr: GPtr, out: &mut Vec<U>, ready: impl FnMut(W) -> U) {
-        if let Some(list) = self.released(ptr) {
-            out.extend(list.drain(..).map(ready));
+    pub fn release_with<U>(&mut self, ptr: GPtr, out: &mut Vec<U>, mut ready: impl FnMut(W) -> U) {
+        let Some(&id) = self.ids.get(&ptr) else {
+            return;
+        };
+        let chain = &mut self.chains[id as usize];
+        if chain.len == 0 {
+            return;
         }
-    }
-
-    /// The nonempty waiter list of `ptr`, already counted as released: the
-    /// caller empties it.
-    fn released(&mut self, ptr: GPtr) -> Option<&mut Vec<W>> {
-        let &id = self.ids.get(&ptr)?;
-        let list = &mut self.waiters[id as usize];
-        if list.is_empty() {
-            return None;
-        }
-        self.live_threads -= list.len() as u64;
+        let (mut at, len) = (Link::to(chain.head as usize), chain.len as usize);
+        chain.len = 0;
+        self.live_threads -= len as u64;
         self.nonempty -= 1;
-        Some(list)
+        out.reserve(len);
+        for _ in 0..len {
+            let vacated = std::mem::replace(&mut self.slab[at.index()], Slot::Free { next: self.free });
+            let Slot::Live { next, thread } = vacated else {
+                unreachable!("a chain runs through a vacated record")
+            };
+            self.free = Some(at);
+            out.push(ready(thread));
+            at = next;
+        }
     }
 
     /// Threads currently aligned (waiting) across all pointers.
@@ -159,7 +247,7 @@ impl<W> PointerMap<W> {
     /// Number of threads waiting on `ptr` right now.
     pub fn waiters(&self, ptr: GPtr) -> usize {
         match self.ids.get(&ptr) {
-            Some(&id) => self.waiters[id as usize].len(),
+            Some(&id) => self.chains[id as usize].len as usize,
             None => 0,
         }
     }
@@ -186,15 +274,18 @@ impl<W> PointerMap<W> {
     }
 
     /// Patch the mapping across a phase barrier instead of rebuilding it:
-    /// waiter lists are cleared (their capacity retained) and the per-phase
-    /// statistics are zeroed, but the interner — pointer → dense id — and
-    /// the warmed list slab survive. The next phase's alignments over a
-    /// mostly-unchanged pointer set then reuse ids and capacities and never
-    /// touch the allocator; only genuinely new pointers intern fresh slots.
+    /// every chain is emptied, the slab is truncated (its capacity kept)
+    /// and the per-phase statistics are zeroed, but the interner — pointer
+    /// → dense id — survives. The next phase's alignments over a
+    /// mostly-unchanged pointer set then reuse ids and slab capacity and
+    /// never touch the allocator; only genuinely new pointers intern fresh
+    /// ids.
     pub fn reset_for_phase(&mut self) {
-        for list in &mut self.waiters {
-            list.clear();
+        for chain in &mut self.chains {
+            chain.len = 0;
         }
+        self.slab.clear();
+        self.free = None;
         self.nonempty = 0;
         self.live_threads = 0;
         self.peak_threads = 0;
@@ -326,9 +417,48 @@ mod tests {
         assert_eq!(&stack[1..4], &[0, 1, 2]);
         assert!(m.is_empty());
         assert_eq!(m.live_threads(), 0);
-        // The slot's storage survives for the next alignment burst.
+        // The vacated records serve the next alignment burst, under
+        // whichever pointer it comes.
         m.align(p(7), 1);
-        assert_eq!(m.waiters(p(7)), 1);
-        assert_eq!(m.keys(), 1);
+        m.align(p(8), 2);
+        assert_eq!((m.waiters(p(7)), m.waiters(p(8)), m.keys()), (1, 1, 2));
+        assert_eq!(m.slab.len(), 16);
+    }
+
+    #[test]
+    fn the_slab_grows_to_the_peak_not_to_the_total() {
+        // Sixty-four pointers, eight threads each, at most two pointers
+        // waiting at a time: interleaved chains, every record reused.
+        let mut m: PointerMap<u64> = PointerMap::new();
+        let mut out = Vec::new();
+        for round in 0..64u64 {
+            for t in 0..8 {
+                m.align(p(round), 100 * round + t);
+                m.align(p(round + 1000), 100 * round + 50 + t);
+            }
+            out.clear();
+            m.release_into(p(round), &mut out);
+            assert_eq!(out, (0..8).map(|t| 100 * round + t).collect::<Vec<_>>());
+            out.clear();
+            m.release_into(p(round + 1000), &mut out);
+            assert_eq!(out, (0..8).map(|t| 100 * round + 50 + t).collect::<Vec<_>>());
+        }
+        assert_eq!(m.total_aligned(), 1024);
+        assert_eq!(m.peak_threads(), 16);
+        assert_eq!(m.slab.len() as u64, m.peak_threads());
+        m.reset_for_phase();
+        assert!(m.slab.is_empty() && m.slab.capacity() >= 16, "truncated, capacity kept");
+        assert!(m.free.is_none());
+    }
+
+    /// The record is the thread plus a four-byte link: the live/free tag
+    /// hides in the link's forbidden zero. (`bh_dist.rs` pins the record of
+    /// the thread `bh16` keeps a few hundred thousand of.)
+    #[test]
+    fn a_record_is_its_thread_and_four_bytes() {
+        assert_eq!(PointerMap::<u64>::RECORD_BYTES, 16);
+        assert_eq!(PointerMap::<(u32, [u32; 2])>::RECORD_BYTES, 16);
+        assert_eq!(PointerMap::<(u32, u32)>::RECORD_BYTES, 12);
+        assert_eq!(std::mem::size_of::<Chain>(), 12);
     }
 }

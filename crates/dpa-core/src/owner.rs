@@ -10,7 +10,7 @@
 //! The DPA driver additionally runs a reply-path *scheduler*
 //! (`proc_dpa`'s `enqueue_replies`) that buffers reply entries per
 //! destination instead of answering immediately; it shares
-//! [`lookup_entries`] and [`charge_extra_packets`] with the immediate path
+//! [`charge_lookups`] and [`charge_extra_packets`] with the immediate path
 //! below so both charge identically per object and per packet. Replica
 //! broadcasts (`proc_dpa::replicate`) are sized and charged through
 //! [`reply_payload_bytes`] and [`charge_extra_packets`] too.
@@ -45,35 +45,32 @@ pub(crate) fn charge_extra_packets(cfg: &DpaConfig, ctx: &mut Ctx<'_, DpaMsg>, p
     }
 }
 
-/// Charge per-object lookup and resolve `ptrs` to `(pointer, size)` reply
-/// entries.
+/// Charge the per-object lookup of every pointer of a request, all of it
+/// before the first reply entry is pushed or sent; the caller then sizes
+/// each entry ([`PtrApp::object_size`]) as it places it, so no list of
+/// entries is built in between.
 ///
 /// `mig` is the serving node's migration table (`None` when migration is
 /// off): a node legitimately serves objects it was born with *and has not
 /// re-homed away*, plus objects it has adopted. Anything else reaching
 /// this point is a routing bug — departed objects must take the forwarding
 /// path, and `triage_request` refuses what belongs to neither.
-pub(crate) fn lookup_entries<A: PtrApp>(
-    app: &A,
+pub(crate) fn charge_lookups(
     cfg: &DpaConfig,
     ctx: &mut Ctx<'_, DpaMsg>,
     ptrs: &[GPtr],
     mig: Option<&MigrationTable>,
-) -> Vec<(GPtr, u32)> {
-    ptrs.iter()
-        .map(|&p| {
-            debug_assert!(
-                match mig {
-                    None => p.is_local_to(ctx.me().0),
-                    Some(m) =>
-                        (p.is_local_to(ctx.me().0) && !m.is_departed(p)) || m.is_adopted(p),
-                },
-                "request for non-owned object {p}"
-            );
-            ctx.charge_overhead(cfg.cost.owner_lookup_ns);
-            (p, app.object_size(p))
-        })
-        .collect()
+) {
+    for &p in ptrs {
+        debug_assert!(
+            match mig {
+                None => p.is_local_to(ctx.me().0),
+                Some(m) => (p.is_local_to(ctx.me().0) && !m.is_departed(p)) || m.is_adopted(p),
+            },
+            "request for non-owned object {p}"
+        );
+        ctx.charge_overhead(cfg.cost.owner_lookup_ns);
+    }
 }
 
 /// Payload bytes a reply batch occupies on the wire.
@@ -96,6 +93,8 @@ pub(crate) fn send_reply_batch(
 /// Service one incoming request batch immediately: charge per-object
 /// lookup, then send one or more MTU-bounded replies to `src` (an entry
 /// that alone exceeds the MTU becomes its own multi-packet message).
+/// `payload` yields an empty buffer — a recycled one where the node pools
+/// them — for a reply expected to carry the given number of entries.
 /// Returns what went on the wire.
 pub(crate) fn service_request<A: PtrApp>(
     app: &A,
@@ -104,17 +103,21 @@ pub(crate) fn service_request<A: PtrApp>(
     src: NodeId,
     ptrs: &[GPtr],
     mig: Option<&MigrationTable>,
+    mut payload: impl FnMut(usize) -> Vec<(GPtr, u32)>,
 ) -> ReplyAccounting {
     let mtu = cfg.mtu.0;
     let mut acct = ReplyAccounting::default();
-    let mut chunk: Vec<(GPtr, u32)> = Vec::new();
+    charge_lookups(cfg, ctx, ptrs, mig);
+    let mut chunk = payload(ptrs.len());
     let mut chunk_bytes = 0u32;
-    for (p, size) in lookup_entries(app, cfg, ctx, ptrs, mig) {
+    for (placed, &p) in ptrs.iter().enumerate() {
+        let size = app.object_size(p);
         let entry = size + GPtr::WIRE_BYTES;
         if !chunk.is_empty() && chunk_bytes + entry > mtu {
             acct.msgs += 1;
             acct.entries += chunk.len() as u64;
-            send_reply_batch(cfg, ctx, src, std::mem::take(&mut chunk));
+            let full = std::mem::replace(&mut chunk, payload(ptrs.len() - placed));
+            send_reply_batch(cfg, ctx, src, full);
             chunk_bytes = 0;
         }
         chunk_bytes += entry;

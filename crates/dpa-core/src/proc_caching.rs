@@ -19,6 +19,7 @@
 //! one-sided gets regardless of what the local CPU is doing.
 
 use crate::config::{DpaConfig, Variant};
+use crate::fxmap::FxHashSet;
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
 use crate::msg::{DpaMsg, SeqChannel};
@@ -48,6 +49,13 @@ pub struct CachingProc<A: PtrApp> {
     cont_stack: Vec<(u32, Vec<Emit<A::Work>>)>,
     cache: SoftCache,
     stalled: Option<Stalled<A::Work>>,
+    /// Every object this node has sent a request for. The cache cannot
+    /// say (it evicts), and a reply entry for anything else was never
+    /// asked for: it is refused, not filled.
+    requested: FxHashSet<GPtr>,
+    /// Reply entries refused that way. No node of a real machine sends
+    /// one, so the count is a violation (reported with the misrouted).
+    unsolicited: u64,
     /// Live thread (and stashed-continuation) count per open iteration.
     live: LiveIters,
     next_iter: usize,
@@ -101,6 +109,8 @@ impl<A: PtrApp> CachingProc<A> {
             cont_stack: Vec::new(),
             cache: SoftCache::with_policy(capacity, policy),
             stalled: None,
+            requested: FxHashSet::default(),
+            unsolicited: 0,
             live: LiveIters::new(total_iters),
             next_iter: 0,
             total_iters,
@@ -149,7 +159,7 @@ impl<A: PtrApp> CachingProc<A> {
             request_msgs: self.request_msgs,
             reply_msgs: self.reply_msgs,
             update_msgs: self.updates.msgs_sent,
-            misrouted_requests: self.updates.refused(),
+            misrouted_requests: self.updates.refused() + self.unsolicited,
             ..NodeSnapshot::default()
         }
     }
@@ -241,6 +251,7 @@ impl<A: PtrApp> CachingProc<A> {
                         // dependent work reads it.
                         self.request_msgs += 1;
                         self.stall_count += 1;
+                        self.requested.insert(ptr);
                         ctx.send(NodeId(ptr.node()), DpaMsg::Request(vec![ptr]));
                         if !emits.is_empty() {
                             // The stashed continuation counts as one live
@@ -319,8 +330,15 @@ impl<A: PtrApp> Proc for CachingProc<A> {
         match msg {
             DpaMsg::Request(ptrs) => {
                 // The baselines never migrate, so no table is passed.
-                let acct =
-                    crate::owner::service_request(&self.app, &self.cfg, ctx, src, &ptrs, None);
+                let acct = crate::owner::service_request(
+                    &self.app,
+                    &self.cfg,
+                    ctx,
+                    src,
+                    &ptrs,
+                    None,
+                    Vec::with_capacity,
+                );
                 self.reply_msgs += acct.msgs;
                 self.reply_entries += acct.entries;
             }
@@ -340,7 +358,11 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                 debug_assert_eq!(objs.len(), 1, "baseline fetches one object at a time");
                 for &(ptr, size) in &objs {
                     ctx.charge_overhead(self.fill_ns);
-                    self.cache.fill(ptr, size); // idempotent: keeps the first fill
+                    if self.requested.contains(&ptr) {
+                        self.cache.fill(ptr, size); // idempotent: keeps the first fill
+                    } else {
+                        self.unsolicited += 1;
+                    }
                 }
                 // Resume only when this reply covers the object we are
                 // blocked on. A duplicated reply (fault injection) arrives
@@ -391,10 +413,11 @@ impl<A: PtrApp> Proc for CachingProc<A> {
             None => "not blocked".to_string(),
         };
         Some(format!(
-            "iters {}/{} done; {blocked}; {} continuations stashed",
+            "iters {}/{} done; {blocked}; {} continuations stashed; {} misrouted",
             self.completed_iters,
             self.total_iters,
-            self.cont_stack.len()
+            self.cont_stack.len(),
+            self.snapshot(0).misrouted_requests
         ))
     }
 

@@ -141,18 +141,19 @@ impl<A: PtrApp> DpaProc<A> {
             self.misrouted += (asked - ptrs.len()) as u64;
             return ptrs;
         };
-        let mut serve = Vec::with_capacity(ptrs.len());
+        // In place: what this node serves stays in the payload buffer, in
+        // the order it was asked for.
         let mut fwd = Vec::new();
-        for p in ptrs.drain(..) {
+        let misrouted = &mut self.misrouted;
+        ptrs.retain(|&p| {
             if let Some(to) = m.table.forward_target(p) {
                 fwd.push((to, p));
-            } else if p.is_local_to(me) || m.table.is_adopted(p) {
-                serve.push(p);
-            } else {
-                self.misrouted += 1;
+                return false;
             }
-        }
-        self.coal.recycle(ptrs);
+            let served = p.is_local_to(me) || m.table.is_adopted(p);
+            *misrouted += u64::from(!served);
+            served
+        });
         for (to, mut entries) in fan_out(fwd) {
             entries.sort_unstable_by_key(|p| p.bits());
             ctx.charge_overhead(self.cfg.cost.request_entry_ns * entries.len() as u64);
@@ -166,7 +167,7 @@ impl<A: PtrApp> DpaProc<A> {
                 },
             );
         }
-        serve
+        ptrs
     }
 
     pub(super) fn on_affinity(

@@ -77,7 +77,7 @@ use crate::pending::PendingRequests;
 use crate::stripctl::{StripController, StripMode, StripObs};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
 use differential::DiffState;
-use fastmsg::{ByteCoalescer, Coalescer};
+use fastmsg::{ByteCoalescer, Coalescer, FlushReason};
 use global_heap::{ArrivalSet, GPtr, MigrationTable, ReplicaDirectory};
 use migrate::MigrateState;
 use replicate::ReplState;
@@ -194,9 +194,11 @@ pub struct DpaProc<A: PtrApp> {
     /// Read-mostly replication, `Some` iff `cfg.replication`.
     repl: Option<ReplState>,
     /// Request or `Forward` entries for objects this node was not born
-    /// with, has not adopted and holds no stub for. No node of a real
-    /// machine sends one (every table names the same home all phase), so
-    /// they are refused and counted, and the count is a violation.
+    /// with, has not adopted and holds no stub for, and `Reply` entries for
+    /// objects it never asked for. No node of a real machine sends one
+    /// (every table names the same home all phase, and an owner answers
+    /// only what it was asked), so they are refused and counted, and the
+    /// count is a violation.
     misrouted: u64,
     /// Objects installed (a pending request completed with data — by a
     /// reply, or by a replica broadcast that doubled as one).
@@ -241,6 +243,10 @@ pub struct DpaProc<A: PtrApp> {
     reply_entries_pushed: u64,
     /// Reply entries put on the wire (conservation vs. pushes).
     reply_entries_sent: u64,
+    /// Reply messages that never waited in `reply_coal` — an idle or
+    /// finished owner answering at once — as (cut at the MTU, the rest of
+    /// the answer): the second is a quiescence flush by another road.
+    replies_at_once: (u64, u64),
     /// Per-pointer reply accounting `(pushed, sent)` — the hot-key
     /// conservation oracle. A skewed workload funnels most reply traffic
     /// through a few hub objects; this map proves no per-key entry is
@@ -318,6 +324,7 @@ impl<A: PtrApp> DpaProc<A> {
             request_entries_sent: 0,
             reply_entries_pushed: 0,
             reply_entries_sent: 0,
+            replies_at_once: (0, 0),
             reply_ptr_acct: FxHashMap::default(),
             emit_buf: Vec::new(),
             wake_scheduled: false,
@@ -641,7 +648,9 @@ impl<A: PtrApp> DpaProc<A> {
     fn enqueue_replies(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, ptrs: &[GPtr]) {
         let now = ctx.now().as_ns();
         let mig = self.mig.as_ref().map(|m| &m.table);
-        for (p, size) in crate::owner::lookup_entries(&self.app, &self.cfg, ctx, ptrs, mig) {
+        crate::owner::charge_lookups(&self.cfg, ctx, ptrs, mig);
+        for &p in ptrs {
+            let size = self.app.object_size(p);
             self.reply_entries_pushed += 1;
             self.reply_ptr_acct.entry(p).or_default().0 += 1;
             let entry_bytes = (size + GPtr::WIRE_BYTES) as u64;
@@ -721,7 +730,10 @@ impl<A: PtrApp> DpaProc<A> {
                 src,
                 &ptrs,
                 self.mig.as_ref().map(|m| &m.table),
+                |expect| self.reply_coal.buffer_for(expect),
             );
+            self.replies_at_once.0 += acct.msgs.saturating_sub(1);
+            self.replies_at_once.1 += acct.msgs.min(1);
             self.reply_msgs += acct.msgs;
             self.reply_entries_pushed += acct.entries;
             self.reply_entries_sent += acct.entries;
@@ -782,18 +794,14 @@ impl<A: PtrApp> DpaProc<A> {
     /// that doubles as one. If a request for it is pending, that request
     /// completes — the object enters renamed storage and every thread
     /// aligned under it is released to run consecutively (tiling). Returns
-    /// `false`, changing nothing, for a duplicate: the object is already
-    /// held and no request is waiting on it.
+    /// `false`, changing nothing, when no request is waiting on it.
     fn install(&mut self, ptr: GPtr, size: u32, gen: u32) -> bool {
-        let fresh = self.arrived.insert_gen(ptr, size, gen);
-        if !fresh && !self.pending.contains(ptr) {
+        if !self.pending.complete(ptr) {
             return false;
         }
-        let was_pending = self.pending.complete(ptr);
-        debug_assert!(was_pending, "unsolicited data for {ptr}");
         self.installs += 1;
         // A copy that was already held keeps its own stamp.
-        let held = if fresh {
+        let held = if self.arrived.insert_gen(ptr, size, gen) {
             gen
         } else {
             self.arrived.generation(ptr).unwrap_or(gen)
@@ -816,10 +824,18 @@ impl<A: PtrApp> DpaProc<A> {
     /// double release, no D corruption. The handler overhead is still
     /// charged (the CPU really does re-hash the pointer before discovering
     /// the dup), and the wire reply, even a redundant one, retires the
-    /// in-flight request for its object.
+    /// in-flight request for its object. An entry for an object this node
+    /// neither waits for nor holds was never asked for: it is refused —
+    /// nothing enters renamed storage or the override table — and counted
+    /// with the misrouted.
     fn install_reply(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, mut objs: Vec<(GPtr, u32)>) {
         for (ptr, size) in objs.drain(..) {
             ctx.charge_overhead(self.cfg.cost.reply_install_ns + self.pressure());
+            let installed = self.install(ptr, size, self.app.object_generation(ptr));
+            if !installed && !self.arrived.contains(ptr) {
+                self.misrouted += 1;
+                continue;
+            }
             if let Some(m) = self.mig.as_mut() {
                 // A reply from a node other than the birth home reveals a
                 // re-homing (the serving node is the adoptee): learning it
@@ -827,7 +843,6 @@ impl<A: PtrApp> DpaProc<A> {
                 m.table.learn_override(ptr, src.0);
             }
             self.in_flight.remove(&ptr);
-            self.install(ptr, size, self.app.object_generation(ptr));
         }
         self.reply_coal.recycle(objs);
     }
@@ -1057,6 +1072,19 @@ impl<A: PtrApp> Proc for DpaProc<A> {
         stats.bump("updates_emitted", self.updates_emitted);
         stats.bump("updates_applied", self.updates_applied);
         stats.bump("update_msgs", self.updates.msgs_sent);
+        // Which rule emitted each reply and each update message. A reply
+        // that never waited counts where it would have: cut at the MTU, or
+        // sent because the owner had nothing to overlap it with.
+        let (at_once_mtu, at_once_idle) = self.replies_at_once;
+        for (reply, upd, why, at_once) in [
+            ("reply_flush_window", "upd_flush_window", FlushReason::Window, 0),
+            ("reply_flush_mtu", "upd_flush_mtu", FlushReason::Budget, at_once_mtu),
+            ("reply_flush_deadline", "upd_flush_deadline", FlushReason::Deadline, 0),
+            ("reply_flush_quiescence", "upd_flush_quiescence", FlushReason::Drain, at_once_idle),
+        ] {
+            stats.bump(reply, self.reply_coal.flushes(why) + at_once);
+            stats.bump(upd, self.upd_coal.flushes(why));
+        }
         // Strip-controller columns only exist in adaptive runs, and each
         // mode's columns only in that mode's runs, so every other stat
         // table stays byte-identical.

@@ -498,3 +498,57 @@ fn a_sequenced_message_from_outside_the_machine_is_a_counted_drop() {
     let caching = real(&mut m);
     check(report, caching.app().applied, caching.snapshot(0));
 }
+
+/// An owner answers only what it was asked, so no real node sends a reply
+/// entry for an object the receiver never requested. A scripted peer can:
+/// the entry is refused — nothing enters renamed storage (or the baseline's
+/// cache), nothing counts as installed, the run completes clean — and
+/// counted with the misrouted, which the oracle reports. The solicited
+/// entry of the same reply is installed as usual. Either node driver.
+#[test]
+fn an_unsolicited_reply_is_a_counted_refusal() {
+    let (asked, never_asked) = (remote(4), remote(5));
+    let sends = || {
+        vec![
+            // Before the node has requested anything at all…
+            (50_000, DpaMsg::Reply(vec![(never_asked, OBJ_BYTES)])),
+            // …and beside the object it does wait for (one spin step, so
+            // the demand is out by 100 µs).
+            (400_000, DpaMsg::Reply(vec![(asked, OBJ_BYTES)])),
+        ]
+    };
+    let check = |report: RunReport, snap: NodeSnapshot, detail: Option<String>| {
+        assert!(report.completed, "{}", report.stall_summary());
+        assert_eq!(report.stats.nodes[0].msgs_recv, 2);
+        assert_eq!((snap.requests_issued, snap.objects_installed), (1, 1));
+        assert_eq!(snap.misrouted_requests, 1);
+        assert_eq!(detail, None, "a finished node has no stall to detail");
+        assert_eq!(
+            check_conservation(&[snap]),
+            [Violation::MisroutedRequest { node: 0, count: 1 }]
+        );
+    };
+
+    let proc_ = DpaProc::new(Probe::reading(Some(asked), 1, 0), 2, DpaConfig::dpa(8));
+    let (report, mut m) = run(proc_, sends());
+    assert_eq!(
+        report.stats.user_total("remote_objects_fetched"),
+        1,
+        "the refused copy is not in renamed storage"
+    );
+    let dpa = real(&mut m);
+    assert_eq!(dpa.app().seen_gen, [Some(0)]);
+    check(report, dpa.snapshot(0), dpa.stall_detail());
+
+    let proc_ = CachingProc::new(Probe::reading(Some(asked), 1, 0), 2, DpaConfig::caching());
+    let (report, mut m) = run(proc_, sends());
+    let caching = real(&mut m);
+    check(report, caching.snapshot(0), caching.stall_detail());
+
+    // Refused and still stuck: the stall report names the refusal.
+    let proc_ = DpaProc::new(Probe::reading(Some(asked), 1, 0), 2, DpaConfig::dpa(8));
+    let (report, mut m) = run(proc_, vec![(400_000, DpaMsg::Reply(vec![(never_asked, OBJ_BYTES)]))]);
+    assert!(!report.completed, "the object it waits for never came");
+    let detail = real(&mut m).stall_detail().expect("stalled");
+    assert!(detail.contains("1 misrouted"), "{detail}");
+}

@@ -3,11 +3,12 @@
 //!
 //! Every remote request DPA wants to issue is first appended to the buffer
 //! for its destination node. A buffer is handed back to the caller (to be
-//! sent as a single packet) either when it reaches its capacity
-//! ([`FlushReason::Full`]) or when the runtime decides no more local work is
-//! available and drains everything ([`FlushReason::Drain`]). The runtime
-//! never lets requests sit while the node idles — that would trade overhead
-//! for latency — so `Drain` happens at every scheduling quiescence point.
+//! sent as a single packet) either when it reaches its capacity or when the
+//! runtime decides no more local work is available and drains everything.
+//! The runtime never lets requests sit while the node idles — that would
+//! trade overhead for latency — so a drain happens at every scheduling
+//! quiescence point. The byte-budgeted coalescer counts its batches by
+//! which of its four rules emitted them ([`FlushReason`]).
 //!
 //! A destination's buffer *is* the batch: a flush swaps it with an empty
 //! pooled `Vec` and hands it out whole, so an entry is written once, where
@@ -71,12 +72,19 @@ impl DestSet {
     }
 }
 
-/// Why a batch was emitted.
+/// The rule that emitted a [`ByteCoalescer`] batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushReason {
     /// The per-destination buffer reached `max_entries`.
-    Full,
-    /// The runtime drained pending buffers at a quiescence point.
+    Window,
+    /// The buffer reached the byte budget, or the next item would have
+    /// taken it past (MTU occupancy).
+    Budget,
+    /// The buffer's oldest entry aged past the caller's deadline
+    /// ([`ByteCoalescer::pop_due`]).
+    Deadline,
+    /// The caller drained what was pending ([`ByteCoalescer::pop_first`]):
+    /// the runtime's quiescence points.
     Drain,
 }
 
@@ -262,7 +270,8 @@ pub struct ByteCoalescer<T> {
     max_entries: usize,
     pushed: u64,
     pushed_bytes: u64,
-    batches: u64,
+    /// Batches emitted, by [`FlushReason`] (in declaration order).
+    flushes: [u64; 4],
     /// Items currently buffered.
     buffered: usize,
     /// Destinations with nonempty buffers.
@@ -291,7 +300,7 @@ impl<T> ByteCoalescer<T> {
             max_entries,
             pushed: 0,
             pushed_bytes: 0,
-            batches: 0,
+            flushes: [0; 4],
             buffered: 0,
             nonempty: DestSet::new(nodes),
             pool: VecPool::new(),
@@ -318,7 +327,7 @@ impl<T> ByteCoalescer<T> {
         self.pushed += 1;
         self.pushed_bytes += item_bytes;
         let overflowed = if self.dests[dst as usize].bytes + item_bytes > self.byte_budget {
-            self.take(dst)
+            self.take(dst, FlushReason::Budget)
         } else {
             None
         };
@@ -332,8 +341,10 @@ impl<T> ByteCoalescer<T> {
         }
         d.buf.push(item);
         d.bytes += item_bytes;
-        let filled = if d.buf.len() >= self.max_entries || d.bytes >= self.byte_budget {
-            self.take(dst)
+        let filled = if d.buf.len() >= self.max_entries {
+            self.take(dst, FlushReason::Window)
+        } else if d.bytes >= self.byte_budget {
+            self.take(dst, FlushReason::Budget)
         } else {
             self.nonempty.insert(dst);
             None
@@ -341,13 +352,14 @@ impl<T> ByteCoalescer<T> {
         Forced(overflowed, filled)
     }
 
-    /// Remove and return the pending batch for `dst`, if any.
-    pub fn take(&mut self, dst: u16) -> Option<Vec<T>> {
+    /// Remove and return the pending batch for `dst`, if any, emitted
+    /// because of `why`.
+    fn take(&mut self, dst: u16, why: FlushReason) -> Option<Vec<T>> {
         let d = &mut self.dests[dst as usize];
         if d.buf.is_empty() {
             return None;
         }
-        self.batches += 1;
+        self.flushes[why as usize] += 1;
         self.nonempty.remove(dst);
         d.bytes = 0;
         let batch = std::mem::replace(&mut d.buf, self.pool.take());
@@ -364,7 +376,7 @@ impl<T> ByteCoalescer<T> {
             .nonempty
             .iter()
             .find(|&d| self.dests[d as usize].first_at + deadline <= now)?;
-        Some((dst, self.take(dst)?))
+        Some((dst, self.take(dst, FlushReason::Deadline)?))
     }
 
     /// Remove and return the batch of the lowest-numbered destination with
@@ -372,7 +384,7 @@ impl<T> ByteCoalescer<T> {
     /// ascending destination order.
     pub fn pop_first(&mut self) -> Option<(u16, Vec<T>)> {
         let dst = self.nonempty.iter().next()?;
-        Some((dst, self.take(dst)?))
+        Some((dst, self.take(dst, FlushReason::Drain)?))
     }
 
     /// Earliest time any currently buffered destination becomes due under
@@ -389,6 +401,15 @@ impl<T> ByteCoalescer<T> {
     #[inline]
     pub fn recycle(&mut self, buf: Vec<T>) {
         self.pool.put(buf);
+    }
+
+    /// An empty recycled buffer with room for `expect` items, for a batch
+    /// the caller assembles itself (one that never waits here) and that
+    /// comes back through [`recycle`](ByteCoalescer::recycle) like the
+    /// rest.
+    #[inline]
+    pub fn buffer_for(&mut self, expect: usize) -> Vec<T> {
+        self.pool.take_for(expect)
     }
 
     /// Batch buffers currently idle in the recycling pool.
@@ -426,15 +447,19 @@ impl<T> ByteCoalescer<T> {
 
     /// Total batches emitted over the coalescer's lifetime.
     pub fn total_batches(&self) -> u64 {
-        self.batches
+        self.flushes.iter().sum()
+    }
+
+    /// Batches emitted because of `why`.
+    pub fn flushes(&self, why: FlushReason) -> u64 {
+        self.flushes[why as usize]
     }
 
     /// Mean achieved aggregation factor (items per emitted batch).
     pub fn aggregation_factor(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            (self.pushed - self.pending() as u64) as f64 / self.batches as f64
+        match self.total_batches() {
+            0 => 0.0,
+            batches => (self.pushed - self.pending() as u64) as f64 / batches as f64,
         }
     }
 }
@@ -641,6 +666,29 @@ mod tests {
         assert_eq!(c.pop_first(), Some((0, vec![0])));
         assert_eq!(c.pop_first(), Some((1, vec![1])));
         assert_eq!(c.pop_first(), None);
+        assert_eq!(c.total_batches(), 5);
+    }
+
+    #[test]
+    fn every_batch_is_counted_under_the_rule_that_emitted_it() {
+        use FlushReason::*;
+        let mut c: ByteCoalescer<u32> = ByteCoalescer::new(3, 100, 3);
+        let count = |c: &ByteCoalescer<u32>| [Window, Budget, Deadline, Drain].map(|why| c.flushes(why));
+        // Third entry: the window. 60 + 60 bytes: the budget, before the
+        // second is placed. 100 bytes at once: the budget, after.
+        for i in 0..3 {
+            let _ = c.push(0, i, 10, 0);
+        }
+        assert_eq!(count(&c), [1, 0, 0, 0]);
+        assert!(pushed(&mut c, 1, 7, 60, 5).is_empty());
+        assert_eq!(pushed(&mut c, 1, 8, 60, 6), vec![vec![7]]);
+        assert_eq!(pushed(&mut c, 2, 9, 100, 7), vec![vec![9]]);
+        assert_eq!(count(&c), [1, 2, 0, 0]);
+        // dst 1 still holds the 60-byte entry pushed at 6; dst 0 gets one.
+        assert!(pushed(&mut c, 0, 3, 10, 50).is_empty());
+        assert_eq!(due(&mut c, 30, 20), vec![(1, vec![8])]);
+        assert_eq!(c.pop_first(), Some((0, vec![3])));
+        assert_eq!(count(&c), [1, 2, 1, 1]);
         assert_eq!(c.total_batches(), 5);
     }
 

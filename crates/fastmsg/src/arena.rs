@@ -16,7 +16,8 @@
 /// `take` hands out an empty vector (reusing a returned one's capacity when
 /// available); `put` returns a buffer to the pool, clearing it. What the
 /// pool bounds is the memory it pins, so the limit counts bytes of idle
-/// capacity ([`VecPool::MAX_IDLE_BYTES`]), not buffers: a message-bound
+/// capacity ([`VecPool::MAX_IDLE_BYTES`] unless the owner names its own),
+/// not buffers: a message-bound
 /// run keeps hundreds of few-entry batch buffers in flight per node (a
 /// flush takes one per destination and they come back a round trip later,
 /// by which time a 64-*buffer* pool had overflowed and starved in turn),
@@ -26,6 +27,8 @@ pub struct VecPool<T> {
     free: Vec<Vec<T>>,
     /// Capacity held by `free`, in bytes.
     idle_bytes: usize,
+    /// Most capacity `free` may hold, in bytes.
+    idle_limit: usize,
 }
 
 impl<T> Default for VecPool<T> {
@@ -40,7 +43,7 @@ impl<T> Default for VecPool<T> {
 /// requiring `T: Clone`.
 impl<T> Clone for VecPool<T> {
     fn clone(&self) -> Self {
-        VecPool::new()
+        VecPool::with_idle_limit(self.idle_limit)
     }
 }
 
@@ -51,11 +54,18 @@ impl<T> VecPool<T> {
     /// memory steps up by a megabyte.
     pub const MAX_IDLE_BYTES: usize = 24 << 10;
 
-    /// An empty pool.
+    /// An empty pool retaining up to [`VecPool::MAX_IDLE_BYTES`].
     pub fn new() -> VecPool<T> {
+        VecPool::with_idle_limit(Self::MAX_IDLE_BYTES)
+    }
+
+    /// An empty pool retaining up to `idle_limit` bytes of idle capacity,
+    /// for an owner that knows how many buffers it can have out at once.
+    pub fn with_idle_limit(idle_limit: usize) -> VecPool<T> {
         VecPool {
             free: Vec::new(),
             idle_bytes: 0,
+            idle_limit,
         }
     }
 
@@ -92,7 +102,7 @@ impl<T> VecPool<T> {
     #[inline]
     pub fn put(&mut self, mut buf: Vec<T>) {
         let bytes = Self::bytes(&buf);
-        if bytes > 0 && self.idle_bytes + bytes <= Self::MAX_IDLE_BYTES {
+        if bytes > 0 && self.idle_bytes + bytes <= self.idle_limit {
             buf.clear();
             self.idle_bytes += bytes;
             self.free.push(buf);
@@ -144,5 +154,14 @@ mod tests {
         assert_eq!(q.idle(), 0);
         q.put(Vec::with_capacity(VecPool::<u64>::MAX_IDLE_BYTES / 8));
         assert_eq!(q.idle(), 1);
+        // An owner's own bound, which a clone (an empty pool) keeps.
+        let mut r: VecPool<u64> = VecPool::with_idle_limit(64);
+        r.put(Vec::with_capacity(4));
+        r.put(Vec::with_capacity(4));
+        r.put(Vec::with_capacity(4));
+        assert_eq!(r.idle(), 2, "64 bytes are two four-word buffers");
+        let mut s = r.clone();
+        s.put(Vec::with_capacity(9));
+        assert_eq!(s.idle(), 0);
     }
 }

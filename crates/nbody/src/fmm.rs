@@ -455,6 +455,12 @@ impl FmmSolver {
     /// `acc += M2L` of box `src`'s multipole about the center of `tgt`,
     /// which has `src` on its interaction list.
     pub fn m2l_into(&self, src: BoxId, tgt: BoxId, acc: &mut Local) {
+        self.m2l_into_coeffs(src, tgt, &mut acc.coeffs);
+    }
+
+    /// [`FmmSolver::m2l_into`] on the bare `terms + 1` coefficients of a
+    /// local expansion, for accumulators kept side by side in one slab.
+    pub fn m2l_into_coeffs(&self, src: BoxId, tgt: BoxId, acc: &mut [Cx]) {
         let (dx, dy) = (src.x as i64 - tgt.x as i64, src.y as i64 - tgt.y as i64);
         assert!(
             src.level == tgt.level && dx.abs() <= IL_REACH && dy.abs() <= IL_REACH,
@@ -464,7 +470,7 @@ impl FmmSolver {
         let shift = self.shifts[at as usize]
             .as_ref()
             .expect("an interaction-list source is at least two boxes away");
-        m2l_shifted_into(&self.multipoles[src.dense_index()], shift, &self.bin, acc);
+        m2l_with(&self.multipoles[src.dense_index()], shift, &self.bin, acc, |o, v| *o += v);
     }
 
     /// P2M at the leaves, then M2M up the tree.

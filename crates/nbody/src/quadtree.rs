@@ -69,44 +69,32 @@ impl BoxId {
         self.grid_dist(other) <= 1
     }
 
-    /// Adjacent boxes at the same level (excludes `self`).
-    pub fn neighbors(self) -> Vec<BoxId> {
-        let n = 1u32 << self.level;
-        let mut out = Vec::with_capacity(8);
-        for dy in -1i64..=1 {
-            for dx in -1i64..=1 {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let nx = self.x as i64 + dx;
-                let ny = self.y as i64 + dy;
-                if (0..n as i64).contains(&nx) && (0..n as i64).contains(&ny) {
-                    out.push(BoxId {
+    /// Adjacent boxes at the same level (excludes `self`), row-major: at
+    /// most eight, produced as they are asked for.
+    pub fn neighbors(self) -> impl Iterator<Item = BoxId> {
+        let n = 1i64 << self.level;
+        (-1i64..=1)
+            .flat_map(|dy| (-1i64..=1).map(move |dx| (dx, dy)))
+            .filter_map(move |(dx, dy)| {
+                let (nx, ny) = (self.x as i64 + dx, self.y as i64 + dy);
+                ((dx, dy) != (0, 0) && (0..n).contains(&nx) && (0..n).contains(&ny)).then_some(
+                    BoxId {
                         level: self.level,
                         x: nx as u32,
                         y: ny as u32,
-                    });
-                }
-            }
-        }
-        out
+                    },
+                )
+            })
     }
 
     /// The interaction list: children of the parent's neighbors that are
-    /// not adjacent to `self`. Empty at levels 0 and 1.
-    pub fn interaction_list(self) -> Vec<BoxId> {
-        let Some(parent) = self.parent() else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(27);
-        for pn in parent.neighbors() {
-            for c in pn.children() {
-                if !self.is_adjacent(c) {
-                    out.push(c);
-                }
-            }
-        }
-        out
+    /// not adjacent to `self`, at most 27. Empty at levels 0 and 1.
+    pub fn interaction_list(self) -> impl Iterator<Item = BoxId> {
+        self.parent()
+            .into_iter()
+            .flat_map(BoxId::neighbors)
+            .flat_map(BoxId::children)
+            .filter(move |&c| !self.is_adjacent(c))
     }
 
     /// Dense index of this box within its level (row-major).
@@ -252,6 +240,68 @@ impl QuadTree {
 mod tests {
     use super::*;
 
+    /// The lists as they were built before they became iterators: the
+    /// order every FMM sum, and with it every pinned field digest, was
+    /// taken in.
+    impl BoxId {
+        fn neighbors_vec(self) -> Vec<BoxId> {
+            let n = 1u32 << self.level;
+            let mut out = Vec::with_capacity(8);
+            for dy in -1i64..=1 {
+                for dx in -1i64..=1 {
+                    if dx == 0 && dy == 0 {
+                        continue;
+                    }
+                    let nx = self.x as i64 + dx;
+                    let ny = self.y as i64 + dy;
+                    if (0..n as i64).contains(&nx) && (0..n as i64).contains(&ny) {
+                        out.push(BoxId {
+                            level: self.level,
+                            x: nx as u32,
+                            y: ny as u32,
+                        });
+                    }
+                }
+            }
+            out
+        }
+
+        fn interaction_list_vec(self) -> Vec<BoxId> {
+            let Some(parent) = self.parent() else {
+                return Vec::new();
+            };
+            let mut out = Vec::with_capacity(27);
+            for pn in parent.neighbors_vec() {
+                for c in pn.children() {
+                    if !self.is_adjacent(c) {
+                        out.push(c);
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn list_iterators_equal_the_vec_versions_item_for_item() {
+        // Levels 0-1 whole (no interaction list there), then every box of
+        // levels 2-4: the four corners, the edges and the interior.
+        for level in 0..=4u32 {
+            let n = 1u32 << level;
+            for (x, y) in (0..n).flat_map(|y| (0..n).map(move |x| (x, y))) {
+                let b = BoxId { level, x, y };
+                assert_eq!(b.neighbors().collect::<Vec<_>>(), b.neighbors_vec(), "{b:?}");
+                assert_eq!(
+                    b.interaction_list().collect::<Vec<_>>(),
+                    b.interaction_list_vec(),
+                    "{b:?}"
+                );
+            }
+        }
+        let corner = BoxId { level: 4, x: 15, y: 0 };
+        assert_eq!((corner.neighbors().count(), corner.interaction_list().count()), (3, 12));
+    }
+
     #[test]
     fn parent_child_roundtrip() {
         let b = BoxId {
@@ -279,9 +329,9 @@ mod tests {
         let corner = BoxId { level: 2, x: 0, y: 0 };
         let edge = BoxId { level: 2, x: 1, y: 0 };
         let interior = BoxId { level: 2, x: 1, y: 1 };
-        assert_eq!(corner.neighbors().len(), 3);
-        assert_eq!(edge.neighbors().len(), 5);
-        assert_eq!(interior.neighbors().len(), 8);
+        assert_eq!(corner.neighbors().count(), 3);
+        assert_eq!(edge.neighbors().count(), 5);
+        assert_eq!(interior.neighbors().count(), 8);
     }
 
     #[test]
@@ -291,7 +341,7 @@ mod tests {
             BoxId { level: 3, x: 0, y: 0 },
             BoxId { level: 2, x: 1, y: 2 },
         ] {
-            let il = b.interaction_list();
+            let il: Vec<BoxId> = b.interaction_list().collect();
             assert!(il.len() <= 27);
             for s in &il {
                 assert_eq!(s.level, b.level);
@@ -302,13 +352,13 @@ mod tests {
         }
         // Interior boxes at deep levels see the full 27.
         let deep = BoxId { level: 4, x: 7, y: 7 };
-        assert_eq!(deep.interaction_list().len(), 27);
+        assert_eq!(deep.interaction_list().count(), 27);
     }
 
     #[test]
     fn interaction_list_empty_at_top() {
-        assert!(BoxId { level: 0, x: 0, y: 0 }.interaction_list().is_empty());
-        assert!(BoxId { level: 1, x: 1, y: 0 }.interaction_list().is_empty());
+        assert_eq!(BoxId { level: 0, x: 0, y: 0 }.interaction_list().count(), 0);
+        assert_eq!(BoxId { level: 1, x: 1, y: 0 }.interaction_list().count(), 0);
     }
 
     #[test]

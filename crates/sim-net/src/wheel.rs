@@ -146,7 +146,13 @@ impl<T: WheelItem> TimingWheel<T> {
             cursor: 0,
             in_ring: 0,
             overflow: BinaryHeap::new(),
-            pool: VecPool::new(),
+            // Room for a first-step (four-item) vector per slot: whatever
+            // the ring held at its fullest is still here when it fills
+            // again, so a machine allocates a bucket's storage once, not
+            // once per burst. (Under the pool's default bound a
+            // message-bound run dropped and re-allocated ten thousand
+            // bucket vectors a run; EXPERIMENTS.md X17.)
+            pool: VecPool::with_idle_limit(WHEEL_SLOTS * 4 * std::mem::size_of::<T>()),
         }
     }
 

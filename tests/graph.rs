@@ -276,6 +276,14 @@ fn setops_run_matches_expected(params: dpa::apps::setops_dist::SetopsParams) {
         let at = 3 * node as usize;
         assert_eq!((got[at], got[at + 1]), world.expected(node), "node {node}");
     }
+    // Every reply and every update message was emitted by exactly one of
+    // the four flush rules; `--nocapture` shows which (EXPERIMENTS.md X17).
+    for (path, msgs) in [("reply", "reply_msgs"), ("upd", "update_msgs")] {
+        let by_rule = ["window", "mtu", "deadline", "quiescence"]
+            .map(|rule| run.stats.user_total(&format!("{path}_flush_{rule}")));
+        println!("{path} messages by flush rule [window, mtu, deadline, quiescence]: {by_rule:?}");
+        assert_eq!(by_rule.iter().sum::<u64>(), run.stats.user_total(msgs), "{path}");
+    }
 }
 
 /// At the size of `serve_mix`'s setops job.

@@ -29,6 +29,67 @@ impl WheelItem for Keyed {
     }
 }
 
+/// M as it was before the record slab — a private `Vec` of waiting
+/// threads per interned pointer, kept (cleared, not dropped) across release
+/// cycles — as the model the slab is held to.
+#[derive(Default)]
+struct ListsModel {
+    ids: HashMap<GPtr, u32>,
+    ptrs: Vec<GPtr>,
+    waiters: Vec<Vec<u64>>,
+    nonempty: usize,
+    live_threads: u64,
+    peak_threads: u64,
+    peak_keys: u64,
+    total_aligned: u64,
+}
+
+impl ListsModel {
+    fn align(&mut self, ptr: GPtr, thread: u64) -> bool {
+        self.total_aligned += 1;
+        self.live_threads += 1;
+        self.peak_threads = self.peak_threads.max(self.live_threads);
+        let id = *self.ids.entry(ptr).or_insert_with(|| {
+            self.ptrs.push(ptr);
+            self.waiters.push(Vec::new());
+            self.ptrs.len() as u32 - 1
+        });
+        let list = &mut self.waiters[id as usize];
+        list.push(thread);
+        let first = list.len() == 1;
+        if first {
+            self.nonempty += 1;
+            self.peak_keys = self.peak_keys.max(self.nonempty as u64);
+        }
+        first
+    }
+
+    fn release(&mut self, ptr: GPtr) -> Vec<u64> {
+        let Some(&id) = self.ids.get(&ptr) else {
+            return Vec::new();
+        };
+        let list = std::mem::take(&mut self.waiters[id as usize]);
+        if !list.is_empty() {
+            self.live_threads -= list.len() as u64;
+            self.nonempty -= 1;
+        }
+        list
+    }
+
+    fn waiters(&self, ptr: GPtr) -> usize {
+        self.ids.get(&ptr).map_or(0, |&id| self.waiters[id as usize].len())
+    }
+
+    fn reset_for_phase(&mut self) {
+        self.waiters.iter_mut().for_each(Vec::clear);
+        self.nonempty = 0;
+        self.live_threads = 0;
+        self.peak_threads = 0;
+        self.peak_keys = 0;
+        self.total_aligned = 0;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -199,6 +260,62 @@ proptest! {
             prev_peak_threads = m.peak_threads();
             prev_peak_keys = m.peak_keys();
             prop_assert_eq!(m.total_aligned(), aligned_total);
+        }
+    }
+
+    /// The record slab behind M is observationally the table of private
+    /// per-pointer lists it replaced ([`ListsModel`], the previous
+    /// implementation kept as the model): over arbitrary interleavings of
+    /// `align`, the three releases, re-alignment under a released pointer
+    /// and `reset_for_phase`, both give the same first-waiter signals, the
+    /// same released sequences and the same counters — while the slab
+    /// chains many pointers through shared, reused records.
+    #[test]
+    fn slab_pointer_map_matches_the_per_pointer_lists_it_replaced(
+        seed in any::<u64>(),
+        ops in 1usize..600,
+        key_space in 1u64..12,
+        release_p in 0.05f64..0.6,
+        reset_p in 0.0f64..0.02,
+    ) {
+        let mut rng = dpa::sim_net::Rng::new(seed);
+        let mut slab: PointerMap<u64> = PointerMap::new();
+        let mut lists = ListsModel::default();
+        let (mut got, mut want) = (vec![7u64], vec![7u64]);
+        for op in 0..ops as u64 {
+            let ptr = GPtr::new(rng.below(3) as u16, ObjClass(0), rng.below(key_space));
+            if rng.chance(reset_p) {
+                slab.reset_for_phase();
+                lists.reset_for_phase();
+            } else if rng.chance(release_p) {
+                // Each release appends after what the caller already holds.
+                let released = lists.release(ptr);
+                match rng.below(3) {
+                    0 => {
+                        got.extend(slab.release(ptr));
+                        want.extend(released);
+                    }
+                    1 => {
+                        slab.release_into(ptr, &mut got);
+                        want.extend(released);
+                    }
+                    _ => {
+                        slab.release_with(ptr, &mut got, |w| w ^ op);
+                        want.extend(released.into_iter().map(|w| w ^ op));
+                    }
+                }
+                prop_assert_eq!(&got, &want, "released sequences diverged");
+                prop_assert_eq!(slab.waiters(ptr), 0);
+            } else {
+                prop_assert_eq!(slab.align(ptr, op), lists.align(ptr, op));
+            }
+            prop_assert_eq!(slab.waiters(ptr), lists.waiters(ptr));
+            prop_assert_eq!(slab.keys(), lists.nonempty);
+            prop_assert_eq!(slab.live_threads(), lists.live_threads);
+            prop_assert_eq!(slab.peak_threads(), lists.peak_threads);
+            prop_assert_eq!(slab.peak_keys(), lists.peak_keys);
+            prop_assert_eq!(slab.total_aligned(), lists.total_aligned);
+            prop_assert_eq!(slab.interned(), lists.ptrs.len());
         }
     }
 
