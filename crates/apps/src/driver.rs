@@ -68,7 +68,7 @@ impl Digest {
 #[derive(Clone, Copy, Debug)]
 pub struct Phases {
     /// Timesteps; above one the run goes through [`run_phases`], so
-    /// whatever `cfg` carries (tables, homes, replicas, strips) crosses
+    /// whatever `cfg` carries (tables, homes, replicas) crosses
     /// the barriers.
     pub count: usize,
     /// The value-change schedule of a value-sensitive run (synth, BH): the
@@ -483,10 +483,9 @@ pub fn run_setops(
 
 /// Merge two [`RunStats`] (e.g. the FMM sub-phases) node by node. Time
 /// buckets, traffic, fault counts, makespans and event counters add.
-/// High-water marks (`peak_*`, `*_peak_bytes`) and the strip gauges
-/// `strip_final` / `strip_max_applied` take the larger of the two phases,
-/// `strip_min_applied` the smaller: the phases run one after the other, so
-/// their peaks never coexist. The per-path `*_agg_factor_milli` are
+/// High-water marks (`peak_*`, `*_peak_bytes`) take the larger of the two
+/// phases: the phases run one after the other, so their peaks never
+/// coexist. The per-path `*_agg_factor_milli` are
 /// recomputed from the merged entry and message counts.
 fn merge_stats(a: &RunStats, b: &RunStats) -> RunStats {
     assert_eq!(a.nodes.len(), b.nodes.len());
@@ -506,7 +505,6 @@ fn merge_stats(a: &RunStats, b: &RunStats) -> RunStats {
         for (&k, &v) in &y.user {
             let merged = match x.user.get(k) {
                 None => v,
-                Some(&u) if k == "strip_min_applied" => u.min(v),
                 Some(&u) if is_high_water(k) => u.max(v),
                 Some(&u) => u + v,
             };
@@ -529,10 +527,7 @@ fn merge_stats(a: &RunStats, b: &RunStats) -> RunStats {
 
 /// Counters that record a maximum over the phase rather than a count.
 fn is_high_water(key: &str) -> bool {
-    key.starts_with("peak_")
-        || key.ends_with("_peak_bytes")
-        || key == "strip_final"
-        || key == "strip_max_applied"
+    key.starts_with("peak_") || key.ends_with("_peak_bytes")
 }
 
 #[cfg(test)]
@@ -573,9 +568,6 @@ mod tests {
                 ("threads_created", 40),
                 ("peak_aligned_threads", 900),
                 ("renamed_peak_bytes", 4096),
-                ("strip_final", 64),
-                ("strip_max_applied", 128),
-                ("strip_min_applied", 16),
                 ("request_entries", 90),
                 ("request_msgs", 3),
                 ("req_agg_factor_milli", 30_000),
@@ -592,9 +584,6 @@ mod tests {
                 ("threads_created", 2),
                 ("peak_aligned_threads", 35),
                 ("renamed_peak_bytes", 8192),
-                ("strip_final", 32),
-                ("strip_max_applied", 32),
-                ("strip_min_applied", 32),
                 ("request_entries", 10),
                 ("request_msgs", 5),
                 ("req_agg_factor_milli", 2_000),
@@ -612,9 +601,6 @@ mod tests {
         assert_eq!(user["threads_created"], 42);
         assert_eq!(user["peak_aligned_threads"], 900, "max, not 935");
         assert_eq!(user["renamed_peak_bytes"], 8192);
-        assert_eq!(user["strip_final"], 64);
-        assert_eq!(user["strip_max_applied"], 128);
-        assert_eq!(user["strip_min_applied"], 16);
         assert_eq!(user["req_agg_factor_milli"], 12_500, "100 entries / 8 msgs");
         assert_eq!(user["upd_agg_factor_milli"], 0, "no messages, no factor");
         assert_eq!(user["eval_only"], 7, "a key one phase lacks is kept as is");

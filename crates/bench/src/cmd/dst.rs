@@ -28,14 +28,11 @@
 //! `results/dst_report.json`.
 //!
 //! Workloads cover the single-phase variants (synth DPA/caching, BH, FMM,
-//! relax), the migration-enabled multi-phase variants (`synth-mig`,
-//! `bh-mig`, driven through `run_phases`), and the adaptive-strip
-//! variants (`synth-adapt`, `bh-adapt`, driven by the `dpa_core::stripctl`
-//! feedback controller with tight bounds so retunes actually fire), so the
-//! object-migration protocol — phase-end affinity reports, the boundary's
-//! depart/adopt hand-off, one-hop forwards, learned overrides —
-//! and the strip controller — bounded schedules, deterministic retunes,
-//! cross-phase carry — are explored under every fault plan. The
+//! relax) and the migration-enabled multi-phase variants (`synth-mig`,
+//! `bh-mig`, driven through `run_phases`), so the object-migration
+//! protocol — phase-end affinity reports, the boundary's depart/adopt
+//! hand-off, one-hop forwards, learned overrides — is explored under
+//! every fault plan. The
 //! differential variants (`synth-diff`, `bh-diff`, `graph`) run
 //! `cfg.differential` against a from-scratch comparator, and the
 //! skew-adversarial family (`graph`, `graph-mig`, `setops`) puts a

@@ -29,9 +29,6 @@ pub const JITTER_NS: u64 = 2_000;
 pub const ALL_PLANS: &[&str] = &["none", "drop", "dup", "delay", "pause"];
 /// The CI-sized subset of fault plans.
 pub const SMOKE_PLANS: &[&str] = &["none", "drop"];
-/// Adaptive strip bounds for the `-adapt` workloads (deliberately tight:
-/// the small DST worlds must still cross retune boundaries).
-pub const ADAPT_BOUNDS: (usize, usize) = (2, 64);
 /// Phases per migration workload run (tables carry across boundaries).
 pub const MIG_PHASES: usize = 3;
 /// Timesteps per differential workload run — enough boundaries that a
@@ -88,16 +85,10 @@ impl Workload {
     }
 }
 
-fn adaptive() -> DpaConfig {
-    DpaConfig::dpa_adaptive(ADAPT_BOUNDS.0, ADAPT_BOUNDS.1)
-}
-
 /// Every workload the sweep explores. The `-mig` workloads run the same
 /// apps multi-phase with locality-driven object migration enabled
-/// (phase-end affinity reports, the boundary pass's re-homing, forwards). The `-adapt`
-/// workloads run under the adaptive strip controller
-/// ([`dpa_core::stripctl`]) with bounds tight enough that every node
-/// crosses several retune boundaries. The `-diff` workloads run
+/// (phase-end affinity reports, the boundary pass's re-homing, forwards).
+/// The `-diff` workloads run
 /// multi-timestep with **differential re-alignment**
 /// ([`DpaConfig::differential`]): tables and cached arrivals carry across
 /// barriers, patched by boundary deltas. The `-repl` workloads run under
@@ -123,15 +114,6 @@ const TABLE: &[Workload] = &[
         name: "bh-mig",
         family: Family::Bh,
         cfg: || DpaConfig::dpa_migrating(8),
-        scratch: None,
-        phases: Phases::steps(MIG_PHASES),
-    },
-    Workload::single("synth-adapt", Family::Synth, adaptive),
-    // Multi-phase, so the controllers carry across barriers.
-    Workload {
-        name: "bh-adapt",
-        family: Family::Bh,
-        cfg: adaptive,
         scratch: None,
         phases: Phases::steps(MIG_PHASES),
     },

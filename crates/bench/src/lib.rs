@@ -16,7 +16,6 @@
 //! | `fig_migration` | extension: locality-driven migration on vs off |
 //! | `fig_differential` | extension: differential re-alignment vs from-scratch |
 //! | `fig_graph` | extension: hot-hub crossover, replication-win gates |
-//! | `fig_stripctl` | extension: adaptive strip controller vs the fixed sweep |
 //! | `trace_phase` | extension: per-node Gantt timeline (Chrome/Perfetto JSON) |
 //! | `dst` | deterministic-simulation-testing sweep and corpus replay |
 //! | `smp_tiling` | host-side: tiled vs scattered task order on real threads |

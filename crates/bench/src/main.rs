@@ -17,7 +17,6 @@ mod cmd {
     pub mod fig_graph;
     pub mod fig_migration;
     pub mod fig_scaling;
-    pub mod fig_stripctl;
     pub mod fig_stripsize;
     pub mod smp_tiling;
     pub mod table1_exec_times;
@@ -65,7 +64,6 @@ const CMDS: &[Cmd] = &[
     plain("fig_migration", QUICK, cmd::fig_migration::run),
     plain("fig_differential", SMOKE_QUICK, cmd::fig_differential::run),
     plain("fig_graph", SMOKE_QUICK, cmd::fig_graph::run),
-    plain("fig_stripctl", SMOKE_QUICK, cmd::fig_stripctl::run),
     Cmd {
         name: "trace_phase",
         accepts: Accepts {

@@ -87,7 +87,7 @@ fn pooled_shard_reports_match_fresh_runner_bitwise() {
 #[test]
 fn one_runner_repeats_multiphase_jobs_identically() {
     let runner = DstJobRunner::new();
-    for workload in ["synth-mig", "synth-diff", "bh-adapt"] {
+    for workload in ["synth-mig", "synth-diff", "bh-mig"] {
         let s = JobSpec {
             tenant: TenantId(1),
             priority: Priority::Interactive,

@@ -5,7 +5,7 @@
 //! goes through the table) cannot drift apart.
 
 use apps::driver::{run_bh, run_fmm, run_relax, run_setops, run_synth, Phases, Run};
-use bench::dst::{net_for, run_one, Worlds, ADAPT_BOUNDS, WORKLOADS};
+use bench::dst::{net_for, run_one, Worlds, WORKLOADS};
 use dpa_core::{DpaConfig, DstOptions};
 use std::path::Path;
 
@@ -66,16 +66,6 @@ fn single_phase_baselines_equal_the_runner_called_directly() {
         (
             "synth-caching",
             run_synth(&w.synth, DpaConfig::caching(), net(), &opts, Phases::ONE),
-        ),
-        (
-            "synth-adapt",
-            run_synth(
-                &w.synth,
-                DpaConfig::dpa_adaptive(ADAPT_BOUNDS.0, ADAPT_BOUNDS.1),
-                net(),
-                &opts,
-                Phases::ONE,
-            ),
         ),
         (
             "bh",

@@ -319,7 +319,6 @@ mod tests {
     fn carry(migration: Option<MigrationTable>, arrivals: Vec<(GPtr, u32, u32)>) -> PhaseCarry<()> {
         PhaseCarry {
             migration,
-            strip_ctl: None,
             replication: None,
             tables: None,
             arrivals,

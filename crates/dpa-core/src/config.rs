@@ -8,7 +8,6 @@
 //! * **pipeline / aggregation** — the communication-optimization ladder of
 //!   the breakdown figure (Base → +Pipeline → +Pipeline+Aggregate).
 
-use crate::stripctl::{AdaptiveStrip, StripMode};
 use fastmsg::Mtu;
 use global_heap::EvictPolicy;
 use std::fmt;
@@ -154,26 +153,15 @@ impl CostModel {
 /// rejected up front by [`DpaConfig::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A strip (fixed `k`, or the adaptive `min`) of 0 admits no
-    /// iterations: the phase would never start and never finish.
+    /// A strip of 0 admits no iterations: the phase would never start and
+    /// never finish.
     ZeroStrip,
-    /// Adaptive bounds with `min > max` leave the controller no legal
-    /// strip.
-    StripBoundsInverted {
-        /// The configured lower bound.
-        min: usize,
-        /// The configured upper bound.
-        max: usize,
-    },
     /// A coalescing window of 0 can never fill: entries would buffer
     /// forever. Names the offending knob.
     ZeroWindow(&'static str),
     /// Reply aggregation with a zero flush deadline: every enqueue would
     /// arm an immediate wake, livelocking the owner.
     ZeroFlushDeadline,
-    /// A zero poll interval makes the drive loop yield after every work
-    /// item without advancing time.
-    ZeroPollInterval,
     /// Migration with a zero threshold would migrate on the first remote
     /// touch, thrashing objects between nodes.
     ZeroMigrationThreshold,
@@ -202,10 +190,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroStrip => {
                 write!(f, "strip size must be >= 1 (a 0 strip admits no iterations)")
             }
-            ConfigError::StripBoundsInverted { min, max } => write!(
-                f,
-                "adaptive strip bounds inverted: min {min} > max {max}"
-            ),
             ConfigError::ZeroWindow(knob) => {
                 write!(f, "{knob} must be >= 1 (a 0 window can never fill)")
             }
@@ -213,7 +197,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "reply_flush_deadline_ns must be > 0 when reply_agg_window > 1"
             ),
-            ConfigError::ZeroPollInterval => write!(f, "poll_interval_ns must be > 0"),
             ConfigError::ZeroMigrationThreshold => {
                 write!(f, "migration_threshold must be >= 1 when migration is enabled")
             }
@@ -240,16 +223,20 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Simulated time between polls of the network while a node drives local
+/// work. Bounds how stale an incoming request can get before the node
+/// services it (FM-style polling); both node drivers slice their drive
+/// loops at it.
+pub(crate) const POLL_INTERVAL_NS: u64 = 40_000;
+
 /// Full configuration of a phase execution.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DpaConfig {
     /// Execution scheme.
     pub variant: Variant,
     /// k-bound of the top-level concurrent loop: at most this many loop
-    /// iterations are live at once per node — a fixed `k` (the paper's
-    /// static strip) or the feedback-controlled adaptive strip (see
-    /// [`crate::stripctl`]).
-    pub strip_mode: StripMode,
+    /// iterations are live at once per node (the paper's static strip).
+    pub strip: usize,
     /// Aggregation window: requests per destination buffered into one
     /// message. `1` disables aggregation.
     pub agg_window: usize,
@@ -284,10 +271,6 @@ pub struct DpaConfig {
     pub cost: CostModel,
     /// Maximum packet payload; longer replies are segmented.
     pub mtu: Mtu,
-    /// Simulated time between polls of the network while driving local
-    /// work. Bounds how stale an incoming request can get before the node
-    /// services it (FM-style polling).
-    pub poll_interval_ns: u64,
     /// Flow control: maximum objects with requests in flight per node.
     /// When at the cap, filled request batches wait in the buffers until
     /// replies retire in-flight objects (at least one batch is always
@@ -346,24 +329,13 @@ pub struct DpaConfig {
     /// Writes per window past which a replicated pointer is demoted (the
     /// read-mostly contract).
     pub replication_write_demote: u64,
-    /// Per-consumer floor on affinity reporting: a node only reports a
-    /// pointer to its owner when its own dereference count for the window
-    /// reached this floor. `1` (the default) reports everything —
-    /// bit-identical to the pre-knob behaviour. The replicating preset
-    /// raises it so uniform background traffic (one or two touches per
-    /// consumer, already absorbed by differential carrying) never reaches
-    /// the promotion policy: hub-shaped pointers clear the floor on every
-    /// consumer, noise clears it on none, and the affinity report shrinks
-    /// from "every remote pointer touched" to "the pointers worth acting
-    /// on".
-    pub affinity_report_floor: u32,
 }
 
 impl Default for DpaConfig {
     fn default() -> Self {
         DpaConfig {
             variant: Variant::Dpa,
-            strip_mode: StripMode::Fixed(50),
+            strip: 50,
             agg_window: 32,
             pipeline: true,
             // Half the poll interval: an owner mid-slice coalesces replies
@@ -373,7 +345,6 @@ impl Default for DpaConfig {
             reply_flush_deadline_ns: 20_000,
             cost: CostModel::default(),
             mtu: Mtu::default(),
-            poll_interval_ns: 40_000,
             max_outstanding: usize::MAX,
             cache_capacity: None,
             cache_policy: EvictPolicy::Fifo,
@@ -386,7 +357,6 @@ impl Default for DpaConfig {
             replication_threshold: 12,
             replication_budget: 4,
             replication_write_demote: 8,
-            affinity_report_floor: 1,
         }
     }
 }
@@ -395,20 +365,7 @@ impl DpaConfig {
     /// The paper's headline configuration: "DPA (50)".
     pub fn dpa(strip: usize) -> DpaConfig {
         DpaConfig {
-            strip_mode: StripMode::Fixed(strip),
-            ..DpaConfig::default()
-        }
-    }
-
-    /// Full DPA with the adaptive k-bound controller in `[min, max]`
-    /// (default idle target; see [`AdaptiveStrip`]).
-    pub fn dpa_adaptive(min: usize, max: usize) -> DpaConfig {
-        DpaConfig {
-            strip_mode: StripMode::Adaptive(AdaptiveStrip {
-                min,
-                max,
-                ..AdaptiveStrip::default()
-            }),
+            strip,
             ..DpaConfig::default()
         }
     }
@@ -417,7 +374,7 @@ impl DpaConfig {
     /// (the "Base" bars of the breakdown figure).
     pub fn dpa_base(strip: usize) -> DpaConfig {
         DpaConfig {
-            strip_mode: StripMode::Fixed(strip),
+            strip,
             agg_window: 1,
             reply_agg_window: 1,
             pipeline: false,
@@ -429,7 +386,7 @@ impl DpaConfig {
     /// out one per push and owners answer immediately.
     pub fn dpa_pipeline(strip: usize) -> DpaConfig {
         DpaConfig {
-            strip_mode: StripMode::Fixed(strip),
+            strip,
             agg_window: 1,
             reply_agg_window: 1,
             pipeline: true,
@@ -441,7 +398,7 @@ impl DpaConfig {
     /// boundary high-affinity objects re-home to their dominant consumers.
     pub fn dpa_migrating(strip: usize) -> DpaConfig {
         DpaConfig {
-            strip_mode: StripMode::Fixed(strip),
+            strip,
             migration: true,
             ..DpaConfig::default()
         }
@@ -453,7 +410,7 @@ impl DpaConfig {
     /// way [`dpa_migrating`](DpaConfig::dpa_migrating) configures it.
     pub fn dpa_differential(strip: usize) -> DpaConfig {
         DpaConfig {
-            strip_mode: StripMode::Fixed(strip),
+            strip,
             differential: true,
             ..DpaConfig::default()
         }
@@ -465,19 +422,15 @@ impl DpaConfig {
     /// really dominates, while the broad-fan-out hub is promoted to
     /// replicated at the first boundary and pinned. The message overhead
     /// is the one per-phase affinity report plus the broadcasts
-    /// themselves, and the raised
-    /// [`affinity_report_floor`](Self::affinity_report_floor) keeps even
-    /// that report hub-shaped: a consumer that touched a pointer fewer
-    /// than four times in the phase (uniform background, already covered
-    /// by the differential carry) reports nothing about it.
+    /// themselves, and the raised report floor (see `report_floor`) keeps
+    /// even that report hub-shaped.
     pub fn dpa_replicating(strip: usize) -> DpaConfig {
         DpaConfig {
-            strip_mode: StripMode::Fixed(strip),
+            strip,
             differential: true,
             migration: true,
             migration_threshold: 24,
             replication: true,
-            affinity_report_floor: 4,
             ..DpaConfig::default()
         }
     }
@@ -487,35 +440,27 @@ impl DpaConfig {
         self.migration
     }
 
-    /// `true` when the k-bound is feedback-controlled.
-    pub fn adaptive_strip(&self) -> bool {
-        self.strip_mode.is_adaptive()
-    }
-
-    /// The strip in force before the first controller boundary (equal to
-    /// `k` for a fixed strip).
-    pub fn initial_strip(&self) -> usize {
-        self.strip_mode.initial_strip()
+    /// Per-consumer floor on affinity reporting: a node reports a pointer
+    /// to its owner only when its own dereference count for the phase
+    /// reached it. Everything is reported unless replication is on; then
+    /// a consumer that touched a pointer fewer than four times (uniform
+    /// background, already absorbed by the differential carry) reports
+    /// nothing about it, so hub-shaped pointers clear the floor on every
+    /// consumer and noise clears it on none.
+    pub(crate) fn report_floor(&self) -> u32 {
+        if self.replication {
+            4
+        } else {
+            1
+        }
     }
 
     /// Check the configuration for values that would hang or panic deep
     /// in a run. Called by the node drivers at construction; callable
     /// directly for an early, actionable `Err`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        match self.strip_mode {
-            StripMode::Fixed(0) => return Err(ConfigError::ZeroStrip),
-            StripMode::Fixed(_) => {}
-            StripMode::Adaptive(p) => {
-                if p.min == 0 {
-                    return Err(ConfigError::ZeroStrip);
-                }
-                if p.min > p.max {
-                    return Err(ConfigError::StripBoundsInverted {
-                        min: p.min,
-                        max: p.max,
-                    });
-                }
-            }
+        if self.strip == 0 {
+            return Err(ConfigError::ZeroStrip);
         }
         if self.agg_window == 0 {
             return Err(ConfigError::ZeroWindow("agg_window"));
@@ -528,9 +473,6 @@ impl DpaConfig {
         }
         if self.mtu.0 == 0 {
             return Err(ConfigError::ZeroMtu);
-        }
-        if self.poll_interval_ns == 0 {
-            return Err(ConfigError::ZeroPollInterval);
         }
         if self.max_outstanding == 0 {
             return Err(ConfigError::ZeroWindow("max_outstanding"));
@@ -611,14 +553,14 @@ impl DpaConfig {
                         self.replication_threshold,
                         self.replication_budget,
                         self.replication_write_demote,
-                        self.affinity_report_floor
+                        self.report_floor()
                     )
                 } else {
                     String::new()
                 };
                 format!(
                     "DPA(strip={}, agg={}, reply_agg={}, pipeline={}{}{}{})",
-                    self.strip_mode,
+                    self.strip,
                     self.agg_window,
                     self.reply_agg_window,
                     self.pipeline,
@@ -651,19 +593,7 @@ mod tests {
         assert!(full.agg_window > 1);
         assert!(full.reply_agg_window > 1);
         assert!(full.reply_flush_deadline_ns > 0);
-        assert_eq!(full.strip_mode, StripMode::Fixed(50));
-        assert_eq!(full.initial_strip(), 50);
-        assert!(!full.adaptive_strip());
-    }
-
-    #[test]
-    fn adaptive_preset_bounds_and_description() {
-        let a = DpaConfig::dpa_adaptive(8, 512);
-        assert!(a.adaptive_strip());
-        assert_eq!(a.initial_strip(), 64);
-        assert!(a.validate().is_ok());
-        let d = a.describe();
-        assert!(d.contains("adaptive[8..512]"), "{d}");
+        assert_eq!(full.strip, 50);
     }
 
     #[test]
@@ -675,7 +605,6 @@ mod tests {
             DpaConfig::dpa_base(1),
             DpaConfig::dpa_pipeline(300),
             DpaConfig::dpa_migrating(50),
-            DpaConfig::dpa_adaptive(1, 1),
             DpaConfig::caching(),
             DpaConfig::blocking(),
             DpaConfig::sequential(),
@@ -685,13 +614,6 @@ mod tests {
 
         let zero = DpaConfig::dpa(0);
         assert_eq!(zero.validate(), Err(ConfigError::ZeroStrip));
-        let zero_min = DpaConfig::dpa_adaptive(0, 8);
-        assert_eq!(zero_min.validate(), Err(ConfigError::ZeroStrip));
-        let inverted = DpaConfig::dpa_adaptive(300, 50);
-        assert_eq!(
-            inverted.validate(),
-            Err(ConfigError::StripBoundsInverted { min: 300, max: 50 })
-        );
         let no_deadline = DpaConfig {
             reply_flush_deadline_ns: 0,
             ..DpaConfig::default()
@@ -708,18 +630,8 @@ mod tests {
             ..DpaConfig::default()
         };
         assert_eq!(no_window.validate(), Err(ConfigError::ZeroWindow("agg_window")));
-        let no_poll = DpaConfig {
-            poll_interval_ns: 0,
-            ..DpaConfig::default()
-        };
-        assert_eq!(no_poll.validate(), Err(ConfigError::ZeroPollInterval));
         // Errors render actionably.
         assert!(zero.validate().unwrap_err().to_string().contains("strip"));
-        assert!(inverted
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("min 300 > max 50"));
     }
 
     #[test]
@@ -781,11 +693,45 @@ mod tests {
         assert_eq!(c.pressure_extra_ns(u64::MAX), 0);
     }
 
+    /// Figure labels and experiment headers are built from `describe()`,
+    /// so every preset's string is pinned exactly.
     #[test]
     fn describe_mentions_knobs() {
-        let d = DpaConfig::dpa(300).describe();
-        assert!(d.contains("300"));
-        assert_eq!(DpaConfig::caching().describe(), "Caching");
+        let full = "agg=32, reply_agg=32, pipeline=true";
+        for (cfg, want) in [
+            (DpaConfig::default(), format!("DPA(strip=50, {full})")),
+            (DpaConfig::dpa(50), format!("DPA(strip=50, {full})")),
+            (DpaConfig::dpa(8), format!("DPA(strip=8, {full})")),
+            (DpaConfig::dpa(300), format!("DPA(strip=300, {full})")),
+            (
+                DpaConfig::dpa_base(50),
+                "DPA(strip=50, agg=1, reply_agg=1, pipeline=false)".into(),
+            ),
+            (
+                DpaConfig::dpa_pipeline(50),
+                "DPA(strip=50, agg=1, reply_agg=1, pipeline=true)".into(),
+            ),
+            (
+                DpaConfig::dpa_migrating(8),
+                format!("DPA(strip=8, {full}, migrate(thr=3, budget=64))"),
+            ),
+            (
+                DpaConfig::dpa_differential(8),
+                format!("DPA(strip=8, {full}, differential)"),
+            ),
+            (
+                DpaConfig::dpa_replicating(8),
+                format!(
+                    "DPA(strip=8, {full}, migrate(thr=24, budget=64), differential, \
+                     replicate(fanout>=3, reads>=12, budget=4, demote>8w, floor=4))"
+                ),
+            ),
+            (DpaConfig::caching(), "Caching".into()),
+            (DpaConfig::blocking(), "Blocking".into()),
+            (DpaConfig::sequential(), "Sequential".into()),
+        ] {
+            assert_eq!(cfg.describe(), want);
+        }
     }
 
     #[test]
@@ -821,7 +767,6 @@ mod tests {
             DpaConfig::dpa(50),
             DpaConfig::dpa_base(50),
             DpaConfig::dpa_pipeline(50),
-            DpaConfig::dpa_adaptive(2, 64),
             DpaConfig::dpa_migrating(50),
             DpaConfig::caching(),
             DpaConfig::blocking(),
@@ -846,7 +791,6 @@ mod tests {
             DpaConfig::dpa(50),
             DpaConfig::dpa_base(50),
             DpaConfig::dpa_pipeline(50),
-            DpaConfig::dpa_adaptive(2, 64),
             DpaConfig::dpa_migrating(50),
             DpaConfig::dpa_differential(50),
             DpaConfig::caching(),
@@ -854,9 +798,11 @@ mod tests {
             DpaConfig::sequential(),
         ] {
             assert!(!cfg.replication);
+            assert_eq!(cfg.report_floor(), 1, "every affinity entry is reported");
         }
         let r = DpaConfig::dpa_replicating(50);
         assert!(r.replication);
+        assert_eq!(r.report_floor(), 4);
         assert!(r.differential, "replicas ride the differential carry");
         assert!(r.migration_enabled(), "promotion needs the affinity signal");
         assert!(r.validate().is_ok());

@@ -249,9 +249,6 @@ fn run_machine<P: NodeProc>(
 ///   migration's message savings come from: within a single phase the
 ///   arrival set already deduplicates fetches, so only cross-phase
 ///   re-homing can remove request traffic.
-/// * **Adaptive strip** (`adaptive_strip()`). Each node's controller
-///   carries: a phase opens at the strip its predecessor converged to
-///   (strips/phases are the paper's natural retune boundaries).
 /// * **Differential re-alignment** (`differential`). Instead of rebuilding
 ///   the runtime tables from scratch, each node's arrival set carries with
 ///   every entry stamped with the generation it was fetched at, and M/D

@@ -102,10 +102,11 @@ pub struct NodeSnapshot {
     pub aff_sent: u64,
     /// Affinity entries received (after sequence dedup).
     pub aff_recv: u64,
-    /// Request or `Forward` entries refused because this node was not
-    /// born with the object, has not adopted it and holds no stub for it,
-    /// plus sequenced messages refused because their sender lies outside
-    /// the machine this node was built for.
+    /// Entries no real machine sends, refused: requests and `Forward`s
+    /// for objects this node was not born with, has not adopted and holds
+    /// no stub for; replies it never asked for; updates for objects born
+    /// elsewhere; mode messages whose mode is off; and sequenced messages
+    /// whose sender lies outside the machine this node was built for.
     pub misrouted_requests: u64,
     /// Pointer bits of every object this node adopted (sorted).
     pub adopted_ptrs: Vec<u64>,
@@ -134,12 +135,6 @@ pub struct NodeSnapshot {
     /// Replication: replicas installed from broadcasts this phase, as
     /// sorted `(pointer bits, generation)` pairs.
     pub replica_held: Vec<(u64, u32)>,
-    /// Every strip the adaptive k-bound controller applied on this node,
-    /// initial strip first (empty under a fixed strip).
-    pub strip_schedule: Vec<u32>,
-    /// The adaptive controller's `[min, max]` bounds (`None` under a
-    /// fixed strip — the schedule is then unchecked because it is empty).
-    pub strip_bounds: Option<(u32, u32)>,
 }
 
 /// One violated invariant, with enough context to act on.
@@ -281,7 +276,9 @@ pub enum Violation {
     /// born with, has not adopted and holds no stub for. Homes change only
     /// between phases, so every table names the same home all phase long
     /// and no schedule or fault plan can misroute a request; the node
-    /// refuses it rather than serve an object it does not hold.
+    /// refuses it rather than serve an object it does not hold. The count
+    /// also covers the node's other refusals of entries no real machine
+    /// sends ([`NodeSnapshot::misrouted_requests`]).
     MisroutedRequest {
         /// The node that refused the entries.
         node: u16,
@@ -343,19 +340,6 @@ pub enum Violation {
         ptr: u64,
         /// The generation the consumer holds.
         gen: u32,
-    },
-    /// The adaptive strip controller applied a strip outside its
-    /// configured `[min, max]` bounds — the controller's hard promise,
-    /// independent of schedule or fault plan.
-    StripOutOfBounds {
-        /// Offending node.
-        node: u16,
-        /// The out-of-bounds strip that was applied.
-        strip: u32,
-        /// Configured lower bound.
-        min: u32,
-        /// Configured upper bound.
-        max: u32,
     },
 }
 
@@ -489,15 +473,6 @@ impl fmt::Display for Violation {
                 "n{node}: holds replica of {} at generation {gen}, which its owner never published",
                 GPtr::from_bits(*ptr)
             ),
-            Violation::StripOutOfBounds {
-                node,
-                strip,
-                min,
-                max,
-            } => write!(
-                f,
-                "n{node}: adaptive strip {strip} escaped its bounds [{min}, {max}]"
-            ),
         }
     }
 }
@@ -530,18 +505,6 @@ pub fn check_conservation(snaps: &[NodeSnapshot]) -> Vec<Violation> {
                 installed: s.objects_installed,
                 outstanding: s.pending_requests,
             });
-        }
-        if let Some((min, max)) = s.strip_bounds {
-            for &strip in &s.strip_schedule {
-                if strip < min || strip > max {
-                    out.push(Violation::StripOutOfBounds {
-                        node: s.node,
-                        strip,
-                        min,
-                        max,
-                    });
-                }
-            }
         }
     }
     let emitted: u64 = snaps.iter().map(|s| s.updates_emitted).sum();
@@ -993,31 +956,6 @@ mod tests {
         assert!(check_completed(&snaps, false)
             .iter()
             .any(|v| matches!(v, Violation::AffinityLeak { sent: 10, recv: 7 })));
-    }
-
-    #[test]
-    fn strip_schedule_audited_against_bounds() {
-        let mut s = clean(1);
-        s.strip_bounds = Some((8, 512));
-        s.strip_schedule = vec![64, 128, 256, 512, 512];
-        assert!(check_conservation(std::slice::from_ref(&s)).is_empty());
-        s.strip_schedule.push(1024); // escaped the cap
-        let v = check_conservation(std::slice::from_ref(&s));
-        assert!(matches!(
-            v[0],
-            Violation::StripOutOfBounds {
-                node: 1,
-                strip: 1024,
-                min: 8,
-                max: 512
-            }
-        ));
-        assert!(v[0].to_string().contains("escaped its bounds"));
-        // A fixed-strip snapshot carries no bounds and is never audited.
-        let mut f = clean(2);
-        f.strip_schedule = vec![9999];
-        f.strip_bounds = None;
-        assert!(check_conservation(&[f]).is_empty());
     }
 
     #[test]

@@ -43,7 +43,6 @@ mod owner;
 pub mod pending;
 pub mod proc_caching;
 pub mod proc_dpa;
-pub mod stripctl;
 pub mod synth;
 pub mod work;
 
@@ -64,5 +63,4 @@ pub use msg::SeqChannel;
 pub use pending::PendingRequests;
 pub use proc_caching::CachingProc;
 pub use proc_dpa::{DpaProc, PhaseCarry};
-pub use stripctl::{AdaptiveStrip, StripController, StripMode, StripObs};
 pub use work::{DiffPlan, Emit, PtrApp, Tagged, WorkEnv};

@@ -18,7 +18,7 @@
 //! (the machine would deadlock otherwise), just as the T3D codes answer
 //! one-sided gets regardless of what the local CPU is doing.
 
-use crate::config::{DpaConfig, Variant};
+use crate::config::{DpaConfig, Variant, POLL_INTERVAL_NS};
 use crate::fxmap::FxHashSet;
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
@@ -53,9 +53,12 @@ pub struct CachingProc<A: PtrApp> {
     /// say (it evicts), and a reply entry for anything else was never
     /// asked for: it is refused, not filled.
     requested: FxHashSet<GPtr>,
-    /// Reply entries refused that way. No node of a real machine sends
-    /// one, so the count is a violation (reported with the misrouted).
-    unsolicited: u64,
+    /// Entries refused because no node of a real machine sends them:
+    /// reply entries never asked for, update entries for objects born
+    /// elsewhere, and every entry of a migration, differential or
+    /// replication message (the baselines run none of those modes). The
+    /// count is a violation (reported with the misrouted).
+    misrouted: u64,
     /// Live thread (and stashed-continuation) count per open iteration.
     live: LiveIters,
     next_iter: usize,
@@ -110,7 +113,7 @@ impl<A: PtrApp> CachingProc<A> {
             cache: SoftCache::with_policy(capacity, policy),
             stalled: None,
             requested: FxHashSet::default(),
-            unsolicited: 0,
+            misrouted: 0,
             live: LiveIters::new(total_iters),
             next_iter: 0,
             total_iters,
@@ -159,7 +162,7 @@ impl<A: PtrApp> CachingProc<A> {
             request_msgs: self.request_msgs,
             reply_msgs: self.reply_msgs,
             update_msgs: self.updates.msgs_sent,
-            misrouted_requests: self.updates.refused() + self.unsolicited,
+            misrouted_requests: self.updates.refused() + self.misrouted,
             ..NodeSnapshot::default()
         }
     }
@@ -272,7 +275,7 @@ impl<A: PtrApp> CachingProc<A> {
     /// when fully drained; stop at a miss.
     fn drive(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         let slice_start = ctx.now();
-        let slice = Dur::from_ns(self.cfg.poll_interval_ns);
+        let slice = Dur::from_ns(POLL_INTERVAL_NS);
         loop {
             if self.stalled.is_some() || self.done {
                 return;
@@ -347,8 +350,12 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                 if !self.updates.accept(src.0, seq, entries.len()) {
                     return;
                 }
+                let me = ctx.me().0;
                 for (ptr, value) in entries {
-                    debug_assert!(ptr.is_local_to(ctx.me().0));
+                    if !ptr.is_local_to(me) {
+                        self.misrouted += 1;
+                        continue;
+                    }
                     ctx.charge_overhead(self.fill_ns);
                     self.updates_applied += 1;
                     self.app.apply_update(ptr, value);
@@ -361,7 +368,7 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                     if self.requested.contains(&ptr) {
                         self.cache.fill(ptr, size); // idempotent: keeps the first fill
                     } else {
-                        self.unsolicited += 1;
+                        self.misrouted += 1;
                     }
                 }
                 // Resume only when this reply covers the object we are
@@ -386,11 +393,13 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                     self.drive(ctx);
                 }
             }
-            DpaMsg::Affinity { .. }
-            | DpaMsg::Forward { .. }
-            | DpaMsg::PhaseDelta { .. }
-            | DpaMsg::Replicate { .. } => {
-                unreachable!("baselines never enable migration, differential, or replication")
+            // Only a scripted peer sends these: the baselines never enable
+            // migration, differential, or replication.
+            DpaMsg::Affinity { entries, .. } | DpaMsg::Replicate { entries, .. } => {
+                self.misrouted += entries.len() as u64
+            }
+            DpaMsg::Forward { entries, .. } | DpaMsg::PhaseDelta { entries, .. } => {
+                self.misrouted += entries.len() as u64
             }
         }
     }

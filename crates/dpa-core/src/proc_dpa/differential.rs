@@ -113,7 +113,10 @@ impl<A: PtrApp> DpaProc<A> {
         seq: u64,
         mut entries: Vec<GPtr>,
     ) {
-        let Some(d) = self.diff.as_mut() else { return };
+        let Some(d) = self.diff.as_mut() else {
+            self.misrouted += entries.len() as u64;
+            return;
+        };
         if !d.deltas.accept(src.0, seq, entries.len()) {
             return;
         }

@@ -103,15 +103,14 @@ impl<A: PtrApp> DpaProc<A> {
 
     /// The node finished its iterations: report the affinity sampled this
     /// phase to each object's believed home, one message per home, for
-    /// the next boundary to act on. Entries below the per-consumer
-    /// [`affinity_report_floor`](crate::DpaConfig::affinity_report_floor)
-    /// are dropped: one or two touches in a phase is background noise the
+    /// the next boundary to act on. Entries below the per-consumer report
+    /// floor (1, or 4 under replication) are dropped: one or two touches in a phase is background noise the
     /// owner cannot act on, and not shipping it keeps the report
     /// proportional to the *hot* working set instead of the whole one.
     pub(super) fn report_affinity(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         let Some(m) = self.mig.as_mut() else { return };
         let me = ctx.me().0;
-        let floor = self.cfg.affinity_report_floor;
+        let floor = self.cfg.report_floor();
         let table = &m.table;
         let hot = m.aff_pending.drain().filter(|&(_, n)| n >= floor);
         let reports = fan_out(hot.map(|(ptr, n)| (table.home_of(ptr, me), (ptr, n))));
@@ -177,7 +176,10 @@ impl<A: PtrApp> DpaProc<A> {
         seq: u64,
         entries: Vec<(GPtr, u32)>,
     ) {
-        let Some(m) = self.mig.as_mut() else { return };
+        let Some(m) = self.mig.as_mut() else {
+            self.misrouted += entries.len() as u64;
+            return;
+        };
         if !m.affinity.accept(src.0, seq, entries.len()) {
             return;
         }
@@ -197,7 +199,10 @@ impl<A: PtrApp> DpaProc<A> {
         requester: u16,
         mut entries: Vec<GPtr>,
     ) {
-        let Some(m) = self.mig.as_mut() else { return };
+        let Some(m) = self.mig.as_mut() else {
+            self.misrouted += entries.len() as u64;
+            return;
+        };
         let before = entries.len();
         entries.retain(|&p| m.table.is_adopted(p));
         self.misrouted += (before - entries.len()) as u64;

@@ -11,11 +11,7 @@
 //! 1. **Admit** — keep at most one strip's worth of top-level iterations
 //!    live (k-bounded loop); admitting an iteration runs its creation
 //!    code, which emits pointer-labeled dependent threads. The strip is
-//!    either the paper's static `k` ([`StripMode::Fixed`]) or retuned at
-//!    every strip boundary by the per-node feedback controller of
-//!    [`crate::stripctl`] ([`StripMode::Adaptive`]): every `strip`
-//!    completed iterations the driver reads its own idle/overhead deltas
-//!    and suspended-thread population and grows or shrinks the k-bound.
+//!    the paper's static `k` ([`DpaConfig::strip`]).
 //! 2. **Execute** — run ready threads depth-first. A demand on a local or
 //!    already-arrived object becomes immediately ready; a demand on a
 //!    missing remote object is aligned under its pointer in M, and the
@@ -41,9 +37,9 @@
 //!    under it are released consecutively: threads using the same object
 //!    execute together, paying its fetch exactly once.
 //!
-//! Long drives are sliced at `poll_interval_ns` of simulated time so the
-//! node services incoming requests at realistic polling granularity (the
-//! paper notes poll placement was hand-tuned in their codes).
+//! Long drives are sliced every 40 µs of simulated time so the node
+//! services incoming requests at realistic polling granularity (the paper
+//! notes poll placement was hand-tuned in their codes).
 //!
 //! # Mode states
 //!
@@ -61,20 +57,20 @@
 //! | `repl` | `replication` | `Replicate` | `replicate` |
 //!
 //! Every node of a machine runs the same config, so a mode's message can
-//! only reach a node whose mode is off from a scripted peer; it is ignored.
+//! only reach a node whose mode is off from a scripted peer; it is
+//! refused, and its entries count with the misrouted.
 
 mod differential;
 mod migrate;
 mod replicate;
 
-use crate::config::{ConfigError, DpaConfig, Variant};
+use crate::config::{ConfigError, DpaConfig, Variant, POLL_INTERVAL_NS};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
 use crate::mapping::PointerMap;
 use crate::msg::{DpaMsg, SeqChannel};
 use crate::pending::PendingRequests;
-use crate::stripctl::{StripController, StripMode, StripObs};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
 use differential::DiffState;
 use fastmsg::{ByteCoalescer, Coalescer, FlushReason};
@@ -87,10 +83,6 @@ use std::collections::VecDeque;
 /// Wire bytes of one `(pointer, f64)` reduction entry.
 const UPDATE_ENTRY_BYTES: u64 = GPtr::WIRE_BYTES as u64 + 8;
 
-/// Dither seed for the adaptive strip controller (see
-/// [`StripController::new`]); fixed so replays are bit-identical.
-const STRIP_DITHER_SEED: u64 = 0x5712_C0DE;
-
 /// Everything one node hands across a phase barrier: taken from phase
 /// *k*'s proc by [`DpaProc::take_carry`], patched by the boundary pass
 /// ([`crate::boundary`]), installed into phase *k+1*'s proc by
@@ -99,9 +91,6 @@ pub struct PhaseCarry<W> {
     /// `migration_enabled()`: adopted / departed / learned overrides plus
     /// the owner-side affinity counts the boundary policies read.
     pub(crate) migration: Option<MigrationTable>,
-    /// `adaptive_strip()`: the k-bound controller, so a phase opens at the
-    /// strip its predecessor converged to instead of re-learning it.
-    pub(crate) strip_ctl: Option<StripController>,
     /// `replication`: the owner-side directory, windows closed.
     pub(crate) replication: Option<ReplicaDirectory>,
     /// `differential`: M and D — interners and warmed waiter-list
@@ -194,30 +183,18 @@ pub struct DpaProc<A: PtrApp> {
     /// Read-mostly replication, `Some` iff `cfg.replication`.
     repl: Option<ReplState>,
     /// Request or `Forward` entries for objects this node was not born
-    /// with, has not adopted and holds no stub for, and `Reply` entries for
-    /// objects it never asked for. No node of a real machine sends one
-    /// (every table names the same home all phase, and an owner answers
-    /// only what it was asked), so they are refused and counted, and the
-    /// count is a violation.
+    /// with, has not adopted and holds no stub for, `Reply` entries for
+    /// objects it never asked for, `Update` entries for objects born
+    /// elsewhere, and every entry of a mode message whose mode is off. No
+    /// node of a real machine sends one (every table names the same home
+    /// all phase, an owner answers only what it was asked, a reduction goes
+    /// to its target's birth home, and every node runs the same config), so
+    /// they are refused and counted, and the count is a violation.
     misrouted: u64,
     /// Objects installed (a pending request completed with data — by a
     /// reply, or by a replica broadcast that doubled as one).
     /// Equals `arrived.total_inserts()` whenever migration is off.
     installs: u64,
-    /// The k-bound currently in force (constant under a fixed strip;
-    /// retuned at strip boundaries under an adaptive one).
-    strip: usize,
-    /// The adaptive k-bound controller (`Some` iff
-    /// `cfg.adaptive_strip()`). Built lazily at `on_start` — the proc
-    /// does not know its node id at construction — unless a controller
-    /// carried over from the previous phase was installed first.
-    strip_ctl: Option<StripController>,
-    /// Completed-iteration count at which the next controller boundary
-    /// fires.
-    next_ctl_at: u64,
-    /// Cumulative (local, overhead, idle) ns at the last boundary, so a
-    /// retune observes the inter-boundary *deltas*.
-    ctl_obs_base: (u64, u64, u64),
     /// Live thread count per open iteration.
     live: LiveIters,
     next_iter: usize,
@@ -283,14 +260,9 @@ impl<A: PtrApp> DpaProc<A> {
             return Err(ConfigError::WrongDriver(cfg.variant));
         }
         cfg.validate()?;
-        let strip = cfg.initial_strip();
         let mtu = cfg.mtu.0 as u64;
         let total_iters = app.num_iterations();
         Ok(DpaProc {
-            strip,
-            strip_ctl: None,
-            next_ctl_at: strip as u64,
-            ctl_obs_base: (0, 0, 0),
             stack: Vec::new(),
             map: PointerMap::new(),
             pending: PendingRequests::new(),
@@ -358,7 +330,6 @@ impl<A: PtrApp> DpaProc<A> {
         }
         PhaseCarry {
             migration: self.mig.take().map(|m| m.table),
-            strip_ctl: self.strip_ctl.take(),
             replication: self.repl.take().map(|r| r.into_carry(demote)),
             tables,
             arrivals,
@@ -372,13 +343,6 @@ impl<A: PtrApp> DpaProc<A> {
     pub fn install_carry(&mut self, carry: PhaseCarry<A::Work>) {
         if let (Some(m), Some(table)) = (self.mig.as_mut(), carry.migration) {
             m.install_carry(table, &self.app, &mut self.arrived);
-        }
-        if let Some(ctl) = carry.strip_ctl {
-            // The phase opens at the strip the last one settled on, with
-            // hysteresis state intact.
-            self.strip = ctl.strip();
-            self.next_ctl_at = self.completed_iters + self.strip as u64;
-            self.strip_ctl = Some(ctl);
         }
         if let Some((mut map, mut pending)) = carry.tables {
             // M and D are *patched* for reuse — per-phase state reset,
@@ -394,29 +358,6 @@ impl<A: PtrApp> DpaProc<A> {
         if let Some(d) = self.diff.as_mut() {
             d.install_carry(carry.arrivals, carry.awaiting, carry.deltas, &mut self.arrived);
         }
-    }
-
-    /// Adaptive-strip boundary: when enough iterations completed since
-    /// the last boundary, feed the controller the inter-boundary stat
-    /// deltas and adopt its new strip. No-op under a fixed strip. Called
-    /// from `admit`, so a retune can widen (or narrow) the window the
-    /// very admission that crosses the boundary uses.
-    fn maybe_retune(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
-        if self.strip_ctl.is_none() || self.completed_iters < self.next_ctl_at {
-            return;
-        }
-        let s = ctx.stats();
-        let (local, overhead, idle) = (s.local.as_ns(), s.overhead.as_ns(), s.idle.as_ns());
-        let obs = StripObs {
-            local_ns: local - self.ctl_obs_base.0,
-            overhead_ns: overhead - self.ctl_obs_base.1,
-            idle_ns: idle - self.ctl_obs_base.2,
-            suspended_threads: self.map.live_threads(),
-        };
-        self.ctl_obs_base = (local, overhead, idle);
-        let ctl = self.strip_ctl.as_mut().expect("checked above");
-        self.strip = ctl.retune(&obs);
-        self.next_ctl_at = self.completed_iters + self.strip as u64;
     }
 
     /// Export the runtime-state counters the DST invariant checker needs
@@ -463,16 +404,6 @@ impl<A: PtrApp> DpaProc<A> {
                 .entries()
                 .filter(|&(p, _, gen)| gen != self.app.object_generation(p))
                 .count(),
-            strip_schedule: self
-                .strip_ctl
-                .as_ref()
-                .map(|c| c.schedule().to_vec())
-                .unwrap_or_default(),
-            strip_bounds: self
-                .cfg
-                .strip_mode
-                .adaptive_params()
-                .map(|p| (p.min as u32, p.max as u32)),
             ..NodeSnapshot::default()
         };
         if let Some(m) = &self.mig {
@@ -607,13 +538,12 @@ impl<A: PtrApp> DpaProc<A> {
         self.peak_stack = self.peak_stack.max(self.stack.len() as u64);
     }
 
-    /// Fold one reduction entry into the locally-born object it targets.
-    /// Single-writer: every write, local or received, funnels through the
-    /// birth home — migration re-routes the read path only — which is
-    /// where the replica directory counts it toward the read-mostly
-    /// demotion window.
+    /// Fold one reduction entry into the locally-born object it targets
+    /// (callers check the birth home). Single-writer: every write, local or
+    /// received, funnels through the birth home — migration re-routes the
+    /// read path only — which is where the replica directory counts it
+    /// toward the read-mostly demotion window.
     fn apply_update(&mut self, ctx: &mut Ctx<'_, DpaMsg>, ptr: GPtr, value: f64) {
-        debug_assert!(ptr.is_local_to(ctx.me().0));
         ctx.charge_overhead(self.cfg.cost.owner_lookup_ns);
         self.updates_applied += 1;
         self.app.apply_update(ptr, value);
@@ -756,8 +686,7 @@ impl<A: PtrApp> DpaProc<A> {
     }
 
     fn admit(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
-        self.maybe_retune(ctx);
-        while self.live.len() < self.strip && self.next_iter < self.total_iters {
+        while self.live.len() < self.cfg.strip && self.next_iter < self.total_iters {
             let iter = self.next_iter as u32;
             self.next_iter += 1;
             self.run_app(ctx, iter, NO_GEN, |app, env| {
@@ -848,7 +777,7 @@ impl<A: PtrApp> DpaProc<A> {
     }
 
     /// The scheduling loop: execute, admit, then schedule communication.
-    /// Slices itself every `poll_interval_ns` of simulated time.
+    /// Slices itself every [`POLL_INTERVAL_NS`] of simulated time.
     fn drive(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         if self.delta_gated() {
             // First strip is gated on the boundary deltas: a carried copy
@@ -857,7 +786,7 @@ impl<A: PtrApp> DpaProc<A> {
             return;
         }
         let slice_start = ctx.now();
-        let slice = Dur::from_ns(self.cfg.poll_interval_ns);
+        let slice = Dur::from_ns(POLL_INTERVAL_NS);
         loop {
             // Execute ready threads (and keep the admission window full).
             while let Some(t) = self.stack.pop() {
@@ -926,14 +855,6 @@ impl<A: PtrApp> Proc for DpaProc<A> {
     type Msg = DpaMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
-        if let StripMode::Adaptive(params) = self.cfg.strip_mode {
-            if self.strip_ctl.is_none() {
-                let ctl = StripController::new(params, ctx.me().0, STRIP_DITHER_SEED);
-                self.strip = ctl.strip();
-                self.next_ctl_at = self.strip as u64;
-                self.strip_ctl = Some(ctl);
-            }
-        }
         // The boundary's announcements leave before this node gates on
         // the deltas it awaits itself: an owner serves its consumers
         // whatever it is waiting on, so mutually-carrying nodes cannot
@@ -968,8 +889,13 @@ impl<A: PtrApp> Proc for DpaProc<A> {
                 if !self.updates.accept(src.0, seq, entries.len()) {
                     return;
                 }
+                let me = ctx.me().0;
                 for (ptr, value) in entries.drain(..) {
-                    self.apply_update(ctx, ptr, value);
+                    if ptr.is_local_to(me) {
+                        self.apply_update(ctx, ptr, value);
+                    } else {
+                        self.misrouted += 1;
+                    }
                 }
                 self.upd_coal.recycle(entries);
             }
@@ -1013,13 +939,6 @@ impl<A: PtrApp> Proc for DpaProc<A> {
         );
         if let Some(m) = &self.mig {
             m.stall_detail(&mut detail);
-        }
-        if let Some(ctl) = &self.strip_ctl {
-            detail.push_str(&format!(
-                "; strip={} after {} retunes",
-                self.strip,
-                ctl.retunes()
-            ));
         }
         if let Some(d) = &self.diff {
             d.stall_detail(&mut detail);
@@ -1085,17 +1004,8 @@ impl<A: PtrApp> Proc for DpaProc<A> {
             stats.bump(reply, self.reply_coal.flushes(why) + at_once);
             stats.bump(upd, self.upd_coal.flushes(why));
         }
-        // Strip-controller columns only exist in adaptive runs, and each
-        // mode's columns only in that mode's runs, so every other stat
-        // table stays byte-identical.
-        if let Some(ctl) = &self.strip_ctl {
-            let sched = ctl.schedule();
-            stats.bump("strip_retunes", ctl.retunes());
-            stats.bump("strip_final", self.strip as u64);
-            stats.bump("strip_min_applied", sched.iter().copied().min().unwrap_or(0) as u64);
-            stats.bump("strip_max_applied", sched.iter().copied().max().unwrap_or(0) as u64);
-            stats.bump("strip_reversals_damped", ctl.reversals_damped());
-        }
+        // Each mode's columns only exist in that mode's runs, so every
+        // other stat table stays byte-identical.
         if let Some(d) = &self.diff {
             d.on_finish(stats);
         }

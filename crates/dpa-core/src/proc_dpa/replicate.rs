@@ -152,7 +152,10 @@ impl<A: PtrApp> DpaProc<A> {
         gen: u32,
         mut entries: Vec<(GPtr, u32)>,
     ) {
-        let Some(r) = self.repl.as_mut() else { return };
+        let Some(r) = self.repl.as_mut() else {
+            self.misrouted += entries.len() as u64;
+            return;
+        };
         if !r.broadcasts.accept(src.0, seq, entries.len()) {
             return;
         }

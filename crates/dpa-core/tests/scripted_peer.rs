@@ -552,3 +552,116 @@ fn an_unsolicited_reply_is_a_counted_refusal() {
     let detail = real(&mut m).stall_detail().expect("stalled");
     assert!(detail.contains("1 misrouted"), "{detail}");
 }
+
+/// A node waiting on `remote(4)` that never comes, so the run ends stalled
+/// and the stall report can be read after `sends` landed.
+fn stuck<P: Proc<Msg = DpaMsg>>(
+    mk: impl Fn(Probe) -> P,
+    sends: Vec<(u64, DpaMsg)>,
+) -> (RunReport, Machine<Peer<P>>) {
+    run(mk(Probe::reading(Some(remote(4)), 1, 0)), sends)
+}
+
+/// Node 0 refused `count` entries: the oracle reports exactly that over
+/// `snaps`, and the stall report shows it.
+fn check_refused(
+    label: &str,
+    report: &RunReport,
+    snaps: &[NodeSnapshot],
+    detail: Option<String>,
+    count: u64,
+) {
+    assert!(!report.completed, "{label}: waits for a reply that never comes");
+    assert_eq!(
+        check_conservation(snaps),
+        [Violation::MisroutedRequest { node: 0, count }],
+        "{label}"
+    );
+    let detail = detail.expect("stalled");
+    assert!(detail.contains(&format!("{count} misrouted")), "{label}: {detail}");
+}
+
+/// Migration, differential and replication messages reach a node whose
+/// mode is off only from a scripted peer — every node of a machine runs
+/// one config, and the baselines run none of the modes. Each entry is
+/// refused and counted, by either node driver, and nothing panics.
+#[test]
+fn a_mode_message_for_a_mode_that_is_off_is_a_counted_refusal() {
+    let local = GPtr::new(0, ObjClass(0), 3);
+    let sends = || {
+        vec![
+            (
+                50_000,
+                DpaMsg::Affinity {
+                    seq: 0,
+                    entries: vec![(local, 5)],
+                },
+            ),
+            (
+                60_000,
+                DpaMsg::Forward {
+                    requester: 1,
+                    entries: vec![local, remote(6)],
+                },
+            ),
+            (
+                70_000,
+                DpaMsg::PhaseDelta {
+                    seq: 0,
+                    entries: vec![remote(2)],
+                },
+            ),
+            (
+                80_000,
+                DpaMsg::Replicate {
+                    seq: 0,
+                    gen: 0,
+                    entries: vec![(remote(3), OBJ_BYTES)],
+                },
+            ),
+        ]
+    };
+    let (report, mut m) = stuck(|app| DpaProc::new(app, 2, DpaConfig::dpa(8)), sends());
+    assert_eq!(report.stats.nodes[0].msgs_sent, 1, "its own request only");
+    let dpa = real(&mut m);
+    check_refused("dpa", &report, &[dpa.snapshot(0)], dpa.stall_detail(), 5);
+
+    let (report, mut m) = stuck(|app| CachingProc::new(app, 2, DpaConfig::caching()), sends());
+    assert_eq!(report.stats.nodes[0].msgs_sent, 1, "its own request only");
+    let caching = real(&mut m);
+    check_refused("caching", &report, &[caching.snapshot(0)], caching.stall_detail(), 5);
+}
+
+/// A reduction goes to its target's birth home, so no real node sends an
+/// `Update` entry for an object born elsewhere. A scripted peer can: the
+/// entry is refused — the app's `apply_update` never sees it — and
+/// counted, by either node driver; the local entry of the same message is
+/// applied as usual.
+#[test]
+fn an_update_for_a_foreign_object_is_a_counted_refusal() {
+    let local = GPtr::new(0, ObjClass(0), 3);
+    let update = |seq, entries| DpaMsg::Update { seq, entries };
+    let sends = || {
+        vec![
+            (50_000, update(0, vec![(remote(5), 1.5)])),
+            (60_000, update(1, vec![(remote(6), 1.0), (local, 2.5)])),
+        ]
+    };
+    // The scripted node's own emissions, so the update laws balance.
+    let peer = NodeSnapshot {
+        node: 1,
+        updates_emitted: 3,
+        ..NodeSnapshot::default()
+    };
+    let (report, mut m) = stuck(|app| DpaProc::new(app, 2, DpaConfig::dpa(8)), sends());
+    let dpa = real(&mut m);
+    let snap = dpa.snapshot(0);
+    assert_eq!((dpa.app().applied, snap.updates_applied), (2.5, 1));
+    check_refused("dpa", &report, &[snap, peer.clone()], dpa.stall_detail(), 2);
+
+    let (report, mut m) = stuck(|app| CachingProc::new(app, 2, DpaConfig::caching()), sends());
+    let caching = real(&mut m);
+    let snap = caching.snapshot(0);
+    assert_eq!((caching.app().applied, snap.updates_applied), (2.5, 1));
+    check_refused("caching", &report, &[snap, peer], caching.stall_detail(), 2);
+}

@@ -5,9 +5,9 @@
 //! [`Scheduler::submit`]/[`Scheduler::complete`] calls (each stamped with
 //! a caller-supplied clock). There is no internal randomness, no hash-map
 //! iteration, no wall clock: feed the same arrival stream twice and the
-//! decision [`log`](Scheduler::log) is bit-identical. That is the same
-//! discipline `stripctl` follows, and it is what makes the scheduler
-//! proptest-able and corpus-replayable (see [`crate::model`]).
+//! decision [`log`](Scheduler::log) is bit-identical. That is what makes
+//! the scheduler proptest-able and corpus-replayable (see
+//! [`crate::model`]).
 //!
 //! Policy, in decision order:
 //! 1. **Admission control** — a draining service, a tenant over any

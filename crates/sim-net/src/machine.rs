@@ -316,15 +316,6 @@ impl<'a, M: MsgSize> Ctx<'a, M> {
         self.net
     }
 
-    /// This node's running time accounting. Idle is charged *before* each
-    /// event is delivered, so at handler time the breakdown is current —
-    /// which is what lets a proc read its own idle/overhead fractions as
-    /// live feedback signals (see `dpa_core::stripctl`).
-    #[inline]
-    pub fn stats(&self) -> &NodeStats {
-        self.stats
-    }
-
     /// Advance this node's clock by `d`, accounting it to `kind`.
     #[inline]
     pub fn charge(&mut self, kind: ChargeKind, d: Dur) {

@@ -583,6 +583,81 @@ fn migration_and_strip_size_preserve_checksums() {
     }
 }
 
+/// The paper's strip range on multi-phase Barnes-Hut: the interaction
+/// checksums are bit-identical across strips {1, 50, 300}, and every
+/// phase's snapshots pass the full invariant check.
+#[test]
+fn fixed_strips_preserve_bh_checksums() {
+    let phases = 3usize;
+    let nodes = 4u16;
+    let world = BhWorld::build(plummer(160, 71), nodes, 8, BhParams::default(), BhCost::default());
+    let mut baseline: Option<Vec<u64>> = None;
+    for strip in [1usize, 50, 300] {
+        let mut hashes = vec![0u64; phases * nodes as usize];
+        let (reports, snap_sets, _) = run_phases(
+            nodes,
+            NetConfig::default(),
+            DpaConfig::dpa(strip),
+            &DstOptions::default(),
+            phases,
+            |_, i| BhApp::new(world.clone(), i),
+            |ph, i, app: &BhApp| hashes[ph * nodes as usize + i as usize] = app.interaction_hash,
+        );
+        assert!(reports.iter().all(|r| r.completed), "strip={strip}: stalled");
+        for snaps in &snap_sets {
+            let v = check_completed(snaps, false);
+            assert!(v.is_empty(), "strip={strip}: {}", v[0]);
+        }
+        match &baseline {
+            None => baseline = Some(hashes),
+            Some(b) => assert_eq!(&hashes, b, "strip={strip}: checksums diverged"),
+        }
+    }
+}
+
+/// Same oracle for FMM (both sub-phases, via the app driver): strips {1,
+/// 50, 300} and migrating strip 50 produce the same combined interaction
+/// checksum; and BH's single-phase runner plumbs its counter through.
+#[test]
+fn fixed_strips_preserve_fmm_checksums() {
+    use dpa::apps::driver::{run_bh, run_fmm, Phases};
+    use dpa::apps::fmm_dist::{FmmCost, FmmWorld};
+    use dpa::nbody::cx::Cx;
+    use dpa::nbody::distrib::uniform_square;
+    use dpa::nbody::fmm::FmmParams;
+    let particles = 256usize;
+    let bodies = uniform_square(particles, 1997);
+    let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
+    let qs: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
+    let levels = dpa::nbody::quadtree::QuadTree::level_for(particles, 16);
+    let world = FmmWorld::build(zs, qs, 4, FmmParams { terms: 8, levels }, FmmCost::default());
+    let configs = [
+        ("strip=1", DpaConfig::dpa(1)),
+        ("strip=50", DpaConfig::dpa(50)),
+        ("strip=300", DpaConfig::dpa(300)),
+        ("mig strip=50", DpaConfig::dpa_migrating(50)),
+    ];
+    let mut baseline: Option<u64> = None;
+    for (label, cfg) in configs {
+        let hash = run_fmm(&world, cfg, NetConfig::default(), &DstOptions::default())
+            .expect_completed()
+            .counter("interaction_hash");
+        match baseline {
+            None => baseline = Some(hash),
+            Some(b) => assert_eq!(hash, b, "{label}: checksum diverged"),
+        }
+    }
+    let world = BhWorld::build(plummer(160, 71), 4, 8, BhParams::default(), BhCost::default());
+    let hash_of = |cfg: DpaConfig| {
+        run_bh(&world, cfg, NetConfig::default(), &DstOptions::default(), Phases::ONE)
+            .expect_completed()
+            .counter("interaction_hash")
+    };
+    let a = hash_of(DpaConfig::dpa(50));
+    assert_eq!(a, hash_of(DpaConfig::dpa(1)), "single-phase BH checksum diverged");
+    assert_ne!(a, 0, "hash plumbing returned the empty checksum");
+}
+
 /// Issue-9 regression: a single hot hub whose record spans several packets
 /// and whose reply fan-out exceeds the owner's entry window. The owner must
 /// force out partial batches (window overflow), segment the hub record at

@@ -1,14 +1,14 @@
 //! Checksum-invariance battery for the skew-adversarial graph workload:
 //! the semi-naive transitive-closure checksums must be bit-identical
-//! across every config lane — fixed and adaptive strips, migration on and
-//! off, differential re-alignment on and off, read-mostly replication on
-//! and off — because none of those knobs
-//! is allowed to change *what* is computed, only when and where. Mirrors
-//! `tests/stripctl.rs`; the `DPA_SIM_QUEUE` / `DPA_SIM_THREADS` lanes come
-//! from the CI matrix running this whole file under each engine.
+//! across every config lane — strips from 1 to 128, migration on and off,
+//! differential re-alignment on and off, read-mostly replication on and
+//! off — because none of those knobs is allowed to change *what* is
+//! computed, only when and where. The `DPA_SIM_QUEUE` / `DPA_SIM_THREADS`
+//! lanes come from the CI matrix running this whole file under each
+//! engine.
 
 use dpa::apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
-use dpa::runtime::{check_completed, run_phases, AdaptiveStrip, DpaConfig, DstOptions, StripMode};
+use dpa::runtime::{check_completed, run_phases, DpaConfig, DstOptions};
 use dpa::sim_net::NetConfig;
 
 const PHASES: usize = 3;
@@ -44,8 +44,9 @@ fn run_lane(
     (sums, snap_sets)
 }
 
-/// Fixed strips {1, 16, 128}, the adaptive controller, migration, and
-/// differential re-alignment (alone and composed) all agree bit-for-bit on
+/// Strips {1, 16, 64, 128}, migration, differential re-alignment and
+/// replication (alone, composed, and each mode at strips 1 and 64) all
+/// agree bit-for-bit on
 /// the closure checksums of a mutable power-law graph — including the
 /// hot-hub generation stamps the checksum folds in — and every lane's
 /// runtime-state snapshot passes the full invariant check (hot-key reply
@@ -53,47 +54,25 @@ fn run_lane(
 #[test]
 fn graph_checksums_invariant_across_config_lanes() {
     // root_stride = 1: every owned vertex seeds a closure, so each node
-    // runs 32 iterations per phase — enough to cross several adaptive
-    // strip boundaries (the controller retunes every `strip` completions,
-    // starting near the geometric mean of its bounds).
+    // runs 32 iterations per phase — a strip of 1 admits them one at a
+    // time, a strip of 64 all at once.
     let world = GraphWorld::build(GraphParams {
         n: 128,
         root_stride: 1,
         seed: 0x06EA_9D57,
         ..GraphParams::default()
     });
-    let adaptive = StripMode::Adaptive(AdaptiveStrip {
-        min: 2,
-        max: 64,
-        ..AdaptiveStrip::default()
-    });
     let lanes: Vec<(String, DpaConfig)> = vec![
         ("strip=1".into(), DpaConfig::dpa(1)),
         ("strip=16".into(), DpaConfig::dpa(16)),
+        ("strip=64".into(), DpaConfig::dpa(64)),
         ("strip=128".into(), DpaConfig::dpa(128)),
         ("mig".into(), DpaConfig::dpa_migrating(8)),
-        (
-            "adaptive".into(),
-            DpaConfig {
-                strip_mode: adaptive,
-                ..DpaConfig::dpa(1)
-            },
-        ),
-        (
-            "adaptive+mig".into(),
-            DpaConfig {
-                strip_mode: adaptive,
-                ..DpaConfig::dpa_migrating(1)
-            },
-        ),
+        ("mig strip=1".into(), DpaConfig::dpa_migrating(1)),
+        ("mig strip=64".into(), DpaConfig::dpa_migrating(64)),
         ("diff".into(), DpaConfig::dpa_differential(8)),
-        (
-            "adaptive+diff".into(),
-            DpaConfig {
-                strip_mode: adaptive,
-                ..DpaConfig::dpa_differential(1)
-            },
-        ),
+        ("diff strip=1".into(), DpaConfig::dpa_differential(1)),
+        ("diff strip=64".into(), DpaConfig::dpa_differential(64)),
         (
             "diff+mig".into(),
             DpaConfig {
@@ -106,13 +85,8 @@ fn graph_checksums_invariant_across_config_lanes() {
         // to steal the hub, so the promotion path (not re-homing) is what
         // gets exercised.
         ("repl".into(), DpaConfig::dpa_replicating(8)),
-        (
-            "adaptive+repl".into(),
-            DpaConfig {
-                strip_mode: adaptive,
-                ..DpaConfig::dpa_replicating(1)
-            },
-        ),
+        ("repl strip=1".into(), DpaConfig::dpa_replicating(1)),
+        ("repl strip=64".into(), DpaConfig::dpa_replicating(64)),
         (
             "repl+mig".into(),
             DpaConfig {
@@ -134,13 +108,6 @@ fn graph_checksums_invariant_across_config_lanes() {
     let mut baseline: Option<Vec<(u64, u64)>> = None;
     for (label, cfg) in lanes {
         let (sums, snap_sets) = run_lane(&world, &label, cfg);
-        if label.starts_with("adaptive") {
-            let retuned = snap_sets
-                .iter()
-                .flatten()
-                .any(|s| s.strip_schedule.len() > 1);
-            assert!(retuned, "{label}: no strip boundary was ever crossed");
-        }
         // The repl lanes must have exercised the protocol, not just
         // tolerated the knob: at least one owner published a directory
         // entry and at least one broadcast entry was installed somewhere.
@@ -148,7 +115,11 @@ fn graph_checksums_invariant_across_config_lanes() {
         // migration in boundary-only mode, and the boundary pass promotes
         // (and pins) before it picks migrations, so even an eager
         // threshold cannot steal the hub out from under its consumers.
-        if label.contains("repl") {
+        // At strip 1 few threads align on the hub before its copy arrives
+        // (the arrival set serves every later demand), so no consumer
+        // clears the replicating report floor and nothing is promoted:
+        // that lane holds the checksums only.
+        if label.contains("repl") && label != "repl strip=1" {
             let published = snap_sets
                 .iter()
                 .flatten()
@@ -209,8 +180,8 @@ fn graph_closure_matches_oracle_at_dense_and_sparse_reach() {
     }
 }
 
-/// Same battery for the setops workload, single phase: fixed and adaptive
-/// strips and migration must leave the range sums and the final membership
+/// Same battery for the setops workload, single phase: strips from 1 to
+/// 64 and migration must leave the range sums and the final membership
 /// digest bit-identical and equal to the host oracle.
 #[test]
 fn setops_checksums_invariant_across_config_lanes() {
@@ -222,22 +193,11 @@ fn setops_checksums_invariant_across_config_lanes() {
         seed: 0x05E7_0D57,
         ..SetopsParams::default()
     });
-    let adaptive = StripMode::Adaptive(AdaptiveStrip {
-        min: 2,
-        max: 64,
-        ..AdaptiveStrip::default()
-    });
     let lanes: Vec<(String, DpaConfig)> = vec![
         ("strip=1".into(), DpaConfig::dpa(1)),
         ("strip=32".into(), DpaConfig::dpa(32)),
+        ("strip=64".into(), DpaConfig::dpa(64)),
         ("mig".into(), DpaConfig::dpa_migrating(8)),
-        (
-            "adaptive".into(),
-            DpaConfig {
-                strip_mode: adaptive,
-                ..DpaConfig::dpa(1)
-            },
-        ),
     ];
     let expected: Vec<(u64, u64)> = (0..NODES).map(|n| world.expected(n)).collect();
     for (label, cfg) in lanes {

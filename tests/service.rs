@@ -1,9 +1,9 @@
 //! Run-service scheduler test battery (`dpa::serve`): property tests over
 //! the pure scheduler model — replay identity, conservation, bounded
-//! queues, and the no-starvation aging guarantee — in the same style as
-//! the `stripctl` battery: the scheduler is a pure function of
-//! `(config, arrival stream)`, so every failure here is replayable
-//! bit-for-bit (and pinnable as a `tests/dst_corpus/service-*.case`).
+//! queues, and the no-starvation aging guarantee. The scheduler is a pure
+//! function of `(config, arrival stream)`, so every failure here is
+//! replayable bit-for-bit (and pinnable as a
+//! `tests/dst_corpus/service-*.case`).
 
 use dpa::serve::{
     check_conservation, check_depth_bound, check_no_starvation, gen_arrivals, run_model,
