@@ -107,7 +107,7 @@ pub struct Run {
     pub reports: Vec<RunReport>,
     /// Per-node runtime-state snapshots of each machine run.
     pub snaps: Vec<Vec<NodeSnapshot>>,
-    /// The reports' stats merged node by node (see [`merge_stats`]); its
+    /// The reports' stats merged node by node (see `merge_stats`); its
     /// makespan is the whole run's simulated time.
     pub stats: RunStats,
     /// The computed result. Floating-point families (BH, FMM, AFMM, relax)

@@ -117,7 +117,10 @@ fn bh_bits_are_pinned() {
         let run = run_bh(&world, DpaConfig::dpa(strip), NetConfig::default());
         let steps = apps::driver::run_bh(
             &world,
-            DpaConfig::dpa_differential(strip),
+            DpaConfig {
+                differential: true,
+                ..DpaConfig::dpa(strip)
+            },
             NetConfig::default(),
             &DstOptions::default(),
             Phases::changing(3, plan),

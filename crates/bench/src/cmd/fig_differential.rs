@@ -85,14 +85,11 @@ fn run_checked(world: &Arc<BhWorld>, phases: usize, differential: bool, label: &
         change_permille: CHANGE_PERMILLE,
         phase: 0,
     };
+    // Without `differential`, each phase realigns and refetches from scratch.
     let cfg = DpaConfig {
         cost: modern_runtime_cost(),
-        ..if differential {
-            DpaConfig::dpa_differential(STRIP)
-        } else {
-            // Migration off: each phase realigns and refetches from scratch.
-            DpaConfig::dpa(STRIP)
-        }
+        differential,
+        ..DpaConfig::dpa(STRIP)
     };
     let opts = DstOptions::default();
     let run = run_bh(

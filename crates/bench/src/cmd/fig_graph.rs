@@ -47,7 +47,7 @@ use apps::driver::{run_graph, Digest};
 use apps::graph_dist::{GraphParams, GraphWorld};
 use bench::cli::{Args, Scale};
 use bench::{assert_clean, dump_json, ExpPoint};
-use dpa_core::{DpaConfig, DstOptions};
+use dpa_core::{DpaConfig, DstOptions, Policy};
 use sim_net::NetConfig;
 use std::io;
 use std::sync::Arc;
@@ -129,18 +129,26 @@ fn lanes() -> Vec<(&'static str, DpaConfig)> {
         (
             "mig-t1",
             DpaConfig {
+                policy: Policy::Migrate,
                 migration_threshold: 1,
-                ..DpaConfig::dpa_migrating(STRIP)
+                ..DpaConfig::dpa(STRIP)
             },
         ),
         (
             "mig-t8",
             DpaConfig {
+                policy: Policy::Migrate,
                 migration_threshold: 8,
-                ..DpaConfig::dpa_migrating(STRIP)
+                ..DpaConfig::dpa(STRIP)
             },
         ),
-        ("diff", DpaConfig::dpa_differential(STRIP)),
+        (
+            "diff",
+            DpaConfig {
+                differential: true,
+                ..DpaConfig::dpa(STRIP)
+            },
+        ),
         ("repl", DpaConfig::dpa_replicating(STRIP)),
     ]
 }

@@ -28,7 +28,7 @@ use apps::bh_dist::{BhCost, BhWorld, OwnerPolicy};
 use apps::driver::{run_bh, Phases, Run};
 use bench::cli::{Args, Scale};
 use bench::{assert_clean, dump_json, per_phase, ExpPoint, SEED};
-use dpa_core::{DpaConfig, DstOptions};
+use dpa_core::{DpaConfig, DstOptions, Policy};
 use nbody::bh::BhParams;
 use nbody::distrib::plummer;
 use sim_net::{NetConfig, RunStats};
@@ -78,9 +78,10 @@ pub fn run(args: &Args) -> io::Result<i32> {
     );
 
     let on_cfg = DpaConfig {
+        policy: Policy::Migrate,
         migration_threshold: 2,
         migration_budget: 1 << 20,
-        ..DpaConfig::dpa_migrating(STRIP)
+        ..DpaConfig::dpa(STRIP)
     };
     let off = run_checked(&world, DpaConfig::dpa(STRIP), "migration-off");
     let on = run_checked(&world, on_cfg, "migration-on");

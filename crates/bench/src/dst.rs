@@ -18,7 +18,7 @@ use apps::relax::RelaxWorld;
 use apps::setops_dist::{SetopsParams, SetopsWorld};
 use dpa_core::invariant::{check_completed, check_conservation, NodeSnapshot};
 use dpa_core::synth::{SynthParams, SynthWorld};
-use dpa_core::{DiffPlan, DpaConfig, DstOptions};
+use dpa_core::{DiffPlan, DpaConfig, DstOptions, Policy};
 use sim_net::{FaultPlan, NetConfig, NodePause};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -85,14 +85,24 @@ impl Workload {
     }
 }
 
+/// Full DPA at `strip` under `policy`, with or without the differential
+/// carry.
+fn dpa(strip: usize, policy: Policy, differential: bool) -> DpaConfig {
+    DpaConfig {
+        policy,
+        differential,
+        ..DpaConfig::dpa(strip)
+    }
+}
+
 /// Every workload the sweep explores. The `-mig` workloads run the same
-/// apps multi-phase with locality-driven object migration enabled
+/// apps multi-phase under `Policy::Migrate`
 /// (phase-end affinity reports, the boundary pass's re-homing, forwards).
 /// The `-diff` workloads run
 /// multi-timestep with **differential re-alignment**
 /// ([`DpaConfig::differential`]): tables and cached arrivals carry across
 /// barriers, patched by boundary deltas. The `-repl` workloads run under
-/// **read-mostly replication** ([`DpaConfig::dpa_replicating`]): the hot
+/// **read-mostly replication** ([`Policy::Replicate`]): the hot
 /// hub is promoted at a phase boundary, broadcast to its consumer set, and
 /// every fault-plan hazard (dropped broadcast, duplicated broadcast,
 /// delayed delta) must leave the digests bit-identical or produce a
@@ -106,34 +116,31 @@ const TABLE: &[Workload] = &[
     Workload {
         name: "synth-mig",
         family: Family::Synth,
-        cfg: || DpaConfig::dpa_migrating(4),
+        cfg: || dpa(4, Policy::Migrate, false),
         scratch: None,
         phases: Phases::steps(MIG_PHASES),
     },
     Workload {
         name: "bh-mig",
         family: Family::Bh,
-        cfg: || DpaConfig::dpa_migrating(8),
+        cfg: || dpa(8, Policy::Migrate, false),
         scratch: None,
         phases: Phases::steps(MIG_PHASES),
     },
     Workload {
         name: "synth-diff",
         family: Family::Synth,
-        cfg: || DpaConfig::dpa_differential(4),
+        cfg: || dpa(4, Policy::Cache, true),
         scratch: Some(|| DpaConfig::dpa(4)),
         phases: Phases::changing(DIFF_PHASES, DIFF_PLAN),
     },
-    // Differential composes with re-homing: same migration knobs as
-    // `dpa_migrating`, plus the differential barrier protocol.
+    // Differential composes with re-homing: `bh-mig`'s policy plus the
+    // differential barrier protocol.
     Workload {
         name: "bh-diff",
         family: Family::Bh,
-        cfg: || DpaConfig {
-            differential: true,
-            ..DpaConfig::dpa_migrating(8)
-        },
-        scratch: Some(|| DpaConfig::dpa_migrating(8)),
+        cfg: || dpa(8, Policy::Migrate, true),
+        scratch: Some(|| dpa(8, Policy::Migrate, false)),
         phases: Phases::changing(DIFF_PHASES, DIFF_PLAN),
     },
     // Transitive closure with *structural* deltas: edge rewires at every
@@ -144,7 +151,7 @@ const TABLE: &[Workload] = &[
     Workload {
         name: "graph",
         family: Family::Graph,
-        cfg: || DpaConfig::dpa_differential(8),
+        cfg: || dpa(8, Policy::Cache, true),
         scratch: Some(|| DpaConfig::dpa(8)),
         phases: Phases::steps(DIFF_PHASES),
     },
@@ -154,7 +161,7 @@ const TABLE: &[Workload] = &[
     Workload {
         name: "graph-mig",
         family: Family::Graph,
-        cfg: || DpaConfig::dpa_migrating(8),
+        cfg: || dpa(8, Policy::Migrate, false),
         scratch: None,
         phases: Phases::steps(MIG_PHASES),
     },

@@ -3,22 +3,31 @@
 //! *k+1*'s. Plain functions over the carried tables, in two halves:
 //!
 //! * `close_phase` reads phase *k*'s apps (object sizes, the promotion
-//!   generation): promote replicas, re-home.
+//!   generation) and does what [`Policy`] says: nothing, re-home, or
+//!   promote replicas and then re-home.
 //! * `open_phase` reads phase *k+1*'s apps (current generations): refresh
 //!   the replica directories and plan the differential deltas.
 //!
 //! Everything iterates owners in node order over deterministically sorted
 //! picks, so replays are bit-identical.
 
-use crate::config::DpaConfig;
+use crate::config::{DpaConfig, Policy};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::proc_dpa::PhaseCarry;
 use crate::work::PtrApp;
 use global_heap::{GPtr, MigrationTable, ReplicaDirectory};
 
+/// Fewest distinct consumers with affinity signal that make a pointer a
+/// promotion candidate.
+pub(crate) const REPLICATION_MIN_FANOUT: usize = 3;
+
+/// Fewest remote dereferences, summed over consumers, that make a pointer
+/// a promotion candidate.
+pub(crate) const REPLICATION_THRESHOLD: u64 = 12;
+
 /// The replication promotion policy over each owner's accumulated affinity:
-/// a pointer read by at least `replication_min_fanout` consumers, at least
-/// `replication_threshold` times in total, with *no* dominant consumer
+/// a pointer read by at least [`REPLICATION_MIN_FANOUT`] consumers, at least
+/// [`REPLICATION_THRESHOLD`] times in total, with *no* dominant consumer
 /// (top ≤ half the total — the shape where re-homing would merely move the
 /// hot spot) is promoted, best candidates first (reads desc, fan-out desc,
 /// pointer bits), while the owner's directory has room under
@@ -40,8 +49,8 @@ pub(crate) fn promote_replicas(
             let total: u64 = row.iter().map(|&(_, n)| n).sum();
             let top: u64 = row.iter().map(|&(_, n)| n).max().unwrap_or(0);
             if !dir.is_replicated(ptr)
-                && row.len() >= cfg.replication_min_fanout
-                && total >= cfg.replication_threshold
+                && row.len() >= REPLICATION_MIN_FANOUT
+                && total >= REPLICATION_THRESHOLD
                 && top * 2 <= total
             {
                 eligible.push((ptr, total, row.iter().map(|&(c, _)| c).collect()));
@@ -133,40 +142,52 @@ pub(crate) fn plan_deltas<W>(
     }
 }
 
-/// Close phase *k*: promote, re-home, reading sizes and the promotion
+/// Close phase *k* under `cfg.policy`, reading sizes and the promotion
 /// generation from phase *k*'s apps (`app_at(node)`; affinity accumulates
-/// at a pointer's birth home, so that is the app asked). Returns every
-/// pointer whose home changed, for [`open_phase`] to prune from the carried
-/// arrivals.
+/// at a pointer's birth home, so that is the app asked). `Cache` does
+/// nothing, `Migrate` re-homes, `Replicate` promotes and then re-homes.
+/// Returns every pointer whose home changed, for [`open_phase`] to prune
+/// from the carried arrivals.
 pub(crate) fn close_phase<'a, A: PtrApp + 'a>(
     cfg: &DpaConfig,
     carries: &mut [PhaseCarry<A::Work>],
     app_at: impl Fn(u16) -> &'a A,
 ) -> FxHashSet<GPtr> {
-    if !cfg.migration_enabled() {
-        return FxHashSet::default();
-    }
+    let size_of = |p: GPtr| app_at(p.node()).object_size(p);
+    let moved = match cfg.policy {
+        Policy::Cache => return FxHashSet::default(),
+        Policy::Migrate => with_tables(carries, |_, tables| rehome(cfg, tables, size_of)),
+        Policy::Replicate => with_tables(carries, |carries, tables| {
+            let mut dirs: Vec<ReplicaDirectory> = carries
+                .iter_mut()
+                .map(|c| c.replication.take().expect("Replicate carries a directory"))
+                .collect();
+            promote_replicas(cfg, tables, &mut dirs, |p| {
+                app_at(p.node()).object_generation(p)
+            });
+            for (c, dir) in carries.iter_mut().zip(dirs) {
+                c.replication = Some(dir);
+            }
+            rehome(cfg, tables, size_of)
+        }),
+    };
+    moved.into_iter().collect()
+}
+
+/// Lend `f` every node's carried migration table, then put them back.
+fn with_tables<W, R>(
+    carries: &mut [PhaseCarry<W>],
+    f: impl FnOnce(&mut [PhaseCarry<W>], &mut [MigrationTable]) -> R,
+) -> R {
     let mut tables: Vec<MigrationTable> = carries
         .iter_mut()
-        .map(|c| c.migration.take().expect("migration enabled"))
+        .map(|c| c.migration.take().expect("one table per node"))
         .collect();
-    if cfg.replication {
-        let mut dirs: Vec<ReplicaDirectory> = carries
-            .iter_mut()
-            .map(|c| c.replication.take().expect("replication enabled"))
-            .collect();
-        promote_replicas(cfg, &mut tables, &mut dirs, |p| {
-            app_at(p.node()).object_generation(p)
-        });
-        for (c, dir) in carries.iter_mut().zip(dirs) {
-            c.replication = Some(dir);
-        }
-    }
-    let moved = rehome(cfg, &mut tables, |p| app_at(p.node()).object_size(p));
+    let out = f(carries, &mut tables);
     for (c, table) in carries.iter_mut().zip(tables) {
         c.migration = Some(table);
     }
-    moved.into_iter().collect()
+    out
 }
 
 /// Open phase *k+1* against its apps' generations: refresh every replica
@@ -218,8 +239,6 @@ mod tests {
 
     fn repl_cfg(budget: usize) -> DpaConfig {
         DpaConfig {
-            replication_min_fanout: 3,
-            replication_threshold: 12,
             replication_budget: budget,
             ..DpaConfig::dpa_replicating(8)
         }
@@ -316,7 +335,10 @@ mod tests {
         assert!(!tables[0].is_departed(hub));
     }
 
-    fn carry(migration: Option<MigrationTable>, arrivals: Vec<(GPtr, u32, u32)>) -> PhaseCarry<()> {
+    fn carry<W>(
+        migration: Option<MigrationTable>,
+        arrivals: Vec<(GPtr, u32, u32)>,
+    ) -> PhaseCarry<W> {
         PhaseCarry {
             migration,
             replication: None,
@@ -327,12 +349,82 @@ mod tests {
         }
     }
 
+    /// `close_phase` under `policy` over four carries holding everything
+    /// any policy carries (a table and an empty directory each), so what an
+    /// arm leaves alone shows. Node 0's hub (`ptr(0, 1)`) has three equal
+    /// consumers and clears both the promotion and the migration bar;
+    /// consumer 1 dominates its `ptr(0, 2)`. Synth objects are 32 bytes at
+    /// generation 0.
+    fn close_under(policy: Policy) -> (Vec<GPtr>, Vec<MigrationTable>, Vec<ReplicaDirectory>) {
+        use crate::synth::{SynthApp, SynthParams, SynthWorld};
+        let cfg = DpaConfig {
+            policy,
+            ..DpaConfig::dpa_replicating(8)
+        };
+        let n = cfg.migration_threshold + 6;
+        let table = owner_table(&[(1, &[n, n, n]), (2, &[n])]);
+        let mut carries: Vec<PhaseCarry<_>> = four(table)
+            .into_iter()
+            .map(|t| PhaseCarry {
+                replication: Some(ReplicaDirectory::new()),
+                ..carry(Some(t), Vec::new())
+            })
+            .collect();
+        let app = SynthApp::new(SynthWorld::build(SynthParams::default()), 0, 0);
+        let mut moved: Vec<GPtr> = close_phase(&cfg, &mut carries, |_| &app)
+            .into_iter()
+            .collect();
+        moved.sort_unstable_by_key(|p| p.bits());
+        let parts = carries
+            .into_iter()
+            .map(|c| (c.migration.unwrap(), c.replication.unwrap()));
+        let (tables, dirs) = parts.unzip();
+        (moved, tables, dirs)
+    }
+
+    #[test]
+    fn close_phase_under_cache_touches_no_carry() {
+        let (moved, tables, dirs) = close_under(Policy::Cache);
+        assert!(moved.is_empty());
+        for p in [ptr(0, 1), ptr(0, 2)] {
+            assert!(!tables[0].is_departed(p) && !tables[0].is_pinned(p));
+        }
+        assert_eq!(tables[0].affinity_summary().len(), 2, "kept, unread");
+        assert!(tables.iter().all(|t| t.adopted_len() == 0));
+        assert!(dirs.iter().all(ReplicaDirectory::is_empty));
+    }
+
+    #[test]
+    fn close_phase_under_migrate_rehomes_but_promotes_nothing() {
+        let (moved, tables, dirs) = close_under(Policy::Migrate);
+        let (hub, dominated) = (ptr(0, 1), ptr(0, 2));
+        assert_eq!(moved, vec![hub, dominated]);
+        assert!(!tables[0].is_pinned(hub), "hub clears the bar, unread");
+        assert!(tables[0].is_departed(hub) && tables[0].is_departed(dominated));
+        let mut adopted = tables[1].adopted_entries();
+        adopted.sort_unstable();
+        assert_eq!(adopted, vec![(hub.bits(), 32), (dominated.bits(), 32)]);
+        assert!(dirs.iter().all(ReplicaDirectory::is_empty));
+    }
+
+    #[test]
+    fn close_phase_under_replicate_pins_before_it_rehomes() {
+        let (moved, tables, dirs) = close_under(Policy::Replicate);
+        let (hub, dominated) = (ptr(0, 1), ptr(0, 2));
+        assert_eq!(moved, vec![dominated], "only the unpinned object re-homes");
+        assert!(tables[0].is_pinned(hub) && !tables[0].is_departed(hub));
+        assert!(tables[0].is_departed(dominated));
+        let e = dirs[0].entry(hub).expect("promoted");
+        assert_eq!((e.gen, e.consumers.as_slice()), (0, &[1, 2, 3][..]));
+        assert_eq!(tables[1].adopted_entries(), vec![(dominated.bits(), 32)]);
+    }
+
     #[test]
     fn deltas_drop_self_served_and_moved_entries_and_keep_the_all_clear() {
         let (adopted, rehomed, changed) = (ptr(0, 5), ptr(0, 6), ptr(2, 1));
         let mut at_one = MigrationTable::new();
         at_one.adopt(adopted, 32);
-        let mut carries = vec![
+        let mut carries: Vec<PhaseCarry<()>> = vec![
             carry(Some(MigrationTable::new()), Vec::new()),
             // Node 1 adopted `adopted` (now self-served), `rehomed` moved at
             // this boundary, `changed` advanced a generation at its home.
@@ -374,7 +466,7 @@ mod tests {
         // No migration: homes are the birth nodes. Arrivals come sorted by
         // pointer bits, so `c` (node 0) precedes node 3's objects.
         let held = vec![(c, 8, 0), (a, 8, 0), (b, 8, 0)];
-        let mut carries = vec![
+        let mut carries: Vec<PhaseCarry<()>> = vec![
             carry(None, vec![(a, 8, 0), (b, 8, 0)]),
             carry(None, held.clone()),
             carry(None, held),

@@ -7,7 +7,12 @@
 //!   figure; "DPA (50)" in Table 1 means strip = 50),
 //! * **pipeline / aggregation** — the communication-optimization ladder of
 //!   the breakdown figure (Base → +Pipeline → +Pipeline+Aggregate).
+//!
+//! Beyond the paper, a [`Policy`] says what the phase boundary does with
+//! the same mapping M, and `differential` says whether M and renamed
+//! storage carry across the barrier.
 
+use crate::boundary::{REPLICATION_MIN_FANOUT, REPLICATION_THRESHOLD};
 use fastmsg::Mtu;
 use global_heap::EvictPolicy;
 use std::fmt;
@@ -39,6 +44,31 @@ impl Variant {
             Variant::Sequential => "Sequential",
         }
     }
+}
+
+/// What the phase boundary does with the affinity M gathered: the data
+/// side of alignment. Three `match`es decide by it: the mode states
+/// `DpaProc::try_new` builds, the boundary pass (`boundary::close_phase`)
+/// and the affinity report floor; `validate` and `describe` only check
+/// and print it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Policy {
+    /// Objects stay at their birth homes and remote reads are fetched into
+    /// renamed storage: the paper's runtime, and every paper configuration.
+    #[default]
+    Cache,
+    /// Locality-driven object migration: each node samples per-pointer
+    /// remote dereference counts at align time and reports them to the
+    /// objects' homes once, at phase end (`Affinity`); the boundary then
+    /// re-homes high-affinity objects to their dominant consumer.
+    Migrate,
+    /// Read-mostly replication over the `Migrate` substrate: at each
+    /// boundary a pointer with high fan-out and no dominant consumer is
+    /// promoted — its owner broadcasts a generation-stamped copy
+    /// (`Replicate`) to the consumers — and pinned against the re-homing
+    /// that follows. Requires `differential`: replicas ride the carry and
+    /// the `PhaseDelta` gate.
+    Replicate,
 }
 
 /// Per-operation CPU costs of the runtime and baselines, in nanoseconds.
@@ -169,11 +199,8 @@ pub enum ConfigError {
     /// `(ptr,size,gen)` stamps and the `PhaseDelta` gate make a stale
     /// replica a diagnosable stall instead of a silent wrong read.
     ReplicationWithoutDifferential,
-    /// Replication without migration: promotion reads the owner's
-    /// affinity fan-out, which only `Affinity` reports populate.
-    ReplicationWithoutMigration,
-    /// A replication knob set to a value that can never promote (zero
-    /// fan-out or zero read threshold). Names the offending knob.
+    /// A replication knob set to a value that can never promote (a zero
+    /// budget). Names the offending knob.
     ZeroReplicationKnob(&'static str),
     /// An MTU of 0 bytes fits no packet: the byte-budgeted coalescers
     /// cannot be sized and reply segmentation divides by it.
@@ -198,20 +225,15 @@ impl fmt::Display for ConfigError {
                 "reply_flush_deadline_ns must be > 0 when reply_agg_window > 1"
             ),
             ConfigError::ZeroMigrationThreshold => {
-                write!(f, "migration_threshold must be >= 1 when migration is enabled")
+                write!(f, "migration_threshold must be >= 1 under Migrate or Replicate")
             }
             ConfigError::ReplicationWithoutDifferential => write!(
                 f,
                 "replication requires differential mode (the PhaseDelta gate is what \
                  keeps a stale replica a stall, never a silent wrong read)"
             ),
-            ConfigError::ReplicationWithoutMigration => write!(
-                f,
-                "replication requires migration (promotion reads the affinity \
-                 fan-out that Affinity reports populate)"
-            ),
             ConfigError::ZeroReplicationKnob(knob) => {
-                write!(f, "{knob} must be >= 1 when replication is enabled")
+                write!(f, "{knob} must be >= 1 under Policy::Replicate")
             }
             ConfigError::ZeroMtu => write!(f, "mtu must be >= 1 byte"),
             ConfigError::WrongDriver(variant) => {
@@ -271,63 +293,35 @@ pub struct DpaConfig {
     pub cost: CostModel,
     /// Maximum packet payload; longer replies are segmented.
     pub mtu: Mtu,
-    /// Flow control: maximum objects with requests in flight per node.
-    /// When at the cap, filled request batches wait in the buffers until
-    /// replies retire in-flight objects (at least one batch is always
-    /// allowed out, so progress is guaranteed). Models the storage bound
-    /// the paper notes DPA trades for latency tolerance.
-    pub max_outstanding: usize,
     /// Caching baseline: bound on cached objects (`None` = unbounded, the
     /// paper's per-phase configuration).
     pub cache_capacity: Option<usize>,
     /// Caching baseline: eviction policy for a bounded cache.
     pub cache_policy: EvictPolicy,
-    /// Locality-driven object migration: each node samples per-pointer
-    /// remote dereference counts at align time and reports them to the
-    /// objects' homes once, at phase end (`Affinity`); the phase-boundary
-    /// pass of `run_phases` then re-homes high-affinity objects to their
-    /// dominant consumer. Off by default — all baselines and paper
-    /// configurations run without it.
-    pub migration: bool,
+    /// What the phase boundary does with the gathered affinity. `Cache`
+    /// by default — every baseline and paper configuration runs it.
+    pub policy: Policy,
     /// Minimum remote dereference count a single consumer must accumulate
     /// on an object before the boundary pass will re-home it.
     pub migration_threshold: u64,
     /// Maximum objects re-homed away from one node per phase boundary.
     /// Bounds the forwarding-stub table.
     pub migration_budget: usize,
-    /// Differential re-alignment: carry renamed storage, M/D interners,
-    /// and migration state across phase barriers, patching them with
-    /// boundary deltas (`PhaseDelta`) instead of rebuilding — only objects
-    /// whose generation or home moved are refetched. Off by default; the
-    /// one-shot paper configurations are bit-for-bit unchanged. Read by
-    /// `run_phases`.
+    /// Differential re-alignment, orthogonal to the policy: carry renamed
+    /// storage, M/D interners, and migration state across phase barriers,
+    /// patching them with boundary deltas (`PhaseDelta`) instead of
+    /// rebuilding — only objects whose generation or home moved are
+    /// refetched. Off by default; the one-shot paper configurations are
+    /// bit-for-bit unchanged. Read by `run_phases`.
     pub differential: bool,
-    /// Read-mostly pointer replication: the third alignment mode next to
-    /// caching and migration. At each phase boundary the driver promotes
-    /// pointers whose owner-side affinity shows high fan-out with no
-    /// dominant consumer and a read-mostly mix to *replicated*: the owner
-    /// broadcasts a generation-stamped copy (`Replicate`) to the consumer
-    /// set and subsequent remote reads hit the local replica with zero
-    /// messages. Writes still funnel through the owner (single-writer),
-    /// are counted per window, and demote the pointer past
-    /// [`replication_write_demote`](Self::replication_write_demote).
-    /// Requires `differential` (replicas ride the carry + `PhaseDelta`
-    /// gating) and migration (the affinity signal); replicated
-    /// pointers are pinned against re-homing while replicated. Off by
-    /// default — every earlier configuration is bit-for-bit unchanged.
-    pub replication: bool,
-    /// Minimum distinct consumers with affinity signal before a pointer
-    /// can be promoted to replicated.
-    pub replication_min_fanout: usize,
-    /// Minimum total remote dereferences (summed over consumers) before
-    /// promotion.
-    pub replication_threshold: u64,
-    /// Maximum fresh promotions per owner per phase boundary. Bounds the
-    /// broadcast burst and the directory the way `migration_budget`
-    /// bounds shipments.
+    /// `Replicate`: maximum fresh promotions per owner per phase boundary.
+    /// Bounds the broadcast burst and the directory the way
+    /// `migration_budget` bounds shipments. This knob and the next are
+    /// fields, not constants beside `promote_replicas`, only because
+    /// `benchmark/src/drives.rs` reads them.
     pub replication_budget: usize,
-    /// Writes per window past which a replicated pointer is demoted (the
-    /// read-mostly contract).
+    /// `Replicate`: writes per window past which a replicated pointer is
+    /// demoted (the read-mostly contract).
     pub replication_write_demote: u64,
 }
 
@@ -345,16 +339,12 @@ impl Default for DpaConfig {
             reply_flush_deadline_ns: 20_000,
             cost: CostModel::default(),
             mtu: Mtu::default(),
-            max_outstanding: usize::MAX,
             cache_capacity: None,
             cache_policy: EvictPolicy::Fifo,
-            migration: false,
+            policy: Policy::Cache,
             migration_threshold: 3,
             migration_budget: 64,
             differential: false,
-            replication: false,
-            replication_min_fanout: 3,
-            replication_threshold: 12,
             replication_budget: 4,
             replication_write_demote: 8,
         }
@@ -394,28 +384,6 @@ impl DpaConfig {
         }
     }
 
-    /// Full DPA plus locality-driven object migration: at every phase
-    /// boundary high-affinity objects re-home to their dominant consumers.
-    pub fn dpa_migrating(strip: usize) -> DpaConfig {
-        DpaConfig {
-            strip,
-            migration: true,
-            ..DpaConfig::default()
-        }
-    }
-
-    /// Full DPA driven differentially across timesteps: phase barriers
-    /// patch the runtime tables with boundary deltas instead of rebuilding
-    /// them (see `run_phases`). Composes with migration the
-    /// way [`dpa_migrating`](DpaConfig::dpa_migrating) configures it.
-    pub fn dpa_differential(strip: usize) -> DpaConfig {
-        DpaConfig {
-            strip,
-            differential: true,
-            ..DpaConfig::default()
-        }
-    }
-
     /// Full DPA with read-mostly replication: differential barriers plus
     /// the affinity signal, with a *conservative* migration threshold —
     /// replication-first: an object only re-homes when one consumer
@@ -427,31 +395,24 @@ impl DpaConfig {
     pub fn dpa_replicating(strip: usize) -> DpaConfig {
         DpaConfig {
             strip,
+            policy: Policy::Replicate,
             differential: true,
-            migration: true,
             migration_threshold: 24,
-            replication: true,
             ..DpaConfig::default()
         }
     }
 
-    /// `true` when locality-driven object migration is enabled.
-    pub fn migration_enabled(&self) -> bool {
-        self.migration
-    }
-
     /// Per-consumer floor on affinity reporting: a node reports a pointer
     /// to its owner only when its own dereference count for the phase
-    /// reached it. Everything is reported unless replication is on; then
-    /// a consumer that touched a pointer fewer than four times (uniform
+    /// reached it. `Migrate` reports everything. Under `Replicate` a
+    /// consumer that touched a pointer fewer than four times (uniform
     /// background, already absorbed by the differential carry) reports
     /// nothing about it, so hub-shaped pointers clear the floor on every
-    /// consumer and noise clears it on none.
+    /// consumer and noise clears it on none. `Cache` sends no report.
     pub(crate) fn report_floor(&self) -> u32 {
-        if self.replication {
-            4
-        } else {
-            1
+        match self.policy {
+            Policy::Cache | Policy::Migrate => 1,
+            Policy::Replicate => 4,
         }
     }
 
@@ -474,30 +435,20 @@ impl DpaConfig {
         if self.mtu.0 == 0 {
             return Err(ConfigError::ZeroMtu);
         }
-        if self.max_outstanding == 0 {
-            return Err(ConfigError::ZeroWindow("max_outstanding"));
+        match self.policy {
+            Policy::Cache => Ok(()),
+            Policy::Migrate | Policy::Replicate if self.migration_threshold == 0 => {
+                Err(ConfigError::ZeroMigrationThreshold)
+            }
+            Policy::Migrate => Ok(()),
+            Policy::Replicate if !self.differential => {
+                Err(ConfigError::ReplicationWithoutDifferential)
+            }
+            Policy::Replicate if self.replication_budget == 0 => {
+                Err(ConfigError::ZeroReplicationKnob("replication_budget"))
+            }
+            Policy::Replicate => Ok(()),
         }
-        if self.migration_enabled() && self.migration_threshold == 0 {
-            return Err(ConfigError::ZeroMigrationThreshold);
-        }
-        if self.replication {
-            if !self.differential {
-                return Err(ConfigError::ReplicationWithoutDifferential);
-            }
-            if !self.migration_enabled() {
-                return Err(ConfigError::ReplicationWithoutMigration);
-            }
-            if self.replication_min_fanout == 0 {
-                return Err(ConfigError::ZeroReplicationKnob("replication_min_fanout"));
-            }
-            if self.replication_threshold == 0 {
-                return Err(ConfigError::ZeroReplicationKnob("replication_threshold"));
-            }
-            if self.replication_budget == 0 {
-                return Err(ConfigError::ZeroReplicationKnob("replication_budget"));
-            }
-        }
-        Ok(())
     }
 
     /// The software-caching baseline. Owners answer immediately: the
@@ -533,30 +484,28 @@ impl DpaConfig {
     pub fn describe(&self) -> String {
         match self.variant {
             Variant::Dpa => {
-                let mig = if self.migration_enabled() {
-                    format!(
-                        ", migrate(thr={}, budget={})",
-                        self.migration_threshold, self.migration_budget
-                    )
-                } else {
-                    String::new()
+                let migrate = format!(
+                    ", migrate(thr={}, budget={})",
+                    self.migration_threshold, self.migration_budget
+                );
+                let (mig, repl) = match self.policy {
+                    Policy::Cache => (String::new(), String::new()),
+                    Policy::Migrate => (migrate, String::new()),
+                    Policy::Replicate => (
+                        migrate,
+                        format!(
+                            ", replicate(fanout>={REPLICATION_MIN_FANOUT}, \
+                             reads>={REPLICATION_THRESHOLD}, budget={}, demote>{}w, floor={})",
+                            self.replication_budget,
+                            self.replication_write_demote,
+                            self.report_floor()
+                        ),
+                    ),
                 };
                 let diff = if self.differential {
                     ", differential"
                 } else {
                     ""
-                };
-                let repl = if self.replication {
-                    format!(
-                        ", replicate(fanout>={}, reads>={}, budget={}, demote>{}w, floor={})",
-                        self.replication_min_fanout,
-                        self.replication_threshold,
-                        self.replication_budget,
-                        self.replication_write_demote,
-                        self.report_floor()
-                    )
-                } else {
-                    String::new()
                 };
                 format!(
                     "DPA(strip={}, agg={}, reply_agg={}, pipeline={}{}{}{})",
@@ -598,20 +547,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_configs() {
-        let ok = DpaConfig::dpa(50);
-        assert!(ok.validate().is_ok());
-        for preset in [
-            DpaConfig::default(),
-            DpaConfig::dpa_base(1),
-            DpaConfig::dpa_pipeline(300),
-            DpaConfig::dpa_migrating(50),
-            DpaConfig::caching(),
-            DpaConfig::blocking(),
-            DpaConfig::sequential(),
-        ] {
-            assert!(preset.validate().is_ok(), "{}", preset.describe());
-        }
-
         let zero = DpaConfig::dpa(0);
         assert_eq!(zero.validate(), Err(ConfigError::ZeroStrip));
         let no_deadline = DpaConfig {
@@ -712,11 +647,17 @@ mod tests {
                 "DPA(strip=50, agg=1, reply_agg=1, pipeline=true)".into(),
             ),
             (
-                DpaConfig::dpa_migrating(8),
+                DpaConfig {
+                    policy: Policy::Migrate,
+                    ..DpaConfig::dpa(8)
+                },
                 format!("DPA(strip=8, {full}, migrate(thr=3, budget=64))"),
             ),
             (
-                DpaConfig::dpa_differential(8),
+                DpaConfig {
+                    differential: true,
+                    ..DpaConfig::dpa(8)
+                },
                 format!("DPA(strip=8, {full}, differential)"),
             ),
             (
@@ -734,80 +675,42 @@ mod tests {
         }
     }
 
+    /// Every constructor with its policy, differential flag and report
+    /// floor: only `dpa_replicating` leaves the paper's runtime.
+    fn every_constructor() -> [(DpaConfig, Policy, bool, u32); 8] {
+        [
+            (DpaConfig::default(), Policy::Cache, false, 1),
+            (DpaConfig::dpa(50), Policy::Cache, false, 1),
+            (DpaConfig::dpa_base(1), Policy::Cache, false, 1),
+            (DpaConfig::dpa_pipeline(300), Policy::Cache, false, 1),
+            (DpaConfig::dpa_replicating(8), Policy::Replicate, true, 4),
+            (DpaConfig::caching(), Policy::Cache, false, 1),
+            (DpaConfig::blocking(), Policy::Cache, false, 1),
+            (DpaConfig::sequential(), Policy::Cache, false, 1),
+        ]
+    }
+
     #[test]
     fn migration_defaults_off_everywhere() {
-        // Every pre-existing preset must keep migration disabled so the
-        // paper baselines are bit-for-bit unchanged.
-        for cfg in [
-            DpaConfig::default(),
-            DpaConfig::dpa(50),
-            DpaConfig::dpa_base(50),
-            DpaConfig::dpa_pipeline(50),
-            DpaConfig::caching(),
-            DpaConfig::blocking(),
-            DpaConfig::sequential(),
-        ] {
-            assert!(!cfg.migration_enabled());
+        for (cfg, policy, _, _) in every_constructor() {
+            let name = cfg.describe();
+            assert_eq!(cfg.policy, policy, "{name}");
+            assert_eq!(cfg.validate(), Ok(()), "{name}");
         }
-        let m = DpaConfig::dpa_migrating(50);
-        assert!(m.migration_enabled());
-        assert!(m.migration_threshold > 0);
-        assert!(m.migration_budget > 0);
-        assert!(m.describe().contains("migrate"));
-        assert!(!DpaConfig::dpa(50).describe().contains("migrate"));
     }
 
     #[test]
     fn differential_defaults_off_everywhere() {
-        // Every pre-existing preset must keep differential mode disabled
-        // so one-shot runs and their stat tables are bit-for-bit
-        // unchanged.
-        for cfg in [
-            DpaConfig::default(),
-            DpaConfig::dpa(50),
-            DpaConfig::dpa_base(50),
-            DpaConfig::dpa_pipeline(50),
-            DpaConfig::dpa_migrating(50),
-            DpaConfig::caching(),
-            DpaConfig::blocking(),
-            DpaConfig::sequential(),
-        ] {
-            assert!(!cfg.differential);
+        for (cfg, _, differential, _) in every_constructor() {
+            assert_eq!(cfg.differential, differential, "{}", cfg.describe());
         }
-        let d = DpaConfig::dpa_differential(50);
-        assert!(d.differential);
-        assert!(d.validate().is_ok());
-        assert!(d.describe().contains("differential"));
-        assert!(!DpaConfig::dpa(50).describe().contains("differential"));
     }
 
     #[test]
     fn replication_defaults_off_everywhere() {
-        // Every pre-existing preset must keep replication disabled so the
-        // paper baselines and all earlier figures are bit-for-bit
-        // unchanged.
-        for cfg in [
-            DpaConfig::default(),
-            DpaConfig::dpa(50),
-            DpaConfig::dpa_base(50),
-            DpaConfig::dpa_pipeline(50),
-            DpaConfig::dpa_migrating(50),
-            DpaConfig::dpa_differential(50),
-            DpaConfig::caching(),
-            DpaConfig::blocking(),
-            DpaConfig::sequential(),
-        ] {
-            assert!(!cfg.replication);
-            assert_eq!(cfg.report_floor(), 1, "every affinity entry is reported");
+        for (cfg, _, _, floor) in every_constructor() {
+            assert_eq!(cfg.report_floor(), floor, "{}", cfg.describe());
         }
-        let r = DpaConfig::dpa_replicating(50);
-        assert!(r.replication);
-        assert_eq!(r.report_floor(), 4);
-        assert!(r.differential, "replicas ride the differential carry");
-        assert!(r.migration_enabled(), "promotion needs the affinity signal");
-        assert!(r.validate().is_ok());
-        assert!(r.describe().contains("replicate"));
-        assert!(!DpaConfig::dpa_differential(50).describe().contains("replicate"));
     }
 
     #[test]
@@ -820,30 +723,6 @@ mod tests {
             no_diff.validate(),
             Err(ConfigError::ReplicationWithoutDifferential)
         );
-        let no_mig = DpaConfig {
-            migration: false,
-            ..DpaConfig::dpa_replicating(50)
-        };
-        assert_eq!(
-            no_mig.validate(),
-            Err(ConfigError::ReplicationWithoutMigration)
-        );
-        let zero_fanout = DpaConfig {
-            replication_min_fanout: 0,
-            ..DpaConfig::dpa_replicating(50)
-        };
-        assert_eq!(
-            zero_fanout.validate(),
-            Err(ConfigError::ZeroReplicationKnob("replication_min_fanout"))
-        );
-        let zero_threshold = DpaConfig {
-            replication_threshold: 0,
-            ..DpaConfig::dpa_replicating(50)
-        };
-        assert_eq!(
-            zero_threshold.validate(),
-            Err(ConfigError::ZeroReplicationKnob("replication_threshold"))
-        );
         let zero_budget = DpaConfig {
             replication_budget: 0,
             ..DpaConfig::dpa_replicating(50)
@@ -852,8 +731,21 @@ mod tests {
             zero_budget.validate(),
             Err(ConfigError::ZeroReplicationKnob("replication_budget"))
         );
+        for policy in [Policy::Migrate, Policy::Replicate] {
+            let eager = DpaConfig {
+                policy,
+                migration_threshold: 0,
+                ..DpaConfig::dpa_replicating(50)
+            };
+            assert_eq!(eager.validate(), Err(ConfigError::ZeroMigrationThreshold));
+        }
+        // `Cache` never reads the migration knobs.
+        let cache = DpaConfig {
+            migration_threshold: 0,
+            ..DpaConfig::dpa(50)
+        };
+        assert_eq!(cache.validate(), Ok(()));
         // The errors render actionably.
         assert!(no_diff.validate().unwrap_err().to_string().contains("differential"));
-        assert!(no_mig.validate().unwrap_err().to_string().contains("affinity"));
     }
 }

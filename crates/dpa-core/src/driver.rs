@@ -239,44 +239,49 @@ fn run_machine<P: NodeProc>(
 /// Multi-phase DPA run: every phase runs under DST control like
 /// [`run_phase_dst`], and what crosses the barrier between two phases is
 /// read off `cfg` — each node's [`PhaseCarry`](crate::PhaseCarry), patched
-/// by the boundary pass ([`crate::boundary`]):
+/// by the boundary pass ([`crate::boundary`]). `cfg.policy` says what the
+/// boundary does with the affinity the phase gathered; `cfg.differential`
+/// says whether M and renamed storage carry:
 ///
-/// * **Migration** (`migration_enabled()`). The per-node
-///   [`MigrationTable`]s carry and the affinity each phase-end report
-///   accumulated is committed: objects re-home offline to their dominant
-///   consumer — the only place a home changes. The next phase's
-///   requesters then find them local to their new homes, which is where
-///   migration's message savings come from: within a single phase the
-///   arrival set already deduplicates fetches, so only cross-phase
-///   re-homing can remove request traffic.
-/// * **Differential re-alignment** (`differential`). Instead of rebuilding
-///   the runtime tables from scratch, each node's arrival set carries with
-///   every entry stamped with the generation it was fetched at, and M/D
-///   carry their interners. At `on_start` every owner announces to each
-///   consumer carrying its objects which of them changed
-///   ([`crate::DpaMsg::PhaseDelta`] — an empty list is the all-clear); a
-///   consumer gates its first strip on hearing from every carried home,
-///   invalidates the listed copies, and refetches them on next use.
-///   Carried entries whose home moved at this boundary, or is now the
-///   consumer itself, are pruned so they refetch from the new home.
-/// * **Read-mostly replication** (`replication`). Wide-fan-out pointers
-///   with no dominant consumer are promoted into the owner's
-///   [`ReplicaDirectory`](global_heap::ReplicaDirectory) *before* the
-///   re-homing pass and pinned against it; write-heavy windows demote on
-///   the way out of each phase. Directories carry with their generations
-///   refreshed against the next phase's objects, so only moved generations
-///   re-broadcast.
+/// * **`Policy::Cache`** (the default). Nothing: objects stay at their
+///   birth homes.
+/// * **`Policy::Migrate`**. The per-node [`MigrationTable`]s carry and the
+///   affinity each phase-end report accumulated is committed: objects
+///   re-home offline to their dominant consumer — the only place a home
+///   changes. The next phase's requesters then find them local to their
+///   new homes, which is where migration's message savings come from:
+///   within a single phase the arrival set already deduplicates fetches,
+///   so only cross-phase re-homing can remove request traffic.
+/// * **`Policy::Replicate`**. Wide-fan-out pointers with no dominant
+///   consumer are promoted into the owner's
+///   [`ReplicaDirectory`](global_heap::ReplicaDirectory) and pinned, then
+///   the `Migrate` re-homing runs around them; write-heavy windows demote
+///   on the way out of each phase. Directories carry with their
+///   generations refreshed against the next phase's objects, so only
+///   moved generations re-broadcast.
+/// * **Differential re-alignment** (`differential`, under any policy).
+///   Instead of rebuilding the runtime tables from scratch, each node's
+///   arrival set carries with every entry stamped with the generation it
+///   was fetched at, and M/D carry their interners. At `on_start` every
+///   owner announces to each consumer carrying its objects which of them
+///   changed ([`crate::DpaMsg::PhaseDelta`] — an empty list is the
+///   all-clear); a consumer gates its first strip on hearing from every
+///   carried home, invalidates the listed copies, and refetches them on
+///   next use. Carried entries whose home moved at this boundary, or is
+///   now the consumer itself, are pruned so they refetch from the new
+///   home.
 ///
-/// With every flag off this degenerates to `phases` independent phases, so
-/// an ablation differs only in the knobs. Correctness bar: interaction
-/// checksums are bit-identical whether or not `cfg.differential` is set —
-/// stale carries are observable because value-sensitive apps fold the
-/// stamp into their digests (see the `StaleCacheEntry` oracle).
+/// Under `Cache` without `differential` this degenerates to `phases`
+/// independent phases, so an ablation differs only in the knobs.
+/// Correctness bar: interaction checksums are bit-identical whether or not
+/// `cfg.differential` is set — stale carries are observable because
+/// value-sensitive apps fold the stamp into their digests (see the
+/// `StaleCacheEntry` oracle).
 ///
 /// `mk(phase, node)` builds each phase's per-node app; `collect` sees
 /// every node after every phase. Returns the per-phase reports, the
 /// per-phase invariant snapshots, and the final migration tables (empty
-/// when migration is off).
+/// under `Cache`).
 pub fn run_phases<A: PtrApp>(
     nodes: u16,
     net: NetConfig,

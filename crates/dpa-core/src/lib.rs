@@ -46,7 +46,7 @@ pub mod proc_dpa;
 pub mod synth;
 pub mod work;
 
-pub use config::{ConfigError, CostModel, DpaConfig, Variant};
+pub use config::{ConfigError, CostModel, DpaConfig, Policy, Variant};
 pub use driver::{run_phase, run_phase_dst, run_phase_traced, run_phases, DstOptions};
 // The frozen `benchmark/` crate links the multi-phase driver under its two
 // former names and is their only user; a later benchmark PR drops them.

@@ -136,11 +136,6 @@ impl<A: PtrApp> CachingProc<A> {
         &self.app
     }
 
-    /// Completed top-level iterations.
-    pub fn completed_iterations(&self) -> u64 {
-        self.completed_iters
-    }
-
     /// Export the runtime-state counters the DST invariant checker needs.
     /// The baseline has no M table or coalescers: every request is one
     /// entry on the wire and at most one fetch is outstanding.

@@ -1,5 +1,6 @@
 //! Data-side alignment: locality-driven *object migration* (see
-//! `global_heap::migrate`), on when `cfg.migration`.
+//! `global_heap::migrate`), on under `Policy::Migrate` and
+//! `Policy::Replicate`.
 //!
 //! An object changes home only between phases, in the boundary pass
 //! ([`crate::boundary`]); what a node does *during* a phase is gather the
@@ -104,8 +105,9 @@ impl<A: PtrApp> DpaProc<A> {
     /// The node finished its iterations: report the affinity sampled this
     /// phase to each object's believed home, one message per home, for
     /// the next boundary to act on. Entries below the per-consumer report
-    /// floor (1, or 4 under replication) are dropped: one or two touches in a phase is background noise the
-    /// owner cannot act on, and not shipping it keeps the report
+    /// floor (1, or 4 under `Replicate`) are dropped: one or two touches in
+    /// a phase is background noise the owner cannot act on, and not
+    /// shipping it keeps the report
     /// proportional to the *hot* working set instead of the whole one.
     pub(super) fn report_affinity(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         let Some(m) = self.mig.as_mut() else { return };

@@ -44,17 +44,18 @@
 //! # Mode states
 //!
 //! That is the whole of the paper's runtime, and all a paper
-//! configuration ([`DpaConfig::dpa`]) carries. The three extensions are
-//! optional states on [`DpaProc`], each `Some` exactly when its config
-//! flag is on (until [`DpaProc::take_carry`] retires the proc), each in
-//! its own module with its fields, its protocol arms and its share of the
-//! carry, the snapshot, the stall report and the stats:
+//! configuration ([`DpaConfig::dpa`], [`Policy::Cache`]) carries. The
+//! three extensions are optional states on [`DpaProc`], each `Some`
+//! exactly when the config asks for it (until [`DpaProc::take_carry`]
+//! retires the proc), each in its own module with its fields, its protocol
+//! arms and its share of the carry, the snapshot, the stall report and the
+//! stats:
 //!
-//! | state | flag | messages | module |
+//! | state | `Some` under | messages | module |
 //! |---|---|---|---|
-//! | `mig` | `migration_enabled()` | `Affinity`, `Forward` | `migrate` |
+//! | `mig` | `Policy::Migrate`, `Policy::Replicate` | `Affinity`, `Forward` | `migrate` |
 //! | `diff` | `differential` | `PhaseDelta` | `differential` |
-//! | `repl` | `replication` | `Replicate` | `replicate` |
+//! | `repl` | `Policy::Replicate` | `Replicate` | `replicate` |
 //!
 //! Every node of a machine runs the same config, so a mode's message can
 //! only reach a node whose mode is off from a scripted peer; it is
@@ -64,7 +65,7 @@ mod differential;
 mod migrate;
 mod replicate;
 
-use crate::config::{ConfigError, DpaConfig, Variant, POLL_INTERVAL_NS};
+use crate::config::{ConfigError, DpaConfig, Policy, Variant, POLL_INTERVAL_NS};
 use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
@@ -86,12 +87,13 @@ const UPDATE_ENTRY_BYTES: u64 = GPtr::WIRE_BYTES as u64 + 8;
 /// Everything one node hands across a phase barrier: taken from phase
 /// *k*'s proc by [`DpaProc::take_carry`], patched by the boundary pass
 /// ([`crate::boundary`]), installed into phase *k+1*'s proc by
-/// [`DpaProc::install_carry`]. Each part rides only under its config flag.
+/// [`DpaProc::install_carry`]. Each part rides only when the config asks
+/// for it.
 pub struct PhaseCarry<W> {
-    /// `migration_enabled()`: adopted / departed / learned overrides plus
+    /// `Migrate`, `Replicate`: adopted / departed / learned overrides plus
     /// the owner-side affinity counts the boundary policies read.
     pub(crate) migration: Option<MigrationTable>,
-    /// `replication`: the owner-side directory, windows closed.
+    /// `Replicate`: the owner-side directory, windows closed.
     pub(crate) replication: Option<ReplicaDirectory>,
     /// `differential`: M and D — interners and warmed waiter-list
     /// capacities travel instead of being rebuilt.
@@ -176,11 +178,11 @@ pub struct DpaProc<A: PtrApp> {
     /// simulated ns. Wakes cannot be cancelled, so this only suppresses
     /// arming a *later* duplicate; a stale earlier wake fires harmlessly.
     flush_wake_at: Option<u64>,
-    /// Data-side alignment, `Some` iff `cfg.migration_enabled()`.
+    /// Data-side alignment, `Some` under `Migrate` and `Replicate`.
     mig: Option<MigrateState>,
     /// Differential re-alignment, `Some` iff `cfg.differential`.
     diff: Option<DiffState>,
-    /// Read-mostly replication, `Some` iff `cfg.replication`.
+    /// Read-mostly replication, `Some` under `Replicate`.
     repl: Option<ReplState>,
     /// Request or `Forward` entries for objects this node was not born
     /// with, has not adopted and holds no stub for, `Reply` entries for
@@ -262,6 +264,11 @@ impl<A: PtrApp> DpaProc<A> {
         cfg.validate()?;
         let mtu = cfg.mtu.0 as u64;
         let total_iters = app.num_iterations();
+        let (mig, repl) = match cfg.policy {
+            Policy::Cache => (None, None),
+            Policy::Migrate => (Some(MigrateState::new(nodes)), None),
+            Policy::Replicate => (Some(MigrateState::new(nodes)), Some(ReplState::new(nodes))),
+        };
         Ok(DpaProc {
             stack: Vec::new(),
             map: PointerMap::new(),
@@ -275,9 +282,9 @@ impl<A: PtrApp> DpaProc<A> {
             upd_coal: ByteCoalescer::new(nodes, mtu, cfg.agg_window),
             reply_coal: ByteCoalescer::new(nodes, mtu, cfg.reply_agg_window),
             flush_wake_at: None,
-            mig: cfg.migration_enabled().then(|| MigrateState::new(nodes)),
+            mig,
             diff: cfg.differential.then(|| DiffState::new(nodes)),
-            repl: cfg.replication.then(|| ReplState::new(nodes)),
+            repl,
             misrouted: 0,
             installs: 0,
             live: LiveIters::new(total_iters),
@@ -523,7 +530,7 @@ impl<A: PtrApp> DpaProc<A> {
                         if first && self.pending.insert(ptr) {
                             ctx.charge_overhead(self.cfg.cost.request_entry_ns);
                             if let Some(batch) = self.coal.push(home, ptr) {
-                                if self.cfg.pipeline && self.can_send() {
+                                if self.cfg.pipeline {
                                     self.send_request(ctx, home, batch);
                                 } else {
                                     self.held.push_back((home, batch));
@@ -712,13 +719,6 @@ impl<A: PtrApp> DpaProc<A> {
         ctx.send(NodeId(dst), DpaMsg::Request(batch));
     }
 
-    /// Flow control: may another batch be sent right now? At least one
-    /// batch is always allowed when nothing is in flight.
-    #[inline]
-    fn can_send(&self) -> bool {
-        self.in_flight.is_empty() || self.in_flight.len() < self.cfg.max_outstanding
-    }
-
     /// Data for `ptr` reached this node: a reply, or a replica broadcast
     /// that doubles as one. If a request for it is pending, that request
     /// completes — the object enters renamed storage and every thread
@@ -815,17 +815,18 @@ impl<A: PtrApp> DpaProc<A> {
             // latency for nothing.
             self.flush(ctx, Drain::All);
             // Requests: held batches first, then the first nonempty
-            // buffer. Pipelined, as many as flow control allows; otherwise
-            // one batch per quiescence, its round trip exposed.
-            let mut may_send = !self.cfg.pipeline || self.can_send();
-            while may_send {
+            // buffer. Pipelined, all of them; otherwise one batch per
+            // quiescence, its round trip exposed.
+            loop {
                 let next = self.held.pop_front().or_else(|| {
                     let dst = self.coal.first_nonempty()?;
                     Some((dst, self.coal.take(dst)?))
                 });
                 let Some((dst, batch)) = next else { break };
                 self.send_request(ctx, dst, batch);
-                may_send = self.cfg.pipeline && self.can_send();
+                if !self.cfg.pipeline {
+                    break;
+                }
             }
 
             // Finished? (Nothing ready, nothing admitted, nothing owed.)
@@ -1036,13 +1037,19 @@ mod tests {
     #[test]
     fn each_mode_state_exists_exactly_under_its_flag() {
         let world = SynthWorld::build(SynthParams::default());
-        let states = |cfg: DpaConfig| {
+        let states = |policy: Policy, differential: bool| {
+            let cfg = DpaConfig {
+                policy,
+                differential,
+                ..DpaConfig::dpa(50)
+            };
             let p = DpaProc::try_new(SynthApp::new(world.clone(), 0, 100), 4, cfg).unwrap();
             (p.mig.is_some(), p.diff.is_some(), p.repl.is_some())
         };
-        assert_eq!(states(DpaConfig::dpa(50)), (false, false, false));
-        assert_eq!(states(DpaConfig::dpa_migrating(50)), (true, false, false));
-        assert_eq!(states(DpaConfig::dpa_differential(50)), (false, true, false));
-        assert_eq!(states(DpaConfig::dpa_replicating(50)), (true, true, true));
+        assert_eq!(states(Policy::Cache, false), (false, false, false));
+        assert_eq!(states(Policy::Migrate, false), (true, false, false));
+        assert_eq!(states(Policy::Cache, true), (false, true, false));
+        assert_eq!(states(Policy::Migrate, true), (true, true, false));
+        assert_eq!(states(Policy::Replicate, true), (true, true, true));
     }
 }

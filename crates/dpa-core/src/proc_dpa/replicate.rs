@@ -1,6 +1,6 @@
 //! Read-mostly replication (multi-home broadcast caching), the third
-//! alignment mode (see `global_heap::replicate`), on when
-//! `cfg.replication`.
+//! alignment mode (see `global_heap::replicate`), on under
+//! `Policy::Replicate`.
 //!
 //! Pointers whose affinity shows high fan-out with *no* dominant consumer
 //! — exactly the shape migration loses on — are promoted to *replicated*

@@ -311,45 +311,6 @@ fn reply_aggregation_coalesces_replies_and_preserves_results() {
 }
 
 #[test]
-fn flow_control_bounds_in_flight_requests() {
-    let world = SynthWorld::build(SynthParams {
-        remote_fraction: 0.6,
-        ..params(8)
-    });
-    let expected: Vec<u64> = (0..8).map(|n| world.expected_sum(n)).collect();
-    let run_with = |max: usize| {
-        let mut sums = vec![0u64; 8];
-        let cfg = DpaConfig {
-            max_outstanding: max,
-            ..DpaConfig::dpa(16)
-        };
-        let report = run_phase(
-            8,
-            NetConfig::default(),
-            cfg,
-            |i| SynthApp::new(world.clone(), i, 800),
-            |i, app| sums[i as usize] = app.sum,
-        );
-        (sums, report)
-    };
-    let (sums, bounded) = run_with(4);
-    assert_eq!(sums, expected, "flow control must not change results");
-    // The cap holds: one over-full batch may exceed it transiently, so
-    // allow the window size as slack.
-    let peak = bounded.stats.user_max("peak_in_flight");
-    assert!(peak <= 4 + 32, "peak in-flight {peak} exceeds cap + window");
-    let (_, unbounded) = run_with(usize::MAX);
-    assert!(
-        unbounded.stats.user_max("peak_in_flight") >= peak,
-        "the cap can only lower the in-flight peak"
-    );
-    // Note: throttling is not monotonically slower — deferring sends can
-    // fill batches further and *reduce* messages — so only correctness
-    // and the peak bound are asserted.
-    assert!(bounded.completed && unbounded.completed);
-}
-
-#[test]
 fn bounded_lru_cache_still_correct() {
     use global_heap::EvictPolicy;
     let world = SynthWorld::build(SynthParams {

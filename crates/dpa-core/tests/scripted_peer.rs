@@ -5,8 +5,8 @@
 //! seed.
 
 use dpa_core::{
-    check_conservation, CachingProc, DpaConfig, DpaMsg, DpaProc, NodeSnapshot, PtrApp, Violation,
-    WorkEnv,
+    check_conservation, CachingProc, DpaConfig, DpaMsg, DpaProc, NodeSnapshot, Policy, PtrApp,
+    Violation, WorkEnv,
 };
 use global_heap::{GPtr, ObjClass};
 use sim_net::{Ctx, Dur, Machine, NetConfig, NodeId, NodeStats, Proc, RunReport};
@@ -414,7 +414,11 @@ fn a_reply_after_a_completing_broadcast_retires_in_flight_and_installs_nothing()
 /// `MisroutedRequest` oracle fire.
 #[test]
 fn a_misrouted_request_or_forward_is_counted_and_answers_nothing() {
-    let proc_ = DpaProc::new(Probe::idle(), 2, DpaConfig::dpa_migrating(8));
+    let cfg = DpaConfig {
+        policy: Policy::Migrate,
+        ..DpaConfig::dpa(8)
+    };
+    let proc_ = DpaProc::new(Probe::idle(), 2, cfg);
     let sends = vec![
         // Born on the scripted node, never adopted by node 0.
         (50_000, DpaMsg::Request(vec![remote(5)])),

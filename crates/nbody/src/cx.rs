@@ -160,7 +160,7 @@ impl Neg for Cx {
 /// * the translation table `T[k][l] = C(l+k−1, k−1)` for `k` in
 ///   `1..=max_terms+1`, `l` in `0..=max_terms`, each row contiguous in `l`
 ///   — the factor all three of M2L, M2M and L2L multiply by, laid out so
-///   their inner loops walk one row ([`Binomials::shift_row`]). Entries are
+///   their inner loops walk one row (`Binomials::shift_row`). Entries are
 ///   copied from the triangle, so both tables hold the same bits.
 #[derive(Clone, Debug)]
 pub struct Binomials {

@@ -11,7 +11,7 @@ use dpa::runtime::invariant::Violation;
 use dpa::runtime::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa::runtime::{
     check_completed, check_conservation, run_phase_dst, run_phases, DpaConfig, DstOptions,
-    NodeSnapshot, PtrApp,
+    NodeSnapshot, Policy, PtrApp,
 };
 use dpa::sim_net::{FaultPlan, NetConfig, NodePause};
 use proptest::prelude::*;
@@ -39,8 +39,8 @@ fn bh_world(seed: u64, nodes: u16) -> std::sync::Arc<BhWorld> {
     )
 }
 
-/// Three phases of `mk`'s app under `dpa_migrating(4)` and `opts`, against
-/// the same phases with migration off and no faults. What boundary-only
+/// Three phases of `mk`'s app under `Policy::Migrate` (strip 4) and
+/// `opts`, against the same phases under `Cache` with no faults. What boundary-only
 /// re-homing rests on, checked at **every** phase end, completed or not:
 ///
 /// * the machine-wide adopted set equals the departed set, as multisets —
@@ -76,7 +76,11 @@ fn check_migrating_run<A: PtrApp>(
         (reports, snap_sets, digests)
     };
     let (_, _, want) = run(DpaConfig::dpa(4), &DstOptions::default());
-    let (reports, snap_sets, got) = run(DpaConfig::dpa_migrating(4), opts);
+    let migrating = DpaConfig {
+        policy: Policy::Migrate,
+        ..DpaConfig::dpa(4)
+    };
+    let (reports, snap_sets, got) = run(migrating, opts);
     for (ph, (r, snaps)) in reports.iter().zip(&snap_sets).enumerate() {
         let sorted = |f: fn(&NodeSnapshot) -> &Vec<u64>| {
             let mut v: Vec<u64> = snaps.iter().flat_map(|s| f(s).iter().copied()).collect();
@@ -519,11 +523,10 @@ fn migration_and_strip_size_preserve_checksums() {
     let world = synth_world(0xC0FFEE, 4, 0.6);
     let mut baseline: Option<Vec<u64>> = None;
     for strip in [1usize, 4, 16] {
-        for migrate in [false, true] {
-            let cfg = if migrate {
-                DpaConfig::dpa_migrating(strip)
-            } else {
-                DpaConfig::dpa(strip)
+        for policy in [Policy::Cache, Policy::Migrate] {
+            let cfg = DpaConfig {
+                policy,
+                ..DpaConfig::dpa(strip)
             };
             let mut sums = vec![0u64; phases * 4];
             let (reports, snap_sets, _) = run_phases(
@@ -538,11 +541,11 @@ fn migration_and_strip_size_preserve_checksums() {
             assert!(reports.iter().all(|r| r.completed));
             for snaps in &snap_sets {
                 let v = check_completed(snaps, false);
-                assert!(v.is_empty(), "strip={strip} migrate={migrate}: {}", v[0]);
+                assert!(v.is_empty(), "strip={strip} {policy:?}: {}", v[0]);
             }
             match &baseline {
                 None => baseline = Some(sums),
-                Some(b) => assert_eq!(&sums, b, "strip={strip} migrate={migrate}"),
+                Some(b) => assert_eq!(&sums, b, "strip={strip} {policy:?}"),
             }
         }
     }
@@ -558,11 +561,10 @@ fn migration_and_strip_size_preserve_checksums() {
     );
     let mut baseline: Option<Vec<u64>> = None;
     for strip in [1usize, 4, 16] {
-        for migrate in [false, true] {
-            let cfg = if migrate {
-                DpaConfig::dpa_migrating(strip)
-            } else {
-                DpaConfig::dpa(strip)
+        for policy in [Policy::Cache, Policy::Migrate] {
+            let cfg = DpaConfig {
+                policy,
+                ..DpaConfig::dpa(strip)
             };
             let mut hashes = vec![0u64; phases * 4];
             let (reports, _, _) = run_phases(
@@ -577,7 +579,7 @@ fn migration_and_strip_size_preserve_checksums() {
             assert!(reports.iter().all(|r| r.completed));
             match &baseline {
                 None => baseline = Some(hashes),
-                Some(b) => assert_eq!(&hashes, b, "strip={strip} migrate={migrate}"),
+                Some(b) => assert_eq!(&hashes, b, "strip={strip} {policy:?}"),
             }
         }
     }
@@ -635,7 +637,13 @@ fn fixed_strips_preserve_fmm_checksums() {
         ("strip=1", DpaConfig::dpa(1)),
         ("strip=50", DpaConfig::dpa(50)),
         ("strip=300", DpaConfig::dpa(300)),
-        ("mig strip=50", DpaConfig::dpa_migrating(50)),
+        (
+            "mig strip=50",
+            DpaConfig {
+                policy: Policy::Migrate,
+                ..DpaConfig::dpa(50)
+            },
+        ),
     ];
     let mut baseline: Option<u64> = None;
     for (label, cfg) in configs {

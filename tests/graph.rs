@@ -8,11 +8,21 @@
 //! engine.
 
 use dpa::apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
-use dpa::runtime::{check_completed, run_phases, DpaConfig, DstOptions};
+use dpa::runtime::{check_completed, run_phases, DpaConfig, DstOptions, Policy};
 use dpa::sim_net::NetConfig;
 
 const PHASES: usize = 3;
 const NODES: u16 = 4;
+
+/// Full DPA at `strip` under `policy`, with or without the differential
+/// carry.
+fn dpa(strip: usize, policy: Policy, differential: bool) -> DpaConfig {
+    DpaConfig {
+        policy,
+        differential,
+        ..DpaConfig::dpa(strip)
+    }
+}
 
 /// One lane: run the closure over `PHASES` timesteps under `cfg`, return
 /// per-(phase, node) `(checksum, reached)` pairs, and hold the invariant
@@ -67,38 +77,30 @@ fn graph_checksums_invariant_across_config_lanes() {
         ("strip=16".into(), DpaConfig::dpa(16)),
         ("strip=64".into(), DpaConfig::dpa(64)),
         ("strip=128".into(), DpaConfig::dpa(128)),
-        ("mig".into(), DpaConfig::dpa_migrating(8)),
-        ("mig strip=1".into(), DpaConfig::dpa_migrating(1)),
-        ("mig strip=64".into(), DpaConfig::dpa_migrating(64)),
-        ("diff".into(), DpaConfig::dpa_differential(8)),
-        ("diff strip=1".into(), DpaConfig::dpa_differential(1)),
-        ("diff strip=64".into(), DpaConfig::dpa_differential(64)),
-        (
-            "diff+mig".into(),
-            DpaConfig {
-                migration: true,
-                ..DpaConfig::dpa_differential(8)
-            },
-        ),
-        // Replication lanes: the fourth alignment mode must also be purely
-        // a *when/where* knob. `dpa_replicating` keeps migration too timid
-        // to steal the hub, so the promotion path (not re-homing) is what
-        // gets exercised.
+        ("mig".into(), dpa(8, Policy::Migrate, false)),
+        ("mig strip=1".into(), dpa(1, Policy::Migrate, false)),
+        ("mig strip=64".into(), dpa(64, Policy::Migrate, false)),
+        ("diff".into(), dpa(8, Policy::Cache, true)),
+        ("diff strip=1".into(), dpa(1, Policy::Cache, true)),
+        ("diff strip=64".into(), dpa(64, Policy::Cache, true)),
+        ("diff+mig".into(), dpa(8, Policy::Migrate, true)),
+        // Replication lanes: `Policy::Replicate` must also be purely a
+        // *when/where* knob. `dpa_replicating` keeps migration too timid to
+        // steal the hub, so the promotion path (not re-homing) is what gets
+        // exercised.
         ("repl".into(), DpaConfig::dpa_replicating(8)),
         ("repl strip=1".into(), DpaConfig::dpa_replicating(1)),
         ("repl strip=64".into(), DpaConfig::dpa_replicating(64)),
         (
             "repl+mig".into(),
             DpaConfig {
-                migration_threshold: DpaConfig::dpa_migrating(8).migration_threshold,
+                migration_threshold: DpaConfig::default().migration_threshold,
                 ..DpaConfig::dpa_replicating(8)
             },
         ),
         (
             "repl eager".into(),
             DpaConfig {
-                replication_min_fanout: 2,
-                replication_threshold: 4,
                 replication_budget: 8,
                 replication_write_demote: 2,
                 ..DpaConfig::dpa_replicating(8)
@@ -197,7 +199,7 @@ fn setops_checksums_invariant_across_config_lanes() {
         ("strip=1".into(), DpaConfig::dpa(1)),
         ("strip=32".into(), DpaConfig::dpa(32)),
         ("strip=64".into(), DpaConfig::dpa(64)),
-        ("mig".into(), DpaConfig::dpa_migrating(8)),
+        ("mig".into(), dpa(8, Policy::Migrate, false)),
     ];
     let expected: Vec<(u64, u64)> = (0..NODES).map(|n| world.expected(n)).collect();
     for (label, cfg) in lanes {

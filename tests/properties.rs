@@ -1033,7 +1033,11 @@ proptest! {
             (sums, reports, snap_sets)
         };
         // Single-home ground truth: plain differential, no faults.
-        let (truth, t_reports, _) = run(DpaConfig::dpa_differential(8), FaultPlan::none());
+        let differential = DpaConfig {
+            differential: true,
+            ..DpaConfig::dpa(8)
+        };
+        let (truth, t_reports, _) = run(differential, FaultPlan::none());
         prop_assert!(t_reports.iter().all(|r| r.completed), "ground-truth run stalled");
         // Replicated run under the fault plan.
         let (got, reports, snap_sets) = run(DpaConfig::dpa_replicating(8), plan);
