@@ -4,14 +4,14 @@
 //! hasher lives in [`global_heap::fxhash`] (the lowest crate that needs
 //! it — its arrival set, software cache, and migration tables are probed
 //! on every access) and is re-exported here for the runtime's own tables
-//! (the M mapping interner, the pending-request interner, per-iteration
-//! live counts, dedup sets).
+//! (the M mapping interner, the in-flight set, the per-pointer reply
+//! accounts).
 //!
 //! Note that *iteration order* of a `HashMap` is still arbitrary under any
 //! hasher; code that iterates these maps must keep sorting (the runtime
 //! already does, e.g. the affinity report drains its map through
 //! `proc_dpa`'s one sorted `fan_out`) or iterate a dense-id side table
-//! instead (as the SoA `PointerMap` and `PendingRequests` do).
+//! instead (as the SoA `PointerMap` does).
 
 pub use global_heap::fxhash::{FxHashMap, FxHashSet, FxHasher};
 

@@ -11,7 +11,8 @@
 //!
 //! * an explicit mapping **M** from pointers to dependent threads
 //!   ([`mapping::PointerMap`]), updated at thread creation;
-//! * the outstanding-request table **D** ([`pending::PendingRequests`]);
+//! * the outstanding-request table **D**, which is M's key set: a request
+//!   is outstanding exactly while threads wait under its pointer;
 //! * a scheduler ([`proc_dpa::DpaProc`]) that k-bounds the top-level loop
 //!   (*strip-mining*), runs ready threads, and — when an object arrives —
 //!   releases every thread aligned under it in one batch (*tiling*) —

@@ -45,6 +45,17 @@ impl LiveIters {
     /// One more live thread of `iter`.
     #[inline]
     pub(crate) fn add(&mut self, iter: u32) {
+        self.add_n(iter, 1);
+    }
+
+    /// `n` more live threads of `iter`: what `n` calls of
+    /// [`add`](Self::add) do, with one window lookup. Zero threads change
+    /// nothing — an iteration that emitted none must not take a slot.
+    #[inline]
+    pub(crate) fn add_n(&mut self, iter: u32, n: u32) {
+        if n == 0 {
+            return;
+        }
         if self.counts.is_empty() {
             self.base = iter;
         }
@@ -57,7 +68,7 @@ impl LiveIters {
         }
         let count = &mut self.counts[i];
         self.live += usize::from(*count == 0);
-        *count += 1;
+        *count += n;
     }
 
     /// One thread of `iter` finished; `true` when it was the iteration's
@@ -132,27 +143,79 @@ mod tests {
         }
     }
 
+    /// Two windows fed the same history — `batched` one [`LiveIters::add_n`]
+    /// per work call, `single` one [`LiveIters::add`] per thread — and the
+    /// hash map, checked against each other after every step.
+    struct Windows {
+        batched: LiveIters,
+        single: LiveIters,
+        model: Model,
+    }
+
+    impl Windows {
+        fn new(iters: u32) -> Windows {
+            Windows {
+                batched: LiveIters::new(iters as usize),
+                single: LiveIters::new(iters as usize),
+                model: Model::default(),
+            }
+        }
+
+        /// One work call of `iter` emitting `n` threads, each recorded in
+        /// `threads`.
+        fn spawn(&mut self, threads: &mut Vec<u32>, iter: u32, n: u64) {
+            self.batched.add_n(iter, n as u32);
+            for _ in 0..n {
+                self.single.add(iter);
+                self.model.add(iter);
+                threads.push(iter);
+            }
+        }
+
+        fn finish(&mut self, iter: u32) {
+            let done = self.model.finish(iter);
+            assert_eq!(self.single.finish(iter), done, "iteration {iter}");
+            assert_eq!(self.batched.finish(iter), done, "iteration {iter}");
+        }
+
+        fn check(&self, probes: [u32; 4]) {
+            let Windows {
+                batched,
+                single,
+                model,
+            } = self;
+            assert_eq!(batched.len(), model.0.len());
+            assert_eq!(single.len(), model.0.len());
+            assert_eq!(batched.is_empty(), model.0.is_empty());
+            assert_eq!(batched.peak_slots(), single.peak_slots());
+            for probe in probes {
+                let live = model.0.contains_key(&probe);
+                assert_eq!(batched.is_live(probe), live, "probe {probe}");
+                assert_eq!(single.is_live(probe), live, "probe {probe}");
+            }
+        }
+    }
+
     /// Random admissions, thread creations and out-of-order completions
     /// under a strip bound, with iteration `stalled` unable to finish its
-    /// last thread until everything else has.
+    /// last thread until everything else has. Every work call emits zero
+    /// to three threads; one that emits none must leave both windows as
+    /// they were.
     fn drive(seed: u64, strip: usize, iters: u32, mut stalled: Option<u32>) -> usize {
         let mut rng = Rng::new(seed);
-        let (mut win, mut model) = (LiveIters::new(iters as usize), Model::default());
+        let mut w = Windows::new(iters);
         // One entry per live thread: the iteration it belongs to.
         let mut threads: Vec<u32> = Vec::new();
         let mut next = 0u32;
         let mut held = None;
         loop {
-            while win.len() < strip && next < iters {
-                // Creation code spawns zero to three threads; an empty
-                // iteration is complete at once and never enters the window.
-                // (The iteration that is to stall needs a thread to stall on.)
-                for _ in 0..rng.below(4).max(u64::from(Some(next) == stalled)) {
-                    win.add(next);
-                    model.add(next);
-                    threads.push(next);
-                }
-                assert_eq!(win.is_live(next), model.0.contains_key(&next));
+            while w.batched.len() < strip && next < iters {
+                // An iteration whose creation code spawns nothing is
+                // complete at once and never enters the window. (The
+                // iteration that is to stall needs a thread to stall on.)
+                let n = rng.below(4).max(u64::from(Some(next) == stalled));
+                w.spawn(&mut threads, next, n);
+                w.check([next, next.saturating_sub(1), next + 1, 0]);
                 next += 1;
             }
             if threads.is_empty() {
@@ -168,24 +231,30 @@ mod tests {
                 continue;
             }
             // A running thread spawns children of its own iteration.
-            if rng.chance(0.3) {
-                win.add(iter);
-                model.add(iter);
-                threads.push(iter);
-            }
-            assert_eq!(win.finish(iter), model.finish(iter), "iteration {iter}");
-            assert_eq!(win.len(), model.0.len());
-            assert_eq!(win.is_empty(), model.0.is_empty());
-            for probe in [iter, iter.saturating_sub(1), next.saturating_sub(1), next] {
-                assert_eq!(
-                    win.is_live(probe),
-                    model.0.contains_key(&probe),
-                    "probe {probe}"
-                );
-            }
+            let n = if rng.chance(0.3) { rng.below(4) } else { 0 };
+            w.spawn(&mut threads, iter, n);
+            w.finish(iter);
+            w.check([iter, iter.saturating_sub(1), next.saturating_sub(1), next]);
         }
-        assert!(win.is_empty() && win.counts.is_empty());
-        win.peak_slots()
+        assert!(w.batched.is_empty() && w.batched.counts.is_empty());
+        assert!(w.single.is_empty() && w.single.counts.is_empty());
+        w.batched.peak_slots()
+    }
+
+    #[test]
+    fn adding_nothing_changes_nothing() {
+        let mut win = LiveIters::new(16);
+        win.add_n(3, 0);
+        assert!(win.is_empty() && win.counts.is_empty() && !win.is_live(3));
+        assert_eq!(
+            win.peak_slots(),
+            0,
+            "no slot for an iteration with no threads"
+        );
+        win.add_n(5, 2);
+        win.add_n(9, 0);
+        assert_eq!((win.len(), win.peak_slots(), win.is_live(9)), (1, 1, false));
+        assert!(!win.finish(5) && win.finish(5));
     }
 
     #[test]

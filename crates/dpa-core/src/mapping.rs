@@ -25,6 +25,17 @@
 //! releasing never touch the allocator.
 //! [`PointerMap::release_into`] moves a chain straight into the caller's
 //! run stack.
+//!
+//! # M is also D
+//!
+//! The paper's second table, **D** (outstanding requests), is M's key set:
+//! a pointer's first alignment is what opens its request, and the arrival
+//! that completes the request releases the whole chain in the same step.
+//! So "a request for `p` is outstanding" is exactly "a thread waits under
+//! `p`", and the request statistics are read off M: requests issued are
+//! its first alignments, the outstanding peak is
+//! [`peak_keys`](PointerMap::peak_keys), and a stall report names the
+//! smallest pointers with waiters.
 
 use crate::fxmap::FxHashMap;
 use global_heap::GPtr;
@@ -93,6 +104,8 @@ pub struct PointerMap<W> {
     peak_threads: u64,
     peak_keys: u64,
     total_aligned: u64,
+    /// Alignments that found no thread waiting under their pointer.
+    first_alignments: u64,
 }
 
 impl<W> Default for PointerMap<W> {
@@ -108,6 +121,7 @@ impl<W> Default for PointerMap<W> {
             peak_threads: 0,
             peak_keys: 0,
             total_aligned: 0,
+            first_alignments: 0,
         }
     }
 }
@@ -170,6 +184,7 @@ impl<W> PointerMap<W> {
         let first = chain.len == 0;
         if first {
             chain.head = at.index() as u32;
+            self.first_alignments += 1;
             self.nonempty += 1;
             self.peak_keys = self.peak_keys.max(self.nonempty as u64);
         } else {
@@ -205,14 +220,31 @@ impl<W> PointerMap<W> {
     /// holds more than M does: each released thread passes through `ready`
     /// on its way to `out`, which is where it learns what only the arrival
     /// of its object could tell it.
-    pub fn release_with<U>(&mut self, ptr: GPtr, out: &mut Vec<U>, mut ready: impl FnMut(W) -> U) {
-        let Some(&id) = self.ids.get(&ptr) else {
-            return;
-        };
-        let chain = &mut self.chains[id as usize];
-        if chain.len == 0 {
-            return;
+    pub fn release_with<U>(&mut self, ptr: GPtr, out: &mut Vec<U>, ready: impl FnMut(W) -> U) {
+        if let Some(id) = self.waiting(ptr) {
+            self.release_chain(id, out, ready);
         }
+    }
+
+    /// The chain id of `ptr` while threads wait under it, `None` when none
+    /// do: one probe, after which [`release_chain`](Self::release_chain)
+    /// needs none.
+    #[inline]
+    pub(crate) fn waiting(&self, ptr: GPtr) -> Option<u32> {
+        let &id = self.ids.get(&ptr)?;
+        (self.chains[id as usize].len > 0).then_some(id)
+    }
+
+    /// [`release_with`](Self::release_with) for the chain id
+    /// [`waiting`](Self::waiting) returned.
+    pub(crate) fn release_chain<U>(
+        &mut self,
+        id: u32,
+        out: &mut Vec<U>,
+        mut ready: impl FnMut(W) -> U,
+    ) {
+        let chain = &mut self.chains[id as usize];
+        debug_assert!(chain.len > 0, "releasing a chain nothing waits on");
         let (mut at, len) = (Link::to(chain.head as usize), chain.len as usize);
         chain.len = 0;
         self.live_threads -= len as u64;
@@ -273,6 +305,23 @@ impl<W> PointerMap<W> {
         self.total_aligned
     }
 
+    /// Alignments over the phase that were the first under their pointer
+    /// ([`align`](Self::align) returned `true`): the requests issued.
+    pub(crate) fn first_alignments(&self) -> u64 {
+        self.first_alignments
+    }
+
+    /// The `n` smallest pointers with waiters, rendered. Sorted by pointer
+    /// value, so a snapshot or stall report depends on the *set* of
+    /// outstanding requests and not on the order they were issued in.
+    pub(crate) fn sorted_sample(&self, n: usize) -> Vec<String> {
+        let mut waiting: Vec<GPtr> = (self.ptrs.iter().zip(&self.chains))
+            .filter_map(|(&p, chain)| (chain.len > 0).then_some(p))
+            .collect();
+        waiting.sort_unstable();
+        waiting.iter().take(n).map(|p| p.to_string()).collect()
+    }
+
     /// Patch the mapping across a phase barrier instead of rebuilding it:
     /// every chain is emptied, the slab is truncated (its capacity kept)
     /// and the per-phase statistics are zeroed, but the interner — pointer
@@ -291,6 +340,7 @@ impl<W> PointerMap<W> {
         self.peak_threads = 0;
         self.peak_keys = 0;
         self.total_aligned = 0;
+        self.first_alignments = 0;
     }
 }
 
@@ -381,12 +431,42 @@ mod tests {
         assert_eq!(m.peak_threads(), 0);
         assert_eq!(m.peak_keys(), 0);
         assert_eq!(m.total_aligned(), 0);
+        assert_eq!(m.first_alignments(), 0);
         assert_eq!(m.interned(), 2, "the interner survives the barrier");
         // Waiters left behind (e.g. a carried entry covering them) are
         // dropped; a fresh phase starts clean.
         assert_eq!(m.waiters(p(2)), 0);
         assert!(m.align(p(1), 9), "re-align is first again");
         assert_eq!(m.interned(), 2, "re-align reuses the dense id");
+    }
+
+    /// What D answered, M answers: one request per first alignment (a
+    /// pointer released and aligned again counts again), the outstanding
+    /// set as the keys with waiters, rendered in pointer order whatever
+    /// order the requests were issued in.
+    #[test]
+    fn the_request_table_is_the_key_set() {
+        let (mut a, mut b) = (PointerMap::<u32>::new(), PointerMap::<u32>::new());
+        for i in [5, 1, 9, 4, 8, 1, 9] {
+            a.align(p(i), 0);
+        }
+        for i in [8, 4, 9, 1, 5, 5] {
+            b.align(p(i), 0);
+        }
+        assert_eq!((a.first_alignments(), b.first_alignments()), (5, 5));
+        a.release(p(4));
+        b.release(p(4));
+        let first_three = [p(1), p(5), p(8)].map(|q| q.to_string());
+        assert_eq!(a.sorted_sample(3), first_three);
+        assert_eq!(a.sorted_sample(16), b.sorted_sample(16));
+        assert_eq!(a.sorted_sample(16).len(), a.keys());
+        assert!(a.waiting(p(4)).is_none() && a.waiting(p(77)).is_none());
+        let id = a.waiting(p(9)).expect("two threads wait under p(9)");
+        let mut out = Vec::new();
+        a.release_chain(id, &mut out, |w| w);
+        assert_eq!((out.len(), a.waiting(p(9)), a.keys()), (2, None, 3));
+        assert!(a.align(p(4), 0), "a completed pointer is requested again");
+        assert_eq!((a.first_alignments(), a.peak_keys()), (6, 5));
     }
 
     #[test]

@@ -1,10 +1,17 @@
-//! **D** — the table of outstanding remote requests.
+//! **D** — the table of outstanding remote requests, as a table of its own.
 //!
 //! A pointer enters D when a request for it is handed to the communication
 //! scheduler and leaves when its reply installs the object. Membership
 //! suppresses duplicate requests (many threads aligned under one pointer
 //! cause exactly one fetch), and the peak size is the "max outstanding
 //! requests" column of the paper's statistics table.
+//!
+//! **No driver uses it.** A request is outstanding exactly while threads
+//! wait under its pointer, so [`crate::DpaProc`] reads D off M's key set
+//! ([`crate::mapping`]). The type stays only because the benchmark of
+//! record links it (its `dpa-core.pending_insert_complete_ns` drive) and
+//! `tests/properties.rs` checks it against a set model; it goes when the
+//! benchmark is decoupled from the runtime's internals (ROADMAP 1(c)).
 //!
 //! # Layout
 //!

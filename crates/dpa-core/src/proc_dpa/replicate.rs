@@ -165,12 +165,9 @@ impl<A: PtrApp> DpaProc<A> {
         }
         for (ptr, size) in entries.drain(..) {
             ctx.charge_overhead(self.cfg.cost.reply_install_ns + self.pressure());
-            if self.pending.contains(ptr) {
-                // The broadcast raced our own demand request; it doubles
-                // as the reply.
-                let installed = self.install(ptr, size, gen);
-                debug_assert!(installed, "pending object was already installed");
-            } else {
+            // Threads waiting under `ptr` mean the broadcast raced our own
+            // demand request; it doubles as the reply.
+            if !self.install(ptr, size, gen) {
                 // Supersede any carried copy outright: the broadcast may
                 // outrun the owner's PhaseDelta, and a stale carry must
                 // never survive behind the fresh-replica guard.

@@ -72,8 +72,18 @@ impl MigrationTable {
     /// Where node `me` should send requests for `ptr`: itself if it adopted
     /// the object, the stub target if the object departed from here, a
     /// learned override if one exists, else the birth home in the pointer
-    /// bits.
+    /// bits. A table with nothing re-homed answers without probing, inline
+    /// at the caller.
+    #[inline]
     pub fn home_of(&self, ptr: GPtr, me: u16) -> u16 {
+        if self.adopted.is_empty() && self.departed.is_empty() && self.overrides.is_empty() {
+            return ptr.node();
+        }
+        self.probe_home(ptr, me)
+    }
+
+    /// [`home_of`](Self::home_of) once something is re-homed.
+    fn probe_home(&self, ptr: GPtr, me: u16) -> u16 {
         if self.adopted.contains_key(&ptr) {
             return me;
         }
