@@ -485,8 +485,7 @@ pub fn run_setops(
 /// buckets, traffic, fault counts, makespans and event counters add.
 /// High-water marks (`peak_*`, `*_peak_bytes`) take the larger of the two
 /// phases: the phases run one after the other, so their peaks never
-/// coexist. The per-path `*_agg_factor_milli` are
-/// recomputed from the merged entry and message counts.
+/// coexist.
 fn merge_stats(a: &RunStats, b: &RunStats) -> RunStats {
     assert_eq!(a.nodes.len(), b.nodes.len());
     let mut out = a.clone();
@@ -509,17 +508,6 @@ fn merge_stats(a: &RunStats, b: &RunStats) -> RunStats {
                 Some(&u) => u + v,
             };
             x.user.insert(k, merged);
-        }
-        for (factor, entries, msgs) in [
-            ("req_agg_factor_milli", "request_entries", "request_msgs"),
-            ("reply_agg_factor_milli", "reply_entries", "reply_msgs"),
-            ("upd_agg_factor_milli", "update_entries", "update_msgs"),
-        ] {
-            if x.user.contains_key(factor) {
-                let (e, m) = (x.user[entries], x.user[msgs]);
-                let per_msg = if m == 0 { 0.0 } else { e as f64 / m as f64 };
-                x.user.insert(factor, (per_msg * 1000.0) as u64);
-            }
         }
     }
     out
@@ -570,10 +558,6 @@ mod tests {
                 ("renamed_peak_bytes", 4096),
                 ("request_entries", 90),
                 ("request_msgs", 3),
-                ("req_agg_factor_milli", 30_000),
-                ("update_entries", 0),
-                ("update_msgs", 0),
-                ("upd_agg_factor_milli", 0),
             ],
             1,
             2,
@@ -586,10 +570,6 @@ mod tests {
                 ("renamed_peak_bytes", 8192),
                 ("request_entries", 10),
                 ("request_msgs", 5),
-                ("req_agg_factor_milli", 2_000),
-                ("update_entries", 0),
-                ("update_msgs", 0),
-                ("upd_agg_factor_milli", 0),
                 ("eval_only", 7),
             ],
             10,
@@ -601,8 +581,7 @@ mod tests {
         assert_eq!(user["threads_created"], 42);
         assert_eq!(user["peak_aligned_threads"], 900, "max, not 935");
         assert_eq!(user["renamed_peak_bytes"], 8192);
-        assert_eq!(user["req_agg_factor_milli"], 12_500, "100 entries / 8 msgs");
-        assert_eq!(user["upd_agg_factor_milli"], 0, "no messages, no factor");
+        assert_eq!((user["request_entries"], user["request_msgs"]), (100, 8));
         assert_eq!(user["eval_only"], 7, "a key one phase lacks is kept as is");
         assert_eq!(merged.nodes[0].msgs_sent, 20);
         assert_eq!(merged.makespan, Time(200));

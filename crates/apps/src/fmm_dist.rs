@@ -422,11 +422,6 @@ impl FmmM2lApp {
             interaction_hash: 0,
         }
     }
-
-    /// Number of target boxes (owned + ancestor).
-    pub fn num_targets(&self) -> usize {
-        self.targets.len()
-    }
 }
 
 impl PtrApp for FmmM2lApp {

@@ -517,17 +517,8 @@ pub fn corpus_write(workload: &str, seed: u64, plan: &str, violations: &[String]
 /// Re-run one recorded corpus case.
 ///
 /// Returns 0 when the case no longer reproduces, 1 when it still violates
-/// an invariant, 2 on a malformed case file. Honors `DPA_SIM_THREADS`
-/// (via [`DstOptions::default`]); use [`replay_with_threads`] to pin the
-/// engine explicitly.
+/// an invariant, 2 on a malformed case file.
 pub fn replay(path: &str) -> i32 {
-    replay_with_threads(path, sim_net::env_threads())
-}
-
-/// [`replay`] with an explicit simulator thread count — the DST smoke lane
-/// for the parallel engine replays every committed corpus case with
-/// `threads > 1` and must reach the same verdict as the sequential replay.
-pub fn replay_with_threads(path: &str, threads: usize) -> i32 {
     let body = match std::fs::read_to_string(path) {
         Ok(b) => b,
         Err(e) => {
@@ -562,8 +553,7 @@ pub fn replay_with_threads(path: &str, threads: usize) -> i32 {
     };
     // `workload = service` cases replay the run-service scheduler model
     // instead of a simulator run: the case names a scenario (a canned
-    // (config, load profile) pair) plus the seed. Scheduler decisions are
-    // engine-independent, so the threads knob is ignored here.
+    // (config, load profile) pair) plus the seed.
     if workload == "service" {
         let Some(name) = fields.get("scenario") else {
             eprintln!("error: {path}: missing `scenario = ...` line for a service case");
@@ -591,7 +581,7 @@ pub fn replay_with_threads(path: &str, threads: usize) -> i32 {
         eprintln!("error: {path}: missing `plan = ...` line");
         return 2;
     };
-    match replay_run(workload, seed, plan, threads) {
+    match replay_run(workload, seed, plan) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: {path}: {e}");
@@ -600,24 +590,16 @@ pub fn replay_with_threads(path: &str, threads: usize) -> i32 {
     }
 }
 
-/// The simulator half of [`replay_with_threads`]: baseline, perturbed
-/// run, verdict. `Err` when the case names no known workload or plan.
-fn replay_run(workload: &str, seed: u64, plan: &str, threads: usize) -> Result<i32, UnknownName> {
+/// The simulator half of [`replay`]: baseline, perturbed run, verdict.
+/// `Err` when the case names no known workload or plan.
+fn replay_run(workload: &str, seed: u64, plan: &str) -> Result<i32, UnknownName> {
     let faults = plan_for(plan, seed)?;
     let w = Worlds::build();
-    let baseline = run_one(
-        &w,
-        workload,
-        &DstOptions {
-            threads,
-            ..DstOptions::default()
-        },
-    )?;
-    println!("replaying {workload} seed={seed} plan={plan} threads={threads}");
+    let baseline = run_one(&w, workload, &DstOptions::default())?;
+    println!("replaying {workload} seed={seed} plan={plan}");
     let opts = DstOptions {
         schedule_seed: Some(schedule_seed(seed)),
         faults,
-        threads,
         ..DstOptions::default()
     };
     let out = run_one(&w, workload, &opts)?;

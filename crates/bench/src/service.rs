@@ -43,14 +43,7 @@ impl DstJobRunner {
         }
         // Computed outside the lock: concurrent misses on the same
         // workload waste a run but never deadlock a shard.
-        let out = run_one(
-            &self.worlds,
-            workload,
-            &DstOptions {
-                threads: 1,
-                ..DstOptions::default()
-            },
-        )?;
+        let out = run_one(&self.worlds, workload, &DstOptions::default())?;
         Ok(self
             .baselines
             .lock()
@@ -76,7 +69,6 @@ impl DstJobRunner {
         let opts = DstOptions {
             schedule_seed: Some(schedule_seed(spec.seed)),
             faults: plan_for(&spec.plan, spec.seed)?,
-            threads: 1,
             max_events: event_budget,
             wall_deadline,
             ..DstOptions::default()

@@ -203,7 +203,6 @@ fn align_release_cycles_allocate_nothing_once_the_slab_is_warm() {
 fn a_bh16_shaped_phase_allocates_at_most_16_times_per_kevent() {
     let world = BhWorld::build(plummer(16_384, 1997), 16, 1, BhParams::default(), BhCost::default());
     let opts = DstOptions {
-        threads: 1,
         queue: QueueKind::Wheel,
         ..DstOptions::default()
     };
@@ -364,7 +363,6 @@ fn a_setops_run_allocates_identically_twice() {
         ..SetopsParams::default()
     });
     let opts = DstOptions {
-        threads: 1,
         queue: QueueKind::Wheel,
         ..DstOptions::default()
     };
@@ -386,7 +384,6 @@ fn a_setops_run_allocates_identically_twice() {
 fn a_bh_run_allocates_identically_twice() {
     let world = BhWorld::build(plummer(600, 11), 4, 1, BhParams::default(), BhCost::default());
     let opts = DstOptions {
-        threads: 1,
         queue: QueueKind::Wheel,
         ..DstOptions::default()
     };
@@ -416,7 +413,6 @@ fn a_synth_run_allocates_identically_twice() {
         ..SynthParams::default()
     });
     let opts = DstOptions {
-        threads: 1,
         queue: QueueKind::Wheel,
         ..DstOptions::default()
     };

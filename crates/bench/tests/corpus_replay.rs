@@ -46,19 +46,3 @@ fn every_committed_corpus_case_replays_clean() {
         );
     }
 }
-
-/// Parallel-engine smoke lane: every committed corpus case must reach the
-/// same clean verdict when replayed on the conservative-window engine
-/// (`run_parallel` is bit-identical to `run()`, so any divergence here is
-/// an engine bug, not a workload regression).
-#[test]
-fn every_committed_corpus_case_replays_clean_in_parallel() {
-    for case in corpus_cases() {
-        let path = case.to_string_lossy();
-        let code = bench::dst::replay_with_threads(&path, 4);
-        assert_eq!(
-            code, 0,
-            "corpus case {path} diverged on the parallel engine (exit code {code})"
-        );
-    }
-}

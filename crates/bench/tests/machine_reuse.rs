@@ -5,9 +5,8 @@
 //! runner. Covers the reap path too: an under-budgeted job mid-sequence
 //! must not perturb its successors.
 //!
-//! Honors `DPA_SIM_QUEUE` / `DPA_SIM_THREADS` via [`DstOptions::default`]
-//! inside the runner, so CI's heap-queue and threaded lanes re-run the
-//! same identity automatically.
+//! Honors `DPA_SIM_QUEUE` via [`DstOptions::default`] inside the runner,
+//! so CI's heap-queue lane re-runs the same identity automatically.
 
 use bench::service::DstJobRunner;
 use dpa_serve::{

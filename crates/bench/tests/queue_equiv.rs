@@ -31,10 +31,8 @@ fn opts(plan: &str, seed: u64, queue: QueueKind) -> DstOptions {
     DstOptions {
         schedule_seed: Some(schedule_seed(seed)),
         faults: plan_for(plan, seed).unwrap(),
-        threads: 1,
         queue,
-        max_events: u64::MAX,
-        wall_deadline: None,
+        ..DstOptions::default()
     }
 }
 

@@ -18,8 +18,7 @@ use std::sync::{Arc, Mutex};
 /// Where a returning activation delivers its value.
 ///
 /// Join cells are shared only between tasks of *one* node, which always
-/// execute on a single simulator worker — but `PtrApp::Work` must be
-/// `Send` (the parallel engine moves whole nodes across threads), so the
+/// execute on one host thread — but `PtrApp::Work` must be `Send`, so the
 /// cells are `Arc<Mutex<…>>` rather than `Rc<RefCell<…>>`. The locks are
 /// never contended.
 struct JoinState {

@@ -61,11 +61,11 @@ pub struct DstOptions {
     pub schedule_seed: Option<u64>,
     /// Fault plan applied to every send (see [`sim_net::fault`]).
     pub faults: FaultPlan,
-    /// Simulator worker threads (`Machine::run_threads`). `> 1` selects the
-    /// conservative-window parallel engine, which is bit-identical to the
-    /// sequential one; defaults to the `DPA_SIM_THREADS` environment
-    /// variable (1 when unset), so an entire sweep can be switched to the
-    /// parallel engine from the outside.
+    /// Inert: read by nothing, defaults to 1. The simulator has one
+    /// (sequential) engine; the field stays only because the benchmark of
+    /// record (`benchmark/`) constructs it, and it goes when the benchmark
+    /// is decoupled from the runtime's internals (ROADMAP 1(c)).
+    #[doc(hidden)]
     pub threads: usize,
     /// Event-queue implementation ([`Machine::set_queue_kind`]): the
     /// timing wheel (default) or the shadow binary heap it is
@@ -94,7 +94,7 @@ impl Default for DstOptions {
         DstOptions {
             schedule_seed: None,
             faults: FaultPlan::default(),
-            threads: sim_net::env_threads(),
+            threads: 1,
             queue: sim_net::env_queue(),
             max_events: u64::MAX,
             wall_deadline: None,
@@ -226,7 +226,7 @@ fn run_machine<P: NodeProc>(
         m.enable_tracing(capacity);
     }
     m.max_events = phase_event_budget(opts, phase);
-    let report = m.run_threads(opts.threads);
+    let report = m.run();
     let mut snaps = Vec::with_capacity(nodes as usize);
     for i in 0..nodes {
         let p = m.proc(NodeId(i));

@@ -357,7 +357,6 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                 }
             }
             DpaMsg::Reply(objs) => {
-                debug_assert_eq!(objs.len(), 1, "baseline fetches one object at a time");
                 for &(ptr, size) in &objs {
                     ctx.charge_overhead(self.fill_ns);
                     if self.requested.contains(&ptr) {

@@ -999,24 +999,6 @@ impl<A: PtrApp> Proc for DpaProc<A> {
             "thread_state_peak_bytes",
             self.map.peak_threads() * self.app.work_state_bytes() as u64,
         );
-        // Per-path aggregation factors (entries per message, x1000). The
-        // request and update paths read their coalescers; the reply path
-        // covers both the scheduler and the immediate-service path, so it
-        // is computed from the wire counters.
-        stats.bump(
-            "req_agg_factor_milli",
-            (self.coal.aggregation_factor() * 1000.0) as u64,
-        );
-        stats.bump(
-            "upd_agg_factor_milli",
-            (self.upd_coal.aggregation_factor() * 1000.0) as u64,
-        );
-        let reply_agg = if self.reply_msgs == 0 {
-            0.0
-        } else {
-            self.reply_entries_sent as f64 / self.reply_msgs as f64
-        };
-        stats.bump("reply_agg_factor_milli", (reply_agg * 1000.0) as u64);
         stats.bump("request_entries", self.request_entries_sent);
         stats.bump("reply_entries", self.reply_entries_sent);
         stats.bump("update_entries", self.updates.entries_sent);

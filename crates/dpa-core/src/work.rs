@@ -288,11 +288,10 @@ impl<'a, W> WorkEnv<'a, W> {
 /// (the tree, the bodies) typically lives behind an `Arc` inside the
 /// implementor.
 ///
-/// Apps (and their thread states) are `Send`: the parallel simulation
-/// engine (`sim_net::Machine::run_parallel`) moves each node's proc — app
-/// and queued work included — onto a worker thread. Nothing is ever
-/// *shared* mutably across threads (each node stays on one worker), so
-/// `Sync` is not required.
+/// Apps (and their thread states) are `Send`, so a node's proc — app and
+/// queued work included — may be built on one host thread and run on
+/// another. The simulator runs every node of a machine on one thread and
+/// never shares an app across threads, so `Sync` is not required.
 pub trait PtrApp: Send {
     /// The state of one non-blocking thread.
     type Work: Send;

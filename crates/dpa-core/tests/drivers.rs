@@ -139,10 +139,7 @@ fn strip_one_still_correct_but_slower() {
 fn dropped_replies_stall_but_do_not_hang() {
     let world = SynthWorld::build(params(4));
     let opts = DstOptions {
-        faults: FaultPlan {
-            drop_every: Some(5),
-            ..FaultPlan::default()
-        },
+        faults: FaultPlan::drop_nth(5),
         ..DstOptions::default()
     };
     let (report, _) = run_phase_dst(

@@ -17,18 +17,15 @@
 //! something to send — by then a batch has usually come back — and only
 //! then allocates, sized like the batch it sent last.
 //!
-//! ## Flush ordering and the parallel engine
+//! ## Flush ordering
 //!
 //! Both flush paths emit batches in ascending destination order (the
 //! nonempty destinations are a bitset walked lowest-first), and a flush
 //! happens *inside* the event handler that triggered it — the resulting
 //! packets are stamped and sequenced at that event's timestamp before the
-//! handler returns. This matters for `sim_net`'s conservative-window
-//! parallel engine: because every send a handler makes is ordered by the
-//! per-source sequence counter at emission time, a window boundary can
-//! never fall "between" the batches of one drain. The parallel engine
-//! therefore observes exactly the sequential engine's flush order, which is
-//! one of the invariants behind its bit-identical replay guarantee.
+//! handler returns. The batches of one drain therefore leave in one fixed
+//! order, set by `sim_net`'s per-source sequence counter at emission time,
+//! which is part of what makes every run replay bit for bit.
 
 use crate::arena::VecPool;
 

@@ -1,8 +1,8 @@
 //! Fault plans: reproducible message-level fault injection.
 //!
-//! Generalizes the original `drop_every` counter into a [`FaultPlan`] of
-//! probabilistic drop / duplicate / delay faults plus deterministic
-//! "drop exactly the n-th packet" and node-pause windows. Decisions are
+//! A [`FaultPlan`] combines probabilistic drop / duplicate / delay faults
+//! with a deterministic "drop exactly the n-th packet" and node-pause
+//! windows. Decisions are
 //! drawn from *per-channel* RNG streams — one stream per (src, dst) pair,
 //! seeded purely from the plan seed and the channel — with a fixed number
 //! of draws per message. The fate of "the k-th message from node s to
@@ -46,8 +46,6 @@ pub struct FaultPlan {
     /// Drop exactly the n-th network message of the run (1-based, counted
     /// in send order). Deterministic: the targeted loss for deadlock demos.
     pub drop_nth: Option<u64>,
-    /// Legacy counter fault: drop every k-th network message.
-    pub drop_every: Option<u64>,
     /// Node freeze windows.
     pub pauses: Vec<NodePause>,
 }
@@ -61,7 +59,6 @@ impl Default for FaultPlan {
             delay_p: 0.0,
             delay_max_ns: 0,
             drop_nth: None,
-            drop_every: None,
             pauses: Vec::new(),
         }
     }
@@ -115,7 +112,6 @@ impl FaultPlan {
             && self.dup_p == 0.0
             && self.delay_p == 0.0
             && self.drop_nth.is_none()
-            && self.drop_every.is_none()
             && self.pauses.is_empty()
     }
 
@@ -136,9 +132,6 @@ impl FaultPlan {
         }
         if let Some(n) = self.drop_nth {
             parts.push(format!("drop_nth({n})"));
-        }
-        if let Some(k) = self.drop_every {
-            parts.push(format!("drop_every({k})"));
         }
         if !self.pauses.is_empty() {
             parts.push(format!("pauses({})", self.pauses.len()));
@@ -172,7 +165,7 @@ pub struct FaultInjector {
     /// Cached at construction: the plan has no probabilistic faults, so
     /// [`FaultInjector::decide`] never needs a per-channel RNG stream.
     no_prob: bool,
-    /// Cached at construction: `no_prob` *and* no counter faults either —
+    /// Cached at construction: `no_prob` *and* no `drop_nth` either —
     /// every message delivers untouched. This is the hot path of every
     /// fault-free benchmark run, reduced to one branch and a counter bump.
     fast_deliver: bool,
@@ -192,7 +185,7 @@ impl FaultInjector {
     /// Build an injector for `plan`.
     pub fn new(plan: FaultPlan) -> FaultInjector {
         let no_prob = plan.drop_p == 0.0 && plan.dup_p == 0.0 && plan.delay_p == 0.0;
-        let fast_deliver = no_prob && plan.drop_nth.is_none() && plan.drop_every.is_none();
+        let fast_deliver = no_prob && plan.drop_nth.is_none();
         FaultInjector {
             plan,
             chans: BTreeMap::new(),
@@ -221,11 +214,6 @@ impl FaultInjector {
         }
         if self.plan.drop_nth == Some(self.sent) {
             return FaultAction::Drop;
-        }
-        if let Some(k) = self.plan.drop_every {
-            if self.sent.is_multiple_of(k) {
-                return FaultAction::Drop;
-            }
         }
         if self.no_prob {
             return FaultAction::Deliver {
@@ -349,18 +337,6 @@ mod tests {
         let drops = fates.iter().filter(|a| **a == FaultAction::Drop).count();
         assert_eq!(drops, 1);
         assert_eq!(fates[2], FaultAction::Drop);
-    }
-
-    #[test]
-    fn drop_every_matches_legacy_counter() {
-        let mut f = FaultInjector::new(FaultPlan {
-            drop_every: Some(2),
-            ..FaultPlan::default()
-        });
-        let drops = (0..10)
-            .filter(|_| f.decide(0, 1) == FaultAction::Drop)
-            .count();
-        assert_eq!(drops, 5);
     }
 
     #[test]

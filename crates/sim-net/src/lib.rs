@@ -67,7 +67,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use fault::{FaultAction, FaultInjector, FaultPlan, NodePause};
-pub use machine::{env_threads, Ctx, Machine, NodeId, Proc, RunReport, StallInfo};
+pub use machine::{Ctx, Machine, NodeId, Proc, RunReport, StallInfo};
 pub use wheel::{env_queue, EventKey, QueueKind, TimingWheel, WheelItem};
 pub use network::{MsgSize, NetConfig};
 pub use rng::Rng;

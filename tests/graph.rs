@@ -3,9 +3,8 @@
 //! across every config lane — strips from 1 to 128, migration on and off,
 //! differential re-alignment on and off, read-mostly replication on and
 //! off — because none of those knobs is allowed to change *what* is
-//! computed, only when and where. The `DPA_SIM_QUEUE` / `DPA_SIM_THREADS`
-//! lanes come from the CI matrix running this whole file under each
-//! engine.
+//! computed, only when and where. The `DPA_SIM_QUEUE` lane comes from the
+//! CI matrix running this whole file under each event queue.
 
 use dpa::apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
 use dpa::runtime::{check_completed, run_phases, DpaConfig, DstOptions, Policy};

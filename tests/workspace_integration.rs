@@ -96,10 +96,7 @@ fn fault_injection_reports_stall_without_hanging() {
         ..SynthParams::default()
     });
     let opts = DstOptions {
-        faults: FaultPlan {
-            drop_every: Some(7),
-            ..FaultPlan::default()
-        },
+        faults: FaultPlan::drop_nth(7),
         ..DstOptions::default()
     };
     let (report, _) = run_phase_dst(
