@@ -5,8 +5,9 @@
 //! runner. Covers the reap path too: an under-budgeted job mid-sequence
 //! must not perturb its successors.
 //!
-//! Honors `DPA_SIM_QUEUE` via [`DstOptions::default`] inside the runner,
-//! so CI's heap-queue lane re-runs the same identity automatically.
+//! Every job runs on the default timing wheel; reuse on the shadow heap is
+//! covered by `sim_net`'s `Machine::reset` tests, which loop over both
+//! queues.
 
 use bench::service::DstJobRunner;
 use dpa_serve::{

@@ -11,19 +11,16 @@
 //! (floats by bit pattern), per-node invariant snapshots, and stall
 //! diagnoses.
 //!
-//! The default test runs a CI-sized subset, plus a committed-corpus replay
-//! on the wheel. The `#[ignore]`d full matrix — every workload × every
-//! fault plan × 8 seeds, 360 wheel-vs-heap comparisons — runs in the
+//! The default test runs a CI-sized subset (the committed corpus replays
+//! in `corpus_replay`). The `#[ignore]`d full matrix — every workload ×
+//! every fault plan × 8 seeds, 360 wheel-vs-heap comparisons — runs in the
 //! nightly lane:
 //!
 //! ```sh
 //! cargo test --release -p bench --test queue_equiv -- --ignored
 //! ```
 
-use bench::dst::{
-    fingerprint, plan_for, replay, run_one, schedule_seed, Worlds, ALL_PLANS, CORPUS_DIR,
-    WORKLOADS,
-};
+use bench::dst::{fingerprint, plan_for, run_one, schedule_seed, Worlds, ALL_PLANS, WORKLOADS};
 use dpa_core::DstOptions;
 use sim_net::QueueKind;
 
@@ -69,24 +66,6 @@ fn queues_bit_identical_smoke() {
         }
     }
     assert!(checked >= 60, "smoke subset shrank to {checked} comparisons");
-}
-
-/// Every committed DST corpus case must still replay cleanly on the wheel
-/// (replay uses [`DstOptions::default`], whose queue defaults to the
-/// wheel unless `DPA_SIM_QUEUE` overrides it).
-#[test]
-fn corpus_replays_clean_on_wheel() {
-    let dir = match std::fs::read_dir(CORPUS_DIR) {
-        Ok(d) => d,
-        Err(_) => return, // no corpus committed yet
-    };
-    for entry in dir {
-        let path = entry.expect("readable corpus dir").path();
-        if path.extension().is_some_and(|e| e == "case") {
-            let path = path.to_str().expect("utf-8 corpus path");
-            assert_eq!(replay(path), 0, "corpus case {path} violates on the wheel");
-        }
-    }
 }
 
 /// The full matrix: every workload × every fault plan × 8 seeds. 360

@@ -69,9 +69,7 @@ pub struct DstOptions {
     pub threads: usize,
     /// Event-queue implementation ([`Machine::set_queue_kind`]): the
     /// timing wheel (default) or the shadow binary heap it is
-    /// differentially tested against. Defaults to the `DPA_SIM_QUEUE`
-    /// environment variable, so a whole sweep can be flipped to the
-    /// shadow heap from the outside.
+    /// differentially tested against.
     pub queue: QueueKind,
     /// Hard cap on events processed per machine run ([`Machine::max_events`];
     /// `u64::MAX` = unlimited, the default). When the cap is hit the run
@@ -95,7 +93,7 @@ impl Default for DstOptions {
             schedule_seed: None,
             faults: FaultPlan::default(),
             threads: 1,
-            queue: sim_net::env_queue(),
+            queue: QueueKind::Wheel,
             max_events: u64::MAX,
             wall_deadline: None,
         }

@@ -68,7 +68,7 @@ pub mod wheel;
 
 pub use fault::{FaultAction, FaultInjector, FaultPlan, NodePause};
 pub use machine::{Ctx, Machine, NodeId, Proc, RunReport, StallInfo};
-pub use wheel::{env_queue, EventKey, QueueKind, TimingWheel, WheelItem};
+pub use wheel::{EventKey, QueueKind, TimingWheel, WheelItem};
 pub use network::{MsgSize, NetConfig};
 pub use rng::Rng;
 pub use stats::{ChargeKind, NodeStats, RunStats};

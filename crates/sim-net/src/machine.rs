@@ -15,7 +15,7 @@ use crate::network::{MsgSize, NetConfig};
 use crate::stats::{ChargeKind, NodeStats, RunStats};
 use crate::time::{Dur, Time};
 use crate::trace::Trace;
-use crate::wheel::{env_queue, EventKey, QueueKind, TimingWheel, WheelItem};
+use crate::wheel::{EventKey, QueueKind, TimingWheel, WheelItem};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -558,7 +558,7 @@ impl<P: Proc> Machine<P> {
             net,
             clocks: vec![Time::ZERO; n],
             stats: vec![NodeStats::default(); n],
-            queue: EventQueue::new(env_queue()),
+            queue: EventQueue::new(QueueKind::default()),
             courier: Courier::new(n, FaultPlan::default()),
             trace: None,
             max_events: u64::MAX,
@@ -598,19 +598,14 @@ impl<P: Proc> Machine<P> {
         self.max_events = u64::MAX;
     }
 
-    /// Select the event-queue implementation (wheel vs shadow heap). The
-    /// default comes from [`env_queue`]; differential tests call this to
-    /// pin each run's queue explicitly. Must be called before `run`.
+    /// Select the event-queue implementation (wheel vs shadow heap). A new
+    /// machine runs on the wheel; differential tests call this to run the
+    /// shadow heap beside it. Must be called before `run`.
     pub fn set_queue_kind(&mut self, kind: QueueKind) {
         debug_assert!(self.queue.is_empty(), "set_queue_kind on a started machine");
         if self.queue.kind() != kind {
             self.queue = EventQueue::new(kind);
         }
-    }
-
-    /// The event-queue implementation this machine runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Enable seeded schedule perturbation: events with equal timestamps
@@ -1209,6 +1204,16 @@ mod tests {
         let b = build(QueueKind::ShadowHeap).run();
         assert_eq!(a, b);
         assert!(a.completed && a.makespan().as_ns() >= 50_000_000);
+    }
+
+    #[test]
+    fn the_environment_does_not_choose_the_queue() {
+        // A run is a function of its explicit inputs: no environment
+        // variable picks a new machine's queue.
+        std::env::set_var("DPA_SIM_QUEUE", "heap");
+        let kind = Machine::new(vec![Echo, Echo], NetConfig::default()).queue.kind();
+        std::env::remove_var("DPA_SIM_QUEUE");
+        assert_eq!(kind, QueueKind::Wheel);
     }
 
     // ------------------------------------------------------------- reset

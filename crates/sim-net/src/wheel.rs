@@ -322,9 +322,10 @@ impl<T: WheelItem> TimingWheel<T> {
 
 /// Which event-queue implementation a machine runs on.
 ///
-/// The wheel is the production queue; the shadow heap is the original
-/// `BinaryHeap` kept alive for differential testing (`queue_equiv`,
-/// `DPA_SIM_QUEUE=heap` CI runs). Both produce bit-identical schedules.
+/// The wheel is the production queue and every machine's default; the
+/// shadow heap is the original `BinaryHeap`, kept as the reference that
+/// differential tests (`queue_equiv`, the machine's heap and reset tests)
+/// select by name. Both produce bit-identical schedules.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum QueueKind {
     /// Calendar-queue timing wheel (default).
@@ -332,19 +333,6 @@ pub enum QueueKind {
     Wheel,
     /// The original binary heap, retained as a differential shadow.
     ShadowHeap,
-}
-
-/// Queue implementation requested via the `DPA_SIM_QUEUE` environment
-/// variable: `heap`/`shadow` selects the shadow heap, anything else (or
-/// unset) the timing wheel. Lets CI rerun the whole suite on the shadow
-/// queue without code changes.
-pub fn env_queue() -> QueueKind {
-    match std::env::var("DPA_SIM_QUEUE") {
-        Ok(v) if v.trim().eq_ignore_ascii_case("heap") || v.trim().eq_ignore_ascii_case("shadow") => {
-            QueueKind::ShadowHeap
-        }
-        _ => QueueKind::Wheel,
-    }
 }
 
 #[cfg(test)]
