@@ -361,7 +361,7 @@ pub struct BhApp {
     /// Integer checksum of the interactions performed: the commutative
     /// `wrapping_add` of a hash per (body, partner) pair, so it is
     /// bit-identical regardless of execution order, strip size, object
-    /// placement, or migration — the determinism oracle for this phase.
+    /// placement — the determinism oracle for this phase.
     pub interaction_hash: u64,
     /// Differential-mode change schedule; `None` for single-phase runs.
     plan: Option<DiffPlan>,

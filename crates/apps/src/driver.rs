@@ -251,7 +251,7 @@ pub fn run_synth(
 /// Run the Barnes-Hut force phase. Digest: the accelerations (xyz per
 /// body) of a single phase; across timesteps each node's
 /// [`BhApp::interaction_hash`] per phase — bit-identical across strip
-/// sizes, schedules, and migration.
+/// sizes and schedules.
 pub fn run_bh(
     world: &Arc<BhWorld>,
     cfg: DpaConfig,

@@ -404,7 +404,7 @@ pub struct FmmM2lApp {
     /// Integer checksum of the M2L translations performed: the
     /// commutative `wrapping_add` of a hash per (target, src) pair, so it
     /// is bit-identical regardless of execution order, strip size, object
-    /// placement, or migration — the determinism oracle for this phase.
+    /// placement — the determinism oracle for this phase.
     pub interaction_hash: u64,
 }
 
@@ -504,7 +504,7 @@ pub struct FmmEvalApp {
     /// Integer checksum of the evaluations and P2P leaf pairs performed
     /// (commutative; evaluation entries carry a tag bit to keep the two
     /// kinds distinct). Bit-identical regardless of execution order,
-    /// strip size, placement, or migration.
+    /// strip size, or placement.
     pub interaction_hash: u64,
 }
 

@@ -10,8 +10,8 @@
 //! tail is touched once, and there is no spatial locality for placement to
 //! exploit. Hubs additionally carry outsized records (their out-edge
 //! lists), so a single hot key produces multi-MTU replies with fan-out to
-//! every node — the stress case for dominant-consumer migration and
-//! owner-side reply aggregation.
+//! every node — the stress case for owner-side reply aggregation and the
+//! case read-mostly replication answers.
 //!
 //! The graph is *structurally mutable across phases*: at each phase
 //! boundary a seeded subset of vertices is rewired (their out-edge lists

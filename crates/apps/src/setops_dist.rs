@@ -22,7 +22,7 @@
 //!
 //! Range queries are power-law skewed toward bucket 0, so the low buckets
 //! — all owned by node 0 — are the hot keys: many consumers, no dominant
-//! one, the adversarial case for migration's dominant-consumer pick.
+//! one.
 
 use crate::error::WorldError;
 use dpa_core::{PtrApp, WorkEnv};

@@ -28,14 +28,12 @@
 //! `results/dst_report.json`.
 //!
 //! Workloads cover the single-phase variants (synth DPA/caching, BH, FMM,
-//! relax) and the migration-enabled multi-phase variants (`synth-mig`,
-//! `bh-mig`, driven through `run_phases`), so the object-migration
-//! protocol — phase-end affinity reports, the boundary's depart/adopt
-//! hand-off, one-hop forwards, learned overrides — is explored under
-//! every fault plan. The
+//! relax) and the multi-phase variants driven through `run_phases`: the
 //! differential variants (`synth-diff`, `bh-diff`, `graph`) run
-//! `cfg.differential` against a from-scratch comparator, and the
-//! skew-adversarial family (`graph`, `graph-mig`, `setops`) puts a
+//! `cfg.differential` against a from-scratch comparator, the replicating
+//! variants (`graph-repl`, `bh-repl`) add phase-end affinity reports,
+//! boundary promotion and broadcasts, and the
+//! skew-adversarial family (`graph`, `setops`) puts a
 //! power-law hot hub with multi-MTU records and structural phase deltas —
 //! plus ordered-set batches on the reduction path — under the same
 //! oracles, including per-hot-key reply conservation.

@@ -1,25 +1,17 @@
-//! Hot-hub crossover figure: skew exponent x migration threshold x
-//! reply-aggregation window x alignment mode over the pointer-chasing
-//! graph workload.
+//! Hot-hub crossover figure: skew exponent x reply-aggregation window x
+//! alignment mode over the pointer-chasing graph workload.
 //!
 //! The graph family (`apps::graph_dist`) is skew-adversarial by
 //! construction: edge targets follow a power law, so one vertex becomes a
 //! hub that every node's closure traversal hits. This figure sweeps the
-//! skew exponent and, at each skew, races the two communication knobs the
-//! paper treats as unconditional wins:
+//! skew exponent and, at each skew, races a communication knob the paper
+//! treats as an unconditional win, the **reply-aggregation window**: a
+//! wide window with a lazy flush deadline against a modest window and
+//! against no aggregation. Wide windows help exactly when fan-out is high
+//! and steady; on the skewed tail the window never fills and every reply
+//! waits out the deadline.
 //!
-//! * **migration threshold** — eager locality-driven migration
-//!   (`threshold = 1`) against a conservative threshold and against no
-//!   migration at all. A hub has *no* dominant consumer: every node is a
-//!   heavy requester, so whichever one the boundary pass re-homes the hub
-//!   to, all the others now reach it through the forwarding stub, paying
-//!   an extra hop for locality only one of them gets.
-//! * **reply-aggregation window** — a wide window with a lazy flush
-//!   deadline against a modest window and against no aggregation. Wide
-//!   windows help exactly when fan-out is high and steady; on the skewed
-//!   tail the window never fills and every reply waits out the deadline.
-//!
-//! Both knobs must be shown *losing* somewhere on the hot-hub axis
+//! The wide window must be shown *losing* somewhere on the hot-hub axis
 //! (simulated time, same bit-identical checksums) — the crossover. The
 //! `repl` lane is the answer to the loss: **read-mostly replication**
 //! promotes the hub at the first phase boundary, broadcasts it to the
@@ -37,17 +29,17 @@
 //! is exactly the coattail the gate must not ride.
 //!
 //! Usage: `bench fig_graph` (full sweep), `--quick` (3 skews) or
-//! `--smoke` (2 skews, CI).
+//! `--smoke` (the same 3 skews on a smaller world, CI).
 //!
 //! Exits nonzero if checksums diverge across configs, no adversarial
-//! regime (migration or aggregation losing at skew >= 1.5) is observed,
-//! or the replication gate fails.
+//! regime (wide aggregation losing at skew >= 1.5) is observed, or the
+//! replication gate fails.
 
 use apps::driver::{run_graph, Digest};
 use apps::graph_dist::{GraphParams, GraphWorld};
 use bench::cli::{Args, Scale};
 use bench::{assert_clean, dump_json, ExpPoint};
-use dpa_core::{DpaConfig, DstOptions, Policy};
+use dpa_core::{DpaConfig, DstOptions};
 use sim_net::NetConfig;
 use std::io;
 use std::sync::Arc;
@@ -85,8 +77,6 @@ fn run_cell(world: &Arc<GraphWorld>, phases: usize, cfg: DpaConfig, label: &str)
     for s in run.snaps.iter().flatten() {
         // Owner-side demand traffic for the hub pointer: each pushed
         // reply entry answered one request, so request+reply = 2x.
-        // Migration moves the accounting with the owner; summing over
-        // every node covers re-homed phases.
         hub_entries += s
             .reply_hot
             .iter()
@@ -106,7 +96,7 @@ fn run_cell(world: &Arc<GraphWorld>, phases: usize, cfg: DpaConfig, label: &str)
 
 /// The config lanes of one skew column. The first lane is the reference
 /// everything else is compared against (plain DPA, default window); the
-/// first five are the from-scratch lanes the replication gate uses as
+/// first three are the from-scratch lanes the replication gate uses as
 /// its baseline.
 fn lanes() -> Vec<(&'static str, DpaConfig)> {
     vec![
@@ -127,22 +117,6 @@ fn lanes() -> Vec<(&'static str, DpaConfig)> {
             },
         ),
         (
-            "mig-t1",
-            DpaConfig {
-                policy: Policy::Migrate,
-                migration_threshold: 1,
-                ..DpaConfig::dpa(STRIP)
-            },
-        ),
-        (
-            "mig-t8",
-            DpaConfig {
-                policy: Policy::Migrate,
-                migration_threshold: 8,
-                ..DpaConfig::dpa(STRIP)
-            },
-        ),
-        (
             "diff",
             DpaConfig {
                 differential: true,
@@ -155,11 +129,11 @@ fn lanes() -> Vec<(&'static str, DpaConfig)> {
 
 /// The lanes replication must beat: every non-differential lane (the
 /// PR-9 state of the art on this figure).
-const SCRATCH_LANES: &[&str] = &["dpa-w32", "agg-w1", "agg-w256", "mig-t1", "mig-t8"];
+const SCRATCH_LANES: &[&str] = &["dpa-w32", "agg-w1", "agg-w256"];
 
 pub fn run(args: &Args) -> io::Result<i32> {
     let (n, phases, root_stride, skews): (usize, usize, usize, &[f64]) = match args.scale {
-        Scale::Smoke => (96, 2, 4, &[0.4, 2.0]),
+        Scale::Smoke => (96, 2, 4, &[0.4, 1.6, 2.4]),
         Scale::Quick => (160, 3, 3, &[0.4, 1.6, 2.4]),
         Scale::Full => (256, 6, 2, &[0.0, 0.8, 1.6, 2.4]),
     };
@@ -167,12 +141,11 @@ pub fn run(args: &Args) -> io::Result<i32> {
 
     println!(
         "fig_graph: transitive closure, n={n}, {NODES} nodes, {phases} phases, \
-         skew x {{migration threshold, reply-agg window, alignment mode}}"
+         skew x {{reply-agg window, alignment mode}}"
     );
     println!(
-        "{:>6} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}   verdicts",
-        "skew", "dpa-w32 ms", "agg-w1 ms", "agg-w256 ms", "mig-t1 ms", "mig-t8 ms", "diff ms",
-        "repl ms"
+        "{:>6} {:>11} {:>11} {:>11} {:>11} {:>11}   verdicts",
+        "skew", "dpa-w32 ms", "agg-w1 ms", "agg-w256 ms", "diff ms", "repl ms"
     );
 
     let mut points: Vec<ExpPoint> = Vec::new();
@@ -206,12 +179,6 @@ pub fn run(args: &Args) -> io::Result<i32> {
         // A knob "loses" when turning it on costs simulated time against
         // its own off/modest setting on the same world.
         let mut losers: Vec<String> = Vec::new();
-        if ns_of("mig-t1") > ns_of("dpa-w32") {
-            losers.push("mig-t1".into());
-        }
-        if ns_of("mig-t8") > ns_of("dpa-w32") {
-            losers.push("mig-t8".into());
-        }
         if ns_of("agg-w256") > ns_of("agg-w1") {
             losers.push("agg-w256".into());
         }
@@ -265,12 +232,10 @@ pub fn run(args: &Args) -> io::Result<i32> {
             ));
         }
         println!(
-            "{skew:>6.1} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3}   {}",
+            "{skew:>6.1} {:>11.3} {:>11.3} {:>11.3} {:>11.3} {:>11.3}   {}",
             ns_of("dpa-w32") as f64 / 1e6,
             ns_of("agg-w1") as f64 / 1e6,
             ns_of("agg-w256") as f64 / 1e6,
-            ns_of("mig-t1") as f64 / 1e6,
-            ns_of("mig-t8") as f64 / 1e6,
             ns_of("diff") as f64 / 1e6,
             ns_of("repl") as f64 / 1e6,
             if verdicts.is_empty() {
@@ -301,8 +266,8 @@ pub fn run(args: &Args) -> io::Result<i32> {
     let mut failed = false;
     if adversarial.is_empty() {
         eprintln!(
-            "FAIL: no adversarial regime recorded — neither eager migration nor wide \
-             reply aggregation lost at skew >= {HOT_SKEW}; the crossover figure has no crossover"
+            "FAIL: no adversarial regime recorded — wide reply aggregation did not lose \
+             at skew >= {HOT_SKEW}; the crossover figure has no crossover"
         );
         failed = true;
     }

@@ -18,7 +18,7 @@ use apps::relax::RelaxWorld;
 use apps::setops_dist::{SetopsParams, SetopsWorld};
 use dpa_core::invariant::{check_completed, check_conservation, NodeSnapshot};
 use dpa_core::synth::{SynthParams, SynthWorld};
-use dpa_core::{DiffPlan, DpaConfig, DstOptions, Policy};
+use dpa_core::{DiffPlan, DpaConfig, DstOptions};
 use sim_net::{FaultPlan, NetConfig, NodePause};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,8 +29,6 @@ pub const JITTER_NS: u64 = 2_000;
 pub const ALL_PLANS: &[&str] = &["none", "drop", "dup", "delay", "pause"];
 /// The CI-sized subset of fault plans.
 pub const SMOKE_PLANS: &[&str] = &["none", "drop"];
-/// Phases per migration workload run (tables carry across boundaries).
-pub const MIG_PHASES: usize = 3;
 /// Timesteps per differential workload run — enough boundaries that a
 /// carried entry can go stale, be invalidated, and be carried again.
 pub const DIFF_PHASES: usize = 4;
@@ -85,24 +83,19 @@ impl Workload {
     }
 }
 
-/// Full DPA at `strip` under `policy`, with or without the differential
-/// carry.
-fn dpa(strip: usize, policy: Policy, differential: bool) -> DpaConfig {
+/// Full DPA at `strip` with the differential carry.
+fn differential(strip: usize) -> DpaConfig {
     DpaConfig {
-        policy,
-        differential,
+        differential: true,
         ..DpaConfig::dpa(strip)
     }
 }
 
-/// Every workload the sweep explores. The `-mig` workloads run the same
-/// apps multi-phase under `Policy::Migrate`
-/// (phase-end affinity reports, the boundary pass's re-homing, forwards).
-/// The `-diff` workloads run
+/// Every workload the sweep explores. The `-diff` workloads run
 /// multi-timestep with **differential re-alignment**
 /// ([`DpaConfig::differential`]): tables and cached arrivals carry across
 /// barriers, patched by boundary deltas. The `-repl` workloads run under
-/// **read-mostly replication** ([`Policy::Replicate`]): the hot
+/// **read-mostly replication** ([`dpa_core::Policy::Replicate`]): the hot
 /// hub is promoted at a phase boundary, broadcast to its consumer set, and
 /// every fault-plan hazard (dropped broadcast, duplicated broadcast,
 /// delayed delta) must leave the digests bit-identical or produce a
@@ -114,33 +107,19 @@ const TABLE: &[Workload] = &[
     Workload::single("fmm", Family::Fmm, || DpaConfig::dpa(8)),
     Workload::single("relax", Family::Relax, || DpaConfig::dpa(8)),
     Workload {
-        name: "synth-mig",
-        family: Family::Synth,
-        cfg: || dpa(4, Policy::Migrate, false),
-        scratch: None,
-        phases: Phases::steps(MIG_PHASES),
-    },
-    Workload {
-        name: "bh-mig",
-        family: Family::Bh,
-        cfg: || dpa(8, Policy::Migrate, false),
-        scratch: None,
-        phases: Phases::steps(MIG_PHASES),
-    },
-    Workload {
         name: "synth-diff",
         family: Family::Synth,
-        cfg: || dpa(4, Policy::Cache, true),
+        cfg: || differential(4),
         scratch: Some(|| DpaConfig::dpa(4)),
         phases: Phases::changing(DIFF_PHASES, DIFF_PLAN),
     },
-    // Differential composes with re-homing: `bh-mig`'s policy plus the
-    // differential barrier protocol.
+    // Barnes-Hut under the same change schedule: the carried octree cells
+    // go stale from value changes at every barrier.
     Workload {
         name: "bh-diff",
         family: Family::Bh,
-        cfg: || dpa(8, Policy::Migrate, true),
-        scratch: Some(|| dpa(8, Policy::Migrate, false)),
+        cfg: || differential(8),
+        scratch: Some(|| DpaConfig::dpa(8)),
         phases: Phases::changing(DIFF_PHASES, DIFF_PLAN),
     },
     // Transitive closure with *structural* deltas: edge rewires at every
@@ -151,19 +130,9 @@ const TABLE: &[Workload] = &[
     Workload {
         name: "graph",
         family: Family::Graph,
-        cfg: || dpa(8, Policy::Cache, true),
+        cfg: || differential(8),
         scratch: Some(|| DpaConfig::dpa(8)),
         phases: Phases::steps(DIFF_PHASES),
-    },
-    // The closure under dominant-consumer migration: the hub has *many*
-    // consumers and no dominant one, so the affinity pass faces its
-    // adversarial case (any pick strands the rest on the forwarding path).
-    Workload {
-        name: "graph-mig",
-        family: Family::Graph,
-        cfg: || dpa(8, Policy::Migrate, false),
-        scratch: None,
-        phases: Phases::steps(MIG_PHASES),
     },
     // The closure under read-mostly replication: the hub crosses the
     // promotion bar at the first boundary (every non-owner consumes it,
@@ -300,8 +269,7 @@ pub struct Outcome {
     /// The workload's comparable result.
     pub digest: Digest,
     /// Per-node runtime-state snapshots, all phases concatenated — the
-    /// invariant checkers accept repeated per-node snapshots (carried
-    /// tables make the same adoption visible in every later phase).
+    /// invariant checkers accept repeated per-node snapshots.
     pub snaps: Vec<NodeSnapshot>,
     /// Stall diagnoses ("" when none).
     pub stalls: String,

@@ -13,7 +13,6 @@
 //! | `fig_crossover` | extension: scheme crossovers vs remote/shared fraction |
 //! | `fig_clustered` | extension: non-uniform inputs, uniform vs adaptive FMM |
 //! | `fig_cache` | extension: bounded-cache (FIFO/LRU) baseline ablation |
-//! | `fig_migration` | extension: locality-driven migration on vs off |
 //! | `fig_differential` | extension: differential re-alignment vs from-scratch |
 //! | `fig_graph` | extension: hot-hub crossover, replication-win gates |
 //! | `trace_phase` | extension: per-node Gantt timeline (Chrome/Perfetto JSON) |

@@ -15,7 +15,6 @@ mod cmd {
     pub mod fig_crossover;
     pub mod fig_differential;
     pub mod fig_graph;
-    pub mod fig_migration;
     pub mod fig_scaling;
     pub mod fig_stripsize;
     pub mod smp_tiling;
@@ -61,7 +60,6 @@ const CMDS: &[Cmd] = &[
     plain("fig_crossover", QUICK, cmd::fig_crossover::run),
     plain("fig_clustered", QUICK, cmd::fig_clustered::run),
     plain("fig_cache", QUICK, cmd::fig_cache::run),
-    plain("fig_migration", QUICK, cmd::fig_migration::run),
     plain("fig_differential", SMOKE_QUICK, cmd::fig_differential::run),
     plain("fig_graph", SMOKE_QUICK, cmd::fig_graph::run),
     Cmd {

@@ -14,7 +14,7 @@ use dpa_serve::{
     Admission, JobReport, JobRunner, JobSpec, Priority, SchedConfig, Service, TenantId,
 };
 
-/// A mixed back-to-back sequence: single-phase, migrating (multi-phase
+/// A mixed back-to-back sequence: single-phase, replicating (multi-phase
 /// machine reuse), differential (reset + table carry), a lossy plan, a
 /// repeat of an earlier spec, and one under-budgeted job in the middle.
 fn sequence() -> Vec<JobSpec> {
@@ -28,7 +28,7 @@ fn sequence() -> Vec<JobSpec> {
     };
     vec![
         spec("synth-dpa", 3, "none", 0),
-        spec("synth-mig", 5, "none", 0),
+        spec("graph-repl", 5, "none", 0),
         spec("synth-dpa", 11, "none", 400), // tiny budget: reaped mid-sequence
         spec("synth-diff", 9, "delay", 0),
         spec("synth-dpa", 3, "none", 0), // exact repeat of the first job
@@ -87,7 +87,7 @@ fn pooled_shard_reports_match_fresh_runner_bitwise() {
 #[test]
 fn one_runner_repeats_multiphase_jobs_identically() {
     let runner = DstJobRunner::new();
-    for workload in ["synth-mig", "synth-diff", "bh-mig"] {
+    for workload in ["graph-repl", "synth-diff", "bh-diff"] {
         let s = JobSpec {
             tenant: TenantId(1),
             priority: Priority::Interactive,

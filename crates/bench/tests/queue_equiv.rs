@@ -13,7 +13,7 @@
 //!
 //! The default test runs a CI-sized subset (the committed corpus replays
 //! in `corpus_replay`). The `#[ignore]`d full matrix — every workload ×
-//! every fault plan × 8 seeds, 360 wheel-vs-heap comparisons — runs in the
+//! every fault plan × 8 seeds, 440 wheel-vs-heap comparisons — runs in the
 //! nightly lane:
 //!
 //! ```sh
@@ -68,10 +68,10 @@ fn queues_bit_identical_smoke() {
     assert!(checked >= 60, "smoke subset shrank to {checked} comparisons");
 }
 
-/// The full matrix: every workload × every fault plan × 8 seeds. 360
+/// The full matrix: every workload × every fault plan × 8 seeds. 440
 /// wheel-vs-heap comparisons; minutes of work, so nightly-only.
 #[test]
-#[ignore = "full 360-case matrix; run with --ignored (nightly lane)"]
+#[ignore = "full 440-case matrix; run with --ignored (nightly lane)"]
 fn queues_bit_identical_full() {
     let w = Worlds::build();
     let mut checked = 0;

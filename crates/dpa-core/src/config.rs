@@ -12,7 +12,7 @@
 //! the same mapping M, and `differential` says whether M and renamed
 //! storage carry across the barrier.
 
-use crate::boundary::{REPLICATION_MIN_FANOUT, REPLICATION_THRESHOLD};
+use crate::boundary::{AFFINITY_REPORT_FLOOR, REPLICATION_MIN_FANOUT, REPLICATION_THRESHOLD};
 use fastmsg::Mtu;
 use global_heap::EvictPolicy;
 use std::fmt;
@@ -46,28 +46,24 @@ impl Variant {
     }
 }
 
-/// What the phase boundary does with the affinity M gathered: the data
-/// side of alignment. Three `match`es decide by it: the mode states
-/// `DpaProc::try_new` builds, the boundary pass (`boundary::close_phase`)
-/// and the affinity report floor; `validate` and `describe` only check
-/// and print it.
+/// What the phase boundary does with the affinity M gathered. Two
+/// `match`es decide by it: the mode states `DpaProc::try_new` builds and
+/// the boundary pass (`boundary::close_phase`); `validate` and `describe`
+/// only check and print it. Under either policy every object stays at its
+/// birth home (DESIGN.md §6).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Policy {
-    /// Objects stay at their birth homes and remote reads are fetched into
-    /// renamed storage: the paper's runtime, and every paper configuration.
+    /// Remote reads are fetched into renamed storage: the paper's runtime,
+    /// and every paper configuration.
     #[default]
     Cache,
-    /// Locality-driven object migration: each node samples per-pointer
-    /// remote dereference counts at align time and reports them to the
-    /// objects' homes once, at phase end (`Affinity`); the boundary then
-    /// re-homes high-affinity objects to their dominant consumer.
-    Migrate,
-    /// Read-mostly replication over the `Migrate` substrate: at each
-    /// boundary a pointer with high fan-out and no dominant consumer is
-    /// promoted — its owner broadcasts a generation-stamped copy
-    /// (`Replicate`) to the consumers — and pinned against the re-homing
-    /// that follows. Requires `differential`: replicas ride the carry and
-    /// the `PhaseDelta` gate.
+    /// Promote wide-fan-out pointers, cache everything else. Each node
+    /// samples per-pointer remote dereference counts at align time and
+    /// reports them to the objects' homes once, at phase end
+    /// (`Affinity`); at each boundary a pointer with high fan-out and no
+    /// dominant consumer is promoted — its owner broadcasts a
+    /// generation-stamped copy (`Replicate`) to the consumers. Requires
+    /// `differential`: replicas ride the carry and the `PhaseDelta` gate.
     Replicate,
 }
 
@@ -192,9 +188,6 @@ pub enum ConfigError {
     /// Reply aggregation with a zero flush deadline: every enqueue would
     /// arm an immediate wake, livelocking the owner.
     ZeroFlushDeadline,
-    /// Migration with a zero threshold would migrate on the first remote
-    /// touch, thrashing objects between nodes.
-    ZeroMigrationThreshold,
     /// Replication without differential re-alignment: only the carried
     /// `(ptr,size,gen)` stamps and the `PhaseDelta` gate make a stale
     /// replica a diagnosable stall instead of a silent wrong read.
@@ -224,9 +217,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "reply_flush_deadline_ns must be > 0 when reply_agg_window > 1"
             ),
-            ConfigError::ZeroMigrationThreshold => {
-                write!(f, "migration_threshold must be >= 1 under Migrate or Replicate")
-            }
             ConfigError::ReplicationWithoutDifferential => write!(
                 f,
                 "replication requires differential mode (the PhaseDelta gate is what \
@@ -301,24 +291,17 @@ pub struct DpaConfig {
     /// What the phase boundary does with the gathered affinity. `Cache`
     /// by default — every baseline and paper configuration runs it.
     pub policy: Policy,
-    /// Minimum remote dereference count a single consumer must accumulate
-    /// on an object before the boundary pass will re-home it.
-    pub migration_threshold: u64,
-    /// Maximum objects re-homed away from one node per phase boundary.
-    /// Bounds the forwarding-stub table.
-    pub migration_budget: usize,
     /// Differential re-alignment, orthogonal to the policy: carry renamed
-    /// storage, M/D interners, and migration state across phase barriers,
-    /// patching them with boundary deltas (`PhaseDelta`) instead of
-    /// rebuilding — only objects whose generation or home moved are
-    /// refetched. Off by default; the one-shot paper configurations are
-    /// bit-for-bit unchanged. Read by `run_phases`.
+    /// storage and the M/D interners across phase barriers, patching them
+    /// with boundary deltas (`PhaseDelta`) instead of rebuilding — only
+    /// objects whose generation moved are refetched. Off by default; the
+    /// one-shot paper configurations are bit-for-bit unchanged. Read by
+    /// `run_phases`.
     pub differential: bool,
     /// `Replicate`: maximum fresh promotions per owner per phase boundary.
-    /// Bounds the broadcast burst and the directory the way
-    /// `migration_budget` bounds shipments. This knob and the next are
-    /// fields, not constants beside `promote_replicas`, only because
-    /// `benchmark/src/drives.rs` reads them.
+    /// Bounds the broadcast burst and the directory. This knob and the
+    /// next are fields, not constants beside `promote_replicas`, only
+    /// because `benchmark/src/drives.rs` reads them.
     pub replication_budget: usize,
     /// `Replicate`: writes per window past which a replicated pointer is
     /// demoted (the read-mostly contract).
@@ -342,8 +325,6 @@ impl Default for DpaConfig {
             cache_capacity: None,
             cache_policy: EvictPolicy::Fifo,
             policy: Policy::Cache,
-            migration_threshold: 3,
-            migration_budget: 64,
             differential: false,
             replication_budget: 4,
             replication_write_demote: 8,
@@ -385,34 +366,17 @@ impl DpaConfig {
     }
 
     /// Full DPA with read-mostly replication: differential barriers plus
-    /// the affinity signal, with a *conservative* migration threshold —
-    /// replication-first: an object only re-homes when one consumer
-    /// really dominates, while the broad-fan-out hub is promoted to
-    /// replicated at the first boundary and pinned. The message overhead
-    /// is the one per-phase affinity report plus the broadcasts
-    /// themselves, and the raised report floor (see `report_floor`) keeps
-    /// even that report hub-shaped.
+    /// the affinity signal, so the broad-fan-out hub is promoted to
+    /// replicated at the first boundary. The message overhead is the one
+    /// per-phase affinity report plus the broadcasts themselves, and the
+    /// report floor (`boundary::AFFINITY_REPORT_FLOOR`) keeps even that report
+    /// hub-shaped.
     pub fn dpa_replicating(strip: usize) -> DpaConfig {
         DpaConfig {
             strip,
             policy: Policy::Replicate,
             differential: true,
-            migration_threshold: 24,
             ..DpaConfig::default()
-        }
-    }
-
-    /// Per-consumer floor on affinity reporting: a node reports a pointer
-    /// to its owner only when its own dereference count for the phase
-    /// reached it. `Migrate` reports everything. Under `Replicate` a
-    /// consumer that touched a pointer fewer than four times (uniform
-    /// background, already absorbed by the differential carry) reports
-    /// nothing about it, so hub-shaped pointers clear the floor on every
-    /// consumer and noise clears it on none. `Cache` sends no report.
-    pub(crate) fn report_floor(&self) -> u32 {
-        match self.policy {
-            Policy::Cache | Policy::Migrate => 1,
-            Policy::Replicate => 4,
         }
     }
 
@@ -437,10 +401,6 @@ impl DpaConfig {
         }
         match self.policy {
             Policy::Cache => Ok(()),
-            Policy::Migrate | Policy::Replicate if self.migration_threshold == 0 => {
-                Err(ConfigError::ZeroMigrationThreshold)
-            }
-            Policy::Migrate => Ok(()),
             Policy::Replicate if !self.differential => {
                 Err(ConfigError::ReplicationWithoutDifferential)
             }
@@ -484,22 +444,13 @@ impl DpaConfig {
     pub fn describe(&self) -> String {
         match self.variant {
             Variant::Dpa => {
-                let migrate = format!(
-                    ", migrate(thr={}, budget={})",
-                    self.migration_threshold, self.migration_budget
-                );
-                let (mig, repl) = match self.policy {
-                    Policy::Cache => (String::new(), String::new()),
-                    Policy::Migrate => (migrate, String::new()),
-                    Policy::Replicate => (
-                        migrate,
-                        format!(
-                            ", replicate(fanout>={REPLICATION_MIN_FANOUT}, \
-                             reads>={REPLICATION_THRESHOLD}, budget={}, demote>{}w, floor={})",
-                            self.replication_budget,
-                            self.replication_write_demote,
-                            self.report_floor()
-                        ),
+                let repl = match self.policy {
+                    Policy::Cache => String::new(),
+                    Policy::Replicate => format!(
+                        ", replicate(fanout>={REPLICATION_MIN_FANOUT}, \
+                         reads>={REPLICATION_THRESHOLD}, budget={}, demote>{}w, \
+                         floor={AFFINITY_REPORT_FLOOR})",
+                        self.replication_budget, self.replication_write_demote,
                     ),
                 };
                 let diff = if self.differential {
@@ -508,12 +459,11 @@ impl DpaConfig {
                     ""
                 };
                 format!(
-                    "DPA(strip={}, agg={}, reply_agg={}, pipeline={}{}{}{})",
+                    "DPA(strip={}, agg={}, reply_agg={}, pipeline={}{}{})",
                     self.strip,
                     self.agg_window,
                     self.reply_agg_window,
                     self.pipeline,
-                    mig,
                     diff,
                     repl
                 )
@@ -648,13 +598,6 @@ mod tests {
             ),
             (
                 DpaConfig {
-                    policy: Policy::Migrate,
-                    ..DpaConfig::dpa(8)
-                },
-                format!("DPA(strip=8, {full}, migrate(thr=3, budget=64))"),
-            ),
-            (
-                DpaConfig {
                     differential: true,
                     ..DpaConfig::dpa(8)
                 },
@@ -663,7 +606,7 @@ mod tests {
             (
                 DpaConfig::dpa_replicating(8),
                 format!(
-                    "DPA(strip=8, {full}, migrate(thr=24, budget=64), differential, \
+                    "DPA(strip=8, {full}, differential, \
                      replicate(fanout>=3, reads>=12, budget=4, demote>8w, floor=4))"
                 ),
             ),
@@ -675,41 +618,34 @@ mod tests {
         }
     }
 
-    /// Every constructor with its policy, differential flag and report
-    /// floor: only `dpa_replicating` leaves the paper's runtime.
-    fn every_constructor() -> [(DpaConfig, Policy, bool, u32); 8] {
+    /// Every constructor with its policy and differential flag: only
+    /// `dpa_replicating` leaves the paper's runtime.
+    fn every_constructor() -> [(DpaConfig, Policy, bool); 8] {
         [
-            (DpaConfig::default(), Policy::Cache, false, 1),
-            (DpaConfig::dpa(50), Policy::Cache, false, 1),
-            (DpaConfig::dpa_base(1), Policy::Cache, false, 1),
-            (DpaConfig::dpa_pipeline(300), Policy::Cache, false, 1),
-            (DpaConfig::dpa_replicating(8), Policy::Replicate, true, 4),
-            (DpaConfig::caching(), Policy::Cache, false, 1),
-            (DpaConfig::blocking(), Policy::Cache, false, 1),
-            (DpaConfig::sequential(), Policy::Cache, false, 1),
+            (DpaConfig::default(), Policy::Cache, false),
+            (DpaConfig::dpa(50), Policy::Cache, false),
+            (DpaConfig::dpa_base(1), Policy::Cache, false),
+            (DpaConfig::dpa_pipeline(300), Policy::Cache, false),
+            (DpaConfig::dpa_replicating(8), Policy::Replicate, true),
+            (DpaConfig::caching(), Policy::Cache, false),
+            (DpaConfig::blocking(), Policy::Cache, false),
+            (DpaConfig::sequential(), Policy::Cache, false),
         ]
     }
 
     #[test]
-    fn migration_defaults_off_everywhere() {
-        for (cfg, policy, _, _) in every_constructor() {
-            let name = cfg.describe();
-            assert_eq!(cfg.policy, policy, "{name}");
-            assert_eq!(cfg.validate(), Ok(()), "{name}");
-        }
-    }
-
-    #[test]
     fn differential_defaults_off_everywhere() {
-        for (cfg, _, differential, _) in every_constructor() {
+        for (cfg, _, differential) in every_constructor() {
             assert_eq!(cfg.differential, differential, "{}", cfg.describe());
         }
     }
 
     #[test]
     fn replication_defaults_off_everywhere() {
-        for (cfg, _, _, floor) in every_constructor() {
-            assert_eq!(cfg.report_floor(), floor, "{}", cfg.describe());
+        for (cfg, policy, _) in every_constructor() {
+            let name = cfg.describe();
+            assert_eq!(cfg.policy, policy, "{name}");
+            assert_eq!(cfg.validate(), Ok(()), "{name}");
         }
     }
 
@@ -731,17 +667,9 @@ mod tests {
             zero_budget.validate(),
             Err(ConfigError::ZeroReplicationKnob("replication_budget"))
         );
-        for policy in [Policy::Migrate, Policy::Replicate] {
-            let eager = DpaConfig {
-                policy,
-                migration_threshold: 0,
-                ..DpaConfig::dpa_replicating(50)
-            };
-            assert_eq!(eager.validate(), Err(ConfigError::ZeroMigrationThreshold));
-        }
-        // `Cache` never reads the migration knobs.
+        // `Cache` never reads the replication knobs.
         let cache = DpaConfig {
-            migration_threshold: 0,
+            replication_budget: 0,
             ..DpaConfig::dpa(50)
         };
         assert_eq!(cache.validate(), Ok(()));

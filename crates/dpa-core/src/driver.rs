@@ -10,7 +10,6 @@ use crate::msg::DpaMsg;
 use crate::proc_caching::CachingProc;
 use crate::proc_dpa::DpaProc;
 use crate::work::PtrApp;
-use global_heap::MigrationTable;
 use sim_net::{FaultPlan, Machine, NetConfig, NodeId, Proc, QueueKind, RunReport, Trace};
 
 /// Run one phase of `app` instances (one per node) under `cfg` on a
@@ -241,22 +240,13 @@ fn run_machine<P: NodeProc>(
 /// boundary does with the affinity the phase gathered; `cfg.differential`
 /// says whether M and renamed storage carry:
 ///
-/// * **`Policy::Cache`** (the default). Nothing: objects stay at their
-///   birth homes.
-/// * **`Policy::Migrate`**. The per-node [`MigrationTable`]s carry and the
-///   affinity each phase-end report accumulated is committed: objects
-///   re-home offline to their dominant consumer — the only place a home
-///   changes. The next phase's requesters then find them local to their
-///   new homes, which is where migration's message savings come from:
-///   within a single phase the arrival set already deduplicates fetches,
-///   so only cross-phase re-homing can remove request traffic.
-/// * **`Policy::Replicate`**. Wide-fan-out pointers with no dominant
-///   consumer are promoted into the owner's
-///   [`ReplicaDirectory`](global_heap::ReplicaDirectory) and pinned, then
-///   the `Migrate` re-homing runs around them; write-heavy windows demote
-///   on the way out of each phase. Directories carry with their
-///   generations refreshed against the next phase's objects, so only
-///   moved generations re-broadcast.
+/// * **`Policy::Cache`** (the default). Nothing.
+/// * **`Policy::Replicate`**. The per-node affinity counts carry, and
+///   wide-fan-out pointers with no dominant consumer are promoted into the
+///   owner's [`ReplicaDirectory`](global_heap::ReplicaDirectory);
+///   write-heavy windows demote on the way out of each phase. Directories
+///   carry with their generations refreshed against the next phase's
+///   objects, so only moved generations re-broadcast.
 /// * **Differential re-alignment** (`differential`, under any policy).
 ///   Instead of rebuilding the runtime tables from scratch, each node's
 ///   arrival set carries with every entry stamped with the generation it
@@ -265,9 +255,9 @@ fn run_machine<P: NodeProc>(
 ///   changed ([`crate::DpaMsg::PhaseDelta`] — an empty list is the
 ///   all-clear); a consumer gates its first strip on hearing from every
 ///   carried home, invalidates the listed copies, and refetches them on
-///   next use. Carried entries whose home moved at this boundary, or is
-///   now the consumer itself, are pruned so they refetch from the new
-///   home.
+///   next use.
+///
+/// Under either policy every object stays at its birth home.
 ///
 /// Under `Cache` without `differential` this degenerates to `phases`
 /// independent phases, so an ablation differs only in the knobs.
@@ -277,9 +267,9 @@ fn run_machine<P: NodeProc>(
 /// `StaleCacheEntry` oracle).
 ///
 /// `mk(phase, node)` builds each phase's per-node app; `collect` sees
-/// every node after every phase. Returns the per-phase reports, the
-/// per-phase invariant snapshots, and the final migration tables (empty
-/// under `Cache`).
+/// every node after every phase. Returns the per-phase reports and the
+/// per-phase invariant snapshots. The trailing `()` is kept for ROADMAP
+/// item 6: the frozen benchmark destructures a triple.
 pub fn run_phases<A: PtrApp>(
     nodes: u16,
     net: NetConfig,
@@ -288,7 +278,7 @@ pub fn run_phases<A: PtrApp>(
     phases: usize,
     mut mk: impl FnMut(usize, u16) -> A,
     mut collect: impl FnMut(usize, u16, &A),
-) -> (Vec<RunReport>, Vec<Vec<NodeSnapshot>>, Vec<MigrationTable>) {
+) -> (Vec<RunReport>, Vec<Vec<NodeSnapshot>>, ()) {
     assert!(nodes >= 1 && phases >= 1);
     assert!(
         matches!(cfg.variant, Variant::Dpa),
@@ -308,8 +298,8 @@ pub fn run_phases<A: PtrApp>(
             let mut carries: Vec<_> = (0..nodes)
                 .map(|i| m.proc_mut(NodeId(i)).take_carry())
                 .collect();
-            let moved = boundary::close_phase(&cfg, &mut carries, |n| m.proc(NodeId(n)).app());
-            boundary::open_phase(&cfg, &mut carries, &moved, |n| procs[n as usize].app());
+            boundary::close_phase(&cfg, &mut carries, |n| m.proc(NodeId(n)).app());
+            boundary::open_phase(&cfg, &mut carries, |n| procs[n as usize].app());
             for (p, carry) in procs.iter_mut().zip(carries) {
                 p.install_carry(carry);
             }
@@ -321,9 +311,5 @@ pub fn run_phases<A: PtrApp>(
         reports.push(report);
         all_snaps.push(snaps);
     }
-    let m = machine.as_mut().expect("phases >= 1");
-    let tables = (0..nodes)
-        .filter_map(|i| m.proc_mut(NodeId(i)).take_carry().migration)
-        .collect();
-    (reports, all_snaps, tables)
+    (reports, all_snaps, ())
 }

@@ -2,10 +2,9 @@
 //!
 //! One definition serves the whole stack: the multiply-rotate FxHash
 //! hasher lives in [`global_heap::fxhash`] (the lowest crate that needs
-//! it — its arrival set, software cache, and migration tables are probed
-//! on every access) and is re-exported here for the runtime's own tables
-//! (the M mapping interner, the in-flight set, the per-pointer reply
-//! accounts).
+//! it — its arrival set and software cache are probed on every access)
+//! and is re-exported here for the runtime's own tables (the M mapping
+//! interner, the in-flight set, the per-pointer reply accounts).
 //!
 //! Note that *iteration order* of a `HashMap` is still arbitrary under any
 //! hasher; code that iterates these maps must keep sorting (the runtime

@@ -21,15 +21,11 @@
 //! oracles: a scheduling bug shows up as a leak long before it corrupts an
 //! application result.
 //!
-//! Object migration adds its own laws: every object lives at **exactly one
-//! home** (an adoption implies a matching stub, a stub implies its
-//! adoption, no object is adopted twice — objects re-home offline between
-//! phases, so these hold on any run), forwarding chains are bounded at one
-//! hop (a node never both adopts and departs the same object), no request
-//! reaches a node that neither holds the object nor a stub for it, and
-//! affinity reports all land (lossless runs).
+//! Every object lives at its birth home for the whole run, so no request
+//! reaches a node that was not born with the object (checked on any run).
 //!
-//! Read-mostly replication adds two more: **broadcast conservation**
+//! Read-mostly replication adds three more: affinity reports all land
+//! (lossless runs), **broadcast conservation**
 //! (replica entries installed after dedup never exceed entries sent, and
 //! match exactly on lossless completed runs) and **coherence** (every
 //! replica a consumer installed matches, pointer and generation, an entry
@@ -37,7 +33,7 @@
 //! generation its owner never published).
 
 use global_heap::GPtr;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Post-run runtime state of one node, in entry counts.
@@ -102,16 +98,15 @@ pub struct NodeSnapshot {
     pub aff_sent: u64,
     /// Affinity entries received (after sequence dedup).
     pub aff_recv: u64,
-    /// Entries no real machine sends, refused: requests and `Forward`s
-    /// for objects this node was not born with, has not adopted and holds
-    /// no stub for; replies it never asked for; updates for objects born
-    /// elsewhere; mode messages whose mode is off; and sequenced messages
-    /// whose sender lies outside the machine this node was built for.
+    /// Entries no real machine sends, refused: requests for objects this
+    /// node was not born with; replies it never asked for; updates and
+    /// replica broadcasts for objects born elsewhere; mode messages whose
+    /// mode is off; and sequenced messages whose sender lies outside the
+    /// machine this node was built for.
     pub misrouted_requests: u64,
-    /// Pointer bits of every object this node adopted (sorted).
+    /// Always empty: no object is ever adopted. Kept for ROADMAP item 6
+    /// (the frozen benchmark reads it as `global-heap.migrations`).
     pub adopted_ptrs: Vec<u64>,
-    /// Pointer bits of every object that departed from this node (sorted).
-    pub departed_ptrs: Vec<u64>,
     /// Differential: PhaseDelta entries sent to consumers carrying this
     /// node's objects.
     pub delta_entries_sent: u64,
@@ -239,44 +234,10 @@ pub enum Violation {
         /// Entries applied across all nodes.
         applied: u64,
     },
-    /// A node both adopted an object and departed it: a forwarding chain
-    /// of length > 1, which the protocol promises never to create.
-    ForwardChainTooLong {
-        /// Offending node.
-        node: u16,
-        /// The twice-moved object (pointer bits).
-        ptr: u64,
-    },
-    /// An object is adopted somewhere but no node holds its forwarding
-    /// stub — adoption without a departure, so the object has two homes.
-    AdoptionWithoutStub {
-        /// The adopting node.
-        node: u16,
-        /// The object (pointer bits).
-        ptr: u64,
-    },
-    /// Two or more nodes adopted the same object.
-    ObjectDoubleAdopted {
-        /// The object (pointer bits).
-        ptr: u64,
-        /// Every node claiming adoption.
-        nodes: Vec<u16>,
-    },
-    /// A stub points at a home that never materialized: the object left
-    /// its birth home and was never adopted — the object is gone. Stub and
-    /// adoption are installed together between phases, so no packet loss
-    /// or stall excuses this; it is checked on every run.
-    ObjectLost {
-        /// The birth home holding the dangling stub.
-        node: u16,
-        /// The lost object (pointer bits).
-        ptr: u64,
-    },
-    /// A node received a request or `Forward` for an object it was not
-    /// born with, has not adopted and holds no stub for. Homes change only
-    /// between phases, so every table names the same home all phase long
-    /// and no schedule or fault plan can misroute a request; the node
-    /// refuses it rather than serve an object it does not hold. The count
+    /// A node received a request for an object it was not born with.
+    /// Objects never leave their birth homes, so no schedule or fault plan
+    /// can misroute a request; the node refuses it rather than serve an
+    /// object it does not hold. The count
     /// also covers the node's other refusals of entries no real machine
     /// sends ([`NodeSnapshot::misrouted_requests`]).
     MisroutedRequest {
@@ -420,31 +381,9 @@ impl fmt::Display for Violation {
                 f,
                 "updates over-applied: {applied} applied > {emitted} emitted (duplicate folded twice)"
             ),
-            Violation::ForwardChainTooLong { node, ptr } => write!(
-                f,
-                "n{node}: forwarding chain > 1 hop: {} both adopted and departed here",
-                GPtr::from_bits(*ptr)
-            ),
-            Violation::AdoptionWithoutStub { node, ptr } => write!(
-                f,
-                "n{node}: adopted {} but no node holds its forwarding stub (two homes)",
-                GPtr::from_bits(*ptr)
-            ),
-            Violation::ObjectDoubleAdopted { ptr, nodes } => write!(
-                f,
-                "{} adopted by {} nodes: {:?}",
-                GPtr::from_bits(*ptr),
-                nodes.len(),
-                nodes
-            ),
-            Violation::ObjectLost { node, ptr } => write!(
-                f,
-                "n{node}: {} departed but was never adopted anywhere (object lost)",
-                GPtr::from_bits(*ptr)
-            ),
             Violation::MisroutedRequest { node, count } => write!(
                 f,
-                "n{node}: refused {count} request entr{} for objects it neither holds nor forwards",
+                "n{node}: refused {count} request entr{} for objects it does not hold",
                 if *count == 1 { "y" } else { "ies" }
             ),
             Violation::AffinityLeak { sent, recv } => write!(
@@ -547,58 +486,12 @@ pub fn check_conservation(snaps: &[NodeSnapshot]) -> Vec<Violation> {
             }
         }
     }
-    out.extend(check_migration_conservation(snaps));
-    out
-}
-
-/// Object-migration laws that hold on **any** run: no misrouted request,
-/// the one-hop forwarding bound, single-home exclusivity in both
-/// directions. (Stub and adoption are installed together between phases,
-/// so even a snapshot of a stalled run shows neither without the other.)
-fn check_migration_conservation(snaps: &[NodeSnapshot]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut adopters: HashMap<u64, Vec<u16>> = HashMap::new();
-    let mut departed_anywhere: HashSet<u64> = HashSet::new();
     for s in snaps {
         if s.misrouted_requests > 0 {
             out.push(Violation::MisroutedRequest {
                 node: s.node,
                 count: s.misrouted_requests,
             });
-        }
-        let departed_here: HashSet<u64> = s.departed_ptrs.iter().copied().collect();
-        departed_anywhere.extend(&departed_here);
-        for &ptr in &s.adopted_ptrs {
-            adopters.entry(ptr).or_default().push(s.node);
-            if departed_here.contains(&ptr) {
-                out.push(Violation::ForwardChainTooLong { node: s.node, ptr });
-            }
-        }
-    }
-    let mut ptrs: Vec<u64> = adopters.keys().copied().collect();
-    ptrs.sort_unstable();
-    for ptr in ptrs {
-        // Distinct adopters only: multi-phase checks feed every phase's
-        // snapshot of the same node, so repeats are expected — exclusivity
-        // is about two *different* nodes claiming the object.
-        let mut nodes = adopters[&ptr].clone();
-        nodes.sort_unstable();
-        nodes.dedup();
-        if nodes.len() > 1 {
-            out.push(Violation::ObjectDoubleAdopted { ptr, nodes });
-        }
-        if !departed_anywhere.contains(&ptr) {
-            out.push(Violation::AdoptionWithoutStub {
-                node: adopters[&ptr][0],
-                ptr,
-            });
-        }
-    }
-    for s in snaps {
-        for &ptr in &s.departed_ptrs {
-            if !adopters.contains_key(&ptr) {
-                out.push(Violation::ObjectLost { node: s.node, ptr });
-            }
         }
     }
     out
@@ -855,90 +748,17 @@ mod tests {
     }
 
     #[test]
-    fn clean_migration_run_has_no_violations() {
-        // n0 departed an object that n1 adopted; affinity balanced.
-        let mut a = clean(0);
-        a.departed_ptrs = vec![42];
-        a.aff_recv = 5;
-        let mut b = clean(1);
-        b.adopted_ptrs = vec![42];
-        b.aff_sent = 5;
-        let snaps = vec![a, b];
-        assert!(check_completed(&snaps, false).is_empty());
-    }
-
-    #[test]
-    fn forwarding_chain_bound_is_checked() {
-        let mut s = clean(2);
-        s.adopted_ptrs = vec![7];
-        s.departed_ptrs = vec![7]; // adopted here, then shipped on: chain of 2
-        let v = check_conservation(std::slice::from_ref(&s));
-        assert!(v
-            .iter()
-            .any(|v| matches!(v, Violation::ForwardChainTooLong { node: 2, ptr: 7 })));
-    }
-
-    #[test]
-    fn adoption_needs_a_stub_somewhere() {
-        let mut a = clean(0);
-        a.adopted_ptrs = vec![9]; // nobody departed 9
-        let v = check_conservation(&[a, clean(1)]);
-        assert!(v
-            .iter()
-            .any(|v| matches!(v, Violation::AdoptionWithoutStub { node: 0, ptr: 9 })));
-    }
-
-    #[test]
-    fn double_adoption_detected() {
-        let mut a = clean(0);
-        a.departed_ptrs = vec![5];
-        let mut b = clean(1);
-        b.adopted_ptrs = vec![5];
-        let mut c = clean(2);
-        c.adopted_ptrs = vec![5];
-        let v = check_conservation(&[a, b, c]);
-        assert!(v.iter().any(
-            |v| matches!(v, Violation::ObjectDoubleAdopted { ptr: 5, nodes } if nodes == &[1, 2])
-        ));
-    }
-
-    #[test]
-    fn repeated_snapshots_of_one_adopter_are_not_double_adoption() {
-        // Multi-phase runs snapshot the same node once per phase; the
-        // carried table makes the adoption show up repeatedly. That is one
-        // adopter, not two.
-        let mut a = clean(0);
-        a.departed_ptrs = vec![5];
-        let mut b1 = clean(1);
-        b1.adopted_ptrs = vec![5];
-        let b2 = b1.clone();
-        let v = check_conservation(&[a, b1, b2]);
-        assert!(
-            !v.iter().any(|v| matches!(v, Violation::ObjectDoubleAdopted { .. })),
-            "got: {v:?}"
-        );
-    }
-
-    #[test]
-    fn lost_object_and_misrouted_request_flagged_on_every_run() {
-        let mut a = clean(0);
-        a.departed_ptrs = vec![11]; // stub without an adopter
+    fn misrouted_request_flagged_on_every_run() {
         let mut b = clean(1);
         b.misrouted_requests = 2;
-        let snaps = vec![a, b];
+        let snaps = vec![clean(0), b];
         // Stalled, lossy-completed and lossless-completed alike.
         for v in [
             check_conservation(&snaps),
             check_completed(&snaps, true),
             check_completed(&snaps, false),
         ] {
-            assert_eq!(
-                v,
-                [
-                    Violation::MisroutedRequest { node: 1, count: 2 },
-                    Violation::ObjectLost { node: 0, ptr: 11 },
-                ]
-            );
+            assert_eq!(v, [Violation::MisroutedRequest { node: 1, count: 2 }]);
         }
         assert!(Violation::MisroutedRequest { node: 1, count: 2 }
             .to_string()
@@ -950,6 +770,8 @@ mod tests {
         let mut a = clean(0);
         a.aff_sent = 10;
         let mut b = clean(1);
+        b.aff_recv = 10;
+        assert!(check_completed(&[a.clone(), b.clone()], false).is_empty());
         b.aff_recv = 7; // three entries lost
         let snaps = vec![a, b];
         assert!(check_completed(&snaps, true).is_empty());

@@ -16,7 +16,7 @@
 //! * a scheduler ([`proc_dpa::DpaProc`]) that k-bounds the top-level loop
 //!   (*strip-mining*), runs ready threads, and — when an object arrives —
 //!   releases every thread aligned under it in one batch (*tiling*) —
-//!   with the data-side extensions (migration, differential carry,
+//!   with the extensions (the affinity signal, differential carry,
 //!   replication) as optional states in `proc_dpa`'s private submodules;
 //! * a communication scheduler that issues requests eagerly so transfers
 //!   overlap local work (*pipelining*) and batches requests per
@@ -50,7 +50,7 @@ pub mod work;
 pub use config::{ConfigError, CostModel, DpaConfig, Policy, Variant};
 pub use driver::{run_phase, run_phase_dst, run_phase_traced, run_phases, DstOptions};
 // The frozen `benchmark/` crate links the multi-phase driver under its two
-// former names and is their only user; a later benchmark PR drops them.
+// former names and is their only user; kept for ROADMAP item 6.
 #[doc(hidden)]
 pub use driver::{run_phases as run_phase_differential, run_phases as run_phase_migrating};
 pub use fxmap::{FxHashMap, FxHashSet};

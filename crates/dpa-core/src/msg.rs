@@ -37,10 +37,10 @@ pub enum DpaMsg {
         entries: Vec<(GPtr, f64)>,
     },
     /// Affinity report: "my threads dereferenced your objects this often."
-    /// Sent by a consumer to an object's believed home once per phase,
-    /// when its iterations are done; entries are `(pointer, remote
-    /// dereference count)` sampled from the sender's M mapping. Purely
-    /// advisory (losing one only weakens the migration signal), but
+    /// Sent by a consumer to an object's home once per phase, when its
+    /// iterations are done; entries are `(pointer, remote dereference
+    /// count)` sampled from the sender's M mapping. Purely advisory
+    /// (losing one only weakens the promotion signal), but
     /// deduplicated on `(sender, seq)` so duplicated deliveries cannot
     /// inflate counts.
     Affinity {
@@ -48,17 +48,6 @@ pub enum DpaMsg {
         seq: u64,
         /// The `(pointer, dereference count)` samples.
         entries: Vec<(GPtr, u32)>,
-    },
-    /// One-hop forwarding of a request that reached a birth home whose
-    /// object the boundary pass re-homed: the stub owner passes the wanted
-    /// pointers to the new home together with the original requester,
-    /// which receives the reply directly. An adopted object never migrates
-    /// again, so a request chases at most one `Forward`.
-    Forward {
-        /// The node whose request hit the forwarding stub (reply target).
-        requester: u16,
-        /// The departed objects it wants.
-        entries: Vec<GPtr>,
     },
     /// Differential re-alignment: at a timestep boundary, an owner tells a
     /// consumer which of the objects the consumer carried across the
@@ -105,8 +94,6 @@ impl MsgSize for DpaMsg {
             DpaMsg::Update { entries, .. } => (entries.len() as u32) * (GPtr::WIRE_BYTES + 8),
             // Pointer + 4-byte count per affinity sample; seq in the header.
             DpaMsg::Affinity { entries, .. } => (entries.len() as u32) * (GPtr::WIRE_BYTES + 4),
-            // Requester id rides in the header; entries are bare pointers.
-            DpaMsg::Forward { entries, .. } => (entries.len() as u32) * GPtr::WIRE_BYTES,
             // Bare pointers; seq in the header. The all-clear (no entries)
             // is a pure header packet.
             DpaMsg::PhaseDelta { entries, .. } => (entries.len() as u32) * GPtr::WIRE_BYTES,
@@ -263,18 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn migration_messages_size_like_their_payloads() {
+    fn affinity_messages_size_like_their_payloads() {
         let aff = DpaMsg::Affinity {
             seq: 3,
             entries: vec![(p(1), 17), (p(2), 4)],
         };
         assert_eq!(aff.size_bytes(), 2 * 12, "pointer + count per sample");
-
-        let fwd = DpaMsg::Forward {
-            requester: 3,
-            entries: vec![p(1), p(2), p(3)],
-        };
-        assert_eq!(fwd.size_bytes(), 24, "forward re-sends bare pointers");
     }
 
     #[test]

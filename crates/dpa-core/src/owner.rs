@@ -19,7 +19,7 @@ use crate::config::DpaConfig;
 use crate::msg::DpaMsg;
 use crate::work::PtrApp;
 use fastmsg::packets_for;
-use global_heap::{GPtr, MigrationTable};
+use global_heap::GPtr;
 use sim_net::{Ctx, NodeId};
 
 /// What one request-service call put on the wire.
@@ -50,25 +50,11 @@ pub(crate) fn charge_extra_packets(cfg: &DpaConfig, ctx: &mut Ctx<'_, DpaMsg>, p
 /// each entry ([`PtrApp::object_size`]) as it places it, so no list of
 /// entries is built in between.
 ///
-/// `mig` is the serving node's migration table (`None` when migration is
-/// off): a node legitimately serves objects it was born with *and has not
-/// re-homed away*, plus objects it has adopted. Anything else reaching
-/// this point is a routing bug — departed objects must take the forwarding
-/// path, and `triage_request` refuses what belongs to neither.
-pub(crate) fn charge_lookups(
-    cfg: &DpaConfig,
-    ctx: &mut Ctx<'_, DpaMsg>,
-    ptrs: &[GPtr],
-    mig: Option<&MigrationTable>,
-) {
+/// A node serves only the objects it was born with; the drivers refuse
+/// every other request entry before it reaches this point.
+pub(crate) fn charge_lookups(cfg: &DpaConfig, ctx: &mut Ctx<'_, DpaMsg>, ptrs: &[GPtr]) {
     for &p in ptrs {
-        debug_assert!(
-            match mig {
-                None => p.is_local_to(ctx.me().0),
-                Some(m) => (p.is_local_to(ctx.me().0) && !m.is_departed(p)) || m.is_adopted(p),
-            },
-            "request for non-owned object {p}"
-        );
+        debug_assert!(p.is_local_to(ctx.me().0), "request for non-owned object {p}");
         ctx.charge_overhead(cfg.cost.owner_lookup_ns);
     }
 }
@@ -102,12 +88,11 @@ pub(crate) fn service_request<A: PtrApp>(
     ctx: &mut Ctx<'_, DpaMsg>,
     src: NodeId,
     ptrs: &[GPtr],
-    mig: Option<&MigrationTable>,
     mut payload: impl FnMut(usize) -> Vec<(GPtr, u32)>,
 ) -> ReplyAccounting {
     let mtu = cfg.mtu.0;
     let mut acct = ReplyAccounting::default();
-    charge_lookups(cfg, ctx, ptrs, mig);
+    charge_lookups(cfg, ctx, ptrs);
     let mut chunk = payload(ptrs.len());
     let mut chunk_bytes = 0u32;
     for (placed, &p) in ptrs.iter().enumerate() {

@@ -55,7 +55,7 @@ pub struct CachingProc<A: PtrApp> {
     requested: FxHashSet<GPtr>,
     /// Entries refused because no node of a real machine sends them:
     /// reply entries never asked for, update entries for objects born
-    /// elsewhere, and every entry of a migration, differential or
+    /// elsewhere, and every entry of an affinity, differential or
     /// replication message (the baselines run none of those modes). The
     /// count is a violation (reported with the misrouted).
     misrouted: u64,
@@ -327,14 +327,12 @@ impl<A: PtrApp> Proc for CachingProc<A> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, msg: DpaMsg) {
         match msg {
             DpaMsg::Request(ptrs) => {
-                // The baselines never migrate, so no table is passed.
                 let acct = crate::owner::service_request(
                     &self.app,
                     &self.cfg,
                     ctx,
                     src,
                     &ptrs,
-                    None,
                     Vec::with_capacity,
                 );
                 self.reply_msgs += acct.msgs;
@@ -388,13 +386,11 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                 }
             }
             // Only a scripted peer sends these: the baselines never enable
-            // migration, differential, or replication.
+            // replication or differential.
             DpaMsg::Affinity { entries, .. } | DpaMsg::Replicate { entries, .. } => {
                 self.misrouted += entries.len() as u64
             }
-            DpaMsg::Forward { entries, .. } | DpaMsg::PhaseDelta { entries, .. } => {
-                self.misrouted += entries.len() as u64
-            }
+            DpaMsg::PhaseDelta { entries, .. } => self.misrouted += entries.len() as u64,
         }
     }
 

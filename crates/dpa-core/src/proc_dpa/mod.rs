@@ -47,15 +47,14 @@
 //!
 //! That is the whole of the paper's runtime, and all a paper
 //! configuration ([`DpaConfig::dpa`], [`Policy::Cache`]) carries. The
-//! three extensions are optional states on [`DpaProc`], each `Some`
-//! exactly when the config asks for it (until [`DpaProc::take_carry`]
-//! retires the proc), each in its own module with its fields, its protocol
-//! arms and its share of the carry, the snapshot, the stall report and the
-//! stats:
+//! extensions are optional states on [`DpaProc`], each `Some` exactly
+//! when the config asks for it (until [`DpaProc::take_carry`] retires the
+//! proc), each in its own module with its fields, its protocol arms and
+//! its share of the carry, the snapshot, the stall report and the stats:
 //!
 //! | state | `Some` under | messages | module |
 //! |---|---|---|---|
-//! | `mig` | `Policy::Migrate`, `Policy::Replicate` | `Affinity`, `Forward` | `migrate` |
+//! | `aff` | `Policy::Replicate` | `Affinity` | `affinity` |
 //! | `diff` | `differential` | `PhaseDelta` | `differential` |
 //! | `repl` | `Policy::Replicate` | `Replicate` | `replicate` |
 //!
@@ -63,8 +62,8 @@
 //! only reach a node whose mode is off from a scripted peer; it is
 //! refused, and its entries count with the misrouted.
 
+mod affinity;
 mod differential;
-mod migrate;
 mod replicate;
 
 use crate::config::{ConfigError, DpaConfig, Policy, Variant, POLL_INTERVAL_NS};
@@ -74,10 +73,10 @@ use crate::live::LiveIters;
 use crate::mapping::PointerMap;
 use crate::msg::{DpaMsg, SeqChannel};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
+use affinity::AffinityState;
 use differential::DiffState;
 use fastmsg::{ByteCoalescer, Coalescer, FlushReason};
-use global_heap::{ArrivalSet, GPtr, MigrationTable, ReplicaDirectory};
-use migrate::MigrateState;
+use global_heap::{AffinityTable, ArrivalSet, GPtr, ReplicaDirectory};
 use replicate::ReplState;
 use sim_net::{Ctx, Dur, NodeId, NodeStats, Proc};
 use std::collections::VecDeque;
@@ -91,9 +90,9 @@ const UPDATE_ENTRY_BYTES: u64 = GPtr::WIRE_BYTES as u64 + 8;
 /// [`DpaProc::install_carry`]. Each part rides only when the config asks
 /// for it.
 pub struct PhaseCarry<W> {
-    /// `Migrate`, `Replicate`: adopted / departed / learned overrides plus
-    /// the owner-side affinity counts the boundary policies read.
-    pub(crate) migration: Option<MigrationTable>,
+    /// `Replicate`: the owner-side affinity counts the promotion policy
+    /// reads.
+    pub(crate) affinity: Option<AffinityTable>,
     /// `Replicate`: the owner-side directory, windows closed.
     pub(crate) replication: Option<ReplicaDirectory>,
     /// `differential`: M (and with it D) — the interner and the warmed
@@ -178,24 +177,23 @@ pub struct DpaProc<A: PtrApp> {
     /// simulated ns. Wakes cannot be cancelled, so this only suppresses
     /// arming a *later* duplicate; a stale earlier wake fires harmlessly.
     flush_wake_at: Option<u64>,
-    /// Data-side alignment, `Some` under `Migrate` and `Replicate`.
-    mig: Option<MigrateState>,
+    /// The affinity signal, `Some` under `Replicate`.
+    aff: Option<AffinityState>,
     /// Differential re-alignment, `Some` iff `cfg.differential`.
     diff: Option<DiffState>,
     /// Read-mostly replication, `Some` under `Replicate`.
     repl: Option<ReplState>,
-    /// Request or `Forward` entries for objects this node was not born
-    /// with, has not adopted and holds no stub for, `Reply` entries for
-    /// objects it never asked for, `Update` entries for objects born
-    /// elsewhere, and every entry of a mode message whose mode is off. No
-    /// node of a real machine sends one (every table names the same home
-    /// all phase, an owner answers only what it was asked, a reduction goes
-    /// to its target's birth home, and every node runs the same config), so
-    /// they are refused and counted, and the count is a violation.
+    /// Request entries for objects this node was not born with, `Reply`
+    /// entries for objects it never asked for, `Update` and `Replicate`
+    /// entries for objects born elsewhere, and every entry of a mode
+    /// message whose mode is off. No node of a real machine sends one (a
+    /// request and a reduction go to the target's birth home, an owner
+    /// answers and broadcasts only its own objects, and every node runs
+    /// the same config), so they are refused and counted, and the count is
+    /// a violation.
     misrouted: u64,
     /// Objects installed (a pending request completed with data — by a
     /// reply, or by a replica broadcast that doubled as one).
-    /// Equals `arrived.total_inserts()` whenever migration is off.
     installs: u64,
     /// Live thread count per open iteration.
     live: LiveIters,
@@ -229,8 +227,8 @@ pub struct DpaProc<A: PtrApp> {
     /// Per-pointer reply accounting `(pushed, sent)` — the hot-key
     /// conservation oracle. A skewed workload funnels most reply traffic
     /// through a few hub objects; this map proves no per-key entry is
-    /// lost or invented across the scheduler, immediate-service, and
-    /// forwarded paths (the aggregate counters above would mask a bug that
+    /// lost or invented across the scheduler and immediate-service paths
+    /// (the aggregate counters above would mask a bug that
     /// drops a hub entry while inventing one elsewhere).
     reply_ptr_acct: FxHashMap<GPtr, (u64, u64)>,
     /// Recycled emission buffer threaded through every [`WorkEnv`] this
@@ -264,10 +262,9 @@ impl<A: PtrApp> DpaProc<A> {
         cfg.validate()?;
         let mtu = cfg.mtu.0 as u64;
         let total_iters = app.num_iterations();
-        let (mig, repl) = match cfg.policy {
+        let (aff, repl) = match cfg.policy {
             Policy::Cache => (None, None),
-            Policy::Migrate => (Some(MigrateState::new(nodes)), None),
-            Policy::Replicate => (Some(MigrateState::new(nodes)), Some(ReplState::new(nodes))),
+            Policy::Replicate => (Some(AffinityState::new(nodes)), Some(ReplState::new(nodes))),
         };
         Ok(DpaProc {
             stack: Vec::new(),
@@ -281,7 +278,7 @@ impl<A: PtrApp> DpaProc<A> {
             upd_coal: ByteCoalescer::new(nodes, mtu, cfg.agg_window),
             reply_coal: ByteCoalescer::new(nodes, mtu, cfg.reply_agg_window),
             flush_wake_at: None,
-            mig,
+            aff,
             diff: cfg.differential.then(|| DiffState::new(nodes)),
             repl,
             misrouted: 0,
@@ -335,7 +332,7 @@ impl<A: PtrApp> DpaProc<A> {
             tables = Some(std::mem::take(&mut self.map));
         }
         PhaseCarry {
-            migration: self.mig.take().map(|m| m.table),
+            affinity: self.aff.take().map(|a| a.table),
             replication: self.repl.take().map(|r| r.into_carry(demote)),
             tables,
             arrivals,
@@ -347,8 +344,8 @@ impl<A: PtrApp> DpaProc<A> {
     /// Install the previous phase's carry, as patched by the boundary pass
     /// (driver use, before the machine starts).
     pub fn install_carry(&mut self, carry: PhaseCarry<A::Work>) {
-        if let (Some(m), Some(table)) = (self.mig.as_mut(), carry.migration) {
-            m.install_carry(table, &self.app, &mut self.arrived);
+        if let (Some(a), Some(table)) = (self.aff.as_mut(), carry.affinity) {
+            a.table = table;
         }
         if let Some(mut map) = carry.tables {
             // M is *patched* for reuse — per-phase state reset, interner
@@ -410,8 +407,8 @@ impl<A: PtrApp> DpaProc<A> {
                 .count(),
             ..NodeSnapshot::default()
         };
-        if let Some(m) = &self.mig {
-            m.snapshot(&mut snap);
+        if let Some(a) = &self.aff {
+            a.snapshot(&mut snap);
         }
         if let Some(d) = &self.diff {
             d.snapshot(&mut snap);
@@ -441,13 +438,8 @@ impl<A: PtrApp> DpaProc<A> {
         label_gen: u32,
         code: impl FnOnce(&mut A, &mut WorkEnv<'_, A::Work>),
     ) {
-        let mut env = WorkEnv::with_migration(
-            ctx.me().0,
-            ctx.num_nodes(),
-            Avail::Arrived(&self.arrived),
-            self.mig.as_ref().map(|m| &m.table),
-        )
-        .labeled(label_gen);
+        let mut env = WorkEnv::new(ctx.me().0, ctx.num_nodes(), Avail::Arrived(&self.arrived))
+            .labeled(label_gen);
         env.reuse_buffer(std::mem::take(&mut self.emit_buf));
         code(&mut self.app, &mut env);
         let (ns, mut emits) = env.finish();
@@ -518,17 +510,11 @@ impl<A: PtrApp> DpaProc<A> {
             };
             threads += 1;
             owed += self.cfg.cost.thread_create_ns;
-            // Resolve the current home: birth node unless migration
-            // re-homed the object (adopted here → local; departed /
-            // learned override → the new home, skipping the stub).
-            let home = match &self.mig {
-                Some(m) => m.table.home_of(ptr, me),
-                None => ptr.node(),
-            };
+            let home = ptr.node();
             // The label is resolved here, once: what renamed storage holds
-            // for it rides with the thread. An object born and still homed
-            // here is never fetched, so it is not looked up at all.
-            let held = if ptr.is_local_to(me) && home == me {
+            // for it rides with the thread. An object born here is never
+            // fetched, so it is not looked up at all.
+            let held = if home == me {
                 None
             } else {
                 self.arrived.generation(ptr)
@@ -568,9 +554,8 @@ impl<A: PtrApp> DpaProc<A> {
 
     /// Fold one reduction entry into the locally-born object it targets
     /// (callers check the birth home). Single-writer: every write, local or
-    /// received, funnels through the birth home — migration re-routes the
-    /// read path only — which is where the replica directory counts it
-    /// toward the read-mostly demotion window.
+    /// received, funnels through the birth home, which is where the replica
+    /// directory counts it toward the read-mostly demotion window.
     fn apply_update(&mut self, ctx: &mut Ctx<'_, DpaMsg>, ptr: GPtr, value: f64) {
         ctx.charge_overhead(self.cfg.cost.owner_lookup_ns);
         self.updates_applied += 1;
@@ -605,8 +590,7 @@ impl<A: PtrApp> DpaProc<A> {
     /// batches the push forces out (budget/window full, oversized entry).
     fn enqueue_replies(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, ptrs: &[GPtr]) {
         let now = ctx.now().as_ns();
-        let mig = self.mig.as_ref().map(|m| &m.table);
-        crate::owner::charge_lookups(&self.cfg, ctx, ptrs, mig);
+        crate::owner::charge_lookups(&self.cfg, ctx, ptrs);
         for &p in ptrs {
             let size = self.app.object_size(p);
             self.reply_entries_pushed += 1;
@@ -687,7 +671,6 @@ impl<A: PtrApp> DpaProc<A> {
                 ctx,
                 src,
                 &ptrs,
-                self.mig.as_ref().map(|m| &m.table),
                 |expect| self.reply_coal.buffer_for(expect),
             );
             self.replies_at_once.0 += acct.msgs.saturating_sub(1);
@@ -783,21 +766,14 @@ impl<A: PtrApp> DpaProc<A> {
     /// the dup), and the wire reply, even a redundant one, retires the
     /// in-flight request for its object. An entry for an object this node
     /// neither waits for nor holds was never asked for: it is refused —
-    /// nothing enters renamed storage or the override table — and counted
-    /// with the misrouted.
-    fn install_reply(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, mut objs: Vec<(GPtr, u32)>) {
+    /// nothing enters renamed storage — and counted with the misrouted.
+    fn install_reply(&mut self, ctx: &mut Ctx<'_, DpaMsg>, mut objs: Vec<(GPtr, u32)>) {
         for (ptr, size) in objs.drain(..) {
             ctx.charge_overhead(self.cfg.cost.reply_install_ns + self.pressure());
             let installed = self.install(ptr, size, self.app.object_generation(ptr));
             if !installed && !self.arrived.contains(ptr) {
                 self.misrouted += 1;
                 continue;
-            }
-            if let Some(m) = self.mig.as_mut() {
-                // A reply from a node other than the birth home reveals a
-                // re-homing (the serving node is the adoptee): learning it
-                // skips the forwarding hop from now on.
-                m.table.learn_override(ptr, src.0);
             }
             self.in_flight.remove(&ptr);
         }
@@ -904,9 +880,13 @@ impl<A: PtrApp> Proc for DpaProc<A> {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, msg: DpaMsg) {
         match msg {
-            DpaMsg::Request(ptrs) => {
-                // Requests for departed objects chase their stub one hop.
-                let ptrs = self.triage_request(ctx, src, ptrs);
+            DpaMsg::Request(mut ptrs) => {
+                // Every object is served by its birth home: anything else
+                // is misrouted, counted and not served.
+                let me = ctx.me().0;
+                let asked = ptrs.len();
+                ptrs.retain(|p| p.is_local_to(me));
+                self.misrouted += (asked - ptrs.len()) as u64;
                 if ptrs.is_empty() {
                     self.coal.recycle(ptrs);
                     return;
@@ -914,7 +894,7 @@ impl<A: PtrApp> Proc for DpaProc<A> {
                 self.answer(ctx, src, ptrs);
             }
             DpaMsg::Reply(objs) => {
-                self.install_reply(ctx, src, objs);
+                self.install_reply(ctx, objs);
                 self.drive(ctx);
             }
             DpaMsg::Update { seq, mut entries } => {
@@ -932,7 +912,6 @@ impl<A: PtrApp> Proc for DpaProc<A> {
                 self.upd_coal.recycle(entries);
             }
             DpaMsg::Affinity { seq, entries } => self.on_affinity(ctx, src, seq, entries),
-            DpaMsg::Forward { requester, entries } => self.on_forward(ctx, requester, entries),
             DpaMsg::PhaseDelta { seq, entries } => self.on_phase_delta(ctx, src, seq, entries),
             DpaMsg::Replicate { seq, gen, entries } => {
                 self.on_replicate(ctx, src, seq, gen, entries)
@@ -966,13 +945,10 @@ impl<A: PtrApp> Proc for DpaProc<A> {
             self.map.keys(),
             self.map.live_threads(),
             stuck.join(", "),
-            // The oracle's figure: refused requests and forwards plus
-            // every channel's refused senders (cold path).
+            // The oracle's figure: refused entries plus every channel's
+            // refused senders (cold path).
             self.snapshot(0).misrouted_requests
         );
-        if let Some(m) = &self.mig {
-            m.stall_detail(&mut detail);
-        }
         if let Some(d) = &self.diff {
             d.stall_detail(&mut detail);
         }
@@ -1027,8 +1003,8 @@ impl<A: PtrApp> Proc for DpaProc<A> {
         if let Some(r) = &self.repl {
             r.on_finish(stats);
         }
-        if let Some(m) = &self.mig {
-            m.on_finish(stats);
+        if let Some(a) = &self.aff {
+            a.on_finish(stats);
         }
     }
 }
@@ -1058,12 +1034,10 @@ mod tests {
                 ..DpaConfig::dpa(50)
             };
             let p = DpaProc::try_new(SynthApp::new(world.clone(), 0, 100), 4, cfg).unwrap();
-            (p.mig.is_some(), p.diff.is_some(), p.repl.is_some())
+            (p.aff.is_some(), p.diff.is_some(), p.repl.is_some())
         };
         assert_eq!(states(Policy::Cache, false), (false, false, false));
-        assert_eq!(states(Policy::Migrate, false), (true, false, false));
         assert_eq!(states(Policy::Cache, true), (false, true, false));
-        assert_eq!(states(Policy::Migrate, true), (true, true, false));
         assert_eq!(states(Policy::Replicate, true), (true, true, true));
     }
 }

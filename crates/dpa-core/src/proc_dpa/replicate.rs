@@ -1,16 +1,14 @@
-//! Read-mostly replication (multi-home broadcast caching), the third
-//! alignment mode (see `global_heap::replicate`), on under
-//! `Policy::Replicate`.
+//! Read-mostly replication (multi-home broadcast caching), on under
+//! `Policy::Replicate` (see `global_heap::replicate`).
 //!
 //! Pointers whose affinity shows high fan-out with *no* dominant consumer
-//! — exactly the shape migration loses on — are promoted to *replicated*
-//! at phase boundaries ([`crate::boundary`]). The owner broadcasts a
-//! generation-stamped copy (`Replicate`) to every consumer at `on_start`,
-//! and subsequent remote reads hit the local replica with zero messages.
-//! Writes never move: they funnel through the birth home, are counted per
-//! window, and demote the pointer when the mix stops being read-mostly. A
-//! replicated pointer is pinned against migration while replicated;
-//! carried replicas ride the differential `(ptr, size, gen)` machinery.
+//! are promoted to *replicated* at phase boundaries ([`crate::boundary`]).
+//! The owner broadcasts a generation-stamped copy (`Replicate`) to every
+//! consumer at `on_start`, and subsequent remote reads hit the local
+//! replica with zero messages. Writes never move: they funnel through the
+//! birth home, are counted per window, and demote the pointer when the mix
+//! stops being read-mostly. Carried replicas ride the differential
+//! `(ptr, size, gen)` machinery.
 //!
 //! **Ordering.** A broadcast and the same owner's `PhaseDelta` for the
 //! same pointer may arrive in either order (`delay` plans and jitter
@@ -156,13 +154,18 @@ impl<A: PtrApp> DpaProc<A> {
             self.misrouted += entries.len() as u64;
             return;
         };
+        // Only an owner broadcasts, and only its own objects: an entry for
+        // an object born elsewhere is refused, never installed as a replica.
+        let sent = entries.len();
+        entries.retain(|&(ptr, _)| ptr.node() == src.0);
+        let refused = (sent - entries.len()) as u64;
         if !r.broadcasts.accept(src.0, seq, entries.len()) {
             return;
         }
         for &(ptr, _) in &entries {
-            debug_assert_eq!(ptr.node(), src.0, "replica broadcast from a non-owner for {ptr}");
             r.held.insert(ptr, gen);
         }
+        self.misrouted += refused;
         for (ptr, size) in entries.drain(..) {
             ctx.charge_overhead(self.cfg.cost.reply_install_ns + self.pressure());
             // Threads waiting under `ptr` mean the broadcast raced our own

@@ -269,8 +269,8 @@ impl PtrApp for SynthApp {
         let mut v = rec.value;
         if let Some(plan) = self.plan {
             // The generation actually read: the renamed-storage stamp for
-            // fetched/carried copies, the live generation for local (or
-            // adopted) reads. A stale carry surfaces here as an old stamp.
+            // fetched/carried copies, the live generation for local reads.
+            // A stale carry surfaces here as an old stamp.
             let gen = env
                 .label_generation()
                 .unwrap_or_else(|| plan.gen_of(work.ptr));

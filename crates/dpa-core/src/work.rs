@@ -13,7 +13,7 @@
 //! caching, blocking, sequential), which is what guarantees all variants
 //! compute identical results — only scheduling and communication differ.
 
-use global_heap::{ArrivalSet, GPtr, MigrationTable, SoftCache};
+use global_heap::{ArrivalSet, GPtr, SoftCache};
 
 /// A deterministic per-object *generation* schedule for multi-timestep
 /// (differential) runs: which objects mutate at which phase.
@@ -122,9 +122,6 @@ pub struct WorkEnv<'a, W> {
     charged_ns: u64,
     emits: Vec<Emit<W>>,
     avail: Avail<'a>,
-    /// Migration view (when enabled): objects born here that have departed
-    /// are *not* readable locally any more, and adopted objects are.
-    mig: Option<&'a MigrationTable>,
     /// What renamed storage held for the running thread's label when the
     /// thread became ready ([`Tagged::gen`]); `NO_GEN` for creation code.
     label_gen: u32,
@@ -138,22 +135,7 @@ impl<'a, W> WorkEnv<'a, W> {
             charged_ns: 0,
             emits: Vec::new(),
             avail,
-            mig: None,
             label_gen: NO_GEN,
-        }
-    }
-
-    /// Like [`WorkEnv::new`] but honoring a migration table in the
-    /// readability check (used by the DPA driver when migration is on).
-    pub(crate) fn with_migration(
-        node: u16,
-        nodes: u16,
-        avail: Avail<'a>,
-        mig: Option<&'a MigrationTable>,
-    ) -> WorkEnv<'a, W> {
-        WorkEnv {
-            mig,
-            ..WorkEnv::new(node, nodes, avail)
         }
     }
 
@@ -217,13 +199,6 @@ impl<'a, W> WorkEnv<'a, W> {
     /// `true` if `ptr`'s payload may be read right now on this node.
     pub fn readable(&self, ptr: GPtr) -> bool {
         if ptr.is_local_to(self.node) {
-            // Born here — readable unless the object was migrated away
-            // (its payload now lives at the adoptee; reading the departed
-            // slot would be a stale read).
-            if !self.mig.is_some_and(|m| m.is_departed(ptr)) {
-                return true;
-            }
-        } else if self.mig.is_some_and(|m| m.is_adopted(ptr)) {
             return true;
         }
         match &self.avail {
@@ -420,30 +395,6 @@ mod tests {
         arr.insert_gen(remote, 64, 4);
         let env: WorkEnv<'_, u32> = WorkEnv::new(0, 2, Avail::Arrived(&arr)).labeled(3);
         env.assert_readable(remote);
-    }
-
-    #[test]
-    fn readable_honors_migration_table() {
-        let mut mig = MigrationTable::new();
-        let departed = GPtr::new(0, ObjClass(0), 1);
-        let adopted = GPtr::new(1, ObjClass(0), 2);
-        mig.depart(departed, 1);
-        mig.adopt(adopted, 64);
-        let arr = ArrivalSet::new();
-        let env: WorkEnv<'_, u32> = WorkEnv::with_migration(0, 2, Avail::Arrived(&arr), Some(&mig));
-        assert!(
-            !env.readable(departed),
-            "a departed object is no longer readable at its birth home"
-        );
-        assert!(env.readable(adopted), "an adopted object reads locally");
-        assert!(
-            env.readable(GPtr::new(0, ObjClass(0), 9)),
-            "untouched local"
-        );
-        assert!(
-            !env.readable(GPtr::new(1, ObjClass(0), 9)),
-            "untouched remote"
-        );
     }
 
     #[test]

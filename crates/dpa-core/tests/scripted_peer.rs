@@ -5,8 +5,8 @@
 //! seed.
 
 use dpa_core::{
-    check_conservation, CachingProc, DpaConfig, DpaMsg, DpaProc, NodeSnapshot, Policy, PtrApp,
-    Violation, WorkEnv,
+    check_conservation, CachingProc, DpaConfig, DpaMsg, DpaProc, NodeSnapshot, PtrApp, Violation,
+    WorkEnv,
 };
 use global_heap::{GPtr, ObjClass};
 use sim_net::{Ctx, Dur, Machine, NetConfig, NodeId, NodeStats, Proc, RunReport};
@@ -407,49 +407,35 @@ fn a_reply_after_a_completing_broadcast_retires_in_flight_and_installs_nothing()
     assert_eq!((snap.objects_installed, snap.in_flight), (1, 1));
 }
 
-/// Homes change only between phases, so no real node sends a request to a
-/// node that neither holds the object nor a stub for it. A scripted peer
-/// can: the entries are refused — no reply, nothing parked, the run
+/// Objects never leave their birth homes, so no real node sends a
+/// request to a node that was not born with the object. A scripted peer
+/// can: the entry is refused — no reply, nothing parked, the run
 /// completes — and counted, which is the one input that makes the
 /// `MisroutedRequest` oracle fire.
 #[test]
-fn a_misrouted_request_or_forward_is_counted_and_answers_nothing() {
-    let cfg = DpaConfig {
-        policy: Policy::Migrate,
-        ..DpaConfig::dpa(8)
-    };
-    let proc_ = DpaProc::new(Probe::idle(), 2, cfg);
-    let sends = vec![
-        // Born on the scripted node, never adopted by node 0.
-        (50_000, DpaMsg::Request(vec![remote(5)])),
-        // Node 0 holds no adoption the stub could have pointed at.
-        (
-            100_000,
-            DpaMsg::Forward {
-                requester: 1,
-                entries: vec![remote(6)],
-            },
-        ),
-    ];
+fn a_misrouted_request_is_counted_and_answers_nothing() {
+    let proc_ = DpaProc::new(Probe::idle(), 2, DpaConfig::dpa(8));
+    // Born on the scripted node.
+    let sends = vec![(50_000, DpaMsg::Request(vec![remote(5)]))];
     let (report, mut m) = run(proc_, sends);
     assert!(report.completed, "{}", report.stall_summary());
-    assert_eq!(report.stats.nodes[0].msgs_recv, 2);
+    assert_eq!(report.stats.nodes[0].msgs_recv, 1);
     assert_eq!(report.stats.nodes[0].msgs_sent, 0, "nothing was answered");
     let snap = snapshot(&mut m);
     assert_eq!((snap.reply_pushed, snap.reply_msgs), (0, 0));
-    assert_eq!(snap.misrouted_requests, 2);
+    assert_eq!(snap.misrouted_requests, 1);
     assert_eq!(
         check_conservation(&[snap]),
-        [Violation::MisroutedRequest { node: 0, count: 2 }]
+        [Violation::MisroutedRequest { node: 0, count: 1 }]
     );
 }
 
-/// The same refusal with migration off, where every object lives where it
-/// was born: a request for an object born elsewhere never reaches the
-/// owner's lookup, which would answer for someone else's object. The
-/// local part of the batch is still served.
+/// A request for an object born elsewhere never reaches the owner's
+/// lookup, which would answer for someone else's object: the foreign
+/// entries of a batch are refused and counted, and its local part is
+/// still served.
 #[test]
-fn a_request_for_a_foreign_object_is_refused_without_migration_too() {
+fn a_mixed_request_is_served_for_its_local_objects_only() {
     let local = GPtr::new(0, ObjClass(0), 1);
     let proc_ = DpaProc::new(Probe::idle(), 2, DpaConfig::dpa(8));
     let sends = vec![
@@ -468,6 +454,34 @@ fn a_request_for_a_foreign_object_is_refused_without_migration_too() {
     assert_eq!(
         check_conservation(&[snap]),
         [Violation::MisroutedRequest { node: 0, count: 3 }]
+    );
+}
+
+/// Only an owner broadcasts, and only its own objects. A scripted peer can
+/// broadcast a pointer born on another node — here on the receiver itself:
+/// the entry is refused and counted, nothing enters renamed storage or the
+/// held replicas, and the run completes.
+#[test]
+fn a_replica_broadcast_from_a_non_owner_is_a_counted_refusal() {
+    let foreign = GPtr::new(0, ObjClass(0), 3);
+    let proc_ = DpaProc::new(Probe::idle(), 2, DpaConfig::dpa_replicating(8));
+    let sends = vec![(
+        50_000,
+        DpaMsg::Replicate {
+            seq: 0,
+            gen: 0,
+            entries: vec![(foreign, OBJ_BYTES)],
+        },
+    )];
+    let (report, mut m) = run(proc_, sends);
+    assert!(report.completed, "{}", report.stall_summary());
+    let snap = snapshot(&mut m);
+    assert!(snap.replica_held.is_empty(), "installed as a replica");
+    assert_eq!((snap.objects_installed, snap.repl_entries_recv), (0, 0));
+    assert_eq!(snap.misrouted_requests, 1);
+    assert_eq!(
+        check_conservation(&[snap]),
+        [Violation::MisroutedRequest { node: 0, count: 1 }]
     );
 }
 
@@ -596,7 +610,7 @@ fn check_refused(
     assert!(detail.contains(&format!("{count} misrouted")), "{label}: {detail}");
 }
 
-/// Migration, differential and replication messages reach a node whose
+/// Affinity, differential and replication messages reach a node whose
 /// mode is off only from a scripted peer — every node of a machine runs
 /// one config, and the baselines run none of the modes. Each entry is
 /// refused and counted, by either node driver, and nothing panics.
@@ -610,13 +624,6 @@ fn a_mode_message_for_a_mode_that_is_off_is_a_counted_refusal() {
                 DpaMsg::Affinity {
                     seq: 0,
                     entries: vec![(local, 5)],
-                },
-            ),
-            (
-                60_000,
-                DpaMsg::Forward {
-                    requester: 1,
-                    entries: vec![local, remote(6)],
                 },
             ),
             (
@@ -639,12 +646,12 @@ fn a_mode_message_for_a_mode_that_is_off_is_a_counted_refusal() {
     let (report, mut m) = stuck(|app| DpaProc::new(app, 2, DpaConfig::dpa(8)), sends());
     assert_eq!(report.stats.nodes[0].msgs_sent, 1, "its own request only");
     let dpa = real(&mut m);
-    check_refused("dpa", &report, &[dpa.snapshot(0)], dpa.stall_detail(), 5);
+    check_refused("dpa", &report, &[dpa.snapshot(0)], dpa.stall_detail(), 3);
 
     let (report, mut m) = stuck(|app| CachingProc::new(app, 2, DpaConfig::caching()), sends());
     assert_eq!(report.stats.nodes[0].msgs_sent, 1, "its own request only");
     let caching = real(&mut m);
-    check_refused("caching", &report, &[caching.snapshot(0)], caching.stall_detail(), 5);
+    check_refused("caching", &report, &[caching.snapshot(0)], caching.stall_detail(), 3);
 }
 
 /// A reduction goes to its target's birth home, so no real node sends an

@@ -8,11 +8,11 @@
 //! and may be read"; byte accounting tracks the memory DPA trades for
 //! latency tolerance.
 //!
-//! With object migration enabled the set gains two more duties: adopted
-//! objects are [`preload`](ArrivalSet::preload)ed at phase start (the node
-//! holds their payload across phases), and an ownership change can
-//! [`invalidate`](ArrivalSet::invalidate) a copy so the next dereference
-//! refetches from the object's new home instead of reading stale storage.
+//! Across phase barriers the set gains two more duties: carried and
+//! broadcast copies are [`preload`](ArrivalSet::preload)ed with the
+//! generation they hold, and a changed object's copy is
+//! [`invalidate`](ArrivalSet::invalidate)d so the next dereference
+//! refetches it instead of reading stale storage.
 
 use crate::fxhash::FxHashMap;
 use crate::gptr::GPtr;
@@ -65,8 +65,8 @@ impl ArrivalSet {
         }
     }
 
-    /// Seed a copy that is *already* held when the phase starts (an object
-    /// adopted in an earlier phase). Counts bytes but not `total_inserts`,
+    /// Seed a copy that is *already* held when the phase starts (carried
+    /// from an earlier phase). Counts bytes but not `total_inserts`,
     /// so per-phase fetch conservation checks stay meaningful.
     pub fn preload(&mut self, ptr: GPtr, size: u32) {
         self.preload_gen(ptr, size, 0);

@@ -1,9 +1,9 @@
 //! A vendored FxHash-style hasher for the heap's hot lookup tables.
 //!
 //! Every `Demand` emission probes [`crate::ArrivalSet`], every global
-//! access under the caching baseline probes [`crate::SoftCache`], and every
-//! request under migration resolves its home through
-//! [`crate::MigrationTable`] — all keyed by the 8-byte [`crate::GPtr`].
+//! access under the caching baseline probes [`crate::SoftCache`], and
+//! every aligned thread under replication samples into an affinity count —
+//! all keyed by the 8-byte [`crate::GPtr`].
 //! The default `std` hasher (SipHash-1-3) is keyed and DoS-resistant,
 //! qualities a deterministic simulator does not need but pays for on every
 //! probe. This is the classic multiply-rotate word hasher (as used by
@@ -15,7 +15,7 @@
 //!
 //! Note that *iteration order* of a `HashMap` is still arbitrary under any
 //! hasher; code that iterates these maps must keep sorting (as
-//! `MigrationTable::pick_migrations` and the snapshot paths do).
+//! `AffinityTable::summary` and the snapshot paths do).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -6,11 +6,8 @@
 //! runtime's pointer→threads mapping key on.
 //!
 //! The owner field is the object's *birth* home, fixed for the pointer's
-//! lifetime. Locality-driven migration (see [`crate::migrate`]) re-homes
-//! objects without rewriting pointers: the birth home keeps a forwarding
-//! stub and consumers learn the new home from reply traffic, so
-//! [`GPtr::node`] remains the correct *first hop* for any node with no
-//! migration knowledge.
+//! lifetime. Objects never leave it, so [`GPtr::node`] is where every
+//! request for the object goes.
 
 use std::fmt;
 
@@ -50,9 +47,8 @@ impl GPtr {
         self == Self::NULL
     }
 
-    /// The owning node — the *birth* home baked into the pointer bits. With
-    /// migration enabled the current home may differ; resolve through
-    /// `migrate::MigrationTable::home_of` before routing a request.
+    /// The owning node — the *birth* home baked into the pointer bits, and
+    /// the node every request for the object goes to.
     #[inline]
     pub fn node(self) -> u16 {
         debug_assert!(!self.is_null());

@@ -14,12 +14,15 @@
 //! * [`cache::SoftCache`] — the software-caching baseline the paper
 //!   compares against: a hashed cache probed on *every* global access, with
 //!   blocking misses;
-//! * [`migrate::MigrationTable`] — per-node bookkeeping for locality-driven
-//!   object migration (adopted objects, forwarding stubs, learned home
-//!   overrides, and the affinity counts that drive the policy);
+//! * [`affinity::AffinityTable`] — the owner-side per-`(object,
+//!   requester)` remote dereference counts the replication promotion
+//!   policy reads;
 //! * [`replicate::ReplicaDirectory`] — the owner-side directory behind the
 //!   read-mostly replication mode: which pointers are multi-homed, to whom,
-//!   at which generation, and how write-heavy the current window is.
+//!   at which generation, and how write-heavy the current window is;
+//! * [`migrate::MigrationTable`] — the re-homing table of the deleted
+//!   object-migration mode, kept only for the frozen benchmark (ROADMAP
+//!   item 6).
 //!
 //! Object *payloads* live in the owning application's typed arenas; since
 //! the force phases only read remote data, a "fetch" moves simulated bytes
@@ -30,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod affinity;
 pub mod arrival;
 pub mod cache;
 pub mod fxhash;
@@ -37,9 +41,10 @@ pub mod gptr;
 pub mod migrate;
 pub mod replicate;
 
+pub use affinity::AffinityTable;
 pub use arrival::ArrivalSet;
 pub use cache::{CacheStats, EvictPolicy, SoftCache};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use gptr::{ClassTable, GPtr, ObjClass};
-pub use migrate::{Migration, MigrationTable};
+pub use migrate::MigrationTable;
 pub use replicate::{ReplicaDirectory, ReplicaEntry};

@@ -1,12 +1,11 @@
-//! Owner-side replica directory: the third alignment mode.
+//! Owner-side replica directory: the replicating alignment policy.
 //!
-//! Caching pulls one copy to one consumer, migration re-homes the object
-//! to its dominant consumer — and both lose on a read-mostly hub with
-//! *many* consumers and no dominant one (the crossover `fig_graph`
-//! records). Replication is the counter: the owner promotes such a
-//! pointer to *replicated*, broadcasts a generation-stamped copy to the
-//! consumer set, and subsequent remote reads hit the local replica with
-//! zero messages. Writes never move: they funnel through the owner
+//! Caching pulls one copy to each consumer, one request at a time, and
+//! loses on a read-mostly hub with *many* consumers (the crossover
+//! `fig_graph` records). Replication is the counter: the owner promotes
+//! such a pointer to *replicated*, broadcasts a generation-stamped copy to
+//! the consumer set, and subsequent remote reads hit the local replica
+//! with zero messages. Writes never move: they funnel through the owner
 //! (single-writer semantics are untouched), are counted per window, and
 //! demote the pointer when the mix stops being read-mostly.
 //!
@@ -119,7 +118,7 @@ impl ReplicaDirectory {
     /// Demote every entry whose window saw more than `threshold` writes
     /// and zero all windows. Returns the demoted pointers, sorted — the
     /// read-mostly contract: a pointer that stops being read-mostly
-    /// stops being replicated (and becomes eligible for migration again).
+    /// stops being replicated.
     pub fn end_window(&mut self, threshold: u64) -> Vec<GPtr> {
         let mut demoted: Vec<GPtr> = self
             .entries
@@ -155,7 +154,7 @@ impl ReplicaDirectory {
         out
     }
 
-    /// All replicated pointers, sorted by bits (the migration pin set).
+    /// All replicated pointers, sorted by bits.
     pub fn ptrs(&self) -> Vec<GPtr> {
         let mut v: Vec<GPtr> = self.entries.keys().copied().collect();
         v.sort_unstable_by_key(|p| p.bits());

@@ -640,7 +640,7 @@ impl<P: Proc> Machine<P> {
     }
 
     /// Mutable access to a node's behavior — for post-run state hand-off,
-    /// e.g. carrying a migration table into the next phase's machine.
+    /// e.g. carrying a node's tables into the next phase's machine.
     pub fn proc_mut(&mut self, id: NodeId) -> &mut P {
         &mut self.procs[id.index()]
     }

@@ -11,9 +11,8 @@ use dpa::runtime::invariant::Violation;
 use dpa::runtime::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa::runtime::{
     check_completed, check_conservation, run_phase_dst, run_phases, DpaConfig, DstOptions,
-    NodeSnapshot, Policy, PtrApp,
 };
-use dpa::sim_net::{FaultPlan, NetConfig, NodePause};
+use dpa::sim_net::{FaultPlan, NetConfig};
 use proptest::prelude::*;
 
 fn synth_world(seed: u64, nodes: u16, remote: f64) -> std::sync::Arc<SynthWorld> {
@@ -27,102 +26,6 @@ fn synth_world(seed: u64, nodes: u16, remote: f64) -> std::sync::Arc<SynthWorld>
         work_ns: 200,
         seed,
     })
-}
-
-fn bh_world(seed: u64, nodes: u16) -> std::sync::Arc<BhWorld> {
-    BhWorld::build(
-        plummer(96, seed),
-        nodes,
-        8,
-        BhParams::default(),
-        BhCost::default(),
-    )
-}
-
-/// Three phases of `mk`'s app under `Policy::Migrate` (strip 4) and
-/// `opts`, against the same phases under `Cache` with no faults. What boundary-only
-/// re-homing rests on, checked at **every** phase end, completed or not:
-///
-/// * the machine-wide adopted set equals the departed set, as multisets —
-///   each stub has exactly one adopter and each adoption its stub, because
-///   depart + adopt is one offline step (nothing is ever left to heal);
-/// * no request was misrouted (`misrouted_requests == 0`);
-/// * a node reports affinity once per phase: at most `nodes - 1`
-///   `Affinity` messages, one per home;
-/// * the conservation oracles hold, and on a completed phase the
-///   completion oracles and the migration-off digest.
-///
-/// A phase may only fail to complete under a `lossy` plan, and then it
-/// carries a stall diagnosis.
-fn check_migrating_run<A: PtrApp>(
-    nodes: u16,
-    opts: &DstOptions,
-    lossy: bool,
-    mk: impl Fn(u16) -> A,
-    digest: impl Fn(&A) -> u64,
-) {
-    const PHASES: usize = 3;
-    let run = |cfg: DpaConfig, opts: &DstOptions| {
-        let mut digests = vec![0u64; PHASES * nodes as usize];
-        let (reports, snap_sets, _tables) = run_phases(
-            nodes,
-            NetConfig::default(),
-            cfg,
-            opts,
-            PHASES,
-            |_, i| mk(i),
-            |ph, i, app: &A| digests[ph * nodes as usize + i as usize] = digest(app),
-        );
-        (reports, snap_sets, digests)
-    };
-    let (_, _, want) = run(DpaConfig::dpa(4), &DstOptions::default());
-    let migrating = DpaConfig {
-        policy: Policy::Migrate,
-        ..DpaConfig::dpa(4)
-    };
-    let (reports, snap_sets, got) = run(migrating, opts);
-    for (ph, (r, snaps)) in reports.iter().zip(&snap_sets).enumerate() {
-        let sorted = |f: fn(&NodeSnapshot) -> &Vec<u64>| {
-            let mut v: Vec<u64> = snaps.iter().flat_map(|s| f(s).iter().copied()).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(
-            sorted(|s| &s.adopted_ptrs),
-            sorted(|s| &s.departed_ptrs),
-            "phase {ph}: a stub without its adopter, or an adopter without its stub"
-        );
-        assert!(
-            snaps.iter().all(|s| s.misrouted_requests == 0),
-            "phase {ph}"
-        );
-        let reports_per_node = r.stats.user_max("affinity_msgs");
-        assert!(
-            reports_per_node < nodes as u64,
-            "phase {ph}: {reports_per_node} Affinity messages from one node"
-        );
-        if r.completed {
-            let violations = check_completed(snaps, lossy);
-            assert!(violations.is_empty(), "phase {ph}: {}", violations[0]);
-            let at = ph * nodes as usize..(ph + 1) * nodes as usize;
-            assert_eq!(&got[at.clone()], &want[at], "phase {ph} digest diverged");
-        } else {
-            assert!(
-                lossy,
-                "lossless plan stalled phase {ph}: {}",
-                r.stall_summary()
-            );
-            assert!(
-                r.stalls.iter().any(|s| s.detail.is_some()),
-                "stall without diagnosis"
-            );
-            let violations = check_conservation(snaps);
-            assert!(violations.is_empty(), "phase {ph}: {}", violations[0]);
-        }
-    }
-    // Single-home exclusivity over the carried tables of the whole run.
-    let violations = check_conservation(&snap_sets.concat());
-    assert!(violations.is_empty(), "cross-phase: {}", violations[0]);
 }
 
 proptest! {
@@ -422,66 +325,6 @@ proptest! {
         prop_assert!(violations.is_empty(), "violation: {}", violations[0]);
     }
 
-    /// Locality-driven object migration under lossless fault plans
-    /// (duplicate / delay / pause), synth and Barnes-Hut: every phase
-    /// completes with the migration-off digest and the migration oracles
-    /// hold — see [`check_migrating_run`].
-    #[test]
-    fn migration_survives_lossless_faults(
-        seed in any::<u64>(),
-        nodes in 2u16..5,
-        remote in 0.3f64..0.9,
-        plan in 0usize..3,
-    ) {
-        let faults = match plan {
-            0 => FaultPlan::duplicate(seed ^ 0xD0_D0, 0.5),
-            1 => FaultPlan::delay(seed ^ 0xDE1A, 0.5, 80_000),
-            _ => FaultPlan {
-                pauses: vec![NodePause {
-                    node: (seed % nodes as u64) as u16,
-                    from_ns: 20_000,
-                    until_ns: 160_000,
-                }],
-                ..FaultPlan::default()
-            },
-        };
-        let opts = DstOptions {
-            schedule_seed: Some(seed),
-            faults,
-            ..DstOptions::default()
-        };
-        let synth = synth_world(seed, nodes, remote);
-        let mk = |i| SynthApp::new(synth.clone(), i, 200);
-        check_migrating_run(nodes, &opts, false, mk, |app| app.sum);
-        let bh = bh_world(seed, nodes);
-        let mk = |i| BhApp::new(bh.clone(), i);
-        check_migrating_run(nodes, &opts, false, mk, |app| app.interaction_hash);
-    }
-
-    /// The drop-plan sibling. A lost request or reply stalls its phase
-    /// with a diagnosis; a lost `Affinity` only weakens the signal, so a
-    /// phase can complete with packets dropped and must still produce the
-    /// migration-off digest. The re-homing laws hold either way: a dropped
-    /// packet can no longer lose an object or strand a request.
-    #[test]
-    fn migration_survives_drops(
-        seed in any::<u64>(),
-        nodes in 2u16..5,
-        drop_p in 0.0005f64..0.01,
-    ) {
-        let opts = DstOptions {
-            schedule_seed: Some(seed),
-            faults: FaultPlan::drop(seed ^ 0x0D0D, drop_p),
-            ..DstOptions::default()
-        };
-        let synth = synth_world(seed, nodes, 0.5);
-        let mk = |i| SynthApp::new(synth.clone(), i, 200);
-        check_migrating_run(nodes, &opts, true, mk, |app| app.sum);
-        let bh = bh_world(seed, nodes);
-        let mk = |i| BhApp::new(bh.clone(), i);
-        check_migrating_run(nodes, &opts, true, mk, |app| app.interaction_hash);
-    }
-
     /// Delay plans reorder but never lose: results and invariants match
     /// the fault-free run exactly.
     #[test]
@@ -512,46 +355,40 @@ proptest! {
     }
 }
 
-/// Migration must move data, never results: the multi-phase integer
-/// checksums are bit-identical with migration ON vs OFF and across strip
-/// sizes {1, 4, 16}, on both the synthetic workload and Barnes-Hut.
+/// Strip size must move work, never results: the multi-phase integer
+/// checksums are bit-identical across strip sizes {1, 4, 16}, on both the
+/// synthetic workload and Barnes-Hut.
 #[test]
-fn migration_and_strip_size_preserve_checksums() {
+fn strip_size_preserves_multi_phase_checksums() {
     let phases = 3usize;
 
     // Synthetic pointer chasing, 4 nodes.
     let world = synth_world(0xC0FFEE, 4, 0.6);
     let mut baseline: Option<Vec<u64>> = None;
     for strip in [1usize, 4, 16] {
-        for policy in [Policy::Cache, Policy::Migrate] {
-            let cfg = DpaConfig {
-                policy,
-                ..DpaConfig::dpa(strip)
-            };
-            let mut sums = vec![0u64; phases * 4];
-            let (reports, snap_sets, _) = run_phases(
-                4,
-                NetConfig::default(),
-                cfg,
-                &DstOptions::default(),
-                phases,
-                |_, i| SynthApp::new(world.clone(), i, 200),
-                |ph, i, app: &SynthApp| sums[ph * 4 + i as usize] = app.sum,
-            );
-            assert!(reports.iter().all(|r| r.completed));
-            for snaps in &snap_sets {
-                let v = check_completed(snaps, false);
-                assert!(v.is_empty(), "strip={strip} {policy:?}: {}", v[0]);
-            }
-            match &baseline {
-                None => baseline = Some(sums),
-                Some(b) => assert_eq!(&sums, b, "strip={strip} {policy:?}"),
-            }
+        let mut sums = vec![0u64; phases * 4];
+        let (reports, snap_sets, _) = run_phases(
+            4,
+            NetConfig::default(),
+            DpaConfig::dpa(strip),
+            &DstOptions::default(),
+            phases,
+            |_, i| SynthApp::new(world.clone(), i, 200),
+            |ph, i, app: &SynthApp| sums[ph * 4 + i as usize] = app.sum,
+        );
+        assert!(reports.iter().all(|r| r.completed));
+        for snaps in &snap_sets {
+            let v = check_completed(snaps, false);
+            assert!(v.is_empty(), "strip={strip}: {}", v[0]);
+        }
+        match &baseline {
+            None => baseline = Some(sums),
+            Some(b) => assert_eq!(&sums, b, "strip={strip}"),
         }
     }
 
     // Barnes-Hut, 4 nodes: the interaction checksum is a commutative sum,
-    // so it must not feel placement, scheduling, or migration at all.
+    // so it must not feel placement or scheduling at all.
     let world = BhWorld::build(
         plummer(160, 71),
         4,
@@ -561,26 +398,20 @@ fn migration_and_strip_size_preserve_checksums() {
     );
     let mut baseline: Option<Vec<u64>> = None;
     for strip in [1usize, 4, 16] {
-        for policy in [Policy::Cache, Policy::Migrate] {
-            let cfg = DpaConfig {
-                policy,
-                ..DpaConfig::dpa(strip)
-            };
-            let mut hashes = vec![0u64; phases * 4];
-            let (reports, _, _) = run_phases(
-                4,
-                NetConfig::default(),
-                cfg,
-                &DstOptions::default(),
-                phases,
-                |_, i| BhApp::new(world.clone(), i),
-                |ph, i, app: &BhApp| hashes[ph * 4 + i as usize] = app.interaction_hash,
-            );
-            assert!(reports.iter().all(|r| r.completed));
-            match &baseline {
-                None => baseline = Some(hashes),
-                Some(b) => assert_eq!(&hashes, b, "strip={strip} {policy:?}"),
-            }
+        let mut hashes = vec![0u64; phases * 4];
+        let (reports, _, _) = run_phases(
+            4,
+            NetConfig::default(),
+            DpaConfig::dpa(strip),
+            &DstOptions::default(),
+            phases,
+            |_, i| BhApp::new(world.clone(), i),
+            |ph, i, app: &BhApp| hashes[ph * 4 + i as usize] = app.interaction_hash,
+        );
+        assert!(reports.iter().all(|r| r.completed));
+        match &baseline {
+            None => baseline = Some(hashes),
+            Some(b) => assert_eq!(&hashes, b, "strip={strip}"),
         }
     }
 }
@@ -618,8 +449,8 @@ fn fixed_strips_preserve_bh_checksums() {
 }
 
 /// Same oracle for FMM (both sub-phases, via the app driver): strips {1,
-/// 50, 300} and migrating strip 50 produce the same combined interaction
-/// checksum; and BH's single-phase runner plumbs its counter through.
+/// 50, 300} produce the same combined interaction checksum; and BH's
+/// single-phase runner plumbs its counter through.
 #[test]
 fn fixed_strips_preserve_fmm_checksums() {
     use dpa::apps::driver::{run_bh, run_fmm, Phases};
@@ -637,13 +468,6 @@ fn fixed_strips_preserve_fmm_checksums() {
         ("strip=1", DpaConfig::dpa(1)),
         ("strip=50", DpaConfig::dpa(50)),
         ("strip=300", DpaConfig::dpa(300)),
-        (
-            "mig strip=50",
-            DpaConfig {
-                policy: Policy::Migrate,
-                ..DpaConfig::dpa(50)
-            },
-        ),
     ];
     let mut baseline: Option<u64> = None;
     for (label, cfg) in configs {

@@ -1,24 +1,22 @@
 //! Checksum-invariance battery for the skew-adversarial graph workload:
 //! the semi-naive transitive-closure checksums must be bit-identical
-//! across every config lane — strips from 1 to 128, migration on and off,
-//! differential re-alignment on and off, read-mostly replication on and
-//! off — because none of those knobs is allowed to change *what* is
+//! across every config lane — strips from 1 to 128, differential
+//! re-alignment on and off, read-mostly replication on and off — because
+//! none of those knobs is allowed to change *what* is
 //! computed, only when and where. Every lane runs on the default timing
 //! wheel; the shadow heap's equivalence is `queue_equiv`'s job.
 
 use dpa::apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
-use dpa::runtime::{check_completed, run_phases, DpaConfig, DstOptions, Policy};
+use dpa::runtime::{check_completed, run_phases, DpaConfig, DstOptions};
 use dpa::sim_net::NetConfig;
 
 const PHASES: usize = 3;
 const NODES: u16 = 4;
 
-/// Full DPA at `strip` under `policy`, with or without the differential
-/// carry.
-fn dpa(strip: usize, policy: Policy, differential: bool) -> DpaConfig {
+/// Full DPA at `strip` with the differential carry.
+fn differential(strip: usize) -> DpaConfig {
     DpaConfig {
-        policy,
-        differential,
+        differential: true,
         ..DpaConfig::dpa(strip)
     }
 }
@@ -53,13 +51,12 @@ fn run_lane(
     (sums, snap_sets)
 }
 
-/// Strips {1, 16, 64, 128}, migration, differential re-alignment and
-/// replication (alone, composed, and each mode at strips 1 and 64) all
-/// agree bit-for-bit on
-/// the closure checksums of a mutable power-law graph — including the
-/// hot-hub generation stamps the checksum folds in — and every lane's
-/// runtime-state snapshot passes the full invariant check (hot-key reply
-/// conservation included).
+/// Strips {1, 16, 64, 128}, differential re-alignment and replication
+/// (each at strips 1, 8 and 64, plus an eager replication lane) all agree
+/// bit-for-bit on the closure checksums of a mutable power-law graph —
+/// including the hot-hub generation stamps the checksum folds in — and
+/// every lane's runtime-state snapshot passes the full invariant check
+/// (hot-key reply conservation included).
 #[test]
 fn graph_checksums_invariant_across_config_lanes() {
     // root_stride = 1: every owned vertex seeds a closure, so each node
@@ -76,27 +73,14 @@ fn graph_checksums_invariant_across_config_lanes() {
         ("strip=16".into(), DpaConfig::dpa(16)),
         ("strip=64".into(), DpaConfig::dpa(64)),
         ("strip=128".into(), DpaConfig::dpa(128)),
-        ("mig".into(), dpa(8, Policy::Migrate, false)),
-        ("mig strip=1".into(), dpa(1, Policy::Migrate, false)),
-        ("mig strip=64".into(), dpa(64, Policy::Migrate, false)),
-        ("diff".into(), dpa(8, Policy::Cache, true)),
-        ("diff strip=1".into(), dpa(1, Policy::Cache, true)),
-        ("diff strip=64".into(), dpa(64, Policy::Cache, true)),
-        ("diff+mig".into(), dpa(8, Policy::Migrate, true)),
+        ("diff".into(), differential(8)),
+        ("diff strip=1".into(), differential(1)),
+        ("diff strip=64".into(), differential(64)),
         // Replication lanes: `Policy::Replicate` must also be purely a
-        // *when/where* knob. `dpa_replicating` keeps migration too timid to
-        // steal the hub, so the promotion path (not re-homing) is what gets
-        // exercised.
+        // *when/where* knob.
         ("repl".into(), DpaConfig::dpa_replicating(8)),
         ("repl strip=1".into(), DpaConfig::dpa_replicating(1)),
         ("repl strip=64".into(), DpaConfig::dpa_replicating(64)),
-        (
-            "repl+mig".into(),
-            DpaConfig {
-                migration_threshold: DpaConfig::default().migration_threshold,
-                ..DpaConfig::dpa_replicating(8)
-            },
-        ),
         (
             "repl eager".into(),
             DpaConfig {
@@ -112,10 +96,6 @@ fn graph_checksums_invariant_across_config_lanes() {
         // The repl lanes must have exercised the protocol, not just
         // tolerated the knob: at least one owner published a directory
         // entry and at least one broadcast entry was installed somewhere.
-        // This holds for `repl+mig` too: the replicating preset runs
-        // migration in boundary-only mode, and the boundary pass promotes
-        // (and pins) before it picks migrations, so even an eager
-        // threshold cannot steal the hub out from under its consumers.
         // At strip 1 few threads align on the hub before its copy arrives
         // (the arrival set serves every later demand), so no consumer
         // clears the replicating report floor and nothing is promoted:
@@ -182,8 +162,8 @@ fn graph_closure_matches_oracle_at_dense_and_sparse_reach() {
 }
 
 /// Same battery for the setops workload, single phase: strips from 1 to
-/// 64 and migration must leave the range sums and the final membership
-/// digest bit-identical and equal to the host oracle.
+/// 64 must leave the range sums and the final membership digest
+/// bit-identical and equal to the host oracle.
 #[test]
 fn setops_checksums_invariant_across_config_lanes() {
     use dpa::apps::setops_dist::{SetopsApp, SetopsParams, SetopsWorld};
@@ -198,7 +178,6 @@ fn setops_checksums_invariant_across_config_lanes() {
         ("strip=1".into(), DpaConfig::dpa(1)),
         ("strip=32".into(), DpaConfig::dpa(32)),
         ("strip=64".into(), DpaConfig::dpa(64)),
-        ("mig".into(), dpa(8, Policy::Migrate, false)),
     ];
     let expected: Vec<(u64, u64)> = (0..NODES).map(|n| world.expected(n)).collect();
     for (label, cfg) in lanes {
