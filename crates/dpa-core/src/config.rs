@@ -641,11 +641,22 @@ mod tests {
     }
 
     #[test]
-    fn replication_defaults_off_everywhere() {
+    fn migration_defaults_off_everywhere() {
         for (cfg, policy, _) in every_constructor() {
             let name = cfg.describe();
             assert_eq!(cfg.policy, policy, "{name}");
             assert_eq!(cfg.validate(), Ok(()), "{name}");
+        }
+    }
+
+    #[test]
+    fn replication_defaults_off_everywhere() {
+        for (cfg, _, differential) in every_constructor() {
+            let name = cfg.describe();
+            // Replication rides on the differential substrate, and only
+            // where that substrate is on.
+            assert_eq!(cfg.policy == Policy::Replicate, differential, "{name}");
+            assert!(cfg.replication_budget > 0, "{name}");
         }
     }
 
