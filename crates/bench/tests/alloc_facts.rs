@@ -9,7 +9,7 @@ use apps::fmm_dist::{FmmCost, FmmEvalApp, FmmM2lApp, FmmWorld};
 use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
 use apps::setops_dist::{SetopsParams, SetopsWorld};
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
-use dpa_core::{DpaConfig, DpaProc, DstOptions, PointerMap, PtrApp, SeqChannel};
+use dpa_core::{DpaConfig, DpaProc, DstOptions, PointerMap, PtrApp, SeqChannel, WorkEnv};
 use fastmsg::{ByteCoalescer, Coalescer};
 use nbody::bh::BhParams;
 use nbody::cx::{Binomials, Cx};
@@ -331,6 +331,126 @@ fn coalescer_flush_cycle_allocates_nothing_once_warm() {
         }
     });
     assert_eq!(spent, (0, 0));
+}
+
+/// Node 0 only receives: every other node sends it `per_node` `Update`
+/// batches and asks for nothing. Each thread computes for 400 µs — long
+/// enough for node 0 to keep up with fifteen senders — then emits one
+/// batch's worth of reductions, so its batch leaves full, inside the
+/// handler. (A batch left for its deadline wake would let the sender run
+/// a thread per wake, its clock drifting ahead of the event order, and
+/// the pool is shared in event order: the sender's takes would outrun
+/// node 0's returns by more every round.) Node 0 sums what it applies.
+struct Feeder {
+    me: u16,
+    per_node: usize,
+    /// Reductions a thread emits: the `Update` window.
+    batch: usize,
+    sum: f64,
+}
+
+impl PtrApp for Feeder {
+    type Work = ();
+
+    fn num_iterations(&self) -> usize {
+        if self.me == 0 {
+            0
+        } else {
+            self.per_node
+        }
+    }
+
+    fn start_iteration(&mut self, _iter: usize, env: &mut WorkEnv<'_, ()>) {
+        env.local(());
+    }
+
+    fn run_work(&mut self, _work: (), env: &mut WorkEnv<'_, ()>) {
+        env.charge(400_000);
+        for i in 0..self.batch as u64 {
+            env.accumulate(GPtr::new(0, ObjClass(0), i), 1.0);
+        }
+    }
+
+    fn object_size(&self, _ptr: GPtr) -> u32 {
+        8
+    }
+
+    fn apply_update(&mut self, _ptr: GPtr, value: f64) {
+        self.sum += value;
+    }
+}
+
+const FEEDERS: u16 = 16;
+
+fn feeders(per_node: usize) -> Vec<DpaProc<Feeder>> {
+    let cfg = DpaConfig::dpa(8);
+    (0..FEEDERS)
+        .map(|me| {
+            let app = Feeder {
+                me,
+                per_node,
+                batch: cfg.agg_window,
+                sum: 0.0,
+            };
+            DpaProc::new(app, FEEDERS as usize, cfg.clone())
+        })
+        .collect()
+}
+
+/// Run `m` as it stands; its allocator calls, and the messages it sent.
+fn counted_run(m: &mut Machine<DpaProc<Feeder>>) -> (u64, u64) {
+    let mut msgs = 0;
+    let (allocs, _) = traffic(|| {
+        let report = m.run();
+        assert!(report.completed, "{}", report.stall_summary());
+        msgs = report.stats.total_msgs();
+    });
+    let feeder = m.proc(NodeId(1)).app();
+    let sent = (FEEDERS - 1) as usize * feeder.per_node * feeder.batch;
+    assert_eq!(m.proc(NodeId(0)).app().sum, sent as f64);
+    (allocs, msgs)
+}
+
+/// The machine's payload buffers follow the traffic: node 0 only receives
+/// `Update` batches and the fifteen others only send them, yet every
+/// buffer node 0 drains goes back to the one pool the senders take from.
+/// So a run allocates batch buffers for the most it ever has in flight,
+/// not for the messages it sends: four times the messages, not one
+/// allocation more. (With a pool per node, each sender's pool runs dry
+/// and the receiver's overflows: every batch allocates.)
+#[test]
+fn a_lopsided_update_flow_allocates_for_its_peak_not_its_messages() {
+    let run = |per_node| counted_run(&mut Machine::new(feeders(per_node), NetConfig::default()));
+    let (short, long) = (run(100), run(400));
+    assert_eq!((short.1, long.1), (1_500, 6_000), "one message a batch");
+    assert_eq!(
+        short.0, long.0,
+        "allocations for {} and {} messages",
+        short.1, long.1
+    );
+}
+
+/// `Machine::reset` keeps the payload pool: the buffers phase 1 returned
+/// are what phase 2's senders take. Both phase-2 runs below start from a
+/// cold event queue (`set_queue_kind` rebuilds it) and identical procs,
+/// so they differ only in the pool — and the new machine allocates at
+/// least one buffer per sender that the reset one does not.
+#[test]
+fn a_buffer_returned_in_phase_1_feeds_phase_2_after_reset() {
+    let phase2 = |m: &mut Machine<DpaProc<Feeder>>| {
+        m.set_queue_kind(QueueKind::ShadowHeap);
+        counted_run(m)
+    };
+    let mut reused = Machine::new(feeders(50), NetConfig::default());
+    counted_run(&mut reused);
+    reused.reset(feeders(50));
+    let (warm, msgs) = phase2(&mut reused);
+    let (cold, same_msgs) = phase2(&mut Machine::new(feeders(50), NetConfig::default()));
+    assert_eq!(msgs, same_msgs);
+    assert!(
+        cold >= warm + (FEEDERS - 1) as u64,
+        "a reset machine's phase allocated {warm} times, a new machine's {cold}"
+    );
 }
 
 /// Dedup is a watermark per link, not a set of everything received: 10^5

@@ -198,9 +198,9 @@ pub enum ConfigError {
     /// An MTU of 0 bytes fits no packet: the byte-budgeted coalescers
     /// cannot be sized and reply segmentation divides by it.
     ZeroMtu,
-    /// `DpaProc` asked to drive a variant it does not run: it drives DPA
-    /// and the sequential reference; the caching and blocking baselines
-    /// run on `CachingProc`.
+    /// A node driver asked to drive a variant it does not run: `DpaProc`
+    /// drives DPA and the sequential reference, `CachingProc` the caching
+    /// and blocking baselines.
     WrongDriver(Variant),
 }
 
@@ -227,7 +227,12 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroMtu => write!(f, "mtu must be >= 1 byte"),
             ConfigError::WrongDriver(variant) => {
-                write!(f, "DpaProc drives DPA/Sequential, got {variant:?}")
+                write!(
+                    f,
+                    "{} runs on the other node driver \
+                     (DpaProc: DPA/Sequential, CachingProc: Caching/Blocking)",
+                    variant.label()
+                )
             }
         }
     }

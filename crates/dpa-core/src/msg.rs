@@ -5,8 +5,9 @@
 //! pointer) and a **reply** carrying those objects' data. Aggregation shows
 //! up as multi-entry requests/replies; the MTU segments outsized replies.
 
+use fastmsg::VecPool;
 use global_heap::GPtr;
-use sim_net::MsgSize;
+use sim_net::{Ctx, MsgSize};
 use std::collections::BTreeSet;
 
 /// A runtime message.
@@ -103,6 +104,36 @@ impl MsgSize for DpaMsg {
                 entries.iter().map(|&(_, size)| size + GPtr::WIRE_BYTES).sum()
             }
         }
+    }
+}
+
+/// The machine's recycled payload buffers, one pool per payload type, kept
+/// in its [`Ctx::scratch`] slot. Every node's senders take from them (the
+/// coalescers when a destination needs a fresh batch, the immediate reply
+/// path, the baselines' one-entry messages) and every receiver returns
+/// what it has drained, so the buffers follow the traffic: a node that
+/// only receives feeds the nodes that only send. The pools live as long as
+/// the machine, across the phases of one run and no further.
+pub(crate) struct Payloads {
+    /// `Request` and `PhaseDelta` entries.
+    pub(crate) ptrs: VecPool<GPtr>,
+    /// `Reply` and `Replicate` entries.
+    pub(crate) replies: VecPool<(GPtr, u32)>,
+    /// `Update` entries.
+    pub(crate) updates: VecPool<(GPtr, f64)>,
+}
+
+impl Payloads {
+    /// This machine's pools, made on first use. Each may hold what one
+    /// pool a node would: `nodes ×` [`VecPool::MAX_IDLE_BYTES`] idle.
+    #[inline]
+    pub(crate) fn of<'c>(ctx: &'c mut Ctx<'_, DpaMsg>) -> &'c mut Payloads {
+        let idle = ctx.num_nodes() as usize * VecPool::<GPtr>::MAX_IDLE_BYTES;
+        ctx.scratch(|| Payloads {
+            ptrs: VecPool::with_idle_limit(idle),
+            replies: VecPool::with_idle_limit(idle),
+            updates: VecPool::with_idle_limit(idle),
+        })
     }
 }
 

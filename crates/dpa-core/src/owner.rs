@@ -16,7 +16,7 @@
 //! [`reply_payload_bytes`] and [`charge_extra_packets`] too.
 
 use crate::config::DpaConfig;
-use crate::msg::DpaMsg;
+use crate::msg::{DpaMsg, Payloads};
 use crate::work::PtrApp;
 use fastmsg::packets_for;
 use global_heap::GPtr;
@@ -78,22 +78,20 @@ pub(crate) fn send_reply_batch(
 
 /// Service one incoming request batch immediately: charge per-object
 /// lookup, then send one or more MTU-bounded replies to `src` (an entry
-/// that alone exceeds the MTU becomes its own multi-packet message).
-/// `payload` yields an empty buffer — a recycled one where the node pools
-/// them — for a reply expected to carry the given number of entries.
-/// Returns what went on the wire.
+/// that alone exceeds the MTU becomes its own multi-packet message), each
+/// in a buffer from the machine's [`Payloads`]. Returns what went on the
+/// wire.
 pub(crate) fn service_request<A: PtrApp>(
     app: &A,
     cfg: &DpaConfig,
     ctx: &mut Ctx<'_, DpaMsg>,
     src: NodeId,
     ptrs: &[GPtr],
-    mut payload: impl FnMut(usize) -> Vec<(GPtr, u32)>,
 ) -> ReplyAccounting {
     let mtu = cfg.mtu.0;
     let mut acct = ReplyAccounting::default();
     charge_lookups(cfg, ctx, ptrs);
-    let mut chunk = payload(ptrs.len());
+    let mut chunk = Payloads::of(ctx).replies.take_for(ptrs.len());
     let mut chunk_bytes = 0u32;
     for (placed, &p) in ptrs.iter().enumerate() {
         let size = app.object_size(p);
@@ -101,7 +99,8 @@ pub(crate) fn service_request<A: PtrApp>(
         if !chunk.is_empty() && chunk_bytes + entry > mtu {
             acct.msgs += 1;
             acct.entries += chunk.len() as u64;
-            let full = std::mem::replace(&mut chunk, payload(ptrs.len() - placed));
+            let rest = Payloads::of(ctx).replies.take_for(ptrs.len() - placed);
+            let full = std::mem::replace(&mut chunk, rest);
             send_reply_batch(cfg, ctx, src, full);
             chunk_bytes = 0;
         }

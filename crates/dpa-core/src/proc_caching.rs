@@ -18,11 +18,11 @@
 //! (the machine would deadlock otherwise), just as the T3D codes answer
 //! one-sided gets regardless of what the local CPU is doing.
 
-use crate::config::{DpaConfig, Variant, POLL_INTERVAL_NS};
+use crate::config::{ConfigError, DpaConfig, Variant, POLL_INTERVAL_NS};
 use crate::fxmap::FxHashSet;
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
-use crate::msg::{DpaMsg, SeqChannel};
+use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
 use global_heap::{GPtr, SoftCache};
 use sim_net::{Ctx, Dur, NodeId, NodeStats, Proc};
@@ -83,13 +83,19 @@ pub struct CachingProc<A: PtrApp> {
 
 impl<A: PtrApp> CachingProc<A> {
     /// Wrap one node's application instance on a machine of `nodes`.
-    /// Panics unless `cfg.variant` is [`Variant::Caching`] or
-    /// [`Variant::Blocking`] and the config passes
-    /// [`DpaConfig::validate`].
+    /// Panics on what [`CachingProc::try_new`] returns as an `Err`.
     pub fn new(app: A, nodes: usize, cfg: DpaConfig) -> CachingProc<A> {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid DpaConfig: {e}");
+        match Self::try_new(app, nodes, cfg) {
+            Ok(p) => p,
+            Err(e) => panic!("invalid DpaConfig: {e}"),
         }
+    }
+
+    /// Like [`CachingProc::new`] but rejects a variant other than
+    /// [`Variant::Caching`] / [`Variant::Blocking`] — DPA and the
+    /// sequential reference run on `DpaProc` — or a degenerate config
+    /// ([`DpaConfig::validate`]) with a [`ConfigError`].
+    pub fn try_new(app: A, nodes: usize, cfg: DpaConfig) -> Result<CachingProc<A>, ConfigError> {
         let (capacity, probe_ns, fill_ns) = match cfg.variant {
             Variant::Caching => (
                 cfg.cache_capacity,
@@ -99,11 +105,12 @@ impl<A: PtrApp> CachingProc<A> {
             // One-entry cache keeps the just-fetched object readable while
             // its dependent work runs, with no reuse beyond that.
             Variant::Blocking => (Some(1), 0, 0),
-            v => panic!("CachingProc drives Caching/Blocking, got {v:?}"),
+            v => return Err(ConfigError::WrongDriver(v)),
         };
+        cfg.validate()?;
         let policy = cfg.cache_policy;
         let total_iters = app.num_iterations();
-        CachingProc {
+        Ok(CachingProc {
             app,
             cfg,
             probe_ns,
@@ -128,7 +135,7 @@ impl<A: PtrApp> CachingProc<A> {
             stall_count: 0,
             wake_scheduled: false,
             done: false,
-        }
+        })
     }
 
     /// The wrapped application (post-run inspection).
@@ -180,87 +187,84 @@ impl<A: PtrApp> CachingProc<A> {
         // Consume from the back so stack order matches the DPA driver's
         // depth-first order.
         while let Some(e) = emits.pop() {
-            if let Emit::Accum(ptr, value) = e {
-                // Write-through, unaggregated: the baseline sends each
-                // remote reduction as its own message (no batching, no
-                // reply); local targets apply in place. Reductions are not
-                // threads, so they never enter the live count.
-                self.updates_emitted += 1;
-                if ptr.is_local_to(me) {
-                    ctx.charge_overhead(self.fill_ns);
-                    self.updates_applied += 1;
-                    self.app.apply_update(ptr, value);
-                } else {
-                    let seq = self.updates.stamp(ptr.node(), 1);
-                    ctx.send(
-                        NodeId(ptr.node()),
-                        DpaMsg::Update {
-                            seq,
-                            entries: vec![(ptr, value)],
-                        },
-                    );
+            let (ptr, work) = match e {
+                Emit::Accum(ptr, value) => {
+                    // Write-through, unaggregated: the baseline sends each
+                    // remote reduction as its own message (no batching, no
+                    // reply); local targets apply in place. Reductions are
+                    // not threads, so they never enter the live count.
+                    self.updates_emitted += 1;
+                    if ptr.is_local_to(me) {
+                        ctx.charge_overhead(self.fill_ns);
+                        self.updates_applied += 1;
+                        self.app.apply_update(ptr, value);
+                    } else {
+                        let seq = self.updates.stamp(ptr.node(), 1);
+                        let mut entries = Payloads::of(ctx).updates.take_for(1);
+                        entries.push((ptr, value));
+                        ctx.send(NodeId(ptr.node()), DpaMsg::Update { seq, entries });
+                    }
+                    continue;
                 }
-                continue;
-            }
+                Emit::Local(work) => {
+                    self.live.add(iter);
+                    self.stack.push(Tagged {
+                        iter,
+                        gen: NO_GEN,
+                        work,
+                    });
+                    continue;
+                }
+                Emit::Demand(ptr, work) => (ptr, work),
+            };
             self.live.add(iter);
-            match e {
-                Emit::Accum(..) => unreachable!("handled above"),
-                Emit::Local(work) => self.stack.push(Tagged {
+            // The baseline hashes on *every* global access, even ones that
+            // turn out local; probes against a populated table
+            // additionally thrash the hardware cache.
+            ctx.charge_overhead(self.probe_ns + self.cfg.cost.probe_thrash_ns(self.cache.len()));
+            if ptr.is_local_to(me) {
+                self.stack.push(Tagged {
                     iter,
                     gen: NO_GEN,
                     work,
-                }),
-                Emit::Demand(ptr, work) => {
-                    // The baseline hashes on *every* global access, even
-                    // ones that turn out local; probes against a populated
-                    // table additionally thrash the hardware cache.
-                    ctx.charge_overhead(
-                        self.probe_ns + self.cfg.cost.probe_thrash_ns(self.cache.len()),
-                    );
-                    if ptr.is_local_to(me) {
-                        self.stack.push(Tagged {
-                            iter,
-                            gen: NO_GEN,
-                            work,
-                        });
-                    } else if self.cache.probe(ptr) {
-                        // Hit: run this work *before* routing any sibling
-                        // that might trigger a fetch — a later fill could
-                        // evict the hit object (certain with the blocking
-                        // variant's one-entry cache). This is exactly the
-                        // depth-first order of a real blocking traversal.
-                        self.stack.push(Tagged {
-                            iter,
-                            gen: NO_GEN,
-                            work,
-                        });
-                        if !emits.is_empty() {
-                            self.live.add(iter);
-                            self.cont_stack.push((iter, emits));
-                        }
-                        return true;
-                    } else {
-                        // Miss: one blocking round trip for this object.
-                        // The sibling emissions not yet routed resume only
-                        // after the blocked work's whole subtree finishes,
-                        // as in a real depth-first blocking traversal —
-                        // this also guarantees the filled object is still
-                        // cached (even with a one-entry cache) when its
-                        // dependent work reads it.
-                        self.request_msgs += 1;
-                        self.stall_count += 1;
-                        self.requested.insert(ptr);
-                        ctx.send(NodeId(ptr.node()), DpaMsg::Request(vec![ptr]));
-                        if !emits.is_empty() {
-                            // The stashed continuation counts as one live
-                            // unit so its iteration cannot complete early.
-                            self.live.add(iter);
-                            self.cont_stack.push((iter, emits));
-                        }
-                        self.stalled = Some(Stalled { iter, work, ptr });
-                        return false;
-                    }
+                });
+            } else if self.cache.probe(ptr) {
+                // Hit: run this work *before* routing any sibling that
+                // might trigger a fetch — a later fill could evict the hit
+                // object (certain with the blocking variant's one-entry
+                // cache). This is exactly the depth-first order of a real
+                // blocking traversal.
+                self.stack.push(Tagged {
+                    iter,
+                    gen: NO_GEN,
+                    work,
+                });
+                if !emits.is_empty() {
+                    self.live.add(iter);
+                    self.cont_stack.push((iter, emits));
                 }
+                return true;
+            } else {
+                // Miss: one blocking round trip for this object. The
+                // sibling emissions not yet routed resume only after the
+                // blocked work's whole subtree finishes, as in a real
+                // depth-first blocking traversal — this also guarantees the
+                // filled object is still cached (even with a one-entry
+                // cache) when its dependent work reads it.
+                self.request_msgs += 1;
+                self.stall_count += 1;
+                self.requested.insert(ptr);
+                let mut request = Payloads::of(ctx).ptrs.take_for(1);
+                request.push(ptr);
+                ctx.send(NodeId(ptr.node()), DpaMsg::Request(request));
+                if !emits.is_empty() {
+                    // The stashed continuation counts as one live unit so
+                    // its iteration cannot complete early.
+                    self.live.add(iter);
+                    self.cont_stack.push((iter, emits));
+                }
+                self.stalled = Some(Stalled { iter, work, ptr });
+                return false;
             }
         }
         true
@@ -327,24 +331,18 @@ impl<A: PtrApp> Proc for CachingProc<A> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, DpaMsg>, src: NodeId, msg: DpaMsg) {
         match msg {
             DpaMsg::Request(ptrs) => {
-                let acct = crate::owner::service_request(
-                    &self.app,
-                    &self.cfg,
-                    ctx,
-                    src,
-                    &ptrs,
-                    Vec::with_capacity,
-                );
+                let acct = crate::owner::service_request(&self.app, &self.cfg, ctx, src, &ptrs);
                 self.reply_msgs += acct.msgs;
                 self.reply_entries += acct.entries;
+                Payloads::of(ctx).ptrs.put(ptrs);
             }
-            DpaMsg::Update { seq, entries } => {
+            DpaMsg::Update { seq, mut entries } => {
                 // Duplicated delivery must not fold a reduction in twice.
                 if !self.updates.accept(src.0, seq, entries.len()) {
                     return;
                 }
                 let me = ctx.me().0;
-                for (ptr, value) in entries {
+                for (ptr, value) in entries.drain(..) {
                     if !ptr.is_local_to(me) {
                         self.misrouted += 1;
                         continue;
@@ -353,6 +351,7 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                     self.updates_applied += 1;
                     self.app.apply_update(ptr, value);
                 }
+                Payloads::of(ctx).updates.put(entries);
             }
             DpaMsg::Reply(objs) => {
                 for &(ptr, size) in &objs {
@@ -368,12 +367,11 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                 // either while not stalled at all or while blocked on a
                 // *different* object; both are ignored — the cache fill
                 // above already did any useful work.
-                let covers = self
+                let resumed = self
                     .stalled
-                    .as_ref()
-                    .is_some_and(|st| objs.iter().any(|&(p, _)| p == st.ptr));
-                if covers {
-                    let st = self.stalled.take().expect("checked above");
+                    .take_if(|st| objs.iter().any(|&(p, _)| p == st.ptr));
+                Payloads::of(ctx).replies.put(objs);
+                if let Some(st) = resumed {
                     self.replies_installed += 1;
                     // The blocked work runs immediately (top of the stack)
                     // so the filled object is still cached when read.
@@ -435,5 +433,32 @@ impl<A: PtrApp> Proc for CachingProc<A> {
         stats.bump("updates_emitted", self.updates_emitted);
         stats.bump("updates_applied", self.updates_applied);
         stats.bump("stalls", self.stall_count);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::synth::{SynthApp, SynthParams, SynthWorld};
+    use fastmsg::Mtu;
+
+    #[test]
+    fn try_new_returns_the_errors_new_panics_on() {
+        let world = SynthWorld::build(SynthParams::default());
+        let try_new = |cfg: DpaConfig| {
+            CachingProc::try_new(SynthApp::new(world.clone(), 0, 100), 4, cfg).err()
+        };
+        assert_eq!(try_new(DpaConfig::caching()), None);
+        assert_eq!(try_new(DpaConfig::blocking()), None);
+        for cfg in [DpaConfig::dpa(8), DpaConfig::sequential()] {
+            let wrong = ConfigError::WrongDriver(cfg.variant);
+            assert!(wrong.to_string().starts_with(cfg.variant.label()));
+            assert_eq!(try_new(cfg), Some(wrong));
+        }
+        let zero_mtu = DpaConfig {
+            mtu: Mtu(0),
+            ..DpaConfig::caching()
+        };
+        assert_eq!(try_new(zero_mtu), Some(ConfigError::ZeroMtu));
     }
 }

@@ -12,7 +12,7 @@
 use super::DpaProc;
 use crate::fxmap::FxHashSet;
 use crate::invariant::NodeSnapshot;
-use crate::msg::{DpaMsg, SeqChannel};
+use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::PtrApp;
 use global_heap::{ArrivalSet, GPtr};
 use sim_net::{Ctx, NodeId, NodeStats};
@@ -58,6 +58,7 @@ impl DiffState {
         arrived: &mut ArrivalSet,
     ) {
         self.carried_in += arrivals.len() as u64;
+        arrived.reserve(arrivals.len());
         for (ptr, size, gen) in arrivals {
             arrived.preload_gen(ptr, size, gen);
         }
@@ -130,7 +131,7 @@ impl<A: PtrApp> DpaProc<A> {
                 d.stale_invalidated += 1;
             }
         }
-        self.coal.recycle(entries);
+        Payloads::of(ctx).ptrs.put(entries);
         if d.awaiting.remove(&src.0) && d.awaiting.is_empty() {
             self.admit(ctx);
             self.drive(ctx);

@@ -71,7 +71,7 @@ use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
 use crate::mapping::PointerMap;
-use crate::msg::{DpaMsg, SeqChannel};
+use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
 use affinity::AffinityState;
 use differential::DiffState;
@@ -162,7 +162,8 @@ pub struct DpaProc<A: PtrApp> {
     map: PointerMap<(u32, A::Work)>,
     /// Renamed storage: remote objects fetched so far this phase.
     arrived: ArrivalSet,
-    /// Per-destination request batching.
+    /// Per-destination request batching. This and the two byte-budgeted
+    /// coalescers take their buffers from the machine's [`Payloads`].
     coal: Coalescer<GPtr>,
     /// Batches that filled while sending was deferred (no pipelining).
     held: VecDeque<(u16, Vec<GPtr>)>,
@@ -489,8 +490,14 @@ impl<A: PtrApp> DpaProc<A> {
                     } else {
                         ctx.charge_overhead(self.cfg.cost.request_entry_ns);
                         let now = ctx.now().as_ns();
-                        for batch in self.upd_coal.push(ptr.node(), (ptr, value), UPDATE_ENTRY_BYTES, now)
-                        {
+                        let fresh = |n| Payloads::of(ctx).updates.take_for(n);
+                        for batch in self.upd_coal.push_with(
+                            ptr.node(),
+                            (ptr, value),
+                            UPDATE_ENTRY_BYTES,
+                            now,
+                            fresh,
+                        ) {
                             self.send_update(ctx, ptr.node(), batch);
                         }
                     }
@@ -531,7 +538,8 @@ impl<A: PtrApp> DpaProc<A> {
             // The first thread aligned under a pointer opens its request.
             if first {
                 owed += self.cfg.cost.request_entry_ns;
-                if let Some(batch) = self.coal.push(home, ptr) {
+                let fresh = |n| Payloads::of(ctx).ptrs.take_for(n);
+                if let Some(batch) = self.coal.push_with(home, ptr, fresh) {
                     if self.cfg.pipeline {
                         ctx.charge_overhead(std::mem::take(&mut owed));
                         self.send_request(ctx, home, batch);
@@ -596,7 +604,11 @@ impl<A: PtrApp> DpaProc<A> {
             self.reply_entries_pushed += 1;
             self.reply_ptr_acct.entry(p).or_default().0 += 1;
             let entry_bytes = (size + GPtr::WIRE_BYTES) as u64;
-            for batch in self.reply_coal.push(src.0, (p, size), entry_bytes, now) {
+            let fresh = |n| Payloads::of(ctx).replies.take_for(n);
+            for batch in self
+                .reply_coal
+                .push_with(src.0, (p, size), entry_bytes, now, fresh)
+            {
                 self.send_reply(ctx, src.0, batch);
             }
         }
@@ -665,14 +677,7 @@ impl<A: PtrApp> DpaProc<A> {
         if self.cfg.reply_agg_window > 1 && !self.stack.is_empty() && !self.done {
             self.enqueue_replies(ctx, src, &ptrs);
         } else {
-            let acct = crate::owner::service_request(
-                &self.app,
-                &self.cfg,
-                ctx,
-                src,
-                &ptrs,
-                |expect| self.reply_coal.buffer_for(expect),
-            );
+            let acct = crate::owner::service_request(&self.app, &self.cfg, ctx, src, &ptrs);
             self.replies_at_once.0 += acct.msgs.saturating_sub(1);
             self.replies_at_once.1 += acct.msgs.min(1);
             self.reply_msgs += acct.msgs;
@@ -684,10 +689,10 @@ impl<A: PtrApp> DpaProc<A> {
                 e.1 += 1;
             }
         }
-        // The consumed payload buffer seeds this node's own request
-        // coalescer: in steady state request traffic is allocation-free in
-        // both directions.
-        self.coal.recycle(ptrs);
+        // The consumed payload buffer feeds the machine's request batches:
+        // in steady state request traffic is allocation-free in both
+        // directions.
+        Payloads::of(ctx).ptrs.put(ptrs);
     }
 
     fn finish_one_work(&mut self, iter: u32) {
@@ -777,7 +782,7 @@ impl<A: PtrApp> DpaProc<A> {
             }
             self.in_flight.remove(&ptr);
         }
-        self.reply_coal.recycle(objs);
+        Payloads::of(ctx).replies.put(objs);
     }
 
     /// The scheduling loop: execute, admit, then schedule communication.
@@ -888,7 +893,7 @@ impl<A: PtrApp> Proc for DpaProc<A> {
                 ptrs.retain(|p| p.is_local_to(me));
                 self.misrouted += (asked - ptrs.len()) as u64;
                 if ptrs.is_empty() {
-                    self.coal.recycle(ptrs);
+                    Payloads::of(ctx).ptrs.put(ptrs);
                     return;
                 }
                 self.answer(ctx, src, ptrs);
@@ -909,7 +914,7 @@ impl<A: PtrApp> Proc for DpaProc<A> {
                         self.misrouted += 1;
                     }
                 }
-                self.upd_coal.recycle(entries);
+                Payloads::of(ctx).updates.put(entries);
             }
             DpaMsg::Affinity { seq, entries } => self.on_affinity(ctx, src, seq, entries),
             DpaMsg::PhaseDelta { seq, entries } => self.on_phase_delta(ctx, src, seq, entries),

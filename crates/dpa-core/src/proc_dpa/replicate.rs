@@ -22,7 +22,7 @@
 use super::{fan_out, DpaProc};
 use crate::fxmap::FxHashMap;
 use crate::invariant::NodeSnapshot;
-use crate::msg::{DpaMsg, SeqChannel};
+use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::PtrApp;
 use global_heap::{GPtr, ReplicaDirectory};
 use sim_net::{Ctx, NodeId, NodeStats};
@@ -178,7 +178,7 @@ impl<A: PtrApp> DpaProc<A> {
                 self.arrived.preload_gen(ptr, size, gen);
             }
         }
-        self.reply_coal.recycle(entries);
+        Payloads::of(ctx).replies.put(entries);
         self.drive(ctx);
     }
 }

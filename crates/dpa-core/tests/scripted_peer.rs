@@ -192,9 +192,13 @@ fn run<P: Proc<Msg = DpaMsg>>(
 }
 
 fn real<P: Proc<Msg = DpaMsg>>(m: &mut Machine<Peer<P>>) -> &mut P {
-    match m.proc_mut(NodeId(0)) {
+    real_at(m, 0)
+}
+
+fn real_at<P: Proc<Msg = DpaMsg>>(m: &mut Machine<Peer<P>>, node: u16) -> &mut P {
+    match m.proc_mut(NodeId(node)) {
         Peer::Real(p) => p,
-        Peer::Script(_) => unreachable!("node 0 is the real proc"),
+        Peer::Script(_) => unreachable!("node {node} is a real proc"),
     }
 }
 
@@ -686,4 +690,86 @@ fn an_update_for_a_foreign_object_is_a_counted_refusal() {
     let snap = caching.snapshot(0);
     assert_eq!((caching.app().applied, snap.updates_applied), (2.5, 1));
     check_refused("caching", &report, &[snap, peer], caching.stall_detail(), 2);
+}
+
+/// One iteration of `spin` local steps whose last step emits one reduction
+/// for `target` (no iteration at all without a target); every reduction
+/// this node receives is summed into `applied`.
+struct LastWord {
+    target: Option<GPtr>,
+    spin: u32,
+    applied: f64,
+}
+
+impl PtrApp for LastWord {
+    type Work = u32;
+
+    fn num_iterations(&self) -> usize {
+        self.target.is_some() as usize
+    }
+
+    fn start_iteration(&mut self, _iter: usize, env: &mut WorkEnv<'_, u32>) {
+        env.local(self.spin);
+    }
+
+    fn run_work(&mut self, left: u32, env: &mut WorkEnv<'_, u32>) {
+        env.charge(STEP_NS);
+        match (left, self.target) {
+            (0 | 1, Some(target)) => env.accumulate(target, 2.5),
+            _ => env.local(left - 1),
+        }
+    }
+
+    fn object_size(&self, _ptr: GPtr) -> u32 {
+        OBJ_BYTES
+    }
+
+    fn apply_update(&mut self, _ptr: GPtr, value: f64) {
+        self.applied += value;
+    }
+}
+
+/// ROADMAP 1(d): the last work call on a node leaves a partial `Update`
+/// batch — one entry, below the window and the MTU, younger than the
+/// flush deadline — and nothing else will ever wake the node. The phase
+/// still ends: the batch leaves at the node's quiescence, is applied once
+/// at its target's home, and every conservation law holds.
+#[test]
+fn a_partial_update_batch_left_by_the_last_work_call_is_flushed_at_quiescence() {
+    let cfg = DpaConfig::dpa(8);
+    assert!(cfg.agg_window > 1 && cfg.reply_flush_deadline_ns < STEP_NS);
+    let target = remote(8);
+    let node = |target| {
+        let app = LastWord {
+            target,
+            spin: 3,
+            applied: 0.0,
+        };
+        Peer::Real(Box::new(DpaProc::new(app, 2, cfg.clone())))
+    };
+    let mut m = Machine::new(vec![node(Some(target)), node(None)], NetConfig::default());
+    let report = m.run();
+    assert!(report.completed, "{}", report.stall_summary());
+    let flushes = |rule| report.stats.user_total(rule);
+    assert_eq!(
+        [
+            "upd_flush_window",
+            "upd_flush_mtu",
+            "upd_flush_deadline",
+            "upd_flush_quiescence"
+        ]
+        .map(flushes),
+        [0, 0, 0, 1],
+        "the one batch left at quiescence"
+    );
+    assert_eq!(report.stats.nodes[0].msgs_sent, 1);
+    let snaps: Vec<NodeSnapshot> = (0..2u16).map(|i| real_at(&mut m, i).snapshot(i)).collect();
+    assert_eq!((snaps[0].updates_emitted, snaps[0].upd_buffered), (1, 0));
+    assert_eq!(snaps[1].updates_applied, 1);
+    assert_eq!(
+        real_at(&mut m, 1).app().applied,
+        2.5,
+        "applied exactly once"
+    );
+    assert_eq!(check_conservation(&snaps), []);
 }

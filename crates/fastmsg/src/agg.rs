@@ -10,12 +10,16 @@
 //! quiescence point. The byte-budgeted coalescer counts its batches by
 //! which of its four rules emitted them ([`FlushReason`]).
 //!
-//! A destination's buffer *is* the batch: a flush swaps it with an empty
-//! pooled `Vec` and hands it out whole, so an entry is written once, where
-//! it is pushed, and never copied again on this node. When the pool has
-//! nothing to swap in, the destination asks again the next time it has
-//! something to send — by then a batch has usually come back — and only
-//! then allocates, sized like the batch it sent last.
+//! A destination's buffer *is* the batch: a flush hands it out whole, so
+//! an entry is written once, where it is pushed, and never copied again on
+//! this node. The destination takes a fresh buffer only when it next has
+//! something to send, sized like the batch it sent last. It takes it from
+//! a recycling pool: the coalescer's own ([`Coalescer::push`], fed by
+//! [`Coalescer::recycle`]), or one the caller shares between many
+//! coalescers ([`Coalescer::push_with`]) — the runtime keeps one per
+//! machine, which every node's coalescers take from and every receiver
+//! returns to, so a node that only receives feeds the nodes that only
+//! send.
 //!
 //! ## Flush ordering
 //!
@@ -104,10 +108,20 @@ pub struct Coalescer<T> {
     buffered: usize,
     /// Destinations with nonempty buffers.
     nonempty: DestSet,
-    /// Recycled batch buffers: every emitted batch is a `Vec` that the
-    /// receiver can hand back via [`Coalescer::recycle`], so steady-state
-    /// flushes never touch the global allocator.
+    /// Recycled batch buffers for [`Coalescer::push`]: every emitted batch
+    /// is a `Vec` that the receiver can hand back via
+    /// [`Coalescer::recycle`], so steady-state flushes never touch the
+    /// global allocator.
     pool: VecPool<T>,
+}
+
+/// Give an empty destination buffer the capacity for `expect` items from
+/// `fresh`, if it has none (it was emitted whole, or never used).
+#[inline]
+fn refill<T>(buf: &mut Vec<T>, expect: usize, fresh: impl FnOnce(usize) -> Vec<T>) {
+    if buf.capacity() == 0 {
+        *buf = fresh(expect);
+    }
 }
 
 impl<T> Coalescer<T> {
@@ -141,12 +155,32 @@ impl<T> Coalescer<T> {
     /// Append `item` for `dst`. Returns a full batch if the buffer reached
     /// capacity, which the caller must transmit immediately.
     pub fn push(&mut self, dst: u16, item: T) -> Option<Vec<T>> {
+        let (buf, last_len) = &mut self.buffers[dst as usize];
+        refill(buf, *last_len, |n| self.pool.take_for(n));
+        self.append(dst, item)
+    }
+
+    /// [`push`](Coalescer::push) for a coalescer that shares its buffers:
+    /// when `dst` needs a fresh one, `fresh(n)` supplies it, empty and
+    /// sized for about `n` items (typically `pool.take_for(n)` on a pool
+    /// that the receivers of its batches return them to). `fresh` is not
+    /// called otherwise.
+    pub fn push_with(
+        &mut self,
+        dst: u16,
+        item: T,
+        fresh: impl FnOnce(usize) -> Vec<T>,
+    ) -> Option<Vec<T>> {
+        let (buf, last_len) = &mut self.buffers[dst as usize];
+        refill(buf, *last_len, fresh);
+        self.append(dst, item)
+    }
+
+    #[inline]
+    fn append(&mut self, dst: u16, item: T) -> Option<Vec<T>> {
         self.pushed += 1;
         self.buffered += 1;
-        let (buf, last_len) = &mut self.buffers[dst as usize];
-        if buf.capacity() == 0 {
-            *buf = self.pool.take_for(*last_len);
-        }
+        let buf = &mut self.buffers[dst as usize].0;
         buf.push(item);
         if buf.len() >= self.max_entries {
             self.take(dst)
@@ -164,7 +198,7 @@ impl<T> Coalescer<T> {
         }
         self.batches += 1;
         self.nonempty.remove(dst);
-        let batch = std::mem::replace(buf, self.pool.take());
+        let batch = std::mem::take(buf);
         *last_len = batch.len();
         self.buffered -= batch.len();
         Some(batch)
@@ -176,15 +210,15 @@ impl<T> Coalescer<T> {
     }
 
     /// Return a consumed batch's buffer so its capacity feeds a later
-    /// flush. Callers that receive a payload `Vec` (or got one back from
-    /// [`Coalescer::push`]) hand it here once drained; in steady state the
-    /// emit path then never touches the global allocator.
+    /// [`push`](Coalescer::push). Callers that receive a payload `Vec` (or
+    /// got one back from [`Coalescer::push`]) hand it here once drained; in
+    /// steady state the emit path then never touches the global allocator.
     #[inline]
     pub fn recycle(&mut self, buf: Vec<T>) {
         self.pool.put(buf);
     }
 
-    /// Batch buffers currently idle in the recycling pool.
+    /// Batch buffers currently idle in the coalescer's own pool.
     pub fn pooled(&self) -> usize {
         self.pool.idle()
     }
@@ -273,7 +307,8 @@ pub struct ByteCoalescer<T> {
     buffered: usize,
     /// Destinations with nonempty buffers.
     nonempty: DestSet,
-    /// Recycled batch buffers (see [`ByteCoalescer::recycle`]).
+    /// Recycled batch buffers for [`ByteCoalescer::push`] (see
+    /// [`ByteCoalescer::recycle`]).
     pool: VecPool<T>,
 }
 
@@ -321,32 +356,60 @@ impl<T> ByteCoalescer<T> {
     /// item itself fills it (entry window reached, budget reached, or a
     /// single oversized item — which thus always travels alone).
     pub fn push(&mut self, dst: u16, item: T, item_bytes: u64, now: u64) -> Forced<T> {
-        self.pushed += 1;
-        self.pushed_bytes += item_bytes;
-        let overflowed = if self.dests[dst as usize].bytes + item_bytes > self.byte_budget {
+        let overflowed = self.make_room(dst, item_bytes);
+        let d = &mut self.dests[dst as usize];
+        refill(&mut d.buf, d.last_len, |n| self.pool.take_for(n));
+        Forced(overflowed, self.append(dst, item, item_bytes, now))
+    }
+
+    /// [`push`](ByteCoalescer::push) for a coalescer that shares its
+    /// buffers: when `dst` needs a fresh one, `fresh(n)` supplies it (see
+    /// [`Coalescer::push_with`]).
+    pub fn push_with(
+        &mut self,
+        dst: u16,
+        item: T,
+        item_bytes: u64,
+        now: u64,
+        fresh: impl FnOnce(usize) -> Vec<T>,
+    ) -> Forced<T> {
+        let overflowed = self.make_room(dst, item_bytes);
+        let d = &mut self.dests[dst as usize];
+        refill(&mut d.buf, d.last_len, fresh);
+        Forced(overflowed, self.append(dst, item, item_bytes, now))
+    }
+
+    /// Flush `dst` first if `item_bytes` more would take it past the byte
+    /// budget.
+    #[inline]
+    fn make_room(&mut self, dst: u16, item_bytes: u64) -> Option<Vec<T>> {
+        if self.dests[dst as usize].bytes + item_bytes > self.byte_budget {
             self.take(dst, FlushReason::Budget)
         } else {
             None
-        };
+        }
+    }
+
+    /// Place `item` in `dst`'s buffer and flush it if that filled it.
+    #[inline]
+    fn append(&mut self, dst: u16, item: T, item_bytes: u64, now: u64) -> Option<Vec<T>> {
+        self.pushed += 1;
+        self.pushed_bytes += item_bytes;
         self.buffered += 1;
         let d = &mut self.dests[dst as usize];
         if d.buf.is_empty() {
             d.first_at = now;
-            if d.buf.capacity() == 0 {
-                d.buf = self.pool.take_for(d.last_len);
-            }
         }
         d.buf.push(item);
         d.bytes += item_bytes;
-        let filled = if d.buf.len() >= self.max_entries {
+        if d.buf.len() >= self.max_entries {
             self.take(dst, FlushReason::Window)
         } else if d.bytes >= self.byte_budget {
             self.take(dst, FlushReason::Budget)
         } else {
             self.nonempty.insert(dst);
             None
-        };
-        Forced(overflowed, filled)
+        }
     }
 
     /// Remove and return the pending batch for `dst`, if any, emitted
@@ -359,7 +422,7 @@ impl<T> ByteCoalescer<T> {
         self.flushes[why as usize] += 1;
         self.nonempty.remove(dst);
         d.bytes = 0;
-        let batch = std::mem::replace(&mut d.buf, self.pool.take());
+        let batch = std::mem::take(&mut d.buf);
         d.last_len = batch.len();
         self.buffered -= batch.len();
         Some(batch)
@@ -394,22 +457,13 @@ impl<T> ByteCoalescer<T> {
     }
 
     /// Return a consumed batch's buffer so its capacity feeds a later
-    /// flush (see [`Coalescer::recycle`]).
+    /// [`push`](ByteCoalescer::push) (see [`Coalescer::recycle`]).
     #[inline]
     pub fn recycle(&mut self, buf: Vec<T>) {
         self.pool.put(buf);
     }
 
-    /// An empty recycled buffer with room for `expect` items, for a batch
-    /// the caller assembles itself (one that never waits here) and that
-    /// comes back through [`recycle`](ByteCoalescer::recycle) like the
-    /// rest.
-    #[inline]
-    pub fn buffer_for(&mut self, expect: usize) -> Vec<T> {
-        self.pool.take_for(expect)
-    }
-
-    /// Batch buffers currently idle in the recycling pool.
+    /// Batch buffers currently idle in the coalescer's own pool.
     pub fn pooled(&self) -> usize {
         self.pool.idle()
     }
@@ -779,6 +833,37 @@ mod tests {
         let next = c.push(0, 4, 8, 1).next().expect("entry window reached");
         assert_eq!(next.capacity(), cap);
         assert_eq!(next, vec![3, 4]);
+    }
+
+    #[test]
+    fn push_with_asks_for_a_buffer_only_when_a_destination_has_none() {
+        let mut asked = Vec::new();
+        let mut fresh = |n: usize| {
+            asked.push(n);
+            Vec::with_capacity(n.max(4))
+        };
+        let mut c: Coalescer<u32> = Coalescer::new(2, 3);
+        assert_eq!(c.push_with(0, 1, &mut fresh), None);
+        assert_eq!(c.push_with(0, 2, &mut fresh), None);
+        assert_eq!(c.push_with(0, 3, &mut fresh), Some(vec![1, 2, 3]));
+        // The batch left whole: the next entry asks again, for a batch as
+        // long as the last one.
+        assert_eq!(c.push_with(0, 4, &mut fresh), None);
+        assert_eq!(c.push_with(1, 5, &mut fresh), None);
+        let mut b: ByteCoalescer<u32> = ByteCoalescer::new(1, 100, 64);
+        assert!(b.push_with(0, 6, 60, 0, &mut fresh).next().is_none());
+        // The budget flushes the 60-byte entry first; the new one needs a
+        // buffer of its own.
+        assert_eq!(
+            b.push_with(0, 7, 60, 1, &mut fresh).collect::<Vec<_>>(),
+            vec![vec![6]]
+        );
+        assert_eq!(asked, [0, 3, 0, 0, 1]);
+        assert_eq!(
+            (c.pooled(), b.pooled()),
+            (0, 0),
+            "their own pools are untouched"
+        );
     }
 
     #[test]

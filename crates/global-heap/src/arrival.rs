@@ -40,6 +40,12 @@ impl ArrivalSet {
         ArrivalSet::default()
     }
 
+    /// Make room for `additional` more copies at once — a carry about to
+    /// be preloaded — rather than growing the table step by step.
+    pub fn reserve(&mut self, additional: usize) {
+        self.set.reserve(additional);
+    }
+
     /// Record the arrival of `ptr` carrying `size` payload bytes.
     /// Returns `false` (and changes nothing) if it was already present —
     /// which indicates a redundant fetch upstream. Single-phase callers

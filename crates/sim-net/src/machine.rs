@@ -16,6 +16,7 @@ use crate::stats::{ChargeKind, NodeStats, RunStats};
 use crate::time::{Dur, Time};
 use crate::trace::Trace;
 use crate::wheel::{EventKey, QueueKind, TimingWheel, WheelItem};
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -245,8 +246,13 @@ pub struct Ctx<'a, M> {
     net: &'a NetConfig,
     out: &'a mut Vec<PendingSend<M>>,
     trace: &'a mut Option<Trace>,
+    scratch: &'a mut Scratch,
     nodes: u16,
 }
+
+/// The machine's scratch slot (see [`Ctx::scratch`]): one value of
+/// whatever type its procs keep there, `()` until one asks.
+type Scratch = Box<dyn Any + Send>;
 
 impl<'a, M: MsgSize> Ctx<'a, M> {
     /// The node this handler is running on.
@@ -312,6 +318,22 @@ impl<'a, M: MsgSize> Ctx<'a, M> {
             src: self.id,
             msg: Some(msg),
         });
+    }
+
+    /// The machine's scratch value: shared by every node's handlers and
+    /// kept for the machine's lifetime — [`Machine::reset`] keeps it, as it
+    /// keeps the timing wheel's bucket pool, and a new machine starts
+    /// without one. `init` builds it on first use (or when the slot holds
+    /// another type, whose value is dropped). It is meant for allocator
+    /// caches, such as one pool of recycled message buffers that every
+    /// node's senders take from and every receiver returns to: what it
+    /// holds must never change what a run does.
+    #[inline]
+    pub fn scratch<T: Any + Send>(&mut self, init: impl FnOnce() -> T) -> &mut T {
+        if !self.scratch.is::<T>() {
+            *self.scratch = Box::new(init());
+        }
+        self.scratch.downcast_mut().expect("the slot holds a T")
     }
 
     /// Schedule a [`Proc::on_wake`] callback `d` from now.
@@ -505,6 +527,7 @@ fn deliver_one<P: Proc>(
     nodes: u16,
     out: &mut Vec<PendingSend<P::Msg>>,
     trace: &mut Option<Trace>,
+    scratch: &mut Scratch,
 ) {
     // Waiting for this event is idle time for the destination node.
     if ev.time > *clock {
@@ -519,6 +542,7 @@ fn deliver_one<P: Proc>(
         net,
         out,
         trace,
+        scratch,
         nodes,
     };
     match ev.kind {
@@ -543,6 +567,8 @@ pub struct Machine<P: Proc> {
     queue: EventQueue<P::Msg>,
     courier: Courier,
     trace: Option<Trace>,
+    /// What the procs keep in [`Ctx::scratch`].
+    scratch: Scratch,
     /// Hard cap on processed events; when hit, the run stops and reports a
     /// structured budget-exhausted stall (see [`RunReport::budget_exhausted`]).
     pub max_events: u64,
@@ -561,6 +587,7 @@ impl<P: Proc> Machine<P> {
             queue: EventQueue::new(QueueKind::default()),
             courier: Courier::new(n, FaultPlan::default()),
             trace: None,
+            scratch: Box::new(()),
             max_events: u64::MAX,
         }
     }
@@ -571,8 +598,9 @@ impl<P: Proc> Machine<P> {
     }
 
     /// Rewind this machine for another run with fresh procs, recycling the
-    /// warmed event-queue storage (the timing wheel's bucket pool) instead
-    /// of rebuilding it — the shard-pool / multi-phase reuse path.
+    /// warmed event-queue storage (the timing wheel's bucket pool) and the
+    /// procs' [`Ctx::scratch`] value instead of rebuilding them — the
+    /// shard-pool / multi-phase reuse path.
     ///
     /// After `reset` the machine is observationally identical to
     /// `Machine::new(procs, net)` with the current fault *plan*
@@ -734,6 +762,7 @@ where
                 net: &self.net,
                 out: &mut out,
                 trace: &mut self.trace,
+                scratch: &mut self.scratch,
                 nodes: n as u16,
             };
             self.procs[i].on_start(&mut ctx);
@@ -762,6 +791,7 @@ where
                 n as u16,
                 &mut out,
                 &mut self.trace,
+                &mut self.scratch,
             );
             let queue = &mut self.queue;
             self.courier.route(jitter_ns, &mut out, |ev| queue.push(ev));
@@ -1290,4 +1320,30 @@ mod tests {
         assert_eq!(r2, fresh.run(), "post-reset run diverged from fresh");
     }
 
+    /// Counts its starts in the machine's scratch slot and keeps the count
+    /// it saw.
+    struct Tally(u64);
+    impl Proc for Tally {
+        type Msg = u64;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            let starts = ctx.scratch(|| 0u64);
+            *starts += 1;
+            self.0 = *starts;
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, u64>, _: NodeId, _: u64) {}
+    }
+
+    #[test]
+    fn scratch_is_shared_by_the_nodes_and_lives_as_long_as_the_machine() {
+        let seen = |m: &Machine<Tally>| [m.proc(NodeId(0)).0, m.proc(NodeId(1)).0];
+        let mut m = Machine::new(vec![Tally(0), Tally(0)], NetConfig::default());
+        m.run();
+        assert_eq!(seen(&m), [1, 2], "one slot for every node");
+        m.reset(vec![Tally(0), Tally(0)]);
+        m.run();
+        assert_eq!(seen(&m), [3, 4], "reset keeps it");
+        let mut fresh = Machine::new(vec![Tally(0), Tally(0)], NetConfig::default());
+        fresh.run();
+        assert_eq!(seen(&fresh), [1, 2], "a new machine starts without");
+    }
 }
