@@ -43,6 +43,12 @@ pub enum WorldError {
         /// Keys are `0..universe`.
         universe: u64,
     },
+    /// A key universe of `2^32` keys or more: keys are shuffled and
+    /// members counted as `u32`.
+    UniverseTooLarge {
+        /// Keys requested, `0..universe`.
+        universe: u64,
+    },
 }
 
 impl fmt::Display for WorldError {
@@ -65,6 +71,12 @@ impl fmt::Display for WorldError {
                  universe 0..{universe} ({bucket_width}-key buckets): every node must own at \
                  least one key",
                 *first_bucket as u64 * bucket_width
+            ),
+            WorldError::UniverseTooLarge { universe } => write!(
+                f,
+                "key universe 0..{universe} is too large: keys are indexed as u32, so at most \
+                 {} keys",
+                u32::MAX
             ),
         }
     }
@@ -101,5 +113,9 @@ mod tests {
         assert!(e
             .to_string()
             .contains("bucket 48 starts at key 96, beyond the universe 0..65"));
+        let e = WorldError::UniverseTooLarge { universe: 1 << 32 };
+        assert!(e
+            .to_string()
+            .contains("universe 0..4294967296 is too large: keys are indexed as u32, so at most 4294967295 keys"));
     }
 }

@@ -390,7 +390,8 @@ pub struct Visit {
 /// that fills spills into its neighbour's like any linear probe.
 struct VisitedSet {
     /// `(key, bits)`; `bits == 0` marks an empty slot (a stored word
-    /// always has at least one bit set). Length is a power of two.
+    /// always has at least one bit set). Length is a power of two, or 0
+    /// before the first mark.
     slots: Vec<(u64, u64)>,
     live: usize,
     /// The key and slot index of the last mark: one expansion marks all of
@@ -412,21 +413,22 @@ struct VisitedSet {
 const NO_KEY: u64 = u64::MAX;
 
 impl VisitedSet {
-    /// An empty set with room for `roots` traversals touching eight words
-    /// each — what a closure on the skewed graphs reaches — before it
-    /// first doubles; regrowing mid-phase costs more than the probes do.
+    /// An empty set for `roots` traversals that owns no table yet: the
+    /// first mark allocates one with room for every traversal to touch
+    /// eight words — what a closure on the skewed graphs reaches — before
+    /// it first doubles; regrowing mid-phase costs more than the probes
+    /// do. (`run_phases` builds the next phase's apps while the last
+    /// phase's are still held, so a table allocated here would be held
+    /// twice at every barrier.)
     fn new(roots: usize) -> VisitedSet {
-        let roots = roots.max(1);
-        let mut set = VisitedSet {
+        VisitedSet {
             slots: Vec::new(),
             live: 0,
             last: (NO_KEY, 0),
-            roots,
+            roots: roots.max(1),
             stride: 0,
             shift: 0,
-        };
-        set.resize((16 * roots).next_power_of_two());
-        set
+        }
     }
 
     /// Replace the table by an empty one of `len` slots, a power of two
@@ -488,8 +490,9 @@ impl VisitedSet {
         self.last = (key, i);
     }
 
+    /// Double the table, or allocate the first one.
     fn grow(&mut self) {
-        let len = 2 * self.slots.len();
+        let len = (2 * self.slots.len()).max((16 * self.roots).next_power_of_two());
         let old = self.resize(len);
         for (key, bits) in old.into_iter().filter(|&(_, bits)| bits != 0) {
             let mut i = self.home(key);
@@ -509,7 +512,8 @@ pub struct GraphApp {
     /// The phase this instance executes (selects adjacency + generations).
     pub phase: u32,
     roots: Vec<u32>,
-    /// Visited `(root slot, vertex)` pairs.
+    /// Visited `(root slot, vertex)` pairs; its table is allocated by the
+    /// first iteration's mark, so an app built but not yet run holds none.
     visited: VisitedSet,
     /// Order-independent reachability digest (stamp fold).
     pub sum: u64,
@@ -791,7 +795,12 @@ mod tests {
         for roots in [1usize, 3, 2048] {
             let mut set = VisitedSet::new(roots);
             let mut model = std::collections::HashSet::new();
-            let first_len = set.slots.len();
+            assert_eq!(
+                set.slots.capacity(),
+                0,
+                "{roots} roots: a table before any mark"
+            );
+            let first_len = (16 * roots).next_power_of_two();
             // Slot 0 touches every bitmap word of a 2^16-vertex graph —
             // 1,024 keys against a region of 16 or so slots, so it spills
             // far past it — before the others start.
@@ -885,8 +894,11 @@ mod tests {
             ..small()
         });
         for node in 0..2 {
-            let app = GraphApp::new(world.clone(), node, 0);
+            let mut app = GraphApp::new(world.clone(), node, 0);
             assert_eq!(app.num_iterations(), 1 << 19);
+            // The table comes with the first mark, not with the app.
+            assert_eq!(app.visited.slots.capacity(), 0);
+            assert!(app.visited.mark(0, app.roots[0]));
             assert!(app.visited.slots.len() <= 16 << 19);
         }
     }

@@ -162,9 +162,10 @@ impl SetopsWorld {
     }
 
     /// Fallible [`SetopsWorld::build`]: rejects an empty machine, empty
-    /// universes/batches, machines larger than the bucket count, op
-    /// batches that cannot draw machine-wide-distinct keys, and partitions
-    /// that leave a node without keys. Buckets are `ceil(universe /
+    /// universes/batches, universes of `2^32` keys or more (keys are
+    /// shuffled and counted as `u32`), machines larger than the bucket
+    /// count, op batches that cannot draw machine-wide-distinct keys, and
+    /// partitions that leave a node without keys. Buckets are `ceil(universe /
     /// buckets)` keys wide, so the last ones can lie beyond the universe;
     /// such trailing empty buckets are legal (no keys, an empty
     /// [`key_range`](Self::key_range), never demanded) as long as every
@@ -175,6 +176,11 @@ impl SetopsWorld {
         }
         if params.buckets == 0 || params.universe == 0 {
             return Err(WorldError::Empty { what: "buckets" });
+        }
+        if params.universe > u32::MAX as u64 {
+            return Err(WorldError::UniverseTooLarge {
+                universe: params.universe,
+            });
         }
         if params.buckets < params.nodes as usize {
             return Err(WorldError::TooFewElements {
@@ -221,18 +227,26 @@ impl SetopsWorld {
             let (count, sum) = fold_word(64 * w as u64, bits);
             members = members
                 .checked_add(count as u32)
-                .expect("invariant: a universe whose permutation fits in memory has < 2^32 members");
+                .expect("invariant: a universe below 2^32 keys has < 2^32 members");
             stamp_sum = stamp_sum.wrapping_add(sum);
         }
         rank.push(members);
         stamps.push(stamp_sum);
         // Machine-wide distinct op keys: a seeded Fisher-Yates permutation
-        // of the universe, carved into per-node slices.
-        let mut perm: Vec<u64> = (0..params.universe).collect();
+        // of the universe, carved into per-node slices. Keys fit in `u32`
+        // (checked above), which halves the permutation; only the prefix
+        // the batches draw from is kept while they are built. It is copied
+        // out and the whole permutation freed, not shrunk in place: glibc
+        // raises its mmap and trim thresholds to the largest mapped block
+        // freed, and a block shrunk to the prefix left them so low that
+        // every later run re-faulted its heap (EXPERIMENTS.md X22).
+        let mut perm: Vec<u32> = (0..params.universe).map(|k| k as u32).collect();
         let mut rng = Rng::new(params.seed ^ 0x0B5E);
         for i in (1..perm.len()).rev() {
             perm.swap(i, rng.below(i as u64 + 1) as usize);
         }
+        let keys = perm[..need].to_vec();
+        drop(perm);
         // Power-law placement of range queries over buckets.
         let mut cum = Vec::with_capacity(params.buckets);
         let mut total = 0.0f64;
@@ -245,7 +259,7 @@ impl SetopsWorld {
             let mut batch = Vec::with_capacity(params.ops_per_node);
             let mut nr = Rng::new(mix(params.seed, node as u64));
             for j in 0..params.ops_per_node {
-                let k = perm[node * params.ops_per_node + j];
+                let k = keys[node * params.ops_per_node + j] as u64;
                 batch.push(match mix(params.seed ^ 0x09, k) % 5 {
                     0 | 1 => SetOp::Insert(k),
                     2 | 3 => SetOp::Delete(k),
@@ -615,6 +629,19 @@ mod tests {
             SetopsWorld::try_build(SetopsParams { universe: 64, ..p }).err().expect("config must be rejected"),
             WorldError::TooFewElements { what: "keys", have: 64, nodes: 4 }
         );
+    }
+
+    /// Keys are shuffled and counted as `u32`: a universe of `2^32` keys
+    /// or more is a configuration error, returned before the bitset (512
+    /// MiB at `2^32` keys) or the permutation is allocated.
+    #[test]
+    fn try_build_rejects_a_universe_beyond_u32_keys() {
+        for universe in [1 << 32, 1 << 40, u64::MAX] {
+            assert_eq!(
+                SetopsWorld::try_build(SetopsParams { universe, ..small() }).err().expect("config must be rejected"),
+                WorldError::UniverseTooLarge { universe }
+            );
+        }
     }
 
     /// The 65-key world that used to be accepted and then panicked its own

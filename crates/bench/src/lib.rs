@@ -219,7 +219,7 @@ pub fn per_phase(run: &Run, counter: impl Fn(&NodeSnapshot) -> u64) -> Vec<u64> 
 }
 
 /// One experiment data point, dumped as JSON for EXPERIMENTS.md.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExpPoint {
     /// Experiment id (e.g. "table1").
     pub experiment: String,
@@ -343,6 +343,226 @@ pub mod json {
             "null".to_string()
         }
     }
+
+    /// A parsed JSON value. A number keeps its text, so an integer reads
+    /// back exactly whatever its size.
+    #[derive(Clone, Debug, PartialEq)]
+    pub(crate) enum Value {
+        /// `null`.
+        Null,
+        /// `true` / `false`.
+        Bool(bool),
+        /// A number, as written.
+        Number(String),
+        /// A string, unescaped.
+        String(String),
+        /// An array.
+        Array(Vec<Value>),
+        /// An object's members, in document order.
+        Object(Vec<(String, Value)>),
+    }
+
+    impl Value {
+        /// The member `key` of an object.
+        pub(crate) fn get(&self, key: &str) -> Option<&Value> {
+            match self {
+                Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        /// A number as `f64`; `null` (how [`number`] writes a non-finite
+        /// value) as NaN.
+        pub(crate) fn as_f64(&self) -> Option<f64> {
+            match self {
+                Value::Number(n) => n.parse().ok(),
+                Value::Null => Some(f64::NAN),
+                _ => None,
+            }
+        }
+
+        /// An integer number.
+        pub(crate) fn as_u64(&self) -> Option<u64> {
+            match self {
+                Value::Number(n) => n.parse().ok(),
+                _ => None,
+            }
+        }
+
+        /// A string's contents.
+        pub(crate) fn as_str(&self) -> Option<&str> {
+            match self {
+                Value::String(s) => Some(s),
+                _ => None,
+            }
+        }
+
+        /// An array's elements.
+        pub(crate) fn as_array(&self) -> Option<&[Value]> {
+            match self {
+                Value::Array(items) => Some(items),
+                _ => None,
+            }
+        }
+    }
+
+    /// Parse one JSON document (surrounding whitespace allowed).
+    pub(crate) fn parse(text: &str) -> Result<Value, String> {
+        let mut p = Parser {
+            s: text.as_bytes(),
+            at: 0,
+        };
+        let v = p.value()?;
+        p.ws();
+        if p.at == p.s.len() {
+            Ok(v)
+        } else {
+            p.err("trailing input")
+        }
+    }
+
+    struct Parser<'a> {
+        s: &'a [u8],
+        at: usize,
+    }
+
+    impl Parser<'_> {
+        fn ws(&mut self) {
+            while self.s.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+                self.at += 1;
+            }
+        }
+
+        fn err<T>(&self, what: &str) -> Result<T, String> {
+            Err(format!("{what} at byte {}", self.at))
+        }
+
+        /// Consume `token` if the input continues with it.
+        fn eat(&mut self, token: &str) -> bool {
+            let hit = self.s[self.at..].starts_with(token.as_bytes());
+            if hit {
+                self.at += token.len();
+            }
+            hit
+        }
+
+        fn value(&mut self) -> Result<Value, String> {
+            self.ws();
+            match self.s.get(self.at) {
+                Some(b'{') => self.object(),
+                Some(b'[') => self.array(),
+                Some(b'"') => self.string().map(Value::String),
+                Some(b'-' | b'0'..=b'9') => self.number(),
+                _ if self.eat("null") => Ok(Value::Null),
+                _ if self.eat("true") => Ok(Value::Bool(true)),
+                _ if self.eat("false") => Ok(Value::Bool(false)),
+                _ => self.err("expected a value"),
+            }
+        }
+
+        /// The comma-separated items between `open` and `close`.
+        fn items<T>(
+            &mut self,
+            open: &str,
+            close: &str,
+            mut item: impl FnMut(&mut Self) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            self.eat(open);
+            let mut out = Vec::new();
+            self.ws();
+            if self.eat(close) {
+                return Ok(out);
+            }
+            loop {
+                out.push(item(self)?);
+                self.ws();
+                if self.eat(close) {
+                    return Ok(out);
+                }
+                if !self.eat(",") {
+                    return self.err(&format!("expected ',' or '{close}'"));
+                }
+            }
+        }
+
+        fn array(&mut self) -> Result<Value, String> {
+            self.items("[", "]", Self::value).map(Value::Array)
+        }
+
+        fn object(&mut self) -> Result<Value, String> {
+            self.items("{", "}", |p| {
+                p.ws();
+                let key = p.string()?;
+                p.ws();
+                if !p.eat(":") {
+                    return p.err("expected ':'");
+                }
+                Ok((key, p.value()?))
+            })
+            .map(Value::Object)
+        }
+
+        fn number(&mut self) -> Result<Value, String> {
+            let start = self.at;
+            while self
+                .s
+                .get(self.at)
+                .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
+            {
+                self.at += 1;
+            }
+            let text = std::str::from_utf8(&self.s[start..self.at]).map_err(|e| e.to_string())?;
+            match text.parse::<f64>() {
+                Ok(_) => Ok(Value::Number(text.to_string())),
+                Err(_) => self.err("malformed number"),
+            }
+        }
+
+        fn string(&mut self) -> Result<String, String> {
+            if !self.eat("\"") {
+                return self.err("expected a string");
+            }
+            let mut out = Vec::new();
+            loop {
+                let Some(&c) = self.s.get(self.at) else {
+                    return self.err("unterminated string");
+                };
+                self.at += 1;
+                match c {
+                    b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+                    b'\\' => {
+                        let Some(&e) = self.s.get(self.at) else {
+                            return self.err("unterminated escape");
+                        };
+                        self.at += 1;
+                        let ch = match e {
+                            b'"' => '"',
+                            b'\\' => '\\',
+                            b'/' => '/',
+                            b'b' => '\u{8}',
+                            b'f' => '\u{c}',
+                            b'n' => '\n',
+                            b'r' => '\r',
+                            b't' => '\t',
+                            b'u' => {
+                                let hex = self.s.get(self.at..self.at + 4).and_then(|h| {
+                                    u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
+                                });
+                                self.at += 4;
+                                match hex.and_then(char::from_u32) {
+                                    Some(ch) => ch,
+                                    None => return self.err("bad \\u escape"),
+                                }
+                            }
+                            _ => return self.err("bad escape"),
+                        };
+                        out.extend_from_slice(ch.encode_utf8(&mut [0; 4]).as_bytes());
+                    }
+                    _ => out.push(c),
+                }
+            }
+        }
+    }
 }
 
 impl ExpPoint {
@@ -370,6 +590,66 @@ impl ExpPoint {
             extra.join(", "),
         )
     }
+}
+
+impl ExpPoint {
+    /// Read back a point [`ExpPoint::to_json`] wrote.
+    pub fn from_json(text: &str) -> Result<ExpPoint, String> {
+        ExpPoint::from_value(&json::parse(text)?)
+    }
+
+    fn from_value(v: &json::Value) -> Result<ExpPoint, String> {
+        let field = |key: &str| v.get(key).ok_or_else(|| format!("no \"{key}\" in {v:?}"));
+        let bad = |key: &str| format!("malformed \"{key}\" in {v:?}");
+        let text = |key: &str| -> Result<String, String> {
+            field(key)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| bad(key))
+        };
+        let breakdown = field("breakdown")?
+            .as_array()
+            .and_then(|b| match b {
+                [l, o, i] => Some((l.as_f64()?, o.as_f64()?, i.as_f64()?)),
+                _ => None,
+            })
+            .ok_or_else(|| bad("breakdown"))?;
+        let extra = field("extra")?
+            .as_array()
+            .ok_or_else(|| bad("extra"))?
+            .iter()
+            .map(|kv| match kv.as_array() {
+                Some([k, v]) => Some((k.as_str()?.to_string(), v.as_f64()?)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| bad("extra"))?;
+        Ok(ExpPoint {
+            experiment: text("experiment")?,
+            app: text("app")?,
+            config: text("config")?,
+            nodes: field("nodes")?
+                .as_u64()
+                .and_then(|n| u16::try_from(n).ok())
+                .ok_or_else(|| bad("nodes"))?,
+            seconds: field("seconds")?.as_f64().ok_or_else(|| bad("seconds"))?,
+            breakdown,
+            msgs: field("msgs")?.as_u64().ok_or_else(|| bad("msgs"))?,
+            bytes: field("bytes")?.as_u64().ok_or_else(|| bad("bytes"))?,
+            extra,
+        })
+    }
+}
+
+/// Read the points [`dump_json`] wrote to `path`.
+pub fn load_json(path: &Path) -> Result<Vec<ExpPoint>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    json::parse(&text)?
+        .as_array()
+        .ok_or_else(|| format!("{}: not an array", path.display()))?
+        .iter()
+        .map(ExpPoint::from_value)
+        .collect()
 }
 
 /// Where every subcommand writes its artifact, relative to the working
@@ -505,5 +785,38 @@ mod tests {
         assert!(j.contains("[\"x\", 2]"));
         assert_eq!(json::number(f64::NAN), "null");
         assert_eq!(json::string("a\nb"), "\"a\\nb\"");
+    }
+
+    #[test]
+    fn exp_point_json_round_trips() {
+        let stats = RunStats::default();
+        let name = "t\"1\\\n\u{1}é";
+        let mut p = ExpPoint::new(name, "bh", "DPA (50)", 64, 2_348_432_101, &stats)
+            .with("speedup_vs_seq", 0.1 + 0.2)
+            .with("x", -1.5e-300);
+        p.breakdown = (1.0 / 3.0, 0.0, 7.25);
+        p.msgs = u64::MAX;
+        p.bytes = 4_140_448;
+        assert_eq!(ExpPoint::from_json(&p.to_json()), Ok(p.clone()));
+        let bare = ExpPoint::derived("d", "fmm", "Base", 1, 0, 0);
+        assert_eq!(ExpPoint::from_json(&bare.to_json()), Ok(bare));
+        // A non-finite number is written as `null` and reads back NaN.
+        p.seconds = f64::NAN;
+        let nan = ExpPoint::from_json(&p.to_json()).unwrap();
+        assert!(nan.seconds.is_nan());
+    }
+
+    #[test]
+    fn exp_point_from_json_rejects_what_to_json_never_writes() {
+        let p = ExpPoint::derived("d", "fmm", "Base", 1, 0, 0).to_json();
+        for bad in [
+            p.replace("\"nodes\": 1", "\"nodes\": 70000"),
+            p.replace("\"msgs\": 0, ", ""),
+            p.replace("\"breakdown\": [0, 0, 0]", "\"breakdown\": [0, 0]"),
+            p.clone() + ",",
+            p[..p.len() - 1].to_string(),
+        ] {
+            assert!(ExpPoint::from_json(&bad).is_err(), "{bad}");
+        }
     }
 }

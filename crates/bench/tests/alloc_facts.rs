@@ -1,13 +1,14 @@
-//! Allocator facts that need no tolerance: each is an equality, so there
-//! is no baseline file to bless. (Allocator traffic of whole workloads is
-//! the benchmark's `allocs_per_kevent`, bound 1 %.) Counts are per
-//! thread, so the harness and sibling tests cannot leak in.
+//! Allocator facts that need no tolerance: each is an equality or a bound
+//! computed from the sizes involved, so there is no baseline file to
+//! bless. (Allocator traffic of whole workloads is the benchmark's
+//! `allocs_per_kevent`, bound 1 %; memory held is its `peak_rss_mb`.)
+//! Counts are per thread, so the harness and sibling tests cannot leak in.
 
 use apps::bh_dist::{BhApp, BhCost, BhWorld};
 use apps::driver::{run_bh, run_setops, run_synth, Phases};
 use apps::fmm_dist::{FmmCost, FmmEvalApp, FmmM2lApp, FmmWorld};
 use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
-use apps::setops_dist::{SetopsParams, SetopsWorld};
+use apps::setops_dist::{SetOp, SetopsParams, SetopsWorld};
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa_core::{DpaConfig, DpaProc, DstOptions, PointerMap, PtrApp, SeqChannel, WorkEnv};
 use fastmsg::{ByteCoalescer, Coalescer};
@@ -15,7 +16,8 @@ use nbody::bh::BhParams;
 use nbody::cx::{Binomials, Cx};
 use global_heap::{GPtr, ObjClass};
 use nbody::distrib::{plummer, uniform_square};
-use nbody::fmm::{m2l_into, FmmParams, Local, Multipole};
+use nbody::fmm::{m2l_into, FmmParams, FmmSolver, Local, Multipole};
+use nbody::quadtree::BoxId;
 use sim_net::{Machine, NetConfig, NodeId, QueueKind, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,32 +26,47 @@ use std::hint::black_box;
 thread_local! {
     /// (calls into the allocator, bytes requested) on this thread.
     static TRAFFIC: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// (bytes live, most bytes live since `peak_bytes` last started) on
+    /// this thread. Signed: a block allocated on one thread can be freed
+    /// on another.
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
 }
 
 struct CountingAlloc;
 
+// `try_with`: a thread being torn down still frees and allocates.
 fn count(bytes: usize) {
-    // `try_with`: a thread being torn down still frees and allocates.
     let _ = TRAFFIC.try_with(|t| t.set((t.get().0 + 1, t.get().1 + bytes as u64)));
+}
+
+fn hold(delta: i64) {
+    let _ = LIVE.try_with(|l| {
+        let live = l.get().0 + delta;
+        l.set((live, l.get().1.max(live)));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        hold(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -63,6 +80,18 @@ fn traffic(f: impl FnOnce()) -> (u64, u64) {
     f();
     let after = TRAFFIC.with(Cell::get);
     (after.0 - before.0, after.1 - before.1)
+}
+
+/// `f`'s result, and the most bytes this thread held at once while `f`
+/// ran, above what it held when `f` started.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let start = LIVE.with(|l| {
+        let live = l.get().0;
+        l.set((live, live));
+        live
+    });
+    let out = f();
+    (out, LIVE.with(Cell::get).1 - start)
 }
 
 /// The accumulating M2L kernel at the paper's 29 terms never touches the
@@ -109,6 +138,148 @@ fn graph_app_new_is_independent_of_vertex_count() {
     let (small, large) = (construct(1 << 12), construct(1 << 16));
     assert_ne!(small, (0, 0), "the counter is live");
     assert_eq!(small, large);
+}
+
+/// A graph app is built holding its roots and no visited table: the
+/// table comes with its first iteration. `run_phases` builds a phase's
+/// apps while it still holds the last phase's, so a table allocated at
+/// construction — `(16 · roots).next_power_of_two()` slots of 16 B, 256 B
+/// a root — was held twice across every barrier.
+#[test]
+fn graph_app_new_requests_no_visited_table() {
+    let world = GraphWorld::build(GraphParams {
+        n: 1 << 14,
+        nodes: 4,
+        root_stride: 4,
+        phases: 1,
+        ..GraphParams::default()
+    });
+    for node in 0..4 {
+        let roots = world.roots(node).len() as u64;
+        assert_eq!(roots, 1 << 10);
+        let (_, bytes) = traffic(|| {
+            black_box(GraphApp::new(world.clone(), node, 0));
+        });
+        assert!(
+            bytes <= 8 * roots,
+            "node {node}: {bytes} bytes requested for {roots} roots"
+        );
+    }
+}
+
+/// Building a set-ops world shuffles the whole key universe to draw its
+/// distinct op keys, as `u32` (4 B a key), and keeps only the prefix its
+/// batches draw from. So at a universe much larger than its ops the build
+/// peaks at the shuffle beside the index — bitset, `u32` rank and `u64`
+/// stamp per 64 keys — whatever the batches add; a `u64` shuffle peaked
+/// at 8 B a key.
+#[test]
+fn setops_world_build_peaks_at_four_bytes_a_key_over_its_index() {
+    let p = SetopsParams {
+        universe: 1 << 20,
+        buckets: 256,
+        nodes: 4,
+        ops_per_node: 256,
+        ..SetopsParams::default()
+    };
+    let (world, peak) = peak_bytes(|| SetopsWorld::build(p));
+    let keys = p.universe as i64;
+    let words = keys / 64;
+    let index = 8 * words + (4 + 8) * (words + 1);
+    let batches = p.nodes as i64
+        * (std::mem::size_of::<Vec<SetOp>>() + p.ops_per_node * std::mem::size_of::<SetOp>())
+            as i64;
+    assert!(
+        peak >= index + 4 * keys,
+        "{peak} bytes: the shuffle was measured"
+    );
+    assert!(
+        peak <= index + batches + 4 * keys + (64 << 10),
+        "{peak} bytes at the peak; index {index}, batches {batches}, {keys} keys"
+    );
+    black_box(world);
+}
+
+/// An FMM world keeps the sequential solver for its tree and multipoles and
+/// never runs its downward pass, so it holds no local expansions (one per
+/// box, all zero, was 2.75 MB at `fmm16`); `downward` allocates and fills
+/// one per box.
+#[test]
+fn fmm_locals_exist_only_once_downward_has_run() {
+    let bodies = uniform_square(2_000, 31);
+    let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
+    let qs: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
+    let params = FmmParams {
+        terms: 8,
+        levels: 4,
+    };
+    let world = FmmWorld::build(zs.clone(), qs.clone(), 4, params, FmmCost::default());
+    assert!(world.solver.locals.is_empty());
+    let mut solver = FmmSolver::new(zs, qs, params);
+    assert!(solver.locals.is_empty());
+    solver.downward();
+    assert_eq!(solver.locals.len(), BoxId::total_boxes(params.levels));
+}
+
+/// FNV-1a of `words`, continuing from `h`.
+fn fnv(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// (digest of every node's batch in order, digest of the initial bitset).
+fn setops_digests(world: &SetopsWorld) -> (u64, u64) {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let ops = (0..world.params.nodes)
+        .flat_map(|node| world.batch(node))
+        .flat_map(|op| match *op {
+            SetOp::Insert(k) => [0, k, 0],
+            SetOp::Delete(k) => [1, k, 0],
+            SetOp::Range(lo, hi) => [2, lo, hi],
+        });
+    let keys = world.params.universe;
+    let words = (0..keys.div_ceil(64)).map(|w| {
+        (64 * w..(64 * w + 64).min(keys))
+            .filter(|&k| world.initially_present(k))
+            .fold(0u64, |bits, k| bits | 1 << (k % 64))
+    });
+    (fnv(BASIS, ops), fnv(BASIS, words))
+}
+
+/// The key shuffle's element type is the world builder's own choice: the
+/// batches and the initial set are the same at the DST `setops` size and
+/// at the benchmark's `setops_rw` size as when keys were shuffled as
+/// `u64`. (Digests taken from the `u64` build.)
+#[test]
+fn setops_worlds_are_pinned() {
+    let dst = SetopsParams {
+        universe: 2048,
+        ops_per_node: 32,
+        seed: 0x05E7_0D57,
+        ..SetopsParams::default()
+    };
+    let bench = SetopsParams {
+        universe: 2_097_152,
+        buckets: 4_096,
+        nodes: 16,
+        ops_per_node: 32_768,
+        fill_permille: 400,
+        skew: 1.5,
+        range_buckets: 4,
+        seed: 1997,
+    };
+    let pins = [
+        (dst, (0xba6d_c6e3_075d_9aa2, 0x32db_4cea_bf62_e68b)),
+        (bench, (0xd572_9178_3a06_474e, 0xdf4c_2f87_17fc_2927)),
+    ];
+    for (p, want) in pins {
+        let got = setops_digests(&SetopsWorld::build(p));
+        assert_eq!(got, want, "universe {}: digests {got:#018x?}", p.universe);
+    }
 }
 
 /// Constructing a BH node's state is two allocations (its bodies'

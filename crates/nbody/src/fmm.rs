@@ -400,7 +400,9 @@ pub struct FmmSolver {
     pub qs: Vec<f64>,
     /// Multipole expansion per box (dense index).
     pub multipoles: Vec<Multipole>,
-    /// Local expansion per box (dense index).
+    /// Local expansion per box (dense index): empty until
+    /// [`FmmSolver::downward`] computes them, so a solver kept for its
+    /// tree and multipoles holds none.
     pub locals: Vec<Local>,
     bin: Binomials,
     /// The M2L shift per (level, box offset): interaction lists reach 2 or
@@ -439,7 +441,7 @@ impl FmmSolver {
             zs,
             qs,
             multipoles: vec![Multipole::zero(p); total],
-            locals: vec![Local::zero(p); total],
+            locals: Vec::new(),
             bin,
             shifts,
         };
@@ -502,7 +504,10 @@ impl FmmSolver {
     }
 
     /// Downward pass: M2L over interaction lists plus L2L from parents.
+    /// Allocates the locals; levels 0 and 1 stay zero.
     pub fn downward(&mut self) {
+        let total = BoxId::total_boxes(self.params.levels);
+        self.locals = vec![Local::zero(self.params.terms); total];
         for level in 2..=self.params.levels {
             for b in self.tree.boxes_at(level).collect::<Vec<_>>() {
                 let mut acc = Local::zero(self.params.terms);
@@ -523,8 +528,16 @@ impl FmmSolver {
     }
 
     /// Near-field + far-field evaluation: the field at every particle.
-    /// Must be called after [`FmmSolver::downward`].
+    ///
+    /// # Panics
+    ///
+    /// If [`FmmSolver::downward`] has not run: without the locals it
+    /// computes, only the near field would be summed.
     pub fn evaluate(&self) -> Vec<Cx> {
+        assert!(
+            !self.locals.is_empty(),
+            "FmmSolver::evaluate needs the locals of FmmSolver::downward: call downward first"
+        );
         let mut fields = vec![Cx::ZERO; self.zs.len()];
         for b in self.tree.leaves() {
             let mine = self.tree.particles_in(b);
@@ -763,6 +776,17 @@ mod tests {
             let got = field_digest(&s.evaluate());
             assert_eq!(got, want, "terms {terms} levels {levels}: digest {got:#018x}");
         }
+    }
+
+    /// Locals exist only once `downward` has computed them; evaluating
+    /// without them would have returned near-field-only fields.
+    #[test]
+    #[should_panic(expected = "FmmSolver::evaluate needs the locals of FmmSolver::downward")]
+    fn evaluate_before_downward_panics() {
+        let (zs, qs) = random_points(100, 3);
+        let s = FmmSolver::new(zs, qs, FmmParams { terms: 6, levels: 3 });
+        assert!(s.locals.is_empty());
+        s.evaluate();
     }
 
     #[test]
