@@ -440,6 +440,9 @@ pub struct SetopsApp {
     pub probes: u64,
     /// Reductions applied on this owner.
     pub applied: u64,
+    /// `Update` entries refused: a value that encodes no key of the
+    /// owned bucket it was sent to.
+    pub refused: u64,
 }
 
 impl SetopsApp {
@@ -456,6 +459,7 @@ impl SetopsApp {
             range_sum: 0,
             probes: 0,
             applied: 0,
+            refused: 0,
         }
     }
 
@@ -464,6 +468,32 @@ impl SetopsApp {
     /// minus each key deleted while present.
     pub fn final_digest(&self) -> u64 {
         self.digest
+    }
+
+    /// The `(key, insert)` an `Update` value encodes for bucket `ptr` —
+    /// `key + 1` to insert, `-(key + 1)` to delete — or `None` unless the
+    /// value is integral, `|value| ≥ 1`, and the key lies in that bucket,
+    /// a bucket of this node's. The value arrives in a message, so it is
+    /// checked here, not trusted.
+    fn decode(&self, ptr: GPtr, value: f64) -> Option<(u64, bool)> {
+        let world = &*self.world;
+        let bucket = ptr.index() as usize;
+        // The cast saturates and takes NaN to 0, so the round trip holds
+        // only for an integral value (one past `u64` lands outside every
+        // bucket below).
+        let code = value.abs() as u64;
+        if ptr.class() != world.bclass
+            || code == 0
+            || code as f64 != value.abs()
+            || !world.bucket_range(self.me).contains(&bucket)
+        {
+            return None;
+        }
+        let key = code - 1;
+        world
+            .key_range(bucket)
+            .contains(&key)
+            .then_some((key, value > 0.0))
     }
 
     /// `true` if `key`, one of this node's owned keys, is a member now.
@@ -514,10 +544,10 @@ impl PtrApp for SetopsApp {
     }
 
     fn apply_update(&mut self, ptr: GPtr, value: f64) {
-        debug_assert_eq!(ptr.class(), self.world.bclass);
-        let k = (value.abs() as u64) - 1;
-        debug_assert_eq!(self.world.bucket_of(k), ptr.index() as usize);
-        let insert = value > 0.0;
+        let Some((k, insert)) = self.decode(ptr, value) else {
+            self.refused += 1;
+            return;
+        };
         // Only a flip moves the digest: inserting a member or deleting a
         // non-member changes nothing.
         if insert != self.contains(k) {
@@ -752,7 +782,60 @@ mod tests {
         update(&mut app, absent, -1.0);
         update(&mut app, present, 1.0);
         assert_eq!(app.final_digest(), initial);
-        assert_eq!(app.applied, 6);
+        assert_eq!((app.applied, app.refused), (6, 0));
+    }
+
+    /// An `Update` value that encodes no key of the owned bucket it names
+    /// is refused and counted: no panic (an out-of-bounds bit in release,
+    /// a `u64` underflow in debug), no membership or digest change.
+    #[test]
+    fn a_malformed_update_value_is_refused_and_counted() {
+        let w = SetopsWorld::build(small());
+        let mut app = SetopsApp::new(w.clone(), 1);
+        let owned = w.bucket_range(1);
+        let (b, next) = (owned.start, owned.start + 1);
+        let key_of = |b: usize| w.key_range(b).start as f64 + 1.0;
+        let foreign = w.bucket_range(2).start;
+        let bad = [
+            (b, 0.0),
+            (b, -0.0),
+            (b, f64::NAN),
+            (b, f64::INFINITY),
+            (b, f64::NEG_INFINITY),
+            (b, key_of(b) + 0.5),
+            (b, -0.5),
+            // The key of another bucket of this node, of another node's
+            // bucket, of no bucket at all.
+            (b, key_of(next)),
+            (b, -key_of(next)),
+            (b, key_of(foreign)),
+            (b, w.params.universe as f64 + 1.0),
+            (b, 1e30),
+            // A key of its own bucket, the bucket another node's.
+            (foreign, key_of(foreign)),
+        ];
+        let initial = app.final_digest();
+        for (i, &(bucket, value)) in bad.iter().enumerate() {
+            let ptr = GPtr::new(1, w.bclass, bucket as u64);
+            app.apply_update(ptr, value);
+            assert_eq!(app.refused, i as u64 + 1, "({bucket}, {value}) not refused");
+        }
+        // The right key and bucket under another object class.
+        let other = ObjClass(w.bclass.0 + 1);
+        app.apply_update(GPtr::new(1, other, b as u64), key_of(b));
+        assert_eq!(app.refused, bad.len() as u64 + 1);
+        assert_eq!((app.final_digest(), app.applied), (initial, 0));
+        for k in w.owned_keys(1) {
+            assert_eq!(app.contains(k), w.initially_present(k), "key {k}");
+        }
+        // The first and last key of the bucket still decode.
+        let keys = w.key_range(b);
+        for k in [keys.start, keys.end - 1] {
+            let flip = if w.initially_present(k) { -1.0 } else { 1.0 };
+            app.apply_update(w.bptr(b), flip * (k + 1) as f64);
+            assert_ne!(app.contains(k), w.initially_present(k), "key {k}");
+        }
+        assert_eq!((app.applied, app.refused), (2, bad.len() as u64 + 1));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Counts are per thread, so the harness and sibling tests cannot leak in.
 
 use apps::bh_dist::{BhApp, BhCost, BhWorld};
-use apps::driver::{run_bh, run_setops, run_synth, Phases};
+use apps::driver::{run_bh, run_graph, run_setops, run_synth, Phases};
 use apps::fmm_dist::{FmmCost, FmmEvalApp, FmmM2lApp, FmmWorld};
 use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
 use apps::setops_dist::{SetOp, SetopsParams, SetopsWorld};
@@ -140,7 +140,7 @@ fn graph_app_new_is_independent_of_vertex_count() {
     assert_eq!(small, large);
 }
 
-/// A graph app is built holding its roots and no visited table: the
+/// A graph app is built holding a count per root and no visited table: the
 /// table comes with its first iteration. `run_phases` builds a phase's
 /// apps while it still holds the last phase's, so a table allocated at
 /// construction — `(16 · roots).next_power_of_two()` slots of 16 B, 256 B
@@ -165,6 +165,44 @@ fn graph_app_new_requests_no_visited_table() {
             "node {node}: {bytes} bytes requested for {roots} roots"
         );
     }
+}
+
+/// A graph phase's memory follows the strip, not its loop length: run to
+/// completion at `dpa(8)`, eight times the roots over the same vertices
+/// grow the peak by two `u32` counts an iteration — the app's visits
+/// demanded and not yet run, and the runtime's live-thread window, which
+/// a LIFO ready stack holds open from the first iteration to the last. A
+/// visited table sized for every root grew it by 256 B a root. One node,
+/// so no object is fetched: renamed storage follows the vertices reached,
+/// not the roots, and is left out.
+#[test]
+fn a_graph_phase_peak_follows_the_strip_not_the_roots() {
+    let opts = DstOptions {
+        queue: QueueKind::Wheel,
+        ..DstOptions::default()
+    };
+    let run = |root_stride: usize| {
+        let world = GraphWorld::build(GraphParams {
+            n: 1 << 13,
+            nodes: 1,
+            root_stride,
+            phases: 1,
+            ..GraphParams::default()
+        });
+        let (run, peak) =
+            peak_bytes(|| run_graph(&world, DpaConfig::dpa(8), NetConfig::default(), &opts, 1));
+        assert!(
+            run.completed(),
+            "graph phase stalled at root stride {root_stride}"
+        );
+        (world.roots(0).len() as i64, peak)
+    };
+    let ((few, small), (many, large)) = (run(8), run(1));
+    assert_eq!(many, 8 * few);
+    assert!(
+        large - small <= 8 * (many - few),
+        "{small} -> {large} bytes at {few} -> {many} roots"
+    );
 }
 
 /// Building a set-ops world shuffles the whole key universe to draw its

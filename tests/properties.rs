@@ -977,6 +977,45 @@ proptest! {
         }
     }
 
+    /// A traversal ends only when its last demanded visit has run: under
+    /// duplicated and delayed messages, at strips 1, 8 and 64, every
+    /// node's closure equals the sequential oracle. A duplicated or late
+    /// reply that ran a visit twice, or a traversal reclaimed while a
+    /// visit of it still waited, would move the digest or the count.
+    #[test]
+    fn graph_closure_survives_duplicated_and_delayed_replies(
+        seed in any::<u64>(),
+        n in 48usize..160,
+        skew in 0.8f64..2.2,
+        phase in 0u32..3,
+    ) {
+        use dpa::apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
+        use dpa::sim_net::FaultPlan;
+        let w = GraphWorld::build(GraphParams { n, skew, seed, root_stride: 1, ..GraphParams::default() });
+        for strip in [1usize, 8, 64] {
+            for faults in [
+                FaultPlan::duplicate(seed ^ 0xD1, 0.10),
+                FaultPlan::delay(seed ^ 0xD2, 0.30, 40_000),
+            ] {
+                let mut got = [(0u64, 0u64); 4];
+                let (report, snaps) = run_phase_dst(
+                    4,
+                    NetConfig::default(),
+                    DpaConfig::dpa(strip),
+                    &DstOptions { faults, ..DstOptions::default() },
+                    |i| GraphApp::new(w.clone(), i, phase),
+                    |i, app: &GraphApp| got[i as usize] = (app.sum, app.reached),
+                );
+                prop_assert!(report.completed, "strip {}: lossless plan stalled: {}", strip, report.stall_summary());
+                let v = check_completed(&snaps, false);
+                prop_assert!(v.is_empty(), "strip {}: violation: {}", strip, v[0]);
+                for node in 0..4u16 {
+                    prop_assert_eq!(got[node as usize], w.expected(phase, node), "strip {} node {}", strip, node);
+                }
+            }
+        }
+    }
+
     /// Read-mostly replication is semantically invisible under faults:
     /// on random skewed graph worlds, a replicating differential run
     /// under a drop/dup/delay plan either completes with checksums
