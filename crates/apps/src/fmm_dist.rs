@@ -394,8 +394,6 @@ impl M2lLocals {
 /// Phase 1: M2L over interaction lists.
 pub struct FmmM2lApp {
     world: Arc<FmmWorld>,
-    #[allow(dead_code)]
-    me: u16,
     targets: Vec<BoxId>,
     /// Accumulated local-expansion contributions per owned box.
     pub locals: M2lLocals,
@@ -416,7 +414,6 @@ impl FmmM2lApp {
         FmmM2lApp {
             locals: M2lLocals::new(&targets, world.solver.params.terms),
             world,
-            me,
             targets,
             m2l_count: 0,
             interaction_hash: 0,
@@ -485,8 +482,6 @@ pub enum EvalWork {
 /// Phase 2: downward L2L chain, far-field evaluation, and near-field P2P.
 pub struct FmmEvalApp {
     world: Arc<FmmWorld>,
-    #[allow(dead_code)]
-    me: u16,
     leaves: Vec<BoxId>,
     /// Phase-1 M2L accumulations (moved in at the barrier).
     m2l_partial: HashMap<u32, Local>,
@@ -516,7 +511,6 @@ impl FmmEvalApp {
         let n = world.solver.zs.len();
         FmmEvalApp {
             world,
-            me,
             leaves,
             m2l_partial,
             finals: HashMap::new(),

@@ -52,7 +52,7 @@ use apps::driver::{run_synth, Phases, Run};
 use bench::cli::{Args, Scale};
 use bench::dst::{
     agg_factors, check_run, corpus_write, plan_for, replay, resolve, run_one, schedule_seed, Worlds,
-    ALL_PLANS, SMOKE_PLANS, WORKLOADS,
+    ALL_PLANS, CORPUS_DIR, SMOKE_PLANS, WORKLOADS,
 };
 use bench::{json, write_result, RESULTS_DIR};
 use dpa_core::invariant::{check_completed, check_conservation, NodeSnapshot};
@@ -192,8 +192,10 @@ pub fn run(args: &Args) -> io::Result<i32> {
                 let violations = check_run(plan_name, &baseline.digest, &out);
                 if !violations.is_empty() {
                     row.violations += violations.len() as u64;
-                    let path = corpus_write(workload, seed, plan_name, &violations);
-                    eprintln!("  [corpus case written: {path}]");
+                    let dir = Path::new(CORPUS_DIR);
+                    if let Err(e) = corpus_write(dir, workload, seed, plan_name, &violations) {
+                        eprintln!("  error: corpus case not written under {}: {e}", dir.display());
+                    }
                     failures.push((workload.to_string(), seed, plan_name.to_string(), violations));
                 }
                 row_snaps.extend(out.snaps);

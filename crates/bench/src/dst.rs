@@ -21,6 +21,8 @@ use dpa_core::synth::{SynthParams, SynthWorld};
 use dpa_core::{DiffPlan, DpaConfig, DstOptions};
 use sim_net::{FaultPlan, NetConfig, NodePause};
 use std::collections::HashMap;
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Extra per-delivery jitter used whenever a schedule seed is set, ns.
@@ -465,21 +467,28 @@ pub fn agg_factors(snaps: &[NodeSnapshot]) -> (f64, f64, f64) {
 
 // ---------------------------------------------------------------- corpus
 
-/// Record a failing case as a replayable corpus file; returns its path.
-pub fn corpus_write(workload: &str, seed: u64, plan: &str, violations: &[String]) -> String {
-    let _ = std::fs::create_dir_all(CORPUS_DIR);
-    let path = format!("{CORPUS_DIR}/{workload}-s{seed}-{plan}.case");
+/// Record a failing case under `dir` (the sweep uses [`CORPUS_DIR`]) as a
+/// replayable corpus file. [`write_result`](crate::write_result) names the
+/// file only once it is written; a failed write is the `Err`.
+pub fn corpus_write(
+    dir: &Path,
+    workload: &str,
+    seed: u64,
+    plan: &str,
+    violations: &[String],
+) -> io::Result<()> {
+    let file = format!("{workload}-s{seed}-{plan}.case");
     let mut body = String::new();
     body.push_str("# dst failing case — replay with:\n");
     body.push_str(&format!(
-        "#   cargo run --release -p bench -- dst --replay {path}\n"
+        "#   cargo run --release -p bench -- dst --replay {}\n",
+        dir.join(&file).display()
     ));
     body.push_str(&format!("workload = {workload}\nseed = {seed}\nplan = {plan}\n"));
     for v in violations {
         body.push_str(&format!("# violation: {v}\n"));
     }
-    let _ = std::fs::write(&path, body);
-    path
+    crate::write_result(dir, &file, &body)
 }
 
 /// Re-run one recorded corpus case.
@@ -590,6 +599,23 @@ fn replay_run(workload: &str, seed: u64, plan: &str) -> Result<i32, UnknownName>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_corpus_case_is_written_or_its_write_is_an_error() {
+        // Under the (gitignored) target directory, whatever the cwd.
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/corpus_write_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let violations = ["lost an update".to_string()];
+        corpus_write(&dir, "synth", 3, "drop", &violations).expect("a writable directory");
+        let case = dir.join("synth-s3-drop.case");
+        let body = std::fs::read_to_string(&case).unwrap();
+        assert!(body.contains("workload = synth\nseed = 3\nplan = drop\n"), "{body}");
+        assert!(body.contains("# violation: lost an update\n"), "{body}");
+        // A file where the corpus directory should be.
+        let err = corpus_write(&case, "synth", 3, "drop", &violations);
+        assert!(err.is_err(), "writing under a file must fail, got {err:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn agg_factors_total_across_nodes() {

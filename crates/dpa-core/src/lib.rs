@@ -35,7 +35,6 @@
 pub mod boundary;
 pub mod config;
 pub mod driver;
-pub mod fxmap;
 pub mod invariant;
 mod live;
 pub mod mapping;
@@ -53,7 +52,6 @@ pub use driver::{run_phase, run_phase_dst, run_phase_traced, run_phases, DstOpti
 // former names and is their only user; kept for ROADMAP item 6.
 #[doc(hidden)]
 pub use driver::{run_phases as run_phase_differential, run_phases as run_phase_migrating};
-pub use fxmap::{FxHashMap, FxHashSet};
 pub use invariant::{check_completed, check_conservation, NodeSnapshot, Violation};
 pub use mapping::PointerMap;
 pub use msg::DpaMsg;

@@ -1,102 +1,87 @@
 //! Live-thread counts of the open top-level iterations, shared by both
 //! node drivers.
 
-use std::collections::VecDeque;
-
-/// How many threads of each open iteration are still live, as a dense
-/// window over `oldest live iteration ..= newest admitted`.
+/// How many threads of each open iteration are still live, one count per
+/// open-iteration slot.
 ///
-/// Both drivers admit iterations in increasing order, and an iteration
-/// gains threads only from its own creation code (it is then the newest
-/// admitted) or from one of its running threads (it is then live), so a
-/// count is only ever raised at or after the oldest live iteration: a
-/// deque indexed by `iter - base` replaces a hash map keyed by `iter`.
-/// Memory follows the window, not the loop length — a slot is dropped as
-/// soon as every iteration up to it has completed.
+/// Admitting an iteration takes a slot ([`open`](Self::open)); its threads
+/// carry the slot instead of the iteration number, and the slot is free
+/// again once its count returns to 0. A driver admits only while fewer
+/// than `strip` iterations are live, so the table never holds more than
+/// `strip` slots, however long the loop and in whatever order its
+/// iterations complete.
 pub(crate) struct LiveIters {
-    /// The iteration `counts[0]` belongs to (stale while `counts` is empty).
-    base: u32,
-    /// `counts[i]` = live threads of iteration `base + i`. The front slot
-    /// is never zero; slots behind it are zero for iterations that
-    /// completed ahead of an older one.
-    counts: VecDeque<u32>,
-    /// Iterations with a nonzero count.
+    /// `counts[slot]` = live threads of the iteration holding `slot`; 0 is
+    /// a free slot.
+    counts: Vec<u32>,
+    /// Slots with a nonzero count.
     live: usize,
-    peak_slots: usize,
 }
 
-/// Slots reserved up front (4 KiB). One stalled iteration holds the window
-/// open while a strip's worth of others stream past it, so real windows run
-/// to hundreds or a few thousand slots; growing to that from empty would
-/// cost more reallocations per node than the hash map this replaces did.
-const INITIAL_SLOTS: usize = 1024;
-
 impl LiveIters {
-    /// An empty window for a loop of `total_iters` iterations.
-    pub(crate) fn new(total_iters: usize) -> LiveIters {
+    /// An empty table with room for `slots` open iterations.
+    pub(crate) fn new(slots: usize) -> LiveIters {
         LiveIters {
-            base: 0,
-            counts: VecDeque::with_capacity(total_iters.min(INITIAL_SLOTS)),
+            counts: Vec::with_capacity(slots),
             live: 0,
-            peak_slots: 0,
         }
     }
 
-    /// One more live thread of `iter`.
-    #[inline]
-    pub(crate) fn add(&mut self, iter: u32) {
-        self.add_n(iter, 1);
+    /// A slot for the iteration being admitted: the first free one, or a
+    /// new one when every slot is live. It stays free (and the next call
+    /// returns it again) until threads are added under it.
+    pub(crate) fn open(&mut self) -> u32 {
+        let slot = match self.counts.iter().position(|&count| count == 0) {
+            Some(slot) => slot,
+            None => {
+                self.counts.push(0);
+                self.counts.len() - 1
+            }
+        };
+        slot as u32
     }
 
-    /// `n` more live threads of `iter`: what `n` calls of
-    /// [`add`](Self::add) do, with one window lookup. Zero threads change
-    /// nothing — an iteration that emitted none must not take a slot.
+    /// One more live thread under `slot`.
     #[inline]
-    pub(crate) fn add_n(&mut self, iter: u32, n: u32) {
+    pub(crate) fn add(&mut self, slot: u32) {
+        self.add_n(slot, 1);
+    }
+
+    /// `n` more live threads under `slot`: what `n` calls of
+    /// [`add`](Self::add) do. Zero threads change nothing — an iteration
+    /// that emitted none must not hold its slot.
+    #[inline]
+    pub(crate) fn add_n(&mut self, slot: u32, n: u32) {
         if n == 0 {
             return;
         }
-        if self.counts.is_empty() {
-            self.base = iter;
-        }
-        let i = iter
-            .checked_sub(self.base)
-            .expect("a thread for an iteration older than every live one") as usize;
-        if i >= self.counts.len() {
-            self.counts.resize(i + 1, 0);
-            self.peak_slots = self.peak_slots.max(i + 1);
-        }
-        let count = &mut self.counts[i];
+        let count = &mut self.counts[slot as usize];
         self.live += usize::from(*count == 0);
         *count += n;
     }
 
-    /// One thread of `iter` finished; `true` when it was the iteration's
-    /// last, i.e. the iteration completed.
+    /// One thread under `slot` finished; `true` when it was the last, i.e.
+    /// the iteration completed and the slot is free.
     #[inline]
-    pub(crate) fn finish(&mut self, iter: u32) -> bool {
-        let count = iter
-            .checked_sub(self.base)
-            .and_then(|i| self.counts.get_mut(i as usize))
+    pub(crate) fn finish(&mut self, slot: u32) -> bool {
+        let count = self
+            .counts
+            .get_mut(slot as usize)
             .filter(|count| **count > 0)
-            .expect("finished work for unknown iteration");
+            .expect("finished work on a free slot");
         *count -= 1;
         if *count > 0 {
             return false;
         }
         self.live -= 1;
-        while self.counts.front() == Some(&0) {
-            self.counts.pop_front();
-            self.base += 1;
-        }
         true
     }
 
-    /// `true` while `iter` has live threads.
+    /// `true` while `slot` holds live threads.
     #[inline]
-    pub(crate) fn is_live(&self, iter: u32) -> bool {
-        iter.checked_sub(self.base)
-            .and_then(|i| self.counts.get(i as usize))
+    pub(crate) fn is_live(&self, slot: u32) -> bool {
+        self.counts
+            .get(slot as usize)
             .is_some_and(|&count| count > 0)
     }
 
@@ -112,9 +97,10 @@ impl LiveIters {
         self.live == 0
     }
 
-    /// The widest the window has been, in slots.
+    /// Slots the table has held: its length, which a driver's strip
+    /// bounds.
     pub(crate) fn peak_slots(&self) -> usize {
-        self.peak_slots
+        self.counts.len()
     }
 }
 
@@ -122,76 +108,89 @@ impl LiveIters {
 mod tests {
     use super::*;
     use sim_net::Rng;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
-    /// The hash map this type replaced: an entry per live iteration.
-    #[derive(Default)]
-    struct Model(HashMap<u32, u32>);
-
-    impl Model {
-        fn add(&mut self, iter: u32) {
-            *self.0.entry(iter).or_insert(0) += 1;
-        }
-
-        fn finish(&mut self, iter: u32) -> bool {
-            let count = self.0.get_mut(&iter).expect("model: unknown iteration");
-            *count -= 1;
-            if *count == 0 {
-                self.0.remove(&iter);
-            }
-            !self.0.contains_key(&iter)
-        }
-    }
-
-    /// Two windows fed the same history — `batched` one [`LiveIters::add_n`]
-    /// per work call, `single` one [`LiveIters::add`] per thread — and the
-    /// hash map, checked against each other after every step.
-    struct Windows {
+    /// Two tables fed the same history — `batched` one
+    /// [`LiveIters::add_n`] per work call, `single` one [`LiveIters::add`]
+    /// per thread — and a hash map of per-iteration counts, checked against
+    /// each other after every step.
+    struct Tables {
         batched: LiveIters,
         single: LiveIters,
-        model: Model,
+        /// Live threads per open iteration.
+        model: HashMap<u32, u32>,
+        /// The slot each open iteration holds.
+        slots: HashMap<u32, u32>,
     }
 
-    impl Windows {
-        fn new(iters: u32) -> Windows {
-            Windows {
-                batched: LiveIters::new(iters as usize),
-                single: LiveIters::new(iters as usize),
-                model: Model::default(),
+    impl Tables {
+        fn new(strip: usize) -> Tables {
+            Tables {
+                batched: LiveIters::new(strip),
+                single: LiveIters::new(strip),
+                model: HashMap::new(),
+                slots: HashMap::new(),
             }
         }
 
-        /// One work call of `iter` emitting `n` threads, each recorded in
-        /// `threads`.
-        fn spawn(&mut self, threads: &mut Vec<u32>, iter: u32, n: u64) {
-            self.batched.add_n(iter, n as u32);
+        /// Admit `iter`: both tables hand out the same slot, one no live
+        /// iteration holds.
+        fn open(&mut self, iter: u32) -> u32 {
+            let slot = self.batched.open();
+            assert_eq!(self.single.open(), slot, "iteration {iter}");
+            assert!(
+                !self.slots.values().any(|&s| s == slot),
+                "slot {slot} handed to {iter} while live"
+            );
+            slot
+        }
+
+        /// One work call of `iter` under `slot` emitting `n` threads, each
+        /// recorded in `threads`.
+        fn spawn(&mut self, threads: &mut Vec<(u32, u32)>, iter: u32, slot: u32, n: u64) {
+            self.batched.add_n(slot, n as u32);
             for _ in 0..n {
-                self.single.add(iter);
-                self.model.add(iter);
-                threads.push(iter);
+                self.single.add(slot);
+                *self.model.entry(iter).or_insert(0) += 1;
+                self.slots.insert(iter, slot);
+                threads.push((iter, slot));
             }
         }
 
-        fn finish(&mut self, iter: u32) {
-            let done = self.model.finish(iter);
-            assert_eq!(self.single.finish(iter), done, "iteration {iter}");
-            assert_eq!(self.batched.finish(iter), done, "iteration {iter}");
+        fn finish(&mut self, iter: u32, slot: u32) {
+            let count = self.model.get_mut(&iter).expect("model: unknown iteration");
+            *count -= 1;
+            let done = *count == 0;
+            if done {
+                self.model.remove(&iter);
+                self.slots.remove(&iter);
+            }
+            assert_eq!(self.single.finish(slot), done, "iteration {iter}");
+            assert_eq!(self.batched.finish(slot), done, "iteration {iter}");
         }
 
-        fn check(&self, probes: [u32; 4]) {
-            let Windows {
+        fn check(&self, strip: usize) {
+            let Tables {
                 batched,
                 single,
                 model,
+                slots,
             } = self;
-            assert_eq!(batched.len(), model.0.len());
-            assert_eq!(single.len(), model.0.len());
-            assert_eq!(batched.is_empty(), model.0.is_empty());
+            assert_eq!(batched.len(), model.len());
+            assert_eq!(single.len(), model.len());
+            assert_eq!(batched.is_empty(), model.is_empty());
             assert_eq!(batched.peak_slots(), single.peak_slots());
-            for probe in probes {
-                let live = model.0.contains_key(&probe);
-                assert_eq!(batched.is_live(probe), live, "probe {probe}");
-                assert_eq!(single.is_live(probe), live, "probe {probe}");
+            assert!(
+                batched.peak_slots() <= strip,
+                "{} slots",
+                batched.peak_slots()
+            );
+            let held: HashSet<u32> = slots.values().copied().collect();
+            assert_eq!(held.len(), model.len(), "two iterations share a slot");
+            for slot in 0..=batched.peak_slots() as u32 {
+                let live = held.contains(&slot);
+                assert_eq!(batched.is_live(slot), live, "slot {slot}");
+                assert_eq!(single.is_live(slot), live, "slot {slot}");
             }
         }
     }
@@ -199,109 +198,123 @@ mod tests {
     /// Random admissions, thread creations and out-of-order completions
     /// under a strip bound, with iteration `stalled` unable to finish its
     /// last thread until everything else has. Every work call emits zero
-    /// to three threads; one that emits none must leave both windows as
-    /// they were.
-    fn drive(seed: u64, strip: usize, iters: u32, mut stalled: Option<u32>) -> usize {
+    /// to three threads; one that emits none must leave both tables as
+    /// they were. Returns the peak slot count and how many iterations were
+    /// admitted while `stalled` was live.
+    fn drive(seed: u64, strip: usize, iters: u32, mut stalled: Option<u32>) -> (usize, u32) {
         let mut rng = Rng::new(seed);
-        let mut w = Windows::new(iters);
-        // One entry per live thread: the iteration it belongs to.
-        let mut threads: Vec<u32> = Vec::new();
+        let mut t = Tables::new(strip);
+        // One entry per live thread: its iteration and slot.
+        let mut threads: Vec<(u32, u32)> = Vec::new();
         let mut next = 0u32;
         let mut held = None;
+        let mut stalled_slot = None;
+        let mut streamed_past = 0;
         loop {
-            while w.batched.len() < strip && next < iters {
+            while t.batched.len() < strip && next < iters {
                 // An iteration whose creation code spawns nothing is
-                // complete at once and never enters the window. (The
+                // complete at once and never holds its slot. (The
                 // iteration that is to stall needs a thread to stall on.)
                 let n = rng.below(4).max(u64::from(Some(next) == stalled));
-                w.spawn(&mut threads, next, n);
-                w.check([next, next.saturating_sub(1), next + 1, 0]);
+                let slot = t.open(next);
+                t.spawn(&mut threads, next, slot, n);
+                t.check(strip);
+                if Some(next) == stalled {
+                    stalled_slot = Some(slot);
+                } else if stalled_slot.is_some_and(|s| t.batched.is_live(s)) {
+                    streamed_past += 1;
+                }
                 next += 1;
             }
             if threads.is_empty() {
                 match held.take() {
-                    Some(iter) => threads.push(iter),
+                    Some(thread) => threads.push(thread),
                     None => break,
                 }
             }
-            let iter = threads.swap_remove(rng.below(threads.len() as u64) as usize);
-            if Some(iter) == stalled && !threads.contains(&iter) {
+            let (iter, slot) = threads.swap_remove(rng.below(threads.len() as u64) as usize);
+            if Some(iter) == stalled && !threads.iter().any(|&(i, _)| i == iter) {
                 // Its last thread: parked, once, until nothing else can run.
-                held = stalled.take();
+                stalled.take();
+                held = Some((iter, slot));
                 continue;
             }
             // A running thread spawns children of its own iteration.
             let n = if rng.chance(0.3) { rng.below(4) } else { 0 };
-            w.spawn(&mut threads, iter, n);
-            w.finish(iter);
-            w.check([iter, iter.saturating_sub(1), next.saturating_sub(1), next]);
+            t.spawn(&mut threads, iter, slot, n);
+            t.finish(iter, slot);
+            t.check(strip);
         }
-        assert!(w.batched.is_empty() && w.batched.counts.is_empty());
-        assert!(w.single.is_empty() && w.single.counts.is_empty());
-        w.batched.peak_slots()
+        assert!(t.batched.is_empty() && t.single.is_empty());
+        (t.batched.peak_slots(), streamed_past)
     }
 
     #[test]
     fn adding_nothing_changes_nothing() {
-        let mut win = LiveIters::new(16);
-        win.add_n(3, 0);
-        assert!(win.is_empty() && win.counts.is_empty() && !win.is_live(3));
-        assert_eq!(
-            win.peak_slots(),
-            0,
-            "no slot for an iteration with no threads"
-        );
-        win.add_n(5, 2);
-        win.add_n(9, 0);
-        assert_eq!((win.len(), win.peak_slots(), win.is_live(9)), (1, 1, false));
-        assert!(!win.finish(5) && win.finish(5));
+        let mut table = LiveIters::new(4);
+        let slot = table.open();
+        table.add_n(slot, 0);
+        assert!(table.is_empty() && !table.is_live(slot));
+        assert_eq!(table.open(), slot, "a slot with no threads stays free");
+        table.add_n(slot, 2);
+        let next = table.open();
+        assert_ne!(next, slot);
+        table.add_n(next, 0);
+        assert_eq!((table.len(), table.is_live(next)), (1, false));
+        assert_eq!(table.peak_slots(), 2);
+        assert!(!table.finish(slot) && table.finish(slot));
+        assert!(table.is_empty());
     }
 
     #[test]
-    fn window_matches_a_hash_map_under_out_of_order_completion() {
+    fn slots_match_a_hash_map_under_out_of_order_completion() {
         for seed in 0..32 {
             let strip = 1 + (seed as usize % 9);
-            let peak = drive(0x11FE + seed, strip, 400, None);
-            assert!(peak <= 400, "seed {seed}: {peak} slots");
+            let (peak, _) = drive(0x11FE + seed, strip, 400, None);
+            assert!(peak <= strip, "seed {seed}: {peak} slots at strip {strip}");
         }
     }
 
     #[test]
-    fn a_stalled_oldest_iteration_widens_the_window_without_losing_counts() {
-        // Iteration 3 holds its last thread to the very end: the window
-        // must stretch from it to the newest admitted iteration, and
-        // collapse once it finally completes.
+    fn a_stalled_iteration_holds_one_slot_while_others_stream_past() {
+        // Iteration 3 holds its last thread to the very end: it keeps one
+        // slot, and every later iteration cycles through the other three.
         for seed in 0..8 {
-            let peak = drive(0x57A1 + seed, 4, 300, Some(3));
+            let (peak, streamed) = drive(0x57A1 + seed, 4, 300, Some(3));
+            assert!(peak <= 4, "seed {seed}: {peak} slots");
             assert!(
-                peak >= 290,
-                "seed {seed}: the window only reached {peak} slots"
+                streamed >= 290,
+                "seed {seed}: only {streamed} iterations ran past the stall"
             );
         }
     }
 
     #[test]
-    fn an_unstalled_window_stays_near_the_strip() {
-        // FIFO completion: the window never outgrows the strip.
-        let mut win = LiveIters::new(10_000);
-        for iter in 0..10_000u32 {
-            win.add(iter);
-            win.add(iter);
-            if iter >= 7 {
-                assert!(!win.finish(iter - 7));
-                assert!(win.finish(iter - 7));
+    fn in_order_completion_fills_exactly_the_strip() {
+        let mut table = LiveIters::new(8);
+        let mut open = Vec::new();
+        for _ in 0..10_000u32 {
+            let slot = table.open();
+            table.add(slot);
+            table.add(slot);
+            open.push(slot);
+            if open.len() == 8 {
+                let oldest = open.remove(0);
+                assert!(!table.finish(oldest));
+                assert!(table.finish(oldest));
             }
-            assert!(win.len() <= 8);
+            assert!(table.len() <= 8);
         }
-        assert_eq!(win.peak_slots(), 8);
+        assert_eq!(table.peak_slots(), 8);
     }
 
     #[test]
-    #[should_panic(expected = "finished work for unknown iteration")]
+    #[should_panic(expected = "finished work on a free slot")]
     fn finishing_an_iteration_with_no_live_threads_panics() {
-        let mut win = LiveIters::new(8);
-        win.add(5);
-        win.add(7);
-        win.finish(6);
+        let mut table = LiveIters::new(8);
+        let busy = table.open();
+        table.add(busy);
+        let free = table.open();
+        table.finish(free);
     }
 }

@@ -37,8 +37,7 @@
 //! [`peak_keys`](PointerMap::peak_keys), and a stall report names the
 //! smallest pointers with waiters.
 
-use crate::fxmap::FxHashMap;
-use global_heap::GPtr;
+use global_heap::{FxHashMap, GPtr};
 use std::num::NonZeroU32;
 
 /// The index of a slab record, kept off by one: the zero it can never be

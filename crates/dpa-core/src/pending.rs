@@ -23,8 +23,7 @@
 //! (first-request) order, which is deterministic for a fixed request
 //! history, unlike a std `HashSet`'s per-process seeded order.
 
-use crate::fxmap::FxHashMap;
-use global_heap::GPtr;
+use global_heap::{FxHashMap, GPtr};
 
 /// Outstanding remote requests for one node. SoA: dense-id interner + flat
 /// presence flags.

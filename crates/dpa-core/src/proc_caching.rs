@@ -19,16 +19,15 @@
 //! one-sided gets regardless of what the local CPU is doing.
 
 use crate::config::{ConfigError, DpaConfig, Variant, POLL_INTERVAL_NS};
-use crate::fxmap::FxHashSet;
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
 use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
-use global_heap::{GPtr, SoftCache};
+use global_heap::{FxHashSet, GPtr, SoftCache};
 use sim_net::{Ctx, Dur, NodeId, NodeStats, Proc};
 
 struct Stalled<W> {
-    iter: u32,
+    slot: u32,
     work: W,
     /// The missed object this node is blocked on. A reply resumes the node
     /// only if it covers this pointer — a duplicated reply for some *other*
@@ -45,7 +44,7 @@ pub struct CachingProc<A: PtrApp> {
     stack: Vec<Tagged<A::Work>>,
     /// Emission lists interrupted by a miss, resumed LIFO after the work
     /// stack drains (preserving the depth-first order of a real blocking
-    /// traversal).
+    /// traversal). Each is tagged with its iteration's slot.
     cont_stack: Vec<(u32, Vec<Emit<A::Work>>)>,
     cache: SoftCache,
     stalled: Option<Stalled<A::Work>>,
@@ -59,7 +58,9 @@ pub struct CachingProc<A: PtrApp> {
     /// replication message (the baselines run none of those modes). The
     /// count is a violation (reported with the misrouted).
     misrouted: u64,
-    /// Live thread (and stashed-continuation) count per open iteration.
+    /// Live thread (and stashed-continuation) count of the open
+    /// iteration: an iteration is admitted only once the last one is
+    /// done, so one slot serves the whole loop.
     live: LiveIters,
     next_iter: usize,
     total_iters: usize,
@@ -121,7 +122,7 @@ impl<A: PtrApp> CachingProc<A> {
             stalled: None,
             requested: FxHashSet::default(),
             misrouted: 0,
-            live: LiveIters::new(total_iters),
+            live: LiveIters::new(total_iters.min(1)),
             next_iter: 0,
             total_iters,
             completed_iters: 0,
@@ -169,8 +170,8 @@ impl<A: PtrApp> CachingProc<A> {
         }
     }
 
-    fn finish_one_work(&mut self, iter: u32) {
-        if self.live.finish(iter) {
+    fn finish_one_work(&mut self, slot: u32) {
+        if self.live.finish(slot) {
             self.completed_iters += 1;
         }
     }
@@ -180,7 +181,7 @@ impl<A: PtrApp> CachingProc<A> {
     fn route_emissions(
         &mut self,
         ctx: &mut Ctx<'_, DpaMsg>,
-        iter: u32,
+        slot: u32,
         mut emits: Vec<Emit<A::Work>>,
     ) -> bool {
         let me = ctx.me().0;
@@ -207,9 +208,9 @@ impl<A: PtrApp> CachingProc<A> {
                     continue;
                 }
                 Emit::Local(work) => {
-                    self.live.add(iter);
+                    self.live.add(slot);
                     self.stack.push(Tagged {
-                        iter,
+                        slot,
                         gen: NO_GEN,
                         work,
                     });
@@ -217,14 +218,14 @@ impl<A: PtrApp> CachingProc<A> {
                 }
                 Emit::Demand(ptr, work) => (ptr, work),
             };
-            self.live.add(iter);
+            self.live.add(slot);
             // The baseline hashes on *every* global access, even ones that
             // turn out local; probes against a populated table
             // additionally thrash the hardware cache.
             ctx.charge_overhead(self.probe_ns + self.cfg.cost.probe_thrash_ns(self.cache.len()));
             if ptr.is_local_to(me) {
                 self.stack.push(Tagged {
-                    iter,
+                    slot,
                     gen: NO_GEN,
                     work,
                 });
@@ -235,13 +236,13 @@ impl<A: PtrApp> CachingProc<A> {
                 // cache). This is exactly the depth-first order of a real
                 // blocking traversal.
                 self.stack.push(Tagged {
-                    iter,
+                    slot,
                     gen: NO_GEN,
                     work,
                 });
                 if !emits.is_empty() {
-                    self.live.add(iter);
-                    self.cont_stack.push((iter, emits));
+                    self.live.add(slot);
+                    self.cont_stack.push((slot, emits));
                 }
                 return true;
             } else {
@@ -260,10 +261,10 @@ impl<A: PtrApp> CachingProc<A> {
                 if !emits.is_empty() {
                     // The stashed continuation counts as one live unit so
                     // its iteration cannot complete early.
-                    self.live.add(iter);
-                    self.cont_stack.push((iter, emits));
+                    self.live.add(slot);
+                    self.cont_stack.push((slot, emits));
                 }
-                self.stalled = Some(Stalled { iter, work, ptr });
+                self.stalled = Some(Stalled { slot, work, ptr });
                 return false;
             }
         }
@@ -285,8 +286,8 @@ impl<A: PtrApp> CachingProc<A> {
                 self.app.run_work(t.work, &mut env);
                 let (ns, emits) = env.finish();
                 ctx.charge_local(ns);
-                self.route_emissions(ctx, t.iter, emits);
-                self.finish_one_work(t.iter);
+                self.route_emissions(ctx, t.slot, emits);
+                self.finish_one_work(t.slot);
                 if ctx.now().since(slice_start) >= slice {
                     if !self.wake_scheduled {
                         self.wake_scheduled = true;
@@ -294,21 +295,23 @@ impl<A: PtrApp> CachingProc<A> {
                     }
                     return;
                 }
-            } else if let Some((iter, emits)) = self.cont_stack.pop() {
-                self.route_emissions(ctx, iter, emits);
-                self.finish_one_work(iter); // retire the continuation unit
+            } else if let Some((slot, emits)) = self.cont_stack.pop() {
+                self.route_emissions(ctx, slot, emits);
+                self.finish_one_work(slot); // retire the continuation unit
             } else if self.next_iter < self.total_iters {
-                let iter = self.next_iter as u32;
+                let iter = self.next_iter;
                 self.next_iter += 1;
+                debug_assert!(self.live.is_empty(), "a second open iteration");
+                let slot = self.live.open();
                 let mut env: WorkEnv<'_, A::Work> =
                     WorkEnv::new(ctx.me().0, ctx.num_nodes(), Avail::Cached(&self.cache));
-                self.app.start_iteration(iter as usize, &mut env);
+                self.app.start_iteration(iter, &mut env);
                 let (ns, emits) = env.finish();
                 ctx.charge_local(ns);
-                self.route_emissions(ctx, iter, emits);
+                self.route_emissions(ctx, slot, emits);
                 // An iteration that spawned no threads (nothing, or only
                 // reductions) is already complete.
-                if !self.live.is_live(iter) {
+                if !self.live.is_live(slot) {
                     self.completed_iters += 1;
                 }
             } else {
@@ -376,7 +379,7 @@ impl<A: PtrApp> Proc for CachingProc<A> {
                     // The blocked work runs immediately (top of the stack)
                     // so the filled object is still cached when read.
                     self.stack.push(Tagged {
-                        iter: st.iter,
+                        slot: st.slot,
                         gen: NO_GEN,
                         work: st.work,
                     });
@@ -406,7 +409,8 @@ impl<A: PtrApp> Proc for CachingProc<A> {
             return None;
         }
         let blocked = match &self.stalled {
-            Some(st) => format!("blocked on {} (iter {})", st.ptr, st.iter),
+            // The one open iteration is the last admitted.
+            Some(st) => format!("blocked on {} (iter {})", st.ptr, self.next_iter - 1),
             None => "not blocked".to_string(),
         };
         Some(format!(

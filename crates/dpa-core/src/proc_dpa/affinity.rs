@@ -9,11 +9,10 @@
 
 use super::{fan_out, DpaProc};
 use crate::boundary::AFFINITY_REPORT_FLOOR;
-use crate::fxmap::FxHashMap;
 use crate::invariant::NodeSnapshot;
 use crate::msg::{DpaMsg, SeqChannel};
 use crate::work::PtrApp;
-use global_heap::{AffinityTable, GPtr};
+use global_heap::{AffinityTable, FxHashMap, GPtr};
 use sim_net::{Ctx, NodeId, NodeStats};
 
 /// What a node keeps for the affinity signal, both as consumer and as

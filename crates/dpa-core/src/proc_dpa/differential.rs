@@ -10,11 +10,10 @@
 //! dropped delta is therefore a diagnosable stall, never a stale read.
 
 use super::DpaProc;
-use crate::fxmap::FxHashSet;
 use crate::invariant::NodeSnapshot;
 use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::PtrApp;
-use global_heap::{ArrivalSet, GPtr};
+use global_heap::{ArrivalSet, FxHashSet, GPtr};
 use sim_net::{Ctx, NodeId, NodeStats};
 
 /// What a node keeps for the boundary deltas, both as consumer and as

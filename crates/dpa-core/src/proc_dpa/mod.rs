@@ -67,7 +67,6 @@ mod differential;
 mod replicate;
 
 use crate::config::{ConfigError, DpaConfig, Policy, Variant, POLL_INTERVAL_NS};
-use crate::fxmap::{FxHashMap, FxHashSet};
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
 use crate::mapping::PointerMap;
@@ -76,7 +75,7 @@ use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
 use affinity::AffinityState;
 use differential::DiffState;
 use fastmsg::{ByteCoalescer, Coalescer, FlushReason};
-use global_heap::{AffinityTable, ArrivalSet, GPtr, ReplicaDirectory};
+use global_heap::{AffinityTable, ArrivalSet, FxHashMap, FxHashSet, GPtr, ReplicaDirectory};
 use replicate::ReplState;
 use sim_net::{Ctx, Dur, NodeId, NodeStats, Proc};
 use std::collections::VecDeque;
@@ -154,11 +153,12 @@ pub struct DpaProc<A: PtrApp> {
     cfg: DpaConfig,
     /// Ready non-blocking threads (depth-first stack).
     stack: Vec<Tagged<A::Work>>,
-    /// M: pointer → aligned dependent threads, as `(iteration, work)`. A
-    /// waiting thread has no generation to carry yet — the copy that will
-    /// release it has not arrived — so M keeps four bytes a thread less
-    /// than the ready stack does. Its key set is D: the pointers with a
-    /// request outstanding (buffered or in flight).
+    /// M: pointer → aligned dependent threads, as `(slot, work)`, where
+    /// the slot is the thread's iteration's in `live`. A waiting thread
+    /// has no generation to carry yet — the copy that will release it has
+    /// not arrived — so M keeps four bytes a thread less than the ready
+    /// stack does. Its key set is D: the pointers with a request
+    /// outstanding (buffered or in flight).
     map: PointerMap<(u32, A::Work)>,
     /// Renamed storage: remote objects fetched so far this phase.
     arrived: ArrivalSet,
@@ -196,7 +196,7 @@ pub struct DpaProc<A: PtrApp> {
     /// Objects installed (a pending request completed with data — by a
     /// reply, or by a replica broadcast that doubled as one).
     installs: u64,
-    /// Live thread count per open iteration.
+    /// Live thread count per open iteration, one slot each.
     live: LiveIters,
     next_iter: usize,
     total_iters: usize,
@@ -284,7 +284,7 @@ impl<A: PtrApp> DpaProc<A> {
             repl,
             misrouted: 0,
             installs: 0,
-            live: LiveIters::new(total_iters),
+            live: LiveIters::new(cfg.strip.min(total_iters)),
             next_iter: 0,
             total_iters,
             completed_iters: 0,
@@ -315,8 +315,8 @@ impl<A: PtrApp> DpaProc<A> {
         &self.app
     }
 
-    /// The most live-count slots this node ever held at once: the widest
-    /// span from its oldest live iteration to its newest admitted one.
+    /// The most live-count slots this node ever held: the most iterations
+    /// open at once (never more than the strip).
     pub fn peak_live_window(&self) -> usize {
         self.live.peak_slots()
     }
@@ -427,15 +427,15 @@ impl<A: PtrApp> DpaProc<A> {
 
     /// Run one piece of application code — an iteration's creation code
     /// (`label_gen` = `NO_GEN`) or a ready thread (its [`Tagged::gen`]) —
-    /// then charge what it computed and route what it emitted under
-    /// `iter`. Every env shares one recycled emit buffer.
+    /// then charge what it computed and route what it emitted under its
+    /// iteration's `slot`. Every env shares one recycled emit buffer.
     // Forced: the app's `run_work` must inline into the drive loop. Left
     // to the inliner's discretion, setops_rw loses 8 % of its events/s.
     #[inline(always)]
     fn run_app(
         &mut self,
         ctx: &mut Ctx<'_, DpaMsg>,
-        iter: u32,
+        slot: u32,
         label_gen: u32,
         code: impl FnOnce(&mut A, &mut WorkEnv<'_, A::Work>),
     ) {
@@ -447,17 +447,17 @@ impl<A: PtrApp> DpaProc<A> {
         ctx.charge_local(ns);
         // Most threads are leaves of the thread tree and emit nothing.
         if !emits.is_empty() {
-            self.route_emissions(ctx, iter, &mut emits);
+            self.route_emissions(ctx, slot, &mut emits);
         }
         self.emit_buf = emits;
     }
 
     /// Route the emissions of one finished work/creation, tagging them
-    /// with `iter`. Drains `emits` in place so the caller can recycle the
-    /// buffer's capacity for the next work item.
+    /// with their iteration's `slot`. Drains `emits` in place so the
+    /// caller can recycle the buffer's capacity for the next work item.
     ///
     /// Bookkeeping is paid per work call, not per thread: the threads join
-    /// the live window in one step, and their overheads (creation,
+    /// the live-count table in one step, and their overheads (creation,
     /// alignment, request entry) are summed and charged before anything
     /// that reads or stamps the clock — a request batch sent, a reduction
     /// pushed or applied — and once at the end. A charge only adds to the
@@ -467,7 +467,7 @@ impl<A: PtrApp> DpaProc<A> {
     fn route_emissions(
         &mut self,
         ctx: &mut Ctx<'_, DpaMsg>,
-        iter: u32,
+        slot: u32,
         emits: &mut Vec<Emit<A::Work>>,
     ) {
         let me = ctx.me().0;
@@ -507,7 +507,7 @@ impl<A: PtrApp> DpaProc<A> {
                     threads += 1;
                     owed += self.cfg.cost.thread_create_ns;
                     self.stack.push(Tagged {
-                        iter,
+                        slot,
                         gen: NO_GEN,
                         work,
                     });
@@ -529,11 +529,11 @@ impl<A: PtrApp> DpaProc<A> {
             if home == me || held.is_some() {
                 // Data already here: immediately ready.
                 let gen = held.unwrap_or(NO_GEN);
-                self.stack.push(Tagged { iter, gen, work });
+                self.stack.push(Tagged { slot, gen, work });
                 continue;
             }
             owed += self.cfg.cost.map_update_ns + self.pressure();
-            let first = self.map.align(ptr, (iter, work));
+            let first = self.map.align(ptr, (slot, work));
             self.sample_affinity(ptr);
             // The first thread aligned under a pointer opens its request.
             if first {
@@ -555,7 +555,7 @@ impl<A: PtrApp> DpaProc<A> {
         if threads > 0 {
             ctx.charge_overhead(owed);
             self.threads_created += u64::from(threads);
-            self.live.add_n(iter, threads);
+            self.live.add_n(slot, threads);
         }
         self.peak_stack = self.peak_stack.max(self.stack.len() as u64);
     }
@@ -695,8 +695,8 @@ impl<A: PtrApp> DpaProc<A> {
         Payloads::of(ctx).ptrs.put(ptrs);
     }
 
-    fn finish_one_work(&mut self, iter: u32) {
-        if self.live.finish(iter) {
+    fn finish_one_work(&mut self, slot: u32) {
+        if self.live.finish(slot) {
             self.completed_iters += 1;
         }
     }
@@ -709,14 +709,15 @@ impl<A: PtrApp> DpaProc<A> {
 
     fn admit(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         while self.admission_open() {
-            let iter = self.next_iter as u32;
+            let iter = self.next_iter;
             self.next_iter += 1;
-            self.run_app(ctx, iter, NO_GEN, |app, env| {
-                app.start_iteration(iter as usize, env)
+            let slot = self.live.open();
+            self.run_app(ctx, slot, NO_GEN, |app, env| {
+                app.start_iteration(iter, env)
             });
             // An iteration that spawned no threads (nothing, or only
             // reductions) is already complete.
-            if !self.live.is_live(iter) {
+            if !self.live.is_live(slot) {
                 self.completed_iters += 1;
             }
         }
@@ -752,8 +753,8 @@ impl<A: PtrApp> DpaProc<A> {
             self.arrived.generation(ptr).unwrap_or(gen)
         };
         self.map
-            .release_chain(chain, &mut self.stack, |(iter, work)| Tagged {
-                iter,
+            .release_chain(chain, &mut self.stack, |(slot, work)| Tagged {
+                slot,
                 gen: held,
                 work,
             });
@@ -800,8 +801,8 @@ impl<A: PtrApp> DpaProc<A> {
             // Execute ready threads (and keep the admission window full).
             while let Some(t) = self.stack.pop() {
                 ctx.charge_overhead(self.cfg.cost.resume_ns + self.pressure());
-                self.run_app(ctx, t.iter, t.gen, |app, env| app.run_work(t.work, env));
-                self.finish_one_work(t.iter);
+                self.run_app(ctx, t.slot, t.gen, |app, env| app.run_work(t.work, env));
+                self.finish_one_work(t.slot);
                 // Most threads finish inside a full strip: test before
                 // calling.
                 if self.admission_open() {

@@ -20,11 +20,10 @@
 //! demand fetch, or to a diagnosable delta stall; never to a stale read.
 
 use super::{fan_out, DpaProc};
-use crate::fxmap::FxHashMap;
 use crate::invariant::NodeSnapshot;
 use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::PtrApp;
-use global_heap::{GPtr, ReplicaDirectory};
+use global_heap::{FxHashMap, GPtr, ReplicaDirectory};
 use sim_net::{Ctx, NodeId, NodeStats};
 
 /// What a node keeps for replication, both as owner and as consumer.

@@ -319,8 +319,9 @@ pub(crate) const NO_GEN: u32 = u32::MAX;
 /// label resolved to, so running it probes nothing.
 #[derive(Debug)]
 pub struct Tagged<W> {
-    /// Index of the owning top-level iteration.
-    pub iter: u32,
+    /// The owning top-level iteration's slot in its node's live-thread
+    /// counts (held while the iteration is open, then reused).
+    pub slot: u32,
     /// The generation renamed storage holds for the thread's label
     /// ([`WorkEnv::label_generation`]), `NO_GEN` if it holds none: written
     /// when the thread becomes ready — demanded with its object already

@@ -154,6 +154,42 @@ fn dropped_replies_stall_but_do_not_hang() {
     assert!(report.stats.dropped_packets > 0);
 }
 
+/// A caching node admits an iteration only once the last one is done, so
+/// the iteration it is blocked in is the one after all it completed —
+/// what its stall detail must name, deep into the loop.
+#[test]
+fn a_blocked_caching_node_names_its_open_iteration() {
+    let world = SynthWorld::build(params(4));
+    let opts = DstOptions {
+        faults: FaultPlan::drop_nth(300),
+        ..DstOptions::default()
+    };
+    let (report, _) = run_phase_dst(
+        4,
+        NetConfig::default(),
+        DpaConfig::caching(),
+        &opts,
+        |i| SynthApp::new(world.clone(), i, 800),
+        |_, _| {},
+    );
+    assert!(!report.completed, "the lost message must stall the run");
+    let blocked: Vec<&str> = report
+        .stalls
+        .iter()
+        .filter_map(|s| s.detail.as_deref())
+        .filter(|d| d.contains("blocked on"))
+        .collect();
+    assert!(!blocked.is_empty(), "{}", report.stall_summary());
+    for detail in blocked {
+        let done = detail
+            .strip_prefix("iters ")
+            .and_then(|rest| rest.split('/').next())
+            .expect("an iteration count");
+        assert_ne!(done, "0", "{detail}");
+        assert!(detail.contains(&format!("(iter {done})")), "{detail}");
+    }
+}
+
 /// Every single-phase entry shares one body, so the traced entry makes the
 /// same node-count check as the others.
 #[test]

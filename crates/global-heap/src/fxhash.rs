@@ -10,8 +10,8 @@
 //! rustc's `FxHashMap`): a few cycles per word and — unlike `RandomState` —
 //! the same function in every process.
 //!
-//! `dpa-core` re-exports these types as `dpa_core::fxmap`, so the whole
-//! runtime shares one definition.
+//! `dpa-core` imports these types from here, so the whole runtime shares
+//! one definition.
 //!
 //! Note that *iteration order* of a `HashMap` is still arbitrary under any
 //! hasher; code that iterates these maps must keep sorting (as
