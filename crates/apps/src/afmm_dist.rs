@@ -362,9 +362,7 @@ impl PtrApp for AfmmGatherApp {
                     world.solver.nodes[src as usize].center()
                         - world.solver.nodes[target as usize].center(),
                     world.solver.binomials(),
-                    self.locals
-                        .entry(target)
-                        .or_insert_with(|| Local::zero(p)),
+                    self.locals.entry(target).or_insert_with(|| Local::zero(p)),
                 );
                 self.m2l_count += 1;
                 env.charge(world.cost.m2l_ns(p));
@@ -372,14 +370,13 @@ impl PtrApp for AfmmGatherApp {
             GatherWork::X { target, src } => {
                 env.assert_readable(world.plist_ptr(src));
                 let pts = world.points_of(src);
-                let acc = self
-                    .locals
-                    .entry(target)
-                    .or_insert_with(|| Local::zero(p));
+                let acc = self.locals.entry(target).or_insert_with(|| Local::zero(p));
                 p2l_into(acc, &pts, world.solver.nodes[target as usize].center());
                 self.p2l_points += pts.len() as u64;
-                env.charge(world.cost.eval_term_ns * (p as u64) * pts.len() as u64
-                    + world.cost.work_fixed_ns);
+                env.charge(
+                    world.cost.eval_term_ns * (p as u64) * pts.len() as u64
+                        + world.cost.work_fixed_ns,
+                );
             }
         }
     }

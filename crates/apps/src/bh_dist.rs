@@ -222,13 +222,11 @@ impl BhWorld {
             }
             OwnerPolicy::CmRegion => {
                 // Owner of a position: which chunk its Morton rank falls in.
-                let codes: Vec<u64> =
-                    bodies.iter().map(|b| morton3(b.pos, lo, extent)).collect();
+                let codes: Vec<u64> = bodies.iter().map(|b| morton3(b.pos, lo, extent)).collect();
                 for (id, cell) in tree.iter() {
                     let code = morton3(cell.cm, lo, extent);
                     let rank = codes.partition_point(|&c| c < code);
-                    cell_owner[id as usize] =
-                        body_owner(rank.min(bodies.len() - 1) as u32);
+                    cell_owner[id as usize] = body_owner(rank.min(bodies.len() - 1) as u32);
                 }
             }
             OwnerPolicy::Builder => {
@@ -277,9 +275,12 @@ impl BhWorld {
                 (start, cell.bodies.len() as u32 | CellRec::LEAF)
             } else {
                 let start = child_ptrs.len();
-                child_ptrs.extend(cell.children.iter().filter(|&&c| c != NO_CELL).map(
-                    |&c| GPtr::new(cell_owner[c as usize], cell_class, c as u64),
-                ));
+                child_ptrs.extend(
+                    cell.children
+                        .iter()
+                        .filter(|&&c| c != NO_CELL)
+                        .map(|&c| GPtr::new(cell_owner[c as usize], cell_class, c as u64)),
+                );
                 (start, (child_ptrs.len() - start) as u32)
             };
             recs.push(CellRec {
@@ -311,7 +312,11 @@ impl BhWorld {
     /// Wire size of cell `id`: header + inline leaf bodies.
     pub fn cell_bytes(&self, id: u32) -> u32 {
         let rec = &self.recs[id as usize];
-        let inline = if rec.is_leaf() { rec.entries().len() as u32 } else { 0 };
+        let inline = if rec.is_leaf() {
+            rec.entries().len() as u32
+        } else {
+            0
+        };
         CELL_HEADER_BYTES + inline * INLINE_BODY_BYTES
     }
 
@@ -420,10 +425,7 @@ impl PtrApp for BhApp {
     fn start_iteration(&mut self, iter: usize, env: &mut WorkEnv<'_, BhVisit>) {
         let body = (self.base + iter) as u32;
         let root = self.world.tree.root();
-        env.demand(
-            self.world.cell_ptr(root),
-            BhVisit { body, cell: root },
-        );
+        env.demand(self.world.cell_ptr(root), BhVisit { body, cell: root });
     }
 
     fn run_work(&mut self, w: BhVisit, env: &mut WorkEnv<'_, BhVisit>) {
@@ -573,8 +575,7 @@ mod tests {
     fn leaf_bytes_include_inline_bodies() {
         let w = world(300, 2);
         for (id, cell) in w.tree.iter() {
-            let expect =
-                CELL_HEADER_BYTES + cell.bodies.len() as u32 * INLINE_BODY_BYTES;
+            let expect = CELL_HEADER_BYTES + cell.bodies.len() as u32 * INLINE_BODY_BYTES;
             assert_eq!(w.cell_bytes(id), expect);
         }
     }
@@ -671,7 +672,12 @@ mod tests {
         // Coincident bodies cannot be split: one leaf far over `leaf_cap`.
         let bodies = vec![Body::at(Vec3::new(0.1, 0.2, 0.3), 1.0); 300];
         let w = BhWorld::build(bodies, 2, 1, BhParams::default(), BhCost::default());
-        let deepest = w.recs.iter().filter(|r| r.is_leaf()).map(|r| r.entries().len()).max();
+        let deepest = w
+            .recs
+            .iter()
+            .filter(|r| r.is_leaf())
+            .map(|r| r.entries().len())
+            .max();
         assert_eq!(deepest, Some(300));
     }
 

@@ -586,7 +586,11 @@ mod tests {
         assert_eq!(merged.nodes[0].msgs_sent, 20);
         assert_eq!(merged.makespan, Time(200));
         assert_eq!(
-            (merged.dropped_packets, merged.duplicated_packets, merged.delayed_packets),
+            (
+                merged.dropped_packets,
+                merged.duplicated_packets,
+                merged.delayed_packets
+            ),
             (11, 22, 33)
         );
     }

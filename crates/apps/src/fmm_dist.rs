@@ -147,8 +147,7 @@ impl FmmWorld {
         for level in (0..levels).rev() {
             for b in solver.tree.boxes_at(level) {
                 box_count[b.dense_index()] = b
-                    .children
-                    ()
+                    .children()
                     .iter()
                     .map(|c| box_count[c.dense_index()])
                     .sum();
@@ -177,10 +176,12 @@ impl FmmWorld {
                 })
             })
             .collect();
-        roots.sort_by_key(|b| nbody::morton::morton2(
-            (b.x as f64 + 0.5) / (1u64 << part_level) as f64,
-            (b.y as f64 + 0.5) / (1u64 << part_level) as f64,
-        ));
+        roots.sort_by_key(|b| {
+            nbody::morton::morton2(
+                (b.x as f64 + 0.5) / (1u64 << part_level) as f64,
+                (b.y as f64 + 0.5) / (1u64 << part_level) as f64,
+            )
+        });
         let total_particles: u64 = (solver.zs.len() as u64).max(1);
         let mut root_owner: HashMap<BoxId, u16> = HashMap::new();
         let mut cum = 0u64;
@@ -386,7 +387,14 @@ impl M2lLocals {
         let rows = self.coeffs.chunks_exact(self.row);
         (self.boxes.iter().zip(&self.touched).zip(rows))
             .filter(|((_, &touched), _)| touched)
-            .map(|((&dense, _), row)| (dense, Local { coeffs: row.to_vec() }))
+            .map(|((&dense, _), row)| {
+                (
+                    dense,
+                    Local {
+                        coeffs: row.to_vec(),
+                    },
+                )
+            })
             .collect()
     }
 }

@@ -240,12 +240,7 @@ impl GraphWorld {
     fn gen_by_schedule(&self, phase: u32, v: u32) -> u32 {
         (1..=phase)
             .filter(|&b| {
-                Self::rewired(
-                    self.params.seed,
-                    self.params.rewire_permille,
-                    b,
-                    v as usize,
-                )
+                Self::rewired(self.params.seed, self.params.rewire_permille, b, v as usize)
             })
             .count() as u32
     }
@@ -670,7 +665,9 @@ mod tests {
             out
         };
         let mut rng = Rng::new(params.seed);
-        let mut adj = vec![(0..params.n).map(|v| sample_list(&mut rng, v)).collect::<Vec<_>>()];
+        let mut adj = vec![(0..params.n)
+            .map(|v| sample_list(&mut rng, v))
+            .collect::<Vec<_>>()];
         for b in 1..params.phases.max(1) {
             let mut next = adj[b as usize - 1].clone();
             for (v, list) in next.iter_mut().enumerate() {
@@ -708,7 +705,11 @@ mod tests {
             for phase in 0..params.phases + 2 {
                 let lists = &adj[(phase as usize).min(adj.len() - 1)];
                 for v in 0..params.n as u32 {
-                    assert_eq!(w.out(phase, v), &lists[v as usize][..], "case {case}: out({phase}, {v})");
+                    assert_eq!(
+                        w.out(phase, v),
+                        &lists[v as usize][..],
+                        "case {case}: out({phase}, {v})"
+                    );
                     assert_eq!(
                         w.gen_at(phase, v),
                         w.gen_by_schedule(phase, v),
@@ -723,7 +724,11 @@ mod tests {
             }
             for v in 0..params.n as u32 {
                 let owner = w.splits.partition_point(|&s| s <= v as usize) - 1;
-                assert_eq!(w.vptr(v), GPtr::new(owner as u16, w.vclass, v as u64), "case {case}");
+                assert_eq!(
+                    w.vptr(v),
+                    GPtr::new(owner as u16, w.vclass, v as u64),
+                    "case {case}"
+                );
                 assert_eq!(w.vertex_bytes(v), 16 + 4 * adj[0][v as usize].len() as u32);
             }
         }
@@ -755,7 +760,11 @@ mod tests {
                         stack.extend(w.out(phase, v).iter().copied().filter(|&t| seen.insert(t)));
                     }
                 }
-                assert_eq!(w.expected(phase, node), (sum, reached), "phase {phase} node {node}");
+                assert_eq!(
+                    w.expected(phase, node),
+                    (sum, reached),
+                    "phase {phase} node {node}"
+                );
             }
         }
     }
@@ -822,15 +831,21 @@ mod tests {
     fn try_build_rejects_bad_configs() {
         let p = small();
         assert_eq!(
-            GraphWorld::try_build(GraphParams { nodes: 0, ..p }).err().expect("config must be rejected"),
+            GraphWorld::try_build(GraphParams { nodes: 0, ..p })
+                .err()
+                .expect("config must be rejected"),
             WorldError::NoNodes
         );
         assert_eq!(
-            GraphWorld::try_build(GraphParams { n: 0, ..p }).err().expect("config must be rejected"),
+            GraphWorld::try_build(GraphParams { n: 0, ..p })
+                .err()
+                .expect("config must be rejected"),
             WorldError::Empty { what: "vertices" }
         );
         assert_eq!(
-            GraphWorld::try_build(GraphParams { n: 3, ..p }).err().expect("config must be rejected"),
+            GraphWorld::try_build(GraphParams { n: 3, ..p })
+                .err()
+                .expect("config must be rejected"),
             WorldError::TooFewElements {
                 what: "vertices",
                 have: 3,

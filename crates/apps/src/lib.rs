@@ -41,11 +41,11 @@ pub mod relax;
 pub mod setops_dist;
 
 pub use afmm_dist::{AEvalWork, AfmmEvalApp, AfmmGatherApp, AfmmWorld, GatherWork};
-pub use error::WorldError;
 pub use bh_dist::{BhApp, BhCost, BhVisit, BhWorld, OwnerPolicy};
 pub use driver::{
     run_afmm, run_bh, run_fmm, run_graph, run_relax, run_setops, run_synth, Digest, Phases, Run,
 };
+pub use error::WorldError;
 pub use fmm_dist::{EvalWork, FmmCost, FmmEvalApp, FmmM2lApp, FmmWorld, M2lWork};
 pub use graph_dist::{GraphApp, GraphCost, GraphParams, GraphWorld, Visit};
 pub use relax::{Push, RelaxApp, RelaxCost, RelaxWorld, Vertex};

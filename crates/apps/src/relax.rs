@@ -102,9 +102,7 @@ impl RelaxWorld {
             });
         }
         let splits = nbody::morton::even_splits(n, nodes as usize);
-        let owner_of = |v: usize| -> usize {
-            splits.partition_point(|&s| s <= v) - 1
-        };
+        let owner_of = |v: usize| -> usize { splits.partition_point(|&s| s <= v) - 1 };
         let mut rng = Rng::new(seed);
         let mut vertices = Vec::with_capacity(n);
         for u in 0..n {
@@ -229,8 +227,7 @@ impl PtrApp for RelaxApp {
         let world = &*self.world;
         let ptr = world.vptr(w.v);
         env.assert_readable(ptr);
-        let contribution =
-            world.vertices[w.u as usize].x * world.vertices[w.v as usize].w;
+        let contribution = world.vertices[w.u as usize].x * world.vertices[w.v as usize].w;
         env.charge(world.cost.edge_ns);
         self.pushes += 1;
         env.accumulate(ptr, contribution);
@@ -272,15 +269,21 @@ mod tests {
     #[test]
     fn try_build_rejects_bad_configs() {
         assert_eq!(
-            RelaxWorld::try_build(100, 0, 3, 0.5, 1).err().expect("config must be rejected"),
+            RelaxWorld::try_build(100, 0, 3, 0.5, 1)
+                .err()
+                .expect("config must be rejected"),
             WorldError::NoNodes
         );
         assert_eq!(
-            RelaxWorld::try_build(0, 4, 3, 0.5, 1).err().expect("config must be rejected"),
+            RelaxWorld::try_build(0, 4, 3, 0.5, 1)
+                .err()
+                .expect("config must be rejected"),
             WorldError::Empty { what: "vertices" }
         );
         assert_eq!(
-            RelaxWorld::try_build(3, 4, 3, 0.5, 1).err().expect("config must be rejected"),
+            RelaxWorld::try_build(3, 4, 3, 0.5, 1)
+                .err()
+                .expect("config must be rejected"),
             WorldError::TooFewElements {
                 what: "vertices",
                 have: 3,

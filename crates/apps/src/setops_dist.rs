@@ -515,15 +515,20 @@ impl PtrApp for SetopsApp {
         env.charge(world.cost.op_ns);
         match world.batch(self.me)[iter] {
             SetOp::Insert(k) => env.accumulate(world.bptr(world.bucket_of(k)), (k + 1) as f64),
-            SetOp::Delete(k) => {
-                env.accumulate(world.bptr(world.bucket_of(k)), -((k + 1) as f64))
-            }
+            SetOp::Delete(k) => env.accumulate(world.bptr(world.bucket_of(k)), -((k + 1) as f64)),
             // An empty range (a query placed on a trailing empty bucket)
             // covers no bucket.
             SetOp::Range(lo, hi) if lo >= hi => {}
             SetOp::Range(lo, hi) => {
                 for b in world.bucket_of(lo)..=world.bucket_of(hi - 1) {
-                    env.demand(world.bptr(b), Probe { lo, hi, b: b as u32 });
+                    env.demand(
+                        world.bptr(b),
+                        Probe {
+                            lo,
+                            hi,
+                            b: b as u32,
+                        },
+                    );
                 }
             }
         }
@@ -608,7 +613,10 @@ mod tests {
 
     #[test]
     fn range_queries_skew_toward_node0_buckets() {
-        let w = SetopsWorld::build(SetopsParams { ops_per_node: 200, ..small() });
+        let w = SetopsWorld::build(SetopsParams {
+            ops_per_node: 200,
+            ..small()
+        });
         let mut hits = vec![0u64; 4];
         for node in 0..4 {
             for op in w.batch(node) {
@@ -644,20 +652,36 @@ mod tests {
     fn try_build_rejects_bad_configs() {
         let p = small();
         assert_eq!(
-            SetopsWorld::try_build(SetopsParams { nodes: 0, ..p }).err().expect("config must be rejected"),
+            SetopsWorld::try_build(SetopsParams { nodes: 0, ..p })
+                .err()
+                .expect("config must be rejected"),
             WorldError::NoNodes
         );
         assert_eq!(
-            SetopsWorld::try_build(SetopsParams { buckets: 0, ..p }).err().expect("config must be rejected"),
+            SetopsWorld::try_build(SetopsParams { buckets: 0, ..p })
+                .err()
+                .expect("config must be rejected"),
             WorldError::Empty { what: "buckets" }
         );
         assert_eq!(
-            SetopsWorld::try_build(SetopsParams { buckets: 3, ..p }).err().expect("config must be rejected"),
-            WorldError::TooFewElements { what: "buckets", have: 3, nodes: 4 }
+            SetopsWorld::try_build(SetopsParams { buckets: 3, ..p })
+                .err()
+                .expect("config must be rejected"),
+            WorldError::TooFewElements {
+                what: "buckets",
+                have: 3,
+                nodes: 4
+            }
         );
         assert_eq!(
-            SetopsWorld::try_build(SetopsParams { universe: 64, ..p }).err().expect("config must be rejected"),
-            WorldError::TooFewElements { what: "keys", have: 64, nodes: 4 }
+            SetopsWorld::try_build(SetopsParams { universe: 64, ..p })
+                .err()
+                .expect("config must be rejected"),
+            WorldError::TooFewElements {
+                what: "keys",
+                have: 64,
+                nodes: 4
+            }
         );
     }
 
@@ -668,7 +692,12 @@ mod tests {
     fn try_build_rejects_a_universe_beyond_u32_keys() {
         for universe in [1 << 32, 1 << 40, u64::MAX] {
             assert_eq!(
-                SetopsWorld::try_build(SetopsParams { universe, ..small() }).err().expect("config must be rejected"),
+                SetopsWorld::try_build(SetopsParams {
+                    universe,
+                    ..small()
+                })
+                .err()
+                .expect("config must be rejected"),
                 WorldError::UniverseTooLarge { universe }
             );
         }
@@ -679,11 +708,24 @@ mod tests {
     /// at key 96.
     #[test]
     fn try_build_rejects_a_node_beyond_the_universe() {
-        let p = SetopsParams { universe: 65, buckets: 64, nodes: 4, ops_per_node: 8, ..small() };
-        let err = SetopsWorld::try_build(p).err().expect("config must be rejected");
+        let p = SetopsParams {
+            universe: 65,
+            buckets: 64,
+            nodes: 4,
+            ops_per_node: 8,
+            ..small()
+        };
+        let err = SetopsWorld::try_build(p)
+            .err()
+            .expect("config must be rejected");
         assert_eq!(
             err,
-            WorldError::NodeBeyondUniverse { node: 3, first_bucket: 48, bucket_width: 2, universe: 65 }
+            WorldError::NodeBeyondUniverse {
+                node: 3,
+                first_bucket: 48,
+                bucket_width: 2,
+                universe: 65
+            }
         );
         assert!(SetopsWorld::try_build(SetopsParams { universe: 96, ..p }).is_err());
     }
@@ -726,13 +768,27 @@ mod tests {
     /// deleted key is absent, else initial membership).
     #[test]
     fn fold_and_oracle_match_their_scanning_definitions() {
-        let w = SetopsWorld::build(SetopsParams { universe: 1000, buckets: 48, ..small() });
+        let w = SetopsWorld::build(SetopsParams {
+            universe: 1000,
+            buckets: 48,
+            ..small()
+        });
         let scan = |lo: u64, hi: u64| {
-            (lo..hi).filter(|&k| w.initially_present(k)).fold((0u64, 0u64), |(n, s), k| {
-                (n + 1, s.wrapping_add(key_stamp(k)))
-            })
+            (lo..hi)
+                .filter(|&k| w.initially_present(k))
+                .fold((0u64, 0u64), |(n, s), k| {
+                    (n + 1, s.wrapping_add(key_stamp(k)))
+                })
         };
-        for (lo, hi) in [(0, 0), (0, 1000), (1000, 1000), (63, 65), (64, 128), (5, 6), (130, 999)] {
+        for (lo, hi) in [
+            (0, 0),
+            (0, 1000),
+            (1000, 1000),
+            (63, 65),
+            (64, 128),
+            (5, 6),
+            (130, 999),
+        ] {
             assert_eq!(w.fold(lo, hi), scan(lo, hi), "fold({lo}, {hi})");
         }
         let (mut inserted, mut deleted) = (Vec::new(), Vec::new());
@@ -765,15 +821,25 @@ mod tests {
         let w = SetopsWorld::build(small());
         let mut app = SetopsApp::new(w.clone(), 1);
         let keys = w.key_range(w.bucket_range(1).start);
-        let present = keys.clone().find(|&k| w.initially_present(k)).expect("a member");
-        let absent = keys.clone().find(|&k| !w.initially_present(k)).expect("a non-member");
+        let present = keys
+            .clone()
+            .find(|&k| w.initially_present(k))
+            .expect("a member");
+        let absent = keys
+            .clone()
+            .find(|&k| !w.initially_present(k))
+            .expect("a non-member");
         let initial = app.final_digest();
         let update = |app: &mut SetopsApp, k: u64, sign: f64| {
             app.apply_update(w.bptr(w.bucket_of(k)), sign * (k + 1) as f64);
         };
         update(&mut app, present, 1.0);
         update(&mut app, absent, -1.0);
-        assert_eq!(app.final_digest(), initial, "no-op mutations moved the digest");
+        assert_eq!(
+            app.final_digest(),
+            initial,
+            "no-op mutations moved the digest"
+        );
         update(&mut app, absent, 1.0);
         assert!(app.contains(absent));
         assert_eq!(app.final_digest(), initial.wrapping_add(key_stamp(absent)));
@@ -853,7 +919,10 @@ mod tests {
                 }
             }
         }
-        assert!(any_flip, "batch never changes membership — oracle untestable");
+        assert!(
+            any_flip,
+            "batch never changes membership — oracle untestable"
+        );
         // The final digest differs from the initial digest somewhere.
         let initial_digest: Vec<u64> = (0..4u16)
             .map(|node| {
@@ -869,6 +938,9 @@ mod tests {
             })
             .collect();
         let moved = (0..4u16).any(|n| w.expected(n).1 != initial_digest[n as usize]);
-        assert!(moved, "applying the batch left every node's digest unchanged");
+        assert!(
+            moved,
+            "applying the batch left every node's digest unchanged"
+        );
     }
 }

@@ -72,8 +72,16 @@ fn all_variants_agree() {
     ] {
         let label = cfg.describe();
         let run = run_afmm(&w, cfg, NetConfig::default());
-        assert_eq!(run.counter("m2l_count"), reference.counter("m2l_count"), "{label}");
-        assert_eq!(run.counter("p2p_pairs"), reference.counter("p2p_pairs"), "{label}");
+        assert_eq!(
+            run.counter("m2l_count"),
+            reference.counter("m2l_count"),
+            "{label}"
+        );
+        assert_eq!(
+            run.counter("p2p_pairs"),
+            reference.counter("p2p_pairs"),
+            "{label}"
+        );
         let err = max_rel_err(&run.fields(), &reference.fields());
         assert!(err < 1e-9, "{label}: worst rel err {err}");
     }
@@ -110,9 +118,13 @@ fn adaptive_beats_uniform_on_clusters_in_simulated_time() {
         nbody::fmm::FmmParams { terms: 12, levels },
         FmmCost::default(),
     );
-    let t_uniform =
-        apps::driver::run_fmm(&uw, DpaConfig::dpa(50), NetConfig::default(), &DstOptions::default())
-            .makespan_ns();
+    let t_uniform = apps::driver::run_fmm(
+        &uw,
+        DpaConfig::dpa(50),
+        NetConfig::default(),
+        &DstOptions::default(),
+    )
+    .makespan_ns();
 
     assert!(
         t_adaptive * 2 < t_uniform,

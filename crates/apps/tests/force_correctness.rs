@@ -93,7 +93,14 @@ fn bh_bits_are_pinned() {
         change_permille: 200,
         phase: 0,
     };
-    type Pin = (&'static str, Vec<nbody::body::Body>, u16, usize, usize, [u64; 3]);
+    type Pin = (
+        &'static str,
+        Vec<nbody::body::Body>,
+        u16,
+        usize,
+        usize,
+        [u64; 3],
+    );
     let pins: [Pin; 2] = [
         (
             "plummer",
@@ -101,7 +108,11 @@ fn bh_bits_are_pinned() {
             4,
             1,
             50,
-            [0xa573_4130_a65e_4a3b, 0x4830_4445_c869_ebbb, 0x1d5b_ba6a_3c32_85c5],
+            [
+                0xa573_4130_a65e_4a3b,
+                0x4830_4445_c869_ebbb,
+                0x1d5b_ba6a_3c32_85c5,
+            ],
         ),
         (
             "uniform",
@@ -109,11 +120,21 @@ fn bh_bits_are_pinned() {
             3,
             4,
             8,
-            [0xe265_4ae8_0e99_ce7a, 0xd366_147b_d9f2_a34d, 0x57d4_41c1_40c5_4107],
+            [
+                0xe265_4ae8_0e99_ce7a,
+                0xd366_147b_d9f2_a34d,
+                0x57d4_41c1_40c5_4107,
+            ],
         ),
     ];
     for (name, bodies, nodes, leaf_cap, strip, want) in pins {
-        let world = BhWorld::build(bodies, nodes, leaf_cap, BhParams::default(), BhCost::default());
+        let world = BhWorld::build(
+            bodies,
+            nodes,
+            leaf_cap,
+            BhParams::default(),
+            BhCost::default(),
+        );
         let run = run_bh(&world, DpaConfig::dpa(strip), NetConfig::default());
         let steps = apps::driver::run_bh(
             &world,
@@ -134,7 +155,10 @@ fn bh_bits_are_pinned() {
             run.counter("interaction_hash"),
             hashes.iter().fold(0u64, |acc, &h| acc.rotate_left(7) ^ h),
         ];
-        assert_eq!(got, want, "{name}: accel / hash / diff digests {got:#018x?}");
+        assert_eq!(
+            got, want,
+            "{name}: accel / hash / diff digests {got:#018x?}"
+        );
     }
 }
 
@@ -224,8 +248,16 @@ fn fmm_all_variants_agree() {
         let label = cfg.describe();
         eprintln!("running variant {label}");
         let run = run_fmm(&world, cfg, NetConfig::default());
-        assert_eq!(run.counter("m2l_count"), reference.counter("m2l_count"), "{label}");
-        assert_eq!(run.counter("p2p_pairs"), reference.counter("p2p_pairs"), "{label}");
+        assert_eq!(
+            run.counter("m2l_count"),
+            reference.counter("m2l_count"),
+            "{label}"
+        );
+        assert_eq!(
+            run.counter("p2p_pairs"),
+            reference.counter("p2p_pairs"),
+            "{label}"
+        );
         let mut worst = 0.0f64;
         for (a, b) in run.fields().iter().zip(&reference.fields()) {
             worst = worst.max((*a - *b).abs() / b.abs().max(1e-12));

@@ -51,8 +51,8 @@
 use apps::driver::{run_synth, Phases, Run};
 use bench::cli::{Args, Scale};
 use bench::dst::{
-    agg_factors, check_run, corpus_write, plan_for, replay, resolve, run_one, schedule_seed, Worlds,
-    ALL_PLANS, CORPUS_DIR, SMOKE_PLANS, WORKLOADS,
+    agg_factors, check_run, corpus_write, plan_for, replay, resolve, run_one, schedule_seed,
+    Worlds, ALL_PLANS, CORPUS_DIR, SMOKE_PLANS, WORKLOADS,
 };
 use bench::{json, write_result, RESULTS_DIR};
 use dpa_core::invariant::{check_completed, check_conservation, NodeSnapshot};
@@ -95,18 +95,20 @@ fn demo_lost_reply(w: &Worlds) -> Option<String> {
         for s in &report.stalls {
             println!("    {s}");
         }
-        let named = report
-            .stalls
-            .iter()
-            .any(|s| s.detail.as_deref().is_some_and(|d| d.contains("stuck on [GPtr(")));
+        let named = report.stalls.iter().any(|s| {
+            s.detail
+                .as_deref()
+                .is_some_and(|d| d.contains("stuck on [GPtr("))
+        });
         if !named {
-            return Some(
-                "lost-reply stall did not name the stuck pending request".to_string(),
-            );
+            return Some("lost-reply stall did not name the stuck pending request".to_string());
         }
         let conserved = check_conservation(&run.snaps[0]);
         if !conserved.is_empty() {
-            return Some(format!("conservation broken in stalled run: {}", conserved[0]));
+            return Some(format!(
+                "conservation broken in stalled run: {}",
+                conserved[0]
+            ));
         }
         return None;
     }
@@ -194,9 +196,17 @@ pub fn run(args: &Args) -> io::Result<i32> {
                     row.violations += violations.len() as u64;
                     let dir = Path::new(CORPUS_DIR);
                     if let Err(e) = corpus_write(dir, workload, seed, plan_name, &violations) {
-                        eprintln!("  error: corpus case not written under {}: {e}", dir.display());
+                        eprintln!(
+                            "  error: corpus case not written under {}: {e}",
+                            dir.display()
+                        );
                     }
-                    failures.push((workload.to_string(), seed, plan_name.to_string(), violations));
+                    failures.push((
+                        workload.to_string(),
+                        seed,
+                        plan_name.to_string(),
+                        violations,
+                    ));
                 }
                 row_snaps.extend(out.snaps);
             }
@@ -204,8 +214,15 @@ pub fn run(args: &Args) -> io::Result<i32> {
             println!(
                 "{:14} {:6} runs {:3}  completed {:3}  stalled {:3}  violations {}  \
                  agg req/reply/upd {:.2}/{:.2}/{:.2}",
-                row.workload, row.plan, row.runs, row.completed, row.stalled, row.violations,
-                row.agg.0, row.agg.1, row.agg.2
+                row.workload,
+                row.plan,
+                row.runs,
+                row.completed,
+                row.stalled,
+                row.violations,
+                row.agg.0,
+                row.agg.1,
+                row.agg.2
             );
             rows.push(row);
         }

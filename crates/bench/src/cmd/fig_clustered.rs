@@ -110,7 +110,11 @@ pub fn run(args: &Args) -> io::Result<i32> {
     }
     // The adaptive FMM (SPLASH-2's actual algorithm) on the same inputs.
     println!("\n== Adaptive FMM on the same inputs ==");
-    for (label, clusters) in [("uniform input   ", None), ("8 clusters      ", Some(8)), ("3 clusters      ", Some(3))] {
+    for (label, clusters) in [
+        ("uniform input   ", None),
+        ("8 clusters      ", Some(8)),
+        ("3 clusters      ", Some(3)),
+    ] {
         let bodies = match clusters {
             None => uniform_square(n, SEED),
             Some(k) => clustered_square(n, k, SEED),

@@ -88,7 +88,10 @@ pub fn run(args: &Args) -> io::Result<i32> {
         } else {
             "Blocking"
         };
-        println!("  {:<8.2} {dpa:>10.2} {cache:>10.2} {block:>10.2}  {winner}", remote);
+        println!(
+            "  {:<8.2} {dpa:>10.2} {cache:>10.2} {block:>10.2}  {winner}",
+            remote
+        );
     }
 
     println!("\n== Crossover: time (ms) vs shared fraction (remote = 0.4) ==");

@@ -14,18 +14,34 @@ use dpa_core::DpaConfig;
 use sim_net::RunStats;
 use std::io;
 
-fn print_runtime_rows(app: &str, strip: usize, s: &RunStats, points: &mut Vec<ExpPoint>, p: u16, ns: u64) {
+fn print_runtime_rows(
+    app: &str,
+    strip: usize,
+    s: &RunStats,
+    points: &mut Vec<ExpPoint>,
+    p: u16,
+    ns: u64,
+) {
     let row = |k: &str, v: u64| println!("    {k:<28} {v:>12}");
     println!("  {app} (strip {strip}, P = {p}):");
     row("threads created", s.user_total("threads_created"));
     row("threads aligned (total)", s.user_total("threads_aligned"));
-    row("max aligned threads/node", s.user_max("peak_aligned_threads"));
+    row(
+        "max aligned threads/node",
+        s.user_max("peak_aligned_threads"),
+    );
     row("max map keys/node", s.user_max("peak_map_keys"));
-    row("max outstanding reqs/node", s.user_max("peak_pending_requests"));
+    row(
+        "max outstanding reqs/node",
+        s.user_max("peak_pending_requests"),
+    );
     row("requests issued", s.user_total("requests_issued"));
     row("request messages", s.user_total("request_msgs"));
     row("reply messages", s.user_total("reply_msgs"));
-    row("thread-state peak bytes/node", s.user_max("thread_state_peak_bytes"));
+    row(
+        "thread-state peak bytes/node",
+        s.user_max("thread_state_peak_bytes"),
+    );
     row("renamed peak bytes/node", s.user_max("renamed_peak_bytes"));
     for (path, entries, msgs) in [
         ("request", "request_entries", "request_msgs"),

@@ -331,7 +331,11 @@ pub fn fingerprint(o: &Outcome) -> (bool, u64, String, String, String) {
 /// Network config for a run: jitter only when the schedule is perturbed.
 pub fn net_for(opts: &DstOptions) -> NetConfig {
     NetConfig {
-        jitter_ns: if opts.schedule_seed.is_some() { JITTER_NS } else { 0 },
+        jitter_ns: if opts.schedule_seed.is_some() {
+            JITTER_NS
+        } else {
+            0
+        },
         ..NetConfig::default()
     }
 }
@@ -455,7 +459,11 @@ pub fn check_run(plan_name: &str, baseline: &Digest, out: &Outcome) -> Vec<Strin
 /// that sent no messages reports 0.
 pub fn agg_factors(snaps: &[NodeSnapshot]) -> (f64, f64, f64) {
     let ratio = |entries: u64, msgs: u64| {
-        if msgs == 0 { 0.0 } else { entries as f64 / msgs as f64 }
+        if msgs == 0 {
+            0.0
+        } else {
+            entries as f64 / msgs as f64
+        }
     };
     let sum = |f: &dyn Fn(&NodeSnapshot) -> u64| snaps.iter().map(f).sum::<u64>();
     (
@@ -484,7 +492,9 @@ pub fn corpus_write(
         "#   cargo run --release -p bench -- dst --replay {}\n",
         dir.join(&file).display()
     ));
-    body.push_str(&format!("workload = {workload}\nseed = {seed}\nplan = {plan}\n"));
+    body.push_str(&format!(
+        "workload = {workload}\nseed = {seed}\nplan = {plan}\n"
+    ));
     for v in violations {
         body.push_str(&format!("# violation: {v}\n"));
     }
@@ -609,7 +619,10 @@ mod tests {
         corpus_write(&dir, "synth", 3, "drop", &violations).expect("a writable directory");
         let case = dir.join("synth-s3-drop.case");
         let body = std::fs::read_to_string(&case).unwrap();
-        assert!(body.contains("workload = synth\nseed = 3\nplan = drop\n"), "{body}");
+        assert!(
+            body.contains("workload = synth\nseed = 3\nplan = drop\n"),
+            "{body}"
+        );
         assert!(body.contains("# violation: lost an update\n"), "{body}");
         // A file where the corpus directory should be.
         let err = corpus_write(&case, "synth", 3, "drop", &violations);

@@ -12,9 +12,9 @@ use apps::setops_dist::{SetOp, SetopsParams, SetopsWorld};
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa_core::{DpaConfig, DpaProc, DstOptions, PointerMap, PtrApp, SeqChannel, WorkEnv};
 use fastmsg::{ByteCoalescer, Coalescer};
+use global_heap::{GPtr, ObjClass};
 use nbody::bh::BhParams;
 use nbody::cx::{Binomials, Cx};
-use global_heap::{GPtr, ObjClass};
 use nbody::distrib::{plummer, uniform_square};
 use nbody::fmm::{m2l_into, FmmParams, FmmSolver, Local, Multipole};
 use nbody::quadtree::BoxId;
@@ -353,7 +353,13 @@ fn live_count_window_follows_the_strip_not_the_loop_length() {
         ..SynthParams::default()
     });
     let procs = (0..2)
-        .map(|i| DpaProc::new(SynthApp::new(world.clone(), i, world.work_ns), 2, DpaConfig::dpa(8)))
+        .map(|i| {
+            DpaProc::new(
+                SynthApp::new(world.clone(), i, world.work_ns),
+                2,
+                DpaConfig::dpa(8),
+            )
+        })
         .collect();
     let mut machine = Machine::new(procs, NetConfig::default());
     assert!(machine.run().completed, "synth phase stalled");
@@ -409,20 +415,35 @@ fn align_release_cycles_allocate_nothing_once_the_slab_is_warm() {
 /// fetched pointer in M the same phase allocated six times as often.
 #[test]
 fn a_bh16_shaped_phase_allocates_at_most_16_times_per_kevent() {
-    let world = BhWorld::build(plummer(16_384, 1997), 16, 1, BhParams::default(), BhCost::default());
+    let world = BhWorld::build(
+        plummer(16_384, 1997),
+        16,
+        1,
+        BhParams::default(),
+        BhCost::default(),
+    );
     let opts = DstOptions {
         queue: QueueKind::Wheel,
         ..DstOptions::default()
     };
     let mut events = 0;
     let (allocs, _) = traffic(|| {
-        let run = run_bh(&world, DpaConfig::dpa(50), NetConfig::default(), &opts, Phases::ONE);
+        let run = run_bh(
+            &world,
+            DpaConfig::dpa(50),
+            NetConfig::default(),
+            &opts,
+            Phases::ONE,
+        );
         assert!(run.completed(), "BH phase stalled");
         events = run.reports[0].events_processed;
         black_box(run);
     });
     assert!(events > 100_000, "{events} events");
-    assert!(allocs * 1_000 <= 16 * events, "{allocs} allocations in {events} events");
+    assert!(
+        allocs * 1_000 <= 16 * events,
+        "{allocs} allocations in {events} events"
+    );
 }
 
 /// Neither FMM sub-phase allocates per thread: interaction and neighbour
@@ -436,7 +457,10 @@ fn fmm_m2l_and_eval_phases_allocate_nothing_per_thread() {
     let bodies = uniform_square(4_000, 23);
     let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
     let qs: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
-    let params = FmmParams { terms: 8, levels: 5 };
+    let params = FmmParams {
+        terms: 8,
+        levels: 5,
+    };
     let world = FmmWorld::build(zs, qs, 1, params, FmmCost::default());
     // One node: every object is local, so the run is the app's code and
     // the ready stack, nothing else.
@@ -450,10 +474,16 @@ fn fmm_m2l_and_eval_phases_allocate_nothing_per_thread() {
         (allocs, report.stats.user_total("threads_created"), machine)
     }
     let (allocs, threads, machine) = run(FmmM2lApp::new(world.clone(), 0));
-    assert!(threads > 20_000 && allocs <= 40, "M2L: {allocs} allocations, {threads} threads");
+    assert!(
+        threads > 20_000 && allocs <= 40,
+        "M2L: {allocs} allocations, {threads} threads"
+    );
     let partials = machine.proc(NodeId(0)).app().locals.clone();
     let (allocs, threads, _) = run(FmmEvalApp::new(world.clone(), 0, partials));
-    assert!(threads > 5_000 && allocs <= 60, "eval: {allocs} allocations, {threads} threads");
+    assert!(
+        threads > 5_000 && allocs <= 60,
+        "eval: {allocs} allocations, {threads} threads"
+    );
 }
 
 /// The flush path in steady state never touches the allocator: bursts to
@@ -483,7 +513,10 @@ fn byte_coalescer_flush_cycle_allocates_nothing_once_warm() {
                 in_flight.extend(coal.push(dst, (round, 1.5), 2_048, now));
             }
         }
-        assert!(coal.pop_due(now + DEADLINE - 1, DEADLINE).is_none(), "nothing is due yet");
+        assert!(
+            coal.pop_due(now + DEADLINE - 1, DEADLINE).is_none(),
+            "nothing is due yet"
+        );
         let before = in_flight.len();
         while let Some((_, batch)) = coal.pop_due(now + DEADLINE, DEADLINE) {
             in_flight.push(batch);
@@ -710,14 +743,26 @@ fn a_setops_run_allocates_identically_twice() {
 /// position copies, the live-thread counts).
 #[test]
 fn a_bh_run_allocates_identically_twice() {
-    let world = BhWorld::build(plummer(600, 11), 4, 1, BhParams::default(), BhCost::default());
+    let world = BhWorld::build(
+        plummer(600, 11),
+        4,
+        1,
+        BhParams::default(),
+        BhCost::default(),
+    );
     let opts = DstOptions {
         queue: QueueKind::Wheel,
         ..DstOptions::default()
     };
     let once = || {
         traffic(|| {
-            let run = run_bh(&world, DpaConfig::dpa(50), NetConfig::default(), &opts, Phases::ONE);
+            let run = run_bh(
+                &world,
+                DpaConfig::dpa(50),
+                NetConfig::default(),
+                &opts,
+                Phases::ONE,
+            );
             assert!(run.completed(), "BH phase stalled");
             black_box(run);
         })

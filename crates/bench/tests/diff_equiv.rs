@@ -114,7 +114,10 @@ fn differential_matches_from_scratch_smoke() {
             compared += check_cell(&w, workload, plan, 1, &truth);
         }
     }
-    assert!(compared >= 14, "smoke subset shrank to {compared} comparisons");
+    assert!(
+        compared >= 14,
+        "smoke subset shrank to {compared} comparisons"
+    );
 }
 
 /// The full matrix: both `-diff` workloads × all 5 fault plans × 8 seeds.

@@ -36,7 +36,8 @@ fn opts(plan: &str, seed: u64, queue: QueueKind) -> DstOptions {
 /// Run `workload` under `plan`/`seed` on the shadow heap and on the wheel,
 /// asserting bit-identity. Returns the number of comparisons made (1).
 fn check_case(w: &Worlds, workload: &str, plan: &str, seed: u64) -> usize {
-    let want = fingerprint(&run_one(w, workload, &opts(plan, seed, QueueKind::ShadowHeap)).unwrap());
+    let want =
+        fingerprint(&run_one(w, workload, &opts(plan, seed, QueueKind::ShadowHeap)).unwrap());
     let got = fingerprint(&run_one(w, workload, &opts(plan, seed, QueueKind::Wheel)).unwrap());
     assert_eq!(
         got, want,
@@ -65,7 +66,10 @@ fn queues_bit_identical_smoke() {
             }
         }
     }
-    assert!(checked >= 60, "smoke subset shrank to {checked} comparisons");
+    assert!(
+        checked >= 60,
+        "smoke subset shrank to {checked} comparisons"
+    );
 }
 
 /// The full matrix: every workload × every fault plan × 8 seeds. 440

@@ -79,7 +79,10 @@ fn burst_10x_sheds_structurally_and_leaks_nothing() {
         }
         // The bounded queue can never grow past its cap, mid-burst included.
         let (qi, qb, busy) = svc.load();
-        assert!(qi <= cfg.queue_cap && qb <= cfg.queue_cap, "depth {qi}/{qb} over cap");
+        assert!(
+            qi <= cfg.queue_cap && qb <= cfg.queue_cap,
+            "depth {qi}/{qb} over cap"
+        );
         assert!(busy <= cfg.shards);
     }
     assert!(shed > 0, "a 10x burst over a 2-shard pool must shed load");
@@ -105,7 +108,11 @@ fn burst_10x_sheds_structurally_and_leaks_nothing() {
     }
 
     let report = svc.shutdown();
-    assert_eq!(report.jobs.len() as u64, accepted, "every accepted job reported");
+    assert_eq!(
+        report.jobs.len() as u64,
+        accepted,
+        "every accepted job reported"
+    );
 
     // Structured log invariants: conservation and bounded depth.
     let conservation = check_conservation(&report.log);
@@ -220,9 +227,15 @@ fn wall_budget_reaps_mid_run_and_bills_the_overrun() {
         .iter()
         .find(|j| j.job == first)
         .expect("reaped job reported, not leaked");
-    assert!(j.report.budget_exhausted, "1ns wall budget must reap the run mid-flight");
+    assert!(
+        j.report.budget_exhausted,
+        "1ns wall budget must reap the run mid-flight"
+    );
     assert!(!j.report.completed, "a reaped run is not a completed run");
-    assert!(j.report.sim_events > 0, "phase 0 runs before the boundary check can reap");
+    assert!(
+        j.report.sim_events > 0,
+        "phase 0 runs before the boundary check can reap"
+    );
     assert!(j.report.wall_ns > 0, "the shard's clock bills the overrun");
 
     // Every accepted job was reaped (none could finish inside 1ns), all
@@ -310,7 +323,11 @@ fn paced_mix(jobs: usize, workloads: &[&str]) {
         let interactive = rng.chance(if tenant.0 < 2 { 0.8 } else { 0.2 });
         let spec = JobSpec {
             tenant,
-            priority: if interactive { Priority::Interactive } else { Priority::Batch },
+            priority: if interactive {
+                Priority::Interactive
+            } else {
+                Priority::Batch
+            },
             workload: workloads[rng.below(workloads.len() as u64) as usize].to_string(),
             seed: rng.next_u64() % 1_000,
             plan: MIX_PLANS[rng.below(MIX_PLANS.len() as u64) as usize].to_string(),
@@ -331,7 +348,10 @@ fn paced_mix(jobs: usize, workloads: &[&str]) {
     let starvation = check_no_starvation(&report.log, &cfg);
     assert!(starvation.is_empty(), "no-starvation: {starvation:?}");
     let oracle_violations: u64 = report.jobs.iter().map(|j| j.report.violations).sum();
-    assert_eq!(oracle_violations, 0, "invariant oracles flagged completed runs");
+    assert_eq!(
+        oracle_violations, 0,
+        "invariant oracles flagged completed runs"
+    );
 }
 
 /// CI-sized: the cheap single-phase workloads (setops rides along so the
@@ -355,7 +375,10 @@ fn paced_mix_full() {
 #[test]
 fn bad_job_names_are_reported_and_the_shard_survives() {
     let svc = Service::start(
-        SchedConfig { shards: 1, ..SchedConfig::default() },
+        SchedConfig {
+            shards: 1,
+            ..SchedConfig::default()
+        },
         DstJobRunner::new(),
     );
     let spec = |workload: &str, plan: &str| JobSpec {
@@ -383,17 +406,31 @@ fn bad_job_names_are_reported_and_the_shard_survives() {
     assert_eq!(report.jobs.len(), 4, "all four jobs reported");
     let conservation = check_conservation(&report.log);
     assert!(conservation.is_empty(), "conservation: {conservation:?}");
-    let of = |i: usize| &report.jobs.iter().find(|j| j.job == jobs[i]).expect("reported").report;
-    assert!(of(0).completed && of(3).completed, "the good jobs on either side ran");
+    let of = |i: usize| {
+        &report
+            .jobs
+            .iter()
+            .find(|j| j.job == jobs[i])
+            .expect("reported")
+            .report
+    };
+    assert!(
+        of(0).completed && of(3).completed,
+        "the good jobs on either side ran"
+    );
     for (i, kind, name) in [(1, "workload", "synth-dpq"), (2, "plan", "drip")] {
         let r = of(i);
         assert!(!r.completed && !r.budget_exhausted && r.sim_events == 0);
         assert!(
-            r.stall.contains(&format!("unknown {kind} {name:?}")) && r.stall.contains("expected one of"),
+            r.stall.contains(&format!("unknown {kind} {name:?}"))
+                && r.stall.contains("expected one of"),
             "stall reason names the bad {kind} and the valid set: {}",
             r.stall
         );
     }
     let (_, u) = &report.ledger[0];
-    assert_eq!((u.accepted, u.completed, u.stalled, u.outstanding), (4, 2, 2, 0));
+    assert_eq!(
+        (u.accepted, u.completed, u.stalled, u.outstanding),
+        (4, 2, 2, 0)
+    );
 }

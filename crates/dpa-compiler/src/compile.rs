@@ -336,12 +336,9 @@ impl<'p> Lower<'p> {
                         self.fn_name
                     ));
                 };
-                let fields = self
-                    .structs
-                    .get(&sname)
-                    .ok_or_else(|| CompileError {
-                        msg: format!("unknown struct `{sname}`"),
-                    })?;
+                let fields = self.structs.get(&sname).ok_or_else(|| CompileError {
+                    msg: format!("unknown struct `{sname}`"),
+                })?;
                 if !fields.iter().any(|f| &f.name == field) {
                     return err(format!("struct `{sname}` has no field `{field}`"));
                 }
@@ -394,7 +391,11 @@ impl<'p> Lower<'p> {
 
     /// Lower a promoted call statement. `bind` is `(name, Some(declared
     /// type))` for `let`, `(name, None)` for assignment, `None` to discard.
-    fn call_stmt(&mut self, bind: Option<(&str, Option<&Ty>)>, call: &Expr) -> Result<(), CompileError> {
+    fn call_stmt(
+        &mut self,
+        bind: Option<(&str, Option<&Ty>)>,
+        call: &Expr,
+    ) -> Result<(), CompileError> {
         let (entry, has_ret, args, func) = self.resolve_call(call)?;
         if bind.is_some() && !has_ret {
             return err(format!("`{func}` returns no value to bind"));
@@ -451,7 +452,10 @@ impl<'p> Lower<'p> {
     fn block(&mut self, stmts: &[Stmt]) -> Result<(), CompileError> {
         for s in stmts {
             if self.done {
-                return err(format!("unreachable statement after `return` in `{}`", self.fn_name));
+                return err(format!(
+                    "unreachable statement after `return` in `{}`",
+                    self.fn_name
+                ));
             }
             self.stmt(s)?;
         }
@@ -496,9 +500,9 @@ impl<'p> Lower<'p> {
                 self.done = true;
                 Ok(())
             }
-            Stmt::ConcFor { .. } => unreachable!(
-                "conc for must be desugared before lowering (compile() runs the pass)"
-            ),
+            Stmt::ConcFor { .. } => {
+                unreachable!("conc for must be desugared before lowering (compile() runs the pass)")
+            }
             Stmt::Expr(e) => {
                 if let Expr::Call { func, args } = e {
                     if func == "accum" {
@@ -720,9 +724,7 @@ impl<'p> Lower<'p> {
                             match self.scope.iter_mut().rev().find(|v| v.name == name) {
                                 Some(v) => v.reg = r,
                                 None => {
-                                    return err(format!(
-                                        "assignment to unknown variable `{name}`"
-                                    ))
+                                    return err(format!("assignment to unknown variable `{name}`"))
                                 }
                             }
                         }
@@ -883,7 +885,11 @@ mod tests {
             .iter()
             .find(|t| t.demand_entry && t.name.starts_with("f#"))
             .unwrap();
-        let loads = touch.ops.iter().filter(|o| matches!(o, Op::Load { .. })).count();
+        let loads = touch
+            .ops
+            .iter()
+            .filter(|o| matches!(o, Op::Load { .. }))
+            .count();
         assert_eq!(loads, 2, "both fields hoisted from one arrival");
     }
 
@@ -895,7 +901,10 @@ mod tests {
                return p->x * p->x + p->y * p->y + p->z * p->z;
              }",
         );
-        assert_eq!(p.stats[0].demand_sites, 1, "access hoisting coalesces touches");
+        assert_eq!(
+            p.stats[0].demand_sites, 1,
+            "access hoisting coalesces touches"
+        );
     }
 
     #[test]
@@ -969,10 +978,7 @@ mod tests {
                 "fn g(x: int) -> int { return x; } fn f() -> int { let a: int = g(); return a; }",
                 "expects 1 arguments",
             ),
-            (
-                "fn f() -> int { return 1->x; }",
-                "non-pointer",
-            ),
+            ("fn f() -> int { return 1->x; }", "non-pointer"),
             (
                 "struct S { a: int; } fn f(s: S*) { conc { let x: int = 3; } }",
                 "conc blocks",

@@ -156,11 +156,7 @@ impl Desugar {
                     let fname = format!("__concfor_{}", self.counter);
                     self.counter += 1;
                     let v = |n: &str| Expr::Var(n.to_string());
-                    let span = Expr::Bin(
-                        BinOp::Sub,
-                        Box::new(v("__hi")),
-                        Box::new(v("__lo")),
-                    );
+                    let span = Expr::Bin(BinOp::Sub, Box::new(v("__hi")), Box::new(v("__lo")));
                     let call_with = |a: &str, b: &str, captured: &[Field]| Expr::Call {
                         func: fname.clone(),
                         args: std::iter::once(v(a))

@@ -9,7 +9,7 @@
 //! kernel's return value is folded into the per-node accumulators.
 
 use crate::ast::BinOp;
-use crate::program::{Op, Term, TId, Value};
+use crate::program::{Op, TId, Term, Value};
 use crate::world::IccWorld;
 use dpa_core::{PtrApp, WorkEnv};
 use global_heap::GPtr;
@@ -360,13 +360,22 @@ mod tests {
 
     #[test]
     fn eval_bin_arithmetic() {
-        assert_eq!(eval_bin(BinOp::Add, Value::Int(2), Value::Int(3)), Value::Int(5));
+        assert_eq!(
+            eval_bin(BinOp::Add, Value::Int(2), Value::Int(3)),
+            Value::Int(5)
+        );
         assert_eq!(
             eval_bin(BinOp::Mul, Value::Float(2.0), Value::Int(3)),
             Value::Float(6.0)
         );
-        assert_eq!(eval_bin(BinOp::Mod, Value::Int(7), Value::Int(4)), Value::Int(3));
-        assert_eq!(eval_bin(BinOp::Lt, Value::Int(1), Value::Int(2)), Value::Int(1));
+        assert_eq!(
+            eval_bin(BinOp::Mod, Value::Int(7), Value::Int(4)),
+            Value::Int(3)
+        );
+        assert_eq!(
+            eval_bin(BinOp::Lt, Value::Int(1), Value::Int(2)),
+            Value::Int(1)
+        );
     }
 
     #[test]

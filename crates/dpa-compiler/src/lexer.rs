@@ -34,8 +34,7 @@ impl fmt::Display for Tok {
 }
 
 const KEYWORDS: &[&str] = &[
-    "struct", "fn", "let", "if", "else", "while", "conc", "for", "return", "null", "int",
-    "float",
+    "struct", "fn", "let", "if", "else", "while", "conc", "for", "return", "null", "int", "float",
 ];
 
 /// A token plus its line number (for error messages).
@@ -100,10 +99,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SyntaxError> {
             while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
                 i += 1;
             }
-            if i + 1 < bytes.len()
-                && bytes[i] == b'.'
-                && (bytes[i + 1] as char).is_ascii_digit()
-            {
+            if i + 1 < bytes.len() && bytes[i] == b'.' && (bytes[i + 1] as char).is_ascii_digit() {
                 is_float = true;
                 i += 1;
                 while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
@@ -125,7 +121,11 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SyntaxError> {
             out.push(Spanned { tok, line });
         } else {
             // Two-character operators first.
-            let two = if i + 1 < bytes.len() { &src[i..i + 2] } else { "" };
+            let two = if i + 1 < bytes.len() {
+                &src[i..i + 2]
+            } else {
+                ""
+            };
             let punct2 = ["->", "==", "!=", "<=", ">="]
                 .iter()
                 .find(|&&p| p == two)
@@ -138,10 +138,12 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SyntaxError> {
                 i += 2;
                 continue;
             }
-            let one = ["{", "}", "(", ")", ";", ":", ",", "=", "+", "-", "*", "/", "%", "<", ">"]
-                .iter()
-                .find(|&&p| p == &src[i..i + 1])
-                .copied();
+            let one = [
+                "{", "}", "(", ")", ";", ":", ",", "=", "+", "-", "*", "/", "%", "<", ">",
+            ]
+            .iter()
+            .find(|&&p| p == &src[i..i + 1])
+            .copied();
             match one {
                 Some(p) => {
                     out.push(Spanned {

@@ -446,15 +446,13 @@ mod tests {
 
     #[test]
     fn conc_for_rejects_bad_stride() {
-        let e = parse("fn k(n: int) { conc for (i = 0; i < n; i = i + 2) { k(n); } }")
-            .unwrap_err();
+        let e = parse("fn k(n: int) { conc for (i = 0; i < n; i = i + 2) { k(n); } }").unwrap_err();
         assert!(e.msg.contains("strides"), "{e}");
     }
 
     #[test]
     fn conc_for_rejects_mismatched_vars() {
-        let e = parse("fn k(n: int) { conc for (i = 0; j < n; i = i + 1) { k(n); } }")
-            .unwrap_err();
+        let e = parse("fn k(n: int) { conc for (i = 0; j < n; i = i + 1) { k(n); } }").unwrap_err();
         assert!(e.msg.contains("condition must test"), "{e}");
     }
 

@@ -224,7 +224,11 @@ impl CompiledProgram {
         use std::fmt::Write;
         let mut out = String::new();
         for (i, t) in self.templates.iter().enumerate() {
-            let entry = if t.demand_entry { " [demand-entry]" } else { "" };
+            let entry = if t.demand_entry {
+                " [demand-entry]"
+            } else {
+                ""
+            };
             let _ = writeln!(out, "t{i} {}({} in){entry}:", t.name, t.in_args);
             for op in &t.ops {
                 let _ = writeln!(out, "    {op:?}");

@@ -37,12 +37,7 @@ fn lsum(n: Node*) -> int {
 
 /// Build a random binary tree of `depth` with nodes scattered over
 /// `nodes` owners; returns (root, expected sum).
-fn build_tree(
-    b: &mut IccWorldBuilder,
-    rng: &mut Rng,
-    nodes: u16,
-    depth: u32,
-) -> (Value, i64) {
+fn build_tree(b: &mut IccWorldBuilder, rng: &mut Rng, nodes: u16, depth: u32) -> (Value, i64) {
     if depth == 0 {
         return (Value::Ptr(GPtr::NULL), 0);
     }
@@ -123,7 +118,11 @@ fn list_sum_all_variants() {
         }
     }
     let world = b.build();
-    for cfg in [DpaConfig::dpa(8), DpaConfig::caching(), DpaConfig::blocking()] {
+    for cfg in [
+        DpaConfig::dpa(8),
+        DpaConfig::caching(),
+        DpaConfig::blocking(),
+    ] {
         let label = cfg.describe();
         let (total, _) = run_icc(&world, cfg);
         assert_eq!(total, expected, "{label}");
@@ -227,7 +226,11 @@ fn conc_for_with_reductions_end_to_end() {
     let world = b.build();
 
     let expected_factor: f64 = (0..n_iters).sum::<i64>() as f64;
-    for cfg in [DpaConfig::dpa(8), DpaConfig::caching(), DpaConfig::blocking()] {
+    for cfg in [
+        DpaConfig::dpa(8),
+        DpaConfig::caching(),
+        DpaConfig::blocking(),
+    ] {
         let label = cfg.describe();
         let mut updates: std::collections::HashMap<u64, f64> = Default::default();
         run_phase(

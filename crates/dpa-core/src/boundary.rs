@@ -112,7 +112,10 @@ pub(crate) fn close_phase<'a, A: PtrApp + 'a>(
         Policy::Replicate => {
             for c in carries.iter_mut() {
                 let table = c.affinity.as_ref().expect("Replicate carries affinity");
-                let dir = c.replication.as_mut().expect("Replicate carries a directory");
+                let dir = c
+                    .replication
+                    .as_mut()
+                    .expect("Replicate carries a directory");
                 promote_replicas(cfg, table, dir, |p| app_at(p.node()).object_generation(p));
             }
         }
@@ -264,7 +267,11 @@ mod tests {
         let table = owner_table(&[(1, &[9, 9, 9]), (2, &[9])]);
         let mut carries: Vec<PhaseCarry<_>> = (0..4)
             .map(|node| PhaseCarry {
-                affinity: Some(if node == 0 { table.clone() } else { AffinityTable::new() }),
+                affinity: Some(if node == 0 {
+                    table.clone()
+                } else {
+                    AffinityTable::new()
+                }),
                 replication: Some(ReplicaDirectory::new()),
                 ..carry(Vec::new())
             })
@@ -288,7 +295,11 @@ mod tests {
     fn close_phase_under_replicate_promotes_only_the_hub() {
         let (tables, dirs) = close_under(Policy::Replicate);
         assert_eq!(tables[0].summary().len(), 2, "affinity keeps accumulating");
-        assert_eq!(dirs[0].ptrs(), vec![ptr(0, 1)], "the dominated pointer stays cached");
+        assert_eq!(
+            dirs[0].ptrs(),
+            vec![ptr(0, 1)],
+            "the dominated pointer stays cached"
+        );
         let e = dirs[0].entry(ptr(0, 1)).expect("promoted");
         assert_eq!((e.gen, e.consumers.as_slice()), (0, &[1, 2, 3][..]));
         assert!(dirs[1..].iter().all(ReplicaDirectory::is_empty));

@@ -208,7 +208,10 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroStrip => {
-                write!(f, "strip size must be >= 1 (a 0 strip admits no iterations)")
+                write!(
+                    f,
+                    "strip size must be >= 1 (a 0 strip admits no iterations)"
+                )
             }
             ConfigError::ZeroWindow(knob) => {
                 write!(f, "{knob} must be >= 1 (a 0 window can never fill)")
@@ -465,12 +468,7 @@ impl DpaConfig {
                 };
                 format!(
                     "DPA(strip={}, agg={}, reply_agg={}, pipeline={}{}{})",
-                    self.strip,
-                    self.agg_window,
-                    self.reply_agg_window,
-                    self.pipeline,
-                    diff,
-                    repl
+                    self.strip, self.agg_window, self.reply_agg_window, self.pipeline, diff, repl
                 )
             }
             v => v.label().to_string(),
@@ -519,7 +517,10 @@ mod tests {
             agg_window: 0,
             ..DpaConfig::default()
         };
-        assert_eq!(no_window.validate(), Err(ConfigError::ZeroWindow("agg_window")));
+        assert_eq!(
+            no_window.validate(),
+            Err(ConfigError::ZeroWindow("agg_window"))
+        );
         // Errors render actionably.
         assert!(zero.validate().unwrap_err().to_string().contains("strip"));
     }
@@ -690,6 +691,10 @@ mod tests {
         };
         assert_eq!(cache.validate(), Ok(()));
         // The errors render actionably.
-        assert!(no_diff.validate().unwrap_err().to_string().contains("differential"));
+        assert!(no_diff
+            .validate()
+            .unwrap_err()
+            .to_string()
+            .contains("differential"));
     }
 }

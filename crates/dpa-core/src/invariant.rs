@@ -689,7 +689,11 @@ mod tests {
         let v = check_completed(&[s], false);
         assert!(matches!(
             v[0],
-            Violation::BufferNotDrained { node: 2, reply: 2, .. }
+            Violation::BufferNotDrained {
+                node: 2,
+                reply: 2,
+                ..
+            }
         ));
     }
 
@@ -803,9 +807,13 @@ mod tests {
         assert!(v
             .iter()
             .any(|v| matches!(v, Violation::StaleCacheEntry { node: 2, count: 1 })));
-        assert!(v
-            .iter()
-            .any(|v| matches!(v, Violation::DeltaGateOpen { node: 2, awaited: 3 })));
+        assert!(v.iter().any(|v| matches!(
+            v,
+            Violation::DeltaGateOpen {
+                node: 2,
+                awaited: 3
+            }
+        )));
         assert!(v[0].to_string().contains("n2"));
         // ...but they are end-of-phase laws, not conservation laws: a
         // stalled snapshot mid-gate is legal.
@@ -872,9 +880,14 @@ mod tests {
         let mut bad = clean(1);
         bad.replica_held = vec![(ptr, 7)];
         let v = check_completed(&[o1, o2, bad], true);
-        assert!(v
-            .iter()
-            .any(|v| matches!(v, Violation::ReplicaIncoherent { node: 1, gen: 7, .. })));
+        assert!(v.iter().any(|v| matches!(
+            v,
+            Violation::ReplicaIncoherent {
+                node: 1,
+                gen: 7,
+                ..
+            }
+        )));
         assert!(v[0].to_string().contains("never published"));
         // A directory claimed by a non-owner does not vouch for anyone.
         let mut imposter = clean(3);

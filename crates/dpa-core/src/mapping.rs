@@ -155,7 +155,8 @@ impl<W> PointerMap<W> {
         match self.free {
             Some(at) => {
                 let live = Slot::Live { next: at, thread };
-                let Slot::Free { next } = std::mem::replace(&mut self.slab[at.index()], live) else {
+                let Slot::Free { next } = std::mem::replace(&mut self.slab[at.index()], live)
+                else {
                     unreachable!("the free list names a live record")
                 };
                 self.free = next;
@@ -250,7 +251,8 @@ impl<W> PointerMap<W> {
         self.nonempty -= 1;
         out.reserve(len);
         for _ in 0..len {
-            let vacated = std::mem::replace(&mut self.slab[at.index()], Slot::Free { next: self.free });
+            let vacated =
+                std::mem::replace(&mut self.slab[at.index()], Slot::Free { next: self.free });
             let Slot::Live { next, thread } = vacated else {
                 unreachable!("a chain runs through a vacated record")
             };
@@ -520,13 +522,19 @@ mod tests {
             assert_eq!(out, (0..8).map(|t| 100 * round + t).collect::<Vec<_>>());
             out.clear();
             m.release_into(p(round + 1000), &mut out);
-            assert_eq!(out, (0..8).map(|t| 100 * round + 50 + t).collect::<Vec<_>>());
+            assert_eq!(
+                out,
+                (0..8).map(|t| 100 * round + 50 + t).collect::<Vec<_>>()
+            );
         }
         assert_eq!(m.total_aligned(), 1024);
         assert_eq!(m.peak_threads(), 16);
         assert_eq!(m.slab.len() as u64, m.peak_threads());
         m.reset_for_phase();
-        assert!(m.slab.is_empty() && m.slab.capacity() >= 16, "truncated, capacity kept");
+        assert!(
+            m.slab.is_empty() && m.slab.capacity() >= 16,
+            "truncated, capacity kept"
+        );
         assert!(m.free.is_none());
     }
 

@@ -88,10 +88,7 @@ impl MsgSize for DpaMsg {
     fn size_bytes(&self) -> u32 {
         match self {
             DpaMsg::Request(v) => (v.len() as u32) * GPtr::WIRE_BYTES,
-            DpaMsg::Reply(v) => v
-                .iter()
-                .map(|&(_, size)| size + GPtr::WIRE_BYTES)
-                .sum(),
+            DpaMsg::Reply(v) => v.iter().map(|&(_, size)| size + GPtr::WIRE_BYTES).sum(),
             DpaMsg::Update { entries, .. } => (entries.len() as u32) * (GPtr::WIRE_BYTES + 8),
             // Pointer + 4-byte count per affinity sample; seq in the header.
             DpaMsg::Affinity { entries, .. } => (entries.len() as u32) * (GPtr::WIRE_BYTES + 4),
@@ -100,9 +97,10 @@ impl MsgSize for DpaMsg {
             DpaMsg::PhaseDelta { entries, .. } => (entries.len() as u32) * GPtr::WIRE_BYTES,
             // A broadcast ships object payloads like a reply; the shared
             // generation stamp rides in the header.
-            DpaMsg::Replicate { entries, .. } => {
-                entries.iter().map(|&(_, size)| size + GPtr::WIRE_BYTES).sum()
-            }
+            DpaMsg::Replicate { entries, .. } => entries
+                .iter()
+                .map(|&(_, size)| size + GPtr::WIRE_BYTES)
+                .sum(),
         }
     }
 }
@@ -346,9 +344,15 @@ mod tests {
 
         assert!(ch.accept(7, 0, 4));
         assert!(!ch.accept(7, 0, 4), "a repeated (sender, seq) is rejected");
-        assert!(ch.accept(8, 0, 1), "the same seq from another sender is new");
+        assert!(
+            ch.accept(8, 0, 1),
+            "the same seq from another sender is new"
+        );
         assert!(ch.accept(7, 1, 2));
-        assert_eq!(ch.entries_recv, 7, "the duplicate's entries are not counted");
+        assert_eq!(
+            ch.entries_recv, 7,
+            "the duplicate's entries are not counted"
+        );
 
         assert!(!ch.accept(9, 0, 1), "sender 9 is outside a 9-node machine");
         assert_eq!((ch.refused, ch.entries_recv), (1, 7));

@@ -54,7 +54,10 @@ pub(crate) fn charge_extra_packets(cfg: &DpaConfig, ctx: &mut Ctx<'_, DpaMsg>, p
 /// every other request entry before it reaches this point.
 pub(crate) fn charge_lookups(cfg: &DpaConfig, ctx: &mut Ctx<'_, DpaMsg>, ptrs: &[GPtr]) {
     for &p in ptrs {
-        debug_assert!(p.is_local_to(ctx.me().0), "request for non-owned object {p}");
+        debug_assert!(
+            p.is_local_to(ctx.me().0),
+            "request for non-owned object {p}"
+        );
         ctx.charge_overhead(cfg.cost.owner_lookup_ns);
     }
 }

@@ -192,7 +192,10 @@ mod tests {
             d.insert(p(i));
         }
         let sample = d.sorted_sample(3);
-        assert_eq!(sample, vec![p(1).to_string(), p(3).to_string(), p(5).to_string()]);
+        assert_eq!(
+            sample,
+            vec![p(1).to_string(), p(3).to_string(), p(5).to_string()]
+        );
         assert_eq!(d.sorted_sample(10).len(), 5);
     }
 
@@ -228,7 +231,11 @@ mod tests {
         }
         d.complete(p(3));
         let seen: Vec<GPtr> = d.iter().copied().collect();
-        assert_eq!(seen, vec![p(9), p(7)], "first-request order, minus completed");
+        assert_eq!(
+            seen,
+            vec![p(9), p(7)],
+            "first-request order, minus completed"
+        );
     }
 
     #[test]

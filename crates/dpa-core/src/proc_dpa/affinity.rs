@@ -67,7 +67,10 @@ impl<A: PtrApp> DpaProc<A> {
     /// the *hot* working set instead of the whole one.
     pub(super) fn report_affinity(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         let Some(a) = self.aff.as_mut() else { return };
-        let hot = a.pending.drain().filter(|&(_, n)| n >= AFFINITY_REPORT_FLOOR);
+        let hot = a
+            .pending
+            .drain()
+            .filter(|&(_, n)| n >= AFFINITY_REPORT_FLOOR);
         let reports = fan_out(hot.map(|(ptr, n)| (ptr.node(), (ptr, n))));
         for (home, mut entries) in reports {
             entries.sort_unstable_by_key(|&(p, _)| p.bits());

@@ -99,7 +99,10 @@ impl<A: PtrApp> DpaProc<A> {
     pub(super) fn send_phase_deltas(&mut self, ctx: &mut Ctx<'_, DpaMsg>) {
         let Some(d) = self.diff.as_mut() else { return };
         for (dst, entries) in std::mem::take(&mut d.out) {
-            debug_assert!(dst != ctx.me().0, "self-deltas must be pruned by the driver");
+            debug_assert!(
+                dst != ctx.me().0,
+                "self-deltas must be pruned by the driver"
+            );
             ctx.charge_overhead(self.cfg.cost.request_entry_ns * entries.len() as u64);
             let seq = d.deltas.stamp(dst, entries.len());
             ctx.send(NodeId(dst), DpaMsg::PhaseDelta { seq, entries });

@@ -358,7 +358,12 @@ impl<A: PtrApp> DpaProc<A> {
             r.install_carry(dir);
         }
         if let Some(d) = self.diff.as_mut() {
-            d.install_carry(carry.arrivals, carry.awaiting, carry.deltas, &mut self.arrived);
+            d.install_carry(
+                carry.arrivals,
+                carry.awaiting,
+                carry.deltas,
+                &mut self.arrived,
+            );
         }
     }
 
@@ -630,10 +635,13 @@ impl<A: PtrApp> DpaProc<A> {
     /// (`None` when nothing is buffered).
     fn next_flush_due(&self) -> Option<u64> {
         let deadline = self.cfg.reply_flush_deadline_ns;
-        [self.reply_coal.next_due(deadline), self.upd_coal.next_due(deadline)]
-            .into_iter()
-            .flatten()
-            .min()
+        [
+            self.reply_coal.next_due(deadline),
+            self.upd_coal.next_due(deadline),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Flush every buffered reply/update destination whose oldest entry
@@ -642,8 +650,7 @@ impl<A: PtrApp> DpaProc<A> {
         // Fast path for the common wake: nothing buffered anywhere and no
         // wake armed means every branch below is a no-op. Self-wake poll
         // slices land here once per event on the hot path.
-        if self.flush_wake_at.is_none() && self.reply_coal.is_empty() && self.upd_coal.is_empty()
-        {
+        if self.flush_wake_at.is_none() && self.reply_coal.is_empty() && self.upd_coal.is_empty() {
             return;
         }
         let now = ctx.now().as_ns();
@@ -712,9 +719,7 @@ impl<A: PtrApp> DpaProc<A> {
             let iter = self.next_iter;
             self.next_iter += 1;
             let slot = self.live.open();
-            self.run_app(ctx, slot, NO_GEN, |app, env| {
-                app.start_iteration(iter, env)
-            });
+            self.run_app(ctx, slot, NO_GEN, |app, env| app.start_iteration(iter, env));
             // An iteration that spawned no threads (nothing, or only
             // reductions) is already complete.
             if !self.live.is_live(slot) {
@@ -993,10 +998,30 @@ impl<A: PtrApp> Proc for DpaProc<A> {
         // sent because the owner had nothing to overlap it with.
         let (at_once_mtu, at_once_idle) = self.replies_at_once;
         for (reply, upd, why, at_once) in [
-            ("reply_flush_window", "upd_flush_window", FlushReason::Window, 0),
-            ("reply_flush_mtu", "upd_flush_mtu", FlushReason::Budget, at_once_mtu),
-            ("reply_flush_deadline", "upd_flush_deadline", FlushReason::Deadline, 0),
-            ("reply_flush_quiescence", "upd_flush_quiescence", FlushReason::Drain, at_once_idle),
+            (
+                "reply_flush_window",
+                "upd_flush_window",
+                FlushReason::Window,
+                0,
+            ),
+            (
+                "reply_flush_mtu",
+                "upd_flush_mtu",
+                FlushReason::Budget,
+                at_once_mtu,
+            ),
+            (
+                "reply_flush_deadline",
+                "upd_flush_deadline",
+                FlushReason::Deadline,
+                0,
+            ),
+            (
+                "reply_flush_quiescence",
+                "upd_flush_quiescence",
+                FlushReason::Drain,
+                at_once_idle,
+            ),
         ] {
             stats.bump(reply, self.reply_coal.flushes(why) + at_once);
             stats.bump(upd, self.upd_coal.flushes(why));
@@ -1022,10 +1047,21 @@ mod tests {
 
     #[test]
     fn fan_out_sorts_destinations_and_keeps_listed_order_within_one() {
-        let items = vec![(9u16, 'a'), (2, 'b'), (9, 'c'), (5, 'd'), (2, 'e'), (9, 'f')];
+        let items = vec![
+            (9u16, 'a'),
+            (2, 'b'),
+            (9, 'c'),
+            (5, 'd'),
+            (2, 'e'),
+            (9, 'f'),
+        ];
         assert_eq!(
             fan_out(items),
-            vec![(2, vec!['b', 'e']), (5, vec!['d']), (9, vec!['a', 'c', 'f'])]
+            vec![
+                (2, vec!['b', 'e']),
+                (5, vec!['d']),
+                (9, vec!['a', 'c', 'f'])
+            ]
         );
         assert!(fan_out(Vec::<((u16, u32), u8)>::new()).is_empty());
     }

@@ -111,7 +111,10 @@ impl<A: PtrApp> DpaProc<A> {
     /// Replicas installed from broadcasts this phase, as sorted
     /// `(ptr bits, generation)` pairs (snapshot/oracle export).
     pub fn replicas_held(&self) -> Vec<(u64, u32)> {
-        self.repl.as_ref().map(ReplState::held_sorted).unwrap_or_default()
+        self.repl
+            .as_ref()
+            .map(ReplState::held_sorted)
+            .unwrap_or_default()
     }
 
     /// Push the replica payloads flagged for (re-)broadcast to their
@@ -125,7 +128,10 @@ impl<A: PtrApp> DpaProc<A> {
         let me = ctx.me().0;
         let mut copies = Vec::new();
         for (ptr, gen, consumers) in r.dir.take_broadcasts() {
-            debug_assert!(ptr.is_local_to(me), "broadcasting a pointer homed elsewhere");
+            debug_assert!(
+                ptr.is_local_to(me),
+                "broadcasting a pointer homed elsewhere"
+            );
             let size = self.app.object_size(ptr);
             for c in consumers {
                 debug_assert!(c != me, "owner in its own consumer set");

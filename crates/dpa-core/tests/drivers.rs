@@ -150,7 +150,10 @@ fn dropped_replies_stall_but_do_not_hang() {
         |i| SynthApp::new(world.clone(), i, 800),
         |_, _| {},
     );
-    assert!(!report.completed, "lost packets must be detected as a stall");
+    assert!(
+        !report.completed,
+        "lost packets must be detected as a stall"
+    );
     assert!(report.stats.dropped_packets > 0);
 }
 

@@ -218,7 +218,10 @@ fn remote(index: u64) -> GPtr {
 fn carrying_stale_copy(ptr: GPtr, spin: u32) -> DpaProc<Probe> {
     let cfg = DpaConfig::dpa_replicating(8);
     let phase0 = DpaProc::new(Probe::reading(Some(ptr), 0, 0), 2, cfg.clone());
-    let (report, mut m) = run(phase0, vec![(100_000, DpaMsg::Reply(vec![(ptr, OBJ_BYTES)]))]);
+    let (report, mut m) = run(
+        phase0,
+        vec![(100_000, DpaMsg::Reply(vec![(ptr, OBJ_BYTES)]))],
+    );
     assert!(report.completed, "{}", report.stall_summary());
     assert_eq!(real(&mut m).app().seen_gen, [Some(0)]);
     let carry = real(&mut m).take_carry();
@@ -357,11 +360,16 @@ fn a_duplicated_sequenced_message_changes_nothing() {
     for msg in kinds {
         let deliver = |times: u64| {
             let proc_ = DpaProc::new(Probe::idle(), 2, DpaConfig::dpa_replicating(8));
-            let sends = (0..times).map(|i| (100_000 * (i + 1), msg.clone())).collect();
+            let sends = (0..times)
+                .map(|i| (100_000 * (i + 1), msg.clone()))
+                .collect();
             let (report, mut m) = run(proc_, sends);
             assert!(report.completed, "{msg:?}: {}", report.stall_summary());
             assert_eq!(report.stats.nodes[0].msgs_recv, times, "{msg:?}");
-            (format!("{:?}", snapshot(&mut m)), real(&mut m).app().applied)
+            (
+                format!("{:?}", snapshot(&mut m)),
+                real(&mut m).app().applied,
+            )
         };
         let once = deliver(1);
         assert_eq!(deliver(2), once, "{msg:?} delivered twice");
@@ -516,7 +524,10 @@ fn a_sequenced_message_from_outside_the_machine_is_a_counted_drop() {
     let dpa = real(&mut m);
     check(report, dpa.app().applied, dpa.snapshot(0));
 
-    let (report, mut m) = run(CachingProc::new(Probe::idle(), 1, DpaConfig::caching()), sends());
+    let (report, mut m) = run(
+        CachingProc::new(Probe::idle(), 1, DpaConfig::caching()),
+        sends(),
+    );
     let caching = real(&mut m);
     check(report, caching.app().applied, caching.snapshot(0));
 }
@@ -556,7 +567,10 @@ fn an_unsolicited_reply_is_a_counted_refusal() {
             assert_eq!(detail, None, "a finished node has no stall to detail");
             assert_eq!(
                 check_conservation(&[snap]),
-                [Violation::MisroutedRequest { node: 0, count: refused }]
+                [Violation::MisroutedRequest {
+                    node: 0,
+                    count: refused
+                }]
             );
         };
 
@@ -580,7 +594,10 @@ fn an_unsolicited_reply_is_a_counted_refusal() {
 
     // Refused and still stuck: the stall report names the refusal.
     let proc_ = DpaProc::new(Probe::reading(Some(asked), 1, 0), 2, DpaConfig::dpa(8));
-    let (report, mut m) = run(proc_, vec![(400_000, DpaMsg::Reply(vec![(never_asked, OBJ_BYTES)]))]);
+    let (report, mut m) = run(
+        proc_,
+        vec![(400_000, DpaMsg::Reply(vec![(never_asked, OBJ_BYTES)]))],
+    );
     assert!(!report.completed, "the object it waits for never came");
     let detail = real(&mut m).stall_detail().expect("stalled");
     assert!(detail.contains("1 misrouted"), "{detail}");
@@ -604,14 +621,20 @@ fn check_refused(
     detail: Option<String>,
     count: u64,
 ) {
-    assert!(!report.completed, "{label}: waits for a reply that never comes");
+    assert!(
+        !report.completed,
+        "{label}: waits for a reply that never comes"
+    );
     assert_eq!(
         check_conservation(snaps),
         [Violation::MisroutedRequest { node: 0, count }],
         "{label}"
     );
     let detail = detail.expect("stalled");
-    assert!(detail.contains(&format!("{count} misrouted")), "{label}: {detail}");
+    assert!(
+        detail.contains(&format!("{count} misrouted")),
+        "{label}: {detail}"
+    );
 }
 
 /// Affinity, differential and replication messages reach a node whose
@@ -652,10 +675,19 @@ fn a_mode_message_for_a_mode_that_is_off_is_a_counted_refusal() {
     let dpa = real(&mut m);
     check_refused("dpa", &report, &[dpa.snapshot(0)], dpa.stall_detail(), 3);
 
-    let (report, mut m) = stuck(|app| CachingProc::new(app, 2, DpaConfig::caching()), sends());
+    let (report, mut m) = stuck(
+        |app| CachingProc::new(app, 2, DpaConfig::caching()),
+        sends(),
+    );
     assert_eq!(report.stats.nodes[0].msgs_sent, 1, "its own request only");
     let caching = real(&mut m);
-    check_refused("caching", &report, &[caching.snapshot(0)], caching.stall_detail(), 3);
+    check_refused(
+        "caching",
+        &report,
+        &[caching.snapshot(0)],
+        caching.stall_detail(),
+        3,
+    );
 }
 
 /// A reduction goes to its target's birth home, so no real node sends an
@@ -685,7 +717,10 @@ fn an_update_for_a_foreign_object_is_a_counted_refusal() {
     assert_eq!((dpa.app().applied, snap.updates_applied), (2.5, 1));
     check_refused("dpa", &report, &[snap, peer.clone()], dpa.stall_detail(), 2);
 
-    let (report, mut m) = stuck(|app| CachingProc::new(app, 2, DpaConfig::caching()), sends());
+    let (report, mut m) = stuck(
+        |app| CachingProc::new(app, 2, DpaConfig::caching()),
+        sends(),
+    );
     let caching = real(&mut m);
     let snap = caching.snapshot(0);
     assert_eq!((caching.app().applied, snap.updates_applied), (2.5, 1));

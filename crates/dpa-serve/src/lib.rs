@@ -75,7 +75,11 @@ mod tests {
         assert!(matches!(
             adm,
             Admission::Rejected {
-                reason: RejectReason::QueueFull { depth: 2, cap: 2, .. }
+                reason: RejectReason::QueueFull {
+                    depth: 2,
+                    cap: 2,
+                    ..
+                }
             }
         ));
     }
@@ -117,7 +121,10 @@ mod tests {
         assert!(matches!(
             s.submit(2, &spec(1, Priority::Interactive)),
             Admission::Rejected {
-                reason: RejectReason::TenantOutstanding { outstanding: 2, cap: 2 }
+                reason: RejectReason::TenantOutstanding {
+                    outstanding: 2,
+                    cap: 2
+                }
             }
         ));
         // A different tenant is unaffected.
@@ -144,7 +151,10 @@ mod tests {
         assert!(matches!(
             s.submit(6, &spec(0, Priority::Batch)),
             Admission::Rejected {
-                reason: RejectReason::TenantEventBudget { spent: 1_500, budget: 1_000 }
+                reason: RejectReason::TenantEventBudget {
+                    spent: 1_500,
+                    budget: 1_000
+                }
             }
         ));
     }
@@ -161,7 +171,14 @@ mod tests {
         s.submit(1, &spec(0, Priority::Batch));
         s.submit(2, &spec(0, Priority::Interactive));
         // Complete far past the aging bound: the batch head must win.
-        s.complete(500, 0, &JobReport { completed: true, ..JobReport::default() });
+        s.complete(
+            500,
+            0,
+            &JobReport {
+                completed: true,
+                ..JobReport::default()
+            },
+        );
         let placed: Vec<_> = s
             .log()
             .iter()
@@ -202,7 +219,9 @@ mod tests {
         s.drain();
         assert!(matches!(
             s.submit(0, &spec(0, Priority::Interactive)),
-            Admission::Rejected { reason: RejectReason::ShuttingDown }
+            Admission::Rejected {
+                reason: RejectReason::ShuttingDown
+            }
         ));
     }
 
@@ -236,8 +255,15 @@ mod tests {
         );
         let mut accepted = 0;
         for i in 0..20u64 {
-            let pri = if i % 3 == 0 { Priority::Batch } else { Priority::Interactive };
-            if matches!(svc.submit(spec((i % 4) as u16, pri)), Admission::Accepted(_)) {
+            let pri = if i % 3 == 0 {
+                Priority::Batch
+            } else {
+                Priority::Interactive
+            };
+            if matches!(
+                svc.submit(spec((i % 4) as u16, pri)),
+                Admission::Accepted(_)
+            ) {
                 accepted += 1;
             }
         }

@@ -143,7 +143,10 @@ pub fn run_model(cfg: &SchedConfig, arrivals: &[Arrival]) -> ModelRun {
     ) {
         let log = sched.log();
         for entry in &log[*cursor..] {
-            if let LogEntry::Place { now_ns, job, shard, .. } = entry {
+            if let LogEntry::Place {
+                now_ns, job, shard, ..
+            } = entry
+            {
                 let (service_ns, stall) = jobinfo[&job.0];
                 let prev = completions.insert((now_ns + service_ns, *shard), (*job, stall));
                 assert!(prev.is_none(), "two jobs on shard {shard} end at once");
@@ -153,12 +156,12 @@ pub fn run_model(cfg: &SchedConfig, arrivals: &[Arrival]) -> ModelRun {
     }
 
     let fire = |sched: &mut Scheduler,
-                    completions: &mut BTreeMap<(u64, usize), (JobId, bool)>,
-                    cursor: &mut usize,
-                    jobinfo: &BTreeMap<u64, (u64, bool)>,
-                    upto_ns: u64,
-                    finished: &mut usize,
-                    end_ns: &mut u64| {
+                completions: &mut BTreeMap<(u64, usize), (JobId, bool)>,
+                cursor: &mut usize,
+                jobinfo: &BTreeMap<u64, (u64, bool)>,
+                upto_ns: u64,
+                finished: &mut usize,
+                end_ns: &mut u64| {
         while let Some((&(at, shard), &(job, stall))) = completions.iter().next() {
             if at > upto_ns {
                 break;
@@ -230,7 +233,11 @@ fn synthetic_report(job: JobId, stall: bool) -> crate::types::JobReport {
         update_msgs: 5,
         violations: 0,
         wall_ns: 1_000,
-        stall: if stall { "budget_exhausted".into() } else { String::new() },
+        stall: if stall {
+            "budget_exhausted".into()
+        } else {
+            String::new()
+        },
     }
 }
 
@@ -262,10 +269,14 @@ pub fn check_conservation(log: &[LogEntry]) -> Vec<String> {
             Some(1) => match finished.get(&job) {
                 Some(1) => {}
                 Some(n) => v.push(format!("job {job} finished {n} times")),
-                None => v.push(format!("job {job} placed but never finished (leaked on shard)")),
+                None => v.push(format!(
+                    "job {job} placed but never finished (leaked on shard)"
+                )),
             },
             Some(n) => v.push(format!("job {job} placed {n} times")),
-            None => v.push(format!("job {job} admitted but never placed (leaked in queue)")),
+            None => v.push(format!(
+                "job {job} admitted but never placed (leaked in queue)"
+            )),
         }
     }
     for &job in placed.keys() {
@@ -323,7 +334,10 @@ pub fn check_depth_bound(log: &[LogEntry], cfg: &SchedConfig) -> Vec<String> {
                 ));
             }
             LogEntry::Place { job, batch_cap, .. } if *batch_cap == 0 => {
-                v.push(format!("job {} placed under batch_cap 0 (floor is 1)", job.0));
+                v.push(format!(
+                    "job {} placed under batch_cap 0 (floor is 1)",
+                    job.0
+                ));
             }
             _ => {}
         }
@@ -343,7 +357,10 @@ pub fn scenario(name: &str) -> Option<(SchedConfig, LoadProfile)> {
     match name {
         // 10x-capacity burst: arrivals much faster than service drain.
         "burst" => Some((
-            SchedConfig { queue_cap: 16, ..cfg },
+            SchedConfig {
+                queue_cap: 16,
+                ..cfg
+            },
             LoadProfile {
                 jobs: 400,
                 mean_gap_ns: 40_000,
@@ -399,8 +416,8 @@ pub fn scenario(name: &str) -> Option<(SchedConfig, LoadProfile)> {
 /// Returns the violations found (empty = clean); `Err` for an unknown
 /// scenario name.
 pub fn replay_scenario(name: &str, seed: u64) -> Result<Vec<String>, String> {
-    let (cfg, profile) =
-        scenario(name).ok_or_else(|| format!("unknown scenario {name:?} (expected one of {SCENARIOS:?})"))?;
+    let (cfg, profile) = scenario(name)
+        .ok_or_else(|| format!("unknown scenario {name:?} (expected one of {SCENARIOS:?})"))?;
     let arrivals = gen_arrivals(&profile, seed);
     let run = run_model(&cfg, &arrivals);
     let rerun = run_model(&cfg, &arrivals);

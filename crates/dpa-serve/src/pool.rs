@@ -193,7 +193,12 @@ impl Service {
         let mut st = self.inner.state.lock().expect("service lock");
         let log = st.sched.take_log();
         let jobs = job_records(&log, &st.reports);
-        let ledger = st.sched.ledger().iter().map(|(t, u)| (t, u.clone())).collect();
+        let ledger = st
+            .sched
+            .ledger()
+            .iter()
+            .map(|(t, u)| (t, u.clone()))
+            .collect();
         ServiceReport { log, jobs, ledger }
     }
 }
@@ -238,7 +243,13 @@ fn job_records(log: &[LogEntry], reports: &BTreeMap<u64, JobReport>) -> Vec<JobR
     let mut times: BTreeMap<u64, Times> = BTreeMap::new();
     for e in log {
         match e {
-            LogEntry::Admit { now_ns, job, tenant, priority, .. } => {
+            LogEntry::Admit {
+                now_ns,
+                job,
+                tenant,
+                priority,
+                ..
+            } => {
                 times.insert(
                     job.0,
                     Times {

@@ -322,7 +322,9 @@ impl Scheduler {
                 (true, true) if head_age >= self.cfg.aging_ns => 1,
                 (true, true) => self.weighted_pick(),
             };
-            let q = self.queues[lane].pop_front().expect("lane checked nonempty");
+            let q = self.queues[lane]
+                .pop_front()
+                .expect("lane checked nonempty");
             let priority = Priority::ALL[lane];
             self.log.push(LogEntry::Place {
                 now_ns,
@@ -349,7 +351,10 @@ impl Scheduler {
     /// each lane earns its weight, the richer lane is picked (interactive
     /// on ties) and pays the total. Deterministic, bounded credit.
     fn weighted_pick(&mut self) -> usize {
-        let w = [self.cfg.interactive_weight as i64, self.cfg.batch_weight as i64];
+        let w = [
+            self.cfg.interactive_weight as i64,
+            self.cfg.batch_weight as i64,
+        ];
         self.credit[0] += w[0];
         self.credit[1] += w[1];
         let lane = usize::from(self.credit[1] > self.credit[0]);

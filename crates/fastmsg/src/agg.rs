@@ -724,7 +724,8 @@ mod tests {
     fn every_batch_is_counted_under_the_rule_that_emitted_it() {
         use FlushReason::*;
         let mut c: ByteCoalescer<u32> = ByteCoalescer::new(3, 100, 3);
-        let count = |c: &ByteCoalescer<u32>| [Window, Budget, Deadline, Drain].map(|why| c.flushes(why));
+        let count =
+            |c: &ByteCoalescer<u32>| [Window, Budget, Deadline, Drain].map(|why| c.flushes(why));
         // Third entry: the window. 60 + 60 bytes: the budget, before the
         // second is placed. 100 bytes at once: the budget, after.
         for i in 0..3 {

@@ -83,10 +83,7 @@ mod tests {
         let s = t.summary();
         assert_eq!(
             s,
-            vec![
-                (p(0, 2), vec![(2, 5)]),
-                (p(0, 5), vec![(1, 9), (3, 7)]),
-            ]
+            vec![(p(0, 2), vec![(2, 5)]), (p(0, 5), vec![(1, 9), (3, 7)]),]
         );
     }
 }

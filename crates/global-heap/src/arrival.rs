@@ -267,7 +267,10 @@ mod tests {
         assert!(a.contains(p(3)));
         assert_eq!(a.bytes(), 100);
         assert_eq!(a.total_inserts(), 0, "preload is not a phase fetch");
-        assert!(!a.insert(p(3), 100), "preloaded copy already satisfies reads");
+        assert!(
+            !a.insert(p(3), 100),
+            "preloaded copy already satisfies reads"
+        );
         a.preload(p(3), 100);
         assert_eq!(a.bytes(), 100, "re-preload is idempotent");
     }

@@ -305,7 +305,10 @@ mod tests {
         c.fill(p(4), 8);
         c.fill(p(5), 8);
         assert_eq!(c.stats().evictions, 1);
-        assert!(!c.contains(p(2)), "oldest live entry is the eviction victim");
+        assert!(
+            !c.contains(p(2)),
+            "oldest live entry is the eviction victim"
+        );
         assert!(c.contains(p(1)));
     }
 }

@@ -252,7 +252,11 @@ mod tests {
         assert_eq!(d.end_window(1), vec![p(0, 1)]);
         assert!(!d.is_replicated(p(0, 1)));
         assert!(d.is_replicated(p(0, 2)));
-        assert_eq!(d.entry(p(0, 2)).unwrap().writes_in_window, 0, "window reset");
+        assert_eq!(
+            d.entry(p(0, 2)).unwrap().writes_in_window,
+            0,
+            "window reset"
+        );
         assert_eq!(d.demotions(), 1);
         // Explicit demotion also counts.
         assert!(d.demote(p(0, 2)));

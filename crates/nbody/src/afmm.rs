@@ -162,9 +162,7 @@ impl AfmmSolver {
         // Recursive subdivision (worklist form).
         let mut work = vec![0usize];
         while let Some(i) = work.pop() {
-            if nodes[i].particles.len() <= params.leaf_cap
-                || nodes[i].level >= params.max_level
-            {
+            if nodes[i].particles.len() <= params.leaf_cap || nodes[i].level >= params.max_level {
                 continue;
             }
             let parent = nodes[i].clone();
@@ -444,8 +442,12 @@ impl AfmmSolver {
 
     /// Direct O(n²) oracle.
     pub fn direct(&self) -> Vec<Cx> {
-        let sources: Vec<(Cx, f64)> =
-            self.zs.iter().copied().zip(self.qs.iter().copied()).collect();
+        let sources: Vec<(Cx, f64)> = self
+            .zs
+            .iter()
+            .copied()
+            .zip(self.qs.iter().copied())
+            .collect();
         self.zs.iter().map(|&z| p2p_field(z, &sources)).collect()
     }
 
@@ -541,7 +543,15 @@ mod tests {
         // (V/X along b's ancestor chain, each covering its subtree).
         let (zs, qs) = clustered_points(250, 11);
         let n = zs.len();
-        let s = AfmmSolver::new(zs, qs, AfmmParams { terms: 4, leaf_cap: 8, max_level: 8 });
+        let s = AfmmSolver::new(
+            zs,
+            qs,
+            AfmmParams {
+                terms: 4,
+                leaf_cap: 8,
+                max_level: 8,
+            },
+        );
 
         // Particle set under each node.
         let mut under: Vec<Vec<u32>> = vec![Vec::new(); s.nodes.len()];
@@ -598,7 +608,15 @@ mod tests {
     #[test]
     fn matches_direct_on_uniform_input() {
         let (zs, qs) = random_points(900, 21);
-        let mut s = AfmmSolver::new(zs, qs, AfmmParams { terms: 20, leaf_cap: 12, max_level: 10 });
+        let mut s = AfmmSolver::new(
+            zs,
+            qs,
+            AfmmParams {
+                terms: 20,
+                leaf_cap: 12,
+                max_level: 10,
+            },
+        );
         s.downward();
         let err = max_rel_err(&s.evaluate(), &s.direct());
         assert!(err < 1e-7, "max rel err {err}");
@@ -607,7 +625,15 @@ mod tests {
     #[test]
     fn matches_direct_on_clustered_input() {
         let (zs, qs) = clustered_points(800, 33);
-        let mut s = AfmmSolver::new(zs, qs, AfmmParams { terms: 20, leaf_cap: 12, max_level: 12 });
+        let mut s = AfmmSolver::new(
+            zs,
+            qs,
+            AfmmParams {
+                terms: 20,
+                leaf_cap: 12,
+                max_level: 12,
+            },
+        );
         s.downward();
         let err = max_rel_err(&s.evaluate(), &s.direct());
         assert!(err < 1e-7, "max rel err {err}");
@@ -621,7 +647,11 @@ mod tests {
             let mut s = AfmmSolver::new(
                 zs.clone(),
                 qs.clone(),
-                AfmmParams { terms, leaf_cap: 10, max_level: 10 },
+                AfmmParams {
+                    terms,
+                    leaf_cap: 10,
+                    max_level: 10,
+                },
             );
             s.downward();
             errs.push(max_rel_err(&s.evaluate(), &s.direct()));
@@ -635,13 +665,21 @@ mod tests {
         let s = AfmmSolver::new(
             zs.clone(),
             qs.clone(),
-            AfmmParams { terms: 8, leaf_cap: 16, max_level: 12 },
+            AfmmParams {
+                terms: 8,
+                leaf_cap: 16,
+                max_level: 12,
+            },
         );
         // Near-field pairs in the adaptive method.
         let adaptive_pairs: usize = s
             .leaves()
             .map(|b| {
-                let u: usize = s.u_list(b).iter().map(|&u| s.nodes[u].particles.len()).sum();
+                let u: usize = s
+                    .u_list(b)
+                    .iter()
+                    .map(|&u| s.nodes[u].particles.len())
+                    .sum();
                 s.nodes[b].particles.len() * u
             })
             .sum();

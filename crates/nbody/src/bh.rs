@@ -67,7 +67,12 @@ pub fn walk(tree: &Octree, bodies: &[Body], i: usize, params: BhParams) -> WalkR
         if cell.is_leaf() {
             for &b in &cell.bodies {
                 if b as usize != i {
-                    res.acc += point_accel(pos, bodies[b as usize].pos, bodies[b as usize].mass, params.eps);
+                    res.acc += point_accel(
+                        pos,
+                        bodies[b as usize].pos,
+                        bodies[b as usize].mass,
+                        params.eps,
+                    );
                     res.body_interactions += 1;
                 }
             }
@@ -87,7 +92,9 @@ pub fn walk(tree: &Octree, bodies: &[Body], i: usize, params: BhParams) -> WalkR
 
 /// Accelerations for every body (the full sequential force phase).
 pub fn all_accels(tree: &Octree, bodies: &[Body], params: BhParams) -> Vec<WalkResult> {
-    (0..bodies.len()).map(|i| walk(tree, bodies, i, params)).collect()
+    (0..bodies.len())
+        .map(|i| walk(tree, bodies, i, params))
+        .collect()
 }
 
 /// Relative error of `approx` against `exact`, guarding tiny magnitudes.

@@ -83,7 +83,11 @@ pub fn clustered_square(n: usize, k: usize, seed: u64) -> Vec<Body> {
             let dx: f64 = rng.gen_range(-1.0f64..1.0).powi(3) * 0.12;
             let dy: f64 = rng.gen_range(-1.0f64..1.0).powi(3) * 0.12;
             Body::at(
-                Vec3::new((cx + dx).clamp(1e-6, 1.0 - 1e-6), (cy + dy).clamp(1e-6, 1.0 - 1e-6), 0.0),
+                Vec3::new(
+                    (cx + dx).clamp(1e-6, 1.0 - 1e-6),
+                    (cy + dy).clamp(1e-6, 1.0 - 1e-6),
+                    0.0,
+                ),
                 m,
             )
         })

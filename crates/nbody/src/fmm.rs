@@ -183,7 +183,11 @@ fn m2m_with(
     store: impl Fn(&mut Cx, Cx),
 ) {
     let p = child.coeffs.len() - 1;
-    assert_eq!(out.len(), p + 1, "M2M between expansions of different length");
+    assert_eq!(
+        out.len(),
+        p + 1,
+        "M2M between expansions of different length"
+    );
     check_terms(p, bin);
     debug_assert!(d.is_finite(), "M2M by the shift {d:?}");
     let q = child.coeffs[0];
@@ -198,7 +202,14 @@ fn m2m_with(
         b.set(l, dl * (q * (-1.0 / l as f64)));
     }
     for k in 1..=p {
-        shift_axpy(&mut b, k, child.coeffs[k], &dpow, 0, &bin.shift_row(k)[..=p - k]);
+        shift_axpy(
+            &mut b,
+            k,
+            child.coeffs[k],
+            &dpow,
+            0,
+            &bin.shift_row(k)[..=p - k],
+        );
     }
     for (l, o) in out.iter_mut().enumerate().skip(1) {
         store(o, b.get(l));
@@ -221,7 +232,10 @@ impl M2lShift {
     /// The shift by `d = zs − zt` (nonzero, finite) for expansions of up to
     /// `p` terms.
     pub fn new(d: Cx, p: usize) -> M2lShift {
-        assert!(p < MAX_COEFFS, "M2L with p = {p} terms: the kernels hold p < {MAX_COEFFS}");
+        assert!(
+            p < MAX_COEFFS,
+            "M2L with p = {p} terms: the kernels hold p < {MAX_COEFFS}"
+        );
         debug_assert!(d.is_finite() && d != Cx::ZERO, "M2L by the shift {d:?}");
         let dinv = d.recip();
         let mut dipow = Split::ZERO;
@@ -244,7 +258,9 @@ impl M2lShift {
 pub fn m2l(src: &Multipole, d: Cx, bin: &Binomials) -> Local {
     let p = src.coeffs.len() - 1;
     let mut out = Local::zero(p);
-    m2l_with(src, &M2lShift::new(d, p), bin, &mut out.coeffs, |o, v| *o = v);
+    m2l_with(src, &M2lShift::new(d, p), bin, &mut out.coeffs, |o, v| {
+        *o = v
+    });
     out
 }
 
@@ -274,8 +290,16 @@ fn m2l_with(
     store: impl Fn(&mut Cx, Cx),
 ) {
     let p = src.coeffs.len() - 1;
-    assert_eq!(out.len(), p + 1, "M2L between expansions of different length");
-    assert!(p <= shift.terms, "M2L of {p} terms by a shift prepared for {}", shift.terms);
+    assert_eq!(
+        out.len(),
+        p + 1,
+        "M2L between expansions of different length"
+    );
+    assert!(
+        p <= shift.terms,
+        "M2L of {p} terms by a shift prepared for {}",
+        shift.terms
+    );
     check_terms(p, bin);
     let q = src.coeffs[0];
     let mut t = Split::ZERO;
@@ -326,7 +350,11 @@ pub fn l2l_into(parent: &Local, t: Cx, bin: &Binomials, acc: &mut Local) {
 #[inline]
 fn l2l_with(parent: &Local, t: Cx, bin: &Binomials, out: &mut [Cx], store: impl Fn(&mut Cx, Cx)) {
     let p = parent.coeffs.len() - 1;
-    assert_eq!(out.len(), p + 1, "L2L between expansions of different length");
+    assert_eq!(
+        out.len(),
+        p + 1,
+        "L2L between expansions of different length"
+    );
     check_terms(p, bin);
     debug_assert!(t.is_finite(), "L2L by the shift {t:?}");
     let mut c = Split::ZERO;
@@ -472,7 +500,13 @@ impl FmmSolver {
         let shift = self.shifts[at as usize]
             .as_ref()
             .expect("an interaction-list source is at least two boxes away");
-        m2l_with(&self.multipoles[src.dense_index()], shift, &self.bin, acc, |o, v| *o += v);
+        m2l_with(
+            &self.multipoles[src.dense_index()],
+            shift,
+            &self.bin,
+            acc,
+            |o, v| *o += v,
+        );
     }
 
     /// P2M at the leaves, then M2M up the tree.
@@ -565,7 +599,12 @@ impl FmmSolver {
 
     /// Direct O(n²) oracle.
     pub fn direct(&self) -> Vec<Cx> {
-        let sources: Vec<(Cx, f64)> = self.zs.iter().copied().zip(self.qs.iter().copied()).collect();
+        let sources: Vec<(Cx, f64)> = self
+            .zs
+            .iter()
+            .copied()
+            .zip(self.qs.iter().copied())
+            .collect();
         self.zs.iter().map(|&z| p2p_field(z, &sources)).collect()
     }
 }
@@ -666,7 +705,10 @@ mod tests {
     }
 
     fn bits(coeffs: &[Cx]) -> Vec<(u64, u64)> {
-        coeffs.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        coeffs
+            .iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
     }
 
     fn random_coeffs(p: usize, rng: &mut SmallRng) -> Vec<Cx> {
@@ -680,31 +722,57 @@ mod tests {
     fn assert_kernels_match_reference(p: usize, d: Cx, seed: u64) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let bin = Binomials::new(2 * p);
-        let m = Multipole { coeffs: random_coeffs(p, &mut rng) };
-        let l = Local { coeffs: random_coeffs(p, &mut rng) };
+        let m = Multipole {
+            coeffs: random_coeffs(p, &mut rng),
+        };
+        let l = Local {
+            coeffs: random_coeffs(p, &mut rng),
+        };
         let seed_acc = random_coeffs(p, &mut rng);
 
         let want = reference::m2l(&m, d, &bin);
-        assert_eq!(bits(&m2l(&m, d, &bin).coeffs), bits(&want.coeffs), "m2l p={p}");
-        let mut acc = Local { coeffs: seed_acc.clone() };
+        assert_eq!(
+            bits(&m2l(&m, d, &bin).coeffs),
+            bits(&want.coeffs),
+            "m2l p={p}"
+        );
+        let mut acc = Local {
+            coeffs: seed_acc.clone(),
+        };
         let mut want_acc = acc.clone();
         m2l_into(&m, d, &bin, &mut acc);
         want_acc.add_assign(&want);
         assert_eq!(bits(&acc.coeffs), bits(&want_acc.coeffs), "m2l_into p={p}");
 
         let want = reference::l2l(&l, d, &bin);
-        assert_eq!(bits(&l2l(&l, d, &bin).coeffs), bits(&want.coeffs), "l2l p={p}");
-        let mut acc = Local { coeffs: seed_acc.clone() };
+        assert_eq!(
+            bits(&l2l(&l, d, &bin).coeffs),
+            bits(&want.coeffs),
+            "l2l p={p}"
+        );
+        let mut acc = Local {
+            coeffs: seed_acc.clone(),
+        };
         let mut want_acc = acc.clone();
         l2l_into(&l, d, &bin, &mut acc);
         want_acc.add_assign(&want);
         assert_eq!(bits(&acc.coeffs), bits(&want_acc.coeffs), "l2l_into p={p}");
 
         let want = reference::m2m(&m, d, &bin);
-        assert_eq!(bits(&m2m(&m, d, &bin).coeffs), bits(&want.coeffs), "m2m p={p}");
-        let mut acc = Multipole { coeffs: seed_acc.clone() };
+        assert_eq!(
+            bits(&m2m(&m, d, &bin).coeffs),
+            bits(&want.coeffs),
+            "m2m p={p}"
+        );
+        let mut acc = Multipole {
+            coeffs: seed_acc.clone(),
+        };
         m2m_into(&m, d, &bin, &mut acc);
-        let want_acc: Vec<Cx> = seed_acc.iter().zip(&want.coeffs).map(|(a, w)| *a + *w).collect();
+        let want_acc: Vec<Cx> = seed_acc
+            .iter()
+            .zip(&want.coeffs)
+            .map(|(a, w)| *a + *w)
+            .collect();
         assert_eq!(bits(&acc.coeffs), bits(&want_acc), "m2m_into p={p}");
     }
 
@@ -737,8 +805,14 @@ mod tests {
         let bin = Binomials::new(2);
         let m = Multipole::zero(1);
         let d = Cx::new(1.0, 1.0);
-        assert_eq!(bits(&m2l(&m, d, &bin).coeffs), bits(&reference::m2l(&m, d, &bin).coeffs));
-        assert_eq!(bits(&m2m(&m, d, &bin).coeffs), bits(&reference::m2m(&m, d, &bin).coeffs));
+        assert_eq!(
+            bits(&m2l(&m, d, &bin).coeffs),
+            bits(&reference::m2l(&m, d, &bin).coeffs)
+        );
+        assert_eq!(
+            bits(&m2m(&m, d, &bin).coeffs),
+            bits(&reference::m2m(&m, d, &bin).coeffs)
+        );
     }
 
     #[test]
@@ -770,11 +844,17 @@ mod tests {
         let bodies = crate::distrib::uniform_square(600, 77);
         let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
         let qs: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
-        for (terms, levels, want) in [(29, 3, 0xad4c_288d_647b_6ff2u64), (12, 4, 0x29c2_d04c_edf3_81c2u64)] {
+        for (terms, levels, want) in [
+            (29, 3, 0xad4c_288d_647b_6ff2u64),
+            (12, 4, 0x29c2_d04c_edf3_81c2u64),
+        ] {
             let mut s = FmmSolver::new(zs.clone(), qs.clone(), FmmParams { terms, levels });
             s.downward();
             let got = field_digest(&s.evaluate());
-            assert_eq!(got, want, "terms {terms} levels {levels}: digest {got:#018x}");
+            assert_eq!(
+                got, want,
+                "terms {terms} levels {levels}: digest {got:#018x}"
+            );
         }
     }
 
@@ -784,7 +864,14 @@ mod tests {
     #[should_panic(expected = "FmmSolver::evaluate needs the locals of FmmSolver::downward")]
     fn evaluate_before_downward_panics() {
         let (zs, qs) = random_points(100, 3);
-        let s = FmmSolver::new(zs, qs, FmmParams { terms: 6, levels: 3 });
+        let s = FmmSolver::new(
+            zs,
+            qs,
+            FmmParams {
+                terms: 6,
+                levels: 3,
+            },
+        );
         assert!(s.locals.is_empty());
         s.evaluate();
     }
@@ -792,7 +879,14 @@ mod tests {
     #[test]
     fn solver_shift_table_matches_per_call_shifts() {
         let (zs, qs) = random_points(300, 5);
-        let s = FmmSolver::new(zs, qs, FmmParams { terms: 9, levels: 4 });
+        let s = FmmSolver::new(
+            zs,
+            qs,
+            FmmParams {
+                terms: 9,
+                levels: 4,
+            },
+        );
         for level in 2..=4 {
             for b in s.tree.boxes_at(level) {
                 for src in b.interaction_list() {
@@ -800,7 +894,12 @@ mod tests {
                     s.m2l_into(src, b, &mut got);
                     let mut want = Local::zero(9);
                     let d = src.center() - b.center();
-                    m2l_into(&s.multipoles[src.dense_index()], d, s.binomials(), &mut want);
+                    m2l_into(
+                        &s.multipoles[src.dense_index()],
+                        d,
+                        s.binomials(),
+                        &mut want,
+                    );
                     assert_eq!(bits(&got.coeffs), bits(&want.coeffs), "{src:?} -> {b:?}");
                 }
             }
@@ -919,9 +1018,20 @@ mod tests {
     #[test]
     fn empty_leaves_are_harmless() {
         // Clustered input leaves most leaves empty.
-        let zs = vec![Cx::new(0.21, 0.22), Cx::new(0.23, 0.21), Cx::new(0.81, 0.79)];
+        let zs = vec![
+            Cx::new(0.21, 0.22),
+            Cx::new(0.23, 0.21),
+            Cx::new(0.81, 0.79),
+        ];
         let qs = vec![1.0, 2.0, 3.0];
-        let mut s = FmmSolver::new(zs, qs, FmmParams { terms: 16, levels: 3 });
+        let mut s = FmmSolver::new(
+            zs,
+            qs,
+            FmmParams {
+                terms: 16,
+                levels: 3,
+            },
+        );
         s.downward();
         let err = max_rel_err(&s.evaluate(), &s.direct());
         assert!(err < 1e-9, "max rel err {err}");
@@ -931,8 +1041,19 @@ mod tests {
     fn total_charge_conserved_up_the_tree() {
         let (zs, qs) = random_points(300, 13);
         let total: f64 = qs.iter().sum();
-        let s = FmmSolver::new(zs, qs, FmmParams { terms: 8, levels: 3 });
-        let root = BoxId { level: 0, x: 0, y: 0 };
+        let s = FmmSolver::new(
+            zs,
+            qs,
+            FmmParams {
+                terms: 8,
+                levels: 3,
+            },
+        );
+        let root = BoxId {
+            level: 0,
+            x: 0,
+            y: 0,
+        };
         assert!((s.multipoles[root.dense_index()].charge().re - total).abs() < 1e-9);
     }
 }

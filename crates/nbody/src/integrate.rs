@@ -11,10 +11,7 @@ use crate::vec3::Vec3;
 
 /// Total kinetic energy of the system.
 pub fn kinetic_energy(bodies: &[Body]) -> f64 {
-    bodies
-        .iter()
-        .map(|b| 0.5 * b.mass * b.vel.norm2())
-        .sum()
+    bodies.iter().map(|b| 0.5 * b.mass * b.vel.norm2()).sum()
 }
 
 /// Total (softened) gravitational potential energy, by direct summation.

@@ -52,9 +52,21 @@ impl BoxId {
         let (x, y) = (self.x * 2, self.y * 2);
         [
             BoxId { level: l, x, y },
-            BoxId { level: l, x: x + 1, y },
-            BoxId { level: l, x, y: y + 1 },
-            BoxId { level: l, x: x + 1, y: y + 1 },
+            BoxId {
+                level: l,
+                x: x + 1,
+                y,
+            },
+            BoxId {
+                level: l,
+                x,
+                y: y + 1,
+            },
+            BoxId {
+                level: l,
+                x: x + 1,
+                y: y + 1,
+            },
         ]
     }
 
@@ -160,7 +172,10 @@ impl QuadTree {
     /// Assign `positions` (complex, inside `[0,1]^2`) to leaves at level
     /// `levels`.
     pub fn build(positions: &[Cx], levels: u32) -> QuadTree {
-        assert!(levels >= 2, "FMM needs at least level 2 for nonempty interaction lists");
+        assert!(
+            levels >= 2,
+            "FMM needs at least level 2 for nonempty interaction lists"
+        );
         let n = 1u32 << levels;
         let mut leaf_particles = vec![Vec::new(); (n as usize) * (n as usize)];
         for (i, z) in positions.iter().enumerate() {
@@ -290,7 +305,11 @@ mod tests {
             let n = 1u32 << level;
             for (x, y) in (0..n).flat_map(|y| (0..n).map(move |x| (x, y))) {
                 let b = BoxId { level, x, y };
-                assert_eq!(b.neighbors().collect::<Vec<_>>(), b.neighbors_vec(), "{b:?}");
+                assert_eq!(
+                    b.neighbors().collect::<Vec<_>>(),
+                    b.neighbors_vec(),
+                    "{b:?}"
+                );
                 assert_eq!(
                     b.interaction_list().collect::<Vec<_>>(),
                     b.interaction_list_vec(),
@@ -298,8 +317,18 @@ mod tests {
                 );
             }
         }
-        let corner = BoxId { level: 4, x: 15, y: 0 };
-        assert_eq!((corner.neighbors().count(), corner.interaction_list().count()), (3, 12));
+        let corner = BoxId {
+            level: 4,
+            x: 15,
+            y: 0,
+        };
+        assert_eq!(
+            (
+                corner.neighbors().count(),
+                corner.interaction_list().count()
+            ),
+            (3, 12)
+        );
     }
 
     #[test]
@@ -320,15 +349,35 @@ mod tests {
                 y: 1
             })
         );
-        assert_eq!(BoxId { level: 0, x: 0, y: 0 }.parent(), None);
+        assert_eq!(
+            BoxId {
+                level: 0,
+                x: 0,
+                y: 0
+            }
+            .parent(),
+            None
+        );
     }
 
     #[test]
     fn neighbor_counts() {
         // Corner, edge, interior.
-        let corner = BoxId { level: 2, x: 0, y: 0 };
-        let edge = BoxId { level: 2, x: 1, y: 0 };
-        let interior = BoxId { level: 2, x: 1, y: 1 };
+        let corner = BoxId {
+            level: 2,
+            x: 0,
+            y: 0,
+        };
+        let edge = BoxId {
+            level: 2,
+            x: 1,
+            y: 0,
+        };
+        let interior = BoxId {
+            level: 2,
+            x: 1,
+            y: 1,
+        };
         assert_eq!(corner.neighbors().count(), 3);
         assert_eq!(edge.neighbors().count(), 5);
         assert_eq!(interior.neighbors().count(), 8);
@@ -337,9 +386,21 @@ mod tests {
     #[test]
     fn interaction_list_is_well_separated() {
         for b in [
-            BoxId { level: 3, x: 4, y: 3 },
-            BoxId { level: 3, x: 0, y: 0 },
-            BoxId { level: 2, x: 1, y: 2 },
+            BoxId {
+                level: 3,
+                x: 4,
+                y: 3,
+            },
+            BoxId {
+                level: 3,
+                x: 0,
+                y: 0,
+            },
+            BoxId {
+                level: 2,
+                x: 1,
+                y: 2,
+            },
         ] {
             let il: Vec<BoxId> = b.interaction_list().collect();
             assert!(il.len() <= 27);
@@ -351,14 +412,36 @@ mod tests {
             }
         }
         // Interior boxes at deep levels see the full 27.
-        let deep = BoxId { level: 4, x: 7, y: 7 };
+        let deep = BoxId {
+            level: 4,
+            x: 7,
+            y: 7,
+        };
         assert_eq!(deep.interaction_list().count(), 27);
     }
 
     #[test]
     fn interaction_list_empty_at_top() {
-        assert_eq!(BoxId { level: 0, x: 0, y: 0 }.interaction_list().count(), 0);
-        assert_eq!(BoxId { level: 1, x: 1, y: 0 }.interaction_list().count(), 0);
+        assert_eq!(
+            BoxId {
+                level: 0,
+                x: 0,
+                y: 0
+            }
+            .interaction_list()
+            .count(),
+            0
+        );
+        assert_eq!(
+            BoxId {
+                level: 1,
+                x: 1,
+                y: 0
+            }
+            .interaction_list()
+            .count(),
+            0
+        );
     }
 
     #[test]
@@ -366,7 +449,11 @@ mod tests {
         // For any box b, {b} ∪ neighbors(b) ∪ IL(b) exactly tiles the
         // children of parent's {self ∪ neighbors} — the FMM correctness
         // partition.
-        let b = BoxId { level: 3, x: 3, y: 5 };
+        let b = BoxId {
+            level: 3,
+            x: 3,
+            y: 5,
+        };
         let mut covered: Vec<BoxId> = vec![b];
         covered.extend(b.neighbors());
         covered.extend(b.interaction_list());
@@ -395,10 +482,28 @@ mod tests {
 
     #[test]
     fn ancestor_at_levels() {
-        let b = BoxId { level: 4, x: 13, y: 6 };
+        let b = BoxId {
+            level: 4,
+            x: 13,
+            y: 6,
+        };
         assert_eq!(b.ancestor_at(4), b);
-        assert_eq!(b.ancestor_at(3), BoxId { level: 3, x: 6, y: 3 });
-        assert_eq!(b.ancestor_at(0), BoxId { level: 0, x: 0, y: 0 });
+        assert_eq!(
+            b.ancestor_at(3),
+            BoxId {
+                level: 3,
+                x: 6,
+                y: 3
+            }
+        );
+        assert_eq!(
+            b.ancestor_at(0),
+            BoxId {
+                level: 0,
+                x: 0,
+                y: 0
+            }
+        );
         assert_eq!(Some(b.ancestor_at(3)), b.parent());
     }
 
@@ -419,7 +524,12 @@ mod tests {
     #[test]
     fn build_assigns_every_particle() {
         let pts: Vec<Cx> = (0..100)
-            .map(|i| Cx::new((i as f64 + 0.5) / 100.0, ((i * 7 % 100) as f64 + 0.5) / 100.0))
+            .map(|i| {
+                Cx::new(
+                    (i as f64 + 0.5) / 100.0,
+                    ((i * 7 % 100) as f64 + 0.5) / 100.0,
+                )
+            })
             .collect();
         let t = QuadTree::build(&pts, 3);
         let total: usize = t.leaf_particles.iter().map(Vec::len).sum();

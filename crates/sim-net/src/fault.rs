@@ -128,7 +128,10 @@ impl FaultPlan {
             parts.push(format!("dup(p={})", self.dup_p));
         }
         if self.delay_p > 0.0 {
-            parts.push(format!("delay(p={},max={}ns)", self.delay_p, self.delay_max_ns));
+            parts.push(format!(
+                "delay(p={},max={}ns)",
+                self.delay_p, self.delay_max_ns
+            ));
         }
         if let Some(n) = self.drop_nth {
             parts.push(format!("drop_nth({n})"));
@@ -327,7 +330,10 @@ mod tests {
             b.decide(2, 3);
         }
         let b01: Vec<_> = (0..50).map(|_| b.decide(0, 1)).collect();
-        assert_eq!(a01, b01, "channel decisions must not depend on interleaving");
+        assert_eq!(
+            a01, b01,
+            "channel decisions must not depend on interleaving"
+        );
     }
 
     #[test]

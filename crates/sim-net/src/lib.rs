@@ -68,9 +68,9 @@ pub mod wheel;
 
 pub use fault::{FaultAction, FaultInjector, FaultPlan, NodePause};
 pub use machine::{Ctx, Machine, NodeId, Proc, RunReport, StallInfo};
-pub use wheel::{EventKey, QueueKind, TimingWheel, WheelItem};
 pub use network::{MsgSize, NetConfig};
 pub use rng::Rng;
 pub use stats::{ChargeKind, NodeStats, RunStats};
 pub use time::{Dur, Time};
 pub use trace::{Span, Trace};
+pub use wheel::{EventKey, QueueKind, TimingWheel, WheelItem};

@@ -446,7 +446,13 @@ impl Courier {
         }
     }
 
-    fn make_event<M>(&mut self, time: Time, src: NodeId, dst: NodeId, kind: EventKind<M>) -> Event<M> {
+    fn make_event<M>(
+        &mut self,
+        time: Time,
+        src: NodeId,
+        dst: NodeId,
+        kind: EventKind<M>,
+    ) -> Event<M> {
         let seq = self.next_seq[src.index()];
         self.next_seq[src.index()] = seq + 1;
         let tie = match self.schedule_seed {
@@ -493,8 +499,12 @@ impl Courier {
                 } => (extra_delay_ns, duplicate),
             };
             let jitter = if jitter_ns > 0 && p.dst != p.src {
-                jitter_hash(self.jitter_seed, p.src.0, p.dst.0, self.next_seq[p.src.index()])
-                    % (jitter_ns + 1)
+                jitter_hash(
+                    self.jitter_seed,
+                    p.src.0,
+                    p.dst.0,
+                    self.next_seq[p.src.index()],
+                ) % (jitter_ns + 1)
             } else {
                 0
             };
@@ -999,10 +1009,13 @@ mod tests {
     #[test]
     fn jitter_changes_timing_not_results() {
         let run = |seed: u64, jitter: u64| {
-            let mut m = pingpong_machine(6, NetConfig {
-                jitter_ns: jitter,
-                ..NetConfig::default()
-            });
+            let mut m = pingpong_machine(
+                6,
+                NetConfig {
+                    jitter_ns: jitter,
+                    ..NetConfig::default()
+                },
+            );
             m.perturb_schedule(seed);
             let r = m.run();
             assert!(r.completed, "jitter must not lose messages");
@@ -1241,7 +1254,9 @@ mod tests {
         // A run is a function of its explicit inputs: no environment
         // variable picks a new machine's queue.
         std::env::set_var("DPA_SIM_QUEUE", "heap");
-        let kind = Machine::new(vec![Echo, Echo], NetConfig::default()).queue.kind();
+        let kind = Machine::new(vec![Echo, Echo], NetConfig::default())
+            .queue
+            .kind();
         std::env::remove_var("DPA_SIM_QUEUE");
         assert_eq!(kind, QueueKind::Wheel);
     }

@@ -49,8 +49,7 @@ impl Trace {
             return;
         }
         if let Some(last) = self.spans.last_mut() {
-            if last.node == node && last.kind == kind && last.start_ns + last.dur_ns == start_ns
-            {
+            if last.node == node && last.kind == kind && last.start_ns + last.dur_ns == start_ns {
                 last.dur_ns += dur_ns;
                 return;
             }
@@ -99,7 +98,11 @@ impl Trace {
                 s.dur_ns as f64 / 1e3,
                 s.node
             );
-            out.push_str(if i + 1 == self.spans.len() { "\n" } else { ",\n" });
+            out.push_str(if i + 1 == self.spans.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         out.push(']');
         out

@@ -271,7 +271,9 @@ impl<T: WheelItem> TimingWheel<T> {
                     // Descending by key: `pop` then takes the minimum from
                     // the end in O(1). Keys are unique (per-source seqs),
                     // so unstable sorting is deterministic.
-                    bucket.items.sort_unstable_by_key(|i| std::cmp::Reverse(i.key()));
+                    bucket
+                        .items
+                        .sort_unstable_by_key(|i| std::cmp::Reverse(i.key()));
                     bucket.sorted = true;
                 }
                 return Some(i);
@@ -369,11 +371,18 @@ mod tests {
         w.push(k(500, 0, 0, 2));
         assert_eq!(w.len(), 4);
         let order: Vec<EventKey> = std::iter::from_fn(|| w.pop()).map(|i| i.0).collect();
-        let times: Vec<(u64, u64, u16, u64)> =
-            order.iter().map(|e| (e.time, e.tie, e.src, e.seq)).collect();
+        let times: Vec<(u64, u64, u16, u64)> = order
+            .iter()
+            .map(|e| (e.time, e.tie, e.src, e.seq))
+            .collect();
         assert_eq!(
             times,
-            vec![(200, 0, 0, 1), (500, 0, 0, 2), (500, 0, 1, 0), (500, 1, 0, 0)]
+            vec![
+                (200, 0, 0, 1),
+                (500, 0, 0, 2),
+                (500, 0, 1, 0),
+                (500, 1, 0, 0)
+            ]
         );
         assert!(w.is_empty());
     }
@@ -443,13 +452,22 @@ mod tests {
         w.reset();
         assert!(w.is_empty());
         let mut fresh: TimingWheel<Item> = TimingWheel::new();
-        for item in [k(700, 1, 0, 3), k(700, 0, 1, 4), k(10, 0, 0, 5), k(40 * horizon, 0, 0, 6)] {
+        for item in [
+            k(700, 1, 0, 3),
+            k(700, 0, 1, 4),
+            k(10, 0, 0, 5),
+            k(40 * horizon, 0, 0, 6),
+        ] {
             w.push(item);
             fresh.push(item);
         }
         loop {
             let (a, b) = (w.pop(), fresh.pop());
-            assert_eq!(a.map(|i| i.0), b.map(|i| i.0), "reset wheel diverged from fresh");
+            assert_eq!(
+                a.map(|i| i.0),
+                b.map(|i| i.0),
+                "reset wheel diverged from fresh"
+            );
             if b.is_none() {
                 break;
             }

@@ -62,7 +62,13 @@ fn main() {
 
     // Uniform tree on the same input (count-chosen depth).
     let levels = QuadTree::level_for(n, 16);
-    let uw = FmmWorld::build(zs, qs, nodes, FmmParams { terms, levels }, FmmCost::default());
+    let uw = FmmWorld::build(
+        zs,
+        qs,
+        nodes,
+        FmmParams { terms, levels },
+        FmmCost::default(),
+    );
     let ur = run_fmm(&uw, DpaConfig::dpa(50), NetConfig::default(), &opts).expect_completed();
     println!(
         "uniform DPA:   {:>8.3} s simulated (level-{levels} tree, {}x slower on this input)",

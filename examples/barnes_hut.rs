@@ -46,8 +46,14 @@ fn main() {
         DpaConfig::blocking(),
     ] {
         let label = cfg.describe();
-        let r = run_bh(&world, cfg, NetConfig::default(), &DstOptions::default(), Phases::ONE)
-            .expect_completed();
+        let r = run_bh(
+            &world,
+            cfg,
+            NetConfig::default(),
+            &DstOptions::default(),
+            Phases::ONE,
+        )
+        .expect_completed();
         let (l, o, i) = r.stats.mean_breakdown();
         let t = (l + o + i).max(1.0);
         // Validate physics.

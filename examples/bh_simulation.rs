@@ -26,9 +26,7 @@ fn main() {
 
     let mut bodies = plummer(n, 1997);
     let e0 = kinetic_energy(&bodies) + potential_energy(&bodies, params.eps);
-    println!(
-        "Barnes-Hut simulation: {n} bodies, {nodes} nodes, {steps} steps (dt = {dt})"
-    );
+    println!("Barnes-Hut simulation: {n} bodies, {nodes} nodes, {steps} steps (dt = {dt})");
     println!("initial total energy: {e0:.6}\n");
 
     let mut sim_total_ns = 0u64;
@@ -38,8 +36,14 @@ fn main() {
         // tree is rebuilt every step (bodies moved), as in SPLASH-2.
         let world = BhWorld::build(bodies.clone(), nodes, 1, params, BhCost::default());
         let force_phase = |world| {
-            run_bh(world, DpaConfig::dpa(50), NetConfig::default(), &DstOptions::default(), Phases::ONE)
-                .expect_completed()
+            run_bh(
+                world,
+                DpaConfig::dpa(50),
+                NetConfig::default(),
+                &DstOptions::default(),
+                Phases::ONE,
+            )
+            .expect_completed()
         };
         let run = force_phase(&world);
         sim_total_ns += run.makespan_ns();

@@ -48,7 +48,8 @@ fn main() {
         DpaConfig::blocking(),
     ] {
         let label = cfg.describe();
-        let r = run_fmm(&world, cfg, NetConfig::default(), &DstOptions::default()).expect_completed();
+        let r =
+            run_fmm(&world, cfg, NetConfig::default(), &DstOptions::default()).expect_completed();
         let mut worst = 0.0f64;
         for (a, b) in r.fields().iter().zip(&exact) {
             worst = worst.max((*a - *b).abs() / b.abs().max(1e-12));

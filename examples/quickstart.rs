@@ -24,17 +24,20 @@ fn main() {
     });
     let expected: u64 = (0..8).map(|n| world.expected_sum(n)).sum();
 
-    println!("workload: {} records, 8 nodes, expected checksum {expected:#x}\n", world.total_records());
+    println!(
+        "workload: {} records, 8 nodes, expected checksum {expected:#x}\n",
+        world.total_records()
+    );
     println!(
         "{:<42} {:>12} {:>9} {:>8}",
         "configuration", "time", "messages", "checksum"
     );
 
     for cfg in [
-        DpaConfig::dpa(16),       // full DPA: tiling + pipelining + aggregation
-        DpaConfig::dpa_base(16),  // tiling only (exposed round trips)
-        DpaConfig::caching(),     // software-cache baseline
-        DpaConfig::blocking(),    // naive blocking baseline
+        DpaConfig::dpa(16),      // full DPA: tiling + pipelining + aggregation
+        DpaConfig::dpa_base(16), // tiling only (exposed round trips)
+        DpaConfig::caching(),    // software-cache baseline
+        DpaConfig::blocking(),   // naive blocking baseline
     ] {
         let label = cfg.describe();
         let mut sum = 0u64;

@@ -102,7 +102,14 @@ fn icc_barnes_hut_matches_rust_oracle() {
                 Value::Float(cell.cm.z),
                 Value::Float(cell.side()),
                 Value::Int(cell.nbodies as i64),
-                null, null, null, null, null, null, null, null,
+                null,
+                null,
+                null,
+                null,
+                null,
+                null,
+                null,
+                null,
             ],
         );
         ptrs.push(p);
@@ -110,7 +117,11 @@ fn icc_barnes_hut_matches_rust_oracle() {
     for (id, cell) in tree.iter() {
         for (k, &c) in cell.children.iter().enumerate() {
             if c != NO_CELL {
-                b.set_field(ptrs[id as usize], &format!("c{k}"), Value::Ptr(ptrs[c as usize]));
+                b.set_field(
+                    ptrs[id as usize],
+                    &format!("c{k}"),
+                    Value::Ptr(ptrs[c as usize]),
+                );
             }
         }
     }
@@ -132,7 +143,11 @@ fn icc_barnes_hut_matches_rust_oracle() {
     }
     let world = b.build();
 
-    for cfg in [DpaConfig::dpa(8), DpaConfig::caching(), DpaConfig::blocking()] {
+    for cfg in [
+        DpaConfig::dpa(8),
+        DpaConfig::caching(),
+        DpaConfig::blocking(),
+    ] {
         let label = cfg.describe();
         let mut got = vec![0.0f64; nodes as usize];
         run_phase(
@@ -170,14 +185,25 @@ fn icc_bh_dpa_is_faster_than_blocking() {
                 Value::Float(cell.cm.z),
                 Value::Float(cell.side()),
                 Value::Int(cell.nbodies as i64),
-                null, null, null, null, null, null, null, null,
+                null,
+                null,
+                null,
+                null,
+                null,
+                null,
+                null,
+                null,
             ],
         ));
     }
     for (id, cell) in tree.iter() {
         for (k, &c) in cell.children.iter().enumerate() {
             if c != NO_CELL {
-                b.set_field(ptrs[id as usize], &format!("c{k}"), Value::Ptr(ptrs[c as usize]));
+                b.set_field(
+                    ptrs[id as usize],
+                    &format!("c{k}"),
+                    Value::Ptr(ptrs[c as usize]),
+                );
             }
         }
     }

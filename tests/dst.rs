@@ -423,7 +423,13 @@ fn strip_size_preserves_multi_phase_checksums() {
 fn fixed_strips_preserve_bh_checksums() {
     let phases = 3usize;
     let nodes = 4u16;
-    let world = BhWorld::build(plummer(160, 71), nodes, 8, BhParams::default(), BhCost::default());
+    let world = BhWorld::build(
+        plummer(160, 71),
+        nodes,
+        8,
+        BhParams::default(),
+        BhCost::default(),
+    );
     let mut baseline: Option<Vec<u64>> = None;
     for strip in [1usize, 50, 300] {
         let mut hashes = vec![0u64; phases * nodes as usize];
@@ -436,7 +442,10 @@ fn fixed_strips_preserve_bh_checksums() {
             |_, i| BhApp::new(world.clone(), i),
             |ph, i, app: &BhApp| hashes[ph * nodes as usize + i as usize] = app.interaction_hash,
         );
-        assert!(reports.iter().all(|r| r.completed), "strip={strip}: stalled");
+        assert!(
+            reports.iter().all(|r| r.completed),
+            "strip={strip}: stalled"
+        );
         for snaps in &snap_sets {
             let v = check_completed(snaps, false);
             assert!(v.is_empty(), "strip={strip}: {}", v[0]);
@@ -463,7 +472,13 @@ fn fixed_strips_preserve_fmm_checksums() {
     let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
     let qs: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
     let levels = dpa::nbody::quadtree::QuadTree::level_for(particles, 16);
-    let world = FmmWorld::build(zs, qs, 4, FmmParams { terms: 8, levels }, FmmCost::default());
+    let world = FmmWorld::build(
+        zs,
+        qs,
+        4,
+        FmmParams { terms: 8, levels },
+        FmmCost::default(),
+    );
     let configs = [
         ("strip=1", DpaConfig::dpa(1)),
         ("strip=50", DpaConfig::dpa(50)),
@@ -479,14 +494,30 @@ fn fixed_strips_preserve_fmm_checksums() {
             Some(b) => assert_eq!(hash, b, "{label}: checksum diverged"),
         }
     }
-    let world = BhWorld::build(plummer(160, 71), 4, 8, BhParams::default(), BhCost::default());
+    let world = BhWorld::build(
+        plummer(160, 71),
+        4,
+        8,
+        BhParams::default(),
+        BhCost::default(),
+    );
     let hash_of = |cfg: DpaConfig| {
-        run_bh(&world, cfg, NetConfig::default(), &DstOptions::default(), Phases::ONE)
-            .expect_completed()
-            .counter("interaction_hash")
+        run_bh(
+            &world,
+            cfg,
+            NetConfig::default(),
+            &DstOptions::default(),
+            Phases::ONE,
+        )
+        .expect_completed()
+        .counter("interaction_hash")
     };
     let a = hash_of(DpaConfig::dpa(50));
-    assert_eq!(a, hash_of(DpaConfig::dpa(1)), "single-phase BH checksum diverged");
+    assert_eq!(
+        a,
+        hash_of(DpaConfig::dpa(1)),
+        "single-phase BH checksum diverged"
+    );
     assert_ne!(a, 0, "hash plumbing returned the empty checksum");
 }
 
@@ -564,7 +595,10 @@ fn hot_hub_reply_fanout_exceeds_entry_window() {
             .find(|&&(bits, _, _)| bits == hub.bits())
             .unwrap_or_else(|| panic!("hub missing from node-0 hot keys: {hot:?}"));
         assert_eq!(pushed, sent, "hub reply ledger unbalanced");
-        assert!(pushed >= 3, "hub fan-out {pushed} < one serve per remote node");
+        assert!(
+            pushed >= 3,
+            "hub fan-out {pushed} < one serve per remote node"
+        );
         (report, snaps)
     };
 

@@ -105,10 +105,7 @@ fn graph_checksums_invariant_across_config_lanes() {
                 .iter()
                 .flatten()
                 .any(|s| !s.replica_dir.is_empty());
-            let installed = snap_sets
-                .iter()
-                .flatten()
-                .any(|s| s.repl_entries_recv > 0);
+            let installed = snap_sets.iter().flatten().any(|s| s.repl_entries_recv > 0);
             assert!(published, "{label}: no pointer was ever promoted");
             assert!(installed, "{label}: no replica broadcast was installed");
         }
@@ -150,13 +147,20 @@ fn graph_closure_matches_oracle_at_dense_and_sparse_reach() {
         for ph in 0..PHASES {
             for node in 0..NODES {
                 let got = sums[ph * NODES as usize + node as usize];
-                assert_eq!(got, world.expected(ph as u32, node), "skew {skew} phase {ph} node {node}");
+                assert_eq!(
+                    got,
+                    world.expected(ph as u32, node),
+                    "skew {skew} phase {ph} node {node}"
+                );
                 reached += got.1;
             }
         }
         if skew == 0.0 {
             let pairs = (PHASES * 512 * 1_024) as u64;
-            assert!(reached > pairs / 2, "uniform graph reached only {reached} of {pairs} pairs");
+            assert!(
+                reached > pairs / 2,
+                "uniform graph reached only {reached} of {pairs} pairs"
+            );
         }
     }
 }
@@ -204,14 +208,25 @@ fn setops_run_matches_expected(params: dpa::apps::setops_dist::SetopsParams) {
     use dpa::apps::driver::{run_setops, Digest};
     use dpa::apps::setops_dist::{SetOp, SetopsWorld};
     let world = SetopsWorld::build(params);
-    let run = run_setops(&world, DpaConfig::dpa(8), NetConfig::default(), &DstOptions::default());
+    let run = run_setops(
+        &world,
+        DpaConfig::dpa(8),
+        NetConfig::default(),
+        &DstOptions::default(),
+    );
     assert!(run.completed(), "stalled");
-    let Digest::Ints(got) = &run.digest else { panic!("setops digests are integers") };
+    let Digest::Ints(got) = &run.digest else {
+        panic!("setops digests are integers")
+    };
     let mutations = (0..params.nodes)
         .flat_map(|n| world.batch(n))
         .filter(|op| !matches!(op, SetOp::Range(..)))
         .count() as u64;
-    assert_eq!(got.iter().skip(2).step_by(3).sum::<u64>(), mutations, "reductions applied");
+    assert_eq!(
+        got.iter().skip(2).step_by(3).sum::<u64>(),
+        mutations,
+        "reductions applied"
+    );
     for node in 0..params.nodes {
         let at = 3 * node as usize;
         assert_eq!((got[at], got[at + 1]), world.expected(node), "node {node}");
@@ -222,7 +237,11 @@ fn setops_run_matches_expected(params: dpa::apps::setops_dist::SetopsParams) {
         let by_rule = ["window", "mtu", "deadline", "quiescence"]
             .map(|rule| run.stats.user_total(&format!("{path}_flush_{rule}")));
         println!("{path} messages by flush rule [window, mtu, deadline, quiescence]: {by_rule:?}");
-        assert_eq!(by_rule.iter().sum::<u64>(), run.stats.user_total(msgs), "{path}");
+        assert_eq!(
+            by_rule.iter().sum::<u64>(),
+            run.stats.user_total(msgs),
+            "{path}"
+        );
     }
 }
 

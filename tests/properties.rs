@@ -4,8 +4,8 @@
 use dpa::compiler::{compile_source, IccApp, IccWorldBuilder, Value};
 use dpa::global_heap::{GPtr, ObjClass};
 use dpa::nbody::afmm::{AfmmParams, AfmmSolver};
-use dpa::nbody::cx::Cx;
 use dpa::nbody::body::direct_accel;
+use dpa::nbody::cx::Cx;
 use dpa::nbody::distrib::uniform_cube;
 use dpa::nbody::octree::Octree;
 use dpa::runtime::synth::{SynthApp, SynthParams, SynthWorld};
@@ -77,7 +77,9 @@ impl ListsModel {
     }
 
     fn waiters(&self, ptr: GPtr) -> usize {
-        self.ids.get(&ptr).map_or(0, |&id| self.waiters[id as usize].len())
+        self.ids
+            .get(&ptr)
+            .map_or(0, |&id| self.waiters[id as usize].len())
     }
 
     fn reset_for_phase(&mut self) {
