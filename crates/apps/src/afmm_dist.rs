@@ -20,6 +20,7 @@
 //!    (remote multipole reads), and U-list P2P (remote particle lists).
 
 use crate::fmm_dist::FmmCost;
+use crate::owned_fields::{OwnedFields, ParticleSlots};
 use dpa_core::{PtrApp, WorkEnv};
 use global_heap::{ClassTable, GPtr, ObjClass};
 use nbody::afmm::{p2l_into, AfmmParams, AfmmSolver, NO_NODE};
@@ -39,6 +40,8 @@ pub struct AfmmWorld {
     pub grains: Vec<u32>,
     /// Subtree particle count per node.
     pub count: Vec<u32>,
+    /// Owner and per-owner slot of every particle's field.
+    pub slots: Arc<ParticleSlots>,
     /// Precomputed V list per node (list construction belongs to the
     /// untimed tree-build phase, as in SPLASH-2).
     pub v_lists: Vec<Vec<u32>>,
@@ -156,6 +159,14 @@ impl AfmmWorld {
             }
         }
 
+        let slots = Arc::new(ParticleSlots::new(
+            solver.zs.len(),
+            nodes,
+            solver
+                .leaves()
+                .map(|i| (owner[i], &solver.nodes[i].particles[..])),
+        ));
+
         // Interaction lists (untimed tree-build product).
         let mut v_lists = Vec::with_capacity(n_nodes);
         let mut x_lists = Vec::with_capacity(n_nodes);
@@ -182,6 +193,7 @@ impl AfmmWorld {
             owner,
             grains,
             count,
+            slots,
             v_lists,
             x_lists,
             w_lists,
@@ -413,8 +425,8 @@ pub struct AfmmEvalApp {
     leaves: Vec<u32>,
     m2l_partial: HashMap<u32, Local>,
     finals: HashMap<u32, Local>,
-    /// Complex field per particle (owned entries filled).
-    pub fields: Vec<Cx>,
+    /// Complex fields of the owned particles.
+    pub fields: OwnedFields,
     /// L2L shifts performed.
     pub l2l_count: u64,
     /// P2P pairs computed.
@@ -425,13 +437,12 @@ impl AfmmEvalApp {
     /// The phase-2 app for node `me`, consuming its phase-1 partials.
     pub fn new(world: Arc<AfmmWorld>, me: u16, m2l_partial: HashMap<u32, Local>) -> AfmmEvalApp {
         let leaves = world.owned_leaves(me);
-        let n = world.solver.zs.len();
         AfmmEvalApp {
+            fields: OwnedFields::new(world.slots.clone(), me),
             world,
             leaves,
             m2l_partial,
             finals: HashMap::new(),
-            fields: vec![Cx::ZERO; n],
             l2l_count: 0,
             p2p_pairs: 0,
         }
@@ -492,7 +503,7 @@ impl PtrApp for AfmmEvalApp {
                 let center = world.solver.nodes[leaf as usize].center();
                 for &pi in &world.solver.nodes[leaf as usize].particles {
                     let z = world.solver.zs[pi as usize];
-                    self.fields[pi as usize] += eval_local_field(local, z, center);
+                    *self.fields.at_mut(pi) += eval_local_field(local, z, center);
                     env.charge(world.cost.eval_ns(p));
                 }
                 for &wbox in &world.w_lists[leaf as usize] {
@@ -511,7 +522,7 @@ impl PtrApp for AfmmEvalApp {
                 let center = world.solver.nodes[src as usize].center();
                 for &pi in &world.solver.nodes[leaf as usize].particles {
                     let z = world.solver.zs[pi as usize];
-                    self.fields[pi as usize] +=
+                    *self.fields.at_mut(pi) +=
                         eval_multipole_field(&world.solver.multipoles[src as usize], z, center);
                     env.charge(world.cost.eval_term_ns * p as u64 + world.cost.work_fixed_ns);
                 }
@@ -521,7 +532,7 @@ impl PtrApp for AfmmEvalApp {
                 let sources = world.points_of(src);
                 for &pi in &world.solver.nodes[leaf as usize].particles {
                     let z = world.solver.zs[pi as usize];
-                    self.fields[pi as usize] += p2p_field(z, &sources);
+                    *self.fields.at_mut(pi) += p2p_field(z, &sources);
                     self.p2p_pairs += sources.len() as u64;
                     env.charge(world.cost.p2p_pair_ns * sources.len() as u64);
                 }

@@ -6,6 +6,7 @@ use crate::afmm_dist::{AfmmEvalApp, AfmmGatherApp, AfmmWorld};
 use crate::bh_dist::{BhApp, BhWorld};
 use crate::fmm_dist::{FmmEvalApp, FmmM2lApp, FmmWorld};
 use crate::graph_dist::{GraphApp, GraphWorld};
+use crate::owned_fields::OwnedFields;
 use crate::relax::{RelaxApp, RelaxWorld};
 use crate::setops_dist::{SetopsApp, SetopsWorld};
 use dpa_core::synth::{SynthApp, SynthWorld};
@@ -308,7 +309,7 @@ fn two_subphases<G: PtrApp, E: PtrApp>(
     mk_gather: impl Fn(u16) -> G,
     mut partial_of: impl FnMut(&G) -> HashMap<u32, Local>,
     mk_eval: impl Fn(u16, HashMap<u32, Local>) -> E,
-    mut fields_of: impl FnMut(&E) -> &[Cx],
+    mut fields_of: impl FnMut(&E) -> &OwnedFields,
 ) -> ((Vec<RunReport>, Vec<Vec<NodeSnapshot>>), Digest) {
     let mut partials = Vec::with_capacity(nodes as usize);
     let (mut reports, mut snaps) = drive(

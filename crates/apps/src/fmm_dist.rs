@@ -22,6 +22,7 @@
 //! Both sub-phases run under any [`dpa_core::Variant`]; forces agree with
 //! the sequential [`nbody::fmm::FmmSolver`] to floating-point tolerance.
 
+use crate::owned_fields::{OwnedFields, ParticleSlots};
 use dpa_core::{PtrApp, WorkEnv};
 use global_heap::{ClassTable, GPtr, ObjClass};
 use nbody::cx::Cx;
@@ -87,6 +88,8 @@ pub struct FmmWorld {
     pub box_count: Vec<u32>,
     /// Partition level K.
     pub part_level: u32,
+    /// Owner and per-owner slot of every particle's field.
+    pub slots: Arc<ParticleSlots>,
     /// Cost model.
     pub cost: FmmCost,
     /// Object classes.
@@ -220,6 +223,14 @@ impl FmmWorld {
             };
             box_owner[idx] = root_owner[&anchor];
         }
+        let slots = Arc::new(ParticleSlots::new(
+            solver.zs.len(),
+            nodes,
+            solver
+                .tree
+                .leaves()
+                .map(|b| (box_owner[b.dense_index()], solver.tree.particles_in(b))),
+        ));
 
         let mut classes = ClassTable::new();
         let mpole_class = classes.register("fmm_multipole", mpole_bytes(params.terms));
@@ -230,6 +241,7 @@ impl FmmWorld {
             box_owner,
             box_count,
             part_level,
+            slots,
             cost,
             classes,
             mpole_class,
@@ -497,9 +509,8 @@ pub struct FmmEvalApp {
     finals: HashMap<u32, Local>,
     /// The source leaf's `(position, charge)` list of the P2P in hand.
     sources: Vec<(Cx, f64)>,
-    /// Computed complex fields, indexed by global particle id (only owned
-    /// particles are filled).
-    pub fields: Vec<Cx>,
+    /// Computed complex fields of the owned particles.
+    pub fields: OwnedFields,
     /// L2L shifts performed.
     pub l2l_count: u64,
     /// P2P pair interactions performed.
@@ -516,14 +527,13 @@ impl FmmEvalApp {
     /// phase-1 app.
     pub fn new(world: Arc<FmmWorld>, me: u16, m2l_partial: HashMap<u32, Local>) -> FmmEvalApp {
         let leaves = world.owned_leaves(me);
-        let n = world.solver.zs.len();
         FmmEvalApp {
+            fields: OwnedFields::new(world.slots.clone(), me),
             world,
             leaves,
             m2l_partial,
             finals: HashMap::new(),
             sources: Vec::new(),
-            fields: vec![Cx::ZERO; n],
             l2l_count: 0,
             p2p_pairs: 0,
             interaction_hash: 0,
@@ -587,7 +597,7 @@ impl PtrApp for FmmEvalApp {
                 let center = leaf.center();
                 for &i in world.solver.tree.particles_in(leaf) {
                     let z = world.solver.zs[i as usize];
-                    self.fields[i as usize] += eval_local_field(local, z, center);
+                    *self.fields.at_mut(i) += eval_local_field(local, z, center);
                     env.charge(world.cost.eval_ns(p));
                 }
                 // Near field: self plus neighbors.
@@ -623,7 +633,7 @@ impl PtrApp for FmmEvalApp {
                 );
                 for &i in world.solver.tree.particles_in(tgt) {
                     let z = world.solver.zs[i as usize];
-                    self.fields[i as usize] += nbody::fmm::p2p_field(z, sources);
+                    *self.fields.at_mut(i) += nbody::fmm::p2p_field(z, sources);
                     self.p2p_pairs += sources.len() as u64;
                     env.charge(world.cost.p2p_pair_ns * sources.len() as u64);
                 }

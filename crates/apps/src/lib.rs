@@ -13,6 +13,8 @@
 //! * [`afmm_dist`] — the **adaptive** FMM (SPLASH-2's actual algorithm):
 //!   grain-subtree partitioning of the variable-depth tree and the
 //!   U/V/W/X list phases;
+//! * [`owned_fields`] — the fields both FMM eval sub-phases compute, a
+//!   slot per owned particle, and the dense view the drivers read;
 //! * [`relax`] — a push-style weighted graph relaxation exercising the
 //!   remote-reduction extension (the paper's stated future work);
 //! * [`graph_dist`] — semi-naive transitive closure over a mutable
@@ -37,6 +39,7 @@ pub mod driver;
 pub mod error;
 pub mod fmm_dist;
 pub mod graph_dist;
+pub mod owned_fields;
 pub mod relax;
 pub mod setops_dist;
 

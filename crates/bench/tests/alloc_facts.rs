@@ -17,10 +17,11 @@ use nbody::bh::BhParams;
 use nbody::cx::{Binomials, Cx};
 use nbody::distrib::{plummer, uniform_square};
 use nbody::fmm::{m2l_into, FmmParams, FmmSolver, Local, Multipole};
-use nbody::quadtree::BoxId;
+use nbody::quadtree::{BoxId, QuadTree};
 use sim_net::{Machine, NetConfig, NodeId, QueueKind, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::hint::black_box;
 
 thread_local! {
@@ -484,6 +485,34 @@ fn fmm_m2l_and_eval_phases_allocate_nothing_per_thread() {
         threads > 5_000 && allocs <= 60,
         "eval: {allocs} allocations, {threads} threads"
     );
+}
+
+/// A node's eval app keeps a field for each particle it owns (16 B each),
+/// not one for every particle in the machine: at `fmm16`'s shape that is
+/// about 32 KiB a node where a dense vector was 512 KiB. The slack covers
+/// the owned-leaf list.
+#[test]
+fn fmm_eval_fields_follow_the_owned_particles() {
+    let particles = 32_768;
+    let bodies = uniform_square(particles, 1997);
+    let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
+    let qs: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
+    let params = FmmParams {
+        terms: 29,
+        levels: QuadTree::level_for(particles, 16),
+    };
+    let world = FmmWorld::build(zs, qs, 16, params, FmmCost::default());
+    let owned = world.slots.owned(0);
+    assert!(
+        owned > 0 && owned < particles / 8,
+        "{owned} particles on node 0"
+    );
+    let (app, held) = peak_bytes(|| FmmEvalApp::new(world.clone(), 0, HashMap::new()));
+    assert!(
+        held <= (16 * owned + 8_192) as i64,
+        "{held} bytes held for {owned} owned particles"
+    );
+    black_box(app);
 }
 
 /// The flush path in steady state never touches the allocator: bursts to
