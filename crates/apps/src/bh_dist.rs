@@ -54,12 +54,6 @@ pub enum OwnerPolicy {
     /// paper's setting: data placement is only loosely aligned with the
     /// computation, which is exactly why *dynamic* alignment pays.
     Builder,
-    /// Idealized: a cell is owned by the node whose body region contains
-    /// its center of mass. Kept as an ablation; note that any policy whose
-    /// owner is one of the cell's *visitors* yields the same total miss
-    /// count (Σ over cells of visitors−1), so this ties with `Builder` —
-    /// a finding the experiments report.
-    CmRegion,
     /// Spatially-uncorrelated placement (hash of the cell id): what a
     /// naive allocator gives. The owner is usually not a visitor, so
     /// remote reads balloon — the ablation that shows how much placement
@@ -218,15 +212,6 @@ impl BhWorld {
                         .rotate_left(29);
                     cell_owner[id] = u16::try_from(h % nodes as u64)
                         .expect("invariant: h % nodes < nodes, which is u16");
-                }
-            }
-            OwnerPolicy::CmRegion => {
-                // Owner of a position: which chunk its Morton rank falls in.
-                let codes: Vec<u64> = bodies.iter().map(|b| morton3(b.pos, lo, extent)).collect();
-                for (id, cell) in tree.iter() {
-                    let code = morton3(cell.cm, lo, extent);
-                    let rank = codes.partition_point(|&c| c < code);
-                    cell_owner[id as usize] = body_owner(rank.min(bodies.len() - 1) as u32);
                 }
             }
             OwnerPolicy::Builder => {
@@ -618,7 +603,7 @@ mod tests {
             use nbody::distrib::uniform_cube;
             let bodies = if shape % 2 == 0 { plummer(n, seed) } else { uniform_cube(n, seed) };
             let leaf_cap = [1, 4, 8][shape / 2];
-            for policy in [OwnerPolicy::Builder, OwnerPolicy::CmRegion, OwnerPolicy::Scatter] {
+            for policy in [OwnerPolicy::Builder, OwnerPolicy::Scatter] {
                 let w = BhWorld::build_with_policy(
                     bodies.clone(),
                     nodes,

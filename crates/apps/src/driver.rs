@@ -2,20 +2,18 @@
 //! result type. Every figure, the DST sweep and the examples run an app
 //! through the function here and read the same [`Run`].
 
-use crate::afmm_dist::{AfmmEvalApp, AfmmGatherApp, AfmmWorld};
+use crate::afmm_dist::AfmmWorld;
 use crate::bh_dist::{BhApp, BhWorld};
-use crate::fmm_dist::{FmmEvalApp, FmmM2lApp, FmmWorld};
+use crate::fmm_dist::FmmWorld;
+use crate::fmm_phase::{EvalApp, FmmTree, GatherApp};
 use crate::graph_dist::{GraphApp, GraphWorld};
-use crate::owned_fields::OwnedFields;
 use crate::relax::{RelaxApp, RelaxWorld};
 use crate::setops_dist::{SetopsApp, SetopsWorld};
 use dpa_core::synth::{SynthApp, SynthWorld};
 use dpa_core::{run_phase_dst, run_phases, DiffPlan, DpaConfig, DstOptions, NodeSnapshot, PtrApp};
 use nbody::cx::Cx;
-use nbody::fmm::Local;
 use nbody::vec3::Vec3;
 use sim_net::{NetConfig, RunReport, RunStats, Time};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Relative tolerance for floating-point digests across schedules (the
@@ -298,19 +296,18 @@ pub fn run_bh(
     Run::new(ran, digest, counters)
 }
 
-/// The two sub-phases every FMM flavour shares: gather local-expansion
+/// Run the FMM force phase on either tree: gather local-expansion
 /// partials per node, barrier, then evaluate fields from them. Digest:
 /// the fields (re, im per particle), empty when the gather stalled and
 /// left the evaluation no input.
-fn two_subphases<G: PtrApp, E: PtrApp>(
-    nodes: u16,
-    particles: usize,
-    (cfg, net, opts): (DpaConfig, NetConfig, &DstOptions),
-    mk_gather: impl Fn(u16) -> G,
-    mut partial_of: impl FnMut(&G) -> HashMap<u32, Local>,
-    mk_eval: impl Fn(u16, HashMap<u32, Local>) -> E,
-    mut fields_of: impl FnMut(&E) -> &OwnedFields,
-) -> ((Vec<RunReport>, Vec<Vec<NodeSnapshot>>), Digest) {
+fn run_fmm_tree<T: FmmTree + 'static>(
+    world: &Arc<T>,
+    (nodes, particles): (u16, usize),
+    cfg: DpaConfig,
+    net: NetConfig,
+    opts: &DstOptions,
+) -> Run {
+    let (mut m2l, mut p2p, mut hash) = (0, 0, 0u64);
     let mut partials = Vec::with_capacity(nodes as usize);
     let (mut reports, mut snaps) = drive(
         nodes,
@@ -318,59 +315,47 @@ fn two_subphases<G: PtrApp, E: PtrApp>(
         net.clone(),
         opts,
         1,
-        |_, i| mk_gather(i),
-        |_, _, app: &G| partials.push(partial_of(app)),
-    );
-    if !reports[0].completed {
-        return ((reports, snaps), Digest::Floats(Vec::new()));
-    }
-    let mut fields = vec![0.0f64; 2 * particles];
-    let mut partials = partials.into_iter();
-    let (r2, s2) = drive(
-        nodes,
-        cfg,
-        net,
-        opts,
-        1,
-        |_, i| mk_eval(i, partials.next().expect("one partial map per node")),
-        |_, _, app: &E| {
-            for (i, f) in fields_of(app).iter().enumerate() {
-                if f.norm2() != 0.0 {
-                    fields[2 * i] += f.re;
-                    fields[2 * i + 1] += f.im;
-                }
-            }
-        },
-    );
-    reports.extend(r2);
-    snaps.extend(s2);
-    ((reports, snaps), Digest::Floats(fields))
-}
-
-/// Run the FMM force phase (M2L, barrier, downward+eval+P2P).
-pub fn run_fmm(world: &Arc<FmmWorld>, cfg: DpaConfig, net: NetConfig, opts: &DstOptions) -> Run {
-    let (mut m2l, mut p2p, mut m2l_hash, mut eval_hash) = (0, 0, 0u64, 0u64);
-    let (ran, digest) = two_subphases(
-        world.nodes,
-        world.solver.zs.len(),
-        (cfg, net, opts),
-        |i| FmmM2lApp::new(world.clone(), i),
-        |app| {
+        |_, i| GatherApp::new(world.clone(), i),
+        |_, _, app: &GatherApp<T>| {
             m2l += app.m2l_count;
-            m2l_hash = m2l_hash.wrapping_add(app.interaction_hash);
-            app.locals.clone()
-        },
-        |i, part| FmmEvalApp::new(world.clone(), i, part),
-        |app| {
-            p2p += app.p2p_pairs;
-            eval_hash = eval_hash.wrapping_add(app.interaction_hash);
-            &app.fields
+            hash = hash.wrapping_add(app.interaction_hash);
+            partials.push(app.locals.clone());
         },
     );
-    let hash = m2l_hash.wrapping_add(eval_hash);
+    let mut fields = Vec::new();
+    if reports[0].completed {
+        fields = vec![0.0f64; 2 * particles];
+        let mut partials = partials.into_iter();
+        let (r2, s2) = drive(
+            nodes,
+            cfg,
+            net,
+            opts,
+            1,
+            |_, i| {
+                EvalApp::new(
+                    world.clone(),
+                    i,
+                    partials.next().expect("one partial map per node"),
+                )
+            },
+            |_, _, app: &EvalApp<T>| {
+                p2p += app.p2p_pairs;
+                hash = hash.wrapping_add(app.interaction_hash);
+                for (i, f) in app.fields.iter().enumerate() {
+                    if f.norm2() != 0.0 {
+                        fields[2 * i] += f.re;
+                        fields[2 * i + 1] += f.im;
+                    }
+                }
+            },
+        );
+        reports.extend(r2);
+        snaps.extend(s2);
+    }
     Run::new(
-        ran,
-        digest,
+        (reports, snaps),
+        Digest::Floats(fields),
         vec![
             ("m2l_count", m2l),
             ("p2p_pairs", p2p),
@@ -379,25 +364,14 @@ pub fn run_fmm(world: &Arc<FmmWorld>, cfg: DpaConfig, net: NetConfig, opts: &Dst
     )
 }
 
+/// Run the FMM force phase (M2L, barrier, downward+eval+P2P).
+pub fn run_fmm(world: &Arc<FmmWorld>, cfg: DpaConfig, net: NetConfig, opts: &DstOptions) -> Run {
+    run_fmm_tree(world, (world.nodes, world.solver.zs.len()), cfg, net, opts)
+}
+
 /// Run the adaptive-FMM force phase (gather, barrier, evaluate).
 pub fn run_afmm(world: &Arc<AfmmWorld>, cfg: DpaConfig, net: NetConfig, opts: &DstOptions) -> Run {
-    let (mut m2l, mut p2p) = (0, 0);
-    let (ran, digest) = two_subphases(
-        world.nodes,
-        world.solver.zs.len(),
-        (cfg, net, opts),
-        |i| AfmmGatherApp::new(world.clone(), i),
-        |app| {
-            m2l += app.m2l_count;
-            app.locals.clone()
-        },
-        |i, part| AfmmEvalApp::new(world.clone(), i, part),
-        |app| {
-            p2p += app.p2p_pairs;
-            &app.fields
-        },
-    );
-    Run::new(ran, digest, vec![("m2l_count", m2l), ("p2p_pairs", p2p)])
+    run_fmm_tree(world, (world.nodes, world.solver.zs.len()), cfg, net, opts)
 }
 
 /// Run one push-style graph relaxation sweep. Digest: the relaxed value

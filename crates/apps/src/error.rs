@@ -43,6 +43,16 @@ pub enum WorldError {
         /// Keys are `0..universe`.
         universe: u64,
     },
+    /// A uniform FMM tree shallower than its partition level, the
+    /// coarsest level (at least 2) with a box for every node.
+    TreeTooShallow {
+        /// Finest level of the tree.
+        levels: u32,
+        /// The partition level the machine needs.
+        part_level: u32,
+        /// Machine size requested.
+        nodes: u16,
+    },
     /// A key universe of `2^32` keys or more: keys are shuffled and
     /// members counted as `u32`.
     UniverseTooLarge {
@@ -71,6 +81,15 @@ impl fmt::Display for WorldError {
                  universe 0..{universe} ({bucket_width}-key buckets): every node must own at \
                  least one key",
                 *first_bucket as u64 * bucket_width
+            ),
+            WorldError::TreeTooShallow {
+                levels,
+                part_level,
+                nodes,
+            } => write!(
+                f,
+                "a tree of {levels} levels is too shallow for {nodes} nodes: the partition \
+                 level, the coarsest with a box per node, is {part_level}"
             ),
             WorldError::UniverseTooLarge { universe } => write!(
                 f,

@@ -1,4 +1,4 @@
-//! The distributed FMM force-computation phase.
+//! The distributed FMM force-computation phase on the uniform quadtree.
 //!
 //! The quadtree is partitioned at level `K` (the coarsest level with at
 //! least one box per node): level-`K` subtrees are assigned to nodes in
@@ -7,7 +7,7 @@
 //! the paper's timing of the force-computation phase only.
 //!
 //! The timed phase runs in two barrier-separated sub-phases, mirroring
-//! SPLASH-2 FMM's phase structure:
+//! SPLASH-2 FMM's phase structure, with the apps of [`crate::fmm_phase`]:
 //!
 //! 1. **M2L** ([`FmmM2lApp`]) — for every owned box, convert the multipole
 //!    expansions of its interaction list into local-expansion
@@ -22,13 +22,13 @@
 //! Both sub-phases run under any [`dpa_core::Variant`]; forces agree with
 //! the sequential [`nbody::fmm::FmmSolver`] to floating-point tolerance.
 
-use crate::owned_fields::{OwnedFields, ParticleSlots};
-use dpa_core::{PtrApp, WorkEnv};
-use global_heap::{ClassTable, GPtr, ObjClass};
-use nbody::cx::Cx;
-use nbody::fmm::{eval_local_field, l2l_into, FmmParams, FmmSolver, Local};
+use crate::error::WorldError;
+use crate::fmm_phase::{midpoint_owners, mpole_bytes, EvalApp, FmmTree, GatherApp, List};
+use crate::owned_fields::ParticleSlots;
+use global_heap::{ClassTable, ObjClass};
+use nbody::cx::{Binomials, Cx};
+use nbody::fmm::{FmmParams, FmmSolver, Multipole};
 use nbody::quadtree::BoxId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-operation costs of the FMM arithmetic, in ns (T3D-node scale),
@@ -92,8 +92,6 @@ pub struct FmmWorld {
     pub slots: Arc<ParticleSlots>,
     /// Cost model.
     pub cost: FmmCost,
-    /// Object classes.
-    pub classes: ClassTable,
     /// Multipole-expansion object class.
     pub mpole_class: ObjClass,
     /// Leaf particle-list object class.
@@ -102,15 +100,12 @@ pub struct FmmWorld {
     pub nodes: u16,
 }
 
-/// Bytes of a multipole object at `p` terms: (p+1) complex + header.
-fn mpole_bytes(p: usize) -> u32 {
-    16 * (p as u32 + 1) + 16
-}
+/// Sub-phase 1 on the uniform tree: M2L over interaction lists.
+pub type FmmM2lApp = GatherApp<FmmWorld>;
 
-/// Bytes of a leaf particle list with `n` particles.
-fn plist_bytes(n: u32) -> u32 {
-    24 * n + 16
-}
+/// Sub-phase 2 on the uniform tree: downward L2L chain, far-field
+/// evaluation, and near-field P2P.
+pub type FmmEvalApp = EvalApp<FmmWorld>;
 
 impl FmmWorld {
     /// Build the world: tree, upward pass, space partition.
@@ -137,9 +132,40 @@ impl FmmWorld {
         cost: FmmCost,
         grain_extra: u32,
     ) -> Arc<FmmWorld> {
-        assert!(nodes >= 1);
-        let solver = FmmSolver::new(zs, qs, params);
+        Self::try_build(zs, qs, nodes, params, cost, grain_extra)
+            .expect("invalid FmmWorld configuration")
+    }
+
+    /// Fallible [`FmmWorld::build_with_grain`]: rejects an empty machine,
+    /// or a tree too shallow to give every node a level-K box, with a
+    /// structured [`WorldError`] instead of panicking.
+    pub fn try_build(
+        zs: Vec<Cx>,
+        qs: Vec<f64>,
+        nodes: u16,
+        params: FmmParams,
+        cost: FmmCost,
+        grain_extra: u32,
+    ) -> Result<Arc<FmmWorld>, WorldError> {
+        if nodes == 0 {
+            return Err(WorldError::NoNodes);
+        }
         let levels = params.levels;
+        // Partition level: coarsest with >= nodes boxes (at least 2),
+        // plus any requested extra grain refinement.
+        let mut part_level = 2u32;
+        while (1usize << (2 * part_level)) < nodes as usize {
+            part_level += 1;
+        }
+        if part_level > levels {
+            return Err(WorldError::TreeTooShallow {
+                levels,
+                part_level,
+                nodes,
+            });
+        }
+        part_level = (part_level + grain_extra).min(levels);
+        let solver = FmmSolver::new(zs, qs, params);
         let total = BoxId::total_boxes(levels);
 
         // Subtree particle counts, bottom-up.
@@ -157,72 +183,39 @@ impl FmmWorld {
             }
         }
 
-        // Partition level: coarsest with >= nodes boxes (at least 2),
-        // plus any requested extra grain refinement.
-        let mut part_level = 2u32;
-        while (1usize << (2 * part_level)) < nodes as usize {
-            part_level += 1;
-        }
-        assert!(
-            part_level <= levels,
-            "too many nodes ({nodes}) for tree depth {levels}"
-        );
-        part_level = (part_level + grain_extra).min(levels);
-
-        // Level-K boxes in Morton order, split by cumulative particle count.
-        let mut roots: Vec<BoxId> = (0..(1u32 << part_level))
-            .flat_map(|y| {
-                (0..(1u32 << part_level)).map(move |x| BoxId {
-                    level: part_level,
-                    x,
-                    y,
-                })
-            })
-            .collect();
+        // Level-K boxes in Morton order, split by particle count.
+        let mut roots: Vec<BoxId> = solver.tree.boxes_at(part_level).collect();
         roots.sort_by_key(|b| {
             nbody::morton::morton2(
                 (b.x as f64 + 0.5) / (1u64 << part_level) as f64,
                 (b.y as f64 + 0.5) / (1u64 << part_level) as f64,
             )
         });
-        let total_particles: u64 = (solver.zs.len() as u64).max(1);
-        let mut root_owner: HashMap<BoxId, u16> = HashMap::new();
-        let mut cum = 0u64;
-        for b in &roots {
-            // Midpoint rule: a root belongs to the node whose ideal
-            // 1/P-of-the-particles segment contains the root's cumulative
-            // midpoint. Robust to count jitter (equal-weight roots map
-            // exactly one per node when counts allow), monotone in Morton
-            // order, and balanced for clustered inputs.
-            let c = box_count[b.dense_index()] as u64;
-            let mid = 2 * cum + c; // midpoint × 2 to stay in integers
-            let owner = ((mid * nodes as u64) / (2 * total_particles)).min(nodes as u64 - 1);
-            root_owner.insert(
-                *b,
-                u16::try_from(owner).expect("invariant: owner < nodes, which is u16"),
-            );
-            cum += c;
+        let counts: Vec<u32> = roots.iter().map(|b| box_count[b.dense_index()]).collect();
+        let mut root_owner = vec![0u16; roots.len()];
+        for (b, owner) in roots.iter().zip(midpoint_owners(&counts, nodes)) {
+            root_owner[b.index_in_level()] = owner;
         }
 
-        // Owner per box: level-K ancestor's owner (coarser levels: owner of
-        // the first level-K descendant in Morton order = ancestor chain of
-        // child 0).
-        let mut box_owner = vec![0u16; total];
-        #[allow(clippy::needless_range_loop)] // idx decodes to a BoxId
-        for idx in 0..total {
-            let b = BoxId::from_dense(idx);
-            let anchor = if b.level >= part_level {
-                b.ancestor_at(part_level)
-            } else {
-                // Descend to level K via first child.
-                let mut d = b;
-                while d.level < part_level {
-                    d = d.children()[0];
-                }
-                d
-            };
-            box_owner[idx] = root_owner[&anchor];
-        }
+        // Owner per box: its level-K ancestor's owner; above level K, the
+        // owner of its first level-K descendant in Morton order (the
+        // child-0 chain).
+        let box_owner: Vec<u16> = (0..total)
+            .map(|idx| {
+                let b = BoxId::from_dense(idx);
+                let anchor = if b.level >= part_level {
+                    b.ancestor_at(part_level)
+                } else {
+                    let d = part_level - b.level;
+                    BoxId {
+                        level: part_level,
+                        x: b.x << d,
+                        y: b.y << d,
+                    }
+                };
+                root_owner[anchor.index_in_level()]
+            })
+            .collect();
         let slots = Arc::new(ParticleSlots::new(
             solver.zs.len(),
             nodes,
@@ -236,23 +229,17 @@ impl FmmWorld {
         let mpole_class = classes.register("fmm_multipole", mpole_bytes(params.terms));
         let plist_class = classes.register("fmm_plist", 16);
 
-        Arc::new(FmmWorld {
+        Ok(Arc::new(FmmWorld {
             solver,
             box_owner,
             box_count,
             part_level,
             slots,
             cost,
-            classes,
             mpole_class,
             plist_class,
             nodes,
-        })
-    }
-
-    /// FMM parameters in effect.
-    pub fn params(&self) -> FmmParams {
-        self.solver.params
+        }))
     }
 
     /// `true` if the box's subtree holds any particle.
@@ -261,51 +248,25 @@ impl FmmWorld {
         self.box_count[b.dense_index()] > 0
     }
 
-    /// Global pointer to a box's multipole expansion.
-    #[inline]
-    pub fn mpole_ptr(&self, b: BoxId) -> GPtr {
-        let idx = b.dense_index();
-        GPtr::new(self.box_owner[idx], self.mpole_class, idx as u64)
-    }
-
-    /// Global pointer to a leaf's particle list.
-    #[inline]
-    pub fn plist_ptr(&self, b: BoxId) -> GPtr {
-        debug_assert_eq!(b.level, self.solver.params.levels);
-        let idx = b.dense_index();
-        GPtr::new(self.box_owner[idx], self.plist_class, idx as u64)
-    }
-
-    /// Boxes at levels `K..=finest` owned by `node` with particles.
-    pub fn owned_boxes(&self, node: u16) -> Vec<BoxId> {
-        let mut out = Vec::new();
-        for level in self.part_level..=self.solver.params.levels {
-            for b in self.solver.tree.boxes_at(level) {
-                if self.box_owner[b.dense_index()] == node && self.nonempty(b) {
-                    out.push(b);
-                }
-            }
-        }
-        out
-    }
-
-    /// Owned nonempty leaves of `node`.
-    pub fn owned_leaves(&self, node: u16) -> Vec<BoxId> {
-        self.solver
-            .tree
-            .leaves()
-            .filter(|b| self.box_owner[b.dense_index()] == node && self.nonempty(*b))
+    /// Dense indices of the boxes at levels `K..=finest` owned by `node`
+    /// with particles.
+    pub fn owned_boxes(&self, node: u16) -> Vec<u32> {
+        (self.part_level..=self.solver.params.levels)
+            .flat_map(|level| self.solver.tree.boxes_at(level))
+            .filter(|&b| self.box_owner[b.dense_index()] == node && self.nonempty(b))
+            .map(|b| b.dense_index() as u32)
             .collect()
     }
 
-    /// Deduplicated ancestors (levels 2..K) of `node`'s owned subtree
-    /// roots — the top-level boxes whose M2L this node computes itself.
-    pub fn owned_ancestors(&self, node: u16) -> Vec<BoxId> {
+    /// Dense indices of the deduplicated ancestors (levels 2..K) of
+    /// `node`'s owned subtree roots — the top-level boxes whose M2L this
+    /// node computes itself.
+    pub fn owned_ancestors(&self, node: u16) -> Vec<u32> {
         let mut out = Vec::new();
         for b in self.solver.tree.boxes_at(self.part_level) {
             if self.box_owner[b.dense_index()] == node && self.nonempty(b) {
                 for k in 2..self.part_level {
-                    let a = b.ancestor_at(k);
+                    let a = b.ancestor_at(k).dense_index() as u32;
                     if !out.contains(&a) {
                         out.push(a);
                     }
@@ -314,335 +275,91 @@ impl FmmWorld {
         }
         out
     }
-
-    /// Resolve a dense index back to a box id.
-    #[inline]
-    pub fn box_of(&self, dense: usize) -> BoxId {
-        BoxId::from_dense(dense)
-    }
-
-    /// The size in bytes of the object `ptr` names.
-    pub fn object_size(&self, ptr: GPtr) -> u32 {
-        if ptr.class() == self.mpole_class {
-            mpole_bytes(self.solver.params.terms)
-        } else {
-            let b = self.box_of(ptr.index() as usize);
-            plist_bytes(self.solver.tree.particles_in(b).len() as u32)
-        }
-    }
 }
 
-/// Mix two interaction ids into one well-spread 64-bit word
-/// (splitmix64-style finalizer); summed commutatively into the
-/// interaction checksums so they are independent of execution order.
-#[inline]
-fn mix_pair(a: u64, b: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(b)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A phase-1 non-blocking thread: apply the multipole of `src` to the
-/// local expansion of `target`.
-#[derive(Clone, Copy, Debug)]
-pub struct M2lWork {
-    /// Target box (owned by the executing node): the iteration that
-    /// created the thread, i.e. the box's place in the node's target list.
-    pub target: u32,
-    /// Source box whose multipole is read (possibly remote), as a dense
-    /// index.
-    pub src: u32,
-}
-
-/// The local-expansion contributions one node accumulates in phase 1: a
-/// row of `terms + 1` coefficients per target box, side by side in one
-/// slab in iteration order. An M2L thread carries its target's iteration,
-/// so reaching its accumulator is an index, and the slab is the phase's
-/// one allocation.
-pub struct M2lLocals {
-    /// Dense box index per row.
-    boxes: Vec<u32>,
-    /// Rows at least one M2L was added to.
-    touched: Vec<bool>,
-    coeffs: Vec<Cx>,
-    /// Coefficients a row.
-    row: usize,
-}
-
-impl M2lLocals {
-    fn new(targets: &[BoxId], terms: usize) -> M2lLocals {
-        M2lLocals {
-            boxes: targets.iter().map(|b| b.dense_index() as u32).collect(),
-            touched: vec![false; targets.len()],
-            coeffs: vec![Cx::ZERO; targets.len() * (terms + 1)],
-            row: terms + 1,
-        }
+impl FmmTree for FmmWorld {
+    fn terms(&self) -> usize {
+        self.solver.params.terms
     }
 
-    /// The accumulator of the target created by iteration `iter`.
-    fn row_mut(&mut self, iter: usize) -> &mut [Cx] {
-        self.touched[iter] = true;
-        &mut self.coeffs[iter * self.row..(iter + 1) * self.row]
+    fn cost(&self) -> &FmmCost {
+        &self.cost
     }
 
-    /// The contributions as [`FmmEvalApp::new`] takes them across the
-    /// barrier: one expansion per box that received an M2L, by dense
-    /// index. Named for how the phase drivers (and the benchmark of
-    /// record, which cannot change) take a finished node's partials:
-    /// `app.locals.clone()`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn clone(&self) -> HashMap<u32, Local> {
-        let rows = self.coeffs.chunks_exact(self.row);
-        (self.boxes.iter().zip(&self.touched).zip(rows))
-            .filter(|((_, &touched), _)| touched)
-            .map(|((&dense, _), row)| {
-                (
-                    dense,
-                    Local {
-                        coeffs: row.to_vec(),
-                    },
-                )
-            })
+    fn slots(&self) -> &Arc<ParticleSlots> {
+        &self.slots
+    }
+
+    fn classes(&self) -> [ObjClass; 2] {
+        [self.mpole_class, self.plist_class]
+    }
+
+    fn owner(&self, b: u32) -> u16 {
+        self.box_owner[b as usize]
+    }
+
+    /// Owned boxes, then their ancestors down to level 2.
+    fn targets(&self, node: u16) -> Vec<u32> {
+        [self.owned_boxes(node), self.owned_ancestors(node)].concat()
+    }
+
+    fn leaves(&self, node: u16) -> Vec<u32> {
+        (self.solver.tree.leaves())
+            .filter(|&b| self.box_owner[b.dense_index()] == node && self.nonempty(b))
+            .map(|b| b.dense_index() as u32)
             .collect()
     }
-}
 
-/// Phase 1: M2L over interaction lists.
-pub struct FmmM2lApp {
-    world: Arc<FmmWorld>,
-    targets: Vec<BoxId>,
-    /// Accumulated local-expansion contributions per owned box.
-    pub locals: M2lLocals,
-    /// M2L translations performed.
-    pub m2l_count: u64,
-    /// Integer checksum of the M2L translations performed: the
-    /// commutative `wrapping_add` of a hash per (target, src) pair, so it
-    /// is bit-identical regardless of execution order, strip size, object
-    /// placement — the determinism oracle for this phase.
-    pub interaction_hash: u64,
-}
-
-impl FmmM2lApp {
-    /// The phase-1 app for node `me`.
-    pub fn new(world: Arc<FmmWorld>, me: u16) -> FmmM2lApp {
-        let mut targets = world.owned_boxes(me);
-        targets.extend(world.owned_ancestors(me));
-        FmmM2lApp {
-            locals: M2lLocals::new(&targets, world.solver.params.terms),
-            world,
-            targets,
-            m2l_count: 0,
-            interaction_hash: 0,
-        }
-    }
-}
-
-impl PtrApp for FmmM2lApp {
-    type Work = M2lWork;
-
-    fn num_iterations(&self) -> usize {
-        self.targets.len()
-    }
-
-    fn start_iteration(&mut self, iter: usize, env: &mut WorkEnv<'_, M2lWork>) {
-        for s in self.targets[iter].interaction_list() {
-            if self.world.nonempty(s) {
-                env.demand(
-                    self.world.mpole_ptr(s),
-                    M2lWork {
-                        target: iter as u32,
-                        src: s.dense_index() as u32,
-                    },
-                );
-            }
+    /// V is the interaction list and U the leaf and its neighbours; X and
+    /// W are empty.
+    fn for_each_source(&self, b: u32, list: List, f: impl FnMut(u32)) {
+        let b = BoxId::from_dense(b as usize);
+        let nonempty = |s: &BoxId| self.nonempty(*s);
+        let dense = |s: BoxId| s.dense_index() as u32;
+        match list {
+            List::V => b.interaction_list().filter(nonempty).map(dense).for_each(f),
+            List::U => (std::iter::once(b).chain(b.neighbors()))
+                .filter(nonempty)
+                .map(dense)
+                .for_each(f),
+            List::X | List::W => {}
         }
     }
 
-    fn run_work(&mut self, w: M2lWork, env: &mut WorkEnv<'_, M2lWork>) {
-        let world = &*self.world;
-        let src = world.box_of(w.src as usize);
-        let tgt = self.targets[w.target as usize];
-        env.assert_readable(world.mpole_ptr(src));
-        let p = world.solver.params.terms;
-        world
-            .solver
-            .m2l_into_coeffs(src, tgt, self.locals.row_mut(w.target as usize));
-        self.m2l_count += 1;
-        self.interaction_hash = self
-            .interaction_hash
-            .wrapping_add(mix_pair(tgt.dense_index() as u64, w.src as u64));
-        env.charge(world.cost.m2l_ns(p));
+    fn center(&self, b: u32) -> Cx {
+        BoxId::from_dense(b as usize).center()
     }
 
-    fn object_size(&self, ptr: GPtr) -> u32 {
-        self.world.object_size(ptr)
-    }
-}
-
-/// A phase-2 non-blocking thread.
-#[derive(Clone, Copy, Debug)]
-pub enum EvalWork {
-    /// Finalize the local expansion of a leaf (dense index) and evaluate
-    /// the far field at its particles; emits the P2P demands.
-    Eval(u32),
-    /// Direct interactions of leaf `target`'s particles against the
-    /// particle list of `src` (≤9 neighbor leaves incl. self).
-    P2p {
-        /// Target leaf (owned by the executing node).
-        target: u32,
-        /// Source leaf whose particle list is read (possibly remote).
-        src: u32,
-    },
-}
-
-/// Phase 2: downward L2L chain, far-field evaluation, and near-field P2P.
-pub struct FmmEvalApp {
-    world: Arc<FmmWorld>,
-    leaves: Vec<BoxId>,
-    /// Phase-1 M2L accumulations (moved in at the barrier).
-    m2l_partial: HashMap<u32, Local>,
-    /// Memoized final local expansions.
-    finals: HashMap<u32, Local>,
-    /// The source leaf's `(position, charge)` list of the P2P in hand.
-    sources: Vec<(Cx, f64)>,
-    /// Computed complex fields of the owned particles.
-    pub fields: OwnedFields,
-    /// L2L shifts performed.
-    pub l2l_count: u64,
-    /// P2P pair interactions performed.
-    pub p2p_pairs: u64,
-    /// Integer checksum of the evaluations and P2P leaf pairs performed
-    /// (commutative; evaluation entries carry a tag bit to keep the two
-    /// kinds distinct). Bit-identical regardless of execution order,
-    /// strip size, or placement.
-    pub interaction_hash: u64,
-}
-
-impl FmmEvalApp {
-    /// The phase-2 app for node `me`; `m2l_partial` comes from the node's
-    /// phase-1 app.
-    pub fn new(world: Arc<FmmWorld>, me: u16, m2l_partial: HashMap<u32, Local>) -> FmmEvalApp {
-        let leaves = world.owned_leaves(me);
-        FmmEvalApp {
-            fields: OwnedFields::new(world.slots.clone(), me),
-            world,
-            leaves,
-            m2l_partial,
-            finals: HashMap::new(),
-            sources: Vec::new(),
-            l2l_count: 0,
-            p2p_pairs: 0,
-            interaction_hash: 0,
-        }
+    /// Levels 0 and 1 have empty interaction lists, so a level-2 box's
+    /// gathered partial is already final.
+    fn parent(&self, b: u32) -> Option<u32> {
+        let b = BoxId::from_dense(b as usize);
+        (b.level > 2).then(|| b.parent().expect("level > 2 has a parent").dense_index() as u32)
     }
 
-    /// Make `finals` hold the final local expansion of `b` (memoized),
-    /// charging each fresh L2L. The box's M2L partial is read exactly once,
-    /// here, so it is moved out and becomes the accumulator; level-2 boxes
-    /// take it as-is (levels 0/1 have empty interaction lists).
-    fn finalize(&mut self, b: BoxId, env: &mut WorkEnv<'_, EvalWork>) {
-        let key = b.dense_index() as u32;
-        if self.finals.contains_key(&key) {
-            return;
-        }
-        let p = self.world.solver.params.terms;
-        let mut result = self
-            .m2l_partial
-            .remove(&key)
-            .unwrap_or_else(|| Local::zero(p));
-        if b.level > 2 {
-            let parent = b.parent().expect("level > 2 has a parent");
-            self.finalize(parent, env);
-            l2l_into(
-                &self.finals[&(parent.dense_index() as u32)],
-                b.center() - parent.center(),
-                self.world.solver.binomials(),
-                &mut result,
-            );
-            self.l2l_count += 1;
-            env.charge(self.world.cost.l2l_ns(p));
-        }
-        self.finals.insert(key, result);
-    }
-}
-
-impl PtrApp for FmmEvalApp {
-    type Work = EvalWork;
-
-    fn num_iterations(&self) -> usize {
-        self.leaves.len()
+    fn particles(&self, b: u32) -> &[u32] {
+        self.solver.tree.particles_in(BoxId::from_dense(b as usize))
     }
 
-    fn start_iteration(&mut self, iter: usize, env: &mut WorkEnv<'_, EvalWork>) {
-        let leaf = self.leaves[iter];
-        env.local(EvalWork::Eval(leaf.dense_index() as u32));
+    fn point(&self, i: u32) -> (Cx, f64) {
+        (self.solver.zs[i as usize], self.solver.qs[i as usize])
     }
 
-    fn run_work(&mut self, w: EvalWork, env: &mut WorkEnv<'_, EvalWork>) {
-        let p = self.world.solver.params.terms;
-        match w {
-            EvalWork::Eval(dense) => {
-                let leaf = self.world.box_of(dense as usize);
-                // Tag bit distinguishes evaluation entries from P2P pairs.
-                self.interaction_hash = self
-                    .interaction_hash
-                    .wrapping_add(mix_pair(dense as u64 | (1 << 32), dense as u64));
-                self.finalize(leaf, env);
-                let world = &*self.world;
-                let local = &self.finals[&dense];
-                let center = leaf.center();
-                for &i in world.solver.tree.particles_in(leaf) {
-                    let z = world.solver.zs[i as usize];
-                    *self.fields.at_mut(i) += eval_local_field(local, z, center);
-                    env.charge(world.cost.eval_ns(p));
-                }
-                // Near field: self plus neighbors.
-                for nb in std::iter::once(leaf).chain(leaf.neighbors()) {
-                    if world.nonempty(nb) {
-                        env.demand(
-                            world.plist_ptr(nb),
-                            EvalWork::P2p {
-                                target: dense,
-                                src: nb.dense_index() as u32,
-                            },
-                        );
-                    }
-                }
-            }
-            EvalWork::P2p { target, src } => {
-                let world = &*self.world;
-                let tgt = world.box_of(target as usize);
-                let sb = world.box_of(src as usize);
-                env.assert_readable(world.plist_ptr(sb));
-                self.interaction_hash = self
-                    .interaction_hash
-                    .wrapping_add(mix_pair(target as u64, src as u64));
-                let sources = &mut self.sources;
-                sources.clear();
-                sources.extend(
-                    world
-                        .solver
-                        .tree
-                        .particles_in(sb)
-                        .iter()
-                        .map(|&i| (world.solver.zs[i as usize], world.solver.qs[i as usize])),
-                );
-                for &i in world.solver.tree.particles_in(tgt) {
-                    let z = world.solver.zs[i as usize];
-                    *self.fields.at_mut(i) += nbody::fmm::p2p_field(z, sources);
-                    self.p2p_pairs += sources.len() as u64;
-                    env.charge(world.cost.p2p_pair_ns * sources.len() as u64);
-                }
-            }
-        }
+    fn multipole(&self, b: u32) -> &Multipole {
+        &self.solver.multipoles[b as usize]
     }
 
-    fn object_size(&self, ptr: GPtr) -> u32 {
-        self.world.object_size(ptr)
+    fn binomials(&self) -> &Binomials {
+        self.solver.binomials()
+    }
+
+    /// By the shift table the solver keeps per (level, box offset).
+    fn m2l_into(&self, src: u32, tgt: u32, acc: &mut [Cx]) {
+        let (src, tgt) = (
+            BoxId::from_dense(src as usize),
+            BoxId::from_dense(tgt as usize),
+        );
+        self.solver.m2l_into_coeffs(src, tgt, acc);
     }
 }
 
@@ -729,11 +446,47 @@ mod tests {
     #[test]
     fn object_sizes_are_plausible() {
         let w = small_world(2);
-        let leaf = w.owned_leaves(0)[0];
+        let leaf = w.leaves(0)[0];
         let ms = w.object_size(w.mpole_ptr(leaf));
         assert_eq!(ms, 16 * 13 + 16);
         let ps = w.object_size(w.plist_ptr(leaf));
         assert!(ps >= 16);
+    }
+
+    #[test]
+    fn try_build_rejects_bad_configs() {
+        let bodies = uniform_square(100, 3);
+        let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
+        let qs: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
+        let build = |nodes, levels| {
+            let params = FmmParams { terms: 4, levels };
+            FmmWorld::try_build(zs.clone(), qs.clone(), nodes, params, FmmCost::default(), 0).err()
+        };
+        assert_eq!(build(0, 3), Some(WorldError::NoNodes));
+        // 17 nodes need level 3 (64 boxes); a 2-level tree has 16.
+        let shallow = WorldError::TreeTooShallow {
+            levels: 2,
+            part_level: 3,
+            nodes: 17,
+        };
+        assert_eq!(build(17, 2), Some(shallow));
+        assert_eq!(build(16, 2), None);
+    }
+
+    /// A suspended thread saves `(slot, work)`. The list kind rides in the
+    /// top bit of `src`, so gather and eval threads stay at 8 and 12 B of
+    /// work.
+    #[test]
+    fn thread_state_keeps_its_size() {
+        use crate::fmm_phase::{EvalWork, GatherWork};
+        use dpa_core::PtrApp;
+        use std::mem::size_of;
+        assert_eq!(size_of::<(u32, GatherWork)>(), 12);
+        assert_eq!(size_of::<(u32, EvalWork)>(), 16);
+        let w = small_world(1);
+        assert_eq!(FmmM2lApp::new(w.clone(), 0).work_state_bytes(), 16);
+        let eval = FmmEvalApp::new(w, 0, std::collections::HashMap::new());
+        assert_eq!(eval.work_state_bytes(), 20);
     }
 
     #[test]

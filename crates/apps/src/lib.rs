@@ -7,12 +7,13 @@
 //!
 //! * [`bh_dist`] — Morton/costzones body partitioning, distributed octree
 //!   walk with inline-allocated leaves;
-//! * [`fmm_dist`] — uniform-tree FMM: subtree partitioning at level K,
-//!   the M2L sub-phase (remote multipole reads), and the downward/eval/
-//!   P2P sub-phase (remote particle-list reads);
-//! * [`afmm_dist`] — the **adaptive** FMM (SPLASH-2's actual algorithm):
-//!   grain-subtree partitioning of the variable-depth tree and the
-//!   U/V/W/X list phases;
+//! * [`fmm_phase`] — the FMM force phase on either tree: one gather app
+//!   (M2L and P2L, remote multipole and particle-list reads) and one eval
+//!   app (downward L2L, evaluation, near field), generic over the tree;
+//! * [`fmm_dist`] — the uniform tree: subtree partitioning at level K;
+//! * [`afmm_dist`] — the **adaptive** tree (SPLASH-2's actual algorithm):
+//!   grain-subtree partitioning of the variable-depth tree and its
+//!   U/V/W/X lists;
 //! * [`owned_fields`] — the fields both FMM eval sub-phases compute, a
 //!   slot per owned particle, and the dense view the drivers read;
 //! * [`relax`] — a push-style weighted graph relaxation exercising the
@@ -38,18 +39,20 @@ pub mod bh_dist;
 pub mod driver;
 pub mod error;
 pub mod fmm_dist;
+pub mod fmm_phase;
 pub mod graph_dist;
 pub mod owned_fields;
 pub mod relax;
 pub mod setops_dist;
 
-pub use afmm_dist::{AEvalWork, AfmmEvalApp, AfmmGatherApp, AfmmWorld, GatherWork};
+pub use afmm_dist::{AfmmEvalApp, AfmmGatherApp, AfmmWorld};
 pub use bh_dist::{BhApp, BhCost, BhVisit, BhWorld, OwnerPolicy};
 pub use driver::{
     run_afmm, run_bh, run_fmm, run_graph, run_relax, run_setops, run_synth, Digest, Phases, Run,
 };
 pub use error::WorldError;
-pub use fmm_dist::{EvalWork, FmmCost, FmmEvalApp, FmmM2lApp, FmmWorld, M2lWork};
+pub use fmm_dist::{FmmCost, FmmEvalApp, FmmM2lApp, FmmWorld};
+pub use fmm_phase::{EvalApp, EvalWork, FmmTree, GatherApp, GatherWork};
 pub use graph_dist::{GraphApp, GraphCost, GraphParams, GraphWorld, Visit};
 pub use relax::{Push, RelaxApp, RelaxCost, RelaxWorld, Vertex};
 pub use setops_dist::{key_stamp, Probe, SetOp, SetopsApp, SetopsParams, SetopsWorld};

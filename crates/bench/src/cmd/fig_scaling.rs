@@ -8,10 +8,7 @@
 //! The ablation re-runs Barnes-Hut with *scattered* (hash-random) cell
 //! placement: remote reads balloon (+~60%), the caching baseline pays for
 //! it, and DPA barely moves — dynamic alignment makes performance robust
-//! to data placement, which is the paper's thesis. (An idealized
-//! CM-region placement ties exactly with the builder placement in miss
-//! count: whenever a cell's owner is one of its visitors, total misses
-//! are Σ(visitors−1) independent of which visitor owns it.)
+//! to data placement, which is the paper's thesis.
 //!
 //! Run with `--quick` for a reduced problem size.
 

@@ -4,15 +4,18 @@
 //! `allocs_per_kevent`, bound 1 %; memory held is its `peak_rss_mb`.)
 //! Counts are per thread, so the harness and sibling tests cannot leak in.
 
+use apps::afmm_dist::AfmmWorld;
 use apps::bh_dist::{BhApp, BhCost, BhWorld};
 use apps::driver::{run_bh, run_graph, run_setops, run_synth, Phases};
-use apps::fmm_dist::{FmmCost, FmmEvalApp, FmmM2lApp, FmmWorld};
+use apps::fmm_dist::{FmmCost, FmmEvalApp, FmmWorld};
+use apps::fmm_phase::{EvalApp, FmmTree, GatherApp};
 use apps::graph_dist::{GraphApp, GraphParams, GraphWorld};
 use apps::setops_dist::{SetOp, SetopsParams, SetopsWorld};
 use dpa_core::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa_core::{DpaConfig, DpaProc, DstOptions, PointerMap, PtrApp, SeqChannel, WorkEnv};
 use fastmsg::{ByteCoalescer, Coalescer};
 use global_heap::{GPtr, ObjClass};
+use nbody::afmm::AfmmParams;
 use nbody::bh::BhParams;
 use nbody::cx::{Binomials, Cx};
 use nbody::distrib::{plummer, uniform_square};
@@ -23,6 +26,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hint::black_box;
+use std::sync::Arc;
 
 thread_local! {
     /// (calls into the allocator, bytes requested) on this thread.
@@ -447,22 +451,17 @@ fn a_bh16_shaped_phase_allocates_at_most_16_times_per_kevent() {
     );
 }
 
-/// Neither FMM sub-phase allocates per thread: interaction and neighbour
-/// lists are iterated, an M2L finds its accumulator by its iteration's
-/// index in one slab, a P2P reuses one source buffer. Over a run of
-/// thousands of threads what allocates is growth that doubles (the ready
-/// stack, the table of final expansions) and one zero expansion per box no
-/// M2L reached.
+/// Neither FMM sub-phase allocates per thread, on either tree: interaction
+/// lists are iterated, a gather thread finds its accumulator by its
+/// iteration's index in one slab, a P2L or P2P reuses one source buffer.
+/// Over a run of thousands of threads what allocates is growth that
+/// doubles (the ready stack, the table of final expansions) and one zero
+/// expansion per box no source reached.
 #[test]
 fn fmm_m2l_and_eval_phases_allocate_nothing_per_thread() {
     let bodies = uniform_square(4_000, 23);
     let zs: Vec<Cx> = bodies.iter().map(|b| Cx::new(b.pos.x, b.pos.y)).collect();
     let qs: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
-    let params = FmmParams {
-        terms: 8,
-        levels: 5,
-    };
-    let world = FmmWorld::build(zs, qs, 1, params, FmmCost::default());
     // One node: every object is local, so the run is the app's code and
     // the ready stack, nothing else.
     fn run<A: PtrApp>(app: A) -> (u64, u64, Machine<DpaProc<A>>) {
@@ -474,17 +473,37 @@ fn fmm_m2l_and_eval_phases_allocate_nothing_per_thread() {
         assert!(report.completed, "{}", report.stall_summary());
         (allocs, report.stats.user_total("threads_created"), machine)
     }
-    let (allocs, threads, machine) = run(FmmM2lApp::new(world.clone(), 0));
-    assert!(
-        threads > 20_000 && allocs <= 40,
-        "M2L: {allocs} allocations, {threads} threads"
-    );
-    let partials = machine.proc(NodeId(0)).app().locals.clone();
-    let (allocs, threads, _) = run(FmmEvalApp::new(world.clone(), 0, partials));
-    assert!(
-        threads > 5_000 && allocs <= 60,
-        "eval: {allocs} allocations, {threads} threads"
-    );
+    /// (allocations, threads) of the gather and of the eval sub-phase.
+    fn phases<T: FmmTree + 'static>(world: Arc<T>) -> [(u64, u64); 2] {
+        let (allocs, threads, machine) = run(GatherApp::new(world.clone(), 0));
+        let partials = machine.proc(NodeId(0)).app().locals.clone();
+        let (eval_allocs, eval_threads, _) = run(EvalApp::new(world, 0, partials));
+        [(allocs, threads), (eval_allocs, eval_threads)]
+    }
+    let params = FmmParams {
+        terms: 8,
+        levels: 5,
+    };
+    let uniform = FmmWorld::build(zs.clone(), qs.clone(), 1, params, FmmCost::default());
+    let params = AfmmParams {
+        terms: 8,
+        leaf_cap: 16,
+        ..AfmmParams::default()
+    };
+    let adaptive = AfmmWorld::build(zs, qs, 1, params, FmmCost::default());
+    for (tree, [(allocs, threads), (eval_allocs, eval_threads)], gather_threads) in [
+        ("uniform", phases(uniform), 20_000),
+        ("adaptive", phases(adaptive), 10_000),
+    ] {
+        assert!(
+            threads > gather_threads && allocs <= 40,
+            "{tree} gather: {allocs} allocations, {threads} threads"
+        );
+        assert!(
+            eval_threads > 5_000 && eval_allocs <= 60,
+            "{tree} eval: {eval_allocs} allocations, {eval_threads} threads"
+        );
+    }
 }
 
 /// A node's eval app keeps a field for each particle it owns (16 B each),

@@ -63,7 +63,8 @@ pub struct DstOptions {
     /// Inert: read by nothing, defaults to 1. The simulator has one
     /// (sequential) engine; the field stays only because the benchmark of
     /// record (`benchmark/`) constructs it, and it goes when the benchmark
-    /// is decoupled from the runtime's internals (ROADMAP 1(c)).
+    /// is decoupled from the runtime's internals (ROADMAP item 1's
+    /// "Decouple" list).
     #[doc(hidden)]
     pub threads: usize,
     /// Event-queue implementation ([`Machine::set_queue_kind`]): the
@@ -269,7 +270,7 @@ fn run_machine<P: NodeProc>(
 /// `mk(phase, node)` builds each phase's per-node app; `collect` sees
 /// every node after every phase. Returns the per-phase reports and the
 /// per-phase invariant snapshots. The trailing `()` is kept for ROADMAP
-/// item 6: the frozen benchmark destructures a triple.
+/// item 1's "Decouple" list: the frozen benchmark destructures a triple.
 pub fn run_phases<A: PtrApp>(
     nodes: u16,
     net: NetConfig,

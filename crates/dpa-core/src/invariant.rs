@@ -104,8 +104,9 @@ pub struct NodeSnapshot {
     /// mode is off; and sequenced messages whose sender lies outside the
     /// machine this node was built for.
     pub misrouted_requests: u64,
-    /// Always empty: no object is ever adopted. Kept for ROADMAP item 6
-    /// (the frozen benchmark reads it as `global-heap.migrations`).
+    /// Always empty: no object is ever adopted. Kept for ROADMAP item 1's
+    /// "Decouple" list (the frozen benchmark reads it as
+    /// `global-heap.migrations`).
     pub adopted_ptrs: Vec<u64>,
     /// Differential: PhaseDelta entries sent to consumers carrying this
     /// node's objects.

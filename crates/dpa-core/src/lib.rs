@@ -49,7 +49,8 @@ pub mod work;
 pub use config::{ConfigError, CostModel, DpaConfig, Policy, Variant};
 pub use driver::{run_phase, run_phase_dst, run_phase_traced, run_phases, DstOptions};
 // The frozen `benchmark/` crate links the multi-phase driver under its two
-// former names and is their only user; kept for ROADMAP item 6.
+// former names and is their only user; kept for ROADMAP item 1's
+// "Decouple" list.
 #[doc(hidden)]
 pub use driver::{run_phases as run_phase_differential, run_phases as run_phase_migrating};
 pub use invariant::{check_completed, check_conservation, NodeSnapshot, Violation};

@@ -11,7 +11,8 @@
 //! ([`crate::mapping`]). The type stays only because the benchmark of
 //! record links it (its `dpa-core.pending_insert_complete_ns` drive) and
 //! `tests/properties.rs` checks it against a set model; it goes when the
-//! benchmark is decoupled from the runtime's internals (ROADMAP 1(c)).
+//! benchmark is decoupled from the runtime's internals (ROADMAP item 1's
+//! "Decouple" list).
 //!
 //! # Layout
 //!

@@ -1,10 +1,10 @@
 //! `dpa-serve` — the multi-tenant run service around the DPA runtime.
 //!
-//! ROADMAP item 3: scale as *jobs per second*, not nodes per job. The
-//! service accepts run requests (a DST workload + seed + fault plan on a
-//! tenant's account), schedules them across a pool of sim shards, and
-//! answers every submission synchronously — accepted with a [`JobId`] or
-//! shed with a structured [`RejectReason`], never a hang.
+//! The service scales as *jobs per second*, not nodes per job: it
+//! accepts run requests (a DST workload + seed + fault plan on a tenant's
+//! account), schedules them across a pool of sim shards, and answers
+//! every submission synchronously — accepted with a [`JobId`] or shed
+//! with a structured [`RejectReason`], never a hang.
 //!
 //! The crate splits policy from machinery:
 //!

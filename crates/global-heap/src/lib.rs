@@ -22,7 +22,7 @@
 //!   at which generation, and how write-heavy the current window is;
 //! * [`migrate::MigrationTable`] — the re-homing table of the deleted
 //!   object-migration mode, kept only for the frozen benchmark (ROADMAP
-//!   item 6).
+//!   item 1's "Decouple" list).
 //!
 //! Object *payloads* live in the owning application's typed arenas; since
 //! the force phases only read remote data, a "fetch" moves simulated bytes

@@ -3,7 +3,8 @@
 //! Objects stay at their birth homes: nothing in the workspace re-homes
 //! one (DESIGN.md §6 records why). The table survives only because the
 //! frozen benchmark drives its lookup as the `migration_home_of_ns`
-//! layer metric; ROADMAP item 6 deletes it together with that drive. A
+//! layer metric; ROADMAP item 1's "Decouple" list deletes it together
+//! with that drive. A
 //! [`GPtr`] bakes the birth home into its bits, so the table keeps the
 //! deviations from that mapping: objects this node adopted, forwarding
 //! stubs for objects that left, and homes learned from reply traffic.
@@ -12,7 +13,8 @@ use crate::fxhash::FxHashMap;
 use crate::gptr::GPtr;
 
 /// Deviations from the birth-home mapping, Fx-hashed. Kept for ROADMAP
-/// item 6 (the benchmark's `migration_home_of_ns` drive).
+/// item 1's "Decouple" list (the benchmark's `migration_home_of_ns`
+/// drive).
 #[derive(Clone, Debug, Default)]
 pub struct MigrationTable {
     /// Objects this node has adopted and now serves: `ptr -> payload size`.
@@ -26,7 +28,7 @@ pub struct MigrationTable {
 
 impl MigrationTable {
     /// An empty table (everything at its birth home). Kept for ROADMAP
-    /// item 6.
+    /// item 1's "Decouple" list.
     pub fn new() -> MigrationTable {
         MigrationTable::default()
     }
@@ -35,7 +37,7 @@ impl MigrationTable {
     /// the object, the stub target if the object departed from here, a
     /// learned override if one exists, else the birth home in the pointer
     /// bits. A table with nothing re-homed answers without probing. Kept
-    /// for ROADMAP item 6.
+    /// for ROADMAP item 1's "Decouple" list.
     #[inline]
     pub fn home_of(&self, ptr: GPtr, me: u16) -> u16 {
         if self.adopted.is_empty() && self.departed.is_empty() && self.overrides.is_empty() {
@@ -60,7 +62,7 @@ impl MigrationTable {
 
     /// Install `ptr` (with `size` payload bytes) as adopted by this node,
     /// dropping any learned override for it. Returns `false` if it was
-    /// already adopted. Kept for ROADMAP item 6.
+    /// already adopted. Kept for ROADMAP item 1's "Decouple" list.
     pub fn adopt(&mut self, ptr: GPtr, size: u32) -> bool {
         let fresh = self.adopted.insert(ptr, size).is_none();
         if fresh {
@@ -70,14 +72,16 @@ impl MigrationTable {
     }
 
     /// Install a forwarding stub: `ptr` (born here) now lives at `to`.
-    /// Returns `false` if a stub already exists. Kept for ROADMAP item 6.
+    /// Returns `false` if a stub already exists. Kept for ROADMAP item 1's
+    /// "Decouple" list.
     pub fn depart(&mut self, ptr: GPtr, to: u16) -> bool {
         self.departed.insert(ptr, to).is_none()
     }
 
     /// Record that a reply for `ptr` came from `home`. No-op for the birth
     /// home itself or for objects this node adopted. Returns `true` when
-    /// the override was new or changed. Kept for ROADMAP item 6.
+    /// the override was new or changed. Kept for ROADMAP item 1's
+    /// "Decouple" list.
     pub fn learn_override(&mut self, ptr: GPtr, home: u16) -> bool {
         if home == ptr.node() || self.adopted.contains_key(&ptr) {
             return false;

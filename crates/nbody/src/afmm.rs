@@ -91,19 +91,18 @@ fn adjacent(a: &ANode, b: &ANode, max_level: u32) -> bool {
 }
 
 /// P2L: accumulate the local (Taylor) expansion of point charges
-/// directly into `acc` (centered at `center`). For a unit charge at `zq`,
-/// the local coefficients about `c` are `c_0 = log(c − zq)` and
-/// `c_l = −1/(l (zq − c)^l)`.
-pub fn p2l_into(acc: &mut Local, points: &[(Cx, f64)], center: Cx) {
-    let p = acc.coeffs.len() - 1;
+/// directly into the `p + 1` coefficients `acc` (centered at `center`).
+/// For a unit charge at `zq`, the local coefficients about `c` are
+/// `c_0 = log(c − zq)` and `c_l = −1/(l (zq − c)^l)`.
+pub fn p2l_into(acc: &mut [Cx], points: &[(Cx, f64)], center: Cx) {
     for &(zq, q) in points {
         let d = zq - center;
-        acc.coeffs[0] += (-d).ln() * q;
+        acc[0] += (-d).ln() * q;
         let dinv = d.recip();
         let mut dk = Cx::ONE;
-        for l in 1..=p {
+        for (l, c) in acc.iter_mut().enumerate().skip(1) {
             dk = dk * dinv;
-            acc.coeffs[l] += dk * (-q / l as f64);
+            *c += dk * (-q / l as f64);
         }
     }
 }
@@ -407,7 +406,7 @@ impl AfmmSolver {
             }
             for x in self.x_list(i) {
                 let pts = self.points_of(x);
-                p2l_into(&mut acc, &pts, center);
+                p2l_into(&mut acc.coeffs, &pts, center);
             }
             self.locals[i] = acc;
         }

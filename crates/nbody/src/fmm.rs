@@ -267,12 +267,18 @@ pub fn m2l(src: &Multipole, d: Cx, bin: &Binomials) -> Local {
 /// [`m2l`], accumulated into `acc` (`acc.add_assign(&m2l(src, d))`, without
 /// the intermediate expansion).
 pub fn m2l_into(src: &Multipole, d: Cx, bin: &Binomials, acc: &mut Local) {
-    m2l_shifted_into(src, &M2lShift::new(d, src.coeffs.len() - 1), bin, acc);
+    m2l_shifted_into(
+        src,
+        &M2lShift::new(d, src.coeffs.len() - 1),
+        bin,
+        &mut acc.coeffs,
+    );
 }
 
-/// [`m2l_into`] by a shift prepared once.
-pub fn m2l_shifted_into(src: &Multipole, shift: &M2lShift, bin: &Binomials, acc: &mut Local) {
-    m2l_with(src, shift, bin, &mut acc.coeffs, |o, v| *o += v);
+/// [`m2l_into`] by a shift prepared once, on the bare `p + 1` coefficients
+/// of a local expansion.
+pub fn m2l_shifted_into(src: &Multipole, shift: &M2lShift, bin: &Binomials, acc: &mut [Cx]) {
+    m2l_with(src, shift, bin, acc, |o, v| *o += v);
 }
 
 /// With `t_k = a_k (−1)^k / d^k`: `c_0 = Q log(−d) + Σ t_k` and
