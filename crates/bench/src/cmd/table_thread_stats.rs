@@ -3,13 +3,14 @@
 //! outstanding (aligned) threads, maximum outstanding requests, and the
 //! memory DPA trades for latency tolerance (saved thread state + renamed
 //! objects). This binary regenerates all of those from runtime counters,
-//! plus the static template counts of the bundled Mini-ICC kernels.
+//! plus the static template counts of the Mini-ICC kernels in
+//! `dpa_compiler::kernels::T2`.
 //!
 //! Run with `--quick` for a reduced problem size.
 
 use bench::cli::Args;
 use bench::*;
-use dpa_compiler::compile_source;
+use dpa_compiler::{compile_source, kernels};
 use dpa_core::DpaConfig;
 use sim_net::RunStats;
 use std::io;
@@ -83,58 +84,11 @@ pub fn run(args: &Args) -> io::Result<i32> {
     }
 
     println!("\n== Static thread structure (compiler) ==");
-    let kernels = [
-        (
-            "treewalk",
-            "struct T { l: T*; r: T*; v: int; }
-             fn sum(t: T*) -> int {
-               if (t == null) { return 0; }
-               let a: int = 0;
-               let b: int = 0;
-               conc { a = sum(t->l); b = sum(t->r); }
-               return a + b + t->v;
-             }",
-        ),
-        (
-            "listsum",
-            "struct Node { val: int; next: Node*; }
-             fn lsum(n: Node*) -> int {
-               let acc: int = 0;
-               while (n != null) {
-                 acc = acc + n->val;
-                 n = n->next;
-               }
-               return acc;
-             }",
-        ),
-        (
-            "bh_kernel",
-            "struct Cell { mass: float; cx: float; cy: float; cz: float;
-                           size: float; c0: Cell*; c1: Cell*; }
-             fn force(c: Cell*, px: float, py: float, pz: float) -> float {
-               if (c == null) { return 0.0; }
-               let dx: float = c->cx - px;
-               let dy: float = c->cy - py;
-               let dz: float = c->cz - pz;
-               let d2: float = dx*dx + dy*dy + dz*dz + 0.01;
-               if (c->size * c->size < d2) {
-                 return c->mass / d2;
-               }
-               let a: float = 0.0;
-               let b: float = 0.0;
-               conc {
-                 a = force(c->c0, px, py, pz);
-                 b = force(c->c1, px, py, pz);
-               }
-               return a + b;
-             }",
-        ),
-    ];
     println!(
         "  {:<12} {:>10} {:>14} {:>12} {:>12}",
         "kernel", "templates", "demand sites", "fork sites", "call sites"
     );
-    for (name, src) in kernels {
+    for (name, src) in kernels::T2 {
         let prog = compile_source(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         for st in &prog.stats {
             println!(

@@ -145,20 +145,6 @@ pub enum Stmt {
     /// `conc { … }` — statements may execute in any interleaving; the
     /// block joins before control continues.
     Conc(Vec<Stmt>),
-    /// `conc for (i = lo; i < hi; i = i + 1) { … }` — the paper's
-    /// concurrent loop: iterations are independent and may interleave.
-    /// Desugared (see `crate::desugar`) into a recursive binary-split
-    /// helper function of `conc` pairs before lowering.
-    ConcFor {
-        /// Loop variable (int).
-        var: String,
-        /// Inclusive lower bound expression.
-        lo: Expr,
-        /// Exclusive upper bound expression.
-        hi: Expr,
-        /// Loop body (the loop variable is in scope).
-        body: Vec<Stmt>,
-    },
     /// Expression statement (a call evaluated for effect/at join).
     Expr(Expr),
 }

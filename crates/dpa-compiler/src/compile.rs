@@ -19,9 +19,8 @@
 //! * **`conc` blocks** — lower to [`Term::Fork`]: children execute in any
 //!   interleaving and join before the continuation.
 //!
-//! Top-level loop strip-mining is performed by the runtime's k-bounded
-//! admission (the compiler's iteration space is the root set handed to
-//! the interpreter).
+//! Top-level loop strip-mining is the runtime's k-bounded admission; the
+//! compiler emits no loop-level structure for it.
 
 use crate::ast::*;
 use crate::program::*;
@@ -311,8 +310,7 @@ impl<'p> Lower<'p> {
             }
             Expr::Null => {
                 let r = self.fresh();
-                self.ops
-                    .push(Op::Const(r, Value::Ptr(global_heap::GPtr::NULL)));
+                self.ops.push(Op::Const(r, Value::Null));
                 Ok((r, None))
             }
             Expr::Var(name) => match self.lookup_var(name) {
@@ -400,8 +398,6 @@ impl<'p> Lower<'p> {
         if bind.is_some() && !has_ret {
             return err(format!("`{func}` returns no value to bind"));
         }
-        let func = func.to_string();
-        let _ = func;
         // Evaluate arguments, protecting earlier ones across later splits.
         let n = args.len();
         for a in args {
@@ -500,28 +496,8 @@ impl<'p> Lower<'p> {
                 self.done = true;
                 Ok(())
             }
-            Stmt::ConcFor { .. } => {
-                unreachable!("conc for must be desugared before lowering (compile() runs the pass)")
-            }
             Stmt::Expr(e) => {
-                if let Expr::Call { func, args } = e {
-                    if func == "accum" {
-                        // Reduction intrinsic: fold args[1] into the
-                        // object at args[0]; compiled inline (the runtime
-                        // batches the update).
-                        if args.len() != 2 {
-                            return err("`accum` takes (pointer, value)");
-                        }
-                        let (pr, ps) = self.expr(&args[0])?;
-                        if ps.is_none() {
-                            return err("`accum`: first argument must be a pointer");
-                        }
-                        self.protected.push((pr, ps));
-                        let (vr, _) = self.expr(&args[1])?;
-                        let (pr, _) = self.protected.pop().expect("protected underflow");
-                        self.ops.push(Op::Accum(pr, vr));
-                        return Ok(());
-                    }
+                if matches!(e, Expr::Call { .. }) {
                     self.call_stmt(None, e)
                 } else {
                     let _ = self.expr(e)?;
@@ -737,10 +713,8 @@ impl<'p> Lower<'p> {
     }
 }
 
-/// Compile a parsed program into thread templates. Runs the `conc for`
-/// desugaring pass first (see [`mod@crate::desugar`]).
+/// Compile a parsed program into thread templates.
 pub fn compile(prog: &Program) -> Result<CompiledProgram, CompileError> {
-    let prog = &crate::desugar::desugar(prog)?;
     // Struct table.
     let mut structs: HashMap<String, Vec<Field>> = HashMap::new();
     for s in &prog.structs {
@@ -831,26 +805,7 @@ pub fn compile(prog: &Program) -> Result<CompiledProgram, CompileError> {
         });
     }
 
-    Ok(CompiledProgram {
-        templates,
-        functions: prog
-            .funcs
-            .iter()
-            .map(|f| {
-                let (t, a, r) = fns[&f.name];
-                (f.name.clone(), t, a, r)
-            })
-            .collect(),
-        structs: prog
-            .structs
-            .iter()
-            .map(|s| StructLayout {
-                name: s.name.clone(),
-                fields: s.fields.iter().map(|f| f.name.clone()).collect(),
-            })
-            .collect(),
-        stats,
-    })
+    Ok(CompiledProgram { templates, stats })
 }
 
 #[cfg(test)]
@@ -920,19 +875,7 @@ mod tests {
 
     #[test]
     fn conc_block_forks() {
-        let p = compile_src(
-            "struct T { l: T*; r: T*; v: int; }
-             fn sum(t: T*) -> int {
-               if (t == null) { return 0; }
-               let a: int = 0;
-               let b: int = 0;
-               conc {
-                 a = sum(t->l);
-                 b = sum(t->r);
-               }
-               return a + b + t->v;
-             }",
-        );
+        let p = compile_src(crate::kernels::TREE_WALK);
         let s = &p.stats[0];
         assert_eq!(s.fork_sites, 1);
         // t is touched exactly once: l and r are hoisted together from the
@@ -944,17 +887,7 @@ mod tests {
 
     #[test]
     fn while_loop_retouches_after_rebind() {
-        let p = compile_src(
-            "struct Node { val: int; next: Node*; }
-             fn sum(n: Node*) -> int {
-               let acc: int = 0;
-               while (n != null) {
-                 acc = acc + n->val;
-                 n = n->next;
-               }
-               return acc;
-             }",
-        );
+        let p = compile_src(crate::kernels::LIST_SUM);
         // One touch inside the loop body (val+next hoisted together).
         assert_eq!(p.stats[0].demand_sites, 1);
         assert!(p.stats[0].templates >= 4, "entry, header, body, exit");
@@ -964,6 +897,10 @@ mod tests {
     fn errors_are_reported() {
         let bad = [
             ("fn f() { g(); }", "unknown function"),
+            (
+                "struct O { w: float; } fn f(o: O*) { accum(o, 1.0); }",
+                "unknown function",
+            ),
             ("fn f() -> int { return f() + 0; }", "right-hand side"),
             ("fn f() -> int { return x; }", "unknown variable"),
             (

@@ -12,7 +12,7 @@ pub enum Tok {
     /// Float literal.
     Float(f64),
     /// A keyword (`struct`, `fn`, `let`, `if`, `else`, `while`, `conc`,
-    /// `for`, `return`, `null`, `int`, `float`).
+    /// `return`, `null`, `int`, `float`).
     Kw(&'static str),
     /// A punctuation/operator token, e.g. `->`, `==`, `{`.
     Punct(&'static str),
@@ -34,7 +34,7 @@ impl fmt::Display for Tok {
 }
 
 const KEYWORDS: &[&str] = &[
-    "struct", "fn", "let", "if", "else", "while", "conc", "for", "return", "null", "int", "float",
+    "struct", "fn", "let", "if", "else", "while", "conc", "return", "null", "int", "float",
 ];
 
 /// A token plus its line number (for error messages).

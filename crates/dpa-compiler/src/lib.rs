@@ -3,28 +3,24 @@
 //! The paper's compiler "decomposes a program into non-blocking threads
 //! that operate on specific pointers and labels thread creation sites with
 //! their corresponding pointers". This crate reproduces that pipeline on
-//! **Mini-ICC**, an ICC++-like kernel language:
+//! **Mini-ICC**, an ICC++-like kernel language, as a front end with no
+//! runtime dependency:
 //!
 //! * [`lexer`] / [`parser`] — source text → AST ([`ast`]);
-//! * [`desugar`] — `conc for (i = lo; i < hi; i = i + 1)` loops (the
-//!   paper's concurrent-loop annotation) rewritten into recursive
-//!   binary-split `conc` pairs;
 //! * [`mod@compile`] — the thread partitioner: coarse alias classes, touch
 //!   splitting, whole-object access hoisting (carried across every
-//!   single-predecessor boundary), function promotion, `conc` forks, and
-//!   the `sqrt`/`accum` intrinsics (the latter emits the runtime's remote
-//!   reductions); emits pointer-labeled thread templates ([`program`])
-//!   plus the static thread statistics the paper tabulates;
-//! * [`world`] — a builder for distributed Mini-ICC object graphs;
-//! * [`interp`] — a template interpreter implementing
-//!   [`dpa_core::PtrApp`], so compiled kernels run under DPA, caching,
-//!   blocking, or sequential scheduling, unchanged.
+//!   single-predecessor boundary), function promotion, `conc` forks and
+//!   the `sqrt` intrinsic; emits pointer-labeled thread templates
+//!   ([`program`]) plus the static thread statistics the paper tabulates;
+//! * [`kernels`] — the Mini-ICC kernels whose statistics and thread
+//!   structure the repo prints (`bench table_thread_stats`, the
+//!   `compiler_demo` example).
+//!
+//! The runtime's apps write their pointer labels by hand; nothing here
+//! executes the templates.
 //!
 //! ```
-//! use dpa_compiler::{compile_source, IccApp, IccWorldBuilder, Value};
-//! use dpa_core::{run_phase, DpaConfig};
-//! use global_heap::GPtr;
-//! use sim_net::NetConfig;
+//! use dpa_compiler::compile_source;
 //!
 //! let prog = compile_source(
 //!     "struct Node { val: int; next: Node*; }
@@ -34,17 +30,11 @@
 //!        return rest + n->val;
 //!      }").unwrap();
 //!
-//! let mut b = IccWorldBuilder::new(prog, "sum", 2);
-//! let tail = b.alloc(1, "Node", vec![Value::Int(2), Value::Ptr(GPtr::NULL)]);
-//! let head = b.alloc(0, "Node", vec![Value::Int(40), Value::Ptr(tail)]);
-//! b.add_root(0, vec![Value::Ptr(head)]);
-//! let world = b.build();
-//!
-//! let mut total = 0;
-//! run_phase(2, NetConfig::default(), DpaConfig::dpa(8),
-//!     |i| IccApp::new(world.clone(), i),
-//!     |_, app| total += app.int_sum);
-//! assert_eq!(total, 42);
+//! // One touch of `n` (val and next hoisted from one arrival) and one
+//! // promoted call.
+//! let sum = &prog.stats[0];
+//! assert_eq!((sum.demand_sites, sum.call_sites), (1, 1));
+//! assert!(prog.dump().contains("[demand-entry]"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,19 +42,15 @@
 
 pub mod ast;
 pub mod compile;
-pub mod desugar;
-pub mod interp;
+pub mod kernels;
 pub mod lexer;
 pub mod parser;
 pub mod program;
-pub mod world;
 
 pub use compile::{compile, CompileError};
-pub use interp::{IccApp, IccTask};
 pub use lexer::SyntaxError;
 pub use parser::parse;
 pub use program::{CompiledProgram, FnStats, Value};
-pub use world::{IccWorld, IccWorldBuilder};
 
 /// Parse and compile Mini-ICC source in one step.
 pub fn compile_source(src: &str) -> Result<CompiledProgram, Box<dyn std::error::Error>> {

@@ -199,42 +199,7 @@ impl Parser {
             }
             Tok::Kw("conc") => {
                 self.bump();
-                if matches!(self.peek(), Tok::Kw("for")) {
-                    self.bump();
-                    self.expect_punct("(")?;
-                    let var = self.ident()?;
-                    self.expect_punct("=")?;
-                    let lo = self.expr()?;
-                    self.expect_punct(";")?;
-                    let v2 = self.ident()?;
-                    if v2 != var {
-                        return Err(self.err(format!(
-                            "conc for: condition must test `{var}`, found `{v2}`"
-                        )));
-                    }
-                    self.expect_punct("<")?;
-                    let hi = self.expr()?;
-                    self.expect_punct(";")?;
-                    // Only unit stride: `i = i + 1`.
-                    let v3 = self.ident()?;
-                    self.expect_punct("=")?;
-                    let step = self.expr()?;
-                    let unit = Expr::Bin(
-                        BinOp::Add,
-                        Box::new(Expr::Var(var.clone())),
-                        Box::new(Expr::Int(1)),
-                    );
-                    if v3 != var || step != unit {
-                        return Err(self.err(format!(
-                            "conc for: only `{var} = {var} + 1` strides are supported"
-                        )));
-                    }
-                    self.expect_punct(")")?;
-                    let body = self.block()?;
-                    Ok(Stmt::ConcFor { var, lo, hi, body })
-                } else {
-                    Ok(Stmt::Conc(self.block()?))
-                }
+                Ok(Stmt::Conc(self.block()?))
             }
             Tok::Ident(name) => {
                 // Lookahead for `name = expr;` vs expression statement.
@@ -435,30 +400,16 @@ mod tests {
     }
 
     #[test]
-    fn conc_for_parses() {
-        let p = parse(
-            "fn g(i: int) -> int { return i; }
-             fn k(n: int) { conc for (i = 0; i < n; i = i + 1) { g(i); } }",
-        )
-        .unwrap();
-        assert!(matches!(p.funcs[1].body[0], Stmt::ConcFor { .. }));
-    }
-
-    #[test]
-    fn conc_for_rejects_bad_stride() {
-        let e = parse("fn k(n: int) { conc for (i = 0; i < n; i = i + 2) { k(n); } }").unwrap_err();
-        assert!(e.msg.contains("strides"), "{e}");
-    }
-
-    #[test]
-    fn conc_for_rejects_mismatched_vars() {
-        let e = parse("fn k(n: int) { conc for (i = 0; j < n; i = i + 1) { k(n); } }").unwrap_err();
-        assert!(e.msg.contains("condition must test"), "{e}");
-    }
-
-    #[test]
     fn error_reports_line() {
-        let e = parse("fn f() {\n let = 3;\n}").unwrap_err();
-        assert_eq!(e.line, 2);
+        for (src, line) in [
+            ("fn f() {\n let = 3;\n}", 2),
+            (
+                "fn k(n: int) {\n\n conc for (i = 0; i < n; i = i + 1) { k(n); }\n}",
+                3,
+            ),
+        ] {
+            let e = parse(src).unwrap_err();
+            assert_eq!(e.line, line, "{src:?}: {e}");
+        }
     }
 }

@@ -8,8 +8,6 @@
 //! [`Term::Demand`] creates, labeled with the touched pointer.
 
 use crate::ast::BinOp;
-use global_heap::GPtr;
-use std::fmt;
 
 /// A virtual register within a template frame.
 pub type Reg = u16;
@@ -17,36 +15,15 @@ pub type Reg = u16;
 /// Index of a template in the compiled program.
 pub type TId = u32;
 
-/// A runtime value (dynamically typed; `Ptr(GPtr::NULL)` is `null`).
+/// A constant operand.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Value {
     /// 64-bit integer (also carries booleans: 0 / 1).
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// Global pointer (possibly null).
-    Ptr(GPtr),
-}
-
-impl Value {
-    /// Truthiness for `Branch`.
-    pub fn truthy(self) -> bool {
-        match self {
-            Value::Int(v) => v != 0,
-            Value::Float(v) => v != 0.0,
-            Value::Ptr(p) => !p.is_null(),
-        }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Float(v) => write!(f, "{v}"),
-            Value::Ptr(p) => write!(f, "{p}"),
-        }
-    }
+    /// The null pointer.
+    Null,
 }
 
 /// A straight-line operation.
@@ -61,9 +38,6 @@ pub enum Op {
     /// `dst = sqrt(src)` — the numeric intrinsic (compiled inline, not
     /// promoted: it cannot touch).
     Sqrt(Reg, Reg),
-    /// `accum(ptr, value)` — emit a remote reduction folding `value` into
-    /// the accumulator of the object at `ptr` (the runtime batches it).
-    Accum(Reg, Reg),
     /// `dst = obj->field` — `obj` must already be available (hoisted
     /// loads appear only at the top of a demand-entered template).
     Load {
@@ -168,52 +142,16 @@ pub struct FnStats {
     pub call_sites: u32,
 }
 
-/// A struct layout: name plus ordered field names.
-#[derive(Clone, Debug)]
-pub struct StructLayout {
-    /// Struct name.
-    pub name: String,
-    /// Field names in declaration order.
-    pub fields: Vec<String>,
-}
-
-impl StructLayout {
-    /// Wire size of an object of this layout.
-    pub fn size_bytes(&self) -> u32 {
-        8 * self.fields.len() as u32 + 16
-    }
-}
-
 /// A fully compiled program.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
     /// All templates across all functions.
     pub templates: Vec<Template>,
-    /// Function name → (entry template, arity, returns value?).
-    pub functions: Vec<(String, TId, usize, bool)>,
-    /// Struct layouts, indexed by object class id.
-    pub structs: Vec<StructLayout>,
     /// Per-function static statistics.
     pub stats: Vec<FnStats>,
 }
 
 impl CompiledProgram {
-    /// Look up a function's `(entry, arity, has_ret)`.
-    pub fn function(&self, name: &str) -> Option<(TId, usize, bool)> {
-        self.functions
-            .iter()
-            .find(|(n, _, _, _)| n == name)
-            .map(|&(_, t, a, r)| (t, a, r))
-    }
-
-    /// Look up a struct class id by name.
-    pub fn struct_class(&self, name: &str) -> Option<u8> {
-        self.structs
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| i as u8)
-    }
-
     /// Total static templates (threads) in the program.
     pub fn total_templates(&self) -> usize {
         self.templates.len()
@@ -236,28 +174,5 @@ impl CompiledProgram {
             let _ = writeln!(out, "    -> {:?}", t.term);
         }
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn truthiness() {
-        assert!(Value::Int(3).truthy());
-        assert!(!Value::Int(0).truthy());
-        assert!(Value::Float(0.5).truthy());
-        assert!(!Value::Ptr(GPtr::NULL).truthy());
-        assert!(Value::Ptr(GPtr::new(0, global_heap::ObjClass(0), 1)).truthy());
-    }
-
-    #[test]
-    fn layout_size() {
-        let l = StructLayout {
-            name: "Node".into(),
-            fields: vec!["a".into(), "b".into(), "c".into()],
-        };
-        assert_eq!(l.size_bytes(), 40);
     }
 }

@@ -7,7 +7,6 @@
 //! See `README.md` for a tour and `DESIGN.md` for the system inventory.
 
 pub use apps;
-pub use dpa_compiler as compiler;
 pub use dpa_core as runtime;
 pub use dpa_serve as serve;
 pub use fastmsg;

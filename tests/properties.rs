@@ -1,7 +1,6 @@
 //! Cross-crate property-based tests (proptest): the invariants that make
 //! the reproduction trustworthy, exercised over randomized inputs.
 
-use dpa::compiler::{compile_source, IccApp, IccWorldBuilder, Value};
 use dpa::global_heap::{GPtr, ObjClass};
 use dpa::nbody::afmm::{AfmmParams, AfmmSolver};
 use dpa::nbody::body::direct_accel;
@@ -577,68 +576,6 @@ proptest! {
         prop_assert_eq!(p.index(), idx);
         prop_assert_eq!(GPtr::from_bits(p.bits()), p);
         prop_assert!(!p.is_null());
-    }
-
-    /// Compiled Mini-ICC tree sums match a host oracle on random tree
-    /// shapes, owner scatters, and strip sizes — the whole pipeline
-    /// (parse → partition → interpret → schedule → simulate) as one
-    /// property.
-    #[test]
-    fn compiled_tree_sum_matches_oracle(
-        seed in any::<u64>(),
-        depth in 1u32..6,
-        nodes in 1u16..5,
-        strip in 1usize..12,
-    ) {
-        let prog = compile_source(
-            "struct T { l: T*; r: T*; v: int; }
-             fn sum(t: T*) -> int {
-               if (t == null) { return 0; }
-               let a: int = 0;
-               let b: int = 0;
-               conc { a = sum(t->l); b = sum(t->r); }
-               return a + b + t->v;
-             }",
-        ).unwrap();
-        let mut b = IccWorldBuilder::new(prog, "sum", nodes);
-        let mut rng = dpa::sim_net::Rng::new(seed);
-        fn build(
-            b: &mut IccWorldBuilder,
-            rng: &mut dpa::sim_net::Rng,
-            nodes: u16,
-            depth: u32,
-        ) -> (Value, i64) {
-            if depth == 0 || rng.chance(0.2) {
-                return (Value::Ptr(GPtr::NULL), 0);
-            }
-            let (l, ls) = build(b, rng, nodes, depth - 1);
-            let (r, rs) = build(b, rng, nodes, depth - 1);
-            let v = rng.below(1000) as i64;
-            let owner = rng.below(nodes as u64) as u16;
-            let p = b.alloc(owner, "T", vec![l, r, Value::Int(v)]);
-            (Value::Ptr(p), ls + rs + v)
-        }
-        let mut expected = 0i64;
-        for node in 0..nodes {
-            let (root, sum) = build(&mut b, &mut rng, nodes, depth);
-            if let Value::Ptr(p) = root {
-                if p.is_null() {
-                    continue;
-                }
-            }
-            b.add_root(node, vec![root]);
-            expected += sum;
-        }
-        let world = b.build();
-        let mut total = 0i64;
-        run_phase(
-            nodes,
-            NetConfig::default(),
-            DpaConfig::dpa(strip),
-            |i| IccApp::new(world.clone(), i),
-            |_, app: &IccApp| total += app.int_sum,
-        );
-        prop_assert_eq!(total, expected);
     }
 
     /// The adaptive FMM matches direct summation on random inputs.
