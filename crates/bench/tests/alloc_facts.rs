@@ -414,12 +414,14 @@ fn align_release_cycles_allocate_nothing_once_the_slab_is_warm() {
 }
 
 /// A Barnes-Hut force phase shaped like the benchmark's `bh16` (Plummer
-/// bodies, 16 nodes, `dpa(50)`) allocates at most sixteen times per
-/// thousand events, procs, machine and collection included. What is left
-/// is set-up and the logarithmic growth of a few tables; with a list per
-/// fetched pointer in M the same phase allocated six times as often.
+/// bodies, 16 nodes, `dpa(50)`) allocates at most 3.2 times per thousand
+/// events, procs, machine and collection included (3.15 measured). What is
+/// left is set-up and the logarithmic growth of a few tables; with a list
+/// per fetched pointer in M the same phase allocated six times as often,
+/// and with renamed storage and the in-flight requests in tables of their
+/// own beside M's interner 3.83 times.
 #[test]
-fn a_bh16_shaped_phase_allocates_at_most_16_times_per_kevent() {
+fn a_bh16_shaped_phase_allocates_at_most_32_times_per_10k_events() {
     let world = BhWorld::build(
         plummer(16_384, 1997),
         16,
@@ -446,7 +448,7 @@ fn a_bh16_shaped_phase_allocates_at_most_16_times_per_kevent() {
     });
     assert!(events > 100_000, "{events} events");
     assert!(
-        allocs * 1_000 <= 16 * events,
+        allocs * 10_000 <= 32 * events,
         "{allocs} allocations in {events} events"
     );
 }

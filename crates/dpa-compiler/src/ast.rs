@@ -171,18 +171,6 @@ pub struct Program {
     pub funcs: Vec<FnDecl>,
 }
 
-impl Program {
-    /// Find a struct by name.
-    pub fn struct_by_name(&self, name: &str) -> Option<&StructDecl> {
-        self.structs.iter().find(|s| s.name == name)
-    }
-
-    /// Find a function by name.
-    pub fn fn_by_name(&self, name: &str) -> Option<&FnDecl> {
-        self.funcs.iter().find(|f| f.name == name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,24 +179,5 @@ mod tests {
     fn type_display() {
         assert_eq!(Ty::Int.to_string(), "int");
         assert_eq!(Ty::Ptr("Node".into()).to_string(), "Node*");
-    }
-
-    #[test]
-    fn program_lookup() {
-        let p = Program {
-            structs: vec![StructDecl {
-                name: "Node".into(),
-                fields: vec![],
-            }],
-            funcs: vec![FnDecl {
-                name: "walk".into(),
-                params: vec![],
-                ret: None,
-                body: vec![],
-            }],
-        };
-        assert!(p.struct_by_name("Node").is_some());
-        assert!(p.struct_by_name("Leaf").is_none());
-        assert!(p.fn_by_name("walk").is_some());
     }
 }

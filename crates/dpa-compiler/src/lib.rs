@@ -50,7 +50,7 @@ pub mod program;
 pub use compile::{compile, CompileError};
 pub use lexer::SyntaxError;
 pub use parser::parse;
-pub use program::{CompiledProgram, FnStats, Value};
+pub use program::{CompiledProgram, FnStats};
 
 /// Parse and compile Mini-ICC source in one step.
 pub fn compile_source(src: &str) -> Result<CompiledProgram, Box<dyn std::error::Error>> {

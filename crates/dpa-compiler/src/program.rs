@@ -152,11 +152,6 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Total static templates (threads) in the program.
-    pub fn total_templates(&self) -> usize {
-        self.templates.len()
-    }
-
     /// Pretty-print the thread structure (the paper's Figure 7 view).
     pub fn dump(&self) -> String {
         use std::fmt::Write;

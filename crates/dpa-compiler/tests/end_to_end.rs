@@ -55,5 +55,5 @@ fn static_thread_stats_match_structure() {
     assert_eq!(s.fork_sites, 1);
     assert!(s.templates >= 4);
     // Entry + touch + join + branch arms all materialize as templates.
-    assert_eq!(prog.total_templates() as u32, s.templates);
+    assert_eq!(prog.templates.len() as u32, s.templates);
 }

@@ -67,23 +67,27 @@ pub(crate) fn promote_replicas(
     }
 }
 
-/// Plan the differential hand-off in place. Each node's carried
-/// `arrivals` name their homes; `awaiting` names each carried home once —
-/// the consumer gates its first strip on hearing from every one — and the
-/// home's `deltas` gain a `(consumer, changed)` list: the carried pointers
-/// whose stamp differs from `gen_of(home, ptr)`, in pointer-bit order
-/// (arrivals come sorted). An unchanged pair still gets its empty list:
-/// that is the owner's all-clear.
+/// Plan the differential hand-off in place. Each node's carried copies
+/// (those its carried M holds) name their homes; `awaiting` names each
+/// carried home once — the consumer gates its first strip on hearing from
+/// every one — and the home's `deltas` gain a `(consumer, changed)` list:
+/// the carried pointers whose stamp differs from `gen_of(home, ptr)`, in
+/// pointer-bit order. An unchanged pair still gets its empty list: that is
+/// the owner's all-clear.
 pub(crate) fn plan_deltas<W>(
     carries: &mut [PhaseCarry<W>],
     mut gen_of: impl FnMut(u16, GPtr) -> u32,
 ) {
     // Consumers in node order, so every owner's fan-out (and with it the
     // send order and seq assignment) comes out sorted by consumer.
+    // One buffer sorts every consumer's carried copies.
+    let mut held = Vec::new();
     for me in 0..carries.len() as u16 {
+        held.clear();
+        held.extend((carries[me as usize].tables.iter()).flat_map(|m| m.arrivals().entries()));
+        held.sort_unstable_by_key(|&(p, _, _)| p.bits());
         let mut awaiting: Vec<u16> = Vec::new();
-        for i in 0..carries[me as usize].arrivals.len() {
-            let (ptr, _, gen) = carries[me as usize].arrivals[i];
+        for &(ptr, _, gen) in &held {
             let home = ptr.node();
             let out = &mut carries[home as usize].deltas;
             if out.last().is_none_or(|&(consumer, _)| consumer != me) {
@@ -242,12 +246,16 @@ mod tests {
         }
     }
 
-    fn carry<W>(arrivals: Vec<(GPtr, u32, u32)>) -> PhaseCarry<W> {
+    /// A carry whose M holds a copy of each `(ptr, generation)`.
+    fn carry<W>(held: Vec<(GPtr, u32)>) -> PhaseCarry<W> {
+        let mut map = crate::PointerMap::new();
+        for (ptr, gen) in held {
+            map.arrivals_mut().preload_gen(ptr, 8, gen);
+        }
         PhaseCarry {
             affinity: None,
             replication: None,
-            tables: None,
-            arrivals,
+            tables: Some(map),
             awaiting: Vec::new(),
             deltas: Vec::new(),
         }
@@ -308,11 +316,11 @@ mod tests {
     #[test]
     fn delta_fanout_is_sorted_by_consumer_and_each_home_awaited_once() {
         let (a, b, c) = (ptr(3, 1), ptr(3, 2), ptr(0, 9));
-        // Arrivals come sorted by pointer bits, so `c` (node 0) precedes
-        // node 3's objects.
-        let held = vec![(c, 8, 0), (a, 8, 0), (b, 8, 0)];
+        // Carried copies are planned in pointer-bit order, so `c` (node 0)
+        // precedes node 3's objects.
+        let held = vec![(c, 0), (a, 0), (b, 0)];
         let mut carries: Vec<PhaseCarry<()>> = vec![
-            carry(vec![(a, 8, 0), (b, 8, 0)]),
+            carry(vec![(a, 0), (b, 0)]),
             carry(held.clone()),
             carry(held),
             carry(Vec::new()),

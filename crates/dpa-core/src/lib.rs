@@ -54,7 +54,7 @@ pub use driver::{run_phase, run_phase_dst, run_phase_traced, run_phases, DstOpti
 #[doc(hidden)]
 pub use driver::{run_phases as run_phase_differential, run_phases as run_phase_migrating};
 pub use invariant::{check_completed, check_conservation, NodeSnapshot, Violation};
-pub use mapping::PointerMap;
+pub use mapping::{Arrival, PointerMap};
 pub use msg::DpaMsg;
 // Not API: exported for `tests/properties.rs` and `bench`'s `alloc_facts`,
 // which drive the dedup on its own.

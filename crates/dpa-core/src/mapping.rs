@@ -10,23 +10,21 @@
 //! # Layout
 //!
 //! The table is structure-of-arrays over **dense object ids**: each
-//! pointer is interned once, at its first alignment, into a `u32` id that
-//! indexes flat side tables (`ptrs`, `chains`). The hash map is consulted
-//! only to intern/look up the id. The waiting threads of *every* pointer
-//! live in one record slab per map: a pointer's id names a
+//! pointer is interned once into a `u32` id that indexes the records of
+//! the node's pointer directory ([`ArrivalSet`]). The waiting threads of
+//! *every* pointer live in one record slab per map: a pointer's id names a
 //! `(head, tail, len)` chain, each record carries the index of the next
 //! one aligned under the same pointer (tail append, so a release walks
 //! them in alignment order), and a released record goes on a free list
-//! threaded through the vacated records themselves. The slab's high-water
-//! mark is therefore the most threads that ever waited at once
-//! (`peak_threads`), not the number ever aligned — within a phase a
-//! pointer is fetched once, so a private list per pointer would be grown
-//! and then only kept — and once the slab has met that peak, aligning and
-//! releasing never touch the allocator.
+//! threaded through the vacated records themselves. The slab's high-water mark is therefore the
+//! most threads that ever waited at once (`peak_threads`), not the number
+//! ever aligned — within a phase a pointer is fetched once, so a private
+//! list per pointer would be grown and then only kept — and once the slab
+//! has met that peak, aligning and releasing never touch the allocator.
 //! [`PointerMap::release_into`] moves a chain straight into the caller's
 //! run stack.
 //!
-//! # M is also D
+//! # One table: M, D and renamed storage
 //!
 //! The paper's second table, **D** (outstanding requests), is M's key set:
 //! a pointer's first alignment is what opens its request, and the arrival
@@ -35,9 +33,11 @@
 //! `p`", and the request statistics are read off M: requests issued are
 //! its first alignments, the outstanding peak is
 //! [`peak_keys`](PointerMap::peak_keys), and a stall report names the
-//! smallest pointers with waiters.
+//! smallest pointers with waiters. What D adds — which requests are on
+//! the wire — is a bit of the pointer's record, beside renamed storage, so
+//! a demand and an arriving copy each cost one probe.
 
-use global_heap::{FxHashMap, GPtr};
+use global_heap::{ArrivalSet, GPtr};
 use std::num::NonZeroU32;
 
 /// The index of a slab record, kept off by one: the zero it can never be
@@ -70,29 +70,28 @@ enum Slot<W> {
     Free { next: Option<Link> },
 }
 
-/// The threads aligned under one interned pointer: the slab indices of the
-/// first and last of them (meaningless while `len` is zero) and how many
-/// there are.
-#[derive(Clone, Copy, Debug, Default)]
-struct Chain {
-    head: u32,
-    tail: u32,
-    len: u32,
+/// What an arriving copy did ([`PointerMap::install_with`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arrival {
+    /// Threads waited under the pointer: the request completed and they
+    /// were released.
+    Released,
+    /// Nothing waited, but a copy is held: a duplicate.
+    Held,
+    /// Nothing waited and no copy is held: never asked for.
+    Unasked,
 }
 
 /// Pointer → dependent threads, with high-water-mark accounting for the
-/// paper's thread-statistics table. SoA: dense-id interner + one record
+/// paper's thread-statistics table. SoA: the node's pointer directory
+/// (interner, renamed storage, on-the-wire bits, chains) + one record
 /// slab.
 #[derive(Clone, Debug)]
 pub struct PointerMap<W> {
-    /// Pointer → dense id, assigned at first alignment and stable for the
-    /// map's lifetime.
-    ids: FxHashMap<GPtr, u32>,
-    /// Dense id → pointer (the interner's inverse, for diagnostics and
-    /// id-order iteration).
-    ptrs: Vec<GPtr>,
-    /// Dense id → the threads currently aligned under that pointer.
-    chains: Vec<Chain>,
+    /// Pointer → dense id and held generation; per id the chain, the held
+    /// size and the on-the-wire bit. Ids are assigned at first sight and
+    /// stable for the map's lifetime.
+    dir: ArrivalSet,
     /// Every waiting thread of every pointer, chained by index.
     slab: Vec<Slot<W>>,
     /// The most recently vacated record.
@@ -110,9 +109,7 @@ pub struct PointerMap<W> {
 impl<W> Default for PointerMap<W> {
     fn default() -> Self {
         PointerMap {
-            ids: FxHashMap::default(),
-            ptrs: Vec::new(),
-            chains: Vec::new(),
+            dir: ArrivalSet::new(),
             slab: Vec::new(),
             free: None,
             nonempty: 0,
@@ -134,18 +131,15 @@ impl<W> PointerMap<W> {
         PointerMap::default()
     }
 
-    /// Intern `ptr`, returning its dense id (assigning the next one on
-    /// first sight).
-    #[inline]
-    fn intern(&mut self, ptr: GPtr) -> u32 {
-        if let Some(&id) = self.ids.get(&ptr) {
-            return id;
-        }
-        let id = u32::try_from(self.ptrs.len()).expect("pointer-map id overflow");
-        self.ids.insert(ptr, id);
-        self.ptrs.push(ptr);
-        self.chains.push(Chain::default());
-        id
+    /// The map's directory: renamed storage and D's on-the-wire bits.
+    pub fn arrivals(&self) -> &ArrivalSet {
+        &self.dir
+    }
+
+    /// [`arrivals`](Self::arrivals), to preload, invalidate and put
+    /// requests on the wire.
+    pub fn arrivals_mut(&mut self) -> &mut ArrivalSet {
+        &mut self.dir
     }
 
     /// Store `thread` in a record of its own — a vacated one if there is
@@ -174,13 +168,19 @@ impl<W> PointerMap<W> {
     /// thread aligned under `ptr` — the caller must then ensure a request
     /// for `ptr` is (or will be) outstanding.
     pub fn align(&mut self, ptr: GPtr, thread: W) -> bool {
-        debug_assert!(!ptr.is_null());
+        let (id, _) = self.dir.intern(ptr);
+        self.align_id(id, thread)
+    }
+
+    /// [`align`](Self::align) under the id [`ArrivalSet::intern`]
+    /// returned.
+    #[inline]
+    pub fn align_id(&mut self, id: u32, thread: W) -> bool {
         self.total_aligned += 1;
         self.live_threads += 1;
         self.peak_threads = self.peak_threads.max(self.live_threads);
-        let id = self.intern(ptr);
         let at = self.record(thread);
-        let chain = &mut self.chains[id as usize];
+        let chain = self.dir.chain_mut(id);
         let first = chain.len == 0;
         if first {
             chain.head = at.index() as u32;
@@ -221,29 +221,41 @@ impl<W> PointerMap<W> {
     /// on its way to `out`, which is where it learns what only the arrival
     /// of its object could tell it.
     pub fn release_with<U>(&mut self, ptr: GPtr, out: &mut Vec<U>, ready: impl FnMut(W) -> U) {
-        if let Some(id) = self.waiting(ptr) {
-            self.release_chain(id, out, ready);
+        match self.dir.find(ptr) {
+            Some((id, _)) if self.dir.chain(id).len > 0 => self.release_chain(id, out, ready),
+            _ => {}
         }
     }
 
-    /// The chain id of `ptr` while threads wait under it, `None` when none
-    /// do: one probe, after which [`release_chain`](Self::release_chain)
-    /// needs none.
+    /// A copy of `ptr` (`size` bytes at `gen`) arrived — one probe. If
+    /// threads wait under it, the copy enters renamed storage (a held one
+    /// keeps its own stamp) and every waiting thread is released through
+    /// `ready` with the generation held, in alignment order. A `reply`
+    /// retires the pointer's request in flight unless it was never asked
+    /// for ([`ArrivalSet::arrive`]).
     #[inline]
-    pub(crate) fn waiting(&self, ptr: GPtr) -> Option<u32> {
-        let &id = self.ids.get(&ptr)?;
-        (self.chains[id as usize].len > 0).then_some(id)
+    pub fn install_with<U>(
+        &mut self,
+        ptr: GPtr,
+        size: u32,
+        gen: u32,
+        reply: bool,
+        out: &mut Vec<U>,
+        mut ready: impl FnMut(W, u32) -> U,
+    ) -> Arrival {
+        match self.dir.arrive(ptr, size, gen, reply) {
+            Some((id, Some(held))) if self.dir.chain(id).len > 0 => {
+                self.release_chain(id, out, |thread| ready(thread, held));
+                Arrival::Released
+            }
+            Some((_, Some(_))) => Arrival::Held,
+            _ => Arrival::Unasked,
+        }
     }
 
-    /// [`release_with`](Self::release_with) for the chain id
-    /// [`waiting`](Self::waiting) returned.
-    pub(crate) fn release_chain<U>(
-        &mut self,
-        id: u32,
-        out: &mut Vec<U>,
-        mut ready: impl FnMut(W) -> U,
-    ) {
-        let chain = &mut self.chains[id as usize];
+    /// Release the nonempty chain of `id`.
+    fn release_chain<U>(&mut self, id: u32, out: &mut Vec<U>, mut ready: impl FnMut(W) -> U) {
+        let chain = self.dir.chain_mut(id);
         debug_assert!(chain.len > 0, "releasing a chain nothing waits on");
         let (mut at, len) = (Link::to(chain.head as usize), chain.len as usize);
         chain.len = 0;
@@ -279,16 +291,15 @@ impl<W> PointerMap<W> {
 
     /// Number of threads waiting on `ptr` right now.
     pub fn waiters(&self, ptr: GPtr) -> usize {
-        match self.ids.get(&ptr) {
-            Some(&id) => self.chains[id as usize].len as usize,
-            None => 0,
-        }
+        self.dir
+            .find(ptr)
+            .map_or(0, |(id, _)| self.dir.chain(id).len as usize)
     }
 
     /// Distinct pointers ever interned (dense-id space size). Interning is
     /// permanent: a pointer's id survives release cycles.
     pub fn interned(&self) -> usize {
-        self.ptrs.len()
+        self.dir.interned()
     }
 
     /// Max simultaneous aligned threads over the phase.
@@ -316,24 +327,21 @@ impl<W> PointerMap<W> {
     /// value, so a snapshot or stall report depends on the *set* of
     /// outstanding requests and not on the order they were issued in.
     pub(crate) fn sorted_sample(&self, n: usize) -> Vec<String> {
-        let mut waiting: Vec<GPtr> = (self.ptrs.iter().zip(&self.chains))
-            .filter_map(|(&p, chain)| (chain.len > 0).then_some(p))
-            .collect();
+        let mut waiting: Vec<&GPtr> = self.dir.waiting().collect();
         waiting.sort_unstable();
         waiting.iter().take(n).map(|p| p.to_string()).collect()
     }
 
     /// Patch the mapping across a phase barrier instead of rebuilding it:
     /// every chain is emptied, the slab is truncated (its capacity kept)
-    /// and the per-phase statistics are zeroed, but the interner — pointer
-    /// → dense id — survives. The next phase's alignments over a
-    /// mostly-unchanged pointer set then reuse ids and slab capacity and
+    /// and the per-phase statistics are zeroed, but the directory —
+    /// pointer → dense id, and the copies held — survives
+    /// ([`ArrivalSet::reset_for_phase`]). The next phase's alignments over
+    /// a mostly-unchanged pointer set then reuse ids and slab capacity and
     /// never touch the allocator; only genuinely new pointers intern fresh
     /// ids.
     pub fn reset_for_phase(&mut self) {
-        for chain in &mut self.chains {
-            chain.len = 0;
-        }
+        self.dir.reset_for_phase();
         self.slab.clear();
         self.free = None;
         self.nonempty = 0;
@@ -461,11 +469,13 @@ mod tests {
         assert_eq!(a.sorted_sample(3), first_three);
         assert_eq!(a.sorted_sample(16), b.sorted_sample(16));
         assert_eq!(a.sorted_sample(16).len(), a.keys());
-        assert!(a.waiting(p(4)).is_none() && a.waiting(p(77)).is_none());
-        let id = a.waiting(p(9)).expect("two threads wait under p(9)");
+        assert_eq!(
+            (a.waiters(p(4)), a.waiters(p(77)), a.waiters(p(9))),
+            (0, 0, 2)
+        );
         let mut out = Vec::new();
-        a.release_chain(id, &mut out, |w| w);
-        assert_eq!((out.len(), a.waiting(p(9)), a.keys()), (2, None, 3));
+        a.release_into(p(9), &mut out);
+        assert_eq!((out.len(), a.waiters(p(9)), a.keys()), (2, 0, 3));
         assert!(a.align(p(4), 0), "a completed pointer is requested again");
         assert_eq!((a.first_alignments(), a.peak_keys()), (6, 5));
     }
@@ -546,6 +556,6 @@ mod tests {
         assert_eq!(PointerMap::<u64>::RECORD_BYTES, 16);
         assert_eq!(PointerMap::<(u32, [u32; 2])>::RECORD_BYTES, 16);
         assert_eq!(PointerMap::<(u32, u32)>::RECORD_BYTES, 12);
-        assert_eq!(std::mem::size_of::<Chain>(), 12);
+        assert_eq!(std::mem::size_of::<global_heap::arrival::Chain>(), 12);
     }
 }

@@ -16,31 +16,21 @@
 //!
 //! # Layout
 //!
-//! Like the M mapping, the table is structure-of-arrays over dense object
-//! ids: pointers are interned once (at their first request) into a `u32`
-//! id indexing flat `ptrs`/`present` side tables. Insert/complete/contains
-//! are one Fx-hash probe plus a flag flip — no tombstone churn — and
-//! [`iter`](PendingRequests::iter) walks the dense side table in id
-//! (first-request) order, which is deterministic for a fixed request
+//! It is that key set alone: a [`PointerMap`] holding one (empty) thread
+//! per outstanding pointer. A pointer is interned at its first request
+//! into a permanent dense id; insert/complete/contains are one Fx-hash
+//! probe, and [`iter`](PendingRequests::iter) walks the ids in
+//! first-request order, which is deterministic for a fixed request
 //! history, unlike a std `HashSet`'s per-process seeded order.
 
-use global_heap::{FxHashMap, GPtr};
+use crate::PointerMap;
+use global_heap::GPtr;
 
-/// Outstanding remote requests for one node. SoA: dense-id interner + flat
-/// presence flags.
+/// Outstanding remote requests for one node: the key set of a mapping
+/// with one thread per request.
 #[derive(Clone, Debug, Default)]
 pub struct PendingRequests {
-    /// Pointer → dense id, assigned at first request and stable for the
-    /// table's lifetime.
-    ids: FxHashMap<GPtr, u32>,
-    /// Dense id → pointer (interner inverse; iterated for reports).
-    ptrs: Vec<GPtr>,
-    /// Dense id → currently outstanding?
-    present: Vec<bool>,
-    /// Number of `true` flags (= `len()`).
-    live: usize,
-    peak: u64,
-    total: u64,
+    map: PointerMap<()>,
 }
 
 impl PendingRequests {
@@ -52,48 +42,21 @@ impl PendingRequests {
     /// Mark `ptr` requested. Returns `false` if it was already outstanding
     /// (the duplicate must not generate a second message).
     pub fn insert(&mut self, ptr: GPtr) -> bool {
-        debug_assert!(!ptr.is_null());
-        let id = match self.ids.get(&ptr) {
-            Some(&id) => {
-                if self.present[id as usize] {
-                    return false;
-                }
-                id
-            }
-            None => {
-                let id = u32::try_from(self.ptrs.len()).expect("pending-table id overflow");
-                self.ids.insert(ptr, id);
-                self.ptrs.push(ptr);
-                self.present.push(false);
-                id
-            }
-        };
-        self.present[id as usize] = true;
-        self.live += 1;
-        self.total += 1;
-        self.peak = self.peak.max(self.live as u64);
-        true
+        let (id, _) = self.map.arrivals_mut().intern(ptr);
+        self.map.arrivals().chain(id).len == 0 && self.map.align_id(id, ())
     }
 
     /// Clear `ptr` on reply arrival. Returns `false` for an unexpected
     /// reply (a protocol bug upstream or duplicated delivery).
     pub fn complete(&mut self, ptr: GPtr) -> bool {
-        match self.ids.get(&ptr) {
-            Some(&id) if self.present[id as usize] => {
-                self.present[id as usize] = false;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
+        let outstanding = self.len();
+        self.map.release_into(ptr, &mut Vec::new());
+        self.len() < outstanding
     }
 
     /// `true` if a request for `ptr` is in flight (or buffered).
     pub fn contains(&self, ptr: GPtr) -> bool {
-        match self.ids.get(&ptr) {
-            Some(&id) => self.present[id as usize],
-            None => false,
-        }
+        self.map.waiters(ptr) > 0
     }
 
     /// Iterate over the outstanding pointers in dense-id (first-request)
@@ -101,16 +64,13 @@ impl PendingRequests {
     /// any hash seed. Used by the stall reporter to name exactly which
     /// fetches never completed.
     pub fn iter(&self) -> impl Iterator<Item = &GPtr> {
-        self.ptrs
-            .iter()
-            .zip(self.present.iter())
-            .filter_map(|(p, &live)| live.then_some(p))
+        self.map.arrivals().waiting()
     }
 
     /// Distinct pointers ever requested (dense-id space size). Interning
     /// is permanent: an id survives completion.
     pub fn interned(&self) -> usize {
-        self.ptrs.len()
+        self.map.interned()
     }
 
     /// The `n` smallest outstanding pointers, rendered. Sorted by pointer
@@ -118,43 +78,36 @@ impl PendingRequests {
     /// the same *set* of outstanding requests, regardless of the order in
     /// which they were issued.
     pub fn sorted_sample(&self, n: usize) -> Vec<String> {
-        let mut all: Vec<&GPtr> = self.iter().collect();
-        all.sort_unstable();
-        all.into_iter().take(n).map(|p| p.to_string()).collect()
+        self.map.sorted_sample(n)
     }
 
     /// Requests currently outstanding.
     pub fn len(&self) -> usize {
-        self.live
+        self.map.keys()
     }
 
     /// `true` when nothing is outstanding.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.map.is_empty()
     }
 
     /// Max simultaneous outstanding requests over the phase.
     pub fn peak(&self) -> u64 {
-        self.peak
+        self.map.peak_keys()
     }
 
     /// Total requests issued over the phase (re-requesting a completed
     /// pointer counts again; simultaneous duplicates do not).
     pub fn total(&self) -> u64 {
-        self.total
+        self.map.first_alignments()
     }
 
     /// Patch the table across a phase barrier instead of rebuilding it:
-    /// presence flags drop and per-phase statistics zero, but the interner
-    /// survives, so requests for pointers the node fetched in earlier
-    /// phases flip an existing flag instead of growing the table.
+    /// nothing stays outstanding and per-phase statistics zero, but the
+    /// interner survives, so requests for pointers the node fetched in
+    /// earlier phases reuse their ids instead of growing the table.
     pub fn reset_for_phase(&mut self) {
-        for f in &mut self.present {
-            *f = false;
-        }
-        self.live = 0;
-        self.peak = 0;
-        self.total = 0;
+        self.map.reset_for_phase();
     }
 }
 

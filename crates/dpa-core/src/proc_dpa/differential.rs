@@ -13,7 +13,7 @@ use super::DpaProc;
 use crate::invariant::NodeSnapshot;
 use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::PtrApp;
-use global_heap::{ArrivalSet, FxHashSet, GPtr};
+use global_heap::{FxHashSet, GPtr};
 use sim_net::{Ctx, NodeId, NodeStats};
 
 /// What a node keeps for the boundary deltas, both as consumer and as
@@ -30,7 +30,7 @@ pub(super) struct DiffState {
     /// Carried copies invalidated by an incoming delta (refetched on next
     /// use).
     stale_invalidated: u64,
-    /// Entries preloaded from the carry (the phase began with this much
+    /// Copies held in the carried M (the phase began with this much
     /// renamed storage already warm).
     carried_in: u64,
 }
@@ -46,21 +46,17 @@ impl DiffState {
         }
     }
 
-    /// Carried copies keep the generation they were fetched at; a stale
-    /// one is invalidated by its home's `PhaseDelta` before any thread can
-    /// read it, because the first strip is gated on `awaiting`.
+    /// The `carried` copies stay in the carried M with the generation
+    /// they were fetched at; a stale one is invalidated by its home's
+    /// `PhaseDelta` before any thread can read it, because the first strip
+    /// is gated on `awaiting`.
     pub(super) fn install_carry(
         &mut self,
-        arrivals: Vec<(GPtr, u32, u32)>,
+        carried: usize,
         awaiting: Vec<u16>,
         deltas: Vec<(u16, Vec<GPtr>)>,
-        arrived: &mut ArrivalSet,
     ) {
-        self.carried_in += arrivals.len() as u64;
-        arrived.reserve(arrivals.len());
-        for (ptr, size, gen) in arrivals {
-            arrived.preload_gen(ptr, size, gen);
-        }
+        self.carried_in += carried as u64;
         self.awaiting = awaiting.into_iter().collect();
         self.out = deltas;
     }
@@ -129,7 +125,7 @@ impl<A: PtrApp> DpaProc<A> {
             // copy with the post-boundary generation: the invalidation is
             // satisfied, not violated.
             let superseded = self.repl.as_ref().is_some_and(|r| r.holds(ptr));
-            if !superseded && self.arrived.invalidate(ptr) {
+            if !superseded && self.map.arrivals_mut().invalidate(ptr) {
                 d.stale_invalidated += 1;
             }
         }

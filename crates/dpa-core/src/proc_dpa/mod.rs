@@ -69,13 +69,13 @@ mod replicate;
 use crate::config::{ConfigError, DpaConfig, Policy, Variant, POLL_INTERVAL_NS};
 use crate::invariant::NodeSnapshot;
 use crate::live::LiveIters;
-use crate::mapping::PointerMap;
+use crate::mapping::{Arrival, PointerMap};
 use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::{Avail, Emit, PtrApp, Tagged, WorkEnv, NO_GEN};
 use affinity::AffinityState;
 use differential::DiffState;
 use fastmsg::{ByteCoalescer, Coalescer, FlushReason};
-use global_heap::{AffinityTable, ArrivalSet, FxHashMap, FxHashSet, GPtr, ReplicaDirectory};
+use global_heap::{AffinityTable, FxHashMap, GPtr, ReplicaDirectory};
 use replicate::ReplState;
 use sim_net::{Ctx, Dur, NodeId, NodeStats, Proc};
 use std::collections::VecDeque;
@@ -94,13 +94,12 @@ pub struct PhaseCarry<W> {
     pub(crate) affinity: Option<AffinityTable>,
     /// `Replicate`: the owner-side directory, windows closed.
     pub(crate) replication: Option<ReplicaDirectory>,
-    /// `differential`: M (and with it D) — the interner and the warmed
-    /// record slab travel instead of being rebuilt.
+    /// `differential`: M, and with it D and renamed storage — the
+    /// directory, the copies it holds with the generation each was fetched
+    /// at, and the warmed record slab travel instead of being rebuilt.
+    /// Unchanged objects are never refetched.
     pub(crate) tables: Option<PointerMap<(u32, W)>>,
-    /// `differential`: renamed storage as `(ptr, size, generation fetched
-    /// at)`, sorted by pointer bits. Unchanged objects are never refetched.
-    pub(crate) arrivals: Vec<(GPtr, u32, u32)>,
-    /// Planned by the boundary: the homes of `arrivals`, whose
+    /// Planned by the boundary: the homes of the copies held, whose
     /// [`DpaMsg::PhaseDelta`] gates this node's first strip.
     pub(crate) awaiting: Vec<u16>,
     /// Planned by the boundary: per consumer carrying objects homed here,
@@ -158,10 +157,11 @@ pub struct DpaProc<A: PtrApp> {
     /// has no generation to carry yet — the copy that will release it has
     /// not arrived — so M keeps four bytes a thread less than the ready
     /// stack does. Its key set is D: the pointers with a request
-    /// outstanding (buffered or in flight).
+    /// outstanding (buffered or in flight). Its directory is the node's
+    /// one table per pointer: it also holds renamed storage (the remote
+    /// objects fetched, carried or broadcast so far) and which requests
+    /// are on the wire.
     map: PointerMap<(u32, A::Work)>,
-    /// Renamed storage: remote objects fetched so far this phase.
-    arrived: ArrivalSet,
     /// Per-destination request batching. This and the two byte-budgeted
     /// coalescers take their buffers from the machine's [`Payloads`].
     coal: Coalescer<GPtr>,
@@ -203,11 +203,10 @@ pub struct DpaProc<A: PtrApp> {
     completed_iters: u64,
     threads_created: u64,
     peak_stack: u64,
-    /// Objects with requests currently in flight (sent, reply pending).
-    /// A set rather than a count: a replica broadcast can complete a
-    /// pending request whose wire reply arrives later, and set removal
-    /// stays exact where a counter would drift.
-    in_flight: FxHashSet<GPtr>,
+    /// The most requests on the wire at once (sent, reply pending). A bit
+    /// per pointer in M's directory rather than a count: a replica
+    /// broadcast can complete a pending request whose wire reply arrives
+    /// later, and clearing a bit stays exact where a counter would drift.
     peak_in_flight: u64,
     request_msgs: u64,
     reply_msgs: u64,
@@ -270,7 +269,6 @@ impl<A: PtrApp> DpaProc<A> {
         Ok(DpaProc {
             stack: Vec::new(),
             map: PointerMap::new(),
-            arrived: ArrivalSet::new(),
             // Without pipelining, batches are held rather than auto-sent,
             // so the window can stay as configured; `held` captures
             // overflow.
@@ -290,7 +288,6 @@ impl<A: PtrApp> DpaProc<A> {
             completed_iters: 0,
             threads_created: 0,
             peak_stack: 0,
-            in_flight: FxHashSet::default(),
             peak_in_flight: 0,
             request_msgs: 0,
             reply_msgs: 0,
@@ -326,17 +323,10 @@ impl<A: PtrApp> DpaProc<A> {
     /// [`PhaseCarry`] for what rides under which config flag.
     pub fn take_carry(&mut self) -> PhaseCarry<A::Work> {
         let demote = self.cfg.replication_write_demote;
-        let (mut arrivals, mut tables) = (Vec::new(), None);
-        if self.diff.is_some() {
-            arrivals.extend(self.arrived.entries());
-            arrivals.sort_unstable_by_key(|&(p, _, _)| p.bits());
-            tables = Some(std::mem::take(&mut self.map));
-        }
         PhaseCarry {
             affinity: self.aff.take().map(|a| a.table),
             replication: self.repl.take().map(|r| r.into_carry(demote)),
-            tables,
-            arrivals,
+            tables: self.diff.is_some().then(|| std::mem::take(&mut self.map)),
             awaiting: Vec::new(),
             deltas: Vec::new(),
         }
@@ -349,8 +339,8 @@ impl<A: PtrApp> DpaProc<A> {
             a.table = table;
         }
         if let Some(mut map) = carry.tables {
-            // M is *patched* for reuse — per-phase state reset, interner
-            // kept; see [`PointerMap::reset_for_phase`].
+            // M is *patched* for reuse — per-phase state reset, directory
+            // and held copies kept; see [`PointerMap::reset_for_phase`].
             map.reset_for_phase();
             self.map = map;
         }
@@ -358,12 +348,7 @@ impl<A: PtrApp> DpaProc<A> {
             r.install_carry(dir);
         }
         if let Some(d) = self.diff.as_mut() {
-            d.install_carry(
-                carry.arrivals,
-                carry.awaiting,
-                carry.deltas,
-                &mut self.arrived,
-            );
+            d.install_carry(self.map.arrivals().len(), carry.awaiting, carry.deltas);
         }
     }
 
@@ -388,7 +373,7 @@ impl<A: PtrApp> DpaProc<A> {
             map_threads: self.map.live_threads(),
             pending_requests: self.map.keys(),
             pending_sample: self.map.sorted_sample(4),
-            in_flight: self.in_flight.len(),
+            in_flight: self.map.arrivals().in_flight(),
             requests_issued: self.map.first_alignments(),
             objects_installed: self.installs,
             req_pushed: self.coal.total_pushed(),
@@ -406,9 +391,7 @@ impl<A: PtrApp> DpaProc<A> {
             reply_msgs: self.reply_msgs,
             update_msgs: self.updates.msgs_sent,
             misrouted_requests: self.misrouted + self.updates.refused(),
-            stale_cache_entries: self
-                .arrived
-                .entries()
+            stale_cache_entries: (self.map.arrivals().entries())
                 .filter(|&(p, _, gen)| gen != self.app.object_generation(p))
                 .count(),
             ..NodeSnapshot::default()
@@ -444,8 +427,8 @@ impl<A: PtrApp> DpaProc<A> {
         label_gen: u32,
         code: impl FnOnce(&mut A, &mut WorkEnv<'_, A::Work>),
     ) {
-        let mut env = WorkEnv::new(ctx.me().0, ctx.num_nodes(), Avail::Arrived(&self.arrived))
-            .labeled(label_gen);
+        let held = Avail::Arrived(self.map.arrivals());
+        let mut env = WorkEnv::new(ctx.me().0, ctx.num_nodes(), held).labeled(label_gen);
         env.reuse_buffer(std::mem::take(&mut self.emit_buf));
         code(&mut self.app, &mut env);
         let (ns, mut emits) = env.finish();
@@ -523,22 +506,22 @@ impl<A: PtrApp> DpaProc<A> {
             threads += 1;
             owed += self.cfg.cost.thread_create_ns;
             let home = ptr.node();
-            // The label is resolved here, once: what renamed storage holds
-            // for it rides with the thread. An object born here is never
-            // fetched, so it is not looked up at all.
-            let held = if home == me {
-                None
+            // The label is resolved here, in one probe: what renamed
+            // storage holds for it rides with the thread, and otherwise the
+            // thread aligns under the id the probe returned. An object born
+            // here is never fetched, so it is not looked up at all.
+            let (id, held) = if home == me {
+                (0, Some(NO_GEN))
             } else {
-                self.arrived.generation(ptr)
+                self.map.arrivals_mut().intern(ptr)
             };
-            if home == me || held.is_some() {
+            if let Some(gen) = held {
                 // Data already here: immediately ready.
-                let gen = held.unwrap_or(NO_GEN);
                 self.stack.push(Tagged { slot, gen, work });
                 continue;
             }
             owed += self.cfg.cost.map_update_ns + self.pressure();
-            let first = self.map.align(ptr, (slot, work));
+            let first = self.map.align_id(id, (slot, work));
             self.sample_affinity(ptr);
             // The first thread aligned under a pointer opens its request.
             if first {
@@ -731,10 +714,11 @@ impl<A: PtrApp> DpaProc<A> {
     fn send_request(&mut self, ctx: &mut Ctx<'_, DpaMsg>, dst: u16, batch: Vec<GPtr>) {
         debug_assert!(!batch.is_empty());
         debug_assert!(dst != ctx.me().0, "self-requests must be routed locally");
-        for p in &batch {
-            self.in_flight.insert(*p);
+        let wire = self.map.arrivals_mut();
+        for &p in &batch {
+            wire.set_in_flight(p);
         }
-        self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len() as u64);
+        self.peak_in_flight = self.peak_in_flight.max(wire.in_flight() as u64);
         self.request_msgs += 1;
         self.request_entries_sent += batch.len() as u64;
         ctx.send(NodeId(dst), DpaMsg::Request(batch));
@@ -744,27 +728,19 @@ impl<A: PtrApp> DpaProc<A> {
     /// that doubles as one. If a request for it is pending — threads wait
     /// under it in M — that request completes: the object enters renamed
     /// storage and every thread aligned under it is released to run
-    /// consecutively (tiling). Returns `false`, changing nothing, when no
-    /// request is waiting on it.
-    fn install(&mut self, ptr: GPtr, size: u32, gen: u32) -> bool {
-        let Some(chain) = self.map.waiting(ptr) else {
-            return false;
-        };
-        self.installs += 1;
-        // A copy that was already held keeps its own stamp.
-        let held = if self.arrived.insert_gen(ptr, size, gen) {
-            gen
-        } else {
-            self.arrived.generation(ptr).unwrap_or(gen)
-        };
-        self.map
-            .release_chain(chain, &mut self.stack, |(slot, work)| Tagged {
-                slot,
-                gen: held,
-                work,
-            });
-        self.peak_stack = self.peak_stack.max(self.stack.len() as u64);
-        true
+    /// consecutively (tiling); a copy that was already held keeps its own
+    /// stamp. Changes nothing else when no request is waiting on it, but a
+    /// `reply` for a held copy retires its request in flight. One probe.
+    fn install(&mut self, ptr: GPtr, size: u32, gen: u32, reply: bool) -> Arrival {
+        let ready = |(slot, work), gen| Tagged { slot, gen, work };
+        let arrival = self
+            .map
+            .install_with(ptr, size, gen, reply, &mut self.stack, ready);
+        if arrival == Arrival::Released {
+            self.installs += 1;
+            self.peak_stack = self.peak_stack.max(self.stack.len() as u64);
+        }
+        arrival
     }
 
     /// Requester side: install the objects of one reply.
@@ -781,12 +757,10 @@ impl<A: PtrApp> DpaProc<A> {
     fn install_reply(&mut self, ctx: &mut Ctx<'_, DpaMsg>, mut objs: Vec<(GPtr, u32)>) {
         for (ptr, size) in objs.drain(..) {
             ctx.charge_overhead(self.cfg.cost.reply_install_ns + self.pressure());
-            let installed = self.install(ptr, size, self.app.object_generation(ptr));
-            if !installed && !self.arrived.contains(ptr) {
+            let gen = self.app.object_generation(ptr);
+            if self.install(ptr, size, gen, true) == Arrival::Unasked {
                 self.misrouted += 1;
-                continue;
             }
-            self.in_flight.remove(&ptr);
         }
         Payloads::of(ctx).replies.put(objs);
     }
@@ -856,7 +830,7 @@ impl<A: PtrApp> DpaProc<A> {
             if self.next_iter == self.total_iters
                 && self.live.is_empty()
                 && self.map.is_empty()
-                && self.in_flight.is_empty()
+                && self.map.arrivals().in_flight() == 0
                 && self.coal.is_empty()
                 && self.held.is_empty()
             {
@@ -952,7 +926,7 @@ impl<A: PtrApp> Proc for DpaProc<A> {
             self.live.len(),
             // D is M's key set; the report keeps naming both.
             self.map.keys(),
-            self.in_flight.len(),
+            self.map.arrivals().in_flight(),
             self.map.keys(),
             self.map.live_threads(),
             stuck.join(", "),
@@ -980,8 +954,9 @@ impl<A: PtrApp> Proc for DpaProc<A> {
         stats.bump("request_msgs", self.request_msgs);
         stats.bump("reply_msgs", self.reply_msgs);
         stats.bump("peak_ready_stack", self.peak_stack);
-        stats.bump("renamed_peak_bytes", self.arrived.peak_bytes());
-        stats.bump("remote_objects_fetched", self.arrived.total_inserts());
+        let renamed = self.map.arrivals();
+        stats.bump("renamed_peak_bytes", renamed.peak_bytes());
+        stats.bump("remote_objects_fetched", renamed.total_inserts());
         stats.bump(
             "thread_state_peak_bytes",
             self.map.peak_threads() * self.app.work_state_bytes() as u64,

@@ -21,6 +21,7 @@
 
 use super::{fan_out, DpaProc};
 use crate::invariant::NodeSnapshot;
+use crate::mapping::Arrival;
 use crate::msg::{DpaMsg, Payloads, SeqChannel};
 use crate::work::PtrApp;
 use global_heap::{FxHashMap, GPtr, ReplicaDirectory};
@@ -108,15 +109,6 @@ impl ReplState {
 }
 
 impl<A: PtrApp> DpaProc<A> {
-    /// Replicas installed from broadcasts this phase, as sorted
-    /// `(ptr bits, generation)` pairs (snapshot/oracle export).
-    pub fn replicas_held(&self) -> Vec<(u64, u32)> {
-        self.repl
-            .as_ref()
-            .map(ReplState::held_sorted)
-            .unwrap_or_default()
-    }
-
     /// Push the replica payloads flagged for (re-)broadcast to their
     /// consumer sets: one `Replicate` per (consumer, generation) group,
     /// sized and charged like a reply, fanned out in sorted order. Fresh
@@ -175,12 +167,13 @@ impl<A: PtrApp> DpaProc<A> {
             ctx.charge_overhead(self.cfg.cost.reply_install_ns + self.pressure());
             // Threads waiting under `ptr` mean the broadcast raced our own
             // demand request; it doubles as the reply.
-            if !self.install(ptr, size, gen) {
+            if self.install(ptr, size, gen, false) != Arrival::Released {
                 // Supersede any carried copy outright: the broadcast may
                 // outrun the owner's PhaseDelta, and a stale carry must
                 // never survive behind the fresh-replica guard.
-                self.arrived.invalidate(ptr);
-                self.arrived.preload_gen(ptr, size, gen);
+                let held = self.map.arrivals_mut();
+                held.invalidate(ptr);
+                held.preload_gen(ptr, size, gen);
             }
         }
         Payloads::of(ctx).replies.put(entries);

@@ -393,7 +393,7 @@ mod tests {
     fn assert_readable_catches_a_carried_generation_that_went_stale() {
         let mut arr = ArrivalSet::new();
         let remote = GPtr::new(1, ObjClass(0), 9);
-        arr.insert_gen(remote, 64, 4);
+        arr.preload_gen(remote, 64, 4);
         let env: WorkEnv<'_, u32> = WorkEnv::new(0, 2, Avail::Arrived(&arr)).labeled(3);
         env.assert_readable(remote);
     }

@@ -9,8 +9,10 @@
 //!   index)`, 8 bytes on the wire;
 //! * [`gptr::ClassTable`] — per-class object sizes, driving reply byte
 //!   counts;
-//! * [`arrival::ArrivalSet`] — the per-node set of remote objects fetched so
-//!   far in the current phase (DPA's tile buffer / renamed storage);
+//! * [`arrival::ArrivalSet`] — a node's one requester-side table per
+//!   pointer: renamed storage (the remote copies held, DPA's tile buffer),
+//!   the on-the-wire bit of D, and the chain of M's waiting threads, all
+//!   behind one probe. `dpa_core::PointerMap` owns it;
 //! * [`cache::SoftCache`] — the software-caching baseline the paper
 //!   compares against: a hashed cache probed on *every* global access, with
 //!   blocking misses;

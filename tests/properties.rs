@@ -9,8 +9,8 @@ use dpa::nbody::distrib::uniform_cube;
 use dpa::nbody::octree::Octree;
 use dpa::runtime::synth::{SynthApp, SynthParams, SynthWorld};
 use dpa::runtime::{
-    check_completed, run_phase, run_phase_dst, DpaConfig, DstOptions, PendingRequests, PointerMap,
-    SeqChannel,
+    check_completed, run_phase, run_phase_dst, Arrival, DpaConfig, DstOptions, PendingRequests,
+    PointerMap, SeqChannel,
 };
 use dpa::sim_net::{EventKey, NetConfig, TimingWheel, WheelItem};
 use proptest::prelude::*;
@@ -317,6 +317,123 @@ proptest! {
             prop_assert_eq!(slab.peak_keys(), lists.peak_keys);
             prop_assert_eq!(slab.total_aligned(), lists.total_aligned);
             prop_assert_eq!(slab.interned(), lists.ptrs.len());
+        }
+    }
+
+    /// M's directory is the node's one table per pointer: its threads, its
+    /// held copy and D's on-the-wire bit. Over arbitrary interleavings of
+    /// demands, requests put on the wire, arriving copies (replies and
+    /// broadcasts), duplicate replies, invalidations, preloads and
+    /// `reset_for_phase`, it answers like a `HashMap` of those three facts
+    /// per pointer: the same route decision for every demand (held → ready
+    /// with its generation, otherwise align, first or not), the same
+    /// released threads with the generation each runs under, and the same
+    /// in-flight count, renamed bytes and their peak, inserts and
+    /// invalidations.
+    #[test]
+    fn one_pointer_table_matches_a_model_of_threads_copies_and_wire_bits(
+        seed in any::<u64>(),
+        ops in 1usize..600,
+        key_space in 1u64..12,
+        reset_p in 0.0f64..0.03,
+    ) {
+        #[derive(Default)]
+        struct PtrModel {
+            chain: Vec<u64>,
+            held: Option<(u32, u32)>,
+            wire: bool,
+        }
+        let mut rng = dpa::sim_net::Rng::new(seed);
+        let mut map: PointerMap<u64> = PointerMap::new();
+        let mut model: HashMap<GPtr, PtrModel> = HashMap::new();
+        let (mut bytes, mut peak, mut inserts, mut invalidations) = (0u64, 0u64, 0u64, 0u64);
+        let mut last_copy = None;
+        let mut out = Vec::new();
+        for op in 0..ops as u64 {
+            if rng.chance(reset_p) {
+                map.reset_for_phase();
+                for m in model.values_mut() {
+                    m.chain.clear();
+                    m.wire = false;
+                }
+                (peak, inserts, invalidations) = (bytes, 0, 0);
+                continue;
+            }
+            let mut ptr = GPtr::new(1 + rng.below(3) as u16, ObjClass(0), rng.below(key_space));
+            let (size, gen) = (16 + rng.below(64) as u32, rng.below(4) as u32);
+            match rng.below(7) {
+                0 | 1 => {
+                    let (id, held) = map.arrivals_mut().intern(ptr);
+                    let m = model.entry(ptr).or_default();
+                    prop_assert_eq!(held, m.held.map(|(_, g)| g), "route decision");
+                    if held.is_none() {
+                        prop_assert_eq!(map.align_id(id, op), m.chain.is_empty());
+                        m.chain.push(op);
+                    }
+                }
+                2 => {
+                    map.arrivals_mut().set_in_flight(ptr);
+                    model.entry(ptr).or_default().wire = true;
+                }
+                3 | 4 => {
+                    // A reply, a broadcast, or a duplicate of the last reply.
+                    let reply = match last_copy {
+                        Some(dup) if rng.chance(0.3) => {
+                            ptr = dup;
+                            true
+                        }
+                        _ => rng.chance(0.5),
+                    };
+                    out.clear();
+                    let got = map.install_with(ptr, size, gen, reply, &mut out, |w, g| (w, g));
+                    let m = model.entry(ptr).or_default();
+                    let want = if !m.chain.is_empty() {
+                        let (_, runs_at) = *m.held.get_or_insert_with(|| {
+                            inserts += 1;
+                            bytes += u64::from(size);
+                            (size, gen)
+                        });
+                        let released: Vec<_> = m.chain.drain(..).map(|w| (w, runs_at)).collect();
+                        prop_assert_eq!(&out, &released, "released threads");
+                        Arrival::Released
+                    } else if m.held.is_some() {
+                        Arrival::Held
+                    } else {
+                        Arrival::Unasked
+                    };
+                    if reply && want != Arrival::Unasked {
+                        m.wire = false;
+                        last_copy = Some(ptr);
+                    }
+                    prop_assert_eq!(got, want);
+                }
+                5 => {
+                    let m = model.entry(ptr).or_default();
+                    let held = m.held.take();
+                    if let Some((s, _)) = held {
+                        bytes -= u64::from(s);
+                        invalidations += 1;
+                    }
+                    prop_assert_eq!(map.arrivals_mut().invalidate(ptr), held.is_some());
+                }
+                _ => {
+                    map.arrivals_mut().preload_gen(ptr, size, gen);
+                    let m = model.entry(ptr).or_default();
+                    if m.held.is_none() {
+                        m.held = Some((size, gen));
+                        bytes += u64::from(size);
+                    }
+                }
+            }
+            peak = peak.max(bytes);
+            let a = map.arrivals();
+            prop_assert_eq!(a.in_flight(), model.values().filter(|m| m.wire).count());
+            prop_assert_eq!(a.len(), model.values().filter(|m| m.held.is_some()).count());
+            prop_assert_eq!((a.bytes(), a.peak_bytes()), (bytes, peak));
+            prop_assert_eq!((a.total_inserts(), a.total_invalidations()), (inserts, invalidations));
+            prop_assert_eq!(map.keys(), model.values().filter(|m| !m.chain.is_empty()).count());
+            let waiting: usize = model.values().map(|m| m.chain.len()).sum();
+            prop_assert_eq!(map.live_threads(), waiting as u64);
         }
     }
 
